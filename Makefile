@@ -34,7 +34,7 @@ ALERTS_SMOKE_DIR ?= alerts-smoke-logs
 # STATICCHECK is the staticcheck binary `make check` uses when present.
 STATICCHECK ?= staticcheck
 
-.PHONY: all build test race vet fmt staticcheck check bench bench-smoke trace-smoke fuzz chaos soak node-smoke catchup-smoke bench-cluster ingress-smoke alerts-smoke
+.PHONY: all build test race vet fmt staticcheck check bench bench-smoke bench-test bench-e2e trace-smoke fuzz chaos soak node-smoke catchup-smoke bench-cluster ingress-smoke alerts-smoke
 
 all: check
 
@@ -67,9 +67,10 @@ staticcheck:
 		echo "staticcheck not installed; skipping (CI runs it pinned)"; \
 	fi
 
-# check is the full local gate: formatting, static analysis, and the race
-# detector over the whole tree. CI's push gate runs exactly this.
-check: fmt vet staticcheck race
+# check is the full local gate: formatting, static analysis, the race
+# detector over the whole tree, and the nested bench module's own tests.
+# CI's push gate runs exactly this.
+check: fmt vet staticcheck race bench-test
 
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkSCPRound|BenchmarkBaseline|BenchmarkVerifyTxSet|BenchmarkApplyTxSetParallel|BenchmarkBucketRehash' -count 3 .
@@ -80,6 +81,19 @@ bench:
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkSCPRound|BenchmarkBaseline|BenchmarkVerifyTxSet|BenchmarkApplyTxSetParallel|BenchmarkBucketRehash' -benchtime 1x .
 	TRACE_OVERHEAD=1 $(GO) test -run '^TestNilTracerOverhead$$' -v .
+
+# bench-test vets and tests the end-to-end benchmark's own code. bench/ is
+# a nested module (so it can import stellar/internal/...), which `go test
+# ./...` and `make race` at the root therefore skip. Under a second, no
+# cluster, no timing.
+bench-test:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# bench-e2e is the benchmark itself (BENCHMARK.json's command): all four
+# workloads on a real-TCP quorum, traced, report in bench/out/. Minutes,
+# and its numbers mean something only on a quiet machine — not a CI gate.
+bench-e2e:
+	bash bench/run.sh
 
 # trace-smoke runs a short traced simulation, validates the exported
 # Chrome trace (schema + full parent-linked tx lifecycle), and prints the

@@ -305,8 +305,9 @@ func (n *Node) Start() {
 
 // scheduleTrigger (re)arms the ledger cadence timer. A single handle with
 // cancel-replace semantics keeps exactly one trigger chain alive; it is
-// re-anchored at every ledger apply, which revives the cadence after a
-// crash (the simulator consumes timers that fire while a node is down).
+// re-armed at every ledger apply (applyLedger anchors it on the closed
+// slot's ballot start), which revives the cadence after a crash (the
+// simulator consumes timers that fire while a node is down).
 func (n *Node) scheduleTrigger(d time.Duration) {
 	if n.trigTimer != nil {
 		n.trigTimer.Cancel()
@@ -366,6 +367,12 @@ func (n *Node) onTx(tx *ledger.Transaction) {
 	n.admitTimes[h] = n.net.Now()
 	n.noteEvicted(res.Evicted)
 	n.updatePoolGauges()
+	// Pre-verify into the shared cache now, in the idle part of the
+	// interval, so the trigger's CheckValid pass and the apply hit warm
+	// verdicts. The result is deliberately ignored: this node may be a
+	// few milliseconds behind on the ledger that created the source
+	// account, and overlay dedup would never re-deliver a dropped flood.
+	_ = n.state.CheckSignatures(tx, n.cfg.NetworkID)
 }
 
 // noteEvicted records fee-pressure evictions: counts them and closes the
@@ -438,6 +445,7 @@ func (n *Node) triggerNextLedger() {
 		return
 	}
 	n.triggered[slot] = true
+	trigStart := time.Now() // real time: the trigger is real compute
 
 	// Build the candidate transaction set from the pending pool.
 	closeTime := n.proposedCloseTime()
@@ -476,6 +484,9 @@ func (n *Node) triggerNextLedger() {
 		Detail: fmt.Sprintf("txs=%d", len(candidates))})
 	n.log.Debug("trigger ledger", "slot", slot, "txs", len(candidates), "close_time", closeTime)
 	n.scp.Nominate(slot, sv.Encode())
+	trigDur := time.Since(trigStart)
+	n.ins.trigger.ObserveDuration(trigDur)
+	n.traceTriggerDone(slot, trigDur)
 	// Schedule the next cadence tick regardless; if consensus is slow the
 	// tick re-checks.
 	n.scheduleTrigger(n.cfg.LedgerInterval)
@@ -585,8 +596,13 @@ func (n *Node) applyLedger(slot uint64, sv *StellarValue, ts *ledger.TxSet) {
 	closeInterval := time.Duration(hdr.CloseTime-prevClose) * time.Second
 	n.Metrics.CloseInterval.Add(closeInterval)
 	n.ins.closeInterval.ObserveDuration(closeInterval)
+	// nextTrigger is when the cadence fires next (re-armed below): one
+	// interval after this node started balloting on the slot. The zero
+	// value — no local ballot start — lies in the past.
+	var nextTrigger time.Duration
 	if st, ok := n.slotStats[slot]; ok {
 		if st.sawPrepare {
+			nextTrigger = st.firstPrepareAt + n.cfg.LedgerInterval
 			if st.nominateAt > 0 {
 				n.Metrics.Nomination.Add(st.firstPrepareAt - st.nominateAt)
 				n.ins.nomination.ObserveDuration(st.firstPrepareAt - st.nominateAt)
@@ -673,9 +689,16 @@ func (n *Node) applyLedger(slot uint64, sv *StellarValue, ts *ledger.TxSet) {
 	// Garbage-collect consensus state for closed slots.
 	n.scp.PurgeBelow(slot)
 
-	// Re-anchor the ledger cadence on this close; this also revives the
+	// Re-arm the ledger cadence one interval after this slot's ballot
+	// start — the one event every intact node sees within a message delay
+	// of the others — so balloting, apply and archive run inside the
+	// interval instead of pushing the next trigger out. A slot closed
+	// without a local ballot start (catch-up, externalize learned from
+	// peers) triggers at once. Re-arming at every apply also revives the
 	// trigger chain after a crash killed its pending timer.
-	n.scheduleTrigger(n.cfg.LedgerInterval)
+	wait := min(max(nextTrigger-n.net.Now(), 0), n.cfg.LedgerInterval)
+	n.ins.intervalSlack.ObserveDuration(wait)
+	n.scheduleTrigger(wait)
 
 	if n.OnLedgerClose != nil {
 		n.OnLedgerClose(hdr, results)

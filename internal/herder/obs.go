@@ -24,6 +24,8 @@ type instruments struct {
 	nomination    *obs.Histogram // herder_nomination_seconds
 	balloting     *obs.Histogram // herder_balloting_seconds
 	closeInterval *obs.Histogram // herder_close_interval_seconds
+	trigger       *obs.Histogram // herder_trigger_seconds
+	intervalSlack *obs.Histogram // herder_interval_slack_seconds
 	txPerLedger   *obs.Histogram // herder_tx_per_ledger
 	ledgersClosed *obs.Counter   // herder_ledgers_closed_total
 	pendingTxs    *obs.Gauge     // herder_pending_txs
@@ -64,6 +66,10 @@ func newInstruments(reg *obs.Registry) *instruments {
 			"first prepare to externalize (paper §7.3)", nil),
 		closeInterval: reg.Histogram("herder_close_interval_seconds",
 			"time between consecutive ledger closes (close rate, §7.3)", nil),
+		trigger: reg.Histogram("herder_trigger_seconds",
+			"trigger timer fire to scp.Nominate return: pool validation, sort, surge pricing, tx-set hash and broadcast (wall time)", nil),
+		intervalSlack: reg.Histogram("herder_interval_slack_seconds",
+			"wait armed at apply: what was left of the interval when the close pipeline finished (0 = the node cannot hold the cadence)", nil),
 		txPerLedger: reg.Histogram("herder_tx_per_ledger",
 			"transactions confirmed per ledger", obs.CountBuckets),
 		ledgersClosed: reg.Counter("herder_ledgers_closed_total",

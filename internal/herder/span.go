@@ -29,6 +29,7 @@ const maxTracedTxs = 4096
 // slotSpans is the consensus span tree of one in-flight slot:
 //
 //	slot
+//	├── trigger           (wall-measured: candidate build → Nominate returns)
 //	├── nomination        trigger → first prepare
 //	├── balloting         first prepare → externalize
 //	│   ├── ballot-prepare    first prepare → accept commit
@@ -130,6 +131,14 @@ func (n *Node) traceTriggerSlot(slot uint64, candidates []*ledger.Transaction) {
 		cons.Arg("slot", strconv.FormatUint(slot, 10))
 		txt.phase = cons
 		txt.stage = txStageConsensus
+	}
+}
+
+// traceTriggerDone records the trigger's measured wall-clock cost under
+// the slot span.
+func (n *Node) traceTriggerDone(slot uint64, dur time.Duration) {
+	if ss := n.spans[slot]; ss != nil {
+		ss.slot.CompleteChild(obs.SpanTrigger, dur)
 	}
 }
 

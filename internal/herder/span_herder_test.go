@@ -66,7 +66,7 @@ func TestSlotAndTxSpansRecorded(t *testing.T) {
 
 	d := tracer.Decompose()
 	for _, phase := range []string{
-		obs.SpanSlot, obs.SpanNomination, obs.SpanBalloting,
+		obs.SpanSlot, obs.SpanTrigger, obs.SpanNomination, obs.SpanBalloting,
 		obs.SpanPrepare, obs.SpanCommit, obs.SpanApply,
 		obs.SpanTxApply, obs.SpanBucketMerge,
 		obs.SpanTx, obs.SpanTxSubmit, obs.SpanTxPending,
@@ -124,6 +124,7 @@ func TestSlotAndTxSpansRecorded(t *testing.T) {
 		obs.SpanTxPending:   obs.SpanTx,
 		obs.SpanTxConsensus: obs.SpanTx,
 		obs.SpanTxApplied:   obs.SpanTx,
+		obs.SpanTrigger:     obs.SpanSlot,
 		obs.SpanNomination:  obs.SpanSlot,
 		obs.SpanBalloting:   obs.SpanSlot,
 		obs.SpanApply:       obs.SpanSlot,

@@ -57,15 +57,16 @@ var lifecycleOrder = map[string]int{
 	SpanTxPending:   2,
 	SpanTxConsensus: 3,
 	SpanSlot:        4,
-	SpanNomination:  5,
-	SpanBalloting:   6,
-	SpanPrepare:     7,
-	SpanCommit:      8,
-	SpanApply:       9,
-	SpanSigPrepass:  10,
-	SpanTxApply:     11,
-	SpanBucketMerge: 12,
-	SpanArchive:     13,
+	SpanTrigger:     5,
+	SpanNomination:  6,
+	SpanBalloting:   7,
+	SpanPrepare:     8,
+	SpanCommit:      9,
+	SpanApply:       10,
+	SpanSigPrepass:  11,
+	SpanTxApply:     12,
+	SpanBucketMerge: 13,
+	SpanArchive:     14,
 }
 
 // Decompose aggregates every completed span by name. Open (unfinished)

@@ -35,6 +35,7 @@ import (
 // makes the trace schema greppable.
 const (
 	SpanSlot        = "slot"           // nomination start → ledger applied
+	SpanTrigger     = "trigger"        // trigger timer fire → scp.Nominate returns (wall-measured)
 	SpanNomination  = "nomination"     // nomination start → first prepare
 	SpanBalloting   = "balloting"      // first prepare → externalize
 	SpanPrepare     = "ballot-prepare" // first prepare → accept commit

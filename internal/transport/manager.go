@@ -146,6 +146,14 @@ type Manager struct {
 	log  *slog.Logger
 	ins  *instruments
 
+	// memoPkt/memoFrame remember the last packet route encoded, so a flood
+	// of one packet to k peers encodes it once and queues the same
+	// immutable frame k times. Touched only under the loop lock (route's
+	// calling context). Holding the packet pointer keeps its address from
+	// being reused while the memo is live.
+	memoPkt   *overlay.Packet
+	memoFrame []byte
+
 	mu      sync.Mutex
 	peers   map[simnet.Addr]*peer
 	closed  bool
@@ -251,23 +259,18 @@ func (m *Manager) Close() {
 	m.wg.Wait()
 }
 
-// route implements the loop's Send: encode the packet once and queue it
-// on the destination peer. Called with the loop lock held, so it must not
-// block — unknown destinations and full queues are drops, not stalls.
+// route implements the loop's Send: queue the packet's frame on the
+// destination peer. Called with the loop lock held, so it must not block —
+// unknown destinations and full queues are drops, not stalls.
 func (m *Manager) route(from, to simnet.Addr, msg any, size int) {
 	pkt, ok := msg.(*overlay.Packet)
 	if !ok {
 		m.log.Warn("dropping non-packet message", "to", string(to), "type", fmt.Sprintf("%T", msg))
 		return
 	}
-	payload, err := EncodePacket(pkt)
+	frame, err := m.frameFor(pkt)
 	if err != nil {
 		m.log.Warn("dropping unencodable packet", "to", string(to), "err", err)
-		return
-	}
-	frame, err := AppendFrame(nil, FramePacket, payload)
-	if err != nil {
-		m.log.Warn("dropping oversized packet", "to", string(to), "err", err)
 		return
 	}
 	m.mu.Lock()
@@ -279,6 +282,26 @@ func (m *Manager) route(from, to simnet.Addr, msg any, size int) {
 	if shed := p.enqueue(frame); shed > 0 {
 		p.ins.queueSheds.Add(float64(shed))
 	}
+}
+
+// frameFor returns pkt's wire frame, encoding it only when pkt is not the
+// packet of the previous call: the overlay floods one *Packet to every
+// peer in consecutive Sends and never mutates a packet it has sent.
+// Frames are shared between peer queues and must never be written to.
+func (m *Manager) frameFor(pkt *overlay.Packet) ([]byte, error) {
+	if pkt == m.memoPkt {
+		return m.memoFrame, nil
+	}
+	payload, err := EncodePacket(pkt)
+	if err != nil {
+		return nil, err
+	}
+	frame, err := AppendFrame(nil, FramePacket, payload)
+	if err != nil {
+		return nil, err
+	}
+	m.memoPkt, m.memoFrame = pkt, frame
+	return frame, nil
 }
 
 func (m *Manager) acceptLoop(ln net.Listener) {

@@ -411,12 +411,80 @@ func TestManagerConnectSendReconnect(t *testing.T) {
 	}
 
 	// Sever the connection server-side; B's dial loop must notice and
-	// re-establish within its backoff schedule.
-	ma.peerByID(mb.Self()).conn.Close()
-	waitFor(t, "peers down", func() bool { return ma.NumPeers() == 0 })
-	waitFor(t, "reconnect", func() bool { return ma.NumPeers() == 1 && mb.NumPeers() == 1 })
-	if got := mb.ins.reconnects.With(string(ma.Self())).Value(); got < 1 {
-		t.Fatalf("transport_reconnects_total{peer=%q} = %v, want >= 1", ma.Self(), got)
+	// re-establish within its backoff schedule. The transient "zero peers"
+	// state is not waited on — B can re-dial inside one poll — only things
+	// that stay true once they happen: B's reconnect counter, and A
+	// holding a connection that is not the severed one.
+	severed := ma.peerByID(mb.Self())
+	severed.conn.Close()
+	waitFor(t, "reconnect", func() bool {
+		cur := ma.peerByID(mb.Self())
+		return mb.ins.reconnects.With(string(ma.Self())).Value() >= 1 &&
+			cur != nil && cur != severed && mb.NumPeers() == 1
+	})
+}
+
+// TestRouteEncodesFloodedPacketOnce floods one packet to k peers the way
+// the overlay does (consecutive Sends of the same *Packet) and checks that
+// every queue holds the very same frame — one encode, not k — and that a
+// queued frame is never written to by later sends.
+func TestRouteEncodesFloodedPacketOnce(t *testing.T) {
+	m, loop, _ := newTestManager(t, "memo", nil)
+	// Peers with no writer goroutine, so frames stay queued for inspection.
+	peers := make([]*peer, 4)
+	for i := range peers {
+		local, remote := net.Pipe()
+		t.Cleanup(func() { local.Close(); remote.Close() })
+		id := simnet.Addr("memo-peer-" + string(rune('a'+i)))
+		peers[i] = newPeer(id, local, false, 8)
+		peers[i].ins = m.ins.forPeer(id)
+		m.mu.Lock()
+		m.peers[id] = peers[i]
+		m.mu.Unlock()
+	}
+	flood := func(pkt *overlay.Packet) {
+		loop.Run(func() {
+			for _, p := range peers {
+				loop.Send(m.Self(), p.id, pkt, 0)
+			}
+		})
+	}
+
+	tx := testTx(t)
+	ts := &ledger.TxSet{PrevLedgerHash: stellarcrypto.HashBytes([]byte("prev")), Txs: []*ledger.Transaction{tx, tx, tx}}
+	first := &overlay.Packet{Kind: overlay.KindTxSet, TxSet: ts, TTL: overlay.DefaultTTL, Origin: m.Self()}
+	flood(first)
+	frame := peers[0].queue[0]
+	want := append([]byte(nil), frame...)
+	for i, p := range peers {
+		if len(p.queue) != 1 || &p.queue[0][0] != &frame[0] {
+			t.Fatalf("peer %d does not share the one encoded frame", i)
+		}
+	}
+
+	// A different packet — even an equal copy — is encoded afresh, and the
+	// frames already queued keep their bytes.
+	second := *first
+	second.TTL--
+	flood(&second)
+	flood(&overlay.Packet{Kind: overlay.KindEnvelope, Envelope: testEnvelope(), TTL: 1, Origin: m.Self()})
+	for i, p := range peers {
+		if len(p.queue) != 3 {
+			t.Fatalf("peer %d queued %d frames, want 3", i, len(p.queue))
+		}
+		if &p.queue[1][0] == &frame[0] {
+			t.Fatalf("peer %d: a different packet reused the memoized frame", i)
+		}
+		if !bytes.Equal(p.queue[0], want) {
+			t.Fatalf("peer %d: queued frame was mutated by later sends", i)
+		}
+	}
+	typ, payload, err := ReadFrame(bytes.NewReader(peers[3].queue[0]))
+	if err != nil || typ != FramePacket {
+		t.Fatalf("queued frame does not parse: type %v, err %v", typ, err)
+	}
+	if got, err := DecodePacket(payload); err != nil || !reflect.DeepEqual(got, first) {
+		t.Fatalf("queued frame decodes to %+v (err %v), want the flooded packet", got, err)
 	}
 }
 

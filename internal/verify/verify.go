@@ -273,16 +273,15 @@ func New(workers, cacheSize int) *Verifier {
 }
 
 // Verify checks one signature through the cache. A nil Verifier falls
-// back to a direct uncached check, so call sites need no guards.
+// back to a direct uncached check, so call sites need no guards. The
+// registry counters are not touched here: the per-ledger FlushObs in
+// ledger.ApplyTxSet publishes them, and the hot path stays one cache
+// mutex per signature.
 func (v *Verifier) Verify(pk stellarcrypto.PublicKey, msg, sig []byte) bool {
 	if v == nil {
 		return pk.Verify(msg, sig)
 	}
-	ok := v.Cache.Verify(pk, msg, sig)
-	if v.ins != nil {
-		v.ins.observe(v)
-	}
-	return ok
+	return v.Cache.Verify(pk, msg, sig)
 }
 
 // instruments holds the registry-bound metrics; resolved once in SetObs.
@@ -319,12 +318,15 @@ func (v *Verifier) SetObs(reg *obs.Registry) {
 	v.ins.observe(v)
 }
 
-// observe folds the current counters into the registry.
+// observe folds the current counters into the registry. The snapshots are
+// taken under ins.mu: the cache and pool counters only grow, so snapshots
+// ordered by the lock never yield a negative (uint64-wrapping) delta,
+// which two observers snapshotting before the lock could.
 func (ins *instruments) observe(v *Verifier) {
-	cs := v.Cache.Stats()
-	ps := v.Pool.Stats()
 	ins.mu.Lock()
 	defer ins.mu.Unlock()
+	cs := v.Cache.Stats()
+	ps := v.Pool.Stats()
 	ins.hits.Add(float64(cs.Hits - ins.last.Hits))
 	ins.misses.Add(float64(cs.Misses - ins.last.Misses))
 	ins.entries.Set(float64(cs.Entries))

@@ -186,3 +186,67 @@ func TestVerifierObs(t *testing.T) {
 		t.Fatalf("verify_pool_tasks_total = %v, want 4", got)
 	}
 }
+
+// TestVerifierObsConcurrent drives Verify and FlushObs from many
+// goroutines at once (run under -race): the registry counters must never
+// decrease — an out-of-order snapshot would wrap the uint64 delta — and
+// must end at exactly one lookup per Verify call.
+func TestVerifierObsConcurrent(t *testing.T) {
+	const workers, calls = 8, 400
+	kp := stellarcrypto.KeyPairFromString("verify-obs-concurrent")
+	msgs := make([][]byte, 16)
+	sigs := make([][]byte, len(msgs))
+	for i := range msgs {
+		msgs[i] = []byte{byte(i)}
+		sigs[i] = kp.Secret.Sign(msgs[i])
+	}
+
+	v := New(2, 64)
+	reg := obs.NewRegistry()
+	v.SetObs(reg)
+	hits := reg.Counter("verify_cache_hits_total", "")
+	misses := reg.Counter("verify_cache_misses_total", "")
+
+	stop := make(chan struct{})
+	watched := make(chan struct{})
+	go func() {
+		defer close(watched)
+		var lastHits, lastMisses float64
+		for {
+			h, m := hits.Value(), misses.Value()
+			if h < lastHits || m < lastMisses || h+m > workers*calls {
+				t.Errorf("counters went backwards or wrapped: hits %v -> %v, misses %v -> %v", lastHits, h, lastMisses, m)
+				return
+			}
+			lastHits, lastMisses = h, m
+			select {
+			case <-stop:
+				return
+			default:
+			}
+		}
+	}()
+
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for g := 0; g < workers; g++ {
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < calls; i++ {
+				k := (g + i) % len(msgs)
+				if !v.Verify(kp.Public, msgs[k], sigs[k]) {
+					t.Errorf("valid signature rejected")
+					return
+				}
+				v.FlushObs()
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(stop)
+	<-watched
+	v.FlushObs()
+	if got := hits.Value() + misses.Value(); got != workers*calls {
+		t.Fatalf("hits + misses = %v, want %d", got, workers*calls)
+	}
+}
