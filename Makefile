@@ -7,10 +7,9 @@ CHAOS_SEEDS ?=
 # FUZZTIME is how long each native fuzz target runs under `make fuzz`.
 FUZZTIME ?= 30s
 
-# APPLY_WORKERS is a comma list of worker counts the parallel-apply
-# property tests sweep (default 1,2,4,8); `make race APPLY_WORKERS=...`
-# narrows or widens the matrix.
-APPLY_WORKERS ?=
+# BENCH_PATTERN selects the microbenchmarks bench, bench-smoke and
+# bench-cluster run (the rows of BENCH_micro.json).
+BENCH_PATTERN ?= BenchmarkSCPRound|BenchmarkBaseline|BenchmarkVerifyTxSet|BenchmarkBucketRehash
 
 # TRACE_OUT is where trace-smoke writes its Chrome trace artifact.
 TRACE_OUT ?= trace-smoke.json
@@ -45,7 +44,7 @@ test:
 	$(GO) test ./...
 
 race:
-	APPLY_WORKERS=$(APPLY_WORKERS) $(GO) test -race ./...
+	$(GO) test -race ./...
 
 vet:
 	$(GO) vet ./...
@@ -73,13 +72,13 @@ staticcheck:
 check: fmt vet staticcheck race bench-test
 
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkSCPRound|BenchmarkBaseline|BenchmarkVerifyTxSet|BenchmarkApplyTxSetParallel|BenchmarkBucketRehash' -count 3 .
+	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -count 3 .
 
 # bench-smoke runs each benchmark once — a fast regression tripwire for CI,
 # not a measurement — plus the nil-tracer overhead budget (tracing off
 # must cost <1% of a consensus round).
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkSCPRound|BenchmarkBaseline|BenchmarkVerifyTxSet|BenchmarkApplyTxSetParallel|BenchmarkBucketRehash' -benchtime 1x .
+	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchtime 1x .
 	TRACE_OVERHEAD=1 $(GO) test -run '^TestNilTracerOverhead$$' -v .
 
 # bench-test vets and tests the end-to-end benchmark's own code. bench/ is
@@ -109,7 +108,6 @@ fuzz:
 	$(GO) test ./internal/xdr/ -run '^$$' -fuzz '^FuzzTxDecodeRoundTrip$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/xdr/ -run '^$$' -fuzz '^FuzzQuorumSetDecodeRoundTrip$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ledger/ -run '^$$' -fuzz '^FuzzCheckSignatures$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/ledger/ -run '^$$' -fuzz '^FuzzReadWriteSets$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/transport/ -run '^$$' -fuzz '^FuzzFrameDecode$$' -fuzztime $(FUZZTIME)
 
 # bench-cluster boots a 3-process TCP quorum with live tracing, drives
@@ -119,7 +117,7 @@ fuzz:
 # BENCH_micro.json from one pass of the microbenchmarks.
 bench-cluster:
 	OBS_SMOKE_DIR=$(OBS_SMOKE_DIR) ./scripts/bench-cluster.sh
-	$(GO) test -run '^$$' -bench 'BenchmarkSCPRound|BenchmarkBaseline|BenchmarkVerifyTxSet|BenchmarkApplyTxSetParallel|BenchmarkBucketRehash' -benchtime 1x . \
+	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchtime 1x . \
 		| $(GO) run ./cmd/benchtables -bench-json BENCH_micro.json
 
 # node-smoke boots a 3-process TCP quorum (cmd/stellar-node), waits for

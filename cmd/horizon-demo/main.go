@@ -106,8 +106,6 @@ func main() {
 			LedgerInterval:      *interval,
 			VerifyWorkers:       common.VerifyWorkers,
 			VerifyCacheSize:     common.VerifyCache,
-			ApplyWorkers:        common.ApplyWorkers,
-			ApplyCheck:          common.ApplyCheck,
 			MempoolMaxTxs:       ingress.MempoolMax,
 			MempoolMaxPerSource: ingress.MempoolPerSource,
 			Obs:                 ob,

@@ -135,8 +135,6 @@ func run(listen, peersFlag, seed, quorumFlag, horizonAddr, metricsAddr, network 
 		MaxCloseTimeDrift:   drift,
 		VerifyWorkers:       common.VerifyWorkers,
 		VerifyCacheSize:     common.VerifyCache,
-		ApplyWorkers:        common.ApplyWorkers,
-		ApplyCheck:          common.ApplyCheck,
 		MempoolMaxTxs:       ingress.MempoolMax,
 		MempoolMaxPerSource: ingress.MempoolPerSource,
 		Archive:             arch,

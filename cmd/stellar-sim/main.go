@@ -45,8 +45,6 @@ func main() {
 		ArchiveDir:      *archive,
 		VerifyWorkers:   common.VerifyWorkers,
 		VerifyCacheSize: common.VerifyCache,
-		ApplyWorkers:    common.ApplyWorkers,
-		ApplyCheck:      common.ApplyCheck,
 		Trace:           common.Tracing() || *decompose,
 	}
 	if *verbose {

@@ -19,12 +19,6 @@ type CommonFlags struct {
 	// (0 = NumCPU, 1 = sequential); VerifyCache bounds its LRU.
 	VerifyWorkers int
 	VerifyCache   int
-	// ApplyWorkers sizes the conflict-graph parallel transaction apply
-	// (0 or 1 = sequential reference path); ApplyCheck makes the scheduler
-	// panic when a worker escapes its declared write set instead of only
-	// counting apply_rwset_violations_total.
-	ApplyWorkers int
-	ApplyCheck   bool
 	// TracePath, when non-empty, enables span tracing and names the
 	// Chrome trace-event JSON file to write.
 	TracePath string
@@ -69,8 +63,6 @@ func (f *IngressFlags) Register(fs *flag.FlagSet) {
 func (f *CommonFlags) Register(fs *flag.FlagSet) {
 	fs.IntVar(&f.VerifyWorkers, "verify-workers", 0, "signature verification pool size (0 = NumCPU, 1 = sequential)")
 	fs.IntVar(&f.VerifyCache, "verify-cache", 0, "signature verification cache entries (0 = default)")
-	fs.IntVar(&f.ApplyWorkers, "apply-workers", 0, "parallel transaction apply workers (0 or 1 = sequential)")
-	fs.BoolVar(&f.ApplyCheck, "apply-check", false, "panic when parallel apply escapes a declared write set (debug)")
 	fs.StringVar(&f.TracePath, "trace", "", "write a Chrome trace-event JSON file (open in Perfetto)")
 	fs.BoolVar(&f.TraceLive, "trace-live", false, "enable span tracing served over /debug/trace/export without writing a file")
 	fs.IntVar(&f.TraceLimit, "trace-limit", 0, "max in-memory spans; excess counted in trace_spans_dropped (0 = default)")

@@ -73,11 +73,6 @@ type Options struct {
 	// VerifyCacheSize bounds each validator's verification cache
 	// (0 = verify.DefaultCacheSize).
 	VerifyCacheSize int
-	// ApplyWorkers > 1 turns on conflict-graph parallel transaction
-	// apply on every validator (0 or 1 = sequential); ApplyCheck makes
-	// an undeclared write panic instead of only being counted.
-	ApplyWorkers int
-	ApplyCheck   bool
 	// MaxTxSetSize caps operations per ledger (default 5000, comfortably
 	// above the paper's 350 tx/s × 5 s so no transactions are dropped).
 	MaxTxSetSize int
@@ -225,8 +220,6 @@ func Build(opts Options) (*SimNetwork, error) {
 			OverlayCacheSize:  opts.OverlayCacheSize,
 			VerifyWorkers:     opts.VerifyWorkers,
 			VerifyCacheSize:   opts.VerifyCacheSize,
-			ApplyWorkers:      opts.ApplyWorkers,
-			ApplyCheck:        opts.ApplyCheck,
 			MaxTxSetSize:      opts.MaxTxSetSize,
 			Multicast:         opts.Multicast,
 		}

@@ -72,15 +72,6 @@ type Config struct {
 	// VerifyCacheSize bounds the signature-verification LRU cache
 	// (0 = verify.DefaultCacheSize).
 	VerifyCacheSize int
-	// ApplyWorkers > 1 schedules non-conflicting transactions across
-	// that many workers during ledger apply (0 or 1 = sequential).
-	// Results and hashes are byte-identical either way, so nodes in one
-	// quorum may mix worker counts freely.
-	ApplyWorkers int
-	// ApplyCheck makes parallel apply panic when a worker writes outside
-	// its transaction's declared write set (debug/test mode); off, the
-	// escape is only counted in apply_rwset_violations_total.
-	ApplyCheck bool
 	// Multicast selects the §7.5 structured-multicast extension instead
 	// of flooding; requires SetMembers on the overlay after wiring.
 	Multicast bool
@@ -281,18 +272,26 @@ func (n *Node) Verifier() *verify.Verifier { return n.verifier }
 // Bootstrap installs a genesis ledger built from the given state. All
 // validators of a network must bootstrap from identical genesis state.
 func (n *Node) Bootstrap(genesis *ledger.State, closeTime int64) {
-	n.state = genesis
-	n.state.SetObs(n.obs.Reg)
-	n.state.SetVerifier(n.verifier)
-	n.state.SetApplyWorkers(n.cfg.ApplyWorkers)
-	n.state.SetApplyCheck(n.cfg.ApplyCheck)
-	n.buckets = bucket.NewList()
-	n.buckets.SetPool(n.verifier.Pool)
-	n.attachBucketStore()
-	n.buckets.AddBatch(1, genesis.SnapshotAll())
+	buckets := bucket.NewList()
+	buckets.AddBatch(1, genesis.SnapshotAll())
 	genesis.TakeDirtySnapshot() // genesis entries are already in the list
 	hdr := ledger.GenesisHeader(genesis, closeTime)
-	hdr.SnapshotHash = n.buckets.Hash()
+	hdr.SnapshotHash = buckets.Hash()
+	n.adoptState(genesis, buckets, hdr)
+}
+
+// adoptState makes state and its bucket list, both standing at hdr, the
+// node's ledger: metrics, the shared verifier and pool, the durable bucket
+// store, and the chain tip. Every path that installs a ledger state
+// (genesis, archive restore) goes through here, so a wiring change cannot
+// miss one of them.
+func (n *Node) adoptState(state *ledger.State, buckets *bucket.List, hdr *ledger.Header) {
+	n.state = state
+	n.state.SetObs(n.obs.Reg)
+	n.state.SetVerifier(n.verifier)
+	n.buckets = buckets
+	n.buckets.SetPool(n.verifier.Pool)
+	n.attachBucketStore()
 	n.last = hdr
 	n.headers[hdr.LedgerSeq] = hdr.Hash()
 	n.nextSlot = uint64(hdr.LedgerSeq) + 1
@@ -794,17 +793,7 @@ func (n *Node) CatchUp(a *history.Archive) error {
 	if err != nil {
 		return err
 	}
-	n.state = state
-	n.state.SetObs(n.obs.Reg)
-	n.state.SetVerifier(n.verifier)
-	n.state.SetApplyWorkers(n.cfg.ApplyWorkers)
-	n.state.SetApplyCheck(n.cfg.ApplyCheck)
-	n.buckets = buckets
-	n.buckets.SetPool(n.verifier.Pool)
-	n.attachBucketStore()
-	n.last = hdr
-	n.headers[hdr.LedgerSeq] = hdr.Hash()
-	n.nextSlot = uint64(hdr.LedgerSeq) + 1
+	n.adoptState(state, buckets, hdr)
 	// Any buffered later decisions may now apply.
 	n.tryApplyDecided()
 	return nil

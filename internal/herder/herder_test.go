@@ -273,6 +273,44 @@ func TestCatchUpFromArchive(t *testing.T) {
 	if !ok1 || !ok2 || h1 != h2 {
 		t.Fatal("caught-up header hash differs")
 	}
+
+	// The restored state is wired like a bootstrapped one: replaying the
+	// next archived ledgers, one of which carries a transaction the late
+	// node never saw flooded, must look its signature up in the node's
+	// shared verification cache.
+	_, masterKP := GenesisState(nid)
+	master := ledger.AccountIDFromPublicKey(masterKP.Public)
+	tx := &ledger.Transaction{
+		Source: master, Fee: ledger.DefaultBaseFee, SeqNum: nodes[0].State().Account(master).SeqNum + 1,
+		Operations: []ledger.Operation{{
+			Body: &ledger.CreateAccount{Destination: "GLATECOMER", StartingBalance: 100 * ledger.One},
+		}},
+	}
+	tx.Sign(nid, masterKP)
+	if err := nodes[0].SubmitTx(tx); err != nil {
+		t.Fatal(err)
+	}
+	net.RunFor(6 * time.Second)
+	before := late.Verifier().Cache.Stats()
+	for seq := got + 1; seq <= nodes[0].LastHeader().LedgerSeq; seq++ {
+		hdr, err := arch.GetHeader(seq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts, err := arch.GetTxSet(seq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := late.ReplayLedger(hdr, ts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !late.State().HasAccount("GLATECOMER") {
+		t.Fatal("replayed ledgers did not carry the submitted transaction")
+	}
+	if after := late.Verifier().Cache.Stats(); after.Hits+after.Misses == before.Hits+before.Misses {
+		t.Fatalf("restored node applied a signed transaction without a cache lookup: %+v", after)
+	}
 }
 
 func TestMessagesPerLedgerShape(t *testing.T) {

@@ -96,8 +96,7 @@ func TestTruncatedArchiveFiles(t *testing.T) {
 
 // TestBitFlippedArchiveFiles flips every byte of the header and
 // checkpoint files in turn. The checksum frame must fail every single
-// flip with an error — gob alone would decode some flips into silently
-// different values. Trailing garbage is likewise rejected.
+// flip with an error. Trailing garbage is likewise rejected.
 func TestBitFlippedArchiveFiles(t *testing.T) {
 	a, hdr, cp := buildArchive(t)
 

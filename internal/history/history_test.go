@@ -1,6 +1,10 @@
 package history
 
 import (
+	"errors"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"stellar/internal/bucket"
@@ -45,6 +49,17 @@ func TestGetMissingTxSet(t *testing.T) {
 	a, _ := Open(t.TempDir())
 	if _, err := a.GetTxSet(999); err == nil {
 		t.Fatal("missing tx set returned")
+	}
+	// One codec: a file under the retired .gob name is neither a valid
+	// catch-up path nor an answer to a read.
+	if ValidRelPath("headers/00000005.gob") {
+		t.Fatal("ValidRelPath accepts a .gob path")
+	}
+	if err := os.WriteFile(filepath.Join(a.Dir(), "headers/00000005.gob"), []byte("stray"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.GetHeader(5); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("GetHeader(5) with only a stray .gob file: got %v, want not-found", err)
 	}
 }
 

@@ -201,10 +201,9 @@ func (st *State) VerifyTxSetSignatures(txs []*Transaction, networkID stellarcryp
 
 // ApplyTxSet executes a whole transaction set, returning per-transaction
 // results and the results hash for the header. When a verifier is
-// attached, signature verification fans out across the pool first. With
-// SetApplyWorkers > 1, execution itself goes through the conflict-graph
-// scheduler (schedule.go); otherwise it is the sequential reference loop.
-// Both paths produce byte-identical results, dirty sets, and hashes.
+// attached, signature verification fans out across the pool first;
+// execution itself is one sequential loop in apply order (DESIGN §14 has
+// the measurements behind that).
 func (st *State) ApplyTxSet(ts *TxSet, networkID stellarcrypto.Hash, env *ApplyEnv) ([]TxResult, stellarcrypto.Hash) {
 	start := time.Now()
 	txs := ts.SortForApply(networkID)
@@ -212,15 +211,9 @@ func (st *State) ApplyTxSet(ts *TxSet, networkID stellarcrypto.Hash, env *ApplyE
 	st.VerifyTxSetSignatures(txs, networkID)
 	st.traceSpan.CompleteChild(obs.SpanSigPrepass, time.Since(prepassStart))
 	loopStart := time.Now()
-	var results []TxResult
-	if st.applyWorkers > 1 && len(txs) > 1 {
-		results = st.applyTxsParallel(txs, networkID, env)
-	} else {
-		results = make([]TxResult, 0, len(txs))
-		for _, tx := range txs {
-			results = append(results, st.ApplyTransaction(tx, networkID, env))
-		}
-		st.lastSchedule = ApplySchedule{SerialTxs: len(txs), CriticalPathTxs: len(txs)}
+	results := make([]TxResult, 0, len(txs))
+	for _, tx := range txs {
+		results = append(results, st.ApplyTransaction(tx, networkID, env))
 	}
 	st.traceSpan.CompleteChild(obs.SpanTxApply, time.Since(loopStart))
 	st.observeApply(start, results)

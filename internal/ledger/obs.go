@@ -12,16 +12,6 @@ import (
 type ledgerInstruments struct {
 	applySeconds *obs.Histogram  // ledger_apply_seconds
 	txApplied    *obs.CounterVec // ledger_txs_applied_total{result}
-
-	// Parallel-apply scheduler series (schedule.go). applyWorkers mirrors
-	// the configured worker count so a scrape shows which mode a node runs
-	// in; the counters expose how much parallelism the workload offered.
-	applyWorkers    *obs.Gauge   // apply_workers
-	applyBatches    *obs.Counter // apply_parallel_batches_total
-	applyComponents *obs.Counter // apply_components_total
-	applyParallelTx *obs.Counter // apply_parallel_txs_total
-	applySerialTx   *obs.Counter // apply_serial_txs_total
-	applyViolations *obs.Counter // apply_rwset_violations_total
 }
 
 // SetTraceSpan points the apply path at the current ledger's trace span;
@@ -41,33 +31,7 @@ func (st *State) SetObs(reg *obs.Registry) {
 			"wall-clock time applying one transaction set (§7.3 ledger update)", nil),
 		txApplied: reg.CounterVec("ledger_txs_applied_total",
 			"transactions applied, by outcome", "result"),
-		applyWorkers: reg.Gauge("apply_workers",
-			"configured parallel-apply worker count (0/1 = sequential)"),
-		applyBatches: reg.Counter("apply_parallel_batches_total",
-			"parallel-apply batches flushed through the conflict-graph scheduler"),
-		applyComponents: reg.Counter("apply_components_total",
-			"conflict-graph components executed by the parallel scheduler"),
-		applyParallelTx: reg.Counter("apply_parallel_txs_total",
-			"transactions applied inside parallel-scheduled components"),
-		applySerialTx: reg.Counter("apply_serial_txs_total",
-			"transactions forced serial (order-book ops conflict with everything)"),
-		applyViolations: reg.Counter("apply_rwset_violations_total",
-			"parallel-apply writes escaping the declared write set (must stay 0)"),
 	}
-	st.ins.applyWorkers.Set(float64(st.applyWorkers))
-}
-
-// observeParallelApply folds one parallel ApplyTxSet's scheduler stats
-// into the registry. Called once per ledger, after all workers joined.
-func (st *State) observeParallelApply(stats *applyStats) {
-	if st.ins == nil {
-		return
-	}
-	st.ins.applyBatches.Add(float64(stats.batches))
-	st.ins.applyComponents.Add(float64(stats.components))
-	st.ins.applyParallelTx.Add(float64(stats.parallelTxs))
-	st.ins.applySerialTx.Add(float64(stats.serialTxs))
-	st.ins.applyViolations.Add(float64(stats.violations))
 }
 
 // observeApply records one ApplyTxSet execution.

@@ -1,19 +1,17 @@
 package ledger_test
 
-// Property test for the parallel verification-and-apply pipeline: across
-// 50 seeded random transaction sets, a state wired with the concurrent
-// verifier (cached signature checks, parallel prepass, pooled bucket
-// merges) must produce byte-identical TxResults, results hashes, bucket
-// hashes, and ledger header hashes to the retained sequential reference
-// (nil verifier, no pool). Run under -race via `make race`.
+// Property test for the verification pipeline: across 50 seeds of five
+// kinds of transaction set (a random mix and four conflict-heavy
+// generators), a state wired with the concurrent verifier (cached
+// signature checks, parallel prepass, pooled bucket merges) must produce
+// byte-identical TxResults, results hashes, bucket hashes, and ledger
+// header hashes to the retained reference (nil verifier, no pool). Run
+// under -race via `make race`.
 
 import (
 	"fmt"
 	"math/rand"
-	"os"
 	"reflect"
-	"strconv"
-	"strings"
 	"testing"
 
 	"stellar/internal/bucket"
@@ -64,10 +62,7 @@ func (f *pipeFixture) id(i int) ledger.AccountID { return f.ids[i] }
 // buildWorld constructs one universe and plays the deterministic setup
 // ledger through its own pipeline: funded accounts, a USD trustline per
 // account, issued balances, and one account with an extra signer.
-// applyWorkers > 1 runs the setup (and everything after) through the
-// conflict-graph parallel apply scheduler with the write-set cross-check
-// armed; 0 keeps the sequential reference path.
-func (f *pipeFixture) buildWorld(t *testing.T, v *verify.Verifier, applyWorkers int) *pipeWorld {
+func (f *pipeFixture) buildWorld(t *testing.T, v *verify.Verifier) *pipeWorld {
 	t.Helper()
 	masterID := ledger.AccountIDFromPublicKey(f.master.Public)
 	st := ledger.NewGenesisState(masterID)
@@ -75,10 +70,6 @@ func (f *pipeFixture) buildWorld(t *testing.T, v *verify.Verifier, applyWorkers 
 	if v != nil {
 		st.SetVerifier(v)
 		w.buckets.SetPool(v.Pool)
-	}
-	if applyWorkers > 1 {
-		st.SetApplyWorkers(applyWorkers)
-		st.SetApplyCheck(true)
 	}
 	w.buckets.AddBatch(1, st.SnapshotAll())
 	st.TakeDirtySnapshot()
@@ -268,73 +259,6 @@ func (f *pipeFixture) randomTxSet(rng *rand.Rand, prev stellarcrypto.Hash, close
 	return &ledger.TxSet{PrevLedgerHash: prev, Txs: txs}
 }
 
-func TestParallelApplyMatchesSequentialReference(t *testing.T) {
-	const seeds = 50
-	const ledgersPerSeed = 3
-	for seed := int64(0); seed < seeds; seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			t.Parallel()
-			rng := rand.New(rand.NewSource(seed))
-			f := newPipeFixture(seed)
-			v := verify.New(4, 1<<12)
-			ref := f.buildWorld(t, nil, 0) // sequential reference: no verifier
-			par := f.buildWorld(t, v, 4)   // parallel pipeline under test
-			if ref.hdr.Hash() != par.hdr.Hash() {
-				t.Fatalf("setup ledger headers diverged")
-			}
-			for l := 0; l < ledgersPerSeed; l++ {
-				closeTime := int64(3_000 + l)
-				ts := f.randomTxSet(rng, ref.hdr.Hash(), closeTime)
-				refResults, refRH := ref.closeLedger(t, ts, f.networkID, closeTime)
-				parResults, parRH := par.closeLedger(t, ts, f.networkID, closeTime)
-				if !reflect.DeepEqual(refResults, parResults) {
-					for i := range refResults {
-						if !reflect.DeepEqual(refResults[i], parResults[i]) {
-							t.Errorf("ledger %d tx %d: sequential %+v != parallel %+v",
-								l, i, refResults[i], parResults[i])
-						}
-					}
-					t.Fatalf("ledger %d: results diverged", l)
-				}
-				if refRH != parRH {
-					t.Fatalf("ledger %d: results hashes diverged", l)
-				}
-				if ref.buckets.Hash() != par.buckets.Hash() {
-					t.Fatalf("ledger %d: bucket list hashes diverged", l)
-				}
-				if ref.hdr.Hash() != par.hdr.Hash() {
-					t.Fatalf("ledger %d: header hashes diverged", l)
-				}
-			}
-			// The parallel world must actually have exercised the cache.
-			if st := v.Cache.Stats(); st.Misses == 0 {
-				t.Fatalf("parallel pipeline never touched the cache: %+v", st)
-			}
-		})
-	}
-}
-
-// applyWorkerCountsEnv returns the worker-count matrix the parallel-apply
-// property tests sweep. APPLY_WORKERS (a comma-separated list, e.g.
-// "1,2,4,8") overrides the default — the `make check` knob CI uses to pin
-// the matrix explicitly.
-func applyWorkerCountsEnv(t *testing.T) []int {
-	env := os.Getenv("APPLY_WORKERS")
-	if env == "" {
-		return []int{1, 2, 4, 8}
-	}
-	var out []int
-	for _, part := range strings.Split(env, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n < 1 {
-			t.Fatalf("APPLY_WORKERS entry %q: want positive integers", part)
-		}
-		out = append(out, n)
-	}
-	return out
-}
-
 // dispAcct is a disposable account the merge-then-pay generator creates,
 // merges away, and recreates; unlike the fixture cast it owns no
 // trustlines, so AccountMerge can actually succeed.
@@ -345,29 +269,25 @@ type dispAcct struct {
 	seq   uint64 // next sequence number while alive
 }
 
-// conflictGen produces deliberately conflict-heavy transaction sets: the
-// workloads where the conflict-graph scheduler must fall back to large
-// components or serial barriers and still stay byte-identical.
+// conflictGen produces deliberately conflict-heavy transaction sets: many
+// transactions of one set touch the same entries, so each outcome depends
+// on the deterministic apply order.
 type conflictGen struct {
 	f    *pipeFixture
 	disp []*dispAcct
 }
 
-// Modes, chosen per seed:
+// txSet generates one set for the given mode. ledgerSeq is the sequence
+// the set will apply at (CreateAccount seeds SeqNum = ledgerSeq << 32).
+// Modes:
 //
-//	0 — hot destination: every payment lands on one shared account, so the
-//	    whole batch collapses into a single component.
+//	0 — hot destination: every payment lands on one shared account.
 //	1 — same-source chains: a few accounts each emit a chained run of
 //	    transactions plus payments into shared destinations.
-//	2 — offer/path mix: payments interleaved with order-book operations,
-//	    forcing serial barriers between every parallel batch.
+//	2 — offer/path mix: payments interleaved with order-book operations.
 //	3 — merge-then-pay races: disposable accounts are merged away while
 //	    other transactions in the same set pay them (or re-create them),
 //	    so success/failure depends entirely on deterministic apply order.
-const conflictModes = 4
-
-// txSet generates one set for the given mode. ledgerSeq is the sequence
-// the set will apply at (CreateAccount seeds SeqNum = ledgerSeq << 32).
 func (g *conflictGen) txSet(rng *rand.Rand, prev stellarcrypto.Hash, mode int, ledgerSeq uint32) *ledger.TxSet {
 	f := g.f
 	var txs []*ledger.Transaction
@@ -428,7 +348,7 @@ func (g *conflictGen) txSet(rng *rand.Rand, prev stellarcrypto.Hash, mode int, l
 				emit(tx, f.keys[src], func() { f.seqs[tx.Source]++ })
 			}
 		}
-	case 2: // payments interleaved with order-book serial barriers
+	case 2: // payments interleaved with order-book operations
 		n := 10 + rng.Intn(8)
 		for t := 0; t < n; t++ {
 			src := 1 + rng.Intn(len(f.ids)-1)
@@ -479,7 +399,7 @@ func (g *conflictGen) txSet(rng *rand.Rand, prev stellarcrypto.Hash, mode int, l
 			}
 			// Payments into the disposable from the fixture cast — racing
 			// the merge/recreate above; they succeed or fail purely by
-			// deterministic apply order, identically at every worker count.
+			// deterministic apply order.
 			if rng.Intn(2) == 0 {
 				src := 1 + rng.Intn(2)
 				if src == di%2+1 { // vary sources across disposables
@@ -494,85 +414,97 @@ func (g *conflictGen) txSet(rng *rand.Rand, prev stellarcrypto.Hash, mode int, l
 	return &ledger.TxSet{PrevLedgerHash: prev, Txs: txs}
 }
 
-// TestConflictHeavyParallelApplyWorkerMatrix is the scheduler-focused half
-// of the property harness: 50 seeds of conflict-heavy sets (hot shared
-// destinations, same-source chains, offer/path serial barriers,
-// merge-then-pay races), each closed simultaneously on a sequential
-// reference world and one world per worker count in the APPLY_WORKERS
-// matrix (default 1,2,4,8) — results, results hashes, bucket hashes, and
-// header hashes must stay byte-identical throughout, with the write-set
-// cross-check armed. Run under -race via `make race`.
-func TestConflictHeavyParallelApplyWorkerMatrix(t *testing.T) {
-	counts := applyWorkerCountsEnv(t)
+// createDisposables returns the set that creates the merge-race cast, to
+// apply at ledgerSeq: four accounts, each funded by a distinct fixture
+// account.
+func (g *conflictGen) createDisposables(seed int64, prev stellarcrypto.Hash, ledgerSeq uint32) *ledger.TxSet {
+	f := g.f
+	var creates []*ledger.Transaction
+	for i := 0; i < 4; i++ {
+		kp := stellarcrypto.KeyPairFromString(fmt.Sprintf("pipe-%d-disp-%d", seed, i))
+		d := &dispAcct{kp: kp, id: ledger.AccountIDFromPublicKey(kp.Public),
+			alive: true, seq: uint64(ledgerSeq)<<32 + 1}
+		g.disp = append(g.disp, d)
+		src := f.id(3 + i)
+		tx := &ledger.Transaction{Source: src, SeqNum: f.seqs[src]}
+		tx.Operations = append(tx.Operations, ledger.Operation{Body: &ledger.CreateAccount{
+			Destination: d.id, StartingBalance: 500 * ledger.One}})
+		tx.Fee = ledger.Amount(len(tx.Operations)) * ledger.DefaultBaseFee
+		tx.Sign(f.networkID, f.keys[3+i])
+		f.seqs[src]++
+		creates = append(creates, tx)
+	}
+	return &ledger.TxSet{PrevLedgerHash: prev, Txs: creates}
+}
+
+// TestVerifierPipelineMatchesReference closes the same ledgers on a
+// reference world (no verifier: direct, uncached, sequential checks) and
+// on a world wired with verify.New(4, …), and demands byte-identical
+// results, results hashes, bucket hashes and header hashes. The inputs are
+// randomTxSet and the four conflictGen modes, 50 seeds each.
+func TestVerifierPipelineMatchesReference(t *testing.T) {
 	const seeds = 50
 	const ledgersPerSeed = 4
-	for seed := int64(0); seed < seeds; seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			t.Parallel()
-			mode := int(seed % conflictModes)
-			rng := rand.New(rand.NewSource(0xC0FFEE + seed))
-			f := newPipeFixture(seed + 500) // distinct cast from the pipeline test
-			ref := f.buildWorld(t, nil, 0)
-			worlds := make([]*pipeWorld, len(counts))
-			for i, wc := range counts {
-				worlds[i] = f.buildWorld(t, verify.New(2, 1<<10), wc)
-				if ref.hdr.Hash() != worlds[i].hdr.Hash() {
-					t.Fatalf("workers=%d: setup ledger headers diverged", wc)
+	inputs := []struct {
+		name string
+		mode int // conflictGen mode; -1 is randomTxSet
+	}{{"random", -1}, {"hot-destination", 0}, {"same-source-chains", 1}, {"offer-path-mix", 2}, {"merge-then-pay", 3}}
+	for _, in := range inputs {
+		mode := in.mode
+		for seed := int64(0); seed < seeds; seed++ {
+			seed := seed
+			t.Run(fmt.Sprintf("%s/seed=%d", in.name, seed), func(t *testing.T) {
+				t.Parallel()
+				rng := rand.New(rand.NewSource(seed))
+				f := newPipeFixture(seed)
+				v := verify.New(4, 1<<12)
+				ref := f.buildWorld(t, nil)
+				piped := f.buildWorld(t, v)
+				if ref.hdr.Hash() != piped.hdr.Hash() {
+					t.Fatalf("setup ledger headers diverged")
 				}
-			}
-			// closeAll applies one set everywhere and demands byte equality.
-			closeAll := func(l int, ts *ledger.TxSet, closeTime int64) {
-				refResults, refRH := ref.closeLedger(t, ts, f.networkID, closeTime)
-				for i, w := range worlds {
-					res, rh := w.closeLedger(t, ts, f.networkID, closeTime)
-					if !reflect.DeepEqual(refResults, res) {
+				// closeBoth applies one set to both worlds and demands byte equality.
+				closeBoth := func(l int, ts *ledger.TxSet, closeTime int64) {
+					refResults, refRH := ref.closeLedger(t, ts, f.networkID, closeTime)
+					results, rh := piped.closeLedger(t, ts, f.networkID, closeTime)
+					if !reflect.DeepEqual(refResults, results) {
 						for j := range refResults {
-							if !reflect.DeepEqual(refResults[j], res[j]) {
-								t.Errorf("ledger %d tx %d workers=%d: sequential %+v != parallel %+v",
-									l, j, counts[i], refResults[j], res[j])
+							if !reflect.DeepEqual(refResults[j], results[j]) {
+								t.Errorf("ledger %d tx %d: reference %+v != pipeline %+v",
+									l, j, refResults[j], results[j])
 							}
 						}
-						t.Fatalf("ledger %d workers=%d: results diverged", l, counts[i])
+						t.Fatalf("ledger %d: results diverged", l)
 					}
 					if refRH != rh {
-						t.Fatalf("ledger %d workers=%d: results hashes diverged", l, counts[i])
+						t.Fatalf("ledger %d: results hashes diverged", l)
 					}
-					if ref.buckets.Hash() != w.buckets.Hash() {
-						t.Fatalf("ledger %d workers=%d: bucket list hashes diverged", l, counts[i])
+					if ref.buckets.Hash() != piped.buckets.Hash() {
+						t.Fatalf("ledger %d: bucket list hashes diverged", l)
 					}
-					if ref.hdr.Hash() != w.hdr.Hash() {
-						t.Fatalf("ledger %d workers=%d: header hashes diverged", l, counts[i])
+					if ref.hdr.Hash() != piped.hdr.Hash() {
+						t.Fatalf("ledger %d: header hashes diverged", l)
 					}
 				}
-			}
-			g := &conflictGen{f: f}
-			if mode == 3 {
-				// Disposable cast for merge races: created by distinct
-				// fixture sources so the creates themselves parallelize.
-				createSeq := ref.hdr.LedgerSeq + 1
-				var creates []*ledger.Transaction
-				for i := 0; i < 4; i++ {
-					kp := stellarcrypto.KeyPairFromString(fmt.Sprintf("pipe-%d-disp-%d", seed, i))
-					d := &dispAcct{kp: kp, id: ledger.AccountIDFromPublicKey(kp.Public),
-						alive: true, seq: uint64(createSeq)<<32 + 1}
-					g.disp = append(g.disp, d)
-					src := f.id(3 + i)
-					tx := &ledger.Transaction{Source: src, SeqNum: f.seqs[src]}
-					tx.Operations = append(tx.Operations, ledger.Operation{Body: &ledger.CreateAccount{
-						Destination: d.id, StartingBalance: 500 * ledger.One}})
-					tx.Fee = ledger.Amount(len(tx.Operations)) * ledger.DefaultBaseFee
-					tx.Sign(f.networkID, f.keys[3+i])
-					f.seqs[src]++
-					creates = append(creates, tx)
+				g := &conflictGen{f: f}
+				if mode == 3 {
+					closeBoth(-1, g.createDisposables(seed, ref.hdr.Hash(), ref.hdr.LedgerSeq+1), 2_500)
 				}
-				closeAll(-1, &ledger.TxSet{PrevLedgerHash: ref.hdr.Hash(), Txs: creates}, 2_500)
-			}
-			for l := 0; l < ledgersPerSeed; l++ {
-				closeTime := int64(3_000 + l)
-				ts := g.txSet(rng, ref.hdr.Hash(), mode, ref.hdr.LedgerSeq+1)
-				closeAll(l, ts, closeTime)
-			}
-		})
+				for l := 0; l < ledgersPerSeed; l++ {
+					closeTime := int64(3_000 + l)
+					var ts *ledger.TxSet
+					if mode < 0 {
+						ts = f.randomTxSet(rng, ref.hdr.Hash(), closeTime)
+					} else {
+						ts = g.txSet(rng, ref.hdr.Hash(), mode, ref.hdr.LedgerSeq+1)
+					}
+					closeBoth(l, ts, closeTime)
+				}
+				// The pipeline world must actually have exercised the cache.
+				if st := v.Cache.Stats(); st.Misses == 0 {
+					t.Fatalf("pipeline never touched the cache: %+v", st)
+				}
+			})
+		}
 	}
 }

@@ -51,20 +51,6 @@ type State struct {
 	// Nil means direct, uncached, sequential verification — the retained
 	// reference implementation the property tests compare against.
 	verifier *verify.Verifier
-
-	// applyWorkers > 1 enables conflict-graph-scheduled parallel apply in
-	// ApplyTxSet (schedule.go); 0 or 1 keeps the sequential reference path.
-	applyWorkers int
-
-	// applyCheck makes the parallel-apply merge panic when a worker wrote
-	// a key outside its transaction's declared write set (rwset.go). On by
-	// default in tests; off in production, where the escape is counted in
-	// apply_rwset_violations_total instead.
-	applyCheck bool
-
-	// lastSchedule records how the most recent ApplyTxSet was scheduled
-	// (see ApplySchedule in schedule.go).
-	lastSchedule ApplySchedule
 }
 
 type bookKey struct{ selling, buying string }
@@ -117,28 +103,6 @@ func (s *State) SetVerifier(v *verify.Verifier) { s.verifier = v }
 
 // Verifier returns the attached verification pipeline, or nil.
 func (s *State) Verifier() *verify.Verifier { return s.verifier }
-
-// SetApplyWorkers sets the parallel-apply worker count for ApplyTxSet.
-// n <= 1 keeps the sequential reference path; n > 1 schedules
-// non-conflicting transaction components across n workers (schedule.go).
-// Either way the results, dirty set, and hashes are byte-identical.
-func (s *State) SetApplyWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	s.applyWorkers = n
-	if s.ins != nil {
-		s.ins.applyWorkers.Set(float64(n))
-	}
-}
-
-// ApplyWorkers returns the configured parallel-apply worker count.
-func (s *State) ApplyWorkers() int { return s.applyWorkers }
-
-// SetApplyCheck toggles the parallel-apply write-set cross-check: when on,
-// a worker touching a key outside its declared write set panics at merge
-// time instead of only incrementing apply_rwset_violations_total.
-func (s *State) SetApplyCheck(on bool) { s.applyCheck = on }
 
 // verifySig checks one signature, through the cache when a verifier is
 // attached. The verdict is identical either way: the cache memoizes a

@@ -42,7 +42,7 @@ const (
 	SpanCommit      = "ballot-commit"  // accept commit → externalize
 	SpanApply       = "apply"          // externalize → state/bucket/archive done
 	SpanSigPrepass  = "sig-prepass"    // parallel signature verification prepass
-	SpanTxApply     = "tx-apply"       // transaction execution (sequential or scheduled)
+	SpanTxApply     = "tx-apply"       // transaction execution
 	SpanBucketMerge = "bucket-merge"   // bucket list ingestion + spills
 	SpanArchive     = "archive"        // history archive writes
 	SpanTx          = "tx"             // per-transaction root: submit → applied
@@ -52,10 +52,6 @@ const (
 	SpanTxConsensus = "consensus"      // candidate selection → externalize
 	SpanTxApplied   = "applied"        // the tx's share of the apply phase
 
-	// SpanApplyComponent is one conflict-graph component executed by the
-	// parallel apply scheduler (internal/ledger/schedule.go); its duration
-	// is the component's wall-clock on its worker, recorded after join.
-	SpanApplyComponent = "apply-component"
 )
 
 // DefaultSpanCapacity bounds a tracer's memory (~120 B/span).
