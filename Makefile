@@ -9,7 +9,7 @@ FUZZTIME ?= 30s
 
 # BENCH_PATTERN selects the microbenchmarks bench, bench-smoke and
 # bench-cluster run (the rows of BENCH_micro.json).
-BENCH_PATTERN ?= BenchmarkSCPRound|BenchmarkBaseline|BenchmarkVerifyTxSet|BenchmarkBucketRehash
+BENCH_PATTERN ?= BenchmarkSCPRound|BenchmarkBaseline|BenchmarkVerifyTxSet|BenchmarkBucketRehash|BenchmarkTriggerBuild|BenchmarkDirtySnapshot
 
 # TRACE_OUT is where trace-smoke writes its Chrome trace artifact.
 TRACE_OUT ?= trace-smoke.json

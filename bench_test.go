@@ -17,11 +17,14 @@ import (
 	"stellar/internal/experiments"
 	"stellar/internal/fba"
 	"stellar/internal/ledger"
+	"stellar/internal/mempool"
 	"stellar/internal/obs"
+	"stellar/internal/overlay"
 	"stellar/internal/qconfig"
 	"stellar/internal/quorum"
 	"stellar/internal/scp"
 	"stellar/internal/stellarcrypto"
+	"stellar/internal/transport"
 	"stellar/internal/verify"
 )
 
@@ -354,6 +357,102 @@ func BenchmarkVerifyTxSet(b *testing.B) {
 		}
 		s := v.Cache.Stats()
 		b.ReportMetric(100*s.HitRate(), "hit-%")
+	})
+}
+
+// fundedState returns a genesis state in which the master account has
+// created n accounts, the funding transactions that did it (100 operations
+// each, as in a benchmark run's setup ledgers), and the accounts' keys.
+func fundedState(b *testing.B, networkID stellarcrypto.Hash, n int) (*ledger.State, []*ledger.Transaction, []stellarcrypto.KeyPair) {
+	b.Helper()
+	masterKP := stellarcrypto.KeyPairFromString("bench-funding-master")
+	master := ledger.AccountIDFromPublicKey(masterKP.Public)
+	st := ledger.NewGenesisState(master)
+	kps := stellarcrypto.DeterministicKeyPairs("bench-funded-acct", n)
+	var funding []*ledger.Transaction
+	for i := 0; i < n; i += 100 {
+		tx := &ledger.Transaction{Source: master, SeqNum: uint64(len(funding)) + 1}
+		for _, kp := range kps[i:min(i+100, n)] {
+			tx.Operations = append(tx.Operations, ledger.Operation{Body: &ledger.CreateAccount{
+				Destination: ledger.AccountIDFromPublicKey(kp.Public), StartingBalance: 1000 * ledger.One}})
+		}
+		tx.Fee = st.MinFee(tx)
+		tx.Sign(networkID, masterKP)
+		funding = append(funding, tx)
+	}
+	for _, tx := range funding {
+		if res := st.ApplyTransaction(tx, networkID, &ledger.ApplyEnv{LedgerSeq: 2, CloseTime: 1}); !res.Success {
+			b.Fatal(res.Err, res.OpErrors)
+		}
+	}
+	return st, funding, kps
+}
+
+// BenchmarkTriggerBuild measures what herder.triggerNextLedger computes
+// between the timer firing and nomination: collect the pool's valid
+// transactions, surge-price them to the 1000-operation cap, seal the set
+// (its hash) and encode the flood packet. The pool holds one payment per
+// account, decoded from the wire and proven at admission as on a running
+// node, against a warm signature cache — the steady state of a saturated
+// node (pool=2000, two ledgers' worth) and of a full default pool (8192).
+func BenchmarkTriggerBuild(b *testing.B) {
+	networkID := stellarcrypto.HashBytes([]byte("bench-trigger"))
+	for _, size := range []int{2000, 8192} {
+		b.Run(fmt.Sprintf("pool=%d", size), func(b *testing.B) {
+			st, _, kps := fundedState(b, networkID, size)
+			st.SetVerifier(verify.New(1, 1<<16))
+			pool := mempool.New(mempool.Config{MaxTxs: size})
+			seq := uint64(2)<<32 + 1
+			for i, kp := range kps {
+				built := &ledger.Transaction{
+					Source: ledger.AccountIDFromPublicKey(kp.Public), Fee: ledger.DefaultBaseFee, SeqNum: seq,
+					Operations: []ledger.Operation{{Body: &ledger.Payment{
+						Destination: ledger.AccountIDFromPublicKey(kps[(i+1)%size].Public),
+						Asset:       ledger.NativeAsset(), Amount: 1}}},
+				}
+				built.Sign(networkID, kp)
+				tx, err := ledger.DecodeSignedTransactionXDR(built.MarshalSignedXDR())
+				if err != nil {
+					b.Fatal(err)
+				}
+				h := tx.Seal(networkID)
+				if res := pool.Add(tx, h); !res.Outcome.Admitted() {
+					b.Fatal(res.Outcome)
+				}
+				pool.Prove(h, st, networkID)
+			}
+			prev := stellarcrypto.HashBytes([]byte("prev"))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				candidates := pool.Candidates(st, networkID, 2)
+				candidates = ledger.SurgePrice(candidates, ledger.DefaultMaxTxSetSize)
+				ts := &ledger.TxSet{PrevLedgerHash: prev, Txs: candidates}
+				ts.Seal(networkID)
+				payload, err := transport.EncodePacket(&overlay.Packet{Kind: overlay.KindTxSet, TxSet: ts, TTL: overlay.DefaultTTL})
+				if err != nil || len(ts.Txs) != ledger.DefaultMaxTxSetSize {
+					b.Fatalf("proposed %d transactions, %d bytes, err %v", len(ts.Txs), len(payload), err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkDirtySnapshot measures State.TakeDirtySnapshot over the entries
+// of a funding ledger: 2000 new accounts and the account that paid.
+func BenchmarkDirtySnapshot(b *testing.B) {
+	networkID := stellarcrypto.HashBytes([]byte("bench-dirty"))
+	const entries = 2000
+	b.Run(fmt.Sprintf("entries=%d", entries), func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			st, _, _ := fundedState(b, networkID, entries)
+			b.StartTimer()
+			if got := len(st.TakeDirtySnapshot()); got != entries+1 {
+				b.Fatalf("snapshot holds %d entries, want %d", got, entries+1)
+			}
+		}
 	})
 }
 

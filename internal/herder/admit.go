@@ -92,18 +92,20 @@ type AdmitResult struct {
 // AdmitTx runs the admission pipeline for a locally submitted
 // transaction: basic validity, pool policy, then flood. It is
 // deterministic — the outcome depends only on ledger state and pool
-// contents, never on wall-clock time or map order.
+// contents, never on wall-clock time or map order. Admission seals the
+// transaction (ledger.Transaction.Seal): the caller must not modify it
+// afterwards.
 func (n *Node) AdmitTx(tx *ledger.Transaction) AdmitResult {
 	if n.state == nil {
 		return AdmitResult{Code: AdmitNotReady, Err: fmt.Errorf("herder: node not bootstrapped")}
 	}
-	h := tx.Hash(n.cfg.NetworkID)
+	h := tx.Seal(n.cfg.NetworkID)
 	res := AdmitResult{Hash: h}
 	if len(tx.Operations) == 0 || tx.Fee < n.state.MinFee(tx) {
 		res.Code = AdmitInvalid
 		res.MinFee = n.state.MinFee(tx)
 		res.Err = fmt.Errorf("herder: transaction fails basic checks")
-		n.ins.admitted.With(res.Code.String()).Inc()
+		n.ins.admitted[res.Code].Inc()
 		return res
 	}
 
@@ -111,7 +113,7 @@ func (n *Node) AdmitTx(tx *ledger.Transaction) AdmitResult {
 	switch add.Outcome {
 	case mempool.Duplicate:
 		res.Code = AdmitDuplicate
-		n.ins.admitted.With(res.Code.String()).Inc()
+		n.ins.admitted[res.Code].Inc()
 		return res
 	case mempool.RejectedFull:
 		res.Code = AdmitPoolFull
@@ -128,15 +130,13 @@ func (n *Node) AdmitTx(tx *ledger.Transaction) AdmitResult {
 		res.Code = AdmitAccepted
 		res.Evicted = len(add.Evicted)
 	}
-	n.ins.admitted.With(res.Code.String()).Inc()
+	n.ins.admitted[res.Code].Inc()
 	if res.Code != AdmitAccepted {
 		return res
 	}
 
-	n.admitTimes[h] = n.net.Now()
-	n.noteEvicted(add.Evicted)
+	n.notePooled(h, add.Evicted)
 	n.traceSubmitTx(h, add.Outcome)
-	n.updatePoolGauges()
 	n.ov.BroadcastTxCtx(tx, n.txCtx(h))
 	return res
 }

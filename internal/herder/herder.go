@@ -289,6 +289,7 @@ func (n *Node) adoptState(state *ledger.State, buckets *bucket.List, hdr *ledger
 	n.state = state
 	n.state.SetObs(n.obs.Reg)
 	n.state.SetVerifier(n.verifier)
+	n.pool.ForgetProofs() // they were made against the state this one replaces
 	n.buckets = buckets
 	n.buckets.SetPool(n.verifier.Pool)
 	n.attachBucketStore()
@@ -349,29 +350,36 @@ func (n *Node) onTx(tx *ledger.Transaction) {
 	if n.state == nil {
 		return
 	}
-	h := tx.Hash(n.cfg.NetworkID)
+	h := tx.Seal(n.cfg.NetworkID)
 	if len(tx.Operations) == 0 || tx.Fee < n.state.MinFee(tx) {
-		n.ins.admitted.With("flood_invalid").Inc()
+		n.ins.floodInvalid.Inc()
 		n.traceEvictTx(h, "invalid")
 		return
 	}
 	res := n.pool.Add(tx, h)
-	n.ins.admitted.With("flood_" + res.Outcome.String()).Inc()
+	n.ins.flooded[res.Outcome].Inc()
 	if !res.Outcome.Admitted() {
 		if res.Outcome != mempool.Duplicate {
 			n.traceEvictTx(h, res.Outcome.String())
 		}
 		return
 	}
+	n.notePooled(h, res.Evicted)
+}
+
+// notePooled is the bookkeeping every admission shares, local or flooded:
+// the admit-time stamp, the victims it displaced, the gauges, and the
+// proof. Proving now, in the idle part of the interval, is what lets the
+// trigger skip the signature check and the apply hit a warm cache. A
+// transaction that fails it stays pooled all the same — this node may be a
+// few milliseconds behind on the ledger that created the source account,
+// and overlay dedup would never re-deliver a dropped flood — and is simply
+// checked in full at each trigger.
+func (n *Node) notePooled(h stellarcrypto.Hash, evicted []mempool.EvictedTx) {
 	n.admitTimes[h] = n.net.Now()
-	n.noteEvicted(res.Evicted)
+	n.noteEvicted(evicted)
 	n.updatePoolGauges()
-	// Pre-verify into the shared cache now, in the idle part of the
-	// interval, so the trigger's CheckValid pass and the apply hit warm
-	// verdicts. The result is deliberately ignored: this node may be a
-	// few milliseconds behind on the ledger that created the source
-	// account, and overlay dedup would never re-deliver a dropped flood.
-	_ = n.state.CheckSignatures(tx, n.cfg.NetworkID)
+	n.pool.Prove(h, n.state, n.cfg.NetworkID)
 }
 
 // noteEvicted records fee-pressure evictions: counts them and closes the
@@ -386,7 +394,6 @@ func (n *Node) noteEvicted(victims []mempool.EvictedTx) {
 
 // updatePoolGauges refreshes the mempool gauges after pool mutations.
 func (n *Node) updatePoolGauges() {
-	n.ins.pendingTxs.Set(float64(n.pool.Len()))
 	n.ins.poolSize.Set(float64(n.pool.Len()))
 	n.ins.poolCap.Set(float64(n.pool.Cap()))
 	if fee, ops, ok := n.pool.FloorRate(); ok && n.pool.Full() {
@@ -446,26 +453,16 @@ func (n *Node) triggerNextLedger() {
 	n.triggered[slot] = true
 	trigStart := time.Now() // real time: the trigger is real compute
 
-	// Build the candidate transaction set from the pending pool.
+	// Build the candidate transaction set from the pending pool: collect
+	// what is valid now (in canonical order, so surge-pricing tie-breaks
+	// never depend on map iteration and seeded simulations replay
+	// bit-identically), cap it, and seal the set — its hash is computed
+	// here once and travels with it through the flood and the archive.
 	closeTime := n.proposedCloseTime()
-	var candidates []*ledger.Transaction
-	n.pool.Each(func(_ stellarcrypto.Hash, tx *ledger.Transaction) {
-		if err := n.state.CheckValid(tx, n.cfg.NetworkID, closeTime); err == nil {
-			candidates = append(candidates, tx)
-		}
-	})
-	// The pool is a map; canonicalize the order so the proposed set (and
-	// surge-pricing tie-breaks) never depend on map iteration. Seeded
-	// simulations must replay bit-identically.
-	sort.Slice(candidates, func(i, j int) bool {
-		if candidates[i].Source != candidates[j].Source {
-			return candidates[i].Source < candidates[j].Source
-		}
-		return candidates[i].SeqNum < candidates[j].SeqNum
-	})
+	candidates := n.pool.Candidates(n.state, n.cfg.NetworkID, closeTime)
 	candidates = ledger.SurgePrice(candidates, n.cfg.MaxTxSetSize)
 	ts := &ledger.TxSet{PrevLedgerHash: n.last.Hash(), Txs: candidates}
-	tsHash := ts.Hash(n.cfg.NetworkID)
+	tsHash := ts.Seal(n.cfg.NetworkID)
 	n.txsets[tsHash] = ts
 	n.txsetSeen[tsHash] = n.last.LedgerSeq
 	// Open the slot's span tree before the proposal floods so the tx-set

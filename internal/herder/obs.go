@@ -3,6 +3,7 @@ package herder
 import (
 	"strings"
 
+	"stellar/internal/mempool"
 	"stellar/internal/obs"
 	"stellar/internal/scp"
 )
@@ -28,15 +29,19 @@ type instruments struct {
 	intervalSlack *obs.Histogram // herder_interval_slack_seconds
 	txPerLedger   *obs.Histogram // herder_tx_per_ledger
 	ledgersClosed *obs.Counter   // herder_ledgers_closed_total
-	pendingTxs    *obs.Gauge     // herder_pending_txs
 	submitApplied *obs.Histogram // herder_submit_applied_seconds
 
-	// Admission pipeline (ROADMAP item 1; DESIGN.md §13).
-	admitted  *obs.CounterVec // mempool_admitted_total{outcome}
-	evicted   *obs.Counter    // mempool_evicted_total
-	poolSize  *obs.Gauge      // mempool_size
-	poolCap   *obs.Gauge      // mempool_capacity
-	poolFloor *obs.Gauge      // mempool_fee_floor
+	// Admission pipeline (ROADMAP item 1; DESIGN.md §13). The children of
+	// mempool_admitted_total{outcome} are resolved here, one per local
+	// AdmitCode and one per flooded mempool.Outcome ("flood_" + its name),
+	// so counting an admission builds no label and looks nothing up.
+	admitted     [AdmitNotReady + 1]*obs.Counter
+	flooded      [mempool.RejectedSeqConflict + 1]*obs.Counter
+	floodInvalid *obs.Counter
+	evicted      *obs.Counter // mempool_evicted_total
+	poolSize     *obs.Gauge   // mempool_size
+	poolCap      *obs.Gauge   // mempool_capacity
+	poolFloor    *obs.Gauge   // mempool_fee_floor
 
 	// Cold-start network catchup (netcatchup.go; DESIGN.md §16).
 	catchupState    *obs.Gauge      // catchup_state
@@ -47,7 +52,9 @@ type instruments struct {
 }
 
 func newInstruments(reg *obs.Registry) *instruments {
-	return &instruments{
+	admitted := reg.CounterVec("mempool_admitted_total",
+		"admission decisions by outcome (flood_* = peer flood path)", "outcome")
+	ins := &instruments{
 		envEmitted: reg.CounterVec("scp_envelopes_emitted_total",
 			"SCP envelopes this node broadcast, by statement type", "type"),
 		envReceived: reg.CounterVec("scp_envelopes_received_total",
@@ -74,12 +81,9 @@ func newInstruments(reg *obs.Registry) *instruments {
 			"transactions confirmed per ledger", obs.CountBuckets),
 		ledgersClosed: reg.Counter("herder_ledgers_closed_total",
 			"ledgers this node applied"),
-		pendingTxs: reg.Gauge("herder_pending_txs",
-			"transactions waiting in the pending pool"),
 		submitApplied: reg.Histogram("herder_submit_applied_seconds",
 			"local admission (submit or flood) to ledger apply, end to end (§7.3)", nil),
-		admitted: reg.CounterVec("mempool_admitted_total",
-			"admission decisions by outcome (flood_* = peer flood path)", "outcome"),
+		floodInvalid: admitted.With("flood_invalid"),
 		evicted: reg.Counter("mempool_evicted_total",
 			"pooled transactions displaced by fee-pressure eviction"),
 		poolSize: reg.Gauge("mempool_size",
@@ -99,6 +103,13 @@ func newInstruments(reg *obs.Registry) *instruments {
 		catchupReplayed: reg.Counter("catchup_ledgers_replayed_total",
 			"ledgers replayed from the fetched archive to reach the tip"),
 	}
+	for c := range ins.admitted {
+		ins.admitted[c] = admitted.With(AdmitCode(c).String())
+	}
+	for o := range ins.flooded {
+		ins.flooded[o] = admitted.With("flood_" + mempool.Outcome(o).String())
+	}
+	return ins
 }
 
 // stmtLabel maps a statement type to its metric label value.

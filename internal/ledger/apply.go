@@ -1,7 +1,10 @@
 package ledger
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -41,8 +44,21 @@ func (r *TxResult) EncodeXDR(e *xdr.Encoder) {
 
 // CheckValid performs the §5.2 validity checks without executing:
 // structural sanity, sequence number, time bounds, fee, and signatures.
-// closeTime is the anticipated ledger close time.
+// closeTime is the anticipated ledger close time. The order of the three
+// parts is consensus-visible: the first error lands in TxResult.Err.
 func (st *State) CheckValid(tx *Transaction, networkID stellarcrypto.Hash, closeTime int64) error {
+	if err := tx.checkStructure(); err != nil {
+		return err
+	}
+	if err := st.CheckSeqAndFee(tx, closeTime); err != nil {
+		return err
+	}
+	return tx.checkSignatures(st, networkID)
+}
+
+// checkStructure is the part of CheckValid that reads nothing but the
+// transaction: operation count and each operation's own parameters.
+func (tx *Transaction) checkStructure() error {
 	if len(tx.Operations) == 0 {
 		return fmt.Errorf("ledger: transaction has no operations")
 	}
@@ -57,6 +73,14 @@ func (st *State) CheckValid(tx *Transaction, networkID stellarcrypto.Hash, close
 			return fmt.Errorf("ledger: operation %d: %w", i, err)
 		}
 	}
+	return nil
+}
+
+// CheckSeqAndFee is the part of CheckValid that changes from ledger to
+// ledger: the source account exists, the sequence number is the next one,
+// closeTime is inside the time bounds, and the fee is sufficient and
+// affordable.
+func (st *State) CheckSeqAndFee(tx *Transaction, closeTime int64) error {
 	src := st.Account(tx.Source)
 	if src == nil {
 		return fmt.Errorf("ledger: source account %s does not exist", tx.Source)
@@ -75,8 +99,29 @@ func (st *State) CheckValid(tx *Transaction, networkID stellarcrypto.Hash, close
 	if src.Balance < tx.Fee {
 		return fmt.Errorf("ledger: source cannot pay fee")
 	}
+	return nil
+}
+
+// CheckAuth is the rest of CheckValid: structure and signatures. For an
+// immutable transaction its verdict depends only on which source accounts
+// exist and on their signers, thresholds and master weights, so a pass
+// holds for as long as AuthEpoch stands still — together with a passing
+// CheckSeqAndFee it then equals a passing CheckValid. The mempool builds
+// proposals on that (mempool.Pool.Candidates); apply never does.
+func (st *State) CheckAuth(tx *Transaction, networkID stellarcrypto.Hash) error {
+	if err := tx.checkStructure(); err != nil {
+		return err
+	}
 	return tx.checkSignatures(st, networkID)
 }
+
+// AuthEpoch counts the applied operations that could have changed the
+// verdict of an earlier CheckAuth: a SetOptions that names a signer, a
+// threshold or the master weight, and the removal of an account. It is
+// node-local bookkeeping, not ledger content; it also advances for
+// operations a failed transaction rolled back, which costs a re-check and
+// nothing else.
+func (st *State) AuthEpoch() uint64 { return st.authEpoch }
 
 // ApplyTransaction executes one transaction against the state. Fee and
 // sequence processing persist even when operations fail; the operations
@@ -123,21 +168,35 @@ func (st *State) ApplyTransaction(tx *Transaction, networkID stellarcrypto.Hash,
 type TxSet struct {
 	PrevLedgerHash stellarcrypto.Hash
 	Txs            []*Transaction
+
+	// seal memoises the hash of a set that will not change again (seal.go).
+	seal setSeal
 }
 
-// Hash returns the transaction set's content hash.
+// Hash returns the transaction set's content hash: the previous ledger
+// hash followed by the transaction hashes in ascending order. A sealed set
+// computes it once.
 func (ts *TxSet) Hash(networkID stellarcrypto.Hash) stellarcrypto.Hash {
-	e := xdr.NewEncoder(64)
-	e.PutFixed(ts.PrevLedgerHash[:])
+	s := &ts.seal
+	if s.hashed && s.networkID == networkID {
+		return s.hash
+	}
 	hashes := make([]stellarcrypto.Hash, len(ts.Txs))
 	for i, tx := range ts.Txs {
 		hashes[i] = tx.Hash(networkID)
 	}
-	sort.Slice(hashes, func(i, j int) bool { return hashes[i].Less(hashes[j]) })
-	for _, h := range hashes {
-		e.PutFixed(h[:])
+	slices.SortFunc(hashes, func(a, b stellarcrypto.Hash) int { return bytes.Compare(a[:], b[:]) })
+	d := sha256.New()
+	d.Write(ts.PrevLedgerHash[:])
+	for i := range hashes {
+		d.Write(hashes[i][:])
 	}
-	return stellarcrypto.HashBytes(e.Bytes())
+	var h stellarcrypto.Hash
+	d.Sum(h[:0])
+	if s.sealed && !s.hashed {
+		s.networkID, s.hash, s.hashed = networkID, h, true
+	}
+	return h
 }
 
 // NumOperations totals the operations across the set (the §5.3 nomination

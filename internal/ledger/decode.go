@@ -1,6 +1,7 @@
 package ledger
 
 import (
+	"bytes"
 	"fmt"
 
 	"stellar/internal/xdr"
@@ -26,7 +27,16 @@ const (
 // payload (EncodeXDR) followed by the decorated signatures, which are
 // excluded from the payload and the transaction hash.
 func (tx *Transaction) EncodeSignedXDR(e *xdr.Encoder) {
-	tx.EncodeXDR(e)
+	if tx.seal.wire != nil {
+		e.PutFixed(tx.seal.wire)
+		return
+	}
+	tx.encodePayload(e)
+	tx.encodeSignatures(e)
+}
+
+// encodeSignatures encodes the decorated signatures from the fields.
+func (tx *Transaction) encodeSignatures(e *xdr.Encoder) {
 	e.PutUint32(uint32(len(tx.Signatures)))
 	for i := range tx.Signatures {
 		e.PutFixed(tx.Signatures[i].Hint[:])
@@ -36,11 +46,12 @@ func (tx *Transaction) EncodeSignedXDR(e *xdr.Encoder) {
 
 // MarshalSignedXDR encodes the full envelope into a fresh byte slice.
 func (tx *Transaction) MarshalSignedXDR() []byte {
+	if tx.seal.wire != nil {
+		return bytes.Clone(tx.seal.wire)
+	}
 	e := xdr.NewEncoder(256)
 	tx.EncodeSignedXDR(e)
-	out := make([]byte, e.Len())
-	copy(out, e.Bytes())
-	return out
+	return bytes.Clone(e.Bytes())
 }
 
 // DecodeTransactionXDR reads the signed payload written by
@@ -118,12 +129,26 @@ func DecodeSignedTransactionXDR(data []byte) (*Transaction, error) {
 
 // DecodeSignedTransactionFromXDR reads one complete envelope from the
 // decoder, leaving it positioned after the envelope (so containers such as
-// transaction sets can decode several in sequence).
+// transaction sets can decode several in sequence). The transaction comes
+// back sealed over its own copy of the bytes it was decoded from.
 func DecodeSignedTransactionFromXDR(d *xdr.Decoder) (*Transaction, error) {
+	tx, err := decodeEnvelope(d)
+	if err != nil {
+		return nil, err
+	}
+	tx.seal.wire = bytes.Clone(tx.seal.wire)
+	return tx, nil
+}
+
+// decodeEnvelope decodes one envelope and seals it over the decoder's input
+// itself: the caller replaces seal.wire with a copy it owns.
+func decodeEnvelope(d *xdr.Decoder) (*Transaction, error) {
+	start := d.Offset()
 	tx, err := DecodeTransactionXDR(d)
 	if err != nil {
 		return nil, err
 	}
+	payloadLen := d.Offset() - start
 	nsigs, err := d.Uint32()
 	if err != nil {
 		return nil, err
@@ -144,6 +169,7 @@ func DecodeSignedTransactionFromXDR(d *xdr.Decoder) (*Transaction, error) {
 		copy(ds.Hint[:], hint)
 		tx.Signatures = append(tx.Signatures, ds)
 	}
+	tx.seal = txSeal{wire: d.Since(start), payloadLen: payloadLen}
 	return tx, nil
 }
 
@@ -154,6 +180,11 @@ const maxDecodeTxSetSize = 1 << 16
 // EncodeXDR writes the transaction set's wire form: the previous ledger
 // hash followed by each signed transaction envelope.
 func (ts *TxSet) EncodeXDR(e *xdr.Encoder) {
+	size := len(ts.PrevLedgerHash) + 4
+	for _, tx := range ts.Txs {
+		size += len(tx.seal.wire) // sealed transactions know; the rest grow as before
+	}
+	e.Grow(size)
 	e.PutFixed(ts.PrevLedgerHash[:])
 	e.PutUint32(uint32(len(ts.Txs)))
 	for _, tx := range ts.Txs {
@@ -162,7 +193,8 @@ func (ts *TxSet) EncodeXDR(e *xdr.Encoder) {
 }
 
 // DecodeTxSetXDR reads one transaction set written by TxSet.EncodeXDR,
-// leaving the decoder positioned after it.
+// leaving the decoder positioned after it. The set and its transactions
+// come back sealed.
 func DecodeTxSetXDR(d *xdr.Decoder) (*TxSet, error) {
 	prev, err := d.Fixed(32)
 	if err != nil {
@@ -180,14 +212,22 @@ func DecodeTxSetXDR(d *xdr.Decoder) (*TxSet, error) {
 	if int(n)*4 > d.Remaining() {
 		return nil, xdr.ErrTruncated
 	}
-	ts := &TxSet{}
+	ts := &TxSet{seal: setSeal{sealed: true}}
 	copy(ts.PrevLedgerHash[:], prev)
+	start := d.Offset()
 	for i := uint32(0); i < n; i++ {
-		tx, err := DecodeSignedTransactionFromXDR(d)
+		tx, err := decodeEnvelope(d)
 		if err != nil {
 			return nil, err
 		}
 		ts.Txs = append(ts.Txs, tx)
+	}
+	// One copy of the envelopes for the whole set; each transaction keeps
+	// its window of it, capped so nothing can append into a neighbour.
+	own := bytes.Clone(d.Since(start))
+	for _, tx := range ts.Txs {
+		w := len(tx.seal.wire)
+		tx.seal.wire, own = own[:w:w], own[w:]
 	}
 	return ts, nil
 }

@@ -2,6 +2,8 @@ package ledger
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"stellar/internal/stellarcrypto"
 	"stellar/internal/xdr"
@@ -152,12 +154,11 @@ func (s *State) SnapshotAll() []SnapshotEntry {
 	return out
 }
 
+// sortSnapshot orders entries by key. Keys are unique across a snapshot,
+// so the order — and every bucket hash built on it — is the same whatever
+// the algorithm.
 func sortSnapshot(entries []SnapshotEntry) {
-	for i := 1; i < len(entries); i++ {
-		for j := i; j > 0 && entries[j].Key < entries[j-1].Key; j-- {
-			entries[j], entries[j-1] = entries[j-1], entries[j]
-		}
-	}
+	slices.SortFunc(entries, func(a, b SnapshotEntry) int { return strings.Compare(a.Key, b.Key) })
 }
 
 func encodeAccountEntry(a *AccountEntry) SnapshotEntry {

@@ -317,6 +317,10 @@ func (op *SetOptions) Apply(st *State, env *ApplyEnv, source AccountID) error {
 	}
 	a.Flags |= op.SetFlags
 	a.Flags &^= op.ClearFlags
+	if op.MasterWeight != nil || op.LowThreshold != nil || op.MedThreshold != nil ||
+		op.HighThreshold != nil || op.Signer != nil {
+		st.authEpoch++ // signature verdicts remembered against this account are void
+	}
 	if op.MasterWeight != nil {
 		a.Thresholds.MasterWeight = *op.MasterWeight
 	}

@@ -1,7 +1,7 @@
 package ledger_test
 
-// Property test for the verification pipeline: across 50 seeds of five
-// kinds of transaction set (a random mix and four conflict-heavy
+// Property test for the verification pipeline: across 50 seeds of six
+// kinds of transaction set (a random mix and five conflict-heavy
 // generators), a state wired with the concurrent verifier (cached
 // signature checks, parallel prepass, pooled bucket merges) must produce
 // byte-identical TxResults, results hashes, bucket hashes, and ledger
@@ -275,6 +275,11 @@ type dispAcct struct {
 type conflictGen struct {
 	f    *pipeFixture
 	disp []*dispAcct
+	// delegate and voided are the rotate-signers mode's memory: which
+	// fixture key an account has added as a signer, and which accounts'
+	// master key alone no longer authorises a payment.
+	delegate map[ledger.AccountID]int
+	voided   map[ledger.AccountID]bool
 }
 
 // txSet generates one set for the given mode. ledgerSeq is the sequence
@@ -287,7 +292,16 @@ type conflictGen struct {
 //	2 — offer/path mix: payments interleaved with order-book operations.
 //	3 — merge-then-pay races: disposable accounts are merged away while
 //	    other transactions in the same set pay them (or re-create them),
-//	    so success/failure depends entirely on deterministic apply order.
+//	    or carry an operation the disposable itself signed for, so
+//	    success/failure depends entirely on deterministic apply order.
+//	4 — rotate signers, then pay: an account emits a SetOptions (add or
+//	    remove a signer, raise the medium threshold, zero the master
+//	    weight) at its next sequence number and, at the one after, a
+//	    payment signed the way that worked before it — alone, or as the
+//	    source of an operation in another account's transaction. Applied
+//	    as one set the payment meets the new rules at once; fed to a pool
+//	    it waits out a ledger, already proven under the old rules, while
+//	    the SetOptions applies.
 func (g *conflictGen) txSet(rng *rand.Rand, prev stellarcrypto.Hash, mode int, ledgerSeq uint32) *ledger.TxSet {
 	f := g.f
 	var txs []*ledger.Transaction
@@ -379,6 +393,22 @@ func (g *conflictGen) txSet(rng *rand.Rand, prev stellarcrypto.Hash, mode int, l
 					emit(tx, d.kp, func() { d.seq++ })
 				}
 				if rng.Intn(2) == 0 {
+					// The disposable signs for an operation inside a fixture
+					// account's transaction, queued behind a filler: in a pool
+					// it is still waiting, already proven, when the merge
+					// below removes the account whose key vouched for it.
+					src := f.id(5 + di)
+					filler := &ledger.Transaction{Source: src, SeqNum: f.seqs[src],
+						Operations: []ledger.Operation{pay(f.id(1), false)}}
+					emit(filler, f.keys[5+di], func() { f.seqs[src]++ })
+					op := pay(f.id(2), false)
+					op.Source = d.id
+					cross := &ledger.Transaction{Source: src, SeqNum: f.seqs[src],
+						Operations: []ledger.Operation{op}}
+					emit(cross, f.keys[5+di], func() { f.seqs[src]++ })
+					cross.Sign(f.networkID, d.kp)
+				}
+				if rng.Intn(2) == 0 {
 					tx := &ledger.Transaction{Source: d.id, SeqNum: d.seq}
 					tx.Operations = append(tx.Operations, ledger.Operation{
 						Body: &ledger.AccountMerge{Destination: f.id(1 + rng.Intn(len(f.ids)-1))}})
@@ -409,6 +439,67 @@ func (g *conflictGen) txSet(rng *rand.Rand, prev stellarcrypto.Hash, mode int, l
 				tx.Operations = append(tx.Operations, pay(d.id, false))
 				emit(tx, f.keys[src], func() { f.seqs[tx.Source]++ })
 			}
+		}
+	case 4: // rotate signers, then pay the old way
+		if g.delegate == nil {
+			g.delegate, g.voided = map[ledger.AccountID]int{}, map[ledger.AccountID]bool{}
+		}
+		two := uint8(2)
+		zero := uint8(0)
+		for _, pi := range rng.Perm(len(f.ids) - 3)[:3] {
+			x := 3 + pi
+			id := f.id(x)
+			if g.voided[id] {
+				continue
+			}
+			so := &ledger.SetOptions{}
+			oldKey := f.keys[x] // what authorised a payment before the SetOptions
+			switch y, kind := g.delegate[id], rng.Intn(4); {
+			case kind <= 1 && y == 0: // add a signer: the old way keeps working
+				y = 1 + rng.Intn(len(f.ids)-1)
+				if y == x {
+					y = 1 + x%(len(f.ids)-1)
+				}
+				so.Signer = &ledger.Signer{Key: f.id(y), Weight: 1}
+				g.delegate[id] = y
+			case kind <= 1: // remove the signer whose key signs the payment
+				so.Signer = &ledger.Signer{Key: f.id(y), Weight: 0}
+				oldKey = f.keys[y]
+				delete(g.delegate, id)
+			case kind == 2: // payments now need more weight than the master key has
+				so.MedThreshold = &two
+				g.voided[id] = true
+			default: // the master key stops counting at all
+				so.MasterWeight = &zero
+				g.voided[id] = true
+			}
+			rotate := &ledger.Transaction{Source: id, SeqNum: f.seqs[id],
+				Operations: []ledger.Operation{{Body: so}}}
+			emit(rotate, f.keys[x], func() { f.seqs[id]++ })
+			if z := 3 + rng.Intn(len(f.ids)-3); rng.Intn(2) == 0 && z != x && !g.voided[f.id(z)] {
+				// The old key signs for an operation inside z's transaction,
+				// queued behind a filler so it too waits a ledger.
+				zid := f.id(z)
+				filler := &ledger.Transaction{Source: zid, SeqNum: f.seqs[zid],
+					Operations: []ledger.Operation{pay(f.id(1), false)}}
+				emit(filler, f.keys[z], func() { f.seqs[zid]++ })
+				op := pay(f.id(2), false)
+				op.Source = id
+				cross := &ledger.Transaction{Source: zid, SeqNum: f.seqs[zid],
+					Operations: []ledger.Operation{op}}
+				emit(cross, f.keys[z], func() { f.seqs[zid]++ })
+				cross.Sign(f.networkID, oldKey)
+			} else {
+				after := &ledger.Transaction{Source: id, SeqNum: f.seqs[id],
+					Operations: []ledger.Operation{pay(f.id(1+rng.Intn(2)), rng.Intn(4) == 0)}}
+				emit(after, oldKey, func() { f.seqs[id]++ })
+			}
+		}
+		// Bystanders keep the ledgers busy with payments nothing voids.
+		for _, src := range []int{1, 2} {
+			tx := &ledger.Transaction{Source: f.id(src), SeqNum: f.seqs[f.id(src)],
+				Operations: []ledger.Operation{pay(f.id(3+rng.Intn(len(f.ids)-3)), false)}}
+			emit(tx, f.keys[src], func() { f.seqs[tx.Source]++ })
 		}
 	}
 	return &ledger.TxSet{PrevLedgerHash: prev, Txs: txs}
@@ -441,14 +532,15 @@ func (g *conflictGen) createDisposables(seed int64, prev stellarcrypto.Hash, led
 // reference world (no verifier: direct, uncached, sequential checks) and
 // on a world wired with verify.New(4, …), and demands byte-identical
 // results, results hashes, bucket hashes and header hashes. The inputs are
-// randomTxSet and the four conflictGen modes, 50 seeds each.
+// randomTxSet and the five conflictGen modes, 50 seeds each.
 func TestVerifierPipelineMatchesReference(t *testing.T) {
 	const seeds = 50
 	const ledgersPerSeed = 4
 	inputs := []struct {
 		name string
 		mode int // conflictGen mode; -1 is randomTxSet
-	}{{"random", -1}, {"hot-destination", 0}, {"same-source-chains", 1}, {"offer-path-mix", 2}, {"merge-then-pay", 3}}
+	}{{"random", -1}, {"hot-destination", 0}, {"same-source-chains", 1}, {"offer-path-mix", 2},
+		{"merge-then-pay", 3}, {"rotate-signers-then-pay", 4}}
 	for _, in := range inputs {
 		mode := in.mode
 		for seed := int64(0); seed < seeds; seed++ {

@@ -39,6 +39,9 @@ type State struct {
 	journal []undo
 	dirty   map[string]struct{}
 
+	// authEpoch is AuthEpoch's counter (apply.go).
+	authEpoch uint64
+
 	// ins holds the optional apply-path metrics (SetObs).
 	ins *ledgerInstruments
 
@@ -172,6 +175,7 @@ func (s *State) createAccount(a *AccountEntry) {
 
 // deleteAccount removes an account entry (AccountMerge).
 func (s *State) deleteAccount(id AccountID) {
+	s.authEpoch++
 	s.markDirty(accountKey(id))
 	old := s.accounts[id]
 	delete(s.accounts, id)

@@ -55,6 +55,10 @@ type Transaction struct {
 	Memo       string
 	Operations []Operation
 	Signatures []DecoratedSignature
+
+	// seal holds the canonical bytes and hash of a sealed transaction
+	// (seal.go); once it is set the fields above are read-only.
+	seal txSeal
 }
 
 // Operation pairs an operation body with an optional source account
@@ -107,6 +111,15 @@ type ApplyEnv struct {
 
 // EncodeXDR writes the signed payload portion of the transaction.
 func (tx *Transaction) EncodeXDR(e *xdr.Encoder) {
+	if s := &tx.seal; s.wire != nil {
+		e.PutFixed(s.wire[:s.payloadLen])
+		return
+	}
+	tx.encodePayload(e)
+}
+
+// encodePayload encodes the signed payload from the fields.
+func (tx *Transaction) encodePayload(e *xdr.Encoder) {
 	e.PutString(string(tx.Source))
 	e.PutInt64(tx.Fee)
 	e.PutUint64(tx.SeqNum)
@@ -130,15 +143,20 @@ func (tx *Transaction) EncodeXDR(e *xdr.Encoder) {
 // Hash returns the transaction's content hash bound to the network ID, the
 // payload that signatures cover.
 func (tx *Transaction) Hash(networkID stellarcrypto.Hash) stellarcrypto.Hash {
+	if tx.seal.wire != nil {
+		return tx.seal.sealedHash(networkID)
+	}
 	e := xdr.NewEncoder(256)
 	e.PutFixed(networkID[:])
-	tx.EncodeXDR(e)
+	tx.encodePayload(e)
 	return stellarcrypto.HashBytes(e.Bytes())
 }
 
 // Sign appends a signature by kp over the transaction hash, decorated
-// with the signing key's hint.
+// with the signing key's hint. Signing is editing: it drops any seal first,
+// so the hash covers the fields as they are now.
 func (tx *Transaction) Sign(networkID stellarcrypto.Hash, kp stellarcrypto.KeyPair) {
+	tx.seal = txSeal{}
 	h := tx.Hash(networkID)
 	tx.Signatures = append(tx.Signatures, DecoratedSignature{
 		Hint: kp.Public.Hint(),

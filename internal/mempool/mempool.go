@@ -23,12 +23,19 @@
 // Fee rates are compared as cross products (fee_a·ops_b vs fee_b·ops_a)
 // with the transaction hash as the canonical tie-break, exactly like
 // ledger.SurgePrice, so the eviction order is a total order.
+//
+// The pool is also where a proposal is collected from (Candidates), and it
+// remembers per entry that structure and signatures already passed (Prove),
+// so collecting re-checks only what changes from ledger to ledger.
 package mempool
 
 import (
 	"bytes"
+	"cmp"
 	"container/heap"
+	"slices"
 	"sort"
+	"strings"
 
 	"stellar/internal/ledger"
 	"stellar/internal/stellarcrypto"
@@ -110,6 +117,10 @@ type entry struct {
 	tx    *ledger.Transaction
 	hash  stellarcrypto.Hash
 	index int // position in the eviction heap
+	// proven records that tx passed ledger.State.CheckAuth when the
+	// state's auth epoch was provenAt (Prove, Candidates).
+	proven   bool
+	provenAt uint64
 }
 
 // Pool is the bounded fee-priority pending set. It is not internally
@@ -185,11 +196,69 @@ func (p *Pool) MaxSeq(source ledger.AccountID) (uint64, bool) {
 }
 
 // Each calls f for every pooled transaction in unspecified order; callers
-// feeding consensus must canonicalize (the herder sorts candidates).
+// feeding consensus must canonicalize (Candidates does).
 func (p *Pool) Each(f func(h stellarcrypto.Hash, tx *ledger.Transaction)) {
 	for h, e := range p.byHash {
 		f(h, e.tx)
 	}
+}
+
+// The pool remembers its proofs. A pooled transaction is immutable, so the
+// structural and signature half of its validity (ledger.State.CheckAuth)
+// can only change when the state's auth epoch advances; the pool records
+// each pass with the epoch it was made at and Candidates re-checks only
+// what moves every ledger. A proof is used to build a proposal and for
+// nothing else — apply runs the full CheckValid on every transaction — so
+// a wrong one could cost this node a proposal, never the ledger's safety.
+
+// Prove checks the pooled transaction's structure and signatures against
+// st and remembers a pass. The herder calls it at admission, in the idle
+// part of the interval, which also warms the signature cache for apply. A
+// failure is not remembered: the node may simply be a ledger behind the
+// one that creates the source account.
+func (p *Pool) Prove(h stellarcrypto.Hash, st *ledger.State, networkID stellarcrypto.Hash) {
+	if e := p.byHash[h]; e != nil && st.CheckAuth(e.tx, networkID) == nil {
+		e.proven, e.provenAt = true, st.AuthEpoch()
+	}
+}
+
+// ForgetProofs voids every remembered proof; the herder calls it when it
+// adopts a different ledger state, whose epochs count from zero again.
+func (p *Pool) ForgetProofs() {
+	for _, e := range p.byHash {
+		e.proven = false
+	}
+}
+
+// Candidates returns the pooled transactions st.CheckValid accepts at
+// closeTime — exactly that set — in canonical (source, sequence) order, so
+// a proposal never depends on map iteration. An entry whose proof is
+// current is checked for sequence number, time bounds, fee and balance
+// only; any other runs the full CheckValid, and a pass becomes its proof.
+func (p *Pool) Candidates(st *ledger.State, networkID stellarcrypto.Hash, closeTime int64) []*ledger.Transaction {
+	epoch := st.AuthEpoch()
+	out := make([]*ledger.Transaction, 0, len(p.byHash))
+	for _, e := range p.byHash {
+		if e.proven && e.provenAt == epoch {
+			if st.CheckSeqAndFee(e.tx, closeTime) != nil {
+				continue
+			}
+		} else {
+			if st.CheckValid(e.tx, networkID, closeTime) != nil {
+				continue
+			}
+			e.proven, e.provenAt = true, epoch
+		}
+		out = append(out, e.tx)
+	}
+	// The pool holds one transaction per (source, sequence): a total order.
+	slices.SortFunc(out, func(a, b *ledger.Transaction) int {
+		if c := strings.Compare(string(a.Source), string(b.Source)); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.SeqNum, b.SeqNum)
+	})
+	return out
 }
 
 // FloorRate returns the cheapest resident's fee rate as a (fee, ops)

@@ -8,6 +8,7 @@ import (
 
 	"stellar/internal/ledger"
 	"stellar/internal/stellarcrypto"
+	"stellar/internal/verify"
 )
 
 // tx builds a minimal transaction with nops payment operations. Tests
@@ -310,4 +311,77 @@ func TestHeapInvariantUnderChurn(t *testing.T) {
 			t.Fatalf("pool exceeded cap: %d > %d", p.Len(), p.Cap())
 		}
 	}
+}
+
+// TestProofsSpareTheSignatureCheck drives the proof life cycle against a
+// real state: a proven entry costs Candidates no signature lookup; an
+// entry whose proof was forgotten, or made before the auth epoch moved, is
+// checked in full again and — still passing — proven anew; and an entry
+// that cannot be proven is offered only once full validation accepts it.
+func TestProofsSpareTheSignatureCheck(t *testing.T) {
+	nid := stellarcrypto.HashBytes([]byte("mempool-proof-test"))
+	master := stellarcrypto.KeyPairFromString("mempool-proof-master")
+	masterID := ledger.AccountIDFromPublicKey(master.Public)
+	st := ledger.NewGenesisState(masterID)
+	v := verify.New(1, 64)
+	st.SetVerifier(v)
+	lookups := func() uint64 { s := v.Cache.Stats(); return s.Hits + s.Misses }
+
+	ghost := stellarcrypto.KeyPairFromString("mempool-proof-ghost")
+	ghostID := ledger.AccountIDFromPublicKey(ghost.Public)
+	pay := &ledger.Transaction{Source: masterID, Fee: 100, SeqNum: 1,
+		Operations: []ledger.Operation{{Body: &ledger.CreateAccount{Destination: ghostID, StartingBalance: 100 * ledger.One}}}}
+	pay.Sign(nid, master)
+	early := &ledger.Transaction{Source: ghostID, Fee: 100, SeqNum: 1<<32 + 1,
+		Operations: []ledger.Operation{{Body: &ledger.BumpSequence{BumpTo: 1}}}}
+	early.Sign(nid, ghost)
+
+	p := New(Config{})
+	for _, txn := range []*ledger.Transaction{pay, early} {
+		h := txn.Seal(nid)
+		p.Add(txn, h)
+		p.Prove(h, st, nid) // early's source does not exist yet: no proof
+	}
+	candidates := func(wantLookups uint64, want ...*ledger.Transaction) {
+		t.Helper()
+		before := lookups()
+		got := p.Candidates(st, nid, 10)
+		if len(got) != len(want) {
+			t.Fatalf("Candidates returned %d transactions, want %d", len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("candidate %d is not the expected transaction", i)
+			}
+		}
+		if d := lookups() - before; d != wantLookups {
+			t.Fatalf("Candidates looked up %d signatures, want %d", d, wantLookups)
+		}
+	}
+	candidates(0, pay) // pay rides its proof; early fails before its signature matters
+	p.ForgetProofs()
+	candidates(1, pay) // full check, proven again
+	candidates(0, pay)
+
+	st.ApplyTxSet(&ledger.TxSet{Txs: []*ledger.Transaction{pay}}, nid, &ledger.ApplyEnv{LedgerSeq: 1, CloseTime: 10})
+	p.Remove(pay.Hash(nid))
+	candidates(1, early) // its source exists now: full check passes and is remembered
+	candidates(0, early)
+
+	// Zeroing the master weight advances the epoch: the remembered pass is
+	// void, the full check runs, and early is no longer offered.
+	zero := uint8(0)
+	brick := &ledger.Transaction{Source: ghostID, Fee: 100, SeqNum: 1<<32 + 1,
+		Operations: []ledger.Operation{{Body: &ledger.SetOptions{MasterWeight: &zero}}}}
+	brick.Sign(nid, ghost)
+	epoch := st.AuthEpoch()
+	st.ApplyTxSet(&ledger.TxSet{Txs: []*ledger.Transaction{brick}}, nid, &ledger.ApplyEnv{LedgerSeq: 2, CloseTime: 11})
+	if st.AuthEpoch() == epoch {
+		t.Fatal("SetOptions on the master weight did not advance the auth epoch")
+	}
+	late := &ledger.Transaction{Source: ghostID, Fee: 100, SeqNum: 1<<32 + 2,
+		Operations: []ledger.Operation{{Body: &ledger.BumpSequence{BumpTo: 1}}}}
+	late.Sign(nid, ghost)
+	p.Add(late, late.Seal(nid))
+	candidates(1) // late: the lookup hits, the weight is gone; early is stale by sequence
 }

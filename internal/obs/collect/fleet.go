@@ -69,7 +69,7 @@ func Status(s *Scrape, prev *Scrape) NodeStatus {
 	m := s.Metrics
 	st.LedgersClosed = m.Sum("herder_ledgers_closed_total")
 	st.TxApplied = m.Sum("herder_tx_per_ledger_sum")
-	st.PendingTxs = m.Sum("herder_pending_txs")
+	st.PendingTxs = m.Sum("mempool_size")
 	st.Peers = m.Sum("transport_peers")
 	st.QuorumAvail = m.Sum("quorum_available") > 0
 	st.SpansRecorded = m.Sum("trace_spans_recorded")

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 )
 
 // ErrTruncated is returned when decoding runs out of input.
@@ -44,6 +45,10 @@ func (e *Encoder) Len() int { return len(e.buf) }
 
 // Reset discards the encoded contents, retaining the buffer.
 func (e *Encoder) Reset() { e.buf = e.buf[:0] }
+
+// Grow makes room for n more bytes, so a caller that knows how much it is
+// about to append pays for one allocation instead of a doubling series.
+func (e *Encoder) Grow(n int) { e.buf = slices.Grow(e.buf, n) }
 
 // PutUint32 appends a big-endian uint32.
 func (e *Encoder) PutUint32(v uint32) {
@@ -101,6 +106,13 @@ func (d *Decoder) Remaining() int { return len(d.buf) - d.off }
 
 // Done reports whether all input has been consumed.
 func (d *Decoder) Done() bool { return d.Remaining() == 0 }
+
+// Offset returns the number of bytes consumed so far.
+func (d *Decoder) Offset() int { return d.off }
+
+// Since returns the input consumed since Offset was from. The slice aliases
+// the decoder's input: a caller that keeps it copies it.
+func (d *Decoder) Since(from int) []byte { return d.buf[from:d.off] }
 
 func (d *Decoder) take(n int) ([]byte, error) {
 	if n < 0 || d.Remaining() < n {
