@@ -33,7 +33,7 @@ ALERTS_SMOKE_DIR ?= alerts-smoke-logs
 # STATICCHECK is the staticcheck binary `make check` uses when present.
 STATICCHECK ?= staticcheck
 
-.PHONY: all build test race vet fmt staticcheck check bench bench-smoke bench-test bench-e2e trace-smoke fuzz chaos soak node-smoke catchup-smoke bench-cluster ingress-smoke alerts-smoke
+.PHONY: all build test race vet fmt staticcheck check bench bench-smoke bench-test bench-e2e mem trace-smoke fuzz chaos soak node-smoke catchup-smoke bench-cluster ingress-smoke alerts-smoke
 
 all: check
 
@@ -93,6 +93,19 @@ bench-test:
 # and its numbers mean something only on a quiet machine — not a CI gate.
 bench-e2e:
 	bash bench/run.sh
+
+# mem is the paired-run protocol behind a memory claim: MEM_PAIRS
+# alternating parent/change pairs of bench-e2e's MEM_WORKLOAD on
+# consecutive seeds from MEM_SEED, printing node_peak_rss_mb and
+# runtime.heap_mb_end per pair and as median [quartiles]. The parent is
+# MEM_PARENT (a `git archive` copy under .bench_build/), the change this
+# checkout. About two minutes a pair; quiet machine only.
+MEM_PARENT ?= HEAD~1
+MEM_PAIRS ?= 10
+MEM_SEED ?= 601
+MEM_WORKLOAD ?= pay_saturate
+mem:
+	PARENT=$(MEM_PARENT) PAIRS=$(MEM_PAIRS) SEED=$(MEM_SEED) WORKLOAD=$(MEM_WORKLOAD) ./scripts/mem-pairs.sh
 
 # trace-smoke runs a short traced simulation, validates the exported
 # Chrome trace (schema + full parent-linked tx lifecycle), and prints the

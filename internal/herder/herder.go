@@ -176,6 +176,7 @@ type slotStat struct {
 	nominateAt     time.Duration // virtual time nomination started
 	firstPrepareAt time.Duration
 	sawPrepare     bool
+	externalizedAt time.Duration // 0 = decided elsewhere (catch-up)
 	nomTimeouts    int
 	ballotTimeouts int
 	emitted        int
@@ -403,13 +404,25 @@ func (n *Node) updatePoolGauges() {
 	}
 }
 
-func (n *Node) onTxSet(ts *ledger.TxSet) {
+// holdTxSet stores a transaction set learned from a peer, built from the
+// pool's own instances wherever the pool holds the same transaction
+// (ledger.TxSet.Intern): a proposal is mostly transactions this node already
+// pooled, and their decoded duplicates would otherwise live as long as the
+// set. It reports whether the set is new.
+func (n *Node) holdTxSet(ts *ledger.TxSet) bool {
 	h := ts.Hash(n.cfg.NetworkID)
 	if n.last != nil {
 		n.txsetSeen[h] = n.last.LedgerSeq
 	}
-	if _, dup := n.txsets[h]; !dup {
-		n.txsets[h] = ts
+	if _, dup := n.txsets[h]; dup {
+		return false
+	}
+	n.txsets[h] = ts.Intern(n.cfg.NetworkID, n.pool.Get)
+	return true
+}
+
+func (n *Node) onTxSet(ts *ledger.TxSet) {
+	if n.holdTxSet(ts) {
 		// A value referencing this set may have been merely MaybeValid;
 		// let nomination re-echo it now that we can judge it (§5.3).
 		if n.last != nil {
@@ -514,6 +527,7 @@ func (n *Node) onExternalized(slot uint64, raw scp.Value) {
 		panic(fmt.Sprintf("herder: externalized garbage for slot %d: %v", slot, err))
 	}
 	n.decided[slot] = sv
+	n.stat(slot).externalizedAt = n.net.Now()
 	n.ins.externals.Inc()
 	n.traceExternalized(slot)
 	n.trace(obs.Event{Slot: slot, Kind: obs.EvExternalize})
@@ -603,8 +617,15 @@ func (n *Node) applyLedger(slot uint64, sv *StellarValue, ts *ledger.TxSet) {
 				n.Metrics.Nomination.Add(st.firstPrepareAt - st.nominateAt)
 				n.ins.nomination.ObserveDuration(st.firstPrepareAt - st.nominateAt)
 			}
-			n.Metrics.Balloting.Add(n.net.Now() - st.firstPrepareAt)
-			n.ins.balloting.ObserveDuration(n.net.Now() - st.firstPrepareAt)
+			// Balloting ends at externalize, not here: on a wall clock the
+			// apply above has already taken its milliseconds. A slot this
+			// node did not externalize (catch-up) ends when that arrived.
+			decidedAt := st.externalizedAt
+			if decidedAt == 0 {
+				decidedAt = n.net.Now()
+			}
+			n.Metrics.Balloting.Add(decidedAt - st.firstPrepareAt)
+			n.ins.balloting.ObserveDuration(decidedAt - st.firstPrepareAt)
 		}
 		n.Metrics.NominationTimeouts.Add(st.nomTimeouts)
 		n.Metrics.BallotTimeouts.Add(st.ballotTimeouts)
@@ -633,12 +654,6 @@ func (n *Node) applyLedger(slot uint64, sv *StellarValue, ts *ledger.TxSet) {
 	n.headers[hdr.LedgerSeq] = hdr.Hash()
 	delete(n.decided, slot)
 	delete(n.triggered, slot)
-
-	// Keep a window of closed ledgers for lagging peers (catchup.go).
-	n.recent[hdr.LedgerSeq] = recentLedger{value: sv.Encode(), txset: ts}
-	if hdr.LedgerSeq > recentWindow {
-		delete(n.recent, hdr.LedgerSeq-recentWindow)
-	}
 
 	// Drop applied/stale transactions from the pool (canonical hash order
 	// inside PruneStale keeps the trace/event sequence deterministic).
@@ -671,11 +686,20 @@ func (n *Node) applyLedger(slot uint64, sv *StellarValue, ts *ledger.TxSet) {
 		}
 	}
 
-	// Archive (§5.4).
+	// Archive (§5.4), then keep the ledger in the window lagging peers are
+	// served from (catchup.go) — with its transaction set only if the
+	// archive cannot give it back.
+	rc := recentLedger{value: sv.Encode(), txSetHash: sv.TxSetHash, txset: ts}
 	if n.cfg.Archive != nil {
 		archStart := time.Now()
-		n.archiveLedger(hdr, ts)
+		if n.archiveLedger(hdr, ts) {
+			rc.txset = nil
+		}
 		applySpan.CompleteChild(obs.SpanArchive, time.Since(archStart))
+	}
+	n.recent[hdr.LedgerSeq] = rc
+	if hdr.LedgerSeq > recentWindow {
+		delete(n.recent, hdr.LedgerSeq-recentWindow)
 	}
 	n.traceApplyEnd(slot, applySpan)
 
@@ -737,16 +761,29 @@ func (n *Node) checkpointInterval() uint32 {
 	return 1
 }
 
-func (n *Node) archiveLedger(hdr *ledger.Header, ts *ledger.TxSet) {
+// archiveLedger writes the closed ledger to the archive — header and
+// transaction set every ledger, buckets and a checkpoint every
+// checkpointInterval — and reports whether the transaction set reached the
+// disk. A failed write is logged and counted; the node keeps closing ledgers
+// (validators need not host archives, §5.4), and any failure ends this
+// ledger's archiving, so a checkpoint never names a ledger or a bucket the
+// archive does not hold.
+func (n *Node) archiveLedger(hdr *ledger.Header, ts *ledger.TxSet) (txSetStored bool) {
 	a := n.cfg.Archive
+	failed := func(file string, err error) {
+		n.ins.archiveErrors.With(file).Inc()
+		n.log.Error("archive write failed", "file", file, "seq", hdr.LedgerSeq, "err", err)
+	}
 	if err := a.PutHeader(hdr); err != nil {
-		return
+		failed("header", err)
+		return false
 	}
 	if err := a.PutTxSet(hdr.LedgerSeq, ts); err != nil {
-		return
+		failed("txset", err)
+		return false
 	}
 	if hdr.LedgerSeq%n.checkpointInterval() != 0 {
-		return
+		return true
 	}
 	hashes := n.buckets.BucketHashes()
 	for i, h := range hashes {
@@ -755,14 +792,21 @@ func (n *Node) archiveLedger(hdr *ledger.Header, ts *ledger.TxSet) {
 		}
 		b, err := n.buckets.Bucket(i/2, i%2 == 1)
 		if err == nil {
-			_ = a.PutBucket(b)
+			err = a.PutBucket(b)
+		}
+		if err != nil {
+			failed("bucket", err)
+			return true // no checkpoint over a missing bucket: the last good one stays latest
 		}
 	}
-	_ = a.PutCheckpoint(&history.Checkpoint{
+	if err := a.PutCheckpoint(&history.Checkpoint{
 		LedgerSeq:    hdr.LedgerSeq,
 		HeaderHash:   hdr.Hash(),
 		BucketHashes: hashes,
-	})
+	}); err != nil {
+		failed("checkpoint", err)
+	}
+	return true
 }
 
 // CatchUp bootstraps or fast-forwards the node from an archive's latest

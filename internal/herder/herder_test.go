@@ -117,8 +117,23 @@ func TestClassifyUpgrade(t *testing.T) {
 	}
 }
 
-// buildPair creates a two-validator network for integration tests.
+// buildPair creates a three-validator network for integration tests.
 func buildPair(t *testing.T, mutate func(cfgs []*Config)) (*simnet.Network, []*Node, stellarcrypto.Hash) {
+	t.Helper()
+	net, nodes, nid, _ := buildFunded(t, 0, mutate)
+	return net, nodes, nid
+}
+
+// payer is a funded genesis account a test submits transactions from.
+type payer struct {
+	id  ledger.AccountID
+	kp  stellarcrypto.KeyPair
+	seq uint64 // sequence number of its last submitted transaction
+}
+
+// buildFunded is buildPair with `funded` keyed accounts of 10 000 XLM each
+// in the genesis ledger, for tests that need load.
+func buildFunded(t *testing.T, funded int, mutate func(cfgs []*Config)) (*simnet.Network, []*Node, stellarcrypto.Hash, []*payer) {
 	t.Helper()
 	net := simnet.New(7)
 	net.SetLatency(simnet.UniformLatency(2*time.Millisecond, 8*time.Millisecond))
@@ -140,7 +155,17 @@ func buildPair(t *testing.T, mutate func(cfgs []*Config)) (*simnet.Network, []*N
 	if mutate != nil {
 		mutate(cfgs)
 	}
-	genesis, _ := GenesisState(nid)
+	genesis, masterKP := GenesisState(nid)
+	master := ledger.AccountIDFromPublicKey(masterKP.Public)
+	payers := make([]*payer, funded)
+	for i, kp := range stellarcrypto.DeterministicKeyPairs("herder-test-payer", funded) {
+		payers[i] = &payer{id: ledger.AccountIDFromPublicKey(kp.Public), kp: kp}
+		op := &ledger.CreateAccount{Destination: payers[i].id, StartingBalance: 10_000 * ledger.One}
+		if err := op.Apply(genesis, &ledger.ApplyEnv{LedgerSeq: 1}, master); err != nil {
+			t.Fatal(err)
+		}
+		payers[i].seq = genesis.Account(payers[i].id).SeqNum
+	}
 	snap := genesis.SnapshotAll()
 	ghdr := ledger.GenesisHeader(genesis, 0)
 	var nodes []*Node
@@ -163,7 +188,7 @@ func buildPair(t *testing.T, mutate func(cfgs []*Config)) (*simnet.Network, []*N
 			}
 		}
 	}
-	return net, nodes, nid
+	return net, nodes, nid, payers
 }
 
 func TestEmptyLedgersClose(t *testing.T) {

@@ -43,6 +43,9 @@ type instruments struct {
 	poolCap      *obs.Gauge   // mempool_capacity
 	poolFloor    *obs.Gauge   // mempool_fee_floor
 
+	// Archive writes that failed, by file kind (herder.go archiveLedger).
+	archiveErrors *obs.CounterVec // history_write_errors_total{file}
+
 	// Cold-start network catchup (netcatchup.go; DESIGN.md §16).
 	catchupState    *obs.Gauge      // catchup_state
 	catchupFiles    *obs.CounterVec // catchup_files_fetched_total{kind}
@@ -92,6 +95,8 @@ func newInstruments(reg *obs.Registry) *instruments {
 			"configured mempool capacity (mempool_size/mempool_capacity is occupancy)"),
 		poolFloor: reg.Gauge("mempool_fee_floor",
 			"fee per operation of the cheapest pooled transaction while full (0 = not full)"),
+		archiveErrors: reg.CounterVec("history_write_errors_total",
+			"archive writes that failed (header, txset, bucket, checkpoint); a failed txset keeps its body in the catch-up window", "file"),
 		catchupState: reg.Gauge("catchup_state",
 			"network catchup progress (0 idle, 1 discovering, 2 fetching, 3 restoring, 4 done)"),
 		catchupFiles: reg.CounterVec("catchup_files_fetched_total",

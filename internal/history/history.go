@@ -69,10 +69,9 @@ const codecVersion = 1
 func (a *Archive) writeFile(rel string, data []byte) error {
 	path := filepath.Join(a.dir, rel)
 	sum := sha256.Sum256(data)
-	framed := make([]byte, 0, len(archiveMagic)+len(sum)+len(data))
-	framed = append(framed, archiveMagic...)
-	framed = append(framed, sum[:]...)
-	framed = append(framed, data...)
+	// The 40-byte frame header and the payload go out as two writes: a
+	// transaction set is hundreds of kilobytes, not worth copying to prepend to.
+	header := append([]byte(archiveMagic), sum[:]...)
 	f, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
 	if err != nil {
 		return fmt.Errorf("history: write %s: %w", rel, err)
@@ -83,7 +82,10 @@ func (a *Archive) writeFile(rel string, data []byte) error {
 		_ = os.Remove(tmp)
 		return fmt.Errorf("history: write %s: %w", rel, err)
 	}
-	if _, err := f.Write(framed); err != nil {
+	if _, err := f.Write(header); err != nil {
+		return cleanup(err)
+	}
+	if _, err := f.Write(data); err != nil {
 		return cleanup(err)
 	}
 	if err := f.Sync(); err != nil {

@@ -192,6 +192,20 @@ func (ts *TxSet) EncodeXDR(e *xdr.Encoder) {
 	}
 }
 
+// EncodedLen is the number of bytes EncodeXDR writes; for a set of sealed
+// transactions it costs a sum.
+func (ts *TxSet) EncodedLen() int {
+	n := len(ts.PrevLedgerHash) + 4
+	for _, tx := range ts.Txs {
+		if tx.seal.wire != nil {
+			n += len(tx.seal.wire)
+		} else {
+			n += len(tx.MarshalSignedXDR())
+		}
+	}
+	return n
+}
+
 // DecodeTxSetXDR reads one transaction set written by TxSet.EncodeXDR,
 // leaving the decoder positioned after it. The set and its transactions
 // come back sealed.

@@ -3,6 +3,7 @@ package ledger
 import (
 	"bytes"
 	"crypto/sha256"
+	"slices"
 
 	"stellar/internal/stellarcrypto"
 	"stellar/internal/xdr"
@@ -96,4 +97,41 @@ type setSeal struct {
 func (ts *TxSet) Seal(networkID stellarcrypto.Hash) stellarcrypto.Hash {
 	ts.seal.sealed = true
 	return ts.Hash(networkID)
+}
+
+// Intern returns the set with every transaction the caller already holds
+// replaced by the caller's instance: held answers a transaction hash with
+// that instance, or nil. An element is replaced only by a sealed instance
+// whose envelope bytes equal its own — the hash does not cover signatures —
+// so the result has the same hash, encoding and apply outcome as ts, and ts
+// itself is returned when nothing was replaced. A node that receives a
+// peer's proposal decoded from the wire holds nearly all of it in its pool
+// already; interning lets the decoded duplicates be collected at once
+// instead of living as long as the set does.
+func (ts *TxSet) Intern(networkID stellarcrypto.Hash, held func(stellarcrypto.Hash) *Transaction) *TxSet {
+	var txs []*Transaction // copied at the first replacement
+	for i, tx := range ts.Txs {
+		h := held(tx.Hash(networkID))
+		if h == nil || h == tx || h.seal.wire == nil || !bytes.Equal(h.seal.wire, tx.seal.wire) {
+			continue
+		}
+		if txs == nil {
+			txs = slices.Clone(ts.Txs)
+		}
+		txs[i] = h
+	}
+	if txs == nil {
+		return ts
+	}
+	// The transactions of a decoded set are windows into one buffer holding
+	// every envelope of the set (DecodeTxSetXDR); the few that stay get their
+	// own bytes, or each would keep all of it alive.
+	for i, tx := range txs {
+		if tx == ts.Txs[i] {
+			own := *tx
+			own.seal.wire = bytes.Clone(tx.seal.wire)
+			txs[i] = &own
+		}
+	}
+	return &TxSet{PrevLedgerHash: ts.PrevLedgerHash, Txs: txs, seal: ts.seal}
 }

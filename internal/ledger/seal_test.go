@@ -157,6 +157,77 @@ func TestTxSetHashMemoOnlyWhenSealed(t *testing.T) {
 	}
 }
 
+// TestTxSetIntern: a decoded set interned against the instances a node
+// already holds keeps its hash and its encoding, takes the held instance
+// wherever the envelopes are byte-identical, refuses one that differs only
+// in its signatures (the transaction hash does not cover them), and leaves
+// no element aliasing the decoder's buffer.
+func TestTxSetIntern(t *testing.T) {
+	txs := sampleTransactions(t)
+	built := &TxSet{PrevLedgerHash: stellarcrypto.HashBytes([]byte("prev")), Txs: txs}
+	e := xdr.NewEncoder(1024)
+	built.EncodeXDR(e)
+	wire := bytes.Clone(e.Bytes())
+	decoded, err := DecodeTxSetXDR(xdr.NewDecoder(wire))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The "pool": own sealed copies of all but the first transaction, and
+	// for the second one a copy with the same hash but another signature.
+	held := make(map[stellarcrypto.Hash]*Transaction)
+	for i, tx := range txs[1:] {
+		own, err := DecodeSignedTransactionXDR(tx.MarshalSignedXDR())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			resigned := fieldsOf(own)
+			resigned.Signatures = []DecoratedSignature{{Sig: bytes.Repeat([]byte{9}, 64)}}
+			resigned.Seal(sealNet)
+			own = resigned
+		}
+		held[own.Hash(sealNet)] = own
+	}
+	if len(held) != len(txs)-1 {
+		t.Fatal("setup: sample transactions share a hash")
+	}
+	lookup := func(h stellarcrypto.Hash) *Transaction { return held[h] }
+
+	got := decoded.Intern(sealNet, lookup)
+	if got == decoded {
+		t.Fatal("nothing was interned")
+	}
+	if got.Hash(sealNet) != decoded.Hash(sealNet) {
+		t.Fatal("interning changed the set hash")
+	}
+	e2 := xdr.NewEncoder(1024)
+	got.EncodeXDR(e2)
+	if !bytes.Equal(e2.Bytes(), wire) {
+		t.Fatal("interning changed the set's encoding")
+	}
+	for i, tx := range got.Txs {
+		own := held[tx.Hash(sealNet)]
+		switch {
+		case i < 2:
+			if tx == own || tx == decoded.Txs[i] {
+				t.Fatalf("tx %d: want a copy of the decoded element, not the held or the aliased instance", i)
+			}
+			if &tx.seal.wire[0] == &decoded.Txs[i].seal.wire[0] {
+				t.Fatalf("tx %d: kept element still aliases the set's buffer", i)
+			}
+		case tx != own:
+			t.Fatalf("tx %d: held instance not taken", i)
+		}
+	}
+	if again := got.Intern(sealNet, lookup); again != got {
+		t.Fatal("interning an interned set built another one")
+	}
+	if same := built.Intern(sealNet, func(stellarcrypto.Hash) *Transaction { return nil }); same != built {
+		t.Fatal("a set with nothing held was rebuilt")
+	}
+}
+
 // insertionSortSnapshot is the routine sortSnapshot replaced, kept as the
 // reference for the order it must reproduce.
 func insertionSortSnapshot(entries []SnapshotEntry) {

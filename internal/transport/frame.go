@@ -51,6 +51,11 @@ const MaxFramePayload = 8 << 20
 // bytes that follow (one type byte plus the payload).
 const frameHeaderLen = 4
 
+// readBufferSize is the buffer a connection's frames are read through
+// (Manager.readLoop): most frames — transactions, envelopes — are a few
+// hundred bytes, so one read from the socket brings in many of them.
+const readBufferSize = 64 << 10
+
 // readChunk bounds how much ReadFrame allocates ahead of bytes actually
 // received, so a hostile length prefix cannot force a large allocation
 // from a tiny input.
@@ -89,20 +94,18 @@ func AppendFrame(buf []byte, typ FrameType, payload []byte) ([]byte, error) {
 // actually arrive (bounded by readChunk per step), so truncated or hostile
 // prefixes cost at most one small allocation.
 func ReadFrame(r io.Reader) (FrameType, []byte, error) {
-	var hdr [frameHeaderLen]byte
+	// Length and type in one read: every frame has a type byte, so the five
+	// bytes never reach into the next frame.
+	var hdr [frameHeaderLen + 1]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(hdr[:frameHeaderLen])
 	if n == 0 {
 		return 0, nil, fmt.Errorf("transport: empty frame")
 	}
 	if n > MaxFramePayload+1 {
 		return 0, nil, fmt.Errorf("transport: frame length %d exceeds limit %d", n, MaxFramePayload+1)
-	}
-	var typ [1]byte
-	if _, err := io.ReadFull(r, typ[:]); err != nil {
-		return 0, nil, err
 	}
 	remaining := int(n) - 1
 	payload := make([]byte, 0, min(remaining, readChunk))
@@ -114,5 +117,5 @@ func ReadFrame(r io.Reader) (FrameType, []byte, error) {
 			return 0, nil, err
 		}
 	}
-	return FrameType(typ[0]), payload, nil
+	return FrameType(hdr[frameHeaderLen]), payload, nil
 }

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -504,8 +505,9 @@ func (m *Manager) teardown(p *peer) {
 // readLoop decodes inbound frames and delivers packets to the local node
 // as loop events; it returns when the connection fails or is closed.
 func (m *Manager) readLoop(p *peer) {
+	r := bufio.NewReaderSize(p.conn, readBufferSize)
 	for {
-		typ, payload, err := ReadFrame(p.conn)
+		typ, payload, err := ReadFrame(r)
 		if err != nil {
 			return
 		}

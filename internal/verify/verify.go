@@ -21,7 +21,7 @@
 package verify
 
 import (
-	"container/list"
+	"encoding/binary"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -31,29 +31,44 @@ import (
 )
 
 // DefaultCacheSize bounds the cache when the caller does not choose one.
-// At ~100 bytes a verdict (key hash + list node + map slot) this is a few
-// MB — roomy enough that every signature in a ledger's worth of pending
-// transactions stays resident from overlay receipt through apply.
+// A verdict costs about 80 bytes (TestCacheBytesPerVerdict holds it under
+// 110: a 44-byte slot plus a map entry of 12 bytes at the load the runtime
+// keeps), so a full default cache is about 5 MB — roomy enough that every
+// signature in a ledger's worth of pending transactions stays resident from
+// overlay receipt through apply.
 const DefaultCacheSize = 1 << 16
 
 // Cache is a bounded LRU map from (message, signature, public key) to the
 // verification verdict. It is safe for concurrent use. Entries are keyed
 // by an injective hash of the triple, so the cache stores 32-byte keys
 // regardless of message size.
+//
+// The verdicts live in one slab, linked into exact LRU order by slot
+// numbers, and are found through a map from the first eight bytes of the
+// key to the slot number. Neither holds a pointer, so the garbage collector
+// never looks inside the cache however full it is. The eight bytes only
+// locate a slot: a verdict is returned only when the slot's full key
+// matches, and two keys that share them merely displace each other.
 type Cache struct {
-	mu      sync.Mutex
-	max     int
-	entries map[stellarcrypto.Hash]*list.Element
-	order   *list.List // front = most recently used
+	mu    sync.Mutex
+	max   int
+	index map[uint64]uint32
+	slots []slot // grows to max, then the least recently used is reused
+	head  uint32 // most recently used; noSlot when empty
+	tail  uint32 // least recently used
 
 	hits   atomic.Uint64
 	misses atomic.Uint64
 }
 
-type cacheEntry struct {
-	key stellarcrypto.Hash
-	ok  bool
+// slot is one cached verdict and its place in the LRU order.
+type slot struct {
+	key        stellarcrypto.Hash
+	prev, next uint32 // towards head, towards tail; noSlot at the ends
+	ok         bool
 }
+
+const noSlot = ^uint32(0)
 
 // NewCache returns a cache bounded to max entries. max <= 0 selects
 // DefaultCacheSize.
@@ -62,9 +77,10 @@ func NewCache(max int) *Cache {
 		max = DefaultCacheSize
 	}
 	return &Cache{
-		max:     max,
-		entries: make(map[stellarcrypto.Hash]*list.Element),
-		order:   list.New(),
+		max:   max,
+		index: make(map[uint64]uint32),
+		head:  noSlot,
+		tail:  noSlot,
 	}
 }
 
@@ -75,13 +91,57 @@ func cacheKey(pk stellarcrypto.PublicKey, msg, sig []byte) stellarcrypto.Hash {
 	return stellarcrypto.HashConcat(msg, sig, pk.Bytes())
 }
 
+// locator is the part of a key the index is keyed by.
+func locator(key stellarcrypto.Hash) uint64 { return binary.LittleEndian.Uint64(key[:8]) }
+
+// find returns the slot holding key. The caller holds mu.
+func (c *Cache) find(key stellarcrypto.Hash) (uint32, bool) {
+	i, ok := c.index[locator(key)]
+	return i, ok && c.slots[i].key == key
+}
+
+// unlink takes slot i out of the LRU order. The caller holds mu.
+func (c *Cache) unlink(i uint32) {
+	s := &c.slots[i]
+	if s.prev == noSlot {
+		c.head = s.next
+	} else {
+		c.slots[s.prev].next = s.next
+	}
+	if s.next == noSlot {
+		c.tail = s.prev
+	} else {
+		c.slots[s.next].prev = s.prev
+	}
+}
+
+// pushFront makes slot i the most recently used. The caller holds mu.
+func (c *Cache) pushFront(i uint32) {
+	s := &c.slots[i]
+	s.prev, s.next = noSlot, c.head
+	if c.head == noSlot {
+		c.tail = i
+	} else {
+		c.slots[c.head].prev = i
+	}
+	c.head = i
+}
+
+// touch moves slot i to the front of the LRU order. The caller holds mu.
+func (c *Cache) touch(i uint32) {
+	if c.head != i {
+		c.unlink(i)
+		c.pushFront(i)
+	}
+}
+
 // lookup returns the cached verdict for key, if present.
 func (c *Cache) lookup(key stellarcrypto.Hash) (ok, found bool) {
 	c.mu.Lock()
-	el, found := c.entries[key]
+	i, found := c.find(key)
 	if found {
-		c.order.MoveToFront(el)
-		ok = el.Value.(*cacheEntry).ok
+		c.touch(i)
+		ok = c.slots[i].ok
 	}
 	c.mu.Unlock()
 	if found {
@@ -97,19 +157,29 @@ func (c *Cache) lookup(key stellarcrypto.Hash) (ok, found bool) {
 func (c *Cache) store(key stellarcrypto.Hash, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, exists := c.entries[key]; exists {
-		c.order.MoveToFront(el)
-		el.Value.(*cacheEntry).ok = ok
-		return
-	}
-	if c.order.Len() >= c.max {
-		oldest := c.order.Back()
-		if oldest != nil {
-			c.order.Remove(oldest)
-			delete(c.entries, oldest.Value.(*cacheEntry).key)
+	loc := locator(key)
+	i, exists := c.index[loc]
+	switch {
+	case exists:
+		// The key itself, or one sharing its locator, which it replaces.
+		c.unlink(i)
+	case len(c.slots) < c.max:
+		if len(c.slots) == cap(c.slots) {
+			// Double, but never past the bound: append would overshoot it.
+			grown := make([]slot, len(c.slots), min(c.max, max(64, 2*cap(c.slots))))
+			copy(grown, c.slots)
+			c.slots = grown
 		}
+		i = uint32(len(c.slots))
+		c.slots = c.slots[:i+1]
+	default:
+		i = c.tail
+		c.unlink(i)
+		delete(c.index, locator(c.slots[i].key))
 	}
-	c.entries[key] = c.order.PushFront(&cacheEntry{key: key, ok: ok})
+	c.slots[i].key, c.slots[i].ok = key, ok
+	c.index[loc] = i
+	c.pushFront(i)
 }
 
 // Verify reports whether sig is a valid signature of msg under pk,
@@ -129,7 +199,7 @@ func (c *Cache) Verify(pk stellarcrypto.PublicKey, msg, sig []byte) bool {
 func (c *Cache) Contains(pk stellarcrypto.PublicKey, msg, sig []byte) bool {
 	key := cacheKey(pk, msg, sig)
 	c.mu.Lock()
-	_, found := c.entries[key]
+	_, found := c.find(key)
 	c.mu.Unlock()
 	return found
 }
@@ -153,7 +223,7 @@ func (s CacheStats) HitRate() float64 {
 // Stats snapshots the hit/miss counters and current size.
 func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()
-	n := c.order.Len()
+	n := len(c.index)
 	c.mu.Unlock()
 	return CacheStats{
 		Hits:    c.hits.Load(),

@@ -2,6 +2,7 @@ package verify
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -249,4 +250,130 @@ func TestVerifierObsConcurrent(t *testing.T) {
 	if got := hits.Value() + misses.Value(); got != workers*calls {
 		t.Fatalf("hits + misses = %v, want %d", got, workers*calls)
 	}
+}
+
+// testKey is a distinct, well-spread cache key per i, without the cost of
+// signing anything.
+func testKey(i int) stellarcrypto.Hash {
+	return stellarcrypto.HashBytes([]byte(fmt.Sprintf("slab-key-%d", i)))
+}
+
+// TestCacheChurn stores twice the capacity and checks after every store
+// that the slab, the index and the LRU list still describe the same set:
+// exactly the most recent max keys, in order of use.
+func TestCacheChurn(t *testing.T) {
+	const max = 64
+	c := NewCache(max)
+	for i := 0; i < 2*max; i++ {
+		c.store(testKey(i), i%2 == 0)
+		if i%3 == 0 && i > 0 {
+			c.lookup(testKey(i - 1)) // reorder: the previous key becomes the newest
+		}
+		want := min(i+1, max)
+		if len(c.index) != want || len(c.slots) != want {
+			t.Fatalf("after %d stores: %d index entries, %d slots, want %d", i+1, len(c.index), len(c.slots), want)
+		}
+		n := 0
+		for j, prev := c.head, noSlot; j != noSlot; j, prev = c.slots[j].next, j {
+			if c.slots[j].prev != prev {
+				t.Fatalf("after %d stores: slot %d links back to %d, reached from %d", i+1, j, c.slots[j].prev, prev)
+			}
+			if got, ok := c.find(c.slots[j].key); !ok || got != j {
+				t.Fatalf("after %d stores: listed slot %d is not indexed", i+1, j)
+			}
+			if n++; n > want {
+				t.Fatalf("after %d stores: LRU list longer than the cache", i+1)
+			}
+		}
+		if n != want {
+			t.Fatalf("after %d stores: LRU list holds %d of %d entries", i+1, n, want)
+		}
+	}
+	if cap(c.slots) != max {
+		t.Fatalf("slab capacity %d, want exactly the bound %d", cap(c.slots), max)
+	}
+	for i := 0; i < 2*max; i++ {
+		ok, found := c.lookup(testKey(i))
+		if found != (i >= max) {
+			t.Fatalf("key %d: found=%v after churn to %d", i, found, 2*max)
+		}
+		if found && ok != (i%2 == 0) {
+			t.Fatalf("key %d: verdict flipped", i)
+		}
+	}
+}
+
+// TestCacheLocatorCollision: two keys that agree on the eight bytes the
+// index is keyed by displace each other and never answer for each other.
+func TestCacheLocatorCollision(t *testing.T) {
+	a, b := testKey(1), testKey(2)
+	copy(b[:8], a[:8])
+	c := NewCache(8)
+	c.store(a, true)
+	if _, found := c.lookup(b); found {
+		t.Fatal("a key answered for another with the same locator")
+	}
+	c.store(b, false)
+	if ok, found := c.lookup(b); !found || ok {
+		t.Fatalf("stored key: found=%v ok=%v", found, ok)
+	}
+	if _, found := c.lookup(a); found {
+		t.Fatal("displaced key still answers")
+	}
+	if st := c.Stats(); st.Entries != 1 {
+		t.Fatalf("%d entries, want 1", st.Entries)
+	}
+}
+
+// TestCacheAllocs: a hit allocates nothing, and a store at most one object
+// amortised (index growth while filling, nothing once full).
+func TestCacheAllocs(t *testing.T) {
+	const max = 1024
+	keys := make([]stellarcrypto.Hash, 2*max+2) // AllocsPerRun calls once more to warm up
+	for i := range keys {
+		keys[i] = testKey(i)
+	}
+	c := NewCache(max)
+	i := 0
+	fill := testing.AllocsPerRun(max, func() { c.store(keys[i], true); i++ })
+	if fill > 1 {
+		t.Errorf("store while filling: %.2f allocs per call, want <= 1", fill)
+	}
+	churn := testing.AllocsPerRun(max, func() { c.store(keys[i], true); i++ })
+	if churn > 1 {
+		t.Errorf("store at capacity: %.2f allocs per call, want <= 1", churn)
+	}
+	key := keys[i-1]
+	if hit := testing.AllocsPerRun(100, func() { c.lookup(key) }); hit != 0 {
+		t.Errorf("hit: %.2f allocs per call, want 0", hit)
+	}
+}
+
+// TestCacheBytesPerVerdict bounds what a full default-size cache holds.
+func TestCacheBytesPerVerdict(t *testing.T) {
+	keys := make([]stellarcrypto.Hash, DefaultCacheSize)
+	for i := range keys {
+		keys[i] = testKey(i)
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	before := heap()
+	c := NewCache(0)
+	for _, k := range keys {
+		c.store(k, true)
+	}
+	after := heap()
+	if st := c.Stats(); st.Entries != DefaultCacheSize {
+		t.Fatalf("%d entries, want %d", st.Entries, DefaultCacheSize)
+	}
+	per := float64(after-before) / DefaultCacheSize
+	t.Logf("%.1f bytes per verdict at %d entries", per, DefaultCacheSize)
+	if per > 110 {
+		t.Fatalf("%.1f bytes per verdict, want <= 110", per)
+	}
+	runtime.KeepAlive(keys)
 }
