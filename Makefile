@@ -33,7 +33,7 @@ ALERTS_SMOKE_DIR ?= alerts-smoke-logs
 # STATICCHECK is the staticcheck binary `make check` uses when present.
 STATICCHECK ?= staticcheck
 
-.PHONY: all build test race vet fmt staticcheck check bench bench-smoke bench-test bench-e2e mem trace-smoke fuzz chaos soak node-smoke catchup-smoke bench-cluster ingress-smoke alerts-smoke
+.PHONY: all build test race vet fmt staticcheck check bench bench-smoke bench-test bench-e2e pairs mem trace-smoke fuzz chaos soak node-smoke catchup-smoke bench-cluster ingress-smoke alerts-smoke
 
 all: check
 
@@ -94,18 +94,35 @@ bench-test:
 bench-e2e:
 	bash bench/run.sh
 
-# mem is the paired-run protocol behind a memory claim: MEM_PAIRS
-# alternating parent/change pairs of bench-e2e's MEM_WORKLOAD on
-# consecutive seeds from MEM_SEED, printing node_peak_rss_mb and
-# runtime.heap_mb_end per pair and as median [quartiles]. The parent is
-# MEM_PARENT (a `git archive` copy under .bench_build/), the change this
-# checkout. About two minutes a pair; quiet machine only.
+# pairs is the paired-run protocol behind a performance claim: PAIRS_N
+# alternating parent/change pairs of bench-e2e's PAIRS_WORKLOAD on
+# consecutive seeds from PAIRS_SEED, printing the metrics named in
+# PAIRS_METRICS — end-to-end or per-layer, as the benchmark prints them —
+# per pair and as median [quartiles]. The parent is PAIRS_PARENT (a `git
+# archive` copy under .bench_build/), the change this checkout.
+# PAIRS_TRACE=auto runs --trace 1 when a per-layer name is asked for
+# (scripts/pairs.sh says when 0 is enough). About two minutes a pair; quiet
+# machine only.
+#   make pairs PAIRS_METRICS="close_ms_p50 applied_tx_s herder.nomination_ms_mean"
+PAIRS_PARENT ?= HEAD~1
+PAIRS_N ?= 10
+PAIRS_SEED ?= 601
+PAIRS_WORKLOAD ?= pay_saturate
+PAIRS_METRICS ?= close_ms_p50 applied_tx_s
+PAIRS_TRACE ?= auto
+pairs:
+	PARENT=$(PAIRS_PARENT) PAIRS=$(PAIRS_N) SEED=$(PAIRS_SEED) WORKLOAD=$(PAIRS_WORKLOAD) TRACE=$(PAIRS_TRACE) ./scripts/pairs.sh $(PAIRS_METRICS)
+
+# mem is pairs with the two memory figures preset: node_peak_rss_mb (the
+# bounded end-to-end metric) and runtime.heap_mb_end (where a saving should
+# show; scraped, so the runs stay untraced).
 MEM_PARENT ?= HEAD~1
 MEM_PAIRS ?= 10
 MEM_SEED ?= 601
 MEM_WORKLOAD ?= pay_saturate
 mem:
-	PARENT=$(MEM_PARENT) PAIRS=$(MEM_PAIRS) SEED=$(MEM_SEED) WORKLOAD=$(MEM_WORKLOAD) ./scripts/mem-pairs.sh
+	$(MAKE) pairs PAIRS_PARENT=$(MEM_PARENT) PAIRS_N=$(MEM_PAIRS) PAIRS_SEED=$(MEM_SEED) PAIRS_WORKLOAD=$(MEM_WORKLOAD) \
+		PAIRS_METRICS="node_peak_rss_mb runtime.heap_mb_end" PAIRS_TRACE=0
 
 # trace-smoke runs a short traced simulation, validates the exported
 # Chrome trace (schema + full parent-linked tx lifecycle), and prints the

@@ -46,9 +46,14 @@ type recentLedger struct {
 	txset     *ledger.TxSet // nil when the archive holds it
 }
 
-// handleCatchup processes point-to-point catch-up traffic.
-func (n *Node) handleCatchup(from simnet.Addr, p *overlay.Packet) {
+// handleDirect processes point-to-point traffic: catch-up, archive fetch,
+// and transaction-set requests and replies (txsets.go).
+func (n *Node) handleDirect(from simnet.Addr, p *overlay.Packet) {
 	switch p.Kind {
+	case overlay.KindTxSetReq:
+		n.serveTxSet(from, p.TxSetHash)
+	case overlay.KindTxSet:
+		n.onTxSetReply(from, p.TxSet)
 	case overlay.KindCatchupReq:
 		n.serveCatchup(from, p.CatchupFrom)
 	case overlay.KindCatchupResp:

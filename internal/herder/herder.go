@@ -1,10 +1,8 @@
 package herder
 
 import (
-	"bytes"
 	"fmt"
 	"log/slog"
-	"sort"
 	"time"
 
 	"stellar/internal/bucket"
@@ -119,11 +117,15 @@ type Node struct {
 	// their tx: applied, evicted, or pruned stale.
 	admitTimes map[stellarcrypto.Hash]time.Duration
 
-	txsets map[stellarcrypto.Hash]*ledger.TxSet
-	// txsetSeen records the ledger at which each tx set was learned, for
-	// age-based pruning (a set proposed for a future slot must survive
-	// the close of the current one).
-	txsetSeen map[stellarcrypto.Hash]uint32
+	// txsets holds the proposed transaction sets of open slots and txsetSeen
+	// the ledger at which each was learned, for age-based pruning (a set
+	// proposed for a future slot must survive the close of the current one).
+	// txsetAsked and txsetServed remember, for as long, which peer was asked
+	// for which set and which was served one (txsets.go).
+	txsets      map[stellarcrypto.Hash]*ledger.TxSet
+	txsetSeen   map[stellarcrypto.Hash]uint32
+	txsetAsked  map[txsetPeer]uint32
+	txsetServed map[txsetPeer]uint32
 
 	// recent serves peer catch-up (catchup.go).
 	recent         map[uint32]recentLedger
@@ -208,6 +210,8 @@ func New(net simnet.Env, cfg Config) (*Node, error) {
 		admitTimes:   make(map[stellarcrypto.Hash]time.Duration),
 		txsets:       make(map[stellarcrypto.Hash]*ledger.TxSet),
 		txsetSeen:    make(map[stellarcrypto.Hash]uint32),
+		txsetAsked:   make(map[txsetPeer]uint32),
+		txsetServed:  make(map[txsetPeer]uint32),
 		recent:       make(map[uint32]recentLedger),
 		decided:      make(map[uint64]*StellarValue),
 		timers:       make(map[timerKey]*simnet.Timer),
@@ -229,8 +233,8 @@ func New(net simnet.Env, cfg Config) (*Node, error) {
 	}
 	n.ov.OnEnvelope = n.onEnvelope
 	n.ov.OnTx = n.onTx
-	n.ov.OnTxSet = n.onTxSet
-	n.ov.OnCatchup = n.handleCatchup
+	n.ov.OnTxSetRef = n.onTxSetRef
+	n.ov.OnDirect = n.handleDirect
 	if n.tr != nil {
 		n.ov.OnTraceCtx = n.onPacketTrace
 	}
@@ -404,35 +408,6 @@ func (n *Node) updatePoolGauges() {
 	}
 }
 
-// holdTxSet stores a transaction set learned from a peer, built from the
-// pool's own instances wherever the pool holds the same transaction
-// (ledger.TxSet.Intern): a proposal is mostly transactions this node already
-// pooled, and their decoded duplicates would otherwise live as long as the
-// set. It reports whether the set is new.
-func (n *Node) holdTxSet(ts *ledger.TxSet) bool {
-	h := ts.Hash(n.cfg.NetworkID)
-	if n.last != nil {
-		n.txsetSeen[h] = n.last.LedgerSeq
-	}
-	if _, dup := n.txsets[h]; dup {
-		return false
-	}
-	n.txsets[h] = ts.Intern(n.cfg.NetworkID, n.pool.Get)
-	return true
-}
-
-func (n *Node) onTxSet(ts *ledger.TxSet) {
-	if n.holdTxSet(ts) {
-		// A value referencing this set may have been merely MaybeValid;
-		// let nomination re-echo it now that we can judge it (§5.3).
-		if n.last != nil {
-			n.scp.RetryEcho(uint64(n.last.LedgerSeq) + 1)
-		}
-	}
-	// A buffered decision may now be applicable.
-	n.tryApplyDecided()
-}
-
 func (n *Node) onEnvelope(env *scp.Envelope) {
 	if n.state == nil {
 		return
@@ -459,7 +434,11 @@ func (n *Node) triggerNextLedger() {
 	}
 	slot := uint64(n.last.LedgerSeq) + 1
 	if n.triggered[slot] {
-		// Consensus for this slot is still running; check back shortly.
+		// Consensus for this slot is still running; check back shortly. If
+		// it is decided and only the ledgers or the set to apply it are
+		// missing, this is what repeats the catch-up request until a peer
+		// that can answer has been asked.
+		n.maybeRequestCatchup()
 		n.scheduleTrigger(n.cfg.LedgerInterval / 5)
 		return
 	}
@@ -470,7 +449,8 @@ func (n *Node) triggerNextLedger() {
 	// what is valid now (in canonical order, so surge-pricing tie-breaks
 	// never depend on map iteration and seeded simulations replay
 	// bit-identically), cap it, and seal the set — its hash is computed
-	// here once and travels with it through the flood and the archive.
+	// here once and travels with it into the archive. What floods is its
+	// reference: peers hold these transactions already (txsets.go).
 	closeTime := n.proposedCloseTime()
 	candidates := n.pool.Candidates(n.state, n.cfg.NetworkID, closeTime)
 	candidates = ledger.SurgePrice(candidates, n.cfg.MaxTxSetSize)
@@ -481,7 +461,7 @@ func (n *Node) triggerNextLedger() {
 	// Open the slot's span tree before the proposal floods so the tx-set
 	// broadcast can carry the nomination span's context.
 	n.traceTriggerSlot(slot, candidates)
-	n.ov.BroadcastTxSetCtx(ts, n.slotCtx(slot))
+	n.ov.BroadcastTxSetRef(ts.Ref(n.cfg.NetworkID), n.slotCtx(slot))
 
 	sv := &StellarValue{TxSetHash: tsHash, CloseTime: closeTime}
 	if n.cfg.Governing {
@@ -667,24 +647,7 @@ func (n *Node) applyLedger(slot uint64, sv *StellarValue, ts *ledger.TxSet) {
 	n.lastLedgerTxs = len(ts.Txs)
 	n.updatePoolGauges()
 
-	// Prune tx sets by age: drop sets not seen within the last few
-	// ledgers, always keeping any referenced by a buffered decision.
-	// (Pruning must not discard next-slot proposals that arrived before
-	// this close: the overlay dedup would suppress their re-floods and
-	// the referencing values could never become votable.)
-	needed := make(map[stellarcrypto.Hash]bool, len(n.decided))
-	for _, dv := range n.decided {
-		needed[dv.TxSetHash] = true
-	}
-	for h2 := range n.txsets {
-		if needed[h2] {
-			continue
-		}
-		if seen, ok := n.txsetSeen[h2]; !ok || seen+3 < hdr.LedgerSeq {
-			delete(n.txsets, h2)
-			delete(n.txsetSeen, h2)
-		}
-	}
+	n.pruneTxSets()
 
 	// Archive (§5.4), then keep the ledger in the window lagging peers are
 	// served from (catchup.go) — with its transaction set only if the
@@ -852,20 +815,7 @@ func (n *Node) RebroadcastLatest() {
 			n.ov.BroadcastEnvelope(env)
 		}
 	}
-	// Also re-flood known tx sets for open slots so laggards can apply.
-	// Iterate in sorted hash order: send order feeds the simulated
-	// network's event and RNG sequence, and seeded runs must replay
-	// bit-identically.
-	hashes := make([]stellarcrypto.Hash, 0, len(n.txsets))
-	for h := range n.txsets {
-		hashes = append(hashes, h)
-	}
-	sort.Slice(hashes, func(i, j int) bool {
-		return bytes.Compare(hashes[i][:], hashes[j][:]) < 0
-	})
-	for _, h := range hashes {
-		n.ov.BroadcastTxSet(n.txsets[h])
-	}
+	n.rebroadcastTxSetRefs()
 }
 
 // UpgradeValue reports the last externalized value for an upgrade kind (0

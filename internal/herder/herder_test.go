@@ -136,6 +136,14 @@ type payer struct {
 func buildFunded(t *testing.T, funded int, mutate func(cfgs []*Config)) (*simnet.Network, []*Node, stellarcrypto.Hash, []*payer) {
 	t.Helper()
 	net := simnet.New(7)
+	nodes, nid, payers := buildFundedOn(t, net, net, funded, mutate)
+	return net, nodes, nid, payers
+}
+
+// buildFundedOn is buildFunded on the caller's network; the nodes attach to
+// env, which is net itself or a wrapper around it.
+func buildFundedOn(t *testing.T, net *simnet.Network, env simnet.Env, funded int, mutate func(cfgs []*Config)) ([]*Node, stellarcrypto.Hash, []*payer) {
+	t.Helper()
 	net.SetLatency(simnet.UniformLatency(2*time.Millisecond, 8*time.Millisecond))
 	nid := stellarcrypto.HashBytes([]byte("herder-test-net"))
 	kps := stellarcrypto.DeterministicKeyPairs("herder-test", 3)
@@ -170,7 +178,7 @@ func buildFunded(t *testing.T, funded int, mutate func(cfgs []*Config)) (*simnet
 	ghdr := ledger.GenesisHeader(genesis, 0)
 	var nodes []*Node
 	for i := range cfgs {
-		n, err := New(net, *cfgs[i])
+		n, err := New(env, *cfgs[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,7 +196,7 @@ func buildFunded(t *testing.T, funded int, mutate func(cfgs []*Config)) (*simnet
 			}
 		}
 	}
-	return net, nodes, nid, payers
+	return nodes, nid, payers
 }
 
 func TestEmptyLedgersClose(t *testing.T) {

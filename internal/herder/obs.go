@@ -43,6 +43,11 @@ type instruments struct {
 	poolCap      *obs.Gauge   // mempool_capacity
 	poolFloor    *obs.Gauge   // mempool_fee_floor
 
+	// Proposals by reference (txsets.go): what became of each delivered
+	// reference, and whole sets sent on request.
+	txsetRefs   [refUnanswered + 1]*obs.Counter // herder_txset_refs_total{outcome}
+	txsetServed *obs.Counter                    // herder_txset_requests_served_total
+
 	// Archive writes that failed, by file kind (herder.go archiveLedger).
 	archiveErrors *obs.CounterVec // history_write_errors_total{file}
 
@@ -57,6 +62,8 @@ type instruments struct {
 func newInstruments(reg *obs.Registry) *instruments {
 	admitted := reg.CounterVec("mempool_admitted_total",
 		"admission decisions by outcome (flood_* = peer flood path)", "outcome")
+	txsetRefs := reg.CounterVec("herder_txset_refs_total",
+		"flooded tx-set references by outcome: resolved from the pool, fetched whole on a miss, ignored (closed ledger or malformed), unanswered (a request no reply came for)", "outcome")
 	ins := &instruments{
 		envEmitted: reg.CounterVec("scp_envelopes_emitted_total",
 			"SCP envelopes this node broadcast, by statement type", "type"),
@@ -95,6 +102,8 @@ func newInstruments(reg *obs.Registry) *instruments {
 			"configured mempool capacity (mempool_size/mempool_capacity is occupancy)"),
 		poolFloor: reg.Gauge("mempool_fee_floor",
 			"fee per operation of the cheapest pooled transaction while full (0 = not full)"),
+		txsetServed: reg.Counter("herder_txset_requests_served_total",
+			"whole tx sets sent to a peer that asked for one by hash"),
 		archiveErrors: reg.CounterVec("history_write_errors_total",
 			"archive writes that failed (header, txset, bucket, checkpoint); a failed txset keeps its body in the catch-up window", "file"),
 		catchupState: reg.Gauge("catchup_state",
@@ -110,6 +119,9 @@ func newInstruments(reg *obs.Registry) *instruments {
 	}
 	for c := range ins.admitted {
 		ins.admitted[c] = admitted.With(AdmitCode(c).String())
+	}
+	for o := range ins.txsetRefs {
+		ins.txsetRefs[o] = txsetRefs.With(refOutcomeNames[o])
 	}
 	for o := range ins.flooded {
 		ins.flooded[o] = admitted.With("flood_" + mempool.Outcome(o).String())

@@ -247,7 +247,7 @@ func (n *Node) txCtx(h stellarcrypto.Hash) obs.TraceContext {
 }
 
 // slotCtx returns the trace context of the slot's deepest open consensus
-// phase, injected into outgoing SCP envelopes and tx-set floods so peers
+// phase, injected into outgoing SCP envelopes and tx-set references so peers
 // continue the slot's causal tree. Zero when the slot is untraced.
 func (n *Node) slotCtx(slot uint64) obs.TraceContext {
 	if n.tr == nil {
@@ -282,7 +282,7 @@ func (n *Node) onPacketTrace(p *overlay.Packet, from simnet.Addr) {
 		n.traceRecvTx(p.Tx, ctx)
 	case overlay.KindEnvelope:
 		n.traceRecvEnvelope(p.Envelope, ctx, from)
-	case overlay.KindTxSet:
+	case overlay.KindTxSetRef:
 		n.traceRecvMarker("recv-txset", ctx, from)
 	}
 }

@@ -1,10 +1,7 @@
 package ledger
 
 import (
-	"bytes"
-	"crypto/sha256"
 	"fmt"
-	"slices"
 	"sort"
 	"time"
 
@@ -177,26 +174,26 @@ type TxSet struct {
 // hash followed by the transaction hashes in ascending order. A sealed set
 // computes it once.
 func (ts *TxSet) Hash(networkID stellarcrypto.Hash) stellarcrypto.Hash {
+	h, _ := ts.sum(networkID)
+	return h
+}
+
+// sum is Hash together with whether the set lists a transaction twice,
+// which the same sort finds (txsetref.go).
+func (ts *TxSet) sum(networkID stellarcrypto.Hash) (stellarcrypto.Hash, bool) {
 	s := &ts.seal
 	if s.hashed && s.networkID == networkID {
-		return s.hash
+		return s.hash, s.duplicate
 	}
 	hashes := make([]stellarcrypto.Hash, len(ts.Txs))
 	for i, tx := range ts.Txs {
 		hashes[i] = tx.Hash(networkID)
 	}
-	slices.SortFunc(hashes, func(a, b stellarcrypto.Hash) int { return bytes.Compare(a[:], b[:]) })
-	d := sha256.New()
-	d.Write(ts.PrevLedgerHash[:])
-	for i := range hashes {
-		d.Write(hashes[i][:])
-	}
-	var h stellarcrypto.Hash
-	d.Sum(h[:0])
+	h, duplicate := setHash(ts.PrevLedgerHash, hashes)
 	if s.sealed && !s.hashed {
-		s.networkID, s.hash, s.hashed = networkID, h, true
+		s.networkID, s.hash, s.duplicate, s.hashed = networkID, h, duplicate, true
 	}
-	return h
+	return h, duplicate
 }
 
 // NumOperations totals the operations across the set (the §5.3 nomination

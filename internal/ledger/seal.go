@@ -43,11 +43,16 @@ type txSeal struct {
 	hashed    bool
 	networkID stellarcrypto.Hash
 	hash      stellarcrypto.Hash
+	// envHash is SHA-256 over wire once enveloped is set (EnvelopeHash,
+	// txsetref.go): what a proposal's reference binds signatures with.
+	enveloped bool
+	envHash   stellarcrypto.Hash
 }
 
-// Seal fixes the transaction's wire form and identity and returns its hash;
-// on an already sealed transaction it is Hash. The caller must not modify
-// the transaction afterwards.
+// Seal fixes the transaction's wire form and identity — both hashes are
+// computed here, at the door, so that naming the transaction in a proposal
+// costs the trigger nothing — and returns its hash. The caller must not
+// modify the transaction afterwards.
 func (tx *Transaction) Seal(networkID stellarcrypto.Hash) stellarcrypto.Hash {
 	if tx.seal.wire == nil {
 		e := xdr.NewEncoder(256)
@@ -56,6 +61,7 @@ func (tx *Transaction) Seal(networkID stellarcrypto.Hash) stellarcrypto.Hash {
 		tx.encodeSignatures(e)
 		tx.seal = txSeal{wire: bytes.Clone(e.Bytes()), payloadLen: n}
 	}
+	tx.EnvelopeHash()
 	return tx.Hash(networkID)
 }
 
@@ -83,12 +89,14 @@ func (s *txSeal) sealedHash(networkID stellarcrypto.Hash) stellarcrypto.Hash {
 	return h
 }
 
-// setSeal is a sealed transaction set's memo: its hash under networkID.
+// setSeal is a sealed transaction set's memo: its hash under networkID, and
+// whether it lists a transaction twice.
 type setSeal struct {
 	sealed    bool
 	hashed    bool
 	networkID stellarcrypto.Hash
 	hash      stellarcrypto.Hash
+	duplicate bool
 }
 
 // Seal marks the set immutable — Txs and PrevLedgerHash must not change

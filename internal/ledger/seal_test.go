@@ -100,6 +100,18 @@ func TestSealedTransactionDoesNotAllocate(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { ts.Hash(sealNet) }); n != 0 {
 		t.Fatalf("Hash on a sealed set allocates %v times", n)
 	}
+	// Seal, at the door, is where the envelope hash is computed: naming the
+	// transaction in a proposal is a read.
+	if tx.seal.enveloped {
+		t.Fatal("setup: a decoder computed the envelope hash nobody asked for")
+	}
+	tx.Seal(sealNet)
+	if !tx.seal.enveloped || tx.EnvelopeHash() != stellarcrypto.HashBytes(tx.MarshalSignedXDR()) {
+		t.Fatal("Seal did not leave the envelope hash in the seal")
+	}
+	if n := testing.AllocsPerRun(100, func() { tx.EnvelopeHash() }); n != 0 {
+		t.Fatalf("EnvelopeHash on a sealed transaction allocates %v times", n)
+	}
 }
 
 // TestHandBuiltTransactionStaysMutable: nothing is cached before admission,
@@ -131,6 +143,9 @@ func TestHandBuiltTransactionStaysMutable(t *testing.T) {
 	tx.Sign(sealNet, kp)
 	if tx.seal.wire != nil || tx.Hash(sealNet) != build(300).Hash(sealNet) {
 		t.Fatal("Sign kept a stale seal")
+	}
+	if tx.seal.enveloped || tx.EnvelopeHash() != stellarcrypto.HashBytes(tx.MarshalSignedXDR()) {
+		t.Fatal("Sign kept a stale envelope hash")
 	}
 	if h := tx.Hash(sealNet); !kp.Public.Verify(h[:], tx.Signatures[0].Sig) {
 		t.Fatal("signature does not cover the edited transaction")

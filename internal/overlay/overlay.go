@@ -4,6 +4,12 @@
 // to all peers except the one it came from — with a bounded duplicate-
 // suppression cache. (The paper notes structured multicast as future
 // work; the flooding cost it measures is what this reproduces.)
+//
+// A proposed transaction set is flooded by reference (ledger.TxSetRef): the
+// value names the set by hash (§5.3) and a receiver rebuilds it from its own
+// pool, asking the peer the reference came from for the whole set only when
+// it cannot. A node therefore forwards a reference only once it holds the
+// set, so whoever a reference is heard from can serve it.
 package overlay
 
 import (
@@ -24,6 +30,8 @@ type Kind int
 const (
 	KindEnvelope Kind = iota + 1
 	KindTx
+	// KindTxSet carries a whole transaction set point-to-point, in reply
+	// to a KindTxSetReq; it is never flooded or forwarded.
 	KindTxSet
 	// KindCatchupReq and KindCatchupResp are point-to-point (never
 	// flooded): a lagging node asks a peer for recently closed ledgers
@@ -38,6 +46,10 @@ const (
 	// carries the peer's latest checkpoint and tip sequences.
 	KindArchiveReq
 	KindArchiveResp
+	// KindTxSetRef floods a proposal by reference; KindTxSetReq asks one
+	// peer, point-to-point, for the whole set a reference named.
+	KindTxSetRef
+	KindTxSetReq
 )
 
 // String names the kind for metric labels and logs.
@@ -57,6 +69,10 @@ func (k Kind) String() string {
 		return "archive_req"
 	case KindArchiveResp:
 		return "archive_resp"
+	case KindTxSetRef:
+		return "txset_ref"
+	case KindTxSetReq:
+		return "txset_req"
 	default:
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
@@ -68,6 +84,9 @@ type Packet struct {
 	Envelope *scp.Envelope
 	Tx       *ledger.Transaction
 	TxSet    *ledger.TxSet
+	TxSetRef *ledger.TxSetRef
+	// TxSetHash names the set a KindTxSetReq asks for.
+	TxSetHash stellarcrypto.Hash
 	// TTL bounds re-flooding so that an undersized dedup cache degrades
 	// into extra duplicates rather than an infinite forwarding loop.
 	TTL int
@@ -122,8 +141,8 @@ func (p *Packet) id(networkID stellarcrypto.Hash) stellarcrypto.Hash {
 		return stellarcrypto.HashBytes(p.Envelope.SigningPayload())
 	case KindTx:
 		return p.Tx.Hash(networkID)
-	case KindTxSet:
-		return p.TxSet.Hash(networkID)
+	case KindTxSetRef:
+		return p.TxSetRef.SetHash()
 	default:
 		return stellarcrypto.Hash{}
 	}
@@ -146,6 +165,10 @@ func (p *Packet) size() int {
 		return n
 	case KindTxSet:
 		return 64 + 224*len(p.TxSet.Txs)
+	case KindTxSetRef:
+		return 128 + 32*len(p.TxSetRef.TxHashes)
+	case KindTxSetReq:
+		return 96
 	case KindCatchupReq:
 		return 32
 	case KindCatchupResp:
@@ -186,10 +209,15 @@ type Overlay struct {
 	// Delivery callbacks into the herder.
 	OnEnvelope func(*scp.Envelope)
 	OnTx       func(*ledger.Transaction)
-	OnTxSet    func(*ledger.TxSet)
-	// OnCatchup handles point-to-point catch-up packets; from identifies
-	// the peer to reply to.
-	OnCatchup func(from simnet.Addr, p *Packet)
+	// OnTxSetRef reports whether the application now holds the set the
+	// reference names; only then is the reference marked seen and forwarded.
+	// One that is still missing is delivered again from the next peer, which
+	// is the next peer that can be asked for it.
+	OnTxSetRef func(from simnet.Addr, ref *ledger.TxSetRef) bool
+	// OnDirect handles point-to-point packets — catch-up, archive fetch,
+	// transaction-set requests and their replies; from identifies the peer
+	// to reply to.
+	OnDirect func(from simnet.Addr, p *Packet)
 	// OnTraceCtx, when set, observes every novel flooded packet before its
 	// payload callback fires, so the herder can extract the propagated
 	// trace context and open continuation spans. It is observability-only:
@@ -355,16 +383,11 @@ func (o *Overlay) SendDirect(to simnet.Addr, p *Packet) {
 	o.send(to, p)
 }
 
-// BroadcastTxSet floods a proposed transaction set so peers can validate
-// and apply values that reference its hash (§5.3).
-func (o *Overlay) BroadcastTxSet(ts *ledger.TxSet) {
-	o.BroadcastTxSetCtx(ts, obs.TraceContext{})
-}
-
-// BroadcastTxSetCtx floods a tx set carrying the proposing slot span's
-// trace context.
-func (o *Overlay) BroadcastTxSetCtx(ts *ledger.TxSet, ctx obs.TraceContext) {
-	p := &Packet{Kind: KindTxSet, TxSet: ts, TTL: DefaultTTL, Origin: o.self, Trace: ctx}
+// BroadcastTxSetRef floods the reference of a transaction set this node
+// holds, so peers can validate and apply values that name its hash (§5.3);
+// ctx is the proposing slot span's trace context, zero when there is none.
+func (o *Overlay) BroadcastTxSetRef(ref *ledger.TxSetRef, ctx obs.TraceContext) {
+	p := &Packet{Kind: KindTxSetRef, TxSetRef: ref, TTL: DefaultTTL, Origin: o.self, Trace: ctx}
 	o.markSeen(p.id(o.networkID))
 	o.disseminate(p, "")
 }
@@ -389,27 +412,33 @@ func (o *Overlay) HandleMessage(from simnet.Addr, msg any, size int) {
 	if !ok {
 		return
 	}
-	if p.Kind == KindCatchupReq || p.Kind == KindCatchupResp ||
-		p.Kind == KindArchiveReq || p.Kind == KindArchiveResp {
-		if o.OnCatchup != nil {
-			o.OnCatchup(from, p)
+	switch p.Kind {
+	case KindEnvelope, KindTx, KindTxSetRef:
+	default:
+		if o.OnDirect != nil {
+			o.OnDirect(from, p)
 		}
 		return
 	}
-	if !o.markSeen(p.id(o.networkID)) {
-		o.DupesSuppessed++
-		if o.ins != nil {
-			o.ins.dupes.Inc()
+	id := p.id(o.networkID)
+	if p.Kind == KindTxSetRef {
+		// Seen only once the set is held (OnTxSetRef).
+		if _, dup := o.seen[id]; dup {
+			o.suppressed()
+			return
+		}
+		o.delivered(p, from)
+		if o.OnTxSetRef != nil && o.OnTxSetRef(from, p.TxSetRef) {
+			o.markSeen(id)
+			o.forward(p, from)
 		}
 		return
 	}
-	o.Delivered++
-	if o.ins != nil {
-		o.ins.delivered.With(p.Kind.String()).Inc()
+	if !o.markSeen(id) {
+		o.suppressed()
+		return
 	}
-	if o.OnTraceCtx != nil {
-		o.OnTraceCtx(p, from)
-	}
+	o.delivered(p, from)
 	switch p.Kind {
 	case KindEnvelope:
 		if o.OnEnvelope != nil {
@@ -419,11 +448,32 @@ func (o *Overlay) HandleMessage(from simnet.Addr, msg any, size int) {
 		if o.OnTx != nil {
 			o.OnTx(p.Tx)
 		}
-	case KindTxSet:
-		if o.OnTxSet != nil {
-			o.OnTxSet(p.TxSet)
-		}
 	}
+	o.forward(p, from)
+}
+
+// suppressed counts a duplicate the dedup cache dropped.
+func (o *Overlay) suppressed() {
+	o.DupesSuppessed++
+	if o.ins != nil {
+		o.ins.dupes.Inc()
+	}
+}
+
+// delivered counts a novel flooded packet and shows it to the trace hook,
+// before its payload callback runs.
+func (o *Overlay) delivered(p *Packet, from simnet.Addr) {
+	o.Delivered++
+	if o.ins != nil {
+		o.ins.delivered.With(p.Kind.String()).Inc()
+	}
+	if o.OnTraceCtx != nil {
+		o.OnTraceCtx(p, from)
+	}
+}
+
+// forward passes a received packet on, one hop older.
+func (o *Overlay) forward(p *Packet, from simnet.Addr) {
 	fwd := *p
 	fwd.TTL--
 	o.disseminate(&fwd, from)

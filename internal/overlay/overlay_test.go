@@ -7,6 +7,7 @@ import (
 
 	"stellar/internal/fba"
 	"stellar/internal/ledger"
+	"stellar/internal/obs"
 	"stellar/internal/scp"
 	"stellar/internal/simnet"
 	"stellar/internal/stellarcrypto"
@@ -162,5 +163,63 @@ func TestConnectIgnoresSelf(t *testing.T) {
 	o.Connect("a", "b")
 	if len(o.Peers()) != 1 || o.Peers()[0] != "b" {
 		t.Fatalf("peers = %v", o.Peers())
+	}
+}
+
+// TestTxSetRefForwardedOnlyOnceHeld: a reference is marked seen and passed
+// on only when the application reports it holds the set, so a node that
+// could not rebuild it hears it again from the next peer — the next peer it
+// can ask — and whoever a reference is heard from can serve the set. Whole
+// sets and requests for them are point-to-point: handed over with their
+// sender, never forwarded.
+func TestTxSetRefForwardedOnlyOnceHeld(t *testing.T) {
+	net, overlays := buildMesh(t, 4, 0, ringTopology(4)) // 0 – 1 – 2 – 3 – 0
+	ref := &ledger.TxSetRef{TxHashes: []stellarcrypto.Hash{stellarcrypto.HashBytes([]byte("tx"))}}
+	var heardFrom [4][]simnet.Addr
+	holds := [4]bool{2: true}
+	direct := 0
+	for i, o := range overlays {
+		i := i
+		o.OnTxSetRef = func(from simnet.Addr, r *ledger.TxSetRef) bool {
+			if r.SetHash() != ref.SetHash() {
+				t.Errorf("node %d: another reference delivered", i)
+			}
+			heardFrom[i] = append(heardFrom[i], from)
+			return holds[i]
+		}
+		o.OnDirect = func(simnet.Addr, *Packet) { direct++ }
+	}
+	overlays[0].BroadcastTxSetRef(ref, obs.TraceContext{})
+	net.RunUntilIdle(0)
+	// 1 and 3 cannot rebuild the set and keep the reference to themselves:
+	// 2, between them, never hears it.
+	if len(heardFrom[1]) != 1 || len(heardFrom[3]) != 1 || len(heardFrom[2]) != 0 {
+		t.Fatalf("deliveries %v: a reference travelled past a node that does not hold the set", heardFrom)
+	}
+	// The origin floods it again (anti-entropy): not a duplicate to a node
+	// still missing the set; once 1 holds it, 1 forwards, 2 forwards, and 3
+	// — which heard it twice more — is told by both neighbours.
+	holds[1] = true
+	overlays[0].BroadcastTxSetRef(ref, obs.TraceContext{})
+	net.RunUntilIdle(0)
+	if len(heardFrom[1]) != 2 || len(heardFrom[2]) != 1 || heardFrom[2][0] != "n1" {
+		t.Fatalf("deliveries %v: want the reference redelivered to 1 and forwarded to 2", heardFrom)
+	}
+	if got := heardFrom[3]; len(got) != 3 || got[1] != "n0" || got[2] != "n2" {
+		t.Fatalf("node 3 heard the reference from %v, want n0, n0, n2: every holder it can ask", got)
+	}
+	// Held now: the same reference is a duplicate.
+	dupes := overlays[1].DupesSuppessed
+	overlays[0].BroadcastTxSetRef(ref, obs.TraceContext{})
+	net.RunUntilIdle(0)
+	if len(heardFrom[1]) != 2 || overlays[1].DupesSuppessed != dupes+1 {
+		t.Fatal("a reference to a held set was delivered again")
+	}
+
+	overlays[0].SendDirect("n1", &Packet{Kind: KindTxSetReq, TxSetHash: ref.SetHash()})
+	overlays[0].SendDirect("n1", &Packet{Kind: KindTxSet, TxSet: &ledger.TxSet{}, TTL: DefaultTTL})
+	net.RunUntilIdle(0)
+	if direct != 2 || overlays[1].FloodsSent != 1 {
+		t.Fatalf("%d direct packets handed over, node 1 flooded %d packets: want 2 and only the reference", direct, overlays[1].FloodsSent)
 	}
 }

@@ -15,6 +15,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+
+	"stellar/internal/overlay"
+	"stellar/internal/xdr"
 )
 
 // FrameType tags the payload of one frame.
@@ -56,10 +59,20 @@ const frameHeaderLen = 4
 // hundred bytes, so one read from the socket brings in many of them.
 const readBufferSize = 64 << 10
 
-// readChunk bounds how much ReadFrame allocates ahead of bytes actually
-// received, so a hostile length prefix cannot force a large allocation
-// from a tiny input.
-const readChunk = 64 << 10
+// readChunk is what ReadFrame allocates on the strength of a length prefix
+// alone, and readGrowth how much further each filled buffer lets it go: the
+// payload buffer never holds more than readGrowth times the bytes that have
+// actually arrived (or readChunk), so a hostile prefix cannot force a large
+// allocation from a tiny input, while an honest 2 MiB catch-up reply is
+// copied twice on its way in and costs 1.3 times its size in allocation.
+const (
+	readChunk  = 64 << 10
+	readGrowth = 8
+)
+
+// frameSlack is what encodeFrame reserves beyond the sender's size estimate,
+// which leaves out the packet header (kind, TTL, origin, trace context).
+const frameSlack = 128
 
 // WriteFrame writes one frame: length prefix, type byte, payload.
 func WriteFrame(w io.Writer, typ FrameType, payload []byte) error {
@@ -89,10 +102,31 @@ func AppendFrame(buf []byte, typ FrameType, payload []byte) ([]byte, error) {
 	return append(buf, payload...), nil
 }
 
+// encodeFrame returns the wire frame of one packet, encoded straight into
+// the buffer that is queued: the header's room is reserved ahead of the
+// payload and its length patched in afterwards, so a packet costs one buffer
+// however large it is — one allocation when sizeHint, the sender's estimate
+// of the payload, is within frameSlack of the truth.
+func encodeFrame(p *overlay.Packet, sizeHint int) ([]byte, error) {
+	e := xdr.NewEncoder(frameHeaderLen + 1 + sizeHint + frameSlack)
+	e.PutUint32(0) // the length, once it is known
+	e.PutFixed([]byte{byte(FramePacket)})
+	if err := encodePacket(e, p); err != nil {
+		return nil, err
+	}
+	frame := e.Bytes()
+	payload := len(frame) - frameHeaderLen - 1
+	if payload > MaxFramePayload {
+		return nil, fmt.Errorf("transport: frame payload %d exceeds limit %d", payload, MaxFramePayload)
+	}
+	binary.BigEndian.PutUint32(frame, uint32(payload+1))
+	return frame, nil
+}
+
 // ReadFrame reads one frame from r. The declared length is validated
 // before any allocation, and the payload buffer grows only as bytes
-// actually arrive (bounded by readChunk per step), so truncated or hostile
-// prefixes cost at most one small allocation.
+// actually arrive (readChunk, then readGrowth-fold per filled buffer), so
+// truncated or hostile prefixes cost at most one small allocation.
 func ReadFrame(r io.Reader) (FrameType, []byte, error) {
 	// Length and type in one read: every frame has a type byte, so the five
 	// bytes never reach into the next frame.
@@ -110,9 +144,13 @@ func ReadFrame(r io.Reader) (FrameType, []byte, error) {
 	remaining := int(n) - 1
 	payload := make([]byte, 0, min(remaining, readChunk))
 	for len(payload) < remaining {
-		chunk := min(remaining-len(payload), readChunk)
+		if have := len(payload); have == cap(payload) {
+			grown := make([]byte, have, min(remaining, readGrowth*have))
+			copy(grown, payload)
+			payload = grown
+		}
 		start := len(payload)
-		payload = append(payload, make([]byte, chunk)...)
+		payload = payload[:cap(payload)] // never beyond remaining
 		if _, err := io.ReadFull(r, payload[start:]); err != nil {
 			return 0, nil, err
 		}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"testing"
 
+	"stellar/internal/ledger"
 	"stellar/internal/obs"
 	"stellar/internal/overlay"
 	"stellar/internal/stellarcrypto"
@@ -65,6 +66,19 @@ func frameSeeds() [][]byte {
 		Kind: overlay.KindArchiveResp, Origin: "G",
 		ArchiveData: []byte{}, ArchiveSeq: 16, ArchiveTip: 19,
 	}); err == nil {
+		add(FramePacket, p)
+	}
+	// Proposals by reference (v4 wire kinds): a reference to two
+	// transactions and the request for the set it names.
+	ref := &ledger.TxSetRef{
+		PrevLedgerHash: stellarcrypto.HashBytes([]byte("prev")),
+		TxHashes:       []stellarcrypto.Hash{stellarcrypto.HashBytes([]byte("tx-a")), stellarcrypto.HashBytes([]byte("tx-b"))},
+		EnvelopeDigest: stellarcrypto.HashBytes([]byte("envelopes")),
+	}
+	if p, err := EncodePacket(&overlay.Packet{Kind: overlay.KindTxSetRef, TxSetRef: ref, TTL: 16, Origin: "G"}); err == nil {
+		add(FramePacket, p)
+	}
+	if p, err := EncodePacket(&overlay.Packet{Kind: overlay.KindTxSetReq, TxSetHash: ref.SetHash(), Origin: "G"}); err == nil {
 		add(FramePacket, p)
 	}
 	seeds = append(seeds,

@@ -269,7 +269,7 @@ func (m *Manager) route(from, to simnet.Addr, msg any, size int) {
 		m.log.Warn("dropping non-packet message", "to", string(to), "type", fmt.Sprintf("%T", msg))
 		return
 	}
-	frame, err := m.frameFor(pkt)
+	frame, err := m.frameFor(pkt, size)
 	if err != nil {
 		m.log.Warn("dropping unencodable packet", "to", string(to), "err", err)
 		return
@@ -288,16 +288,13 @@ func (m *Manager) route(from, to simnet.Addr, msg any, size int) {
 // frameFor returns pkt's wire frame, encoding it only when pkt is not the
 // packet of the previous call: the overlay floods one *Packet to every
 // peer in consecutive Sends and never mutates a packet it has sent.
-// Frames are shared between peer queues and must never be written to.
-func (m *Manager) frameFor(pkt *overlay.Packet) ([]byte, error) {
+// Frames are shared between peer queues and must never be written to. size
+// is the sender's estimate of the packet's wire size.
+func (m *Manager) frameFor(pkt *overlay.Packet, size int) ([]byte, error) {
 	if pkt == m.memoPkt {
 		return m.memoFrame, nil
 	}
-	payload, err := EncodePacket(pkt)
-	if err != nil {
-		return nil, err
-	}
-	frame, err := AppendFrame(nil, FramePacket, payload)
+	frame, err := encodeFrame(pkt, size)
 	if err != nil {
 		return nil, err
 	}

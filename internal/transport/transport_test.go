@@ -6,7 +6,10 @@ import (
 	"io"
 	"net"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"stellar/internal/fba"
@@ -57,6 +60,62 @@ func TestReadFrameRejectsHostileLengths(t *testing.T) {
 	for name, in := range cases {
 		if _, _, err := ReadFrame(bytes.NewReader(in)); err == nil {
 			t.Errorf("%s: ReadFrame accepted hostile input", name)
+		}
+	}
+}
+
+// allocatedBy reports the bytes one call of f allocates: the least of a few
+// calls, because the counter is the process's and goroutines left over from
+// earlier tests allocate too.
+func allocatedBy(f func()) uint64 {
+	least := ^uint64(0)
+	for i := 0; i < 5; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
+}
+
+// TestReadFrameAllocation pins both ends of ReadFrame's growth policy: a
+// large honest frame costs little more than its own size (it used to cost
+// almost five times that, re-grown at every 64 KiB step), and a length
+// prefix with nothing behind it costs one small buffer.
+func TestReadFrameAllocation(t *testing.T) {
+	const size = 2 << 20
+	frame, err := AppendFrame(nil, FramePacket, bytes.Repeat([]byte{0x5a}, size))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var payload []byte
+	got := allocatedBy(func() { _, payload, err = ReadFrame(bytes.NewReader(frame)) })
+	if err != nil || len(payload) != size {
+		t.Fatalf("ReadFrame: %d bytes, err %v", len(payload), err)
+	}
+	if got > size*3/2 {
+		t.Fatalf("reading a %d-byte frame allocated %d bytes, want at most 1.5x", size, got)
+	}
+
+	hostile := append(binary.BigEndian.AppendUint32(nil, MaxFramePayload+1), byte(FramePacket))
+	hostile = append(hostile, bytes.Repeat([]byte{1}, 10)...)
+	got = allocatedBy(func() { _, _, err = ReadFrame(bytes.NewReader(hostile)) })
+	if err == nil {
+		t.Fatal("ReadFrame accepted a frame cut short")
+	}
+	if got > readChunk+1024 {
+		t.Fatalf("an 8 MiB prefix backed by 10 bytes allocated %d bytes, want one %d-byte buffer", got, readChunk)
+	}
+
+	// Every size across the growth steps still reads back whole.
+	for _, n := range []int{readChunk - 1, readChunk, readChunk + 1, readGrowth * readChunk, readGrowth*readChunk + 1, 3 << 20} {
+		want := bytes.Repeat([]byte{byte(n)}, n)
+		want[n-1] ^= 0xff
+		frame, _ := AppendFrame(nil, FrameAuth, want)
+		typ, got, err := ReadFrame(iotest.OneByteReader(bytes.NewReader(frame)))
+		if err != nil || typ != FrameAuth || !bytes.Equal(got, want) {
+			t.Fatalf("%d-byte frame did not survive ReadFrame (err %v)", n, err)
 		}
 	}
 }
@@ -149,6 +208,28 @@ func TestHandshakeRejectsSelf(t *testing.T) {
 	_, _, aErr, bErr := runHandshakePair(t, a, a, testNetworkID, testNetworkID)
 	if aErr == nil && bErr == nil {
 		t.Fatal("handshake with self succeeded")
+	}
+}
+
+// TestHandshakeRejectsOlderProtocol: a v3 peer floods whole transaction
+// sets and would wait for them in vain; it is turned away at the hello.
+func TestHandshakeRejectsOlderProtocol(t *testing.T) {
+	honest := stellarcrypto.KeyPairFromString("hs-honest")
+	old := stellarcrypto.KeyPairFromString("hs-v3")
+	ca, cb := tcpPair(t)
+	defer ca.Close()
+	defer cb.Close()
+	errc := make(chan error, 1)
+	go func() {
+		_, err := handshake(ca, honest, testNetworkID, time.Second)
+		errc <- err
+	}()
+	hello := Hello{Version: 3, NetworkID: testNetworkID, PublicKey: old.Public}
+	if err := WriteFrame(cb, FrameHello, hello.encode()); err != nil {
+		t.Fatalf("v3 hello: %v", err)
+	}
+	if err := <-errc; err == nil || !strings.Contains(err.Error(), "protocol v3") {
+		t.Fatalf("handshake with a v3 peer: err %v, want a protocol version refusal", err)
 	}
 }
 
@@ -279,6 +360,9 @@ func fieldsOnly(p *overlay.Packet) *overlay.Packet {
 	if c.TxSet != nil {
 		c.TxSet = plainSet(c.TxSet)
 	}
+	if r := c.TxSetRef; r != nil {
+		c.TxSetRef = &ledger.TxSetRef{PrevLedgerHash: r.PrevLedgerHash, TxHashes: r.TxHashes, EnvelopeDigest: r.EnvelopeDigest}
+	}
 	c.CatchupItems = nil
 	for _, it := range p.CatchupItems {
 		it.TxSet = plainSet(it.TxSet)
@@ -293,7 +377,10 @@ func TestPacketRoundTrip(t *testing.T) {
 	packets := []*overlay.Packet{
 		{Kind: overlay.KindEnvelope, Envelope: testEnvelope(), TTL: 5, Origin: "GORIGIN"},
 		{Kind: overlay.KindTx, Tx: tx, TTL: overlay.DefaultTTL, Origin: "GORIGIN"},
-		{Kind: overlay.KindTxSet, TxSet: ts, TTL: 1, Origin: "GORIGIN"},
+		{Kind: overlay.KindTxSet, TxSet: ts, TTL: 0, Origin: "GORIGIN"},
+		{Kind: overlay.KindTxSetRef, TxSetRef: ts.Ref(testNetworkID), TTL: overlay.DefaultTTL, Origin: "GORIGIN"},
+		{Kind: overlay.KindTxSetRef, TxSetRef: (&ledger.TxSet{}).Ref(testNetworkID), TTL: 1, Origin: "GORIGIN"}, // an empty proposal
+		{Kind: overlay.KindTxSetReq, TxSetHash: ts.Hash(testNetworkID), TTL: 0, Origin: "GORIGIN"},
 		{Kind: overlay.KindCatchupReq, CatchupFrom: 17, TTL: 0, Origin: "GORIGIN"},
 		{Kind: overlay.KindCatchupResp, TTL: 0, Origin: "GORIGIN",
 			CatchupItems: []overlay.CatchupItem{{Slot: 9, Value: []byte("sv"), TxSet: ts}}},
@@ -372,6 +459,38 @@ func TestDecodePacketRejectsHostile(t *testing.T) {
 	bigChunk.PutInt64(0) // total
 	bigChunk.PutBytes(make([]byte, maxArchiveChunk+1))
 	cases["archive chunk"] = append([]byte{}, bigChunk.Bytes()...)
+
+	// Tx-set references: a count beyond any set, a count the input does not
+	// back, a transaction listed twice, and a request cut short.
+	refWith := func(count uint32, hashes ...stellarcrypto.Hash) []byte {
+		e := xdr.NewEncoder(512)
+		e.PutUint32(uint32(overlay.KindTxSetRef))
+		e.PutUint32(1)               // ttl
+		e.PutString("")              // origin
+		e.PutUint64(0)               // trace
+		e.PutUint64(0)               // parent
+		e.PutFixed(make([]byte, 32)) // previous ledger hash
+		e.PutUint32(count)
+		for _, h := range hashes {
+			e.PutFixed(h[:])
+		}
+		e.PutFixed(make([]byte, 32)) // envelope digest
+		return bytes.Clone(e.Bytes())
+	}
+	h1, h2 := stellarcrypto.HashBytes([]byte("1")), stellarcrypto.HashBytes([]byte("2"))
+	if _, err := DecodePacket(refWith(2, h1, h2)); err != nil {
+		t.Fatalf("well-formed reference rejected: %v", err)
+	}
+	cases["ref count over cap"] = refWith(1<<16 + 1)
+	cases["ref count beyond input"] = refWith(1000, h1, h2)
+	cases["ref count short of input"] = refWith(1, h1, h2)
+	cases["ref lists a hash twice"] = refWith(3, h1, h2, h1)
+	req, err := EncodePacket(&overlay.Packet{Kind: overlay.KindTxSetReq, TxSetHash: h1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases["req cut short"] = req[:len(req)-1]
+	cases["req trailing bytes"] = append(bytes.Clone(req), 0, 0, 0, 0)
 
 	for name, in := range cases {
 		if _, err := DecodePacket(in); err == nil {
@@ -485,9 +604,11 @@ func TestRouteEncodesFloodedPacketOnce(t *testing.T) {
 		})
 	}
 
-	tx := testTx(t)
-	ts := &ledger.TxSet{PrevLedgerHash: stellarcrypto.HashBytes([]byte("prev")), Txs: []*ledger.Transaction{tx, tx, tx}}
-	first := &overlay.Packet{Kind: overlay.KindTxSet, TxSet: ts, TTL: overlay.DefaultTTL, Origin: m.Self()}
+	ref := &ledger.TxSetRef{TxHashes: make([]stellarcrypto.Hash, 1000)}
+	for i := range ref.TxHashes {
+		ref.TxHashes[i] = stellarcrypto.HashBytes([]byte{byte(i), byte(i >> 8)})
+	}
+	first := &overlay.Packet{Kind: overlay.KindTxSetRef, TxSetRef: ref, TTL: overlay.DefaultTTL, Origin: m.Self()}
 	flood(first)
 	frame := peers[0].queue[0]
 	want := append([]byte(nil), frame...)
@@ -520,6 +641,33 @@ func TestRouteEncodesFloodedPacketOnce(t *testing.T) {
 	}
 	if got, err := DecodePacket(payload); err != nil || !reflect.DeepEqual(fieldsOnly(got), fieldsOnly(first)) {
 		t.Fatalf("queued frame decodes to %+v (err %v), want the flooded packet", got, err)
+	}
+
+	// The frame is encoded straight into the buffer that is queued: the
+	// encoder and its one buffer, of about the frame's size, per flooded
+	// packet whatever the kind — not an encoder's buffer, a payload copy
+	// and a frame copy.
+	for _, pkt := range []*overlay.Packet{
+		first,
+		{Kind: overlay.KindTx, Tx: testTx(t), TTL: overlay.DefaultTTL, Origin: m.Self()},
+	} {
+		size := 0
+		capture := NewLoop()
+		capture.send = func(_, _ simnet.Addr, _ any, n int) { size = n }
+		overlay.New(capture, m.Self(), testNetworkID, 0).SendDirect("x", pkt)
+		var frame []byte
+		var err error
+		allocs := testing.AllocsPerRun(20, func() {
+			m.memoPkt = nil
+			frame, err = m.frameFor(pkt, size)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if allocs > 2 || cap(frame) > len(frame)+2*frameSlack {
+			t.Fatalf("%v: %v allocations and a %d-byte buffer for a %d-byte frame, want the encoder and one buffer of about its size",
+				pkt.Kind, allocs, cap(frame), len(frame))
+		}
 	}
 }
 

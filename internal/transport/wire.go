@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"fmt"
 
 	"stellar/internal/ledger"
@@ -15,7 +16,9 @@ import (
 // hello; peers speaking a different version are dropped at handshake.
 // v2 added the propagated trace context (two uint64s after Origin).
 // v3 added the archive catchup kinds (cold-start file fetch).
-const ProtocolVersion = 3
+// v4 floods proposals by reference (txset_ref, txset_req): a v3 peer would
+// wait for whole sets nobody floods any more.
+const ProtocolVersion = 4
 
 // Hello opens the handshake in both directions: each side announces its
 // protocol version, network, claimed identity, and a fresh random
@@ -119,6 +122,14 @@ const (
 // EncodePacket returns the wire payload for one overlay packet.
 func EncodePacket(p *overlay.Packet) ([]byte, error) {
 	e := xdr.NewEncoder(512)
+	if err := encodePacket(e, p); err != nil {
+		return nil, err
+	}
+	return bytes.Clone(e.Bytes()), nil
+}
+
+// encodePacket appends the packet's wire payload to e.
+func encodePacket(e *xdr.Encoder, p *overlay.Packet) error {
 	e.PutUint32(uint32(p.Kind))
 	e.PutUint32(uint32(p.TTL))
 	e.PutString(string(p.Origin))
@@ -132,19 +143,26 @@ func EncodePacket(p *overlay.Packet) ([]byte, error) {
 	switch p.Kind {
 	case overlay.KindEnvelope:
 		if p.Envelope == nil {
-			return nil, fmt.Errorf("transport: envelope packet without envelope")
+			return fmt.Errorf("transport: envelope packet without envelope")
 		}
 		p.Envelope.EncodeXDR(e)
 	case overlay.KindTx:
 		if p.Tx == nil {
-			return nil, fmt.Errorf("transport: tx packet without tx")
+			return fmt.Errorf("transport: tx packet without tx")
 		}
 		p.Tx.EncodeSignedXDR(e)
 	case overlay.KindTxSet:
 		if p.TxSet == nil {
-			return nil, fmt.Errorf("transport: txset packet without txset")
+			return fmt.Errorf("transport: txset packet without txset")
 		}
 		p.TxSet.EncodeXDR(e)
+	case overlay.KindTxSetRef:
+		if p.TxSetRef == nil {
+			return fmt.Errorf("transport: txset_ref packet without reference")
+		}
+		p.TxSetRef.EncodeXDR(e)
+	case overlay.KindTxSetReq:
+		e.PutFixed(p.TxSetHash[:])
 	case overlay.KindCatchupReq:
 		e.PutUint32(p.CatchupFrom)
 	case overlay.KindCatchupResp:
@@ -153,7 +171,7 @@ func EncodePacket(p *overlay.Packet) ([]byte, error) {
 			e.PutUint64(it.Slot)
 			e.PutBytes(it.Value)
 			if it.TxSet == nil {
-				return nil, fmt.Errorf("transport: catch-up item without txset")
+				return fmt.Errorf("transport: catch-up item without txset")
 			}
 			it.TxSet.EncodeXDR(e)
 		}
@@ -170,11 +188,9 @@ func EncodePacket(p *overlay.Packet) ([]byte, error) {
 		e.PutUint32(p.ArchiveTip)
 		e.PutString(p.ArchiveErr)
 	default:
-		return nil, fmt.Errorf("transport: cannot encode packet kind %v", p.Kind)
+		return fmt.Errorf("transport: cannot encode packet kind %v", p.Kind)
 	}
-	out := make([]byte, e.Len())
-	copy(out, e.Bytes())
-	return out, nil
+	return nil
 }
 
 // DecodePacket parses one overlay packet from a frame payload.
@@ -213,6 +229,14 @@ func DecodePacket(payload []byte) (*overlay.Packet, error) {
 		}
 	case overlay.KindTxSet:
 		if p.TxSet, err = ledger.DecodeTxSetXDR(d); err != nil {
+			return nil, err
+		}
+	case overlay.KindTxSetRef:
+		if p.TxSetRef, err = ledger.DecodeTxSetRefXDR(d); err != nil {
+			return nil, err
+		}
+	case overlay.KindTxSetReq:
+		if err = d.FixedInto(p.TxSetHash[:]); err != nil {
 			return nil, err
 		}
 	case overlay.KindCatchupReq:

@@ -209,6 +209,13 @@ func (d *Decoder) Fixed(n int) ([]byte, error) {
 	return out, nil
 }
 
+// FixedInto reads len(dst) bytes of fixed-length opaque data into dst.
+func (d *Decoder) FixedInto(dst []byte) error {
+	b, err := d.take(len(dst))
+	copy(dst, b)
+	return err
+}
+
 // String reads a length-prefixed string.
 func (d *Decoder) String() (string, error) {
 	b, err := d.Bytes()
