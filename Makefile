@@ -96,9 +96,9 @@ bench-e2e:
 
 # pairs is the paired-run protocol behind a performance claim: PAIRS_N
 # alternating parent/change pairs of bench-e2e's PAIRS_WORKLOAD on
-# consecutive seeds from PAIRS_SEED, printing the metrics named in
-# PAIRS_METRICS — end-to-end or per-layer, as the benchmark prints them —
-# per pair and as median [quartiles]. The parent is PAIRS_PARENT (a `git
+# consecutive seeds from PAIRS_SEED, each PAIRS_SECONDS long, printing the
+# metrics named in PAIRS_METRICS — end-to-end or per-layer, as the
+# benchmark prints them — per pair and as median [quartiles]. The parent is PAIRS_PARENT (a `git
 # archive` copy under .bench_build/), the change this checkout.
 # PAIRS_TRACE=auto runs --trace 1 when a per-layer name is asked for
 # (scripts/pairs.sh says when 0 is enough). About two minutes a pair; quiet
@@ -110,19 +110,21 @@ PAIRS_SEED ?= 601
 PAIRS_WORKLOAD ?= pay_saturate
 PAIRS_METRICS ?= close_ms_p50 applied_tx_s
 PAIRS_TRACE ?= auto
+PAIRS_SECONDS ?= 16
 pairs:
-	PARENT=$(PAIRS_PARENT) PAIRS=$(PAIRS_N) SEED=$(PAIRS_SEED) WORKLOAD=$(PAIRS_WORKLOAD) TRACE=$(PAIRS_TRACE) ./scripts/pairs.sh $(PAIRS_METRICS)
+	PARENT=$(PAIRS_PARENT) PAIRS=$(PAIRS_N) SEED=$(PAIRS_SEED) WORKLOAD=$(PAIRS_WORKLOAD) TRACE=$(PAIRS_TRACE) SECONDS_=$(PAIRS_SECONDS) ./scripts/pairs.sh $(PAIRS_METRICS)
 
 # mem is pairs with the two memory figures preset: node_peak_rss_mb (the
 # bounded end-to-end metric) and runtime.heap_mb_end (where a saving should
-# show; scraped, so the runs stay untraced).
+# show; scraped, so the runs stay untraced). PAIRS_SECONDS sets the window:
+# the 60 s slope is `make mem PAIRS_SECONDS=60 MEM_PAIRS=2`.
 MEM_PARENT ?= HEAD~1
 MEM_PAIRS ?= 10
 MEM_SEED ?= 601
 MEM_WORKLOAD ?= pay_saturate
 mem:
 	$(MAKE) pairs PAIRS_PARENT=$(MEM_PARENT) PAIRS_N=$(MEM_PAIRS) PAIRS_SEED=$(MEM_SEED) PAIRS_WORKLOAD=$(MEM_WORKLOAD) \
-		PAIRS_METRICS="node_peak_rss_mb runtime.heap_mb_end" PAIRS_TRACE=0
+		PAIRS_SECONDS=$(PAIRS_SECONDS) PAIRS_METRICS="node_peak_rss_mb runtime.heap_mb_end" PAIRS_TRACE=0
 
 # trace-smoke runs a short traced simulation, validates the exported
 # Chrome trace (schema + full parent-linked tx lifecycle), and prints the
@@ -159,7 +161,7 @@ node-smoke:
 # catchup-smoke boots a 3-process archiving TCP quorum to ledger 30, then
 # cold-starts a 4th node with an empty -data-dir and -catchup: it must
 # fetch the archive over the wire, replay to the tip, join the quorum,
-# and close 5 more byte-identical ledgers (DESIGN.md Â§16).
+# and close 5 more byte-identical ledgers (DESIGN.md §16).
 catchup-smoke:
 	CATCHUP_SMOKE_DIR=$(CATCHUP_SMOKE_DIR) ./scripts/catchup-smoke.sh
 

@@ -139,7 +139,6 @@ func run(listen, peersFlag, seed, quorumFlag, horizonAddr, metricsAddr, network 
 		MempoolMaxPerSource: ingress.MempoolPerSource,
 		Archive:             arch,
 		CheckpointInterval:  dur.CheckpointInterval,
-		BucketSpillLevel:    dur.SpillLevel,
 		Obs:                 ob,
 	})
 	if err != nil {
@@ -250,8 +249,8 @@ func run(listen, peersFlag, seed, quorumFlag, horizonAddr, metricsAddr, network 
 	defer stop()
 
 	if arch != nil {
-		fmt.Printf("archiving to %s (checkpoint every %d ledger(s), bucket spill level %d)\n",
-			dur.DataDir, max(dur.CheckpointInterval, 1), dur.SpillLevel)
+		fmt.Printf("archiving to %s (checkpoint every %d ledger(s); bucket list below level 0 on disk)\n",
+			dur.DataDir, max(dur.CheckpointInterval, 1))
 	}
 
 	// SIGQUIT dumps a crash bundle without killing the process — the

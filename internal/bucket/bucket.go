@@ -11,6 +11,7 @@
 package bucket
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"io"
 	"sort"
@@ -46,12 +47,25 @@ var emptyBucket = NewBucket(nil)
 // EmptyBucket returns the canonical empty bucket.
 func EmptyBucket() *Bucket { return emptyBucket }
 
+// rehashChunk is how many bytes of entry encodings rehash gathers before
+// handing them to SHA-256: the whole encoding never exists at once.
+const rehashChunk = 4 << 10
+
+// rehash streams the entries' canonical encodings through SHA-256, as the
+// disk store's writer does, so hashing a bucket costs one small buffer
+// rather than a copy of the bucket.
 func (b *Bucket) rehash() {
-	e := xdr.NewEncoder(64 * len(b.entries))
+	h := sha256.New()
+	e := xdr.NewEncoder(rehashChunk + 256)
 	for _, entry := range b.entries {
 		AppendEntryEncoding(e, entry)
+		if e.Len() >= rehashChunk {
+			h.Write(e.Bytes())
+			e.Reset()
+		}
 	}
-	b.hash = stellarcrypto.HashBytes(e.Bytes())
+	h.Write(e.Bytes())
+	h.Sum(b.hash[:0])
 }
 
 // Hash returns the bucket's content hash.
@@ -144,12 +158,11 @@ type List struct {
 	levels [NumLevels]level
 	hash   stellarcrypto.Hash
 
-	// store and spillLevel select disk-backed operation (SetStore): slots
-	// at levels ≥ spillLevel live in the store as content-addressed files
-	// and merges into them stream, so deep levels never materialize in
-	// memory. Hashes are byte-identical to the all-resident path.
-	store      Store
-	spillLevel int
+	// store selects disk-backed operation (SetStore): slots at levels
+	// ≥ spillLevel live in the store as content-addressed files and merges
+	// into them stream, so deep levels never materialize in memory. Hashes
+	// are byte-identical to the all-resident path.
+	store Store
 
 	// pool, when set, runs a close's independent spill merges (and their
 	// SHA-256 rehashes) concurrently. The resulting buckets and list hash
@@ -167,25 +180,18 @@ func NewList() *List {
 	return l
 }
 
-// DefaultSpillLevel is where disk residency starts when SetStore is not
-// told otherwise: levels 0–1 (the per-ledger working set) stay in memory,
-// everything deeper lives in the store.
-const DefaultSpillLevel = 2
+// spillLevel is where residency in the store starts on a store-backed list.
+// Level 0 is the ingest level — at most two ledgers of changed entries,
+// merged at every close — and stays decoded in memory; every deeper level
+// is written once, by a streamed merge every two ledgers or less often,
+// and read only by the next merge or a restore, so it lives as a file.
+const spillLevel = 1
 
-// SetStore attaches a bucket store and migrates every non-empty bucket at
-// levels ≥ spillLevel into it, freeing their memory. spillLevel ≤ 0
-// selects DefaultSpillLevel; level 0 can never spill (its ingest merge is
-// the hot path). The list hash is unchanged: residency is invisible to
-// hashing.
-func (l *List) SetStore(s Store, spillLevel int) error {
-	if spillLevel <= 0 {
-		spillLevel = DefaultSpillLevel
-	}
-	if spillLevel < 1 || spillLevel > NumLevels {
-		return fmt.Errorf("bucket: spill level %d out of range [1,%d]", spillLevel, NumLevels)
-	}
+// SetStore attaches a bucket store and migrates every non-empty bucket
+// deeper than level 0 into it, freeing their memory. The list hash is
+// unchanged: residency is invisible to hashing.
+func (l *List) SetStore(s Store) error {
 	l.store = s
-	l.spillLevel = spillLevel
 	for i := spillLevel; i < NumLevels; i++ {
 		for _, sl := range []*slot{&l.levels[i].curr, &l.levels[i].snap} {
 			if sl.mem == nil || sl.mem.Empty() {
@@ -206,7 +212,7 @@ func (l *List) Store() Store { return l.store }
 // spilled reports whether a slot installed at the given level should live
 // in the store rather than in memory.
 func (l *List) spilledLevel(i int) bool {
-	return l.store != nil && i >= l.spillLevel
+	return l.store != nil && i >= spillLevel
 }
 
 // slotReader streams one slot's entries wherever they live.
@@ -435,8 +441,8 @@ func (l *List) SetBucket(levelIdx int, snap bool, b *Bucket) error {
 
 // Get returns the newest version of a key across all levels, reporting
 // whether it is live ((entry,true)), deleted, or absent ((_, false)).
-// Spilled buckets are loaded through the store's cache; Get stays off the
-// transaction hot path (reconciliation and tests only).
+// Spilled buckets are decoded from the store on every call; Get stays off
+// the transaction hot path (reconciliation and tests only).
 func (l *List) Get(key string) (Entry, bool) {
 	for i := range l.levels {
 		if e, ok := l.mustBucket(l.levels[i].curr).Get(key); ok {

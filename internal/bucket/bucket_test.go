@@ -2,10 +2,13 @@ package bucket
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"stellar/internal/stellarcrypto"
 	"stellar/internal/verify"
+	"stellar/internal/xdr"
 )
 
 func e(key, val string) Entry {
@@ -349,5 +352,114 @@ func TestAddBatchParallelMatchesSequential(t *testing.T) {
 		if sl[i].Key != pl[i].Key || string(sl[i].Data) != string(pl[i].Data) {
 			t.Fatalf("live entry %d differs", i)
 		}
+	}
+}
+
+// oneBufferHash is the rehash this package used before it streamed: the
+// whole concatenated encoding in one buffer, hashed at once.
+func oneBufferHash(b *Bucket) stellarcrypto.Hash {
+	e := xdr.NewEncoder(64 * len(b.entries))
+	for _, entry := range b.entries {
+		AppendEntryEncoding(e, entry)
+	}
+	return stellarcrypto.HashBytes(e.Bytes())
+}
+
+func TestRehashStreamsTheSameHash(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	for i := 0; i < 1000; i++ {
+		n := rng.Intn(400)
+		if i%10 == 0 {
+			n = rng.Intn(4) // the empty and near-empty buckets too
+		}
+		seen := map[string]bool{}
+		var entries []Entry
+		for len(entries) < n {
+			key := fmt.Sprintf("k|%0*d", 1+rng.Intn(60), rng.Intn(100000))
+			if seen[key] {
+				continue
+			}
+			seen[key] = true
+			switch rng.Intn(8) {
+			case 0:
+				entries = append(entries, Entry{Key: key}) // tombstone
+			case 1:
+				entries = append(entries, Entry{Key: key, Data: []byte{}})
+			default:
+				data := make([]byte, rng.Intn(300))
+				rng.Read(data)
+				entries = append(entries, Entry{Key: key, Data: data})
+			}
+		}
+		b := NewBucket(entries)
+		if want := oneBufferHash(b); b.Hash() != want {
+			t.Fatalf("bucket %d (%d entries): streamed hash %s, one-buffer hash %s", i, n, b.Hash().Hex(), want.Hex())
+		}
+	}
+}
+
+// residentAbove returns the first level above 0 that holds a decoded,
+// non-empty bucket, or -1.
+func (l *List) residentAbove() int {
+	for i := 1; i < NumLevels; i++ {
+		for _, s := range []slot{l.levels[i].curr, l.levels[i].snap} {
+			if s.mem != nil && !s.mem.Empty() {
+				return i
+			}
+		}
+	}
+	return -1
+}
+
+// TestStoreBackedListHoldsOnlyLevelZero: once a list has a store, no
+// bucket below level 0 is decoded in memory — not after SetStore migrates
+// a list that grew without one, and not after any AddBatch across 640
+// ledgers, which covers ledger 512, where levels 0–4 all spill at once and
+// level 4 for the first time — while its hashes equal an all-resident
+// list's at every ledger.
+func TestStoreBackedListHoldsOnlyLevelZero(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	resident, backed := NewList(), NewList()
+	store := NewMemStore()
+	batch := func(seq uint32) []Entry {
+		var out []Entry
+		for k := rng.Intn(6); k < 12; k++ {
+			key := fmt.Sprintf("k%03d-%d", (int(seq)*7+k*13)%151, k)
+			if rng.Intn(9) == 0 {
+				out = append(out, e(key, "")) // tombstone
+			} else {
+				out = append(out, e(key, fmt.Sprintf("v%d", seq)))
+			}
+		}
+		SortEntries(out)
+		return out
+	}
+	for seq := uint32(1); seq <= 640; seq++ {
+		if seq == 40 {
+			if backed.residentAbove() < 0 {
+				t.Fatal("setup: nothing below level 0 to migrate")
+			}
+			if err := backed.SetStore(store); err != nil {
+				t.Fatal(err)
+			}
+			if lvl := backed.residentAbove(); lvl >= 0 {
+				t.Fatalf("after SetStore: level %d still decoded in memory", lvl)
+			}
+		}
+		b := batch(seq)
+		resident.AddBatch(seq, b)
+		backed.AddBatch(seq, b)
+		if resident.Hash() != backed.Hash() {
+			t.Fatalf("seq %d: store-backed list hash diverged", seq)
+		}
+		if lvl := backed.residentAbove(); seq >= 40 && lvl >= 0 {
+			t.Fatalf("seq %d: level %d decoded in memory", seq, lvl)
+		}
+	}
+	if resident.levels[4].snap.n == 0 {
+		t.Fatal("setup: level 4 never spilled")
+	}
+	if len(store.m) == 0 {
+		t.Fatal("setup: the store holds no bucket")
 	}
 }

@@ -3,7 +3,8 @@
 // each one is a single append-only file named by its hash. Files are
 // written streamingly (a million-entry merge never materializes in
 // memory), framed with a whole-file checksum, and read back through
-// chunked sequential readers; a small LRU keeps hot decoded buckets.
+// chunked sequential readers. Nothing is cached: a bucket is read only by
+// the merge that consumes it or by a restore, once each.
 //
 // The on-disk format is
 //
@@ -21,7 +22,6 @@ package disk
 import (
 	"bufio"
 	"bytes"
-	"container/list"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
@@ -30,7 +30,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 
 	"stellar/internal/bucket"
 	"stellar/internal/stellarcrypto"
@@ -45,9 +44,6 @@ const formatVersion = 1
 // headerLen is the byte offset where the payload begins.
 const headerLen = len(Magic) + sha256.Size
 
-// DefaultCacheBytes bounds the decoded-bucket LRU (approximate bytes).
-const DefaultCacheBytes = 64 << 20
-
 // readBufferSize is the chunk size of streaming reads.
 const readBufferSize = 256 << 10
 
@@ -58,18 +54,6 @@ const maxFieldLen = 64 << 20
 // Store is a directory of content-addressed bucket files.
 type Store struct {
 	dir string
-
-	mu       sync.Mutex
-	cache    map[stellarcrypto.Hash]*list.Element
-	order    *list.List // front = most recent
-	cacheB   int64
-	maxCache int64
-}
-
-type cacheEntry struct {
-	hash  stellarcrypto.Hash
-	b     *bucket.Bucket
-	bytes int64
 }
 
 // Open creates (if necessary) and opens a store rooted at dir, sweeping
@@ -87,24 +71,11 @@ func Open(dir string) (*Store, error) {
 			_ = os.Remove(filepath.Join(dir, e.Name()))
 		}
 	}
-	return &Store{
-		dir:      dir,
-		cache:    make(map[stellarcrypto.Hash]*list.Element),
-		order:    list.New(),
-		maxCache: DefaultCacheBytes,
-	}, nil
+	return &Store{dir: dir}, nil
 }
 
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
-
-// SetCacheBytes bounds the decoded-bucket LRU; ≤ 0 disables caching.
-func (s *Store) SetCacheBytes(n int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.maxCache = n
-	s.evictLocked()
-}
 
 // Path returns the file path a bucket hash maps to.
 func (s *Store) Path(h stellarcrypto.Hash) string {
@@ -139,11 +110,8 @@ func (s *Store) Put(b *bucket.Bucket) error {
 	return nil
 }
 
-// Load returns the decoded bucket, via the LRU when hot.
+// Load reads and decodes the whole bucket.
 func (s *Store) Load(h stellarcrypto.Hash) (*bucket.Bucket, error) {
-	if b := s.cacheGet(h); b != nil {
-		return b, nil
-	}
 	r, err := s.Reader(h)
 	if err != nil {
 		return nil, err
@@ -166,55 +134,7 @@ func (s *Store) Load(h stellarcrypto.Hash) (*bucket.Bucket, error) {
 		// re-check guards the decode→rebuild round trip itself.
 		return nil, fmt.Errorf("disk: bucket %s decoded to hash %s", h.Hex(), b.Hash().Hex())
 	}
-	s.cachePut(h, b)
 	return b, nil
-}
-
-func (s *Store) cacheGet(h stellarcrypto.Hash) *bucket.Bucket {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.cache[h]
-	if !ok {
-		return nil
-	}
-	s.order.MoveToFront(el)
-	return el.Value.(*cacheEntry).b
-}
-
-func (s *Store) cachePut(h stellarcrypto.Hash, b *bucket.Bucket) {
-	size := int64(32)
-	for _, e := range b.Entries() {
-		size += int64(len(e.Key) + len(e.Data) + 48)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.maxCache <= 0 || size > s.maxCache {
-		return
-	}
-	if el, ok := s.cache[h]; ok {
-		s.order.MoveToFront(el)
-		return
-	}
-	s.cache[h] = s.order.PushFront(&cacheEntry{hash: h, b: b, bytes: size})
-	s.cacheB += size
-	s.evictLocked()
-}
-
-func (s *Store) evictLocked() {
-	for s.cacheB > s.maxCache && s.order.Len() > 0 {
-		el := s.order.Back()
-		ce := el.Value.(*cacheEntry)
-		s.order.Remove(el)
-		delete(s.cache, ce.hash)
-		s.cacheB -= ce.bytes
-	}
-}
-
-// CacheBytes reports the LRU's current approximate size (tests).
-func (s *Store) CacheBytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cacheB
 }
 
 const tmpPrefix = ".tmp-bucket-"

@@ -102,7 +102,6 @@ func TestCorruptFileRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.SetCacheBytes(0) // force every Load to hit the file
 	var ents []bucket.Entry
 	for i := 0; i < 50; i++ {
 		ents = append(ents, e(fmt.Sprintf("k|%03d", i), fmt.Sprintf("v%d", i)))
@@ -191,32 +190,6 @@ func TestAdopt(t *testing.T) {
 	}
 }
 
-func TestLRUBounded(t *testing.T) {
-	s, err := disk.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.SetCacheBytes(16 << 10)
-	var hashes []bucket.Entry
-	_ = hashes
-	for i := 0; i < 20; i++ {
-		var ents []bucket.Entry
-		for j := 0; j < 10; j++ {
-			ents = append(ents, e(fmt.Sprintf("k|%d-%d", i, j), strings.Repeat("x", 100)))
-		}
-		b := bucket.NewBucket(ents)
-		if err := s.Put(b); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := s.Load(b.Hash()); err != nil {
-			t.Fatal(err)
-		}
-		if cb := s.CacheBytes(); cb > 16<<10 {
-			t.Fatalf("cache grew to %d bytes, cap 16KiB", cb)
-		}
-	}
-}
-
 // TestDiskMemoryHashEquivalence drives an in-memory list, a MemStore-backed
 // list, and a disk-backed list through the same 50 random pipeline
 // histories and requires byte-identical level hashes, list hashes, and
@@ -235,16 +208,15 @@ func TestDiskMemoryHashEquivalence(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(seed) * 7919))
 			plain := bucket.NewList()
 			mem := bucket.NewList()
-			if err := mem.SetStore(bucket.NewMemStore(), 1); err != nil {
+			if err := mem.SetStore(bucket.NewMemStore()); err != nil {
 				t.Fatal(err)
 			}
 			diskStore, err := disk.Open(t.TempDir())
 			if err != nil {
 				t.Fatal(err)
 			}
-			diskStore.SetCacheBytes(4 << 10) // tiny cache: exercise real file reads
 			onDisk := bucket.NewList()
-			if err := onDisk.SetStore(diskStore, 1+rng.Intn(3)); err != nil {
+			if err := onDisk.SetStore(diskStore); err != nil {
 				t.Fatal(err)
 			}
 			ledgers := 60 + rng.Intn(80)
@@ -313,9 +285,8 @@ func TestBoundedMemoryLargeLedger(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.SetCacheBytes(8 << 20)
 	l := bucket.NewList()
-	if err := l.SetStore(s, 1); err != nil {
+	if err := l.SetStore(s); err != nil {
 		t.Fatal(err)
 	}
 	payload := strings.Repeat("p", 128)

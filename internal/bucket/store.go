@@ -18,8 +18,8 @@ import (
 type Store interface {
 	// Put persists a bucket; storing the same content twice is a no-op.
 	Put(b *Bucket) error
-	// Load returns the fully decoded bucket for a hash. Implementations
-	// may cache hot buckets; callers must not mutate the result.
+	// Load returns the fully decoded bucket for a hash; callers must not
+	// mutate the result.
 	Load(h stellarcrypto.Hash) (*Bucket, error)
 	// Reader streams the bucket's entries in key order without
 	// materializing the whole bucket.

@@ -8,10 +8,10 @@ import (
 )
 
 // DurabilityFlags configure the disk-backed archive (ROADMAP item 3,
-// DESIGN.md §16): where state persists across restarts, how often bucket
-// checkpoints are cut, which bucket-list levels live on disk instead of
-// RAM, and whether an empty node should cold-start by fetching a peer's
-// archive over the network.
+// DESIGN.md §16): where state persists across restarts — a node with a
+// data dir also keeps its bucket list below level 0 there instead of in
+// RAM — how often bucket checkpoints are cut, and whether an empty node
+// should cold-start by fetching a peer's archive over the network.
 type DurabilityFlags struct {
 	// DataDir is the archive directory (headers, tx sets, buckets,
 	// checkpoints). Empty keeps the node fully in-memory, as before.
@@ -20,9 +20,6 @@ type DurabilityFlags struct {
 	// checkpoints (0 = every ledger). Headers and tx sets are archived
 	// every ledger regardless.
 	CheckpointInterval int
-	// SpillLevel makes bucket-list levels >= this index disk-backed
-	// (0 = everything stays in RAM).
-	SpillLevel int
 	// Catchup makes a node whose archive has no checkpoint fetch a
 	// peer's archive over the overlay instead of bootstrapping genesis.
 	Catchup bool
@@ -32,7 +29,6 @@ type DurabilityFlags struct {
 func (f *DurabilityFlags) Register(fs *flag.FlagSet) {
 	fs.StringVar(&f.DataDir, "data-dir", "", "archive directory for headers, tx sets, buckets, and checkpoints (empty = in-memory only)")
 	fs.IntVar(&f.CheckpointInterval, "checkpoint-interval", 0, "ledgers between bucket checkpoints (0 = every ledger; needs -data-dir)")
-	fs.IntVar(&f.SpillLevel, "bucket-spill-level", 0, "bucket-list levels at or above this index live on disk (0 = all in RAM; needs -data-dir)")
 	fs.BoolVar(&f.Catchup, "catchup", false, "on an archive with no checkpoint, fetch a peer's archive over the network instead of bootstrapping at genesis (needs -data-dir)")
 }
 
@@ -43,8 +39,8 @@ func (f *DurabilityFlags) Open() (*history.Archive, error) {
 		if f.Catchup {
 			return nil, errors.New("-catchup needs -data-dir")
 		}
-		if f.CheckpointInterval != 0 || f.SpillLevel != 0 {
-			return nil, errors.New("-checkpoint-interval and -bucket-spill-level need -data-dir")
+		if f.CheckpointInterval != 0 {
+			return nil, errors.New("-checkpoint-interval needs -data-dir")
 		}
 		return nil, nil
 	}

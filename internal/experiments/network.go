@@ -59,9 +59,6 @@ type Options struct {
 	// CheckpointInterval is the archiving validators' checkpoint cadence
 	// in ledgers (0 = every ledger).
 	CheckpointInterval int
-	// BucketSpillLevel makes archiving validators keep bucket-list levels
-	// at or above the index on disk instead of in RAM (0 = all in RAM).
-	BucketSpillLevel int
 	// NominationTimeout/BallotTimeout override SCP timer policies.
 	NominationTimeout func(round int) time.Duration
 	BallotTimeout     func(counter uint32) time.Duration
@@ -245,7 +242,6 @@ func Build(opts Options) (*SimNetwork, error) {
 		}
 		if cfg.Archive != nil {
 			cfg.CheckpointInterval = opts.CheckpointInterval
-			cfg.BucketSpillLevel = opts.BucketSpillLevel
 		}
 		node, err := herder.New(s.Net, cfg)
 		if err != nil {

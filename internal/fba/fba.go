@@ -385,7 +385,10 @@ func (q *QuorumSet) EncodeXDR(e *xdr.Encoder) {
 
 // DecodeQuorumSetXDR reads a quorum set written by EncodeXDR. Nesting is
 // bounded by the same maxQuorumSetDepth that Validate enforces, so
-// hostile inputs cannot drive unbounded recursion.
+// hostile inputs cannot drive unbounded recursion. Only the canonical form
+// is accepted: each validator list must be strictly increasing, as
+// EncodeXDR writes it, which also refuses duplicates — so a decoded set
+// re-encodes to exactly the bytes it came from.
 func DecodeQuorumSetXDR(d *xdr.Decoder) (QuorumSet, error) {
 	return decodeQuorumSetXDR(d, 0)
 }
@@ -411,6 +414,9 @@ func decodeQuorumSetXDR(d *xdr.Decoder, depth int) (QuorumSet, error) {
 		s, err := d.String()
 		if err != nil {
 			return q, err
+		}
+		if i > 0 && s <= string(q.Validators[i-1]) {
+			return q, fmt.Errorf("fba: quorum set validators not strictly increasing (%q after %q)", s, q.Validators[i-1])
 		}
 		q.Validators = append(q.Validators, NodeID(s))
 	}

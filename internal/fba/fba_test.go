@@ -1,6 +1,7 @@
 package fba
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
 
@@ -262,6 +263,66 @@ func TestQuorumSetXDRRoundTrip(t *testing.T) {
 	}
 	if back.Hash() != q.Hash() {
 		t.Fatal("round trip changed hash")
+	}
+}
+
+// rawQSet is a quorum set as bytes may carry it: validators in any order.
+type rawQSet struct {
+	threshold  uint32
+	validators []string
+	inner      []rawQSet
+}
+
+func (r rawQSet) encode(e *xdr.Encoder) {
+	e.PutUint32(r.threshold)
+	e.PutUint32(uint32(len(r.validators)))
+	for _, v := range r.validators {
+		e.PutString(v)
+	}
+	e.PutUint32(uint32(len(r.inner)))
+	for _, in := range r.inner {
+		in.encode(e)
+	}
+}
+
+// TestDecodeQuorumSetCanonicalOnly: the decoder accepts a validator list
+// only in EncodeXDR's order, at every nesting level, so whatever it accepts
+// re-encodes to the same bytes.
+func TestDecodeQuorumSetCanonicalOnly(t *testing.T) {
+	sorted := rawQSet{threshold: 2, validators: []string{"a", "b", "c"}}
+	for _, tc := range []struct {
+		name string
+		q    rawQSet
+		ok   bool
+	}{
+		{"sorted", sorted, true},
+		{"unsorted", rawQSet{threshold: 2, validators: []string{"b", "a", "c"}}, false},
+		{"duplicate", rawQSet{threshold: 2, validators: []string{"a", "b", "b"}}, false},
+		{"duplicate only", rawQSet{threshold: 1, validators: []string{"a", "a"}}, false},
+		{"empty", rawQSet{threshold: 0}, true},
+		{"nested sorted", rawQSet{threshold: 2, validators: []string{"x", "y"}, inner: []rawQSet{sorted, {threshold: 1, validators: []string{"p"}}}}, true},
+		{"nested unsorted inner", rawQSet{threshold: 1, validators: []string{"x"}, inner: []rawQSet{{threshold: 1, validators: []string{"q", "p"}}}}, false},
+		{"nested duplicate inner", rawQSet{threshold: 1, inner: []rawQSet{sorted, {threshold: 1, validators: []string{"p", "p"}}}}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := xdr.NewEncoder(0)
+			tc.q.encode(e)
+			q, err := DecodeQuorumSetXDR(xdr.NewDecoder(e.Bytes()))
+			if !tc.ok {
+				if err == nil {
+					t.Fatalf("accepted %s", q.String())
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("refused: %v", err)
+			}
+			back := xdr.NewEncoder(0)
+			q.EncodeXDR(back)
+			if !bytes.Equal(back.Bytes(), e.Bytes()) {
+				t.Fatalf("round trip not canonical:\n in:  %x\n out: %x", e.Bytes(), back.Bytes())
+			}
+		})
 	}
 }
 

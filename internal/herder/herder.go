@@ -44,19 +44,16 @@ type Config struct {
 	// one key cannot monopolize the pool (0 = mempool.DefaultMaxPerSource).
 	MempoolMaxPerSource int
 	// Archive, when set, receives headers, tx sets, and bucket
-	// snapshots (§5.4). Validators typically do NOT host archives, so it
-	// is optional.
+	// snapshots (§5.4), and holds the node's bucket list below level 0:
+	// those levels live as files in its bucket store rather than on the
+	// heap. Validators typically do NOT host archives, so it is optional;
+	// without one the whole list stays in memory.
 	Archive *history.Archive
 	// CheckpointInterval is how many ledgers pass between bucket/checkpoint
 	// snapshots into the archive (headers and tx sets are archived every
 	// ledger regardless, so any checkpoint can replay to tip). 0 = every
 	// ledger.
 	CheckpointInterval int
-	// BucketSpillLevel > 0 spills bucket-list levels ≥ that index into the
-	// archive's disk store instead of holding them on the heap; level and
-	// list hashes are byte-identical either way. Requires Archive. 0 keeps
-	// the whole list in memory.
-	BucketSpillLevel int
 	// Governing marks the validator as participating in upgrade
 	// governance; DesiredUpgrades are the upgrades it votes for (§5.3).
 	Governing       bool
@@ -705,13 +702,15 @@ func (n *Node) applyUpgrade(u Upgrade) {
 	}
 }
 
-// attachBucketStore points the bucket list's spilled levels at the
-// archive's content-addressed store when the node is configured durable.
+// attachBucketStore moves the bucket list below level 0 into the archive's
+// content-addressed store when the node has one: a node with a disk keeps
+// only the ingest level in RAM, and its list and its archive share one copy
+// of every deeper bucket. Level and list hashes are byte-identical either way.
 func (n *Node) attachBucketStore() {
-	if n.cfg.Archive == nil || n.cfg.BucketSpillLevel <= 0 {
+	if n.cfg.Archive == nil {
 		return
 	}
-	if err := n.buckets.SetStore(n.cfg.Archive.BucketStore(), n.cfg.BucketSpillLevel); err != nil {
+	if err := n.buckets.SetStore(n.cfg.Archive.BucketStore()); err != nil {
 		panic(fmt.Sprintf("herder: attach bucket store: %v", err))
 	}
 }
@@ -749,8 +748,12 @@ func (n *Node) archiveLedger(hdr *ledger.Header, ts *ledger.TxSet) (txSetStored 
 		return true
 	}
 	hashes := n.buckets.BucketHashes()
+	store := a.BucketStore()
 	for i, h := range hashes {
-		if h == bucket.EmptyBucket().Hash() {
+		// Below level 0 the list's buckets are files of this store already
+		// (attachBucketStore): only the resident level is ever written here,
+		// and nothing is decoded back.
+		if h == bucket.EmptyBucket().Hash() || store.Has(h) {
 			continue
 		}
 		b, err := n.buckets.Bucket(i/2, i%2 == 1)

@@ -99,14 +99,14 @@ func TestRestoreFromArchiveReplaysToTip(t *testing.T) {
 	}
 }
 
-// TestRestoreFromArchiveDiskBacked: the same restore with the bucket list
-// spilling to the archive's disk store must produce the identical header.
+// TestRestoreFromArchiveDiskBacked: the same restore at a shorter
+// checkpoint interval, the restored list moving below level 0 into the
+// archive's disk store as it is adopted, must produce the identical header.
 func TestRestoreFromArchiveDiskBacked(t *testing.T) {
 	a, nodes, _, nid := archivedTrio(t, 2)
 	tip := nodes[0].LastHeader()
 	fresh := freshNode(t, nodes, nid, func(c *Config) {
 		c.Archive = a
-		c.BucketSpillLevel = 1
 	})
 	if _, err := fresh.RestoreFromArchive(a); err != nil {
 		t.Fatal(err)
@@ -160,7 +160,6 @@ func TestNetworkCatchupColdStart(t *testing.T) {
 	}
 	fresh := freshNode(t, nodes, nid, func(c *Config) {
 		c.Archive = own
-		c.BucketSpillLevel = 1
 	})
 	done := false
 	if err := fresh.StartNetworkCatchup(func(replayed int) { done = true }); err != nil {

@@ -142,10 +142,14 @@ func sameChain(t *testing.T, a, b *Node, from uint32) {
 // transaction is reachable from a node except through its pool and the sets
 // of its open slots — yet every ledger of the window is still servable, and
 // a peer's proposal decoded from the wire is stored as the pool's instances.
+// A fourth validator without an archive, whose bucket list is all in RAM,
+// closes the same headers at every ledger, through the spills into levels
+// 1–3 that the durable three merge on disk.
 func TestWindowKeepsFactsNotBodies(t *testing.T) {
 	const perLedger = 200
 	net, nodes, nid, payers := buildFunded(t, perLedger, durable(t))
-	for _, n := range nodes {
+	memOnly := inMemoryPeer(t, nodes)
+	for _, n := range append([]*Node{memOnly}, nodes...) {
 		n.Start()
 	}
 	submit := func() {
@@ -156,6 +160,16 @@ func TestWindowKeepsFactsNotBodies(t *testing.T) {
 		}
 	}
 	closeLedgers(t, net, nodes[0], 160, submit)
+
+	if memOnly.buckets.Store() != nil {
+		t.Fatal("a node without an archive has a bucket store")
+	}
+	if memOnly.LastHeader().LedgerSeq+1 < nodes[0].LastHeader().LedgerSeq {
+		t.Fatalf("in-memory peer at %d, network at %d", memOnly.LastHeader().LedgerSeq, nodes[0].LastHeader().LedgerSeq)
+	}
+	for _, n := range nodes {
+		sameChain(t, memOnly, n, 1)
+	}
 
 	for i, n := range nodes {
 		if len(n.recent) != recentWindow {

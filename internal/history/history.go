@@ -48,7 +48,7 @@ func Open(dir string) (*Archive, error) {
 func (a *Archive) Dir() string { return a.dir }
 
 // BucketStore exposes the archive's content-addressed bucket store. A
-// node may hand it to bucket.List.SetStore so its spilled levels and its
+// node hands it to bucket.List.SetStore, so its list below level 0 and its
 // archive share one set of bucket files.
 func (a *Archive) BucketStore() *disk.Store { return a.store }
 

@@ -75,7 +75,9 @@ peers_for() {
 }
 
 # A checkpoint interval > 1 leaves the latest checkpoint behind the tip,
-# so the catchup path must replay archived tx sets, not just restore.
+# so the catchup path must replay archived tx sets, not just restore. A
+# durable node keeps its bucket list below level 0 as files of its data
+# dir, so the buckets node-3 fetches are the very files the list merges.
 for i in 0 1 2; do
     "$LOGDIR/stellar-node" \
         -seed "node-$i" \
@@ -87,7 +89,6 @@ for i in 0 1 2; do
         -max-drift 24h \
         -data-dir "$LOGDIR/archive-$i" \
         -checkpoint-interval 4 \
-        -bucket-spill-level 1 \
         -v >"$LOGDIR/node-$i.log" 2>&1 &
     PIDS+=($!)
     echo "started node-$i (pid ${PIDS[$i]}, overlay :$(overlay_port "$i"), http :$(http_port "$i"))"
