@@ -194,7 +194,6 @@ func main() {
 	fmt.Printf("horizon listening on %s (serving validator %s)\n", *listen, node.ID())
 	fmt.Printf("try: curl localhost%s/ledgers/latest\n", *listen)
 	fmt.Printf("     curl localhost%s/metrics           (Prometheus text)\n", *listen)
-	fmt.Printf("     curl localhost%s/metrics.json      (JSON summary)\n", *listen)
 	fmt.Printf("     curl localhost%s/debug/slots/3/trace  (SCP slot timeline)\n", *listen)
 	fmt.Printf("     curl localhost%s/debug/quorum      (live quorum health)\n", *listen)
 	if *pprofFlag {

@@ -74,13 +74,10 @@ func main() {
 			continue
 		}
 		lastSeq = h.LedgerSeq
-		m := node.Metrics
+		m := experiments.Summarize(s.Records[0])
 		fmt.Printf("ledger %4d  t=%-8v  tx/ledger=%4.0f  nominate=%6.1fms  ballot=%6.1fms  apply=%6.2fms  pending=%d\n",
 			h.LedgerSeq, s.Net.Now().Truncate(time.Millisecond),
-			m.TxPerLedger.Mean(),
-			float64(m.Nomination.Mean().Microseconds())/1000,
-			float64(m.Balloting.Mean().Microseconds())/1000,
-			float64(m.LedgerUpdate.Mean().Microseconds())/1000,
+			m.TxPerLedger.Mean(), ms(m.Nomination), ms(m.Balloting), ms(m.LedgerUpdate),
 			node.PendingCount())
 	}
 	s.Stop()
@@ -89,13 +86,13 @@ func main() {
 		fmt.Fprintf(os.Stderr, "SAFETY VIOLATION: %v\n", err)
 		os.Exit(1)
 	}
-	m := s.MergedMetrics()
+	m := s.Summary()
 	fmt.Printf("\nsummary over %d ledger-samples (all validators):\n", m.CloseInterval.N())
 	fmt.Printf("  close interval: mean %.2fs  p99 %.2fs\n",
-		m.CloseInterval.Mean().Seconds(), m.CloseInterval.Percentile(99).Seconds())
-	fmt.Printf("  nomination:     mean %v  p99 %v\n", m.Nomination.Mean(), m.Nomination.Percentile(99))
-	fmt.Printf("  balloting:      mean %v  p99 %v\n", m.Balloting.Mean(), m.Balloting.Percentile(99))
-	fmt.Printf("  ledger update:  mean %v  p99 %v\n", m.LedgerUpdate.Mean(), m.LedgerUpdate.Percentile(99))
+		time.Duration(m.CloseInterval.Mean()).Seconds(), m.CloseInterval.Percentile(99).Seconds())
+	fmt.Printf("  nomination:     mean %v  p99 %v\n", time.Duration(m.Nomination.Mean()), m.Nomination.Percentile(99))
+	fmt.Printf("  balloting:      mean %v  p99 %v\n", time.Duration(m.Balloting.Mean()), m.Balloting.Percentile(99))
+	fmt.Printf("  ledger update:  mean %v  p99 %v\n", time.Duration(m.LedgerUpdate.Mean()), m.LedgerUpdate.Percentile(99))
 	fmt.Printf("  tx per ledger:  mean %.1f  max %d\n", m.TxPerLedger.Mean(), m.TxPerLedger.Max())
 	fmt.Printf("  msgs per ledger per validator: mean %.1f\n", m.MessagesEmitted.Mean())
 	vs := node.Verifier().Cache.Stats()
@@ -119,4 +116,10 @@ func main() {
 			os.Exit(1)
 		}
 	}
+}
+
+// ms renders a latency distribution's mean in milliseconds, truncated to the
+// microsecond.
+func ms(d experiments.Dist[time.Duration]) float64 {
+	return float64(time.Duration(d.Mean()).Microseconds()) / 1000
 }

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"stellar/internal/experiments"
+	"stellar/internal/herder"
 	"stellar/internal/ledger"
 	"stellar/internal/stellarcrypto"
 )
@@ -33,7 +34,9 @@ func main() {
 	sim.Start()
 	node := sim.Nodes[0]
 	networkID := sim.NetworkID
-	node.OnLedgerClose = func(h *ledger.Header, results []ledger.TxResult) {
+	record := node.OnLedgerClose // Build's hook keeps the close records
+	node.OnLedgerClose = func(h *ledger.Header, results []ledger.TxResult, cs herder.CloseStats) {
+		record(h, results, cs)
 		for _, r := range results {
 			if !r.Success {
 				fmt.Printf("  ! tx failed in ledger %d: %s %v\n", h.LedgerSeq, r.Err, r.OpErrors)

@@ -47,18 +47,22 @@ func measure(opts Options, label string, x float64, ledgers int) (LatencyRow, er
 	if err := s.CheckAgreement(); err != nil {
 		return LatencyRow{}, err
 	}
-	m := s.MergedMetrics()
-	row := LatencyRow{
+	return s.Summary().row(label, x), nil
+}
+
+// row is the run's LatencyRow: the mean of each phase over every node's
+// closes.
+func (m Summary) row(label string, x float64) LatencyRow {
+	return LatencyRow{
 		Label:        label,
 		X:            x,
-		Nomination:   m.Nomination.Mean(),
-		Balloting:    m.Balloting.Mean(),
-		LedgerUpdate: m.LedgerUpdate.Mean(),
-		CloseMean:    m.CloseInterval.Mean(),
+		Nomination:   time.Duration(m.Nomination.Mean()),
+		Balloting:    time.Duration(m.Balloting.Mean()),
+		LedgerUpdate: time.Duration(m.LedgerUpdate.Mean()),
+		CloseMean:    time.Duration(m.CloseInterval.Mean()),
 		TxPerLedger:  m.TxPerLedger.Mean(),
 		Ledgers:      m.CloseInterval.N(),
 	}
-	return row, nil
 }
 
 // BaselineResult is the §7.3 baseline: 100k accounts, 4 validators,
@@ -86,17 +90,9 @@ func RunBaseline(accounts int, ledgers int) (*BaselineResult, error) {
 	if err := s.CheckAgreement(); err != nil {
 		return nil, err
 	}
-	m := s.MergedMetrics()
+	m := s.Summary()
 	return &BaselineResult{
-		Row: LatencyRow{
-			Label:        "baseline",
-			Nomination:   m.Nomination.Mean(),
-			Balloting:    m.Balloting.Mean(),
-			LedgerUpdate: m.LedgerUpdate.Mean(),
-			CloseMean:    m.CloseInterval.Mean(),
-			TxPerLedger:  m.TxPerLedger.Mean(),
-			Ledgers:      m.CloseInterval.N(),
-		},
+		Row:              m.row("baseline", 0),
 		TxPerLedgerMean:  m.TxPerLedger.Mean(),
 		TxPerLedgerStdev: m.TxPerLedger.Stddev(),
 		Nomination99:     m.Nomination.Percentile(99),
@@ -189,7 +185,7 @@ func RunTimeoutProfile(ledgers int) (*TimeoutProfile, error) {
 	if err := s.CheckAgreement(); err != nil {
 		return nil, err
 	}
-	m := s.MergedMetrics()
+	m := s.Summary()
 	return &TimeoutProfile{
 		Ledgers:        m.NominationTimeouts.N(),
 		Nomination75:   m.NominationTimeouts.Percentile(75),
@@ -220,7 +216,7 @@ func RunMessagesPerLedger(ledgers int) (*MessagesResult, error) {
 	s.Start()
 	s.Run(time.Duration(ledgers+2) * s.Opts.LedgerInterval)
 	s.Stop()
-	m := s.MergedMetrics()
+	m := s.Summary()
 	return &MessagesResult{
 		MeanPerLedger: m.MessagesEmitted.Mean(),
 		MaxPerLedger:  m.MessagesEmitted.Max(),
@@ -337,8 +333,8 @@ func scpDecisionLatency(n int) (time.Duration, uint64, error) {
 	s.Start()
 	s.Run(3 * opts.LedgerInterval)
 	s.Stop()
-	m := s.MergedMetrics()
-	lat := m.Nomination.Mean() + m.Balloting.Mean()
+	m := s.Summary()
+	lat := time.Duration(m.Nomination.Mean()) + time.Duration(m.Balloting.Mean())
 	var msgs uint64
 	for _, node := range s.Nodes {
 		msgs += node.Overlay().FloodsSent
@@ -423,10 +419,10 @@ func RunTimeoutPolicyAblation(ledgers int) ([]AblationTimeoutRow, error) {
 		if err := s.CheckAgreement(); err != nil {
 			return nil, fmt.Errorf("policy %s: %w", p.name, err)
 		}
-		m := s.MergedMetrics()
+		m := s.Summary()
 		out = append(out, AblationTimeoutRow{
 			Policy:    p.name,
-			CloseMean: m.CloseInterval.Mean(),
+			CloseMean: time.Duration(m.CloseInterval.Mean()),
 			Timeouts:  m.BallotTimeouts.Mean(),
 		})
 	}
@@ -473,12 +469,12 @@ func RunOverlayComparison(validators, ledgers int) ([]OverlayRow, error) {
 		if closed == 0 {
 			return nil, fmt.Errorf("%s: no ledgers closed", mode.name)
 		}
-		m := s.MergedMetrics()
+		m := s.Summary()
 		out = append(out, OverlayRow{
 			Strategy:       mode.name,
 			MsgsPerLedger:  float64(sent) / closed,
 			BytesPerLedger: float64(s.Net.Stats().BytesDelivered) / closed,
-			CloseMean:      m.CloseInterval.Mean(),
+			CloseMean:      time.Duration(m.CloseInterval.Mean()),
 		})
 	}
 	return out, nil

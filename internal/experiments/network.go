@@ -14,7 +14,6 @@ import (
 	"stellar/internal/history"
 	"stellar/internal/ledger"
 	"stellar/internal/loadgen"
-	"stellar/internal/metrics"
 	"stellar/internal/obs"
 	"stellar/internal/simnet"
 	"stellar/internal/stellarcrypto"
@@ -70,8 +69,9 @@ type Options struct {
 	// VerifyCacheSize bounds each validator's verification cache
 	// (0 = verify.DefaultCacheSize).
 	VerifyCacheSize int
-	// MaxTxSetSize caps operations per ledger (default 5000, comfortably
-	// above the paper's 350 tx/s × 5 s so no transactions are dropped).
+	// MaxTxSetSize is the genesis ledger's cap on operations per ledger
+	// (default 5000, comfortably above the paper's 350 tx/s × 5 s so no
+	// transactions are dropped); a §5.3 upgrade vote can change it.
 	MaxTxSetSize int
 	// Multicast enables the §7.5 structured-multicast extension in place
 	// of flooding (the overlay comparison experiment).
@@ -158,6 +158,11 @@ type SimNetwork struct {
 	// Tracer is the shared span tracer when Options.Trace is set, nil
 	// otherwise.
 	Tracer *obs.Tracer
+	// Records holds validator i's close measurements, one per ledger it
+	// applied, collected by the OnLedgerClose hook Build installs; a caller
+	// that sets its own hook wraps that one. The tables read these through
+	// Summary.
+	Records [][]herder.CloseStats
 }
 
 // Build constructs the network: genesis state with synthetic accounts,
@@ -189,6 +194,7 @@ func Build(opts Options) (*SimNetwork, error) {
 	// Genesis with synthetic accounts (shared verbatim by all nodes:
 	// each gets its own copy via restore to keep states independent).
 	genesis, masterKey := herder.GenesisState(s.NetworkID)
+	genesis.MaxTxSetSize = opts.MaxTxSetSize
 	s.MasterKey = masterKey
 	master := ledger.AccountIDFromPublicKey(masterKey.Public)
 	accounts, err := loadgen.Populate(genesis, master, masterKey, s.NetworkID, opts.Accounts, opts.ActiveAccounts)
@@ -217,7 +223,6 @@ func Build(opts Options) (*SimNetwork, error) {
 			OverlayCacheSize:  opts.OverlayCacheSize,
 			VerifyWorkers:     opts.VerifyWorkers,
 			VerifyCacheSize:   opts.VerifyCacheSize,
-			MaxTxSetSize:      opts.MaxTxSetSize,
 			Multicast:         opts.Multicast,
 		}
 		if opts.Obs != nil {
@@ -252,6 +257,10 @@ func Build(opts Options) (*SimNetwork, error) {
 			return nil, err
 		}
 		node.Bootstrap(state, 0)
+		s.Records = append(s.Records, nil)
+		node.OnLedgerClose = func(_ *ledger.Header, _ []ledger.TxResult, cs herder.CloseStats) {
+			s.Records[i] = append(s.Records[i], cs)
+		}
 		s.Nodes = append(s.Nodes, node)
 		s.Archives = append(s.Archives, cfg.Archive)
 		s.Configs = append(s.Configs, cfg)
@@ -335,37 +344,4 @@ func (s *SimNetwork) CheckAgreement() error {
 		}
 	}
 	return nil
-}
-
-// MergedMetrics combines all nodes' metrics into one view.
-func (s *SimNetwork) MergedMetrics() *metrics.NodeMetrics {
-	out := &metrics.NodeMetrics{}
-	for _, n := range s.Nodes {
-		m := n.Metrics
-		for _, v := range m.Nomination.Samples() {
-			out.Nomination.Add(v)
-		}
-		for _, v := range m.Balloting.Samples() {
-			out.Balloting.Add(v)
-		}
-		for _, v := range m.LedgerUpdate.Samples() {
-			out.LedgerUpdate.Add(v)
-		}
-		for _, v := range m.CloseInterval.Samples() {
-			out.CloseInterval.Add(v)
-		}
-		for _, v := range m.TxPerLedger.Samples() {
-			out.TxPerLedger.Add(v)
-		}
-		for _, v := range m.NominationTimeouts.Samples() {
-			out.NominationTimeouts.Add(v)
-		}
-		for _, v := range m.BallotTimeouts.Samples() {
-			out.BallotTimeouts.Add(v)
-		}
-		for _, v := range m.MessagesEmitted.Samples() {
-			out.MessagesEmitted.Add(v)
-		}
-	}
-	return out
 }

@@ -3,6 +3,10 @@ package experiments
 import (
 	"testing"
 	"time"
+
+	"stellar/internal/herder"
+	"stellar/internal/ledger"
+	"stellar/internal/obs"
 )
 
 func smallOpts() Options {
@@ -39,7 +43,7 @@ func TestNetworkAppliesTransactions(t *testing.T) {
 	}
 	s.Start()
 	s.Run(60 * time.Second)
-	m := s.MergedMetrics()
+	m := s.Summary()
 	if m.TxPerLedger.N() == 0 {
 		t.Fatal("no ledgers measured")
 	}
@@ -61,8 +65,8 @@ func TestNetworkCloseRate(t *testing.T) {
 	}
 	s.Start()
 	s.Run(120 * time.Second)
-	m := s.MergedMetrics()
-	mean := m.CloseInterval.Mean()
+	m := s.Summary()
+	mean := time.Duration(m.CloseInterval.Mean())
 	// §7.3: close times hover just above the 5-second target.
 	if mean < 4*time.Second || mean > 7*time.Second {
 		t.Fatalf("mean close interval %v, want ≈5s", mean)
@@ -143,4 +147,129 @@ func TestMessageLossToleratedWithAntiEntropy(t *testing.T) {
 	if err := s.CheckAgreement(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestRecordsSurviveAWrappedHook: a caller that wraps the OnLedgerClose hook
+// Build installed, as examples/remittance does, sees every close the
+// records hold, and the records keep coming.
+func TestRecordsSurviveAWrappedHook(t *testing.T) {
+	s, err := Build(smallOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seen []uint32
+	record := s.Nodes[0].OnLedgerClose
+	s.Nodes[0].OnLedgerClose = func(h *ledger.Header, results []ledger.TxResult, cs herder.CloseStats) {
+		record(h, results, cs)
+		if cs.Seq != h.LedgerSeq {
+			t.Errorf("close stats for ledger %d handed with header %d", cs.Seq, h.LedgerSeq)
+		}
+		seen = append(seen, h.LedgerSeq)
+	}
+	s.Start()
+	s.Run(30 * time.Second)
+	if len(seen) < 4 {
+		t.Fatalf("wrapping hook saw %d closes", len(seen))
+	}
+	if got := len(s.Records[0]); got != len(seen) {
+		t.Fatalf("node 0 kept %d records, its wrapping hook saw %d closes", got, len(seen))
+	}
+	for k, r := range s.Records[0] {
+		if r.Seq != seen[k] {
+			t.Fatalf("record %d is ledger %d, the hook saw %d", k, r.Seq, seen[k])
+		}
+	}
+	for i, records := range s.Records[1:] {
+		if len(records) == 0 {
+			t.Fatalf("node %d kept no records", i+1)
+		}
+	}
+}
+
+// TestCloseStatsFeedTheRegistry: each close is measured once. Over a lossy,
+// laggy run — so that timeouts occur and some phases go unobserved — every
+// node's herder_* histograms hold exactly the samples of its close records.
+func TestCloseStatsFeedTheRegistry(t *testing.T) {
+	opts := smallOpts()
+	opts.LatencyMin, opts.LatencyMax = 20*time.Millisecond, 800*time.Millisecond
+	opts.DropRate = 0.02
+	opts.Seed = 3
+	regs := make([]*obs.Registry, opts.Validators)
+	for i := range regs {
+		regs[i] = obs.NewRegistry()
+	}
+	opts.Obs = func(i int) *obs.Obs { return &obs.Obs{Reg: regs[i]} }
+	s, err := Build(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Start()
+	for i := 0; i < 20; i++ {
+		s.Run(opts.LedgerInterval)
+		for _, n := range s.Nodes {
+			n.RebroadcastLatest()
+		}
+	}
+	if err := s.CheckAgreement(); err != nil {
+		t.Fatal(err)
+	}
+	timeouts := 0
+	for i, records := range s.Records {
+		if len(records) < 10 {
+			t.Fatalf("node %d recorded %d closes", i, len(records))
+		}
+		for k, r := range records {
+			if want := uint32(k + 2); r.Seq != want {
+				t.Fatalf("node %d record %d is ledger %d, want %d", i, k, r.Seq, want)
+			}
+		}
+		m := Summarize(records)
+		var txs float64
+		for _, n := range m.TxPerLedger {
+			txs += float64(n)
+		}
+		for _, c := range []struct {
+			name string
+			n    int
+			sum  float64
+		}{
+			{"herder_nomination_seconds", m.Nomination.N(), seconds(m.Nomination)},
+			{"herder_balloting_seconds", m.Balloting.N(), seconds(m.Balloting)},
+			{"herder_close_interval_seconds", m.CloseInterval.N(), seconds(m.CloseInterval)},
+			{"herder_tx_per_ledger", m.TxPerLedger.N(), txs},
+		} {
+			count, sum := histogram(t, regs[i], c.name)
+			if count != uint64(c.n) || sum != c.sum {
+				t.Errorf("node %d %s: registry count %d sum %v, records %d sum %v", i, c.name, count, sum, c.n, c.sum)
+			}
+		}
+		for _, r := range records {
+			timeouts += r.NominationTimeouts + r.BallotTimeouts
+		}
+	}
+	if timeouts == 0 {
+		t.Fatal("no timeouts: the run does not exercise the lossy path")
+	}
+}
+
+// seconds sums a latency distribution in seconds, in sample order, as the
+// registry does.
+func seconds(d Dist[time.Duration]) float64 {
+	var sum float64
+	for _, v := range d {
+		sum += v.Seconds()
+	}
+	return sum
+}
+
+// histogram reads an unlabeled histogram's count and sum from reg.
+func histogram(t *testing.T, reg *obs.Registry, name string) (uint64, float64) {
+	t.Helper()
+	for _, f := range reg.Snapshot() {
+		if f.Name == name && len(f.Samples) == 1 {
+			return f.Samples[0].Count, f.Samples[0].Sum
+		}
+	}
+	t.Fatalf("registry has no histogram %s", name)
+	return 0, 0
 }

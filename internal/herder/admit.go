@@ -195,9 +195,9 @@ func (n *Node) FeeStats() FeeStats {
 		PoolFull:      n.pool.Full(),
 		Evictions:     n.pool.Evictions(),
 		LastLedgerTxs: n.lastLedgerTxs,
-		MaxTxSetSize:  n.cfg.MaxTxSetSize,
 	}
 	if n.state != nil {
+		fs.MaxTxSetSize = n.state.MaxTxSetSize
 		fs.BaseFee = n.state.BaseFee
 		fs.MinFeePerOp = n.state.BaseFee
 	}

@@ -10,7 +10,6 @@ import (
 	"stellar/internal/history"
 	"stellar/internal/ledger"
 	"stellar/internal/mempool"
-	"stellar/internal/metrics"
 	"stellar/internal/obs"
 	"stellar/internal/overlay"
 	"stellar/internal/scp"
@@ -34,8 +33,6 @@ type Config struct {
 	// policies; nil selects the stellar-core-style linear defaults.
 	NominationTimeout func(round int) time.Duration
 	BallotTimeout     func(counter uint32) time.Duration
-	// MaxTxSetSize caps operations per ledger (surge pricing above it).
-	MaxTxSetSize int
 	// MempoolMaxTxs bounds the pending transaction pool; the cheapest
 	// fee-per-op resident is evicted when a better-paying transaction
 	// arrives at a full pool (0 = mempool.DefaultMaxTxs).
@@ -140,15 +137,13 @@ type Node struct {
 	nextSlot  uint64
 	triggered map[uint64]bool
 
-	// Per-slot instrumentation. Metrics is the post-hoc raw-sample store
-	// the experiment tables read; obs/ins are the live registry and trace
-	// recorder behind horizon's /metrics and /debug endpoints.
-	Metrics      *metrics.NodeMetrics
-	obs          *obs.Obs
-	ins          *instruments
-	log          *slog.Logger
-	slotStats    map[uint64]*slotStat
-	upgradeStats map[UpgradeKind]int64
+	// Per-slot instrumentation: obs/ins are the live registry and trace
+	// recorder behind horizon's /metrics and /debug endpoints; slotStats
+	// collects each open slot's consensus timings until its close.
+	obs       *obs.Obs
+	ins       *instruments
+	log       *slog.Logger
+	slotStats map[uint64]*slotStat
 
 	// Causal span tracing (span.go). tr is nil when tracing is off; the
 	// maps exist only alongside it.
@@ -162,8 +157,10 @@ type Node struct {
 	peersHealth map[fba.NodeID]*peerStatus
 	health      *healthInstruments
 
-	// OnLedgerClose, when set, is invoked after each ledger applies.
-	OnLedgerClose func(h *ledger.Header, results []ledger.TxResult)
+	// OnLedgerClose, when set, is invoked after each ledger applies, with
+	// what the node measured of the close. The node keeps no such records
+	// itself.
+	OnLedgerClose func(h *ledger.Header, results []ledger.TxResult, stats CloseStats)
 }
 
 type timerKey struct {
@@ -189,34 +186,29 @@ func New(net simnet.Env, cfg Config) (*Node, error) {
 	if cfg.LedgerInterval <= 0 {
 		cfg.LedgerInterval = 5 * time.Second
 	}
-	if cfg.MaxTxSetSize <= 0 {
-		cfg.MaxTxSetSize = ledger.DefaultMaxTxSetSize
-	}
 	id := fba.NodeIDFromPublicKey(cfg.Keys.Public)
 	ob := cfg.Obs.Normalize()
 	n := &Node{
-		cfg:          cfg,
-		obs:          ob,
-		ins:          newInstruments(ob.Reg),
-		log:          obs.Component(ob.Log, "herder"),
-		id:           id,
-		addr:         simnet.Addr(id),
-		net:          net,
-		headers:      make(map[uint32]stellarcrypto.Hash),
-		pool:         mempool.New(mempool.Config{MaxTxs: cfg.MempoolMaxTxs, MaxPerSource: cfg.MempoolMaxPerSource}),
-		admitTimes:   make(map[stellarcrypto.Hash]time.Duration),
-		txsets:       make(map[stellarcrypto.Hash]*ledger.TxSet),
-		txsetSeen:    make(map[stellarcrypto.Hash]uint32),
-		txsetAsked:   make(map[txsetPeer]uint32),
-		txsetServed:  make(map[txsetPeer]uint32),
-		recent:       make(map[uint32]recentLedger),
-		decided:      make(map[uint64]*StellarValue),
-		timers:       make(map[timerKey]*simnet.Timer),
-		triggered:    make(map[uint64]bool),
-		Metrics:      &metrics.NodeMetrics{},
-		slotStats:    make(map[uint64]*slotStat),
-		upgradeStats: make(map[UpgradeKind]int64),
-		peersHealth:  make(map[fba.NodeID]*peerStatus),
+		cfg:         cfg,
+		obs:         ob,
+		ins:         newInstruments(ob.Reg),
+		log:         obs.Component(ob.Log, "herder"),
+		id:          id,
+		addr:        simnet.Addr(id),
+		net:         net,
+		headers:     make(map[uint32]stellarcrypto.Hash),
+		pool:        mempool.New(mempool.Config{MaxTxs: cfg.MempoolMaxTxs, MaxPerSource: cfg.MempoolMaxPerSource}),
+		admitTimes:  make(map[stellarcrypto.Hash]time.Duration),
+		txsets:      make(map[stellarcrypto.Hash]*ledger.TxSet),
+		txsetSeen:   make(map[stellarcrypto.Hash]uint32),
+		txsetAsked:  make(map[txsetPeer]uint32),
+		txsetServed: make(map[txsetPeer]uint32),
+		recent:      make(map[uint32]recentLedger),
+		decided:     make(map[uint64]*StellarValue),
+		timers:      make(map[timerKey]*simnet.Timer),
+		triggered:   make(map[uint64]bool),
+		slotStats:   make(map[uint64]*slotStat),
+		peersHealth: make(map[fba.NodeID]*peerStatus),
 	}
 	n.initTracer()
 	n.initHealthGauges()
@@ -445,12 +437,13 @@ func (n *Node) triggerNextLedger() {
 	// Build the candidate transaction set from the pending pool: collect
 	// what is valid now (in canonical order, so surge-pricing tie-breaks
 	// never depend on map iteration and seeded simulations replay
-	// bit-identically), cap it, and seal the set — its hash is computed
+	// bit-identically), cap it at the ledger's MaxTxSetSize (a voted §5.3
+	// upgrade changes it), and seal the set — its hash is computed
 	// here once and travels with it into the archive. What floods is its
 	// reference: peers hold these transactions already (txsets.go).
 	closeTime := n.proposedCloseTime()
 	candidates := n.pool.Candidates(n.state, n.cfg.NetworkID, closeTime)
-	candidates = ledger.SurgePrice(candidates, n.cfg.MaxTxSetSize)
+	candidates = ledger.SurgePrice(candidates, n.state.MaxTxSetSize)
 	ts := &ledger.TxSet{PrevLedgerHash: n.last.Hash(), Txs: candidates}
 	tsHash := ts.Seal(n.cfg.NetworkID)
 	n.txsets[tsHash] = ts
@@ -552,47 +545,32 @@ func (n *Node) applyLedger(slot uint64, sv *StellarValue, ts *ledger.TxSet) {
 		n.applyUpgrade(u)
 	}
 
-	// Update the bucket list with the entries this ledger changed.
+	// Update the bucket list with the entries this ledger changed, and chain
+	// the header.
+	valueHash := stellarcrypto.HashBytes(sv.Encode())
 	mergeStart := time.Now()
-	changed := n.state.TakeDirtySnapshot()
-	n.buckets.AddBatch(uint32(slot), changed)
+	hdr := n.sealLedger(valueHash, sv.TxSetHash, resultsHash, sv.CloseTime)
 	applySpan.CompleteChild(obs.SpanBucketMerge, time.Since(mergeStart))
 
-	hdr := ledger.NextHeader(n.last, n.last.Hash())
-	hdr.SCPValueHash = stellarcrypto.HashBytes(sv.Encode())
-	hdr.TxSetHash = sv.TxSetHash
-	hdr.ResultsHash = resultsHash
-	hdr.SnapshotHash = n.buckets.Hash()
-	hdr.CloseTime = sv.CloseTime
-	hdr.BaseFee = n.state.BaseFee
-	hdr.BaseReserve = n.state.BaseReserve
-	hdr.MaxTxSetSize = n.state.MaxTxSetSize
-	hdr.ProtocolVersion = n.state.ProtocolVersion
-	hdr.FeePool = n.state.FeePool
-
-	// Metrics: close interval, ledger update time, tx count, per-slot
-	// consensus latencies (§7.3's three measured phases). Each sample is
-	// written twice: into the raw-sample NodeMetrics the experiment
-	// tables consume, and into the registry horizon exposes.
-	applyDur := time.Since(applyStart)
-	n.Metrics.LedgerUpdate.Add(applyDur)
-	n.Metrics.TxPerLedger.Add(len(ts.Txs))
-	n.ins.txPerLedger.Observe(float64(len(ts.Txs)))
-	n.ins.ledgersClosed.Inc()
-	prevClose := n.last.CloseTime
-	closeInterval := time.Duration(hdr.CloseTime-prevClose) * time.Second
-	n.Metrics.CloseInterval.Add(closeInterval)
-	n.ins.closeInterval.ObserveDuration(closeInterval)
+	// Measure the close once (§7.3's three phases, close rate, tx count,
+	// timeouts and messages); the registry and OnLedgerClose both read cs.
+	cs := CloseStats{
+		Seq:           hdr.LedgerSeq,
+		Txs:           len(ts.Txs),
+		Apply:         time.Since(applyStart),
+		CloseInterval: time.Duration(hdr.CloseTime-n.last.CloseTime) * time.Second,
+	}
 	// nextTrigger is when the cadence fires next (re-armed below): one
 	// interval after this node started balloting on the slot. The zero
 	// value — no local ballot start — lies in the past.
 	var nextTrigger time.Duration
 	if st, ok := n.slotStats[slot]; ok {
+		cs.InSCP = true
+		cs.NominationTimeouts, cs.BallotTimeouts, cs.Emitted = st.nomTimeouts, st.ballotTimeouts, st.emitted
 		if st.sawPrepare {
 			nextTrigger = st.firstPrepareAt + n.cfg.LedgerInterval
 			if st.nominateAt > 0 {
-				n.Metrics.Nomination.Add(st.firstPrepareAt - st.nominateAt)
-				n.ins.nomination.ObserveDuration(st.firstPrepareAt - st.nominateAt)
+				cs.Nominated, cs.Nomination = true, st.firstPrepareAt-st.nominateAt
 			}
 			// Balloting ends at externalize, not here: on a wall clock the
 			// apply above has already taken its milliseconds. A slot this
@@ -601,14 +579,11 @@ func (n *Node) applyLedger(slot uint64, sv *StellarValue, ts *ledger.TxSet) {
 			if decidedAt == 0 {
 				decidedAt = n.net.Now()
 			}
-			n.Metrics.Balloting.Add(decidedAt - st.firstPrepareAt)
-			n.ins.balloting.ObserveDuration(decidedAt - st.firstPrepareAt)
+			cs.Balloted, cs.Balloting = true, decidedAt-st.firstPrepareAt
 		}
-		n.Metrics.NominationTimeouts.Add(st.nomTimeouts)
-		n.Metrics.BallotTimeouts.Add(st.ballotTimeouts)
-		n.Metrics.MessagesEmitted.Add(st.emitted)
 		delete(n.slotStats, slot)
 	}
+	n.ins.observeClose(cs)
 	// End-to-end submit→applied latency for txs this node admitted itself
 	// (the SLO engine's p99 source; floods and local submits both stamp).
 	if len(n.admitTimes) > 0 {
@@ -621,11 +596,11 @@ func (n *Node) applyLedger(slot uint64, sv *StellarValue, ts *ledger.TxSet) {
 			}
 		}
 	}
-	n.traceTxsApplied(slot, applySpan, ts, applyDur)
+	n.traceTxsApplied(slot, applySpan, ts, cs.Apply)
 	n.trace(obs.Event{Slot: slot, Kind: obs.EvLedgerApplied,
-		Detail: fmt.Sprintf("txs=%d apply=%s", len(ts.Txs), applyDur)})
+		Detail: fmt.Sprintf("txs=%d apply=%s", len(ts.Txs), cs.Apply)})
 	n.log.Info("ledger closed", "seq", hdr.LedgerSeq, "txs", len(ts.Txs),
-		"apply", applyDur, "close_time", hdr.CloseTime)
+		"apply", cs.Apply, "close_time", hdr.CloseTime)
 
 	n.last = hdr
 	n.headers[hdr.LedgerSeq] = hdr.Hash()
@@ -681,15 +656,35 @@ func (n *Node) applyLedger(slot uint64, sv *StellarValue, ts *ledger.TxSet) {
 	n.scheduleTrigger(wait)
 
 	if n.OnLedgerClose != nil {
-		n.OnLedgerClose(hdr, results)
+		n.OnLedgerClose(hdr, results, cs)
 	}
+}
+
+// sealLedger finishes a close once its transaction set and parameter
+// changes are applied, the same way for a live close and a replay: the
+// entries the ledger changed go into the bucket list, and the header
+// chaining it onto n.last is built from the state. The caller advances
+// n.last.
+func (n *Node) sealLedger(valueHash, txSetHash, resultsHash stellarcrypto.Hash, closeTime int64) *ledger.Header {
+	hdr := ledger.NextHeader(n.last, n.last.Hash())
+	n.buckets.AddBatch(hdr.LedgerSeq, n.state.TakeDirtySnapshot())
+	hdr.SCPValueHash = valueHash
+	hdr.TxSetHash = txSetHash
+	hdr.ResultsHash = resultsHash
+	hdr.SnapshotHash = n.buckets.Hash()
+	hdr.CloseTime = closeTime
+	hdr.BaseFee = n.state.BaseFee
+	hdr.BaseReserve = n.state.BaseReserve
+	hdr.MaxTxSetSize = n.state.MaxTxSetSize
+	hdr.ProtocolVersion = n.state.ProtocolVersion
+	hdr.FeePool = n.state.FeePool
+	return hdr
 }
 
 func (n *Node) applyUpgrade(u Upgrade) {
 	if ClassifyUpgrade(u, n.cfg.DesiredUpgrades) == UpgradeInvalid {
 		return // consensus should never externalize these; be defensive
 	}
-	n.upgradeStats[u.Kind] = u.Value
 	switch u.Kind {
 	case UpgradeBaseFee:
 		n.state.BaseFee = u.Value
@@ -820,7 +815,3 @@ func (n *Node) RebroadcastLatest() {
 	}
 	n.rebroadcastTxSetRefs()
 }
-
-// UpgradeValue reports the last externalized value for an upgrade kind (0
-// if never upgraded), for governance tests.
-func (n *Node) UpgradeValue(k UpgradeKind) int64 { return n.upgradeStats[k] }

@@ -258,8 +258,69 @@ func TestUpgradeGovernance(t *testing.T) {
 		if n.State().BaseFee != 250 {
 			t.Fatalf("node %d base fee = %d, upgrade not applied", i, n.State().BaseFee)
 		}
-		if n.UpgradeValue(UpgradeBaseFee) != 250 {
-			t.Fatalf("node %d upgrade stat missing", i)
+		if fee := n.LastHeader().BaseFee; fee != 250 {
+			t.Fatalf("node %d header base fee = %d, upgrade not chained", i, fee)
+		}
+	}
+}
+
+// TestVotedMaxTxSetSizeReachesProposers: a §5.3 vote that lowers the
+// per-ledger operation cap changes what every proposer puts in a set, not
+// only the header. With three times the new cap pooled, each later ledger
+// carries at most the cap, and the pool drains over exactly three of them.
+func TestVotedMaxTxSetSizeReachesProposers(t *testing.T) {
+	const maxOps = 5
+	net, nodes, nid, payers := buildFunded(t, 3*maxOps, func(cfgs []*Config) {
+		cfgs[0].Governing = true
+		cfgs[0].DesiredUpgrades = []Upgrade{{Kind: UpgradeMaxTxSetSize, Value: maxOps}}
+	})
+	closes := make([]*[]CloseStats, len(nodes))
+	for i, n := range nodes {
+		closes[i] = recordCloses(n)
+		n.Start()
+	}
+	upgraded := func() bool {
+		for _, n := range nodes {
+			if n.LastHeader().MaxTxSetSize != maxOps {
+				return false
+			}
+		}
+		return true
+	}
+	for deadline := net.Now() + 60*time.Second; !upgraded(); net.RunFor(100 * time.Millisecond) {
+		if net.Now() > deadline {
+			t.Fatal("the cap upgrade never reached every header")
+		}
+	}
+	upgradeSeq := make([]uint32, len(nodes))
+	for i, n := range nodes {
+		upgradeSeq[i] = n.LastHeader().LedgerSeq
+	}
+	for i, p := range payers {
+		if err := nodes[0].SubmitTx(p.payment(nid, payers[(i+1)%len(payers)].id)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	net.RunFor(20 * time.Second)
+	for i, n := range nodes {
+		applied, full := 0, 0
+		for _, cs := range *closes[i] {
+			if cs.Seq <= upgradeSeq[i] {
+				continue
+			}
+			if cs.Txs > maxOps {
+				t.Fatalf("node %d ledger %d carries %d operations past a voted cap of %d", i, cs.Seq, cs.Txs, maxOps)
+			}
+			applied += cs.Txs
+			if cs.Txs == maxOps {
+				full++
+			}
+		}
+		if applied != len(payers) || full != 3 {
+			t.Fatalf("node %d applied %d of %d payments in %d full ledgers, want all in 3", i, applied, len(payers), full)
+		}
+		if got := n.FeeStats().MaxTxSetSize; got != maxOps {
+			t.Fatalf("node %d FeeStats().MaxTxSetSize = %d, want %d", i, got, maxOps)
 		}
 	}
 }
@@ -351,16 +412,32 @@ func TestMessagesPerLedgerShape(t *testing.T) {
 	// implementation keeps nomination and ballot statements separate, so
 	// allow a little headroom, but it must stay O(1), not O(n).
 	net, nodes, _ := buildPair(t, nil)
+	closes := recordCloses(nodes[0])
 	for _, n := range nodes {
 		n.Start()
 	}
 	net.RunFor(60 * time.Second)
-	m := nodes[0].Metrics
-	if m.MessagesEmitted.N() == 0 {
+	var ledgers, emitted int
+	for _, cs := range *closes {
+		if cs.InSCP {
+			ledgers++
+			emitted += cs.Emitted
+		}
+	}
+	if ledgers == 0 {
 		t.Fatal("no message counts recorded")
 	}
-	mean := m.MessagesEmitted.Mean()
+	mean := float64(emitted) / float64(ledgers)
 	if mean < 3 || mean > 15 {
 		t.Fatalf("messages per ledger = %.1f, expected a small constant (~7)", mean)
 	}
+}
+
+// recordCloses keeps n's close records, as a caller of OnLedgerClose would.
+func recordCloses(n *Node) *[]CloseStats {
+	var closes []CloseStats
+	n.OnLedgerClose = func(_ *ledger.Header, _ []ledger.TxResult, cs CloseStats) {
+		closes = append(closes, cs)
+	}
+	return &closes
 }

@@ -2,6 +2,7 @@ package herder
 
 import (
 	"strings"
+	"time"
 
 	"stellar/internal/mempool"
 	"stellar/internal/obs"
@@ -127,6 +128,42 @@ func newInstruments(reg *obs.Registry) *instruments {
 		ins.flooded[o] = admitted.With("flood_" + mempool.Outcome(o).String())
 	}
 	return ins
+}
+
+// CloseStats is one ledger close as this node measured it: the per-ledger
+// quantities of the paper's evaluation (§7.2–§7.3). applyLedger builds one
+// per close, observes the registry from it and hands it to OnLedgerClose.
+// A phase carries a flag because a node does not see every phase of every
+// slot: a slot decided without it (catch-up) has no consensus timings.
+type CloseStats struct {
+	Seq uint32
+	// Txs is the transaction count, Apply the ledger update in wall time,
+	// CloseInterval the close-time gap to the previous ledger.
+	Txs           int
+	Apply         time.Duration
+	CloseInterval time.Duration
+	// Nomination runs from nomination start to the first prepare, Balloting
+	// from there to externalize; each is set only when its flag is.
+	Nomination, Balloting time.Duration
+	Nominated, Balloted   bool
+	// NominationTimeouts, BallotTimeouts and Emitted (SCP envelopes this
+	// node broadcast) are set only when InSCP: the node took part in the
+	// slot's consensus.
+	NominationTimeouts, BallotTimeouts, Emitted int
+	InSCP                                       bool
+}
+
+// observeClose feeds one close into the registry.
+func (ins *instruments) observeClose(cs CloseStats) {
+	ins.ledgersClosed.Inc()
+	ins.txPerLedger.Observe(float64(cs.Txs))
+	ins.closeInterval.ObserveDuration(cs.CloseInterval)
+	if cs.Nominated {
+		ins.nomination.ObserveDuration(cs.Nomination)
+	}
+	if cs.Balloted {
+		ins.balloting.ObserveDuration(cs.Balloting)
+	}
 }
 
 // stmtLabel maps a statement type to its metric label value.

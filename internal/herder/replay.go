@@ -48,21 +48,7 @@ func (n *Node) ReplayLedger(hdr *ledger.Header, ts *ledger.TxSet) error {
 	n.state.MaxTxSetSize = hdr.MaxTxSetSize
 	n.state.ProtocolVersion = hdr.ProtocolVersion
 
-	changed := n.state.TakeDirtySnapshot()
-	n.buckets.AddBatch(hdr.LedgerSeq, changed)
-
-	computed := ledger.NextHeader(n.last, prevHash)
-	computed.SCPValueHash = hdr.SCPValueHash
-	computed.TxSetHash = hdr.TxSetHash
-	computed.ResultsHash = resultsHash
-	computed.SnapshotHash = n.buckets.Hash()
-	computed.CloseTime = hdr.CloseTime
-	computed.BaseFee = n.state.BaseFee
-	computed.BaseReserve = n.state.BaseReserve
-	computed.MaxTxSetSize = n.state.MaxTxSetSize
-	computed.ProtocolVersion = n.state.ProtocolVersion
-	computed.FeePool = n.state.FeePool
-
+	computed := n.sealLedger(hdr.SCPValueHash, hdr.TxSetHash, resultsHash, hdr.CloseTime)
 	if computed.Hash() != hdr.Hash() {
 		return fmt.Errorf("herder: replay %d: computed header %s, archive has %s",
 			hdr.LedgerSeq, computed.Hash().Hex(), hdr.Hash().Hex())

@@ -29,13 +29,24 @@ func TestSingleValidatorCloses(t *testing.T) {
 	}
 	genesis, _ := GenesisState(nid)
 	node.Bootstrap(genesis, 0)
+	closes := recordCloses(node)
 	node.Start()
 	net.RunFor(10 * time.Second)
 	if node.LastHeader().LedgerSeq < 8 {
 		t.Fatalf("single validator closed only %d ledgers in 10s", node.LastHeader().LedgerSeq)
 	}
 	// Each ledger should close promptly (no timeout-driven crawl).
-	if mean := node.Metrics.BallotTimeouts.Mean(); mean > 0.2 {
+	var ledgers, timeouts int
+	for _, cs := range *closes {
+		if cs.InSCP {
+			ledgers++
+			timeouts += cs.BallotTimeouts
+		}
+	}
+	if ledgers == 0 {
+		t.Fatal("no closes recorded")
+	}
+	if mean := float64(timeouts) / float64(ledgers); mean > 0.2 {
 		t.Fatalf("ballot timeouts per ledger = %.2f, expected ≈0", mean)
 	}
 }

@@ -473,7 +473,7 @@ func TestProposalsByReferenceUnderLossAndReordering(t *testing.T) {
 			for _, n := range nodes {
 				n := n
 				byAddr[n.Addr()] = n
-				n.OnLedgerClose = func(h *ledger.Header, _ []ledger.TxResult) {
+				n.OnLedgerClose = func(h *ledger.Header, _ []ledger.TxResult, _ CloseStats) {
 					applied := encodeTxSet(n.txsets[h.TxSetHash])
 					if !slices.ContainsFunc(sealed[h.TxSetHash], func(b []byte) bool { return bytes.Equal(b, applied) }) {
 						t.Errorf("ledger %d: node %s applied a set that does not encode to the bytes of any of the %d proposals sealed under its hash",

@@ -481,6 +481,7 @@ func TestBallotingEndsAtExternalize(t *testing.T) {
 	}
 	genesis, _ := GenesisState(nid)
 	node.Bootstrap(genesis, 0)
+	closes := recordCloses(node)
 	node.Start()
 	for i := 0; i < 50 && node.LastHeader().LedgerSeq < 6; i++ {
 		env.fire(40 * time.Millisecond)
@@ -488,14 +489,20 @@ func TestBallotingEndsAtExternalize(t *testing.T) {
 	if node.LastHeader().LedgerSeq < 6 {
 		t.Fatalf("closed %d ledgers", node.LastHeader().LedgerSeq)
 	}
-	b := &node.Metrics.Balloting
-	if b.N() < 5 {
-		t.Fatalf("%d balloting samples for %d ledgers", b.N(), node.LastHeader().LedgerSeq)
+	balloted := 0
+	for _, cs := range *closes {
+		if !cs.Balloted {
+			continue
+		}
+		balloted++
+		if cs.Balloting != 0 {
+			t.Fatalf("ledger %d balloting %v: the time until apply ended was counted", cs.Seq, cs.Balloting)
+		}
 	}
-	if b.Max() != 0 {
-		t.Fatalf("balloting max %v: the time until apply ended was counted", b.Max())
+	if balloted < 5 {
+		t.Fatalf("%d balloting samples for %d ledgers", balloted, node.LastHeader().LedgerSeq)
 	}
-	if got, want := node.ins.balloting.Count(), uint64(b.N()); got != want {
-		t.Fatalf("herder_balloting_seconds has %d samples, raw series %d", got, want)
+	if got, want := node.ins.balloting.Count(), uint64(balloted); got != want {
+		t.Fatalf("herder_balloting_seconds has %d samples, close records %d", got, want)
 	}
 }

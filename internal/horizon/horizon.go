@@ -80,7 +80,6 @@ func (s *Server) Handler() http.Handler {
 	s.handle(mux, "GET /fee_stats", s.handleFeeStats)
 	s.handle(mux, "GET /paths", s.handlePaths)
 	s.handle(mux, "GET /metrics", s.handlePromMetrics)
-	s.handle(mux, "GET /metrics.json", s.handleMetricsJSON)
 	s.handle(mux, "GET /debug/slots/{seq}/trace", s.handleSlotTrace)
 	s.handle(mux, "GET /debug/trace/export", s.handleTraceExport)
 	s.handle(mux, "GET /debug/quorum", s.handleQuorum)
@@ -244,22 +243,5 @@ func (s *Server) handleOrderBook(w http.ResponseWriter, r *http.Request) {
 		"selling": selling.String(),
 		"buying":  buying.String(),
 		"offers":  out,
-	})
-}
-
-// handleMetricsJSON keeps the original JSON metrics summary, now under
-// /metrics.json (the Prometheus exposition took over /metrics).
-func (s *Server) handleMetricsJSON(w http.ResponseWriter, r *http.Request) {
-	s.Mu.Lock()
-	defer s.Mu.Unlock()
-	m := s.Node.Metrics
-	writeJSON(w, http.StatusOK, map[string]any{
-		"ledgers_closed":       m.CloseInterval.N(),
-		"close_interval_mean":  m.CloseInterval.Mean().String(),
-		"nomination_mean":      m.Nomination.Mean().String(),
-		"balloting_mean":       m.Balloting.Mean().String(),
-		"ledger_update_mean":   m.LedgerUpdate.Mean().String(),
-		"tx_per_ledger_mean":   m.TxPerLedger.Mean(),
-		"pending_transactions": s.Node.PendingCount(),
 	})
 }

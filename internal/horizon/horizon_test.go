@@ -260,14 +260,37 @@ func TestOrderBookAndPathsEndpoints(t *testing.T) {
 	}
 }
 
+// TestMetricsEndpoint: the ledger count the JSON summary used to report is
+// on GET /metrics, one sample per close, and the JSON route is gone.
 func TestMetricsEndpoint(t *testing.T) {
 	f := newFixture(t)
-	var m map[string]any
-	if code := f.get("/metrics.json", &m); code != 200 {
-		t.Fatalf("status %d", code)
+	resp, err := http.Get(f.ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := m["ledgers_closed"]; !ok {
-		t.Fatalf("metrics missing fields: %v", m)
+	defer resp.Body.Close()
+	if resp.StatusCode != 200 {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
+	fams := parsePrometheus(t, resp.Body)
+	closed := float64(f.node.LastHeader().LedgerSeq - 1) // genesis is not a close
+	if closed < 1 {
+		t.Fatal("fixture closed no ledgers")
+	}
+	for _, s := range []struct{ fam, key string }{
+		{"herder_ledgers_closed_total", "herder_ledgers_closed_total"},
+		{"herder_close_interval_seconds", "herder_close_interval_seconds_count"},
+		{"herder_tx_per_ledger", "herder_tx_per_ledger_count"},
+	} {
+		if fams[s.fam] == nil {
+			t.Fatalf("missing family %q", s.fam)
+		}
+		if v := fams[s.fam].samples[s.key]; v != closed {
+			t.Fatalf("%s = %v, want %v ledgers closed", s.key, v, closed)
+		}
+	}
+	if code := f.get("/metrics.json", nil); code != http.StatusNotFound {
+		t.Fatalf("GET /metrics.json status %d, want 404", code)
 	}
 }
 

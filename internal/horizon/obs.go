@@ -11,9 +11,9 @@ import (
 
 // Observability endpoints and middleware: every route is wrapped with
 // per-route request/latency instruments; GET /metrics exposes the node's
-// registry in Prometheus text format, GET /metrics.json keeps the legacy
-// JSON summary, and GET /debug/slots/{seq}/trace reconstructs a slot's
-// consensus timeline from the protocol trace recorder (Fig 2 / §7.3).
+// registry in Prometheus text format, and GET /debug/slots/{seq}/trace
+// reconstructs a slot's consensus timeline from the protocol trace recorder
+// (Fig 2 / §7.3).
 
 // statusWriter captures the response code for the request counter.
 type statusWriter struct {

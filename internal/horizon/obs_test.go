@@ -210,23 +210,6 @@ func bucketLe(key string) float64 {
 	return v
 }
 
-func TestMetricsJSONShape(t *testing.T) {
-	f := newFixture(t)
-	var m map[string]any
-	if code := f.get("/metrics.json", &m); code != 200 {
-		t.Fatalf("status %d", code)
-	}
-	for _, key := range []string{
-		"ledgers_closed", "close_interval_mean", "nomination_mean",
-		"balloting_mean", "ledger_update_mean", "tx_per_ledger_mean",
-		"pending_transactions",
-	} {
-		if _, ok := m[key]; !ok {
-			t.Fatalf("metrics.json missing %q: %v", key, m)
-		}
-	}
-}
-
 func TestSlotTraceEndpoint(t *testing.T) {
 	f := newFixture(t)
 	hdr := f.node.LastHeader()
