@@ -158,10 +158,11 @@ bench-cluster:
 node-smoke:
 	NODE_SMOKE_DIR=$(NODE_SMOKE_DIR) ./scripts/node-smoke.sh
 
-# catchup-smoke boots a 3-process archiving TCP quorum to ledger 30, then
+# catchup-smoke boots a 3-process archiving TCP quorum to ledger 20, then
 # cold-starts a 4th node with an empty -data-dir and -catchup: it must
-# fetch the archive over the wire, replay to the tip, join the quorum,
-# and close 5 more byte-identical ledgers (DESIGN.md §16).
+# fetch a peer's checkpointed state over the wire (no tx-set file), replay
+# the ledgers past it from catch-up replies, join the quorum, and close 5
+# more byte-identical ledgers (DESIGN.md §16).
 catchup-smoke:
 	CATCHUP_SMOKE_DIR=$(CATCHUP_SMOKE_DIR) ./scripts/catchup-smoke.sh
 

@@ -157,8 +157,9 @@ func run(listen, peersFlag, seed, quorumFlag, horizonAddr, metricsAddr, network 
 	}
 	// Boot policy (DESIGN.md §16): a data dir holding a checkpoint restores
 	// and replays to its archived tip before the overlay opens; an empty
-	// data dir with -catchup fetches a peer's archive over the wire once the
-	// first peer is up; otherwise every process derives the shared genesis.
+	// data dir with -catchup fetches a peer's checkpointed state over the
+	// wire once the first peer is up, then catches up the ledgers past it;
+	// otherwise every process derives the shared genesis.
 	var startCatchup func()
 	switch {
 	case arch != nil && hasCheckpoint(arch):

@@ -394,6 +394,14 @@ func (l *List) rehash() {
 // Hash returns the snapshot hash over all ledger entries.
 func (l *List) Hash() stellarcrypto.Hash { return l.hash }
 
+// Clone returns a copy of the list that AddBatch or SetBucket on either one
+// leaves unchanged: the copy shares the buckets, which never change, and
+// the files of the store, which is never pruned.
+func (l *List) Clone() *List {
+	c := *l
+	return &c
+}
+
 // BucketHashes returns the 2·NumLevels bucket hashes (curr, snap per
 // level), the "small, fixed index of reference hashes" of §5.1.
 func (l *List) BucketHashes() []stellarcrypto.Hash {

@@ -187,7 +187,7 @@ func PartitionHealScenario(seed int64) Scenario {
 // quorum-unavailable. The two bystanders later restart with their
 // in-memory state intact; the victim comes back as a brand-new process
 // that either lost its disk too (wipe=true: it cold-starts by fetching a
-// peer's archive over the network) or kept it (wipe=false: it restores
+// peer's state over the network) or kept it (wipe=false: it restores
 // from its own archive and replays). Reconvergence is byte-identical by
 // construction: the invariant checker compares every header hash the
 // rejoined node re-closes against the canon the network externalized,

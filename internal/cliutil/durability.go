@@ -20,8 +20,9 @@ type DurabilityFlags struct {
 	// checkpoints (0 = every ledger). Headers and tx sets are archived
 	// every ledger regardless.
 	CheckpointInterval int
-	// Catchup makes a node whose archive has no checkpoint fetch a
-	// peer's archive over the overlay instead of bootstrapping genesis.
+	// Catchup makes a node whose archive has no checkpoint fetch a peer's
+	// checkpointed state over the overlay, and the ledgers past it, instead
+	// of bootstrapping genesis.
 	Catchup bool
 }
 
@@ -29,7 +30,7 @@ type DurabilityFlags struct {
 func (f *DurabilityFlags) Register(fs *flag.FlagSet) {
 	fs.StringVar(&f.DataDir, "data-dir", "", "archive directory for headers, tx sets, buckets, and checkpoints (empty = in-memory only)")
 	fs.IntVar(&f.CheckpointInterval, "checkpoint-interval", 0, "ledgers between bucket checkpoints (0 = every ledger; needs -data-dir)")
-	fs.BoolVar(&f.Catchup, "catchup", false, "on an archive with no checkpoint, fetch a peer's archive over the network instead of bootstrapping at genesis (needs -data-dir)")
+	fs.BoolVar(&f.Catchup, "catchup", false, "on an archive with no checkpoint, fetch a peer's checkpointed state and the ledgers past it over the network instead of bootstrapping at genesis (needs -data-dir)")
 }
 
 // Open validates the flag combination and opens the archive; a nil

@@ -142,11 +142,12 @@ func (n *Node) AdmitTx(tx *ledger.Transaction) AdmitResult {
 }
 
 // CatchingUp reports whether the node is behind the network: it has no
-// state, or it holds externalized decisions it cannot apply yet (a
-// future slot, or the next slot's transaction set still in flight). The
-// horizon layer maps this to 503 + Retry-After.
+// state, a cold start's discovery reported a tip above its own, or it holds
+// externalized decisions it cannot apply yet (a future slot, or the next
+// slot's transaction set still in flight). The horizon layer maps this to
+// 503 + Retry-After, and it is when the node asks peers for ledgers.
 func (n *Node) CatchingUp() bool {
-	if n.state == nil {
+	if n.state == nil || n.last.LedgerSeq < n.fetch.tip {
 		return true
 	}
 	next := uint64(n.last.LedgerSeq) + 1

@@ -97,12 +97,12 @@ func TestStaggeredStartsResynchronise(t *testing.T) {
 	for i, n := range nodes {
 		net.After(n.Addr(), offsets[i], n.Start)
 	}
+	first := uint64(nodes[0].LastHeader().LedgerSeq) + 1 // slot of the first close
 	net.RunFor(15 * time.Second)
 	trigs := make([]map[uint64]time.Duration, len(nodes))
 	for i, n := range nodes {
 		trigs[i] = firstEvents(n, obs.EvNominationStart)
 	}
-	first := uint64(nodes[0].nextSlot) // slot of the first close
 	spread := func(slot uint64) time.Duration {
 		lo, hi := time.Duration(1<<62), time.Duration(0)
 		for i := range nodes {
@@ -157,8 +157,8 @@ func TestCrashAcrossTriggerResumesCadence(t *testing.T) {
 func catchupItems(server *Node, from uint32) []overlay.CatchupItem {
 	var items []overlay.CatchupItem
 	for seq := from; seq <= server.last.LedgerSeq; seq++ {
-		rc := server.recent[seq]
-		items = append(items, overlay.CatchupItem{Slot: uint64(seq), Value: rc.value, TxSet: rc.txset})
+		it, _ := server.ledgerAt(seq)
+		items = append(items, it)
 	}
 	return items
 }
@@ -245,7 +245,7 @@ func TestTriggerWaitIsClamped(t *testing.T) {
 		net.SetUp(laggard.Addr())
 		items := catchupItems(nodes[0], laggard.last.LedgerSeq+1)[:1]
 
-		st := laggard.stat(items[0].Slot)
+		st := laggard.stat(uint64(items[0].Header.LedgerSeq))
 		st.sawPrepare, st.firstPrepareAt = true, net.Now()+tc.ballotStartFromNow
 		laggard.applyCatchup(items)
 		armed, armedAt := laggard.trigTimer, net.Now()

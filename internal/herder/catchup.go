@@ -2,34 +2,35 @@ package herder
 
 import (
 	"fmt"
-	"time"
 
 	"stellar/internal/ledger"
 	"stellar/internal/overlay"
-	"stellar/internal/scp"
 	"stellar/internal/simnet"
-	"stellar/internal/stellarcrypto"
 )
 
 // Peer catch-up: the §6 post-mortem's corrective action — "once a
 // validator moved to the next ledger, it didn't adequately help remaining
-// nodes complete the previous ledger". Validators keep a window of
-// recently closed ledgers and serve them point-to-point to lagging peers,
-// who replay them and verify the result against their own SCP-decided values
-// (the hash chain makes forged history unappliable: a wrong intermediate
-// ledger changes every later header hash, so the SCP-decided transaction
-// set's PrevLedgerHash would no longer match and the replay stalls instead
-// of diverging).
+// nodes complete the previous ledger". A node behind the network asks one
+// peer for the ledgers after its tip; the peer replies with (header, tx
+// set) pairs, and the node installs each through ReplayLedger, the routine
+// that also installs ledgers read back from its own archive.
 //
-// History lives on disk; the window is an index. An entry holds the
-// consensus value that closed the ledger, which names the transaction set;
-// the set itself is served from wherever it already is — the open-slot sets
-// for the last few ledgers, the archive after that — and is kept in the
-// entry only when there is no such place: on a node without an archive, or
-// for a ledger whose set failed to reach it. The window's memory therefore
-// does not grow with the size of a ledger.
+// What a lagging node trusts: it checks every served ledger against the
+// chain from its tip (the set must build on it and hash to what the header
+// names, and applying it must reproduce the header) and against the SCP
+// decisions it holds (the header must carry that slot's decided value). For
+// a slot it never decided, it trusts the serving peer: a peer that serves a
+// ledger the network did not close, consistently, can lead it onto that
+// ledger. A ledger that fails a check is refused, and so is the rest of its
+// reply; the request then goes to another peer.
+//
+// A durable peer serves any ledger its archive holds, checked against its
+// own chain of header hashes. One without an archive serves from recent, an
+// in-memory window of its last recentWindow (header, set) pairs, which on a
+// durable node holds only the ledgers whose archive write failed.
 
-// recentWindow is how many closed ledgers a validator keeps for peers.
+// recentWindow is how many closed ledgers a node without an archive keeps
+// for peers, and the most ledgers one catch-up reply carries.
 const recentWindow = 128
 
 // catchupReplyBytes bounds the encoded size of one catch-up reply, far
@@ -38,13 +39,6 @@ const recentWindow = 128
 // reply carries at least one ledger whatever its size; a peer further behind
 // than one reply covers asks again from its new tip (applyCatchup).
 const catchupReplyBytes = 2 << 20
-
-// recentLedger is one entry of the serving window.
-type recentLedger struct {
-	value     scp.Value // encoded StellarValue that closed the slot
-	txSetHash stellarcrypto.Hash
-	txset     *ledger.TxSet // nil when the archive holds it
-}
 
 // handleDirect processes point-to-point traffic: catch-up, archive fetch,
 // and transaction-set requests and replies (txsets.go).
@@ -57,60 +51,70 @@ func (n *Node) handleDirect(from simnet.Addr, p *overlay.Packet) {
 	case overlay.KindCatchupReq:
 		n.serveCatchup(from, p.CatchupFrom)
 	case overlay.KindCatchupResp:
-		n.applyCatchup(p.CatchupItems)
+		if n.fetch.awaiting(from) {
+			n.applyCatchup(p.CatchupItems)
+		}
 	case overlay.KindArchiveReq:
 		n.serveArchive(from, p)
 	case overlay.KindArchiveResp:
-		n.onArchiveResp(from, p)
+		if n.fetch.awaiting(from) {
+			n.onArchiveResp(p)
+		}
 	}
 }
 
-// txSetAt returns the transaction set of a ledger in the window, or nil if
-// it cannot be produced. A set read back from the archive passed the file's
-// checksum and the strict decoder, and must hash to what consensus decided.
-func (n *Node) txSetAt(seq uint32) *ledger.TxSet {
-	rc, ok := n.recent[seq]
-	if !ok {
-		return nil
+// ledgerAt returns the header and transaction set of closed ledger seq,
+// from the window or else the archive. What the archive gives back passed
+// the file's checksum and the strict decoder, and must still hash to the
+// header this node closed and the set that header names.
+func (n *Node) ledgerAt(seq uint32) (overlay.CatchupItem, bool) {
+	if it, ok := n.recent[seq]; ok {
+		return it, true
 	}
-	if rc.txset != nil {
-		return rc.txset
+	want, closed := n.headers[seq]
+	a := n.cfg.Archive
+	if !closed || a == nil {
+		return overlay.CatchupItem{}, false
 	}
-	if ts, hot := n.txsets[rc.txSetHash]; hot {
-		return ts
+	hdr, err := a.GetHeader(seq)
+	if err == nil && hdr.Hash() != want {
+		err = fmt.Errorf("archived header hashes to %s, ledger closed on %s", hdr.Hash(), want)
 	}
-	ts, err := n.cfg.Archive.GetTxSet(seq)
-	if err == nil && ts.Hash(n.cfg.NetworkID) != rc.txSetHash {
-		err = fmt.Errorf("archived set hashes to %s, ledger closed on %s", ts.Hash(n.cfg.NetworkID), rc.txSetHash)
+	var ts *ledger.TxSet
+	if err == nil {
+		if ts = n.txsets[hdr.TxSetHash]; ts == nil {
+			ts, err = a.GetTxSet(seq)
+		}
+	}
+	if err == nil && ts.Hash(n.cfg.NetworkID) != hdr.TxSetHash {
+		err = fmt.Errorf("archived set hashes to %s, header names %s", ts.Hash(n.cfg.NetworkID), hdr.TxSetHash)
 	}
 	if err != nil {
-		n.log.Error("catch-up: archived tx set unusable", "seq", seq, "err", err)
-		return nil
+		n.log.Error("catch-up: archived ledger unusable", "seq", seq, "err", err)
+		return overlay.CatchupItem{}, false
 	}
-	return ts
+	return overlay.CatchupItem{Header: hdr, TxSet: ts}, true
 }
 
 // serveCatchup replies with the ledgers from `from` to the tip, as many as
-// fit catchupReplyBytes. A range that starts before the window gets no
-// reply (the peer needs an archive); a ledger whose transaction set cannot
-// be produced ends the reply before it.
+// fit catchupReplyBytes and recentWindow. A ledger this node cannot produce
+// ends the reply before it; a range that starts at one gets no reply.
 func (n *Node) serveCatchup(peer simnet.Addr, from uint32) {
 	if n.state == nil {
 		return
 	}
 	var items []overlay.CatchupItem
 	size := 128 // the packet's own header: kind, TTL, origin, trace context, count
-	for seq := from; seq <= n.last.LedgerSeq; seq++ {
-		ts := n.txSetAt(seq)
-		if ts == nil {
+	for seq := from; seq <= n.last.LedgerSeq && len(items) < recentWindow; seq++ {
+		it, ok := n.ledgerAt(seq)
+		if !ok {
 			break
 		}
-		value := n.recent[seq].value
-		size += 16 + len(value) + ts.EncodedLen() // slot, length prefix and padding
+		size += ledger.HeaderXDRLen + it.TxSet.EncodedLen()
 		if size > catchupReplyBytes && len(items) > 0 {
 			break
 		}
-		items = append(items, overlay.CatchupItem{Slot: uint64(seq), Value: value, TxSet: ts})
+		items = append(items, it)
 	}
 	if len(items) == 0 {
 		return
@@ -118,69 +122,51 @@ func (n *Node) serveCatchup(peer simnet.Addr, from uint32) {
 	n.ov.SendDirect(peer, &overlay.Packet{Kind: overlay.KindCatchupResp, CatchupItems: items})
 }
 
-// applyCatchup replays served ledgers in order. Each item's value is
-// decoded and applied exactly like an SCP decision; the usual
-// tryApplyDecided machinery enforces sequencing and tx set presence.
+// applyCatchup installs the ledgers of a catch-up reply in order, each
+// through ReplayLedger, up to the first that fails a check. A reply that
+// installed a ledger answered the outstanding request: buffered decisions
+// may apply now, and whatever is still missing is the next part of the
+// range, asked for at once. One that installed nothing leaves the request
+// to its timer, which sends it to the next peer.
 func (n *Node) applyCatchup(items []overlay.CatchupItem) {
 	if n.state == nil {
 		return
 	}
 	tip := n.last.LedgerSeq
 	for _, it := range items {
-		if it.Slot <= uint64(n.last.LedgerSeq) || it.TxSet == nil {
+		if it.Header.LedgerSeq <= n.last.LedgerSeq {
 			continue
 		}
-		sv, err := DecodeValue(it.Value)
-		if err != nil {
-			return // corrupt response; drop the rest
-		}
+		// Held like any set learned from a peer, and applied as held: made
+		// of the pool's instances wherever the pool has the same envelope.
 		n.holdTxSet(it.TxSet)
-		if _, decidedAlready := n.decided[it.Slot]; !decidedAlready {
-			n.decided[it.Slot] = sv
-		}
-	}
-	n.tryApplyDecided()
-	if n.last.LedgerSeq > tip {
-		// The reply applied, so whatever is still missing is the next part
-		// of the range, not a lost request: ask for it now instead of one
-		// ledger interval from the last request.
-		n.lastCatchupReq = 0
-		n.maybeRequestCatchup()
-	}
-}
-
-// maybeRequestCatchup fires a catch-up request when we hold a decision for
-// a slot we cannot reach sequentially (we missed intermediate ledgers).
-// Rate-limited so a stuck node asks roughly once per ledger interval.
-func (n *Node) maybeRequestCatchup() {
-	if n.state == nil || len(n.ov.Peers()) == 0 {
-		return
-	}
-	next := uint64(n.last.LedgerSeq) + 1
-	behind := false
-	for slot := range n.decided {
-		if slot > next {
-			behind = true
+		ts := n.txsets[it.TxSet.Hash(n.cfg.NetworkID)]
+		if err := n.ReplayLedger(it.Header, ts); err != nil {
+			n.log.Warn("catch-up: reply refused", "err", err)
 			break
 		}
+		n.ins.catchupReplayed.Inc()
 	}
-	if _, haveNext := n.decided[next]; haveNext {
-		// We have the decision but maybe not its tx set; a catch-up
-		// response supplies both.
-		behind = true
-	}
-	if !behind {
+	if n.last.LedgerSeq == tip {
 		return
 	}
-	now := n.net.Now()
-	if n.lastCatchupReq != 0 && now-n.lastCatchupReq < n.cfg.LedgerInterval {
+	n.fetch.answered()
+	n.tryApplyDecided()
+	n.maybeRequestCatchup()
+}
+
+// maybeRequestCatchup asks a peer for the ledgers after the tip when the
+// node is behind the network (CatchingUp) and no request is outstanding.
+func (n *Node) maybeRequestCatchup() {
+	f := &n.fetch
+	if n.state == nil || f.timer != nil {
 		return
 	}
-	n.lastCatchupReq = now
-	peers := n.ov.Peers()
-	peer := peers[int(now/time.Millisecond)%len(peers)]
-	n.ov.SendDirect(peer, &overlay.Packet{
-		Kind:        overlay.KindCatchupReq,
-		CatchupFrom: n.last.LedgerSeq + 1,
-	})
+	if f.phase == catchupReplaying && n.last.LedgerSeq >= f.tip {
+		n.catchupDone()
+	}
+	if !n.CatchingUp() {
+		return
+	}
+	n.fetchSend(&overlay.Packet{Kind: overlay.KindCatchupReq, CatchupFrom: n.last.LedgerSeq + 1})
 }

@@ -4,7 +4,10 @@ import (
 	"testing"
 	"time"
 
+	"stellar/internal/ledger"
 	"stellar/internal/overlay"
+	"stellar/internal/simnet"
+	"stellar/internal/stellarcrypto"
 )
 
 // TestPeerCatchupAfterCrash reproduces the §6 failure mode directly: a
@@ -83,22 +86,91 @@ func TestCatchupServesWindow(t *testing.T) {
 	}
 }
 
-// TestCatchupRejectsCorruptValues: a response carrying undecodable values
-// is dropped without state changes.
-func TestCatchupRejectsCorruptValues(t *testing.T) {
-	net, nodes, _ := buildPair(t, nil)
-	for _, n := range nodes {
-		n.Start()
+// TestCatchupReplyChecksEveryLedger: a reply whose first ledger fails any
+// of ReplayLedger's checks installs nothing — not that ledger and not the
+// honest ones after it — and leaves the node exactly at its tip: a set that
+// does not chain from the tip, a set the header does not name, a header
+// that contradicts the node's own decision for the slot, and a header that
+// applying the set does not reproduce (the node has applied the set by
+// then, and must put its ledger back). A node whose first catch-up request
+// goes to a peer serving such a header still reaches the honest tip, from
+// the next peer.
+func TestCatchupReplyChecksEveryLedger(t *testing.T) {
+	net, nodes, nid, payers := buildFunded(t, 4, nil)
+	victim := lagBehind(t, net, nodes, 6, func() {
+		for i, p := range payers {
+			if err := nodes[i%2].SubmitTx(p.payment(nid, payers[(i+1)%len(payers)].id)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	tip := victim.LastHeader()
+	honest := catchupItems(nodes[0], tip.LedgerSeq+1)[:3]
+	if len(honest[0].TxSet.Txs) == 0 {
+		t.Fatal("setup: the first missed ledger is empty")
 	}
-	net.RunFor(6 * time.Second)
-	n := nodes[0]
-	seqBefore := n.LastHeader().LedgerSeq
-	n.applyCatchup([]overlay.CatchupItem{{
-		Slot:  uint64(seqBefore) + 1,
-		Value: []byte("garbage"),
-		TxSet: nil,
-	}})
-	if n.LastHeader().LedgerSeq != seqBefore {
-		t.Fatal("corrupt catch-up item changed state")
+	first := *honest[0].Header
+	reply := func(hdr *ledger.Header, ts *ledger.TxSet) []overlay.CatchupItem {
+		return []overlay.CatchupItem{{Header: hdr, TxSet: ts}, honest[1], honest[2]}
 	}
+	refused := func(what string, items []overlay.CatchupItem) {
+		t.Helper()
+		victim.applyCatchup(items)
+		if got := victim.LastHeader(); got != tip {
+			t.Fatalf("%s: the node moved from ledger %d to %d", what, tip.LedgerSeq, got.LedgerSeq)
+		}
+		if victim.buckets.Hash() != tip.SnapshotHash {
+			t.Fatalf("%s: the bucket list no longer stands at the tip", what)
+		}
+	}
+
+	refused("a set that does not chain from the tip", reply(&first, honest[1].TxSet))
+
+	unnamed := &ledger.TxSet{PrevLedgerHash: tip.Hash(), Txs: append([]*ledger.Transaction{{
+		Source: "GFORGED", Fee: 100, SeqNum: 1,
+		Operations: []ledger.Operation{{Body: &ledger.Payment{Destination: "GNOBODY", Amount: 1}}},
+	}}, honest[0].TxSet.Txs...)}
+	refused("a set the header does not name", reply(&first, unnamed))
+
+	wrongResults := first
+	wrongResults.ResultsHash = stellarcrypto.HashBytes([]byte("forged results"))
+	refused("a header the set does not reproduce", reply(&wrongResults, honest[0].TxSet))
+
+	// The node's own decision for the slot, as its SCP would hold it; and a
+	// header for the same set at another close time, which applying the set
+	// would reproduce — only the decision gives it away.
+	decided := &StellarValue{TxSetHash: first.TxSetHash, CloseTime: first.CloseTime}
+	if stellarcrypto.HashBytes(decided.Encode()) != first.SCPValueHash {
+		t.Fatal("setup: the rebuilt decision is not the value the ledger closed on")
+	}
+	victim.decided[uint64(first.LedgerSeq)] = decided
+	later := &StellarValue{TxSetHash: first.TxSetHash, CloseTime: first.CloseTime + 1}
+	contradicting := first
+	contradicting.CloseTime, contradicting.SCPValueHash = later.CloseTime, stellarcrypto.HashBytes(later.Encode())
+	refused("a header contradicting the node's decision", reply(&contradicting, honest[0].TxSet))
+
+	// A peer that serves the header with forged results, asked first.
+	liar := simnet.Addr("catchup-liar")
+	asked := 0
+	net.AddNode(liar, simnet.HandlerFunc(func(from simnet.Addr, msg any, size int) {
+		p, ok := msg.(*overlay.Packet)
+		if !ok || p.Kind != overlay.KindCatchupReq {
+			return
+		}
+		asked++
+		items := catchupItems(nodes[0], p.CatchupFrom)
+		forged := *items[0].Header
+		forged.ResultsHash = wrongResults.ResultsHash
+		items[0].Header = &forged
+		net.Send(liar, from, &overlay.Packet{Kind: overlay.KindCatchupResp, CatchupItems: items}, 1024)
+	}))
+	for _, n := range nodes[:2] {
+		victim.Overlay().RemovePeer(n.Addr())
+	}
+	victim.Overlay().Connect(liar, nodes[0].Addr(), nodes[1].Addr())
+	rejoin(t, net, nodes, victim)
+	if asked == 0 {
+		t.Fatal("the lying peer was never asked")
+	}
+	sameChain(t, victim, nodes[0], 1)
 }

@@ -66,7 +66,9 @@ func (d *driver) ValidateValue(slot uint64, raw scp.Value) scp.ValidationLevel {
 		// The tx set may still be in flight; acceptable but not votable.
 		return scp.ValueMaybeValid
 	}
-	if ts.PrevLedgerHash != n.last.Hash() {
+	// The set must build on the tip and fit the ledger's operation cap,
+	// which honest proposers apply with SurgePrice.
+	if ts.PrevLedgerHash != n.last.Hash() || ts.NumOperations() > n.state.MaxTxSetSize {
 		return scp.ValueInvalid
 	}
 	if !fullyValid {

@@ -121,20 +121,22 @@ type Node struct {
 	txsetAsked  map[txsetPeer]uint32
 	txsetServed map[txsetPeer]uint32
 
-	// recent serves peer catch-up (catchup.go).
-	recent         map[uint32]recentLedger
-	lastCatchupReq time.Duration
-	// catchup is the cold-start network catchup state machine
-	// (netcatchup.go); nil unless StartNetworkCatchup is running.
-	catchup *netCatchup
+	// recent holds the header and transaction set of each of the last
+	// recentWindow ledgers that the archive does not: every one on a node
+	// without an archive, else those whose archive write failed. Lagging
+	// peers are served from it and the archive (catchup.go).
+	recent map[uint32]overlay.CatchupItem
+	// fetch is the catch-up fetcher: the one outstanding request for
+	// ledgers or archive files (netcatchup.go).
+	fetch fetcher
 
-	// decided buffers externalized values for slots we cannot apply yet
-	// (missing tx set or missing predecessor ledgers).
+	// decided buffers the values this node's SCP externalized for slots it
+	// cannot apply yet (missing tx set or missing predecessor ledgers).
+	// Only onExternalized writes it.
 	decided map[uint64]*StellarValue
 
 	timers    map[timerKey]*simnet.Timer
 	trigTimer *simnet.Timer
-	nextSlot  uint64
 	triggered map[uint64]bool
 
 	// Per-slot instrumentation: obs/ins are the live registry and trace
@@ -203,7 +205,7 @@ func New(net simnet.Env, cfg Config) (*Node, error) {
 		txsetSeen:   make(map[stellarcrypto.Hash]uint32),
 		txsetAsked:  make(map[txsetPeer]uint32),
 		txsetServed: make(map[txsetPeer]uint32),
-		recent:      make(map[uint32]recentLedger),
+		recent:      make(map[uint32]overlay.CatchupItem),
 		decided:     make(map[uint64]*StellarValue),
 		timers:      make(map[timerKey]*simnet.Timer),
 		triggered:   make(map[uint64]bool),
@@ -277,8 +279,8 @@ func (n *Node) Bootstrap(genesis *ledger.State, closeTime int64) {
 // adoptState makes state and its bucket list, both standing at hdr, the
 // node's ledger: metrics, the shared verifier and pool, the durable bucket
 // store, and the chain tip. Every path that installs a ledger state
-// (genesis, archive restore) goes through here, so a wiring change cannot
-// miss one of them.
+// (genesis, checkpoint restore, a refused replay's rewind) goes through
+// here, so a wiring change cannot miss one of them.
 func (n *Node) adoptState(state *ledger.State, buckets *bucket.List, hdr *ledger.Header) {
 	n.state = state
 	n.state.SetObs(n.obs.Reg)
@@ -289,7 +291,17 @@ func (n *Node) adoptState(state *ledger.State, buckets *bucket.List, hdr *ledger
 	n.attachBucketStore()
 	n.last = hdr
 	n.headers[hdr.LedgerSeq] = hdr.Hash()
-	n.nextSlot = uint64(hdr.LedgerSeq) + 1
+}
+
+// adoptBuckets makes the ledger a bucket list holds at hdr the node's
+// ledger, its state rebuilt from the list's entries.
+func (n *Node) adoptBuckets(buckets *bucket.List, hdr *ledger.Header) error {
+	state, err := ledger.RestoreState(buckets.AllLive(), hdr)
+	if err != nil {
+		return err
+	}
+	n.adoptState(state, buckets, hdr)
+	return nil
 }
 
 // Start begins the ledger trigger cadence; call after Bootstrap.
@@ -425,8 +437,7 @@ func (n *Node) triggerNextLedger() {
 	if n.triggered[slot] {
 		// Consensus for this slot is still running; check back shortly. If
 		// it is decided and only the ledgers or the set to apply it are
-		// missing, this is what repeats the catch-up request until a peer
-		// that can answer has been asked.
+		// missing, this makes sure a catch-up request is outstanding.
 		n.maybeRequestCatchup()
 		n.scheduleTrigger(n.cfg.LedgerInterval / 5)
 		return
@@ -527,30 +538,68 @@ func (n *Node) tryApplyDecided() {
 			n.maybeRequestCatchup()
 			return // wait for the tx set flood or catch-up to arrive
 		}
-		n.applyLedger(slot, sv, ts)
+		_ = n.applyLedger(ts, sv, nil) // no header to reproduce: nothing refuses it
 	}
 }
 
-// applyLedger closes one ledger: applies the transaction set and upgrades,
-// updates the bucket list, chains the header, and archives (§5.1–§5.4).
-func (n *Node) applyLedger(slot uint64, sv *StellarValue, ts *ledger.TxSet) {
+// applyLedger closes the next ledger on ts: one this node's SCP decided
+// (sv), one it installs without having closed it live (want, the header it
+// must reproduce, from ReplayLedger), or both. It applies the set and the
+// parameter changes — sv's upgrades, else want's parameters — seals the
+// header, and finishes the close: it measures it, prunes the pool and the
+// proposal sets, archives the ledger and keeps it servable, and re-arms the
+// ledger cadence (§5.1–§5.4). A computed header that is not want is
+// refused, and the node is put back at its tip.
+func (n *Node) applyLedger(ts *ledger.TxSet, sv *StellarValue, want *ledger.Header) error {
+	slot := uint64(n.last.LedgerSeq) + 1
 	applyStart := time.Now() // real time: ledger update is real compute
 	applySpan := n.traceApplyStart(slot)
-
-	env := &ledger.ApplyEnv{LedgerSeq: uint32(slot), CloseTime: sv.CloseTime}
+	before := n.buckets.Clone() // what a refused ledger rewinds to
+	var valueHash, txSetHash stellarcrypto.Hash
+	var closeTime int64
+	if sv != nil {
+		valueHash, txSetHash, closeTime = stellarcrypto.HashBytes(sv.Encode()), sv.TxSetHash, sv.CloseTime
+	} else {
+		valueHash, txSetHash, closeTime = want.SCPValueHash, want.TxSetHash, want.CloseTime
+	}
+	env := &ledger.ApplyEnv{LedgerSeq: uint32(slot), CloseTime: closeTime}
 	results, resultsHash := n.state.ApplyTxSet(ts, n.cfg.NetworkID, env)
-
-	// Apply upgrades (§5.3).
-	for _, u := range sv.Upgrades {
-		n.applyUpgrade(u)
+	if sv != nil {
+		for _, u := range sv.Upgrades {
+			n.applyUpgrade(u)
+		}
+	} else {
+		n.state.BaseFee = want.BaseFee
+		n.state.BaseReserve = want.BaseReserve
+		n.state.MaxTxSetSize = want.MaxTxSetSize
+		n.state.ProtocolVersion = want.ProtocolVersion
 	}
 
 	// Update the bucket list with the entries this ledger changed, and chain
 	// the header.
-	valueHash := stellarcrypto.HashBytes(sv.Encode())
 	mergeStart := time.Now()
-	hdr := n.sealLedger(valueHash, sv.TxSetHash, resultsHash, sv.CloseTime)
+	hdr := ledger.NextHeader(n.last, n.last.Hash())
+	n.buckets.AddBatch(hdr.LedgerSeq, n.state.TakeDirtySnapshot())
+	hdr.SCPValueHash = valueHash
+	hdr.TxSetHash = txSetHash
+	hdr.ResultsHash = resultsHash
+	hdr.SnapshotHash = n.buckets.Hash()
+	hdr.CloseTime = closeTime
+	hdr.BaseFee = n.state.BaseFee
+	hdr.BaseReserve = n.state.BaseReserve
+	hdr.MaxTxSetSize = n.state.MaxTxSetSize
+	hdr.ProtocolVersion = n.state.ProtocolVersion
+	hdr.FeePool = n.state.FeePool
 	applySpan.CompleteChild(obs.SpanBucketMerge, time.Since(mergeStart))
+	if want != nil && hdr.Hash() != want.Hash() {
+		applySpan.End()
+		// The bucket list as it stood, and the ledger state rebuilt from it
+		// as a checkpoint restore builds it.
+		if err := n.adoptBuckets(before, n.last); err != nil {
+			panic(fmt.Sprintf("herder: rewinding to ledger %d: %v", n.last.LedgerSeq, err))
+		}
+		return fmt.Errorf("herder: ledger %d: computed header %s, given %s", slot, hdr.Hash().Hex(), want.Hash().Hex())
+	}
 
 	// Measure the close once (§7.3's three phases, close rate, tx count,
 	// timeouts and messages); the registry and OnLedgerClose both read cs.
@@ -621,18 +670,17 @@ func (n *Node) applyLedger(slot uint64, sv *StellarValue, ts *ledger.TxSet) {
 
 	n.pruneTxSets()
 
-	// Archive (§5.4), then keep the ledger in the window lagging peers are
-	// served from (catchup.go) — with its transaction set only if the
-	// archive cannot give it back.
-	rc := recentLedger{value: sv.Encode(), txSetHash: sv.TxSetHash, txset: ts}
+	// Archive (§5.4); a ledger the archive does not then hold stays in the
+	// window lagging peers are served from (catchup.go).
+	archived := false
 	if n.cfg.Archive != nil {
 		archStart := time.Now()
-		if n.archiveLedger(hdr, ts) {
-			rc.txset = nil
-		}
+		archived = n.archiveLedger(hdr, ts)
 		applySpan.CompleteChild(obs.SpanArchive, time.Since(archStart))
 	}
-	n.recent[hdr.LedgerSeq] = rc
+	if !archived {
+		n.recent[hdr.LedgerSeq] = overlay.CatchupItem{Header: hdr, TxSet: ts}
+	}
 	if hdr.LedgerSeq > recentWindow {
 		delete(n.recent, hdr.LedgerSeq-recentWindow)
 	}
@@ -658,27 +706,7 @@ func (n *Node) applyLedger(slot uint64, sv *StellarValue, ts *ledger.TxSet) {
 	if n.OnLedgerClose != nil {
 		n.OnLedgerClose(hdr, results, cs)
 	}
-}
-
-// sealLedger finishes a close once its transaction set and parameter
-// changes are applied, the same way for a live close and a replay: the
-// entries the ledger changed go into the bucket list, and the header
-// chaining it onto n.last is built from the state. The caller advances
-// n.last.
-func (n *Node) sealLedger(valueHash, txSetHash, resultsHash stellarcrypto.Hash, closeTime int64) *ledger.Header {
-	hdr := ledger.NextHeader(n.last, n.last.Hash())
-	n.buckets.AddBatch(hdr.LedgerSeq, n.state.TakeDirtySnapshot())
-	hdr.SCPValueHash = valueHash
-	hdr.TxSetHash = txSetHash
-	hdr.ResultsHash = resultsHash
-	hdr.SnapshotHash = n.buckets.Hash()
-	hdr.CloseTime = closeTime
-	hdr.BaseFee = n.state.BaseFee
-	hdr.BaseReserve = n.state.BaseReserve
-	hdr.MaxTxSetSize = n.state.MaxTxSetSize
-	hdr.ProtocolVersion = n.state.ProtocolVersion
-	hdr.FeePool = n.state.FeePool
-	return hdr
+	return nil
 }
 
 func (n *Node) applyUpgrade(u Upgrade) {
@@ -720,13 +748,17 @@ func (n *Node) checkpointInterval() uint32 {
 
 // archiveLedger writes the closed ledger to the archive — header and
 // transaction set every ledger, buckets and a checkpoint every
-// checkpointInterval — and reports whether the transaction set reached the
-// disk. A failed write is logged and counted; the node keeps closing ledgers
-// (validators need not host archives, §5.4), and any failure ends this
-// ledger's archiving, so a checkpoint never names a ledger or a bucket the
-// archive does not hold.
-func (n *Node) archiveLedger(hdr *ledger.Header, ts *ledger.TxSet) (txSetStored bool) {
+// checkpointInterval — and reports whether the archive holds the ledger. A
+// ledger it holds already, one RestoreFromArchive read back from it, is not
+// written again. A failed write is logged and counted; the node keeps
+// closing ledgers (validators need not host archives, §5.4), and any
+// failure ends this ledger's archiving, so a checkpoint never names a
+// ledger or a bucket the archive does not hold.
+func (n *Node) archiveLedger(hdr *ledger.Header, ts *ledger.TxSet) (stored bool) {
 	a := n.cfg.Archive
+	if a.HasLedger(hdr.LedgerSeq) {
+		return true
+	}
 	failed := func(file string, err error) {
 		n.ins.archiveErrors.With(file).Inc()
 		n.log.Error("archive write failed", "file", file, "seq", hdr.LedgerSeq, "err", err)
@@ -791,11 +823,9 @@ func (n *Node) CatchUp(a *history.Archive) error {
 	if buckets.Hash() != hdr.SnapshotHash {
 		return fmt.Errorf("herder: archive snapshot hash mismatch")
 	}
-	state, err := ledger.RestoreState(buckets.AllLive(), hdr)
-	if err != nil {
+	if err := n.adoptBuckets(buckets, hdr); err != nil {
 		return err
 	}
-	n.adoptState(state, buckets, hdr)
 	// Any buffered later decisions may now apply.
 	n.tryApplyDecided()
 	return nil

@@ -264,6 +264,31 @@ func TestUpgradeGovernance(t *testing.T) {
 	}
 }
 
+// TestOversizedProposalIsInvalid: nomination's validity predicate bounds a
+// proposal by the ledger's operation cap. A set that builds on the tip, at
+// a valid close time, is fully valid with the cap's operations and invalid
+// with one more — whatever a proposer's own SurgePrice would have done.
+func TestOversizedProposalIsInvalid(t *testing.T) {
+	_, nodes, nid := buildPair(t, nil)
+	n := nodes[0]
+	n.state.MaxTxSetSize = 3
+	proposal := func(ops int) scp.Value {
+		tx := &ledger.Transaction{Source: "GPROPOSER", Fee: 100, SeqNum: 1}
+		for i := 0; i < ops; i++ {
+			tx.Operations = append(tx.Operations, ledger.Operation{Body: &ledger.Payment{Destination: "GNOBODY", Amount: 1}})
+		}
+		ts := &ledger.TxSet{PrevLedgerHash: n.LastHeader().Hash(), Txs: []*ledger.Transaction{tx}}
+		n.txsets[ts.Hash(nid)] = ts
+		return (&StellarValue{TxSetHash: ts.Hash(nid), CloseTime: n.LastHeader().CloseTime + 1}).Encode()
+	}
+	slot := uint64(n.LastHeader().LedgerSeq) + 1
+	for ops, want := range map[int]scp.ValidationLevel{3: scp.ValueFullyValid, 4: scp.ValueInvalid} {
+		if got := (*driver)(n).ValidateValue(slot, proposal(ops)); got != want {
+			t.Fatalf("a set of %d operations under a cap of 3 is %v, want %v", ops, got, want)
+		}
+	}
+}
+
 // TestVotedMaxTxSetSizeReachesProposers: a §5.3 vote that lowers the
 // per-ledger operation cap changes what every proposer puts in a set, not
 // only the header. With three times the new cap pooled, each later ledger

@@ -1,25 +1,30 @@
 package herder
 
-// Cold-start catchup over the network (DESIGN.md §16). A node with an
-// empty data dir cannot use CatchUp/RestoreFromArchive — it has no
-// archive. Instead it replicates a peer's archive into its own, file by
-// file, then restores from the local copy exactly as a warm restart
-// would:
+// The catch-up fetcher (DESIGN.md §16). Every node has one; it holds at
+// most one outstanding request, for ledgers or for an archive file, with one
+// timer and one peer. A request unanswered for a ledger interval goes to the
+// next peer.
 //
-//	discover   → ask a peer for its latest checkpoint + tip sequences
-//	fetch      → pull the checkpoint, its header, every bucket it names,
-//	             and the header+txset of every ledger up to the tip, in
-//	             ≤128 KiB chunks, each chunk checksummed, each file
-//	             verified end-to-end before it is committed (buckets by
-//	             content address, the rest by archive framing)
-//	restore    → RestoreFromArchive on the now-populated local archive
-//	rejoin     → a point-to-point CatchupReq covers ledgers the network
-//	             closed while we fetched; then the trigger cadence starts
+// A lagging node only asks for ledgers (catchup.go). A node with an empty
+// data dir first fetches a peer's state into its own archive and adopts it,
+// then asks for the ledgers past it exactly as a lagging node does:
 //
-// Fetches are resumable: a half-fetched file persists as rel.part and the
-// next attempt requests at its size. The serving side is stateless — each
-// request is an independent pread — so serving catchup costs a validator
-// no memory and survives its own restarts mid-serve.
+//	discover → ask a peer for its latest checkpoint and tip sequences
+//	fetch    → pull the checkpoint, its header, and every bucket it names
+//	           that the node lacks, in ≤128 KiB chunks, each chunk
+//	           checksummed, each file verified end-to-end before it is
+//	           committed (buckets by content address, the rest by archive
+//	           framing)
+//	adopt    → CatchUp on the now-populated local archive; the trigger
+//	           cadence starts
+//	replay   → catch-up requests for the ledgers from the checkpoint to the
+//	           tip discovery reported, and on
+//
+// A peer rotated to while fetching is asked to discover again: its
+// checkpoint may differ. Fetches are resumable — a half-fetched file
+// persists as rel.part and the next request asks for it at its size — and
+// the serving side is stateless: each request is an independent pread, so
+// serving costs a validator no memory and survives its own restarts.
 
 import (
 	"crypto/sha256"
@@ -36,42 +41,73 @@ const (
 	catchupIdle = iota
 	catchupDiscovering
 	catchupFetching
-	catchupRestoring
+	catchupReplaying
 	catchupDone
 )
 
-// catchupMaxRetries bounds resends of one request before the fetcher
-// rotates to another peer and restarts discovery.
-const catchupMaxRetries = 8
-
-// netCatchup is the fetcher's state machine; nil when no network catchup
-// is running.
-type netCatchup struct {
-	peerIdx int // index into the overlay peer list
-	peer    simnet.Addr
-	state   int
+// fetcher is the node's catch-up fetcher.
+type fetcher struct {
+	peerIdx int           // position in the overlay's peer list
+	peer    simnet.Addr   // the peer the outstanding request went to
+	timer   *simnet.Timer // nil when no request is outstanding
+	// The cold start's progress: its phase (catchup_state), the discovered
+	// checkpoint and tip, and the state files still to fetch.
+	phase   int
 	cpSeq   uint32
 	cpPath  string
 	tip     uint32
-	queue   []string // archive-relative paths still to fetch
+	queue   []string
 	current string
-	retries int
-	timer   *simnet.Timer
-	// OnDone, when set, fires once after the node rejoins (testing hook).
+	// onDone, when set, fires once the cold start reaches the discovered
+	// tip (testing hook).
 	onDone func(replayed int)
 }
 
-// NetworkCatchupActive reports whether a cold-start network catchup is
-// still in progress (CatchingUp, in admit.go, is the broader "behind the
-// network" predicate the horizon layer serves 503s from).
-func (n *Node) NetworkCatchupActive() bool {
-	return n.catchup != nil && n.catchup.state != catchupDone
+// awaiting reports whether a reply from peer answers the outstanding
+// request.
+func (f *fetcher) awaiting(peer simnet.Addr) bool {
+	return f.timer != nil && peer == f.peer
+}
+
+// answered retires the outstanding request.
+func (f *fetcher) answered() {
+	if f.timer != nil {
+		f.timer.Cancel()
+		f.timer = nil
+	}
+}
+
+// fetchSend makes p the outstanding request: it goes to the current peer,
+// and the timer moves it on to the next one.
+func (n *Node) fetchSend(p *overlay.Packet) {
+	f := &n.fetch
+	f.answered()
+	if peers := n.ov.Peers(); len(peers) > 0 {
+		f.peer = peers[f.peerIdx%len(peers)]
+		n.ov.SendDirect(f.peer, p)
+	}
+	f.timer = n.net.After(n.addr, n.cfg.LedgerInterval, n.fetchTimeout)
+}
+
+// fetchTimeout sends an unanswered request to the next peer.
+func (n *Node) fetchTimeout() {
+	f := &n.fetch
+	f.timer = nil
+	f.peerIdx++
+	n.ins.catchupRetries.Inc()
+	if f.phase == catchupDiscovering || f.phase == catchupFetching {
+		n.log.Warn("catchup: peer unresponsive, rotating", "peer", string(f.peer))
+		n.catchupDiscover()
+		return
+	}
+	n.maybeRequestCatchup()
 }
 
 // StartNetworkCatchup begins cold-start catchup from the overlay's peers.
 // The node must have an (empty or stale) archive configured and must not
-// be bootstrapped some other way first. onDone, if non-nil, runs after the
-// node has restored, replayed, and rejoined.
+// be bootstrapped some other way first. onDone, if non-nil, runs once the
+// node has adopted a peer's state and replayed to the tip that peer
+// reported.
 func (n *Node) StartNetworkCatchup(onDone func(replayed int)) error {
 	if n.cfg.Archive == nil {
 		return fmt.Errorf("herder: network catchup needs an archive directory")
@@ -79,104 +115,56 @@ func (n *Node) StartNetworkCatchup(onDone func(replayed int)) error {
 	if len(n.ov.Peers()) == 0 {
 		return fmt.Errorf("herder: network catchup needs at least one peer")
 	}
-	n.catchup = &netCatchup{onDone: onDone}
+	n.fetch.onDone = onDone
 	n.catchupDiscover()
 	return nil
 }
 
-// catchupDiscover (re)sends a discovery request to the current peer.
+// catchupDiscover asks the current peer for its checkpoint and tip.
 func (n *Node) catchupDiscover() {
-	c := n.catchup
-	peers := n.ov.Peers()
-	c.peer = peers[c.peerIdx%len(peers)]
-	c.state = catchupDiscovering
+	f := &n.fetch
+	f.phase = catchupDiscovering
 	n.ins.catchupState.Set(catchupDiscovering)
-	n.log.Info("catchup: discovering", "peer", string(c.peer))
-	n.catchupSend(&overlay.Packet{Kind: overlay.KindArchiveReq})
+	n.fetchSend(&overlay.Packet{Kind: overlay.KindArchiveReq})
+	n.log.Info("catchup: discovering", "peer", string(f.peer))
 }
 
-// catchupSend transmits one request and arms the retry timer.
-func (n *Node) catchupSend(p *overlay.Packet) {
-	c := n.catchup
-	if c.timer != nil {
-		c.timer.Cancel()
-	}
-	n.ov.SendDirect(c.peer, p)
-	c.timer = n.net.After(n.addr, n.cfg.LedgerInterval, n.catchupTimeout)
-}
-
-// catchupTimeout re-sends the outstanding request; too many in a row
-// rotates to the next peer and restarts discovery (partial fetches are
-// kept — .part files resume wherever they stopped).
-func (n *Node) catchupTimeout() {
-	c := n.catchup
-	if c == nil || c.state == catchupDone {
-		return
-	}
-	c.retries++
-	n.ins.catchupRetries.Inc()
-	if c.retries > catchupMaxRetries {
-		c.retries = 0
-		c.peerIdx++
-		n.log.Warn("catchup: peer unresponsive, rotating", "peer", string(c.peer))
-		n.catchupDiscover()
-		return
-	}
-	switch c.state {
-	case catchupDiscovering:
-		n.catchupSend(&overlay.Packet{Kind: overlay.KindArchiveReq})
-	case catchupFetching:
-		n.catchupRequestChunk()
-	}
-}
-
-// serveArchive answers one archive catchup request. It is stateless and
-// needs only an archive — a node can serve while itself applying ledgers.
+// serveArchive answers one archive request: discovery (an empty path) with
+// the latest checkpoint and the tip, anything else with one chunk of the
+// named file. It is stateless and needs only an archive — a node can serve
+// while itself applying ledgers.
 func (n *Node) serveArchive(from simnet.Addr, p *overlay.Packet) {
 	a := n.cfg.Archive
 	resp := &overlay.Packet{Kind: overlay.KindArchiveResp, ArchivePath: p.ArchivePath, ArchiveOff: p.ArchiveOff}
+	defer n.ov.SendDirect(from, resp)
 	if a == nil {
 		resp.ArchiveErr = "no archive"
-		n.ov.SendDirect(from, resp)
 		return
 	}
-	if p.ArchivePath == "" { // discovery
-		seq, err := a.LatestCheckpointSeq()
+	if p.ArchivePath != "" {
+		var err error
+		resp.ArchiveData, resp.ArchiveTotal, resp.ArchiveSum, err = a.ReadFileChunk(p.ArchivePath, p.ArchiveOff, 0)
 		if err != nil {
-			resp.ArchiveErr = "no checkpoint"
-			n.ov.SendDirect(from, resp)
-			return
+			resp.ArchiveErr = "unavailable"
 		}
-		resp.ArchiveSeq = seq
-		resp.ArchiveTip = seq
-		if n.last != nil {
-			resp.ArchiveTip = n.last.LedgerSeq
-		}
-		if rel, ok := a.CheckpointPath(seq); ok {
-			resp.ArchivePath = rel
-		}
-		n.ov.SendDirect(from, resp)
 		return
 	}
-	data, total, sum, err := a.ReadFileChunk(p.ArchivePath, p.ArchiveOff, 0)
+	seq, err := a.LatestCheckpointSeq()
 	if err != nil {
-		resp.ArchiveErr = "unavailable"
-		n.ov.SendDirect(from, resp)
+		resp.ArchiveErr = "no checkpoint"
 		return
 	}
-	resp.ArchiveData = data
-	resp.ArchiveTotal = total
-	resp.ArchiveSum = sum
-	n.ov.SendDirect(from, resp)
+	resp.ArchiveSeq, resp.ArchiveTip = seq, seq
+	if n.last != nil {
+		resp.ArchiveTip = n.last.LedgerSeq
+	}
+	resp.ArchivePath, _ = a.CheckpointPath(seq)
 }
 
-// onArchiveResp advances the fetcher on one response.
-func (n *Node) onArchiveResp(from simnet.Addr, p *overlay.Packet) {
-	c := n.catchup
-	if c == nil || c.state == catchupDone || from != c.peer {
-		return
-	}
-	switch c.state {
+// onArchiveResp advances the state fetch on the reply to its request. A
+// refusal is left to the request's timer, which rotates the peer.
+func (n *Node) onArchiveResp(p *overlay.Packet) {
+	switch n.fetch.phase {
 	case catchupDiscovering:
 		n.catchupOnDiscovery(p)
 	case catchupFetching:
@@ -184,61 +172,57 @@ func (n *Node) onArchiveResp(from simnet.Addr, p *overlay.Packet) {
 	}
 }
 
-// catchupOnDiscovery builds the fetch plan from the peer's checkpoint.
+// catchupOnDiscovery starts the fetch plan at the peer's checkpoint file.
 func (n *Node) catchupOnDiscovery(p *overlay.Packet) {
-	c := n.catchup
+	f := &n.fetch
 	if p.ArchiveErr != "" || p.ArchivePath == "" {
-		n.log.Warn("catchup: peer has no usable checkpoint", "peer", string(c.peer), "err", p.ArchiveErr)
-		c.retries = catchupMaxRetries + 1 // force rotation on the timer
+		n.log.Warn("catchup: peer has no usable checkpoint", "peer", string(f.peer), "err", p.ArchiveErr)
 		return
 	}
-	c.cpSeq = p.ArchiveSeq
-	c.tip = p.ArchiveTip
-	c.cpPath = p.ArchivePath
+	f.cpSeq = p.ArchiveSeq
+	f.tip = p.ArchiveTip
+	f.cpPath = p.ArchivePath
 	// Phase one: just the checkpoint file. Its contents decide the rest of
 	// the plan (bucket hashes), so the queue is rebuilt after it commits.
-	c.queue = []string{c.cpPath}
-	c.state = catchupFetching
+	f.queue = []string{f.cpPath}
+	f.phase = catchupFetching
 	n.ins.catchupState.Set(catchupFetching)
-	n.log.Info("catchup: plan", "checkpoint", c.cpSeq, "tip", c.tip)
+	n.log.Info("catchup: plan", "checkpoint", f.cpSeq, "tip", f.tip)
 	n.catchupNextFile()
 }
 
 // catchupNextFile pops the queue and starts (or resumes) fetching; an
-// empty queue moves to restore.
+// empty queue moves to adopting the fetched state.
 func (n *Node) catchupNextFile() {
-	c := n.catchup
-	for len(c.queue) > 0 {
-		c.current = c.queue[0]
-		c.queue = c.queue[1:]
-		c.retries = 0
-		n.catchupRequestChunk()
+	f := &n.fetch
+	if len(f.queue) == 0 {
+		n.catchupAdopt()
 		return
 	}
-	n.catchupRestore()
+	f.current, f.queue = f.queue[0], f.queue[1:]
+	n.catchupRequestChunk()
 }
 
 // catchupRequestChunk asks for the current file at the resume offset.
 func (n *Node) catchupRequestChunk() {
-	c := n.catchup
-	n.catchupSend(&overlay.Packet{
+	f := &n.fetch
+	n.fetchSend(&overlay.Packet{
 		Kind:        overlay.KindArchiveReq,
-		ArchivePath: c.current,
-		ArchiveOff:  n.cfg.Archive.PartSize(c.current),
+		ArchivePath: f.current,
+		ArchiveOff:  n.cfg.Archive.PartSize(f.current),
 	})
 }
 
 // catchupOnChunk verifies and appends one chunk; on file completion it
 // commits and advances the plan.
 func (n *Node) catchupOnChunk(p *overlay.Packet) {
-	c := n.catchup
+	f := &n.fetch
 	a := n.cfg.Archive
-	if p.ArchivePath != c.current {
+	if p.ArchivePath != f.current {
 		return // stale response from an earlier request
 	}
 	if p.ArchiveErr != "" {
-		n.log.Warn("catchup: peer refused file", "path", c.current)
-		c.retries = catchupMaxRetries + 1
+		n.log.Warn("catchup: peer refused file", "path", f.current)
 		return
 	}
 	if sha256.Sum256(p.ArchiveData) != p.ArchiveSum {
@@ -246,50 +230,47 @@ func (n *Node) catchupOnChunk(p *overlay.Packet) {
 		n.catchupRequestChunk() // corrupt in transit; re-request
 		return
 	}
-	if err := a.AppendPart(c.current, p.ArchiveOff, p.ArchiveData); err != nil {
+	if err := a.AppendPart(f.current, p.ArchiveOff, p.ArchiveData); err != nil {
 		// Offset mismatch (crossed responses): restart this file cleanly.
-		n.log.Warn("catchup: part append failed, restarting file", "path", c.current, "err", err)
-		a.DiscardPart(c.current)
+		n.log.Warn("catchup: part append failed, restarting file", "path", f.current, "err", err)
+		a.DiscardPart(f.current)
 		n.ins.catchupRetries.Inc()
 		n.catchupRequestChunk()
 		return
 	}
 	n.ins.catchupBytes.Add(float64(len(p.ArchiveData)))
-	if got := a.PartSize(c.current); got < p.ArchiveTotal {
+	if got := a.PartSize(f.current); got < p.ArchiveTotal {
 		n.catchupRequestChunk()
 		return
 	}
-	if err := a.CommitPart(c.current); err != nil {
+	if err := a.CommitPart(f.current); err != nil {
 		// Whole-file verification failed: the .part was deleted; refetch
 		// from zero.
-		n.log.Warn("catchup: file failed verification, refetching", "path", c.current, "err", err)
+		n.log.Warn("catchup: file failed verification, refetching", "path", f.current, "err", err)
 		n.ins.catchupRetries.Inc()
 		n.catchupRequestChunk()
 		return
 	}
-	n.ins.catchupFiles.With(fileKindLabel(c.current)).Inc()
-	if c.current == c.cpPath {
+	n.ins.catchupFiles.With(fileKindLabel(f.current)).Inc()
+	if f.current == f.cpPath {
 		if err := n.catchupPlanFromCheckpoint(); err != nil {
 			n.log.Error("catchup: fetched checkpoint unusable", "err", err)
-			c.retries = catchupMaxRetries + 1
 			return
 		}
 	}
 	n.catchupNextFile()
 }
 
-// catchupPlanFromCheckpoint decodes the fetched checkpoint and queues the
-// header, every bucket the node does not already hold, and the
-// header+txset of each ledger from the checkpoint to the peer's tip.
+// catchupPlanFromCheckpoint decodes the fetched checkpoint and queues its
+// header and every bucket it names that the node does not already hold.
 func (n *Node) catchupPlanFromCheckpoint() error {
-	c := n.catchup
+	f := &n.fetch
 	a := n.cfg.Archive
-	cp, err := a.GetCheckpoint(c.cpSeq)
+	cp, err := a.GetCheckpoint(f.cpSeq)
 	if err != nil {
 		return err
 	}
-	var queue []string
-	queue = append(queue, fmt.Sprintf("headers/%08d.xdr", c.cpSeq))
+	queue := []string{fmt.Sprintf("headers/%08d.xdr", f.cpSeq)}
 	empty := bucket.EmptyBucket().Hash()
 	store := a.BucketStore()
 	for _, h := range cp.BucketHashes {
@@ -298,48 +279,42 @@ func (n *Node) catchupPlanFromCheckpoint() error {
 		}
 		queue = append(queue, "buckets/"+h.Hex()+".bucket")
 	}
-	for seq := c.cpSeq + 1; seq <= c.tip; seq++ {
-		queue = append(queue, fmt.Sprintf("headers/%08d.xdr", seq))
-		queue = append(queue, fmt.Sprintf("txsets/%08d.xdr", seq))
-	}
-	c.queue = queue
+	f.queue = queue
 	return nil
 }
 
-// catchupRestore promotes the fetched archive into live state and rejoins
-// consensus.
-func (n *Node) catchupRestore() {
-	c := n.catchup
+// catchupAdopt makes the fetched state the node's ledger and starts asking
+// for the ledgers past it. Fetched state that does not restore is left to
+// the request's timer, which discovers again from the next peer.
+func (n *Node) catchupAdopt() {
+	f := &n.fetch
 	a := n.cfg.Archive
-	c.state = catchupRestoring
-	n.ins.catchupState.Set(catchupRestoring)
-	if c.timer != nil {
-		c.timer.Cancel()
-		c.timer = nil
+	err := a.WriteLatestPointer(f.cpSeq)
+	if err == nil {
+		err = n.CatchUp(a)
 	}
-	if err := a.WriteLatestPointer(c.cpSeq); err != nil {
-		n.log.Error("catchup: latest pointer", "err", err)
-		return
-	}
-	replayed, err := n.RestoreFromArchive(a)
 	if err != nil {
-		n.log.Error("catchup: restore failed", "err", err)
-		n.ins.catchupState.Set(catchupIdle)
+		n.log.Error("catchup: fetched state unusable", "err", err)
 		return
 	}
-	n.ins.catchupReplayed.Add(float64(replayed))
-	c.state = catchupDone
-	n.ins.catchupState.Set(catchupDone)
-	n.log.Info("catchup: complete", "seq", n.last.LedgerSeq, "replayed", replayed)
-	// The network kept closing ledgers while we fetched; the live window
-	// protocol covers the gap, then the cadence timer rejoins consensus.
-	n.ov.SendDirect(c.peer, &overlay.Packet{
-		Kind:        overlay.KindCatchupReq,
-		CatchupFrom: n.last.LedgerSeq + 1,
-	})
+	f.phase = catchupReplaying
+	n.ins.catchupState.Set(catchupReplaying)
+	n.log.Info("catchup: state adopted", "seq", n.last.LedgerSeq, "tip", f.tip)
+	f.answered()
 	n.Start()
-	if c.onDone != nil {
-		c.onDone(replayed)
+	n.maybeRequestCatchup()
+}
+
+// catchupDone ends a cold start: the node stands at the tip discovery
+// reported.
+func (n *Node) catchupDone() {
+	f := &n.fetch
+	f.phase = catchupDone
+	n.ins.catchupState.Set(catchupDone)
+	replayed := int(n.last.LedgerSeq - f.cpSeq)
+	n.log.Info("catchup: complete", "seq", n.last.LedgerSeq, "replayed", replayed)
+	if f.onDone != nil {
+		f.onDone(replayed)
 	}
 }
 
@@ -348,8 +323,6 @@ func fileKindLabel(rel string) string {
 	switch {
 	case strings.HasPrefix(rel, "headers/"):
 		return "header"
-	case strings.HasPrefix(rel, "txsets/"):
-		return "txset"
 	case strings.HasPrefix(rel, "buckets/"):
 		return "bucket"
 	case strings.HasPrefix(rel, "checkpoints/"):

@@ -7,6 +7,7 @@ import (
 	"stellar/internal/fba"
 	"stellar/internal/history"
 	"stellar/internal/ledger"
+	"stellar/internal/simnet"
 	"stellar/internal/stellarcrypto"
 )
 
@@ -147,10 +148,55 @@ func TestReplayRejectsTamperedTxSet(t *testing.T) {
 	}
 }
 
+// TestColdStartFetchesStateOnly: a cold node fetches a peer's state as
+// files — the checkpoint, its header and its buckets — and no ledger past
+// it: those arrive as catch-up replies, exactly the ones between the
+// checkpoint and the tip the peer reported.
+func TestColdStartFetchesStateOnly(t *testing.T) {
+	a, nodes, _, nid := archivedTrio(t, 5)
+	net := nodes[0].net.(*simnet.Network)
+	closeLedgers(t, net, nodes[0], 1, func() {}) // the next close is an interval away
+	tip := nodes[0].LastHeader().LedgerSeq
+	cp, err := a.LatestCheckpointSeq()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tip <= cp {
+		t.Fatalf("setup: the peer's tip %d is not past its checkpoint %d", tip, cp)
+	}
+	own, err := history.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := freshNode(t, nodes, nid, func(c *Config) { c.Archive = own })
+	replayed, counted := -1, 0.0
+	if err := fresh.StartNetworkCatchup(func(r int) {
+		replayed, counted = r, fresh.ins.catchupReplayed.Value()
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20 && replayed < 0; i++ {
+		net.RunFor(100 * time.Millisecond)
+	}
+	if want := int(tip - cp); replayed != want || counted != float64(want) {
+		t.Fatalf("replayed %d ledgers, catchup_ledgers_replayed_total %v; want tip %d - checkpoint %d = %d",
+			replayed, counted, tip, cp, want)
+	}
+	for kind, want := range map[string]float64{"checkpoint": 1, "header": 1, "txset": 0} {
+		if got := fresh.ins.catchupFiles.With(kind).Value(); got != want {
+			t.Fatalf("catchup_files_fetched_total{kind=%q} = %v, want %v", kind, got, want)
+		}
+	}
+	if fresh.LastHeader().Hash() != nodes[0].LastHeader().Hash() {
+		t.Fatal("the cold node's tip differs from the peer's")
+	}
+}
+
 // TestNetworkCatchupColdStart is the tentpole's end-to-end: a node with an
-// empty data dir discovers a peer's checkpoint, fetches the archive over
-// the (simulated) wire in chunks, restores, replays, and rejoins the
-// still-running network at the same header hashes.
+// empty data dir discovers a peer's checkpoint, fetches its state over
+// the (simulated) wire in chunks, adopts it, replays the ledgers past it
+// from catch-up replies, and rejoins the still-running network at the same
+// header hashes.
 func TestNetworkCatchupColdStart(t *testing.T) {
 	_, nodes, run, nid := archivedTrio(t, 2)
 
@@ -171,7 +217,7 @@ func TestNetworkCatchupColdStart(t *testing.T) {
 	if !done {
 		t.Fatal("network catchup did not complete")
 	}
-	// Let the live window fill the gap and a few more ledgers close.
+	// Let a few more ledgers close.
 	for i := 0; i < 8; i++ {
 		run(2 * time.Second)
 	}

@@ -52,7 +52,7 @@ type instruments struct {
 	// Archive writes that failed, by file kind (herder.go archiveLedger).
 	archiveErrors *obs.CounterVec // history_write_errors_total{file}
 
-	// Cold-start network catchup (netcatchup.go; DESIGN.md §16).
+	// Catch-up, cold and lagging (catchup.go, netcatchup.go; DESIGN.md §16).
 	catchupState    *obs.Gauge      // catchup_state
 	catchupFiles    *obs.CounterVec // catchup_files_fetched_total{kind}
 	catchupBytes    *obs.Counter    // catchup_bytes_fetched_total
@@ -106,17 +106,17 @@ func newInstruments(reg *obs.Registry) *instruments {
 		txsetServed: reg.Counter("herder_txset_requests_served_total",
 			"whole tx sets sent to a peer that asked for one by hash"),
 		archiveErrors: reg.CounterVec("history_write_errors_total",
-			"archive writes that failed (header, txset, bucket, checkpoint); a failed txset keeps its body in the catch-up window", "file"),
+			"archive writes that failed (header, txset, bucket, checkpoint); a ledger whose header or txset failed stays in the catch-up window", "file"),
 		catchupState: reg.Gauge("catchup_state",
-			"network catchup progress (0 idle, 1 discovering, 2 fetching, 3 restoring, 4 done)"),
+			"cold-start catchup progress (0 idle, 1 discovering, 2 fetching state, 3 replaying ledgers, 4 done)"),
 		catchupFiles: reg.CounterVec("catchup_files_fetched_total",
-			"archive files fetched and verified over the network", "kind"),
+			"archive files of a peer's checkpointed state fetched and verified over the network", "kind"),
 		catchupBytes: reg.Counter("catchup_bytes_fetched_total",
 			"archive bytes fetched over the network"),
 		catchupRetries: reg.Counter("catchup_chunk_retries_total",
-			"catchup chunks re-requested after timeout or checksum mismatch"),
+			"catch-up requests re-sent: to the next peer after a timeout, or after a bad chunk"),
 		catchupReplayed: reg.Counter("catchup_ledgers_replayed_total",
-			"ledgers replayed from the fetched archive to reach the tip"),
+			"ledgers installed from peers' catch-up replies"),
 	}
 	for c := range ins.admitted {
 		ins.admitted[c] = admitted.With(AdmitCode(c).String())

@@ -1,11 +1,12 @@
 package herder
 
-// Archive replay: re-closing ledgers from archived headers and tx sets.
-// After a node restores a checkpoint (locally via CatchUp, or over the
-// network via netcatchup.go) it is at the checkpoint's sequence but the
-// network has moved on; replay applies each archived tx set in order and
-// proves the result against the archived header's hash, so a replayed
-// node is byte-identical to one that closed every ledger live.
+// Installing ledgers this node did not close live. Every such ledger is a
+// (header, tx set) pair — read back from the node's own archive at boot, or
+// served by a peer (catchup.go) — and goes through ReplayLedger, which
+// checks it against the tip and the node's own decisions and closes it with
+// applyLedger, the routine of a live close, against the header it must
+// reproduce: a replayed node is byte-identical to one that closed every
+// ledger live.
 
 import (
 	"errors"
@@ -14,55 +15,39 @@ import (
 
 	"stellar/internal/history"
 	"stellar/internal/ledger"
+	"stellar/internal/stellarcrypto"
 )
 
-// ReplayLedger applies one archived ledger on top of the current state.
-// The archived header is not trusted: the computed header — results hash,
-// snapshot hash, chain link and all — must hash to exactly the archived
-// header's hash, or the state is rolled forward incorrectly somewhere and
-// the node must not continue.
+// ReplayLedger installs one ledger on top of the tip. The header is not
+// trusted: its sequence must follow the tip, the set must chain from the
+// tip and hash to the header's TxSetHash, a decision this node's SCP holds
+// for the slot must be the value the header commits to, and the header
+// computed by applying the set — results hash, snapshot hash, chain link
+// and all — must hash to exactly the given one. A ledger that fails a
+// check is refused and leaves the node as it was.
 func (n *Node) ReplayLedger(hdr *ledger.Header, ts *ledger.TxSet) error {
 	if n.state == nil || n.last == nil {
 		return fmt.Errorf("herder: replay: node has no state")
 	}
-	if hdr.LedgerSeq != n.last.LedgerSeq+1 {
-		return fmt.Errorf("herder: replay: header %d does not follow %d", hdr.LedgerSeq, n.last.LedgerSeq)
+	seq := hdr.LedgerSeq
+	if seq != n.last.LedgerSeq+1 {
+		return fmt.Errorf("herder: replay: header %d does not follow %d", seq, n.last.LedgerSeq)
 	}
 	prevHash := n.last.Hash()
 	if ts.PrevLedgerHash != prevHash {
 		return fmt.Errorf("herder: replay %d: tx set chains from %s, have %s",
-			hdr.LedgerSeq, ts.PrevLedgerHash.Hex(), prevHash.Hex())
+			seq, ts.PrevLedgerHash.Hex(), prevHash.Hex())
 	}
 	if got := ts.Hash(n.cfg.NetworkID); got != hdr.TxSetHash {
 		return fmt.Errorf("herder: replay %d: tx set hash %s, header says %s",
-			hdr.LedgerSeq, got.Hex(), hdr.TxSetHash.Hex())
+			seq, got.Hex(), hdr.TxSetHash.Hex())
 	}
-
-	env := &ledger.ApplyEnv{LedgerSeq: hdr.LedgerSeq, CloseTime: hdr.CloseTime}
-	_, resultsHash := n.state.ApplyTxSet(ts, n.cfg.NetworkID, env)
-
-	// Adopt the archived header's network parameters after apply, the same
-	// position upgrades take in a live close.
-	n.state.BaseFee = hdr.BaseFee
-	n.state.BaseReserve = hdr.BaseReserve
-	n.state.MaxTxSetSize = hdr.MaxTxSetSize
-	n.state.ProtocolVersion = hdr.ProtocolVersion
-
-	computed := n.sealLedger(hdr.SCPValueHash, hdr.TxSetHash, resultsHash, hdr.CloseTime)
-	if computed.Hash() != hdr.Hash() {
-		return fmt.Errorf("herder: replay %d: computed header %s, archive has %s",
-			hdr.LedgerSeq, computed.Hash().Hex(), hdr.Hash().Hex())
+	sv := n.decided[uint64(seq)]
+	if sv != nil && (sv.TxSetHash != hdr.TxSetHash || sv.CloseTime != hdr.CloseTime ||
+		stellarcrypto.HashBytes(sv.Encode()) != hdr.SCPValueHash) {
+		return fmt.Errorf("herder: replay %d: header contradicts this node's decision for the slot", seq)
 	}
-
-	n.last = computed
-	n.headers[computed.LedgerSeq] = computed.Hash()
-	n.nextSlot = uint64(computed.LedgerSeq) + 1
-	delete(n.decided, uint64(computed.LedgerSeq))
-	delete(n.triggered, uint64(computed.LedgerSeq))
-	n.lastLedgerTxs = len(ts.Txs)
-	n.ins.ledgersClosed.Inc()
-	n.log.Debug("ledger replayed", "seq", computed.LedgerSeq, "txs", len(ts.Txs))
-	return nil
+	return n.applyLedger(ts, sv, hdr)
 }
 
 // RestoreFromArchive cold-boots the node from an archive: restore the

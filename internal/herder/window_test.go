@@ -19,9 +19,9 @@ import (
 )
 
 // What a validator holds per closed ledger, and how a lagging peer is served
-// from it (catchup.go): the window keeps facts, the archive keeps bodies, a
-// received set is built from the pool's instances, and a reply is bounded by
-// bytes.
+// from it (catchup.go): a durable node serves from its archive and keeps no
+// window, one without an archive keeps its last 128 ledgers, a received set
+// is built from the pool's instances, and a reply is bounded by bytes.
 
 // payment is p's next transaction: one stroop-sized payment to another payer.
 func (p *payer) payment(nid stellarcrypto.Hash, to ledger.AccountID) *ledger.Transaction {
@@ -138,13 +138,15 @@ func sameChain(t *testing.T, a, b *Node, from uint32) {
 }
 
 // TestWindowKeepsFactsNotBodies: three durable nodes close 160 ledgers of
-// 200 transactions. No window entry holds a transaction set — so no
-// transaction is reachable from a node except through its pool and the sets
-// of its open slots — yet every ledger of the window is still servable, and
-// a peer's proposal decoded from the wire is stored as the pool's instances.
-// A fourth validator without an archive, whose bucket list is all in RAM,
+// 200 transactions. Their windows are empty — so no transaction is
+// reachable from a node except through its pool and the sets of its open
+// slots — yet every ledger of the last 128 is still servable, and a peer's
+// proposal decoded from the wire is stored as the pool's instances. A
+// fourth validator without an archive, whose bucket list is all in RAM,
 // closes the same headers at every ledger, through the spills into levels
-// 1–3 that the durable three merge on disk.
+// 1–3 that the durable three merge on disk; it keeps the last 128 ledgers,
+// so a request that starts before them is answered by a durable peer and
+// not by it.
 func TestWindowKeepsFactsNotBodies(t *testing.T) {
 	const perLedger = 200
 	net, nodes, nid, payers := buildFunded(t, perLedger, durable(t))
@@ -171,9 +173,20 @@ func TestWindowKeepsFactsNotBodies(t *testing.T) {
 		sameChain(t, memOnly, n, 1)
 	}
 
+	if len(memOnly.recent) != recentWindow {
+		t.Fatalf("in-memory peer: window of %d ledgers, want %d", len(memOnly.recent), recentWindow)
+	}
+	early := nodes[0].LastHeader().LedgerSeq - 150
+	for name, server := range map[string]*Node{"durable": nodes[0], "in-memory": memOnly} {
+		before := net.Stats().MessagesSent
+		server.serveCatchup(nodes[1].Addr(), early)
+		if answered, want := net.Stats().MessagesSent != before, server == nodes[0]; answered != want {
+			t.Fatalf("%s peer answered a request from ledger %d: %v, want %v", name, early, answered, want)
+		}
+	}
 	for i, n := range nodes {
-		if len(n.recent) != recentWindow {
-			t.Fatalf("node %d: window of %d ledgers, want %d", i, len(n.recent), recentWindow)
+		if len(n.recent) != 0 {
+			t.Fatalf("node %d: window of %d ledgers beside the archive", i, len(n.recent))
 		}
 		reachable := make(map[*ledger.Transaction]bool)
 		n.pool.Each(func(_ stellarcrypto.Hash, tx *ledger.Transaction) { reachable[tx] = true })
@@ -186,15 +199,12 @@ func TestWindowKeepsFactsNotBodies(t *testing.T) {
 		}
 		bound := n.pool.Len() + open
 		applied := 0
-		for seq, rc := range n.recent {
-			if rc.txset != nil {
-				t.Fatalf("node %d: window entry %d holds its transaction set beside the archive", i, seq)
+		for seq := n.LastHeader().LedgerSeq - recentWindow + 1; seq <= n.LastHeader().LedgerSeq; seq++ {
+			it, ok := n.ledgerAt(seq)
+			if want, _ := n.HeaderHash(seq); !ok || it.Header.Hash() != want {
+				t.Fatalf("node %d: ledger %d cannot be served", i, seq)
 			}
-			ts := n.txSetAt(seq)
-			if ts == nil || ts.Hash(nid) != rc.txSetHash {
-				t.Fatalf("node %d: ledger %d of the window cannot be served", i, seq)
-			}
-			applied += len(ts.Txs)
+			applied += len(it.TxSet.Txs)
 		}
 		if applied < (recentWindow-2)*perLedger {
 			t.Fatalf("node %d: window covers %d transactions, want about %d", i, applied, recentWindow*perLedger)
@@ -325,10 +335,8 @@ func TestCatchupFromDiskMatchesMemory(t *testing.T) {
 	sameChain(t, fromDisk, fromMemory, 1)
 
 	server := nodes[0]
-	for seq, rc := range server.recent {
-		if rc.txset != nil {
-			t.Fatalf("durable server holds the set of ledger %d in its window", seq)
-		}
+	if len(server.recent) != 0 {
+		t.Fatalf("durable server holds %d ledgers in its window", len(server.recent))
 	}
 	tip := server.LastHeader().LedgerSeq
 	tap := tapCatchup(net, fromDisk)
@@ -353,7 +361,7 @@ func TestCatchupFromDiskMatchesMemory(t *testing.T) {
 	if err := os.WriteFile(torn, data[:len(data)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if got := served(tip - 40); len(got) != 20 || got[len(got)-1].Slot != uint64(tip-21) {
+	if got := served(tip - 40); len(got) != 20 || got[len(got)-1].Header.LedgerSeq != tip-21 {
 		t.Fatalf("torn set at %d: served %d ledgers, want the 20 before it", tip-20, len(got))
 	}
 	if err := os.Remove(filepath.Join(dir, fmt.Sprintf("txsets/%08d.xdr", tip-30))); err != nil {
@@ -400,11 +408,11 @@ func TestArchiveWriteErrorKeepsBody(t *testing.T) {
 		t.Fatalf("history_write_errors_total{file=txset} = %v, want %d", got, mended-broken)
 	}
 	for seq := uint32(2); seq <= n.LastHeader().LedgerSeq; seq++ {
-		held := n.recent[seq].txset != nil
+		_, held := n.recent[seq]
 		if want := seq >= broken && seq < mended; held != want {
-			t.Fatalf("ledger %d: window holds the body = %v, want %v", seq, held, want)
+			t.Fatalf("ledger %d: window holds it = %v, want %v", seq, held, want)
 		}
-		if n.txSetAt(seq) == nil {
+		if _, ok := n.ledgerAt(seq); !ok {
 			t.Fatalf("ledger %d cannot be served", seq)
 		}
 	}

@@ -1,6 +1,6 @@
 package history
 
-// Catchup file I/O: the archive side of the network catchup protocol. A
+// Catchup file I/O: the archive side of the cold-start state fetch. A
 // serving node reads raw framed archive files in bounded chunks (pread, no
 // state held between chunks); a catching-up node appends fetched chunks to
 // .part files in its own archive and commits each file only after the
@@ -32,10 +32,12 @@ const MaxChunkLen = 128 << 10
 const partSuffix = ".part"
 
 // relPathPattern whitelists the archive-relative paths a peer may request
-// or a fetcher may write: exactly the four known subdirectories with their
-// known file-name shapes, no separators beyond the one, no traversal.
+// or a fetcher may write: the files of a checkpoint's state — the
+// checkpoint, its header and its buckets — with their known file-name
+// shapes, no separators beyond the one, no traversal. Ledgers past a
+// checkpoint travel as catch-up replies, not as files.
 var relPathPattern = regexp.MustCompile(
-	`^(headers/\d{8}\.xdr|txsets/\d{8}\.xdr|checkpoints/(\d{8}\.xdr|latest)|buckets/[0-9a-f]{64}\.bucket)$`)
+	`^(headers/\d{8}\.xdr|checkpoints/(\d{8}\.xdr|latest)|buckets/[0-9a-f]{64}\.bucket)$`)
 
 // ValidRelPath reports whether rel is a well-formed archive-relative path.
 // Both sides enforce it: the server refuses to read outside the archive,
@@ -44,27 +46,17 @@ func ValidRelPath(rel string) bool {
 	return relPathPattern.MatchString(rel)
 }
 
-// HeaderPath returns the archive-relative path holding the header for seq,
-// or ok=false if absent.
-func (a *Archive) HeaderPath(seq uint32) (string, bool) {
-	return a.probe(fmt.Sprintf("headers/%08d.xdr", seq))
-}
-
-// TxSetPath returns the archive-relative path holding the txset for seq.
-func (a *Archive) TxSetPath(seq uint32) (string, bool) {
-	return a.probe(fmt.Sprintf("txsets/%08d.xdr", seq))
-}
-
 // CheckpointPath returns the archive-relative path holding the checkpoint
 // for seq.
 func (a *Archive) CheckpointPath(seq uint32) (string, bool) {
 	return a.probe(fmt.Sprintf("checkpoints/%08d.xdr", seq))
 }
 
-// BucketPath returns the archive-relative path holding the bucket with the
-// given content hash.
-func (a *Archive) BucketPath(h stellarcrypto.Hash) (string, bool) {
-	return a.probe("buckets/" + h.Hex() + ".bucket")
+// HasLedger reports whether the archive holds ledger seq: its transaction
+// set, which is written after its header.
+func (a *Archive) HasLedger(seq uint32) bool {
+	_, ok := a.probe(fmt.Sprintf("txsets/%08d.xdr", seq))
+	return ok
 }
 
 // probe reports rel back when that file exists in the archive.

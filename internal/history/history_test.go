@@ -50,6 +50,20 @@ func TestGetMissingTxSet(t *testing.T) {
 	if _, err := a.GetTxSet(999); err == nil {
 		t.Fatal("missing tx set returned")
 	}
+	if a.HasLedger(999) {
+		t.Fatal("HasLedger reports a ledger the archive never wrote")
+	}
+	if err := a.PutTxSet(999, &ledger.TxSet{}); err != nil {
+		t.Fatal(err)
+	}
+	if !a.HasLedger(999) {
+		t.Fatal("HasLedger misses a written ledger")
+	}
+	// Ledgers past a checkpoint travel as catch-up replies: a tx-set file is
+	// not a catch-up path.
+	if ValidRelPath("txsets/00000999.xdr") {
+		t.Fatal("ValidRelPath accepts a tx-set path")
+	}
 	// One codec: a file under the retired .gob name is neither a valid
 	// catch-up path nor an answer to a read.
 	if ValidRelPath("headers/00000005.gob") {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"stellar/internal/stellarcrypto"
+	"stellar/internal/xdr"
 )
 
 func TestTxSetHashOrderIndependent(t *testing.T) {
@@ -123,6 +124,11 @@ func TestHeaderHashChain(t *testing.T) {
 	next := NextHeader(g, gh)
 	if next.LedgerSeq != 2 || next.PrevHash() != gh {
 		t.Fatalf("chain broken: %+v", next)
+	}
+	e := xdr.NewEncoder(0)
+	next.EncodeXDR(e)
+	if e.Len() != HeaderXDRLen {
+		t.Fatalf("a header encodes in %d bytes, HeaderXDRLen says %d", e.Len(), HeaderXDRLen)
 	}
 	// Mutating any field changes the hash.
 	h1 := next.Hash()

@@ -6,6 +6,10 @@ import (
 	"stellar/internal/xdr"
 )
 
+// HeaderXDRLen is the length of every header's canonical encoding: its
+// fields are all fixed-size.
+const HeaderXDRLen = 340
+
 // EncodeXDR appends the header's canonical encoding — the same field order
 // Hash() commits to, so hash(encode(h)) and h.Hash() agree by construction.
 func (h *Header) EncodeXDR(e *xdr.Encoder) {

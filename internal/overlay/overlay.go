@@ -34,16 +34,18 @@ const (
 	// to a KindTxSetReq; it is never flooded or forwarded.
 	KindTxSet
 	// KindCatchupReq and KindCatchupResp are point-to-point (never
-	// flooded): a lagging node asks a peer for recently closed ledgers
-	// (§5.4 catch-up when the history archive is not reachable).
+	// flooded): a node behind the network asks a peer for the ledgers after
+	// its tip, and the reply carries them as (header, tx set) pairs (§6:
+	// validators help lagging peers finish the ledgers they missed).
 	KindCatchupReq
 	KindCatchupResp
-	// KindArchiveReq and KindArchiveResp are the cold-start catchup file
-	// protocol, also point-to-point: a node with an empty data dir fetches
-	// a peer's archive — checkpoint, headers, buckets, tx sets — in
-	// bounded chunks, verifies it, and replays to tip (netcatchup.go in
-	// the herder). A request with an empty Path is discovery: the reply
-	// carries the peer's latest checkpoint and tip sequences.
+	// KindArchiveReq and KindArchiveResp are the cold-start state fetch,
+	// also point-to-point: a node with an empty data dir fetches a peer's
+	// latest checkpoint, its header and the buckets it names in bounded
+	// chunks, adopts that state, and then asks for the ledgers past it with
+	// KindCatchupReq (netcatchup.go in the herder). A request with an empty
+	// Path is discovery: the reply carries the peer's latest checkpoint and
+	// tip sequences.
 	KindArchiveReq
 	KindArchiveResp
 	// KindTxSetRef floods a proposal by reference; KindTxSetReq asks one
@@ -121,14 +123,14 @@ type Packet struct {
 	ArchiveErr   string
 }
 
-// CatchupItem is one closed ledger for peer catch-up: the consensus value
-// that closed it (raw scp.Value bytes of the StellarValue) and its
-// transaction set. The receiver re-derives the header by applying and
-// verifies the chain against its SCP-decided values.
+// CatchupItem is one closed ledger for peer catch-up: its header and its
+// transaction set. The receiver installs it only if the set chains from its
+// tip and hashes to the header's TxSetHash, the header agrees with any SCP
+// decision the receiver holds for that slot, and applying the set
+// reproduces the header; for a slot it never decided, it trusts the peer.
 type CatchupItem struct {
-	Slot  uint64
-	Value []byte
-	TxSet *ledger.TxSet
+	Header *ledger.Header
+	TxSet  *ledger.TxSet
 }
 
 // DefaultTTL comfortably exceeds the diameter of any realistic overlay.
@@ -174,7 +176,7 @@ func (p *Packet) size() int {
 	case KindCatchupResp:
 		n := 32
 		for _, it := range p.CatchupItems {
-			n += 320 + 224*len(it.TxSet.Txs)
+			n += ledger.HeaderXDRLen + 40 + 224*len(it.TxSet.Txs)
 		}
 		return n
 	case KindArchiveReq:

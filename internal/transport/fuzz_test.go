@@ -81,6 +81,15 @@ func frameSeeds() [][]byte {
 	if p, err := EncodePacket(&overlay.Packet{Kind: overlay.KindTxSetReq, TxSetHash: ref.SetHash(), Origin: "G"}); err == nil {
 		add(FramePacket, p)
 	}
+	// A catch-up reply in the v5 layout: (header, tx set) pairs.
+	if p, err := EncodePacket(&overlay.Packet{Kind: overlay.KindCatchupResp, Origin: "G",
+		CatchupItems: []overlay.CatchupItem{{
+			Header: &ledger.Header{LedgerSeq: 9, Prev: ref.PrevLedgerHash, CloseTime: 90, MaxTxSetSize: 1000},
+			TxSet:  &ledger.TxSet{PrevLedgerHash: ref.PrevLedgerHash},
+		}},
+	}); err == nil {
+		add(FramePacket, p)
+	}
 	seeds = append(seeds,
 		[]byte{},
 		[]byte{0, 0, 0, 0},

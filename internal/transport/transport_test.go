@@ -383,7 +383,12 @@ func TestPacketRoundTrip(t *testing.T) {
 		{Kind: overlay.KindTxSetReq, TxSetHash: ts.Hash(testNetworkID), TTL: 0, Origin: "GORIGIN"},
 		{Kind: overlay.KindCatchupReq, CatchupFrom: 17, TTL: 0, Origin: "GORIGIN"},
 		{Kind: overlay.KindCatchupResp, TTL: 0, Origin: "GORIGIN",
-			CatchupItems: []overlay.CatchupItem{{Slot: 9, Value: []byte("sv"), TxSet: ts}}},
+			CatchupItems: []overlay.CatchupItem{{Header: &ledger.Header{LedgerSeq: 9, CloseTime: 90, MaxTxSetSize: 1000}, TxSet: ts}}},
+		{Kind: overlay.KindCatchupResp, TTL: 0, Origin: "GORIGIN", // two empty ledgers: the smallest items
+			CatchupItems: []overlay.CatchupItem{
+				{Header: &ledger.Header{LedgerSeq: 10}, TxSet: &ledger.TxSet{PrevLedgerHash: ts.PrevLedgerHash}},
+				{Header: &ledger.Header{LedgerSeq: 11}, TxSet: &ledger.TxSet{}},
+			}},
 		{Kind: overlay.KindArchiveReq, TTL: 0, Origin: "GORIGIN"}, // discovery: empty path
 		{Kind: overlay.KindArchiveReq, TTL: 0, Origin: "GORIGIN",
 			ArchivePath: "buckets/ab/cdef.bucket", ArchiveOff: 131072},

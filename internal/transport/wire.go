@@ -18,7 +18,9 @@ import (
 // v3 added the archive catchup kinds (cold-start file fetch).
 // v4 floods proposals by reference (txset_ref, txset_req): a v3 peer would
 // wait for whole sets nobody floods any more.
-const ProtocolVersion = 4
+// v5 catch-up replies carry (header, tx set) pairs where v4 carried
+// (slot, consensus value, tx set).
+const ProtocolVersion = 5
 
 // Hello opens the handshake in both directions: each side announces its
 // protocol version, network, claimed identity, and a fresh random
@@ -106,9 +108,13 @@ func decodeAuth(payload []byte) ([]byte, error) {
 	return sig, nil
 }
 
-// maxCatchupItems bounds a catch-up response; the herder serves at most
-// its recent window (128 ledgers), so anything larger is hostile.
-const maxCatchupItems = 1024
+// maxCatchupItems bounds a catch-up response: the herder puts at most 128
+// ledgers in one reply, so anything larger is hostile.
+const maxCatchupItems = 128
+
+// minCatchupItem is the smallest encoded catch-up item: a header and an
+// empty transaction set (the previous-ledger hash and a zero count).
+const minCatchupItem = ledger.HeaderXDRLen + 36
 
 // maxArchivePath and maxArchiveChunk bound the archive catchup fields: a
 // path is one archive-relative file name, and a chunk never exceeds the
@@ -168,11 +174,10 @@ func encodePacket(e *xdr.Encoder, p *overlay.Packet) error {
 	case overlay.KindCatchupResp:
 		e.PutUint32(uint32(len(p.CatchupItems)))
 		for _, it := range p.CatchupItems {
-			e.PutUint64(it.Slot)
-			e.PutBytes(it.Value)
-			if it.TxSet == nil {
-				return fmt.Errorf("transport: catch-up item without txset")
+			if it.Header == nil || it.TxSet == nil {
+				return fmt.Errorf("transport: catch-up item without header or txset")
 			}
+			it.Header.EncodeXDR(e)
 			it.TxSet.EncodeXDR(e)
 		}
 	case overlay.KindArchiveReq:
@@ -251,15 +256,12 @@ func DecodePacket(payload []byte) (*overlay.Packet, error) {
 		if n > maxCatchupItems {
 			return nil, fmt.Errorf("transport: catch-up response with %d items", n)
 		}
-		if int(n)*16 > d.Remaining() {
+		if int(n)*minCatchupItem > d.Remaining() {
 			return nil, xdr.ErrTruncated
 		}
 		for i := uint32(0); i < n; i++ {
 			var it overlay.CatchupItem
-			if it.Slot, err = d.Uint64(); err != nil {
-				return nil, err
-			}
-			if it.Value, err = d.Bytes(); err != nil {
+			if it.Header, err = ledger.DecodeHeaderXDR(d); err != nil {
 				return nil, err
 			}
 			if it.TxSet, err = ledger.DecodeTxSetXDR(d); err != nil {

@@ -2,18 +2,20 @@
 # catchup-smoke: durable state and cold-start catchup over real TCP
 # (DESIGN.md §16). Three stellar-node processes archive to private data
 # dirs and close TARGET_SEQ ledgers; a fourth node with an EMPTY data dir
-# then boots with -catchup, fetches a peer's archive over the overlay
-# (checkpoint, buckets, headers, tx sets — chunked and hash-verified),
-# replays to the tip, joins consensus, and must close EXTRA_SEQ more
-# ledgers agreeing byte-for-byte with the original quorum. Exits non-zero
-# on timeout, divergence, or a catchup that never completes. Logs and the
-# fetched archive land in $CATCHUP_SMOKE_DIR for CI upload.
+# then boots with -catchup, fetches a peer's state over the overlay (its
+# latest checkpoint, that ledger's header and the buckets it names —
+# chunked and hash-verified), replays the ledgers past it from catch-up
+# replies, joins consensus, and must close EXTRA_SEQ more ledgers agreeing
+# byte-for-byte with the original quorum. Exits non-zero on timeout,
+# divergence, a catchup that never completes, one that replayed nothing or
+# one that fetched a tx-set file. Logs and node-3's archive land in
+# $CATCHUP_SMOKE_DIR for CI upload.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
 LOGDIR="${CATCHUP_SMOKE_DIR:-catchup-smoke-logs}"
-TARGET_SEQ="${TARGET_SEQ:-30}"
+TARGET_SEQ="${TARGET_SEQ:-20}"
 EXTRA_SEQ="${EXTRA_SEQ:-5}"
 TIMEOUT_S="${TIMEOUT_S:-120}"
 INTERVAL="${INTERVAL:-250ms}"
@@ -74,10 +76,11 @@ peers_for() {
     echo "$peers"
 }
 
-# A checkpoint interval > 1 leaves the latest checkpoint behind the tip,
-# so the catchup path must replay archived tx sets, not just restore. A
-# durable node keeps its bucket list below level 0 as files of its data
-# dir, so the buckets node-3 fetches are the very files the list merges.
+# Node-3 discovers a tip a few ledgers past TARGET_SEQ; a checkpoint every
+# 16 ledgers leaves the latest one, at 16, behind it, so node-3 must replay
+# ledgers from catch-up replies, not just adopt the checkpoint. A durable
+# node keeps its bucket list below level 0 as files of its data dir, so the
+# buckets node-3 fetches are the very files the list merges.
 for i in 0 1 2; do
     "$LOGDIR/stellar-node" \
         -seed "node-$i" \
@@ -88,7 +91,7 @@ for i in 0 1 2; do
         -interval "$INTERVAL" \
         -max-drift 24h \
         -data-dir "$LOGDIR/archive-$i" \
-        -checkpoint-interval 4 \
+        -checkpoint-interval 16 \
         -v >"$LOGDIR/node-$i.log" 2>&1 &
     PIDS+=($!)
     echo "started node-$i (pid ${PIDS[$i]}, overlay :$(overlay_port "$i"), http :$(http_port "$i"))"
@@ -110,7 +113,7 @@ echo "starting node-3 with an empty data dir and -catchup..."
     -interval "$INTERVAL" \
     -max-drift 24h \
     -data-dir "$LOGDIR/archive-3" \
-    -checkpoint-interval 4 \
+    -checkpoint-interval 16 \
     -catchup \
     -v >"$LOGDIR/node-3.log" 2>&1 &
 PIDS+=($!)
@@ -134,11 +137,21 @@ if [ -z "${bytes:-}" ] || [ "$bytes" -le 0 ]; then
     exit 1
 fi
 echo "node-3 fetched $bytes archive bytes"
+replayed=$(echo "$metrics" | sed -n 's/^catchup_ledgers_replayed_total \([0-9][0-9]*\).*/\1/p')
+if [ -z "${replayed:-}" ] || [ "$replayed" -le 0 ]; then
+    echo "FAIL: node-3 replayed no ledger from catch-up replies" >&2
+    exit 1
+fi
+if echo "$metrics" | grep -q '^catchup_files_fetched_total{kind="txset"}'; then
+    echo "FAIL: node-3 fetched tx-set files; only the checkpoint's state travels as files" >&2
+    exit 1
+fi
+echo "node-3 replayed $replayed ledgers from catch-up replies and fetched no tx-set file"
 
-# node-3 has no headers below its fetched checkpoint (at most 3 ledgers
+# node-3 has no headers below its fetched checkpoint (at most 15 ledgers
 # under join_seq), so the byte-identity check starts at the join ledger —
-# everything from there was replayed from the fetched archive or closed
-# via the live window, and must match node-0 exactly.
+# everything from there was replayed from catch-up replies or closed live,
+# and must match node-0 exactly.
 echo "cross-checking header hashes for ledgers $join_seq..$want..."
 for seq in $(seq "$join_seq" "$want"); do
     want_hash=""
@@ -159,8 +172,8 @@ for seq in $(seq "$join_seq" "$want"); do
 done
 
 [ -f "$LOGDIR/archive-3/checkpoints/latest" ] || {
-    echo "FAIL: node-3's fetched archive has no checkpoint pointer" >&2
+    echo "FAIL: node-3's archive has no checkpoint pointer" >&2
     exit 1
 }
 
-echo "catchup-smoke PASS: cold node fetched the archive over TCP, replayed, and closed $EXTRA_SEQ ledgers in quorum"
+echo "catchup-smoke PASS: cold node fetched a peer's state over TCP, replayed $replayed ledgers, and closed $EXTRA_SEQ ledgers in quorum"
