@@ -132,7 +132,7 @@ mem:
 trace-smoke:
 	$(GO) run ./cmd/stellar-sim -validators 4 -accounts 500 -rate 20 -duration 40s \
 		-archive $$(mktemp -d) -trace $(TRACE_OUT) -decompose
-	$(GO) run ./cmd/tracecheck -lifecycle $(TRACE_OUT)
+	$(GO) run ./cmd/stellar-obs tracecheck -lifecycle $(TRACE_OUT)
 
 # fuzz runs each native fuzz target for FUZZTIME. Go permits only one
 # -fuzz pattern per invocation, hence one run per target.
@@ -145,7 +145,7 @@ fuzz:
 # bench-cluster boots a 3-process TCP quorum with live tracing, drives
 # payment load through horizon (scripts/bench-cluster.sh), and publishes
 # BENCH_cluster.json plus the merged cluster-trace.json — validated by
-# `stellar-obs check` and `tracecheck -cluster`. It then regenerates
+# `stellar-obs check` and `stellar-obs tracecheck -cluster`. It then regenerates
 # BENCH_micro.json from one pass of the microbenchmarks.
 bench-cluster:
 	OBS_SMOKE_DIR=$(OBS_SMOKE_DIR) ./scripts/bench-cluster.sh

@@ -7,6 +7,7 @@
 //	stellar-obs merge -nodes ... -o cluster-trace.json # Perfetto trace
 //	stellar-obs bench -nodes ... -duration 20s -o BENCH_cluster.json
 //	stellar-obs check -f BENCH_cluster.json            # schema gate
+//	stellar-obs tracecheck -cluster cluster-trace.json # trace links valid?
 //
 // merge exits non-zero with -fail-on-drop if the merged trace lost spans;
 // bench drives payment load through horizon and measures close cadence,
@@ -40,6 +41,8 @@ func main() {
 		err = cmdBench(os.Args[2:])
 	case "check":
 		err = cmdCheck(os.Args[2:])
+	case "tracecheck":
+		cmdTracecheck(os.Args[2:])
 	case "-h", "-help", "--help", "help":
 		usage()
 		return
@@ -63,6 +66,7 @@ commands:
   merge   merge every node's span store into one Perfetto trace
   bench   drive load and write a stellar-bench/v1 cluster report
   check   validate a BENCH_*.json document against the schema
+  tracecheck  validate a Chrome trace export (-lifecycle, -cluster)
 `)
 }
 

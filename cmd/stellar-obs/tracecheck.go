@@ -1,4 +1,4 @@
-// Command tracecheck validates a Chrome trace-event JSON file (the
+// tracecheck validates a Chrome trace-event JSON file (the
 // Object Format that Perfetto and chrome://tracing load): every event
 // must be well-formed, every span's parent link must resolve, and every
 // flow arrow must have both endpoints. With -lifecycle it additionally
@@ -15,9 +15,12 @@
 //
 // Usage:
 //
-//	tracecheck out.json
-//	tracecheck -lifecycle out.json
-//	tracecheck -cluster cluster-trace.json
+//	stellar-obs tracecheck out.json
+//	stellar-obs tracecheck -lifecycle out.json
+//	stellar-obs tracecheck -cluster cluster-trace.json
+//
+// It exits 1 on the first violation and 2 on a usage error.
+
 package main
 
 import (
@@ -53,17 +56,18 @@ func fail(format string, args ...any) {
 	os.Exit(1)
 }
 
-func main() {
-	lifecycle := flag.Bool("lifecycle", false,
+func cmdTracecheck(args []string) {
+	fs := flag.NewFlagSet("tracecheck", flag.ExitOnError)
+	lifecycle := fs.Bool("lifecycle", false,
 		"require a complete parent-linked tx lifecycle (submit through archive)")
-	cluster := flag.Bool("cluster", false,
+	cluster := fs.Bool("cluster", false,
 		"require a merged multi-process trace with resolved cross-process links")
-	flag.Parse()
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: tracecheck [-lifecycle] [-cluster] trace.json")
+	fs.Parse(args)
+	if fs.NArg() != 1 {
+		fmt.Fprintln(os.Stderr, "usage: stellar-obs tracecheck [-lifecycle] [-cluster] trace.json")
 		os.Exit(2)
 	}
-	raw, err := os.ReadFile(flag.Arg(0))
+	raw, err := os.ReadFile(fs.Arg(0))
 	if err != nil {
 		fail("%v", err)
 	}

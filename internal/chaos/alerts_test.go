@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"stellar/internal/herder"
 	"stellar/internal/obs"
 	"stellar/internal/obs/flight"
 	"stellar/internal/obs/slo"
@@ -80,8 +81,24 @@ func TestPartitionAlertsFireAndResolve(t *testing.T) {
 	if meta.Schema != flight.MetaSchema || meta.Reason != "close-stall" {
 		t.Fatalf("meta.json: %+v", meta)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "protocol-trace.json")); err != nil {
-		t.Fatalf("protocol-trace.json: %v", err)
+	// The bundle names the stalled slot: the starved node's newest record
+	// is the slot after its last applied ledger, nominated, timed out and
+	// not externalized.
+	var slots []herder.SlotRecord
+	decodeJSON(t, dir, "slots.json", &slots)
+	if len(slots) == 0 {
+		t.Fatal("slots.json holds no records")
+	}
+	open := slots[len(slots)-1]
+	var applied uint64
+	for _, r := range slots {
+		if r.Applied != 0 {
+			applied = r.Slot
+		}
+	}
+	if open.Slot != applied+1 || open.NominationStart == 0 || open.Externalized != 0 ||
+		open.NominationTimeouts+open.BallotTimeouts == 0 {
+		t.Fatalf("newest record is not the stalled open slot after ledger %d: %+v", applied, open)
 	}
 }
 

@@ -238,7 +238,7 @@ func NewRunner(sc Scenario, ob *obs.Obs) (*Runner, error) {
 					Node:   fmt.Sprintf("node-%d", i),
 					Ring:   p.ring,
 					Tracer: n.Obs().Tracer,
-					Proto:  n.Obs().Trace,
+					Slots:  func() any { return n.SlotRecords() },
 					Alerts: p.engine,
 					Clock:  sim.Net.Now,
 					Log:    ob.Log,

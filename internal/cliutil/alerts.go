@@ -106,7 +106,7 @@ func (f *AlertFlags) Build(w AlertWiring) *AlertStack {
 		Node:   w.NodeName,
 		Ring:   ring,
 		Tracer: ob.Tracer,
-		Proto:  ob.Trace,
+		Slots:  func() any { return w.Node.SlotRecords() },
 		Alerts: engine,
 		Clock:  clock,
 		Log:    w.Log,

@@ -246,10 +246,75 @@ func TestCloseStatsFeedTheRegistry(t *testing.T) {
 		for _, r := range records {
 			timeouts += r.NominationTimeouts + r.BallotTimeouts
 		}
+		checkSlotRecords(t, i, s.Nodes[i], records, regs[i])
 	}
 	if timeouts == 0 {
 		t.Fatal("no timeouts: the run does not exercise the lossy path")
 	}
+}
+
+// checkSlotRecords holds a node's per-slot records to what was derived from
+// them: every closed slot's retained record gives that ledger's CloseStats,
+// and the records' timeouts sum to scp_timeouts_total{kind}.
+func checkSlotRecords(t *testing.T, i int, n *herder.Node, closes []herder.CloseStats, reg *obs.Registry) {
+	t.Helper()
+	recs := n.SlotRecords()
+	bySlot := make(map[uint64]herder.SlotRecord, len(recs))
+	var nomTimeouts, ballotTimeouts int
+	for _, r := range recs {
+		bySlot[r.Slot] = r
+		nomTimeouts += r.NominationTimeouts
+		ballotTimeouts += r.BallotTimeouts
+	}
+	for _, cs := range closes {
+		r, ok := bySlot[uint64(cs.Seq)]
+		if !ok || r.Applied == 0 {
+			t.Fatalf("node %d ledger %d: no applied record in %d retained", i, cs.Seq, len(recs))
+		}
+		var want herder.CloseStats
+		if want.InSCP = r.InSCP(); want.InSCP {
+			want.NominationTimeouts, want.BallotTimeouts, want.Emitted = r.NominationTimeouts, r.BallotTimeouts, r.EnvelopesEmitted
+		}
+		if r.Prepared() {
+			if r.NominationStart != 0 {
+				want.Nominated, want.Nomination = true, r.FirstPrepare-r.NominationStart
+			}
+			decided := r.Externalized
+			if decided == 0 {
+				decided = r.Applied
+			}
+			want.Balloted, want.Balloting = true, decided-r.FirstPrepare
+		}
+		got := cs
+		got.Seq, got.Txs, got.Apply, got.CloseInterval = 0, 0, 0, 0
+		if got != want {
+			t.Errorf("node %d ledger %d: close stats %+v, record gives %+v (record %+v)", i, cs.Seq, got, want, r)
+		}
+	}
+	for kind, want := range map[string]int{"nomination": nomTimeouts, "ballot": ballotTimeouts} {
+		if got := counter(t, reg, "scp_timeouts_total", kind); got != float64(want) {
+			t.Errorf("node %d scp_timeouts_total{kind=%q} = %v, records sum to %d", i, kind, got, want)
+		}
+	}
+}
+
+// counter reads one child of a single-label counter family from reg (0 when
+// the child never counted).
+func counter(t *testing.T, reg *obs.Registry, name, label string) float64 {
+	t.Helper()
+	for _, f := range reg.Snapshot() {
+		if f.Name != name {
+			continue
+		}
+		for _, s := range f.Samples {
+			if len(s.LabelValues) == 1 && s.LabelValues[0] == label {
+				return s.Value
+			}
+		}
+		return 0
+	}
+	t.Fatalf("registry has no counter %s", name)
+	return 0
 }
 
 // seconds sums a latency distribution in seconds, in sample order, as the

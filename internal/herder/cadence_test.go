@@ -27,12 +27,20 @@ func buildCadenceTrio(t *testing.T) (*simnet.Network, []*Node, stellarcrypto.Has
 	return net, nodes, nid
 }
 
-// firstEvents maps slot → virtual time of the node's first event of kind.
-func firstEvents(n *Node, kind obs.EventKind) map[uint64]time.Duration {
+// Phase boundaries of a slot record, for firstEvents.
+var (
+	nominationStart = func(r SlotRecord) time.Duration { return r.NominationStart }
+	firstPrepare    = func(r SlotRecord) time.Duration { return r.FirstPrepare }
+	externalized    = func(r SlotRecord) time.Duration { return r.Externalized }
+)
+
+// firstEvents maps slot → virtual time of one phase boundary, for every
+// slot the node's records saw it in.
+func firstEvents(n *Node, boundary func(SlotRecord) time.Duration) map[uint64]time.Duration {
 	out := make(map[uint64]time.Duration)
-	for _, ev := range n.obs.Trace.Events() {
-		if _, seen := out[ev.Slot]; ev.Kind == kind && !seen {
-			out[ev.Slot] = ev.At
+	for _, r := range n.SlotRecords() {
+		if at := boundary(r); at != 0 {
+			out[r.Slot] = at
 		}
 	}
 	return out
@@ -40,13 +48,7 @@ func firstEvents(n *Node, kind obs.EventKind) map[uint64]time.Duration {
 
 // triggerCount counts the node's ledger triggers (nomination starts).
 func triggerCount(n *Node) int {
-	count := 0
-	for _, ev := range n.obs.Trace.Events() {
-		if ev.Kind == obs.EvNominationStart {
-			count++
-		}
-	}
-	return count
+	return len(firstEvents(n, nominationStart))
 }
 
 // TestTriggerGapIsIntervalPlusNomination: the gap between consecutive
@@ -60,9 +62,9 @@ func TestTriggerGapIsIntervalPlusNomination(t *testing.T) {
 	net.RunFor(21 * time.Second)
 	for i, n := range nodes {
 		interval := n.cfg.LedgerInterval
-		trig := firstEvents(n, obs.EvNominationStart)
-		prep := firstEvents(n, obs.EvBallotPrepare)
-		ext := firstEvents(n, obs.EvExternalize)
+		trig := firstEvents(n, nominationStart)
+		prep := firstEvents(n, firstPrepare)
+		ext := firstEvents(n, externalized)
 		checked := 0
 		for slot, at := range trig {
 			next, ok := trig[slot+1]
@@ -101,7 +103,7 @@ func TestStaggeredStartsResynchronise(t *testing.T) {
 	net.RunFor(15 * time.Second)
 	trigs := make([]map[uint64]time.Duration, len(nodes))
 	for i, n := range nodes {
-		trigs[i] = firstEvents(n, obs.EvNominationStart)
+		trigs[i] = firstEvents(n, nominationStart)
 	}
 	spread := func(slot uint64) time.Duration {
 		lo, hi := time.Duration(1<<62), time.Duration(0)
@@ -200,7 +202,7 @@ func TestCatchupReplayArmsOneImmediateTrigger(t *testing.T) {
 	if got := triggerCount(laggard); got != 1 {
 		t.Fatalf("%d triggers after replaying %d ledgers, want exactly 1", got, len(items))
 	}
-	if _, ok := firstEvents(laggard, obs.EvNominationStart)[uint64(tip)+1]; !ok {
+	if _, ok := firstEvents(laggard, nominationStart)[uint64(tip)+1]; !ok {
 		t.Fatalf("the one trigger was not for slot %d", tip+1)
 	}
 	slack := histogramSample(t, laggard, "herder_interval_slack_seconds")
@@ -245,8 +247,9 @@ func TestTriggerWaitIsClamped(t *testing.T) {
 		net.SetUp(laggard.Addr())
 		items := catchupItems(nodes[0], laggard.last.LedgerSeq+1)[:1]
 
-		st := laggard.stat(uint64(items[0].Header.LedgerSeq))
-		st.sawPrepare, st.firstPrepareAt = true, net.Now()+tc.ballotStartFromNow
+		laggard.slots.write(uint64(items[0].Header.LedgerSeq), func(r *SlotRecord) {
+			r.BallotsStarted, r.FirstPrepare = 1, net.Now()+tc.ballotStartFromNow
+		})
 		laggard.applyCatchup(items)
 		armed, armedAt := laggard.trigTimer, net.Now()
 		for !armed.Fired() {

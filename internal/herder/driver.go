@@ -3,21 +3,18 @@ package herder
 import (
 	"time"
 
-	"stellar/internal/obs"
 	"stellar/internal/scp"
 	"stellar/internal/stellarcrypto"
 )
 
-// driver adapts a herder Node to the scp.Driver, scp.MetricsDriver, and
-// scp.TraceDriver interfaces. It is the same object as the Node (a type
-// conversion), so SCP callbacks run synchronously in the node's event
-// context.
+// driver adapts a herder Node to the scp.Driver and scp.MetricsDriver
+// interfaces. It is the same object as the Node (a type conversion), so SCP
+// callbacks run synchronously in the node's event context.
 type driver Node
 
 var (
 	_ scp.Driver        = (*driver)(nil)
 	_ scp.MetricsDriver = (*driver)(nil)
-	_ scp.TraceDriver   = (*driver)(nil)
 )
 
 func (d *driver) node() *Node { return (*Node)(d) }
@@ -107,10 +104,8 @@ func (d *driver) CombineCandidates(slot uint64, candidates []scp.Value) scp.Valu
 // EmitEnvelope floods the envelope and counts it (§7.2's messages/ledger).
 func (d *driver) EmitEnvelope(env *scp.Envelope) {
 	n := d.node()
-	n.stat(env.Slot).emitted++
+	n.record(env.Slot, func(r *SlotRecord) { r.EnvelopesEmitted++ })
 	n.ins.envEmitted.With(stmtLabel(env.Statement.Type)).Inc()
-	n.trace(obs.Event{Slot: env.Slot, Kind: obs.EvEnvelopeEmit,
-		Detail: stmtLabel(env.Statement.Type)})
 	n.ov.BroadcastEnvelopeCtx(env, n.slotCtx(env.Slot))
 }
 
@@ -170,59 +165,52 @@ func (d *driver) ValueExternalized(slot uint64, v scp.Value) {
 // StartedBallot records the first prepare for nomination latency (§7.3).
 func (d *driver) StartedBallot(slot uint64, b scp.Ballot) {
 	n := d.node()
-	st := n.stat(slot)
-	if !st.sawPrepare {
-		st.sawPrepare = true
-		st.firstPrepareAt = n.net.Now()
+	now, first := n.net.Now(), false
+	n.record(slot, func(r *SlotRecord) {
+		if first = !r.Prepared(); first {
+			r.FirstPrepare = now
+		}
+		r.BallotsStarted++
+	})
+	if first {
 		n.traceFirstPrepare(slot)
 	}
 	n.ins.ballots.Inc()
-	n.trace(obs.Event{Slot: slot, Kind: obs.EvBallotPrepare, Counter: b.Counter})
 }
 
 // AcceptedCommit marks the point after which the slot's value is fixed.
 func (d *driver) AcceptedCommit(slot uint64, b scp.Ballot) {
 	n := d.node()
+	now := n.net.Now()
+	n.record(slot, func(r *SlotRecord) { r.AcceptCommit = now })
 	n.traceAcceptCommit(slot)
-	n.trace(obs.Event{Slot: slot, Kind: obs.EvAcceptCommit, Counter: b.Counter})
 	n.log.Debug("accepted commit", "slot", slot, "counter", b.Counter)
 }
 
 // Timeout counts nomination and ballot timer expiries (Fig 8).
 func (d *driver) Timeout(slot uint64, kind scp.TimerKind) {
 	n := d.node()
-	st := n.stat(slot)
-	if kind == scp.TimerNomination {
-		st.nomTimeouts++
-	} else {
-		st.ballotTimeouts++
-	}
+	n.record(slot, func(r *SlotRecord) {
+		if kind == scp.TimerNomination {
+			r.NominationTimeouts++
+		} else {
+			r.BallotTimeouts++
+		}
+	})
 	n.ins.timeouts.With(timerLabel(kind)).Inc()
-	n.trace(obs.Event{Slot: slot, Kind: obs.EvTimeout, Detail: timerLabel(kind)})
 }
 
 // NominationConfirmed marks the first confirmed candidate.
 func (d *driver) NominationConfirmed(slot uint64) {
-	d.node().trace(obs.Event{Slot: slot, Kind: obs.EvCandidateConfirmed})
+	n := d.node()
+	now := n.net.Now()
+	n.record(slot, func(r *SlotRecord) { r.CandidateConfirmed = now })
 }
 
-// NominationRoundStarted counts round escalations (round 1 is recorded as
-// EvNominationStart by the ledger trigger; later rounds mark leader-set
-// expansion).
+// NominationRoundStarted counts nomination rounds: round 1 at the trigger,
+// then one per timeout escalation of the leader set.
 func (d *driver) NominationRoundStarted(slot uint64, round int) {
 	n := d.node()
+	n.record(slot, func(r *SlotRecord) { r.NominationRounds++ })
 	n.ins.nomRounds.Inc()
-	if round > 1 {
-		n.trace(obs.Event{Slot: slot, Kind: obs.EvNominationRound, Counter: uint32(round)})
-	}
-}
-
-// AcceptedPrepared traces the federated-voting accept step.
-func (d *driver) AcceptedPrepared(slot uint64, b scp.Ballot) {
-	d.node().trace(obs.Event{Slot: slot, Kind: obs.EvAcceptPrepare, Counter: b.Counter})
-}
-
-// ConfirmedPrepared traces the start of commit voting.
-func (d *driver) ConfirmedPrepared(slot uint64, b scp.Ballot) {
-	d.node().trace(obs.Event{Slot: slot, Kind: obs.EvConfirmPrepare, Counter: b.Counter})
 }

@@ -76,8 +76,8 @@ type Config struct {
 	// wall clock.
 	MaxCloseTimeDrift time.Duration
 	// Obs supplies the node's observability bundle (metric registry,
-	// protocol trace recorder, logger). nil, or a bundle with nil fields,
-	// selects defaults: a private registry and trace ring, silent logs.
+	// logger, span tracer). nil, or a bundle with nil fields, selects
+	// defaults: a private registry, silent logs, no tracing.
 	Obs *obs.Obs
 }
 
@@ -139,13 +139,14 @@ type Node struct {
 	trigTimer *simnet.Timer
 	triggered map[uint64]bool
 
-	// Per-slot instrumentation: obs/ins are the live registry and trace
-	// recorder behind horizon's /metrics and /debug endpoints; slotStats
-	// collects each open slot's consensus timings until its close.
-	obs       *obs.Obs
-	ins       *instruments
-	log       *slog.Logger
-	slotStats map[uint64]*slotStat
+	// Instrumentation: obs/ins are the live registry and logger behind
+	// horizon's /metrics; slots is the per-slot record of the last
+	// recentWindow slots (slots.go), written through record, that
+	// CloseStats, /debug/slots and the crash bundle read.
+	obs   *obs.Obs
+	ins   *instruments
+	log   *slog.Logger
+	slots slotLog
 
 	// Causal span tracing (span.go). tr is nil when tracing is off; the
 	// maps exist only alongside it.
@@ -168,16 +169,6 @@ type Node struct {
 type timerKey struct {
 	slot uint64
 	kind scp.TimerKind
-}
-
-type slotStat struct {
-	nominateAt     time.Duration // virtual time nomination started
-	firstPrepareAt time.Duration
-	sawPrepare     bool
-	externalizedAt time.Duration // 0 = decided elsewhere (catch-up)
-	nomTimeouts    int
-	ballotTimeouts int
-	emitted        int
 }
 
 // New creates a validator attached to a network environment — the
@@ -209,7 +200,6 @@ func New(net simnet.Env, cfg Config) (*Node, error) {
 		decided:     make(map[uint64]*StellarValue),
 		timers:      make(map[timerKey]*simnet.Timer),
 		triggered:   make(map[uint64]bool),
-		slotStats:   make(map[uint64]*slotStat),
 		peersHealth: make(map[fba.NodeID]*peerStatus),
 	}
 	n.initTracer()
@@ -422,9 +412,10 @@ func (n *Node) onEnvelope(env *scp.Envelope) {
 	if env.Slot <= uint64(n.last.LedgerSeq) {
 		return
 	}
-	n.trace(obs.Event{Slot: env.Slot, Kind: obs.EvEnvelopeRecv,
-		Peer: string(env.Node), Detail: stmtLabel(env.Statement.Type)})
-	_ = n.scp.Receive(env)
+	// Only an envelope SCP accepted (well-formed, signed) counts.
+	if n.scp.Receive(env) == nil {
+		n.record(env.Slot, func(r *SlotRecord) { r.EnvelopesReceived++ })
+	}
 }
 
 // triggerNextLedger builds a transaction candidate set and starts
@@ -468,10 +459,8 @@ func (n *Node) triggerNextLedger() {
 	if n.cfg.Governing {
 		sv.Upgrades = append(sv.Upgrades, n.cfg.DesiredUpgrades...)
 	}
-	stat := n.stat(slot)
-	stat.nominateAt = n.net.Now()
-	n.trace(obs.Event{Slot: slot, Kind: obs.EvNominationStart,
-		Detail: fmt.Sprintf("txs=%d", len(candidates))})
+	now := n.net.Now()
+	n.record(slot, func(r *SlotRecord) { r.NominationStart = now })
 	n.log.Debug("trigger ledger", "slot", slot, "txs", len(candidates), "close_time", closeTime)
 	n.scp.Nominate(slot, sv.Encode())
 	trigDur := time.Since(trigStart)
@@ -491,15 +480,6 @@ func (n *Node) proposedCloseTime() int64 {
 	return now
 }
 
-func (n *Node) stat(slot uint64) *slotStat {
-	s, ok := n.slotStats[slot]
-	if !ok {
-		s = &slotStat{}
-		n.slotStats[slot] = s
-	}
-	return s
-}
-
 // onExternalized handles a slot decision from SCP.
 func (n *Node) onExternalized(slot uint64, raw scp.Value) {
 	sv, err := DecodeValue(raw)
@@ -508,10 +488,10 @@ func (n *Node) onExternalized(slot uint64, raw scp.Value) {
 		panic(fmt.Sprintf("herder: externalized garbage for slot %d: %v", slot, err))
 	}
 	n.decided[slot] = sv
-	n.stat(slot).externalizedAt = n.net.Now()
+	now := n.net.Now()
+	n.record(slot, func(r *SlotRecord) { r.Externalized = now })
 	n.ins.externals.Inc()
 	n.traceExternalized(slot)
-	n.trace(obs.Event{Slot: slot, Kind: obs.EvExternalize})
 	n.log.Debug("externalized", "slot", slot, "close_time", sv.CloseTime)
 	// Defer application so it runs outside SCP's call stack.
 	n.net.Defer(n.tryApplyDecided)
@@ -602,52 +582,52 @@ func (n *Node) applyLedger(ts *ledger.TxSet, sv *StellarValue, want *ledger.Head
 	}
 
 	// Measure the close once (§7.3's three phases, close rate, tx count,
-	// timeouts and messages); the registry and OnLedgerClose both read cs.
+	// timeouts and messages) from the slot's record; the registry and
+	// OnLedgerClose both read cs.
 	cs := CloseStats{
 		Seq:           hdr.LedgerSeq,
 		Txs:           len(ts.Txs),
 		Apply:         time.Since(applyStart),
 		CloseInterval: time.Duration(hdr.CloseTime-n.last.CloseTime) * time.Second,
 	}
+	now := n.net.Now()
+	var rec SlotRecord
+	n.record(slot, func(r *SlotRecord) { r.Applied = now; rec = *r })
 	// nextTrigger is when the cadence fires next (re-armed below): one
 	// interval after this node started balloting on the slot. The zero
 	// value — no local ballot start — lies in the past.
 	var nextTrigger time.Duration
-	if st, ok := n.slotStats[slot]; ok {
+	if rec.InSCP() {
 		cs.InSCP = true
-		cs.NominationTimeouts, cs.BallotTimeouts, cs.Emitted = st.nomTimeouts, st.ballotTimeouts, st.emitted
-		if st.sawPrepare {
-			nextTrigger = st.firstPrepareAt + n.cfg.LedgerInterval
-			if st.nominateAt > 0 {
-				cs.Nominated, cs.Nomination = true, st.firstPrepareAt-st.nominateAt
+		cs.NominationTimeouts, cs.BallotTimeouts, cs.Emitted = rec.NominationTimeouts, rec.BallotTimeouts, rec.EnvelopesEmitted
+		if rec.Prepared() {
+			nextTrigger = rec.FirstPrepare + n.cfg.LedgerInterval
+			if rec.NominationStart > 0 {
+				cs.Nominated, cs.Nomination = true, rec.FirstPrepare-rec.NominationStart
 			}
 			// Balloting ends at externalize, not here: on a wall clock the
 			// apply above has already taken its milliseconds. A slot this
 			// node did not externalize (catch-up) ends when that arrived.
-			decidedAt := st.externalizedAt
+			decidedAt := rec.Externalized
 			if decidedAt == 0 {
-				decidedAt = n.net.Now()
+				decidedAt = now
 			}
-			cs.Balloted, cs.Balloting = true, decidedAt-st.firstPrepareAt
+			cs.Balloted, cs.Balloting = true, decidedAt-rec.FirstPrepare
 		}
-		delete(n.slotStats, slot)
 	}
 	n.ins.observeClose(cs)
 	// End-to-end submit→applied latency for txs this node admitted itself
 	// (the SLO engine's p99 source; floods and local submits both stamp).
 	if len(n.admitTimes) > 0 {
-		nowV := n.net.Now()
 		for _, tx := range ts.Txs {
 			th := tx.Hash(n.cfg.NetworkID)
 			if at, ok := n.admitTimes[th]; ok {
-				n.ins.submitApplied.ObserveDuration(nowV - at)
+				n.ins.submitApplied.ObserveDuration(now - at)
 				delete(n.admitTimes, th)
 			}
 		}
 	}
 	n.traceTxsApplied(slot, applySpan, ts, cs.Apply)
-	n.trace(obs.Event{Slot: slot, Kind: obs.EvLedgerApplied,
-		Detail: fmt.Sprintf("txs=%d apply=%s", len(ts.Txs), cs.Apply)})
 	n.log.Info("ledger closed", "seq", hdr.LedgerSeq, "txs", len(ts.Txs),
 		"apply", cs.Apply, "close_time", hdr.CloseTime)
 

@@ -177,12 +177,6 @@ func timerLabel(k scp.TimerKind) string {
 	return "ballot"
 }
 
-// Obs returns the node's observability bundle (registry, trace recorder,
-// logger). It is always non-nil.
+// Obs returns the node's observability bundle (registry, logger, span
+// tracer). It is always non-nil.
 func (n *Node) Obs() *obs.Obs { return n.obs }
-
-// trace records a protocol event stamped with the node's virtual clock.
-func (n *Node) trace(ev obs.Event) {
-	ev.At = n.net.Now()
-	n.obs.Trace.Record(ev)
-}

@@ -12,8 +12,7 @@ import (
 // Observability endpoints and middleware: every route is wrapped with
 // per-route request/latency instruments; GET /metrics exposes the node's
 // registry in Prometheus text format, and GET /debug/slots/{seq}/trace
-// reconstructs a slot's consensus timeline from the protocol trace recorder
-// (Fig 2 / §7.3).
+// serves the node's record of one slot's consensus phases (§7.3).
 
 // statusWriter captures the response code for the request counter.
 type statusWriter struct {
@@ -47,37 +46,32 @@ func (s *Server) handlePromMetrics(w http.ResponseWriter, r *http.Request) {
 	_ = s.Node.Obs().Reg.WritePrometheus(w)
 }
 
-// TraceEventInfo is the public view of one protocol trace event.
-type TraceEventInfo struct {
-	At      string `json:"at"` // virtual time offset, e.g. "12.004s"
-	Kind    string `json:"kind"`
-	Counter uint32 `json:"counter,omitempty"` // ballot counter / nomination round
-	Peer    string `json:"peer,omitempty"`
-	Detail  string `json:"detail,omitempty"`
-}
-
-// SlotTraceInfo is the reconstructed timeline of one slot.
+// SlotTraceInfo is this node's record of one slot (herder.SlotRecord):
+// its phase boundaries on the node's clock, the phase durations derived
+// from them, and its timeout, round and envelope counts.
 type SlotTraceInfo struct {
 	Slot         uint64 `json:"slot"`
 	Externalized bool   `json:"externalized"`
 	Applied      bool   `json:"applied"`
 
-	NominationStart string `json:"nomination_start,omitempty"`
-	FirstPrepare    string `json:"first_prepare,omitempty"`
-	AcceptCommit    string `json:"accept_commit,omitempty"`
-	Externalize     string `json:"externalize,omitempty"`
-	LedgerApplied   string `json:"ledger_applied,omitempty"`
+	NominationStart    string `json:"nomination_start,omitempty"`
+	CandidateConfirmed string `json:"candidate_confirmed,omitempty"`
+	FirstPrepare       string `json:"first_prepare,omitempty"`
+	AcceptCommit       string `json:"accept_commit,omitempty"`
+	Externalize        string `json:"externalize,omitempty"`
+	LedgerApplied      string `json:"ledger_applied,omitempty"`
 
 	Nomination string `json:"nomination,omitempty"` // start → first prepare
 	Balloting  string `json:"balloting,omitempty"`  // first prepare → externalize
 	Total      string `json:"total,omitempty"`      // start → externalize
 
-	Timeouts          int `json:"timeouts"`
+	Timeouts int `json:"timeouts"`
+	// NominationRounds counts every round started, round 1 included, as
+	// scp_nomination_rounds_total does: a normal slot reads 1, and each
+	// timeout escalation adds one.
 	NominationRounds  int `json:"nomination_rounds"`
 	EnvelopesEmitted  int `json:"envelopes_emitted"`
 	EnvelopesReceived int `json:"envelopes_received"`
-
-	Events []TraceEventInfo `json:"events"`
 }
 
 func fmtAt(d time.Duration, ok bool) string {
@@ -87,49 +81,42 @@ func fmtAt(d time.Duration, ok bool) string {
 	return d.String()
 }
 
+// handleSlotTrace serves the slot's record. The record has its own lock,
+// so like /metrics this never takes the loop lock or blocks consensus.
 func (s *Server) handleSlotTrace(w http.ResponseWriter, r *http.Request) {
 	seq, err := strconv.ParseUint(r.PathValue("seq"), 10, 64)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad slot %q", r.PathValue("seq"))
 		return
 	}
-	tl := s.Node.Obs().Trace.SlotTimeline(seq)
-	if len(tl.Events) == 0 {
+	rec, ok := s.Node.SlotRecord(seq)
+	if !ok {
 		writeError(w, http.StatusNotFound,
-			"no trace for slot %d (not seen, or evicted from the ring)", seq)
+			"no record of slot %d (not seen, or no longer among the recent slots the node keeps)", seq)
 		return
 	}
-	info := SlotTraceInfo{
-		Slot:            tl.Slot,
-		Externalized:    tl.HasDecision,
-		Applied:         tl.HasApplied,
-		NominationStart: fmtAt(tl.NominationAt, tl.HasNomination),
-		FirstPrepare:    fmtAt(tl.FirstPrepareAt, tl.HasPrepare),
-		AcceptCommit:    fmtAt(tl.AcceptCommitAt, tl.HasCommit),
-		Externalize:     fmtAt(tl.ExternalizedAt, tl.HasDecision),
-		LedgerApplied:   fmtAt(tl.AppliedAt, tl.HasApplied),
-		// Durations may legitimately be zero in virtual time (a
-		// self-quorum node externalizes without network delay), so gate
-		// on boundary presence, not on the value.
-		Nomination:        fmtAt(tl.Nomination, tl.HasNomination && tl.HasPrepare),
-		Balloting:         fmtAt(tl.Balloting, tl.HasPrepare && tl.HasDecision),
-		Total:             fmtAt(tl.Total, tl.HasNomination && tl.HasDecision),
-		Timeouts:          tl.Timeouts,
-		NominationRounds:  tl.NominationRounds,
-		EnvelopesEmitted:  tl.EnvelopesEmitted,
-		EnvelopesReceived: tl.EnvelopesRecv,
-		Events:            make([]TraceEventInfo, 0, len(tl.Events)),
-	}
-	for _, ev := range tl.Events {
-		info.Events = append(info.Events, TraceEventInfo{
-			At:      ev.At.String(),
-			Kind:    ev.Kind.String(),
-			Counter: ev.Counter,
-			Peer:    ev.Peer,
-			Detail:  ev.Detail,
-		})
-	}
-	writeJSON(w, http.StatusOK, info)
+	// A zero time is a boundary not seen; durations may legitimately be
+	// zero in virtual time (a self-quorum node externalizes without network
+	// delay), so they are gated on boundary presence, not on the value.
+	nom, prep, ext := rec.NominationStart > 0, rec.Prepared(), rec.Externalized > 0
+	writeJSON(w, http.StatusOK, SlotTraceInfo{
+		Slot:               rec.Slot,
+		Externalized:       ext,
+		Applied:            rec.Applied > 0,
+		NominationStart:    fmtAt(rec.NominationStart, nom),
+		CandidateConfirmed: fmtAt(rec.CandidateConfirmed, rec.CandidateConfirmed > 0),
+		FirstPrepare:       fmtAt(rec.FirstPrepare, prep),
+		AcceptCommit:       fmtAt(rec.AcceptCommit, rec.AcceptCommit > 0),
+		Externalize:        fmtAt(rec.Externalized, ext),
+		LedgerApplied:      fmtAt(rec.Applied, rec.Applied > 0),
+		Nomination:         fmtAt(rec.FirstPrepare-rec.NominationStart, nom && prep),
+		Balloting:          fmtAt(rec.Externalized-rec.FirstPrepare, prep && ext),
+		Total:              fmtAt(rec.Externalized-rec.NominationStart, nom && ext),
+		Timeouts:           rec.NominationTimeouts + rec.BallotTimeouts,
+		NominationRounds:   rec.NominationRounds,
+		EnvelopesEmitted:   rec.EnvelopesEmitted,
+		EnvelopesReceived:  rec.EnvelopesReceived,
+	})
 }
 
 // handleQuorum serves the live quorum-health report (tentpole: per-node

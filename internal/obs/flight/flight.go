@@ -1,9 +1,10 @@
 // Package flight is the post-mortem half of the detection layer: when
 // the liveness watchdog decides the node is degraded (close stall,
 // SIGQUIT, operator request), it dumps a crash bundle — goroutine
-// stacks, the recent time-series window, the span store, the SCP
-// protocol-trace ring, and the active alert table — into a timestamped
-// directory so the stall can be diagnosed after the process is gone.
+// stacks, the recent time-series window, the span store, the node's
+// per-slot consensus records, and the active alert table — into a
+// timestamped directory so the stall can be diagnosed after the process is
+// gone.
 package flight
 
 import (
@@ -47,8 +48,9 @@ type Config struct {
 	Window time.Duration
 	// Tracer is the span store.
 	Tracer *obs.Tracer
-	// Proto is the SCP protocol-trace ring.
-	Proto *obs.Recorder
+	// Slots returns the node's per-slot consensus records. It is called
+	// while the node may be wedged, so it must not need the event loop.
+	Slots func() any
 	// Alerts is the SLO engine whose state goes into alerts.json.
 	Alerts *slo.Engine
 	// Clock is the shared telemetry time axis (nil = zero times).
@@ -78,24 +80,6 @@ func New(cfg Config) *Recorder {
 		cfg.Cooldown = time.Minute
 	}
 	return &Recorder{cfg: cfg, log: obs.Component(cfg.Log, "flight")}
-}
-
-// protoExport wraps the recorder ring's events with explicit fields —
-// obs.Event leaves At and Kind untagged for JSON, so the bundle encodes
-// its own stable shape.
-type protoExport struct {
-	Schema string       `json:"schema"`
-	Node   string       `json:"node"`
-	Events []protoEvent `json:"events"`
-}
-
-type protoEvent struct {
-	AtNanos int64  `json:"at_ns"`
-	Slot    uint64 `json:"slot"`
-	Kind    string `json:"kind"`
-	Counter uint32 `json:"counter,omitempty"`
-	Peer    string `json:"peer,omitempty"`
-	Detail  string `json:"detail,omitempty"`
 }
 
 // Dump writes a bundle now and returns its directory. reason becomes part
@@ -144,16 +128,8 @@ func (r *Recorder) Dump(reason string) (string, error) {
 	if r.cfg.Tracer != nil {
 		note("spans.json", writeJSON(dir, "spans.json", r.cfg.Tracer.Export(r.cfg.Node)))
 	}
-	if r.cfg.Proto != nil {
-		evs := r.cfg.Proto.Events()
-		pe := protoExport{Schema: "stellar-prototrace/v1", Node: r.cfg.Node, Events: make([]protoEvent, 0, len(evs))}
-		for _, ev := range evs {
-			pe.Events = append(pe.Events, protoEvent{
-				AtNanos: ev.At.Nanoseconds(), Slot: ev.Slot, Kind: ev.Kind.String(),
-				Counter: ev.Counter, Peer: ev.Peer, Detail: ev.Detail,
-			})
-		}
-		note("protocol-trace.json", writeJSON(dir, "protocol-trace.json", pe))
+	if r.cfg.Slots != nil {
+		note("slots.json", writeJSON(dir, "slots.json", r.cfg.Slots()))
 	}
 	if r.cfg.Alerts != nil {
 		note("alerts.json", writeJSON(dir, "alerts.json", r.cfg.Alerts.Report(r.cfg.Node, now)))

@@ -36,15 +36,17 @@ func TestDumpFullBundle(t *testing.T) {
 	clock = time.Second
 	sp.End()
 
-	proto := obs.NewRecorder(8)
-	proto.Record(obs.Event{Slot: 7, Kind: obs.EvExternalize, Detail: "x"})
+	type slot struct {
+		Slot uint64 `json:"slot"`
+	}
+	slots := func() any { return []slot{{Slot: 7}} }
 
 	engine := slo.NewEngine(ring, slo.DefaultRules(slo.Config{LedgerInterval: time.Second}), reg, nil)
 	engine.Evaluate(time.Second)
 
 	r := New(Config{
 		Dir: t.TempDir(), Node: "node-0",
-		Ring: ring, Tracer: tracer, Proto: proto, Alerts: engine,
+		Ring: ring, Tracer: tracer, Slots: slots, Alerts: engine,
 		Clock: func() time.Duration { return 2 * time.Second },
 	})
 	dir, err := r.Dump("test")
@@ -75,10 +77,10 @@ func TestDumpFullBundle(t *testing.T) {
 		t.Fatalf("spans export: node=%q spans=%d", spans.Node, len(spans.Spans))
 	}
 
-	var pt protoExport
-	readJSON(t, dir, "protocol-trace.json", &pt)
-	if len(pt.Events) != 1 || pt.Events[0].Slot != 7 || pt.Events[0].Kind == "" {
-		t.Fatalf("protocol trace: %+v", pt)
+	var recs []slot
+	readJSON(t, dir, "slots.json", &recs)
+	if len(recs) != 1 || recs[0].Slot != 7 {
+		t.Fatalf("slot records: %+v", recs)
 	}
 
 	var rep slo.Report
@@ -92,7 +94,7 @@ func TestDumpFullBundle(t *testing.T) {
 	if meta.Schema != MetaSchema || meta.Reason != "test" || meta.NowNano != (2*time.Second).Nanoseconds() {
 		t.Fatalf("meta: %+v", meta)
 	}
-	for _, want := range []string{"stacks.txt", "timeseries.json", "spans.json", "protocol-trace.json", "alerts.json"} {
+	for _, want := range []string{"stacks.txt", "timeseries.json", "spans.json", "slots.json", "alerts.json"} {
 		found := false
 		for _, f := range meta.Files {
 			if f == want {

@@ -35,21 +35,19 @@ func Component(l *slog.Logger, name string) *slog.Logger {
 }
 
 // Obs bundles the per-node observability facilities: the metric registry,
-// the protocol trace recorder, the root logger, and (optionally) the
-// causal span tracer. Reg/Trace/Log are always non-nil after New;
-// Tracer stays nil unless explicitly enabled — nil is the documented
-// zero-overhead "tracing off" state, so Normalize never fills it.
+// the root logger, and (optionally) the causal span tracer. Reg/Log are
+// always non-nil after New; Tracer stays nil unless explicitly enabled —
+// nil is the documented zero-overhead "tracing off" state, so Normalize
+// never fills it.
 type Obs struct {
 	Reg    *Registry
-	Trace  *Recorder
 	Log    *slog.Logger
 	Tracer *Tracer
 }
 
-// New creates a default bundle: fresh registry, default-capacity trace
-// ring, silent logger.
+// New creates a default bundle: fresh registry, silent logger.
 func New() *Obs {
-	return &Obs{Reg: NewRegistry(), Trace: NewRecorder(0), Log: Nop()}
+	return &Obs{Reg: NewRegistry(), Log: Nop()}
 }
 
 // Normalize fills nil fields with defaults, so partially configured
@@ -60,9 +58,6 @@ func (o *Obs) Normalize() *Obs {
 	}
 	if o.Reg == nil {
 		o.Reg = NewRegistry()
-	}
-	if o.Trace == nil {
-		o.Trace = NewRecorder(0)
 	}
 	if o.Log == nil {
 		o.Log = Nop()

@@ -109,7 +109,25 @@ func TestObsNormalizeTracerOptIn(t *testing.T) {
 	if ob2.Tracer != tr {
 		t.Fatal("Normalize dropped the Tracer")
 	}
-	if ob2.Trace == nil || ob2.Log == nil {
-		t.Fatal("Normalize left nil Trace/Log")
+	if ob2.Log == nil {
+		t.Fatal("Normalize left nil Log")
 	}
 }
+
+func TestObsNormalize(t *testing.T) {
+	var o *Obs
+	n := o.Normalize()
+	if n.Reg == nil || n.Log == nil {
+		t.Fatal("Normalize left nil fields")
+	}
+	partial := &Obs{Log: NewLogger(nopWriter{}, 0)}
+	if p := partial.Normalize(); p.Reg == nil {
+		t.Fatal("partial Normalize left nil fields")
+	}
+	Component(nil, "x").Info("discarded")
+	Component(n.Log, "herder").Debug("also discarded")
+}
+
+type nopWriter struct{}
+
+func (nopWriter) Write(p []byte) (int, error) { return len(p), nil }

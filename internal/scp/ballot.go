@@ -268,9 +268,6 @@ func (s *Slot) setPrepared(cand Ballot) bool {
 			s.c = Ballot{}
 		}
 	}
-	if td := s.tracer(); td != nil {
-		td.AcceptedPrepared(s.index, cand)
-	}
 	return true
 }
 
@@ -314,9 +311,6 @@ func (s *Slot) attemptConfirmPrepared() bool {
 		}
 		s.h = cand
 		s.z = cand.Value
-		if td := s.tracer(); td != nil {
-			td.ConfirmedPrepared(s.index, cand)
-		}
 		// Jump the current ballot up to h (ballot-synchronization: a
 		// confirmed-prepared ballot is where the action is).
 		if s.b.Counter < s.h.Counter || (s.b.Counter == s.h.Counter && !s.b.Compatible(s.h)) {

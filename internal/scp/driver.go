@@ -81,23 +81,9 @@ type MetricsDriver interface {
 	// NominationConfirmed is called when the first candidate value is
 	// confirmed nominated.
 	NominationConfirmed(slot uint64)
-}
-
-// TraceDriver is a second optional extension of Driver for fine-grained
-// protocol tracing: the slot transitions between MetricsDriver's coarse
-// events, enough to reconstruct the full nomination → externalize
-// timeline of one slot (Fig 2, §7.3). Implementations must be cheap —
-// these fire on the consensus hot path.
-type TraceDriver interface {
 	// NominationRoundStarted is called when nomination (re)starts:
 	// round 1 at the ledger trigger, then once per timeout escalation.
 	NominationRoundStarted(slot uint64, round int)
-	// AcceptedPrepared is called when a ballot is newly accepted as
-	// prepared (the federated-voting accept step of §3.2.3).
-	AcceptedPrepared(slot uint64, b Ballot)
-	// ConfirmedPrepared is called when a ballot is confirmed prepared
-	// and the node begins voting to commit.
-	ConfirmedPrepared(slot uint64, b Ballot)
 }
 
 // DefaultNominationTimeout mirrors stellar-core: round n lasts 1s + n·1s.

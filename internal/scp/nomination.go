@@ -18,8 +18,8 @@ func (s *Slot) startNomination(proposal Value) {
 	s.nomStarted = true
 	s.nomRound = 1
 	s.proposal = proposal
-	if td := s.tracer(); td != nil {
-		td.NominationRoundStarted(s.index, s.nomRound)
+	if md := s.metrics(); md != nil {
+		md.NominationRoundStarted(s.index, s.nomRound)
 	}
 	s.updateRoundLeaders()
 	s.takeLeaderVotes()
@@ -101,12 +101,10 @@ func (s *Slot) nominationTimerFired() {
 	if !s.nomStarted || s.candidates.Len() > 0 || s.externalized {
 		return
 	}
+	s.nomRound++
 	if md := s.metrics(); md != nil {
 		md.Timeout(s.index, TimerNomination)
-	}
-	s.nomRound++
-	if td := s.tracer(); td != nil {
-		td.NominationRoundStarted(s.index, s.nomRound)
+		md.NominationRoundStarted(s.index, s.nomRound)
 	}
 	s.updateRoundLeaders()
 	s.takeLeaderVotes()

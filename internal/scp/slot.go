@@ -253,8 +253,3 @@ func (s *Slot) metrics() MetricsDriver {
 	md, _ := s.node.driver.(MetricsDriver)
 	return md
 }
-
-func (s *Slot) tracer() TraceDriver {
-	td, _ := s.node.driver.(TraceDriver)
-	return td
-}

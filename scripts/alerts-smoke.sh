@@ -160,7 +160,7 @@ if [ -z "$bundle" ]; then
     ls -R "$LOGDIR/crash-bundles" >&2 || true
     exit 1
 fi
-for f in stacks.txt timeseries.json alerts.json meta.json; do
+for f in stacks.txt timeseries.json slots.json alerts.json meta.json; do
     [ -s "$bundle/$f" ] || {
         echo "FAIL: crash bundle missing $f" >&2
         exit 1

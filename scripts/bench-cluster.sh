@@ -5,7 +5,7 @@
 #
 #   BENCH_cluster.json  — schema-versioned close-cadence / latency / tx/s
 #   cluster-trace.json  — every node's span store merged into one
-#                         Perfetto trace (validated by tracecheck -cluster)
+#                         Perfetto trace (validated by stellar-obs tracecheck -cluster)
 #
 # The merge must be lossless (stellar-obs merge -fail-on-drop) and every
 # node must publish the trace_spans_dropped metric; either failing fails
@@ -98,7 +98,7 @@ echo "merging the fleet's span stores (must be lossless)..."
 
 echo "validating artifacts..."
 "$LOGDIR/stellar-obs" check -f "$BENCH_OUT"
-go run ./cmd/tracecheck -cluster "$TRACE_OUT"
+"$LOGDIR/stellar-obs" tracecheck -cluster "$TRACE_OUT"
 
 echo "checking the trace_spans_dropped metric on every node..."
 for i in 0 1 2; do
