@@ -82,9 +82,7 @@ func (n *Node) ledgerAt(seq uint32) (overlay.CatchupItem, bool) {
 	}
 	var ts *ledger.TxSet
 	if err == nil {
-		if ts = n.txsets[hdr.TxSetHash]; ts == nil {
-			ts, err = a.GetTxSet(seq)
-		}
+		ts, err = a.GetTxSet(seq)
 	}
 	if err == nil && ts.Hash(n.cfg.NetworkID) != hdr.TxSetHash {
 		err = fmt.Errorf("archived set hashes to %s, header names %s", ts.Hash(n.cfg.NetworkID), hdr.TxSetHash)
@@ -137,11 +135,14 @@ func (n *Node) applyCatchup(items []overlay.CatchupItem) {
 		if it.Header.LedgerSeq <= n.last.LedgerSeq {
 			continue
 		}
-		// Held like any set learned from a peer, and applied as held: made
-		// of the pool's instances wherever the pool has the same envelope.
-		n.holdTxSet(it.TxSet)
-		ts := n.txsets[it.TxSet.Hash(n.cfg.NetworkID)]
-		if err := n.ReplayLedger(it.Header, ts); err != nil {
+		// Held like any set learned from a peer, and applied as held: a body
+		// is made of the pool's instances wherever the pool has the same
+		// envelope. It leaves RAM at the close that applies it.
+		h := it.TxSet.Hash(n.cfg.NetworkID)
+		if _, held := n.txsets[h]; !held {
+			n.holdTxSet(it.TxSet.Intern(n.cfg.NetworkID, n.pooled))
+		}
+		if err := n.ReplayLedger(it.Header, n.txsets[h]); err != nil {
 			n.log.Warn("catch-up: reply refused", "err", err)
 			break
 		}

@@ -101,8 +101,11 @@ type Node struct {
 	last     *ledger.Header
 
 	// pool is the bounded fee-priority pending set (admit.go holds the
-	// admission front door the horizon submit pipeline calls).
-	pool *mempool.Pool
+	// admission front door the horizon submit pipeline calls). pooled is its
+	// Get: what a flooded reference is resolved against and a set that
+	// arrived as a body is interned against (txsets.go).
+	pool   *mempool.Pool
+	pooled func(stellarcrypto.Hash) *ledger.Transaction
 	// lastLedgerTxs is the transaction count of the latest close, served
 	// by FeeStats as a demand signal.
 	lastLedgerTxs int
@@ -111,15 +114,17 @@ type Node struct {
 	// their tx: applied, evicted, or pruned stale.
 	admitTimes map[stellarcrypto.Hash]time.Duration
 
-	// txsets holds the proposed transaction sets of open slots and txsetSeen
-	// the ledger at which each was learned, for age-based pruning (a set
-	// proposed for a future slot must survive the close of the current one).
-	// txsetAsked and txsetServed remember, for as long, which peer was asked
-	// for which set and which was served one (txsets.go).
-	txsets      map[stellarcrypto.Hash]*ledger.TxSet
-	txsetSeen   map[stellarcrypto.Hash]uint32
-	txsetAsked  map[txsetPeer]uint32
-	txsetServed map[txsetPeer]uint32
+	// txsets holds the proposed transaction sets of open slots only, and
+	// txsetSeen the ledger at which each was learned, for the age rule that
+	// keeps a set proposed on a ledger not reached yet. txsetAsked and
+	// txsetServed remember which peer was asked for which set and which was
+	// served one, and txsetApplied which set each of the last few ledgers
+	// applied, by which a late request is still answered (txsets.go).
+	txsets       map[stellarcrypto.Hash]*ledger.TxSet
+	txsetSeen    map[stellarcrypto.Hash]uint32
+	txsetAsked   map[txsetPeer]uint32
+	txsetServed  map[txsetPeer]uint32
+	txsetApplied map[stellarcrypto.Hash]uint32
 
 	// recent holds the header and transaction set of each of the last
 	// recentWindow ledgers that the archive does not: every one on a node
@@ -182,26 +187,28 @@ func New(net simnet.Env, cfg Config) (*Node, error) {
 	id := fba.NodeIDFromPublicKey(cfg.Keys.Public)
 	ob := cfg.Obs.Normalize()
 	n := &Node{
-		cfg:         cfg,
-		obs:         ob,
-		ins:         newInstruments(ob.Reg),
-		log:         obs.Component(ob.Log, "herder"),
-		id:          id,
-		addr:        simnet.Addr(id),
-		net:         net,
-		headers:     make(map[uint32]stellarcrypto.Hash),
-		pool:        mempool.New(mempool.Config{MaxTxs: cfg.MempoolMaxTxs, MaxPerSource: cfg.MempoolMaxPerSource}),
-		admitTimes:  make(map[stellarcrypto.Hash]time.Duration),
-		txsets:      make(map[stellarcrypto.Hash]*ledger.TxSet),
-		txsetSeen:   make(map[stellarcrypto.Hash]uint32),
-		txsetAsked:  make(map[txsetPeer]uint32),
-		txsetServed: make(map[txsetPeer]uint32),
-		recent:      make(map[uint32]overlay.CatchupItem),
-		decided:     make(map[uint64]*StellarValue),
-		timers:      make(map[timerKey]*simnet.Timer),
-		triggered:   make(map[uint64]bool),
-		peersHealth: make(map[fba.NodeID]*peerStatus),
+		cfg:          cfg,
+		obs:          ob,
+		ins:          newInstruments(ob.Reg),
+		log:          obs.Component(ob.Log, "herder"),
+		id:           id,
+		addr:         simnet.Addr(id),
+		net:          net,
+		headers:      make(map[uint32]stellarcrypto.Hash),
+		pool:         mempool.New(mempool.Config{MaxTxs: cfg.MempoolMaxTxs, MaxPerSource: cfg.MempoolMaxPerSource}),
+		admitTimes:   make(map[stellarcrypto.Hash]time.Duration),
+		txsets:       make(map[stellarcrypto.Hash]*ledger.TxSet),
+		txsetSeen:    make(map[stellarcrypto.Hash]uint32),
+		txsetAsked:   make(map[txsetPeer]uint32),
+		txsetServed:  make(map[txsetPeer]uint32),
+		txsetApplied: make(map[stellarcrypto.Hash]uint32),
+		recent:       make(map[uint32]overlay.CatchupItem),
+		decided:      make(map[uint64]*StellarValue),
+		timers:       make(map[timerKey]*simnet.Timer),
+		triggered:    make(map[uint64]bool),
+		peersHealth:  make(map[fba.NodeID]*peerStatus),
 	}
+	n.pooled = n.pool.Get
 	n.initTracer()
 	n.initHealthGauges()
 	n.updatePoolGauges() // publish mempool_capacity before any traffic
@@ -526,9 +533,9 @@ func (n *Node) tryApplyDecided() {
 // (sv), one it installs without having closed it live (want, the header it
 // must reproduce, from ReplayLedger), or both. It applies the set and the
 // parameter changes — sv's upgrades, else want's parameters — seals the
-// header, and finishes the close: it measures it, prunes the pool and the
-// proposal sets, archives the ledger and keeps it servable, and re-arms the
-// ledger cadence (§5.1–§5.4). A computed header that is not want is
+// header, and finishes the close: it measures it, prunes the pool, archives
+// the ledger and keeps it servable, re-arms the ledger cadence, and last
+// drops the proposal sets of the slots it closed (§5.1–§5.4). A computed header that is not want is
 // refused, and the node is put back at its tip.
 func (n *Node) applyLedger(ts *ledger.TxSet, sv *StellarValue, want *ledger.Header) error {
 	slot := uint64(n.last.LedgerSeq) + 1
@@ -648,8 +655,6 @@ func (n *Node) applyLedger(ts *ledger.TxSet, sv *StellarValue, want *ledger.Head
 	n.lastLedgerTxs = len(ts.Txs)
 	n.updatePoolGauges()
 
-	n.pruneTxSets()
-
 	// Archive (§5.4); a ledger the archive does not then hold stays in the
 	// window lagging peers are served from (catchup.go).
 	archived := false
@@ -661,6 +666,7 @@ func (n *Node) applyLedger(ts *ledger.TxSet, sv *StellarValue, want *ledger.Head
 	if !archived {
 		n.recent[hdr.LedgerSeq] = overlay.CatchupItem{Header: hdr, TxSet: ts}
 	}
+	n.txsetApplied[txSetHash] = hdr.LedgerSeq
 	if hdr.LedgerSeq > recentWindow {
 		delete(n.recent, hdr.LedgerSeq-recentWindow)
 	}
@@ -686,6 +692,10 @@ func (n *Node) applyLedger(ts *ledger.TxSet, sv *StellarValue, want *ledger.Head
 	if n.OnLedgerClose != nil {
 		n.OnLedgerClose(hdr, results, cs)
 	}
+	// The sets of the slots this close ended — the applied one and the
+	// proposals that lost — leave RAM last, once all that reads the close
+	// has run: from here the archive or the window serves the applied one.
+	n.pruneTxSets()
 	return nil
 }
 

@@ -221,6 +221,50 @@ func TestTxSetRefMissAndMismatch(t *testing.T) {
 	}
 }
 
+// TestResolvedSetHeldWithoutLookups: a reference rebuilt from the pool is
+// held as Resolve built it, from the pool's instances, with no second pass
+// over the pool; only a set that arrives as a body is interned, one lookup
+// per transaction.
+func TestResolvedSetHeldWithoutLookups(t *testing.T) {
+	net, n, a, _, nid, payers := onePuppeted(t)
+	var txs []*ledger.Transaction
+	for i, p := range payers {
+		tx := p.payment(nid, payers[(i+1)%len(payers)].id)
+		if err := n.SubmitTx(tx); err != nil {
+			t.Fatal(err)
+		}
+		txs = append(txs, tx)
+	}
+	net.RunFor(50 * time.Millisecond)
+	lookups := 0
+	n.pooled = func(h stellarcrypto.Hash) *ledger.Transaction {
+		lookups++
+		return n.pool.Get(h)
+	}
+
+	resolved := &ledger.TxSet{PrevLedgerHash: n.LastHeader().Hash(), Txs: txs[:4]}
+	a.send(n, refPacket(resolved, nid, a.addr))
+	if n.txsets[resolved.Hash(nid)] == nil || refCount(n, refResolved) != 1 {
+		t.Fatal("setup: the reference was not resolved")
+	}
+	if lookups != len(resolved.Txs) {
+		t.Fatalf("resolving and holding %d transactions took %d pool lookups, want Resolve's %d alone",
+			len(resolved.Txs), lookups, len(resolved.Txs))
+	}
+
+	fetched := &ledger.TxSet{PrevLedgerHash: n.LastHeader().Hash(), Txs: txs[4:]}
+	h := fetched.Hash(nid)
+	n.txsetAsked[txsetPeer{h, a.addr}] = n.LastHeader().LedgerSeq
+	lookups = 0
+	a.send(n, &overlay.Packet{Kind: overlay.KindTxSet, TxSet: wiredSet(t, fetched)})
+	if got := n.txsets[h]; got == nil || got.Txs[0] != n.pool.Get(txs[4].Hash(nid)) {
+		t.Fatal("a fetched set was not held as the pool's instances")
+	}
+	if lookups != len(fetched.Txs) {
+		t.Fatalf("interning %d fetched transactions took %d pool lookups", len(fetched.Txs), lookups)
+	}
+}
+
 func encodeTxSet(ts *ledger.TxSet) []byte {
 	e := xdr.NewEncoder(1 << 12)
 	ts.EncodeXDR(e)
@@ -385,12 +429,16 @@ func TestTxSetRefFetchedWithinTheRound(t *testing.T) {
 }
 
 // TestRebroadcastSendsOpenSlotReferences: anti-entropy re-floods references,
-// never whole sets, and only those an undecided slot can still name.
+// never whole sets, and only those an undecided slot can still name — not a
+// set fetched for a slot that closed before the reply came, which the node
+// holds until its next close.
 func TestRebroadcastSendsOpenSlotReferences(t *testing.T) {
-	net, n, a, b, nid, _ := onePuppeted(t)
+	net, n, a, b, nid, payers := onePuppeted(t)
 	net.RunFor(n.cfg.LedgerInterval) // alone now, it proposes for a slot that stays open
+	closedOn, _ := n.HeaderHash(n.LastHeader().LedgerSeq - 1)
+	n.holdTxSet(&ledger.TxSet{PrevLedgerHash: closedOn, Txs: []*ledger.Transaction{payers[0].payment(nid, payers[1].id)}})
 	if len(n.txsets) < 2 {
-		t.Fatalf("setup: node holds %d sets, want those of closed slots too", len(n.txsets))
+		t.Fatalf("setup: node holds %d sets, want a closed slot's too", len(n.txsets))
 	}
 	a.got, b.got = nil, nil
 	n.RebroadcastLatest()
@@ -415,6 +463,59 @@ func TestRebroadcastSendsOpenSlotReferences(t *testing.T) {
 	}
 	if open == 0 || refs != open {
 		t.Fatalf("%d references re-flooded, %d sets are for the open slot", refs, open)
+	}
+}
+
+// TestLateTxSetReqServedFromArchive: a request for the set of a ledger a
+// durable node has just closed — one that crossed the close — is answered
+// with the proposer's bytes, read back from the archive: the node holds no
+// closed slot's set in RAM. A set older than the request records, or one no
+// ledger applied, is not served.
+func TestLateTxSetReqServedFromArchive(t *testing.T) {
+	net, nodes, nid, payers := buildFunded(t, 8, durable(t))
+	sealed := make(map[stellarcrypto.Hash][]byte) // set hash → the bytes the node applied
+	n := nodes[2]
+	n.OnLedgerClose = func(h *ledger.Header, _ []ledger.TxResult, _ CloseStats) {
+		sealed[h.TxSetHash] = encodeTxSet(n.txsets[h.TxSetHash])
+	}
+	for _, node := range nodes {
+		node.Start()
+	}
+	closeLedgers(t, net, n, txsetKeep+3, func() {
+		for i, p := range payers {
+			if err := nodes[i%3].SubmitTx(p.payment(nid, payers[(i+1)%len(payers)].id)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	a := puppetize(net, nodes[0])
+	tip := n.LastHeader()
+	old, err := n.cfg.Archive.GetHeader(tip.LedgerSeq - txsetKeep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n.txsets[tip.TxSetHash] != nil || len(sealed[tip.TxSetHash]) == 0 {
+		t.Fatal("setup: the node still holds the set it applied, or applied none")
+	}
+	served := func(h stellarcrypto.Hash) *ledger.TxSet {
+		a.got = nil
+		a.send(n, &overlay.Packet{Kind: overlay.KindTxSetReq, TxSetHash: h})
+		for _, pkt := range a.got {
+			if pkt.Kind == overlay.KindTxSet {
+				return pkt.TxSet
+			}
+		}
+		return nil
+	}
+	got := served(tip.TxSetHash)
+	if got == nil || len(got.Txs) == 0 {
+		t.Fatal("the set of the ledger just closed was not served")
+	}
+	if !bytes.Equal(encodeTxSet(got), sealed[tip.TxSetHash]) {
+		t.Fatal("the served set does not encode to the proposer's bytes")
+	}
+	if served(old.TxSetHash) != nil || served(stellarcrypto.HashBytes([]byte("no such set"))) != nil {
+		t.Fatal("a set older than the request records, or one nobody applied, was served")
 	}
 }
 

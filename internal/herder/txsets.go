@@ -29,8 +29,10 @@ type txsetPeer struct {
 	peer simnet.Addr
 }
 
-// txsetKeep is how many ledgers a set, and the record of who was asked for
-// it or served it, outlives the ledger it was last seen at.
+// txsetKeep is how many ledgers the records of requests outlive the ledger
+// they were made at — who was asked for a set, who was served one, and
+// which set each recent ledger applied, which a late request may still
+// name — and how long a set on a ledger this node does not know is kept.
 const txsetKeep = 3
 
 // refOutcome is what became of a delivered reference; it indexes the
@@ -46,11 +48,12 @@ const (
 
 var refOutcomeNames = [...]string{"resolved", "fetched", "ignored", "unanswered"}
 
-// holdTxSet stores a transaction set learned from a peer, built from the
-// pool's own instances wherever the pool holds the same transaction
-// (ledger.TxSet.Intern): a proposal is mostly transactions this node already
-// pooled, and their decoded duplicates would otherwise live as long as the
-// set. It reports whether the set is new.
+// holdTxSet stores a transaction set learned from a peer, as given, and
+// reports whether the set is new. A resolved reference is made of the pool's
+// own instances already; a set that arrived as a body is first built from
+// them (ledger.TxSet.Intern, at the caller), since a proposal is mostly
+// transactions this node already pooled and their decoded duplicates would
+// otherwise live as long as the set.
 func (n *Node) holdTxSet(ts *ledger.TxSet) bool {
 	h := ts.Hash(n.cfg.NetworkID)
 	if n.last != nil {
@@ -59,7 +62,7 @@ func (n *Node) holdTxSet(ts *ledger.TxSet) bool {
 	if _, dup := n.txsets[h]; dup {
 		return false
 	}
-	n.txsets[h] = ts.Intern(n.cfg.NetworkID, n.pool.Get)
+	n.txsets[h] = ts
 	return true
 }
 
@@ -104,7 +107,7 @@ func (n *Node) onTxSetRef(from simnet.Addr, ref *ledger.TxSetRef) bool {
 		n.txsetSeen[h] = n.last.LedgerSeq
 		return true
 	}
-	if ts := ref.Resolve(n.cfg.NetworkID, n.pool.Get); ts != nil {
+	if ts := ref.Resolve(n.cfg.NetworkID, n.pooled); ts != nil {
 		n.ins.txsetRefs[refResolved].Inc()
 		n.onTxSet(ts)
 		return true
@@ -117,12 +120,21 @@ func (n *Node) onTxSetRef(from simnet.Addr, ref *ledger.TxSetRef) bool {
 	return false
 }
 
-// serveTxSet answers a peer's request for a set this node holds, once per
-// peer and set: an honest peer asks once.
+// serveTxSet answers a peer's request for a set, once per peer and set: an
+// honest peer asks once. A set this node holds is sent from RAM; the set one
+// of the last txsetKeep ledgers applied — a request that crossed this node's
+// close — is read back through ledgerAt, from the archive or the window.
 func (n *Node) serveTxSet(peer simnet.Addr, h stellarcrypto.Hash) {
-	ts, held := n.txsets[h]
 	req := txsetPeer{h, peer}
-	if _, served := n.txsetServed[req]; !held || served || n.state == nil {
+	if _, served := n.txsetServed[req]; served || n.state == nil {
+		return
+	}
+	ts, held := n.txsets[h]
+	if seq, applied := n.txsetApplied[h]; !held && applied {
+		it, ok := n.ledgerAt(seq)
+		ts, held = it.TxSet, ok
+	}
+	if !held {
 		return
 	}
 	n.txsetServed[req] = n.last.LedgerSeq
@@ -132,7 +144,7 @@ func (n *Node) serveTxSet(peer simnet.Addr, h stellarcrypto.Hash) {
 
 // onTxSetReply holds a whole set a peer sent because this node asked it to,
 // and only then floods the reference on. The set is kept as received except
-// where the pool holds the very same envelope (holdTxSet).
+// where the pool holds the very same envelope (ledger.TxSet.Intern).
 func (n *Node) onTxSetReply(from simnet.Addr, ts *ledger.TxSet) {
 	h := ts.Hash(n.cfg.NetworkID)
 	ask := txsetPeer{h, from}
@@ -144,29 +156,40 @@ func (n *Node) onTxSetReply(from simnet.Addr, ts *ledger.TxSet) {
 		return // another peer answered first
 	}
 	n.ins.txsetRefs[refFetched].Inc()
-	n.onTxSet(ts)
-	n.ov.BroadcastTxSetRef(n.txsets[h].Ref(n.cfg.NetworkID), obs.TraceContext{})
+	ts = ts.Intern(n.cfg.NetworkID, n.pooled)
+	n.onTxSet(ts) // which may apply it, and drop it, at once
+	n.ov.BroadcastTxSetRef(ts.Ref(n.cfg.NetworkID), obs.TraceContext{})
 }
 
-// pruneTxSets runs at every close: it drops sets not seen within the last
-// few ledgers, always keeping any referenced by a buffered decision
-// (pruning must not discard next-slot proposals that arrived before this
-// close: the overlay dedup would suppress their re-floods and the
-// referencing values could never become votable), and the request records
-// of the same age. A request still on record then was never answered.
+// pruneTxSets runs at the end of every close. RAM holds the sets of open
+// slots only: a set built on a ledger this node has closed past is dropped —
+// the one the close applied among them, which the archive holds from now on
+// — unless a buffered decision still names it. A set on a ledger this node
+// does not know (one not reached yet) is kept until txsetKeep ledgers after
+// it was last seen: pruning must not discard next-slot proposals that
+// arrived before this close, since the overlay dedup would suppress their
+// re-floods and the referencing values could never become votable. The
+// request records go at the same age; a request still on record then was
+// never answered.
 func (n *Node) pruneTxSets() {
 	tip := n.last.LedgerSeq
 	needed := make(map[stellarcrypto.Hash]bool, len(n.decided))
 	for _, dv := range n.decided {
 		needed[dv.TxSetHash] = true
 	}
-	for h := range n.txsets {
-		if needed[h] {
+	tipHash := n.last.Hash()
+	for h, ts := range n.txsets {
+		if needed[h] || ts.PrevLedgerHash == tipHash {
 			continue
 		}
-		if seen, ok := n.txsetSeen[h]; !ok || seen+txsetKeep < tip {
+		if seen, ok := n.txsetSeen[h]; n.closedPast(ts.PrevLedgerHash) || !ok || seen+txsetKeep < tip {
 			delete(n.txsets, h)
 			delete(n.txsetSeen, h)
+		}
+	}
+	for h, seq := range n.txsetApplied {
+		if seq+txsetKeep <= tip {
+			delete(n.txsetApplied, h)
 		}
 	}
 	for ask, at := range n.txsetAsked {

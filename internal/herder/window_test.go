@@ -12,6 +12,7 @@ import (
 	"stellar/internal/history"
 	"stellar/internal/ledger"
 	"stellar/internal/overlay"
+	"stellar/internal/scp"
 	"stellar/internal/simnet"
 	"stellar/internal/stellarcrypto"
 	"stellar/internal/transport"
@@ -138,19 +139,31 @@ func sameChain(t *testing.T, a, b *Node, from uint32) {
 }
 
 // TestWindowKeepsFactsNotBodies: three durable nodes close 160 ledgers of
-// 200 transactions. Their windows are empty — so no transaction is
-// reachable from a node except through its pool and the sets of its open
-// slots — yet every ledger of the last 128 is still servable, and a peer's
-// proposal decoded from the wire is stored as the pool's instances. A
-// fourth validator without an archive, whose bucket list is all in RAM,
-// closes the same headers at every ledger, through the spills into levels
-// 1–3 that the durable three merge on disk; it keeps the last 128 ledgers,
-// so a request that starts before them is answered by a durable peer and
-// not by it.
+// 200 transactions. Their windows are empty and they hold the sets of open
+// slots only — so no transaction is reachable from a node except through
+// its pool and those sets, none of the last three applied sets' instances
+// outlives its close unless still pooled, and no applied transaction's
+// signature verdict stays cached — yet every ledger of the last 128 is
+// still servable, and a peer's proposal fetched from the wire is stored as
+// the pool's instances. A fourth validator without an archive, whose bucket
+// list is all in RAM, closes the same headers at every ledger, through the
+// spills into levels 1–3 that the durable three merge on disk; it keeps the
+// last 128 ledgers, so a request that starts before them is answered by a
+// durable peer and not by it.
 func TestWindowKeepsFactsNotBodies(t *testing.T) {
 	const perLedger = 200
 	net, nodes, nid, payers := buildFunded(t, perLedger, durable(t))
 	memOnly := inMemoryPeer(t, nodes)
+	// The instances each durable node applied at its last txsetKeep closes.
+	appliedSets := make([][]*ledger.TxSet, len(nodes))
+	for i, n := range nodes {
+		n.OnLedgerClose = func(h *ledger.Header, _ []ledger.TxResult, _ CloseStats) {
+			appliedSets[i] = append(appliedSets[i], n.txsets[h.TxSetHash])
+			if len(appliedSets[i]) > txsetKeep {
+				appliedSets[i] = appliedSets[i][1:]
+			}
+		}
+	}
 	for _, n := range append([]*Node{memOnly}, nodes...) {
 		n.Start()
 	}
@@ -188,16 +201,44 @@ func TestWindowKeepsFactsNotBodies(t *testing.T) {
 		if len(n.recent) != 0 {
 			t.Fatalf("node %d: window of %d ledgers beside the archive", i, len(n.recent))
 		}
+		tip := n.LastHeader().LedgerSeq
 		reachable := make(map[*ledger.Transaction]bool)
 		n.pool.Each(func(_ stellarcrypto.Hash, tx *ledger.Transaction) { reachable[tx] = true })
 		open := 0
 		for _, ts := range n.txsets {
+			for seq, h := range n.headers {
+				if seq != tip && h == ts.PrevLedgerHash {
+					t.Fatalf("node %d holds a set built on ledger %d, closed at tip %d", i, seq, tip)
+				}
+			}
 			open += len(ts.Txs)
 			for _, tx := range ts.Txs {
 				reachable[tx] = true
 			}
 		}
 		bound := n.pool.Len() + open
+		if len(appliedSets[i]) != txsetKeep {
+			t.Fatalf("node %d: %d applied sets recorded", i, len(appliedSets[i]))
+		}
+		for _, ts := range appliedSets[i] {
+			for _, tx := range ts.Txs {
+				if reachable[tx] && n.pool.Get(tx.Hash(nid)) != tx {
+					t.Fatalf("node %d: an applied transaction is still held outside the pool", i)
+				}
+				pk, _ := tx.Source.PublicKey()
+				h := tx.Hash(nid)
+				for _, sig := range tx.Signatures {
+					if n.verifier.Cache.Contains(pk, h[:], sig.Sig) {
+						t.Fatalf("node %d: an applied transaction's signature verdict is still cached", i)
+					}
+				}
+			}
+		}
+		// What the cache holds is the pool's verdicts and the envelopes',
+		// which leave by LRU only — not the ledgers': that was 160 × 200.
+		if got, most := n.verifier.Cache.Stats().Entries, n.pool.Len()+envelopesVerified(n)+256; got > most {
+			t.Fatalf("node %d: %d verdicts cached, want at most %d", i, got, most)
+		}
 		applied := 0
 		for seq := n.LastHeader().LedgerSeq - recentWindow + 1; seq <= n.LastHeader().LedgerSeq; seq++ {
 			it, ok := n.ledgerAt(seq)
@@ -214,8 +255,8 @@ func TestWindowKeepsFactsNotBodies(t *testing.T) {
 		}
 	}
 
-	// A peer's proposal as the wire delivers it: every transaction decoded
-	// afresh, one of them unknown to this node's pool.
+	// A peer's proposal as the wire delivers it in reply to a request: every
+	// transaction decoded afresh, one of them unknown to this node's pool.
 	n := nodes[1]
 	submit()
 	net.RunFor(100 * time.Millisecond) // floods land; the next trigger is a ledger interval away
@@ -231,7 +272,8 @@ func TestWindowKeepsFactsNotBodies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.onTxSet(decoded)
+	n.txsetAsked[txsetPeer{decoded.Hash(nid), nodes[0].Addr()}] = n.LastHeader().LedgerSeq
+	n.onTxSetReply(nodes[0].Addr(), decoded)
 	stored := n.txsets[decoded.Hash(nid)]
 	if stored == nil || stored.Hash(nid) != proposal.Hash(nid) {
 		t.Fatal("received set not stored under its hash")
@@ -513,4 +555,14 @@ func TestBallotingEndsAtExternalize(t *testing.T) {
 	if got, want := node.ins.balloting.Count(), uint64(balloted); got != want {
 		t.Fatalf("herder_balloting_seconds has %d samples, close records %d", got, want)
 	}
+}
+
+// envelopesVerified bounds the SCP envelopes whose signatures n checked:
+// every one it received.
+func envelopesVerified(n *Node) int {
+	total := 0
+	for _, typ := range []scp.StatementType{scp.StmtNominate, scp.StmtPrepare, scp.StmtConfirm, scp.StmtExternalize} {
+		total += int(n.ins.envReceived.With(stmtLabel(typ)).Value())
+	}
+	return total
 }

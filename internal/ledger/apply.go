@@ -259,7 +259,9 @@ func (st *State) VerifyTxSetSignatures(txs []*Transaction, networkID stellarcryp
 // results and the results hash for the header. When a verifier is
 // attached, signature verification fans out across the pool first;
 // execution itself is one sequential loop in apply order (DESIGN §14 has
-// the measurements behind that).
+// the measurements behind that). That loop is the last reader of the set's
+// signature verdicts — an applied transaction's sequence number is spent —
+// so they leave the cache after it, under the keys its lookups computed.
 func (st *State) ApplyTxSet(ts *TxSet, networkID stellarcrypto.Hash, env *ApplyEnv) ([]TxResult, stellarcrypto.Hash) {
 	start := time.Now()
 	txs := ts.SortForApply(networkID)
@@ -267,6 +269,9 @@ func (st *State) ApplyTxSet(ts *TxSet, networkID stellarcrypto.Hash, env *ApplyE
 	st.VerifyTxSetSignatures(txs, networkID)
 	st.traceSpan.CompleteChild(obs.SpanSigPrepass, time.Since(prepassStart))
 	loopStart := time.Now()
+	if st.verifier != nil {
+		st.spent = make([]stellarcrypto.Hash, 0, len(txs))
+	}
 	results := make([]TxResult, 0, len(txs))
 	for _, tx := range txs {
 		results = append(results, st.ApplyTransaction(tx, networkID, env))
@@ -274,6 +279,8 @@ func (st *State) ApplyTxSet(ts *TxSet, networkID stellarcrypto.Hash, env *ApplyE
 	st.traceSpan.CompleteChild(obs.SpanTxApply, time.Since(loopStart))
 	st.observeApply(start, results)
 	if st.verifier != nil {
+		st.verifier.Cache.Forget(st.spent)
+		st.spent = nil
 		// Fold cache/pool deltas into the metric registry once per
 		// ledger, whether or not the parallel prepass ran (a 1-worker
 		// node still verifies through the cache).

@@ -600,3 +600,40 @@ func TestVerifierPipelineMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// TestApplyDropsTheSetsVerdicts: the verdicts admission cached for a set's
+// transactions answer every signature check of the apply loop, and leave the
+// cache with it — under the keys the loop's own lookups computed — while the
+// verdict of a pooled transaction the set does not carry stays.
+func TestApplyDropsTheSetsVerdicts(t *testing.T) {
+	f := newPipeFixture(1)
+	nid := f.networkID
+	v := verify.New(1, 1<<12)
+	w := f.buildWorld(t, v)
+	if st := v.Cache.Stats(); st.Entries != 0 {
+		t.Fatalf("setup ledgers left %d verdicts cached", st.Entries)
+	}
+	g := &conflictGen{f: f}
+	ts := g.txSet(rand.New(rand.NewSource(1)), w.hdr.Hash(), 0, w.hdr.LedgerSeq+1)
+	pending := &ledger.Transaction{Source: f.id(0), Fee: ledger.DefaultBaseFee, SeqNum: 1 << 40,
+		Operations: []ledger.Operation{{Body: &ledger.Payment{Destination: f.id(1), Asset: ledger.NativeAsset(), Amount: 1}}}}
+	pending.Sign(nid, f.keys[0])
+	for _, tx := range append([]*ledger.Transaction{pending}, ts.Txs...) {
+		if err := w.st.CheckSignatures(tx, nid); err != nil {
+			t.Fatalf("setup: %v", err)
+		}
+	}
+	before := v.Cache.Stats()
+	w.closeLedger(t, ts, nid, 3_000)
+	after := v.Cache.Stats()
+	if after.Misses != before.Misses || after.Hits == before.Hits {
+		t.Fatalf("apply looked up %d verdicts and missed %d, want every one found", after.Hits-before.Hits, after.Misses-before.Misses)
+	}
+	if after.Entries != 1 {
+		t.Fatalf("%d verdicts cached after apply, want the pending transaction's alone", after.Entries)
+	}
+	h := pending.Hash(nid)
+	if !v.Cache.Contains(f.keys[0].Public, h[:], pending.Signatures[0].Sig) {
+		t.Fatal("the pending transaction's verdict left with the applied set's")
+	}
+}

@@ -54,6 +54,9 @@ type State struct {
 	// Nil means direct, uncached, sequential verification — the retained
 	// reference implementation the property tests compare against.
 	verifier *verify.Verifier
+	// spent collects the cache keys of the signature checks ApplyTxSet's
+	// sequential loop makes, while it runs; nil at any other time.
+	spent []stellarcrypto.Hash
 }
 
 type bookKey struct{ selling, buying string }
@@ -109,9 +112,16 @@ func (s *State) Verifier() *verify.Verifier { return s.verifier }
 
 // verifySig checks one signature, through the cache when a verifier is
 // attached. The verdict is identical either way: the cache memoizes a
-// pure function of (key, msg, sig).
+// pure function of (key, msg, sig). Inside ApplyTxSet's loop the lookup's
+// key is kept, so the set's verdicts can leave the cache without hashing
+// anything twice.
 func (s *State) verifySig(pk stellarcrypto.PublicKey, msg, sig []byte) bool {
-	return s.verifier.Verify(pk, msg, sig) // nil-safe: falls back to pk.Verify
+	if s.spent == nil {
+		return s.verifier.Verify(pk, msg, sig) // nil-safe: falls back to pk.Verify
+	}
+	key := verify.Key(pk, msg, sig)
+	s.spent = append(s.spent, key)
+	return s.verifier.Cache.VerifyKey(key, pk, msg, sig)
 }
 
 // --- journaling ---

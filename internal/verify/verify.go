@@ -33,9 +33,11 @@ import (
 // DefaultCacheSize bounds the cache when the caller does not choose one.
 // A verdict costs about 80 bytes (TestCacheBytesPerVerdict holds it under
 // 110: a 44-byte slot plus a map entry of 12 bytes at the load the runtime
-// keeps), so a full default cache is about 5 MB — roomy enough that every
-// signature in a ledger's worth of pending transactions stays resident from
-// overlay receipt through apply.
+// keeps), so a full default cache is about 5 MB. It is a ceiling, not what
+// keeps a ledger's pending verdicts resident: an applied transaction's
+// verdicts leave at the close of its ledger (Forget), so a validator's
+// cache holds its pool's verdicts and its envelopes', and only the envelope
+// verdicts wait for the LRU to reuse their slots.
 const DefaultCacheSize = 1 << 16
 
 // Cache is a bounded LRU map from (message, signature, public key) to the
@@ -48,7 +50,9 @@ const DefaultCacheSize = 1 << 16
 // key to the slot number. Neither holds a pointer, so the garbage collector
 // never looks inside the cache however full it is. The eight bytes only
 // locate a slot: a verdict is returned only when the slot's full key
-// matches, and two keys that share them merely displace each other.
+// matches, and two keys that share them merely displace each other. The
+// slots Forget frees are chained through next into a free list, which a
+// new verdict takes from before the slab grows.
 type Cache struct {
 	mu    sync.Mutex
 	max   int
@@ -56,6 +60,7 @@ type Cache struct {
 	slots []slot // grows to max, then the least recently used is reused
 	head  uint32 // most recently used; noSlot when empty
 	tail  uint32 // least recently used
+	free  uint32 // first freed slot; noSlot when none
 
 	hits   atomic.Uint64
 	misses atomic.Uint64
@@ -81,13 +86,14 @@ func NewCache(max int) *Cache {
 		index: make(map[uint64]uint32),
 		head:  noSlot,
 		tail:  noSlot,
+		free:  noSlot,
 	}
 }
 
-// cacheKey derives the injective cache key for a verification triple.
-// HashConcat length-prefixes each part, so distinct (msg, sig, key)
-// splits can never collide.
-func cacheKey(pk stellarcrypto.PublicKey, msg, sig []byte) stellarcrypto.Hash {
+// Key derives the injective cache key for a verification triple: one
+// SHA-256 over it. HashConcat length-prefixes each part, so distinct (msg,
+// sig, key) splits can never collide.
+func Key(pk stellarcrypto.PublicKey, msg, sig []byte) stellarcrypto.Hash {
 	return stellarcrypto.HashConcat(msg, sig, pk.Bytes())
 }
 
@@ -163,6 +169,9 @@ func (c *Cache) store(key stellarcrypto.Hash, ok bool) {
 	case exists:
 		// The key itself, or one sharing its locator, which it replaces.
 		c.unlink(i)
+	case c.free != noSlot:
+		i = c.free
+		c.free = c.slots[i].next
 	case len(c.slots) < c.max:
 		if len(c.slots) == cap(c.slots) {
 			// Double, but never past the bound: append would overshoot it.
@@ -185,7 +194,12 @@ func (c *Cache) store(key stellarcrypto.Hash, ok bool) {
 // Verify reports whether sig is a valid signature of msg under pk,
 // consulting the cache first. Both outcomes are memoized.
 func (c *Cache) Verify(pk stellarcrypto.PublicKey, msg, sig []byte) bool {
-	key := cacheKey(pk, msg, sig)
+	return c.VerifyKey(Key(pk, msg, sig), pk, msg, sig)
+}
+
+// VerifyKey is Verify for a caller that holds the triple's Key already and
+// wants it for Forget later.
+func (c *Cache) VerifyKey(key stellarcrypto.Hash, pk stellarcrypto.PublicKey, msg, sig []byte) bool {
 	if ok, found := c.lookup(key); found {
 		return ok
 	}
@@ -194,10 +208,29 @@ func (c *Cache) Verify(pk stellarcrypto.PublicKey, msg, sig []byte) bool {
 	return ok
 }
 
+// Forget drops the verdicts cached under keys: those no check will ask for
+// again, such as an applied transaction's, whose sequence number is spent.
+// Keys not cached are skipped. A missing verdict costs a cold verify, never
+// a different answer.
+func (c *Cache) Forget(keys []stellarcrypto.Hash) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, key := range keys {
+		i, found := c.find(key)
+		if !found {
+			continue
+		}
+		c.unlink(i)
+		delete(c.index, locator(key))
+		c.slots[i] = slot{next: c.free}
+		c.free = i
+	}
+}
+
 // Contains reports whether the verdict for the triple is already cached,
 // without counting a hit or miss. Tests use it to assert cache warmth.
 func (c *Cache) Contains(pk stellarcrypto.PublicKey, msg, sig []byte) bool {
-	key := cacheKey(pk, msg, sig)
+	key := Key(pk, msg, sig)
 	c.mu.Lock()
 	_, found := c.find(key)
 	c.mu.Unlock()

@@ -377,3 +377,50 @@ func TestCacheBytesPerVerdict(t *testing.T) {
 	}
 	runtime.KeepAlive(keys)
 }
+
+// TestCacheForgetReusesSlots: a forgotten verdict no longer answers, the
+// others still do in LRU order, and new verdicts fill the freed slots before
+// the slab grows — a cache whose verdicts are forgotten as fast as they are
+// stored stays at its high-water mark however many pass through it.
+func TestCacheForgetReusesSlots(t *testing.T) {
+	c := NewCache(1024)
+	var keys []stellarcrypto.Hash
+	for i := 0; i < 100; i++ {
+		keys = append(keys, testKey(i))
+		c.store(keys[i], i%2 == 0)
+	}
+	slab := len(c.slots)
+	c.Forget(append(keys[:50:50], testKey(-1))) // one key never stored
+	if st := c.Stats(); st.Entries != 50 {
+		t.Fatalf("%d entries after forgetting 50 of 100, want 50", st.Entries)
+	}
+	for i, k := range keys {
+		ok, found := c.lookup(k)
+		if found != (i >= 50) || found && ok != (i%2 == 0) {
+			t.Fatalf("key %d: found=%v ok=%v", i, found, ok)
+		}
+	}
+	for round := 0; round < 20; round++ {
+		var batch []stellarcrypto.Hash
+		for i := 0; i < 50; i++ {
+			k := testKey(1000 + round*50 + i)
+			c.store(k, true)
+			batch = append(batch, k)
+		}
+		c.Forget(batch)
+	}
+	if len(c.slots) != slab {
+		t.Fatalf("slab grew from %d to %d slots with every new verdict forgotten", slab, len(c.slots))
+	}
+	// The LRU order survives the reuse: filling to the bound evicts the
+	// oldest survivors first.
+	for i := 0; i < 1024-50+1; i++ {
+		c.store(testKey(5000+i), true)
+	}
+	if _, found := c.lookup(keys[50]); found {
+		t.Fatal("the least recently used verdict was not the one evicted at the bound")
+	}
+	if _, found := c.lookup(keys[51]); !found {
+		t.Fatal("a verdict newer than the evicted one is gone")
+	}
+}
