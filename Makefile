@@ -132,7 +132,7 @@ fuzz:
 # microbenchmarks.
 bench-micro:
 	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchtime 1x . \
-		| $(GO) run ./cmd/benchtables -bench-json BENCH_micro.json
+		| $(GO) run ./cmd/stellar-obs benchjson BENCH_micro.json
 
 # smoke boots real stellar-node quorums over loopback TCP through one
 # harness (internal/cluster) and runs one Go test per end-to-end contract:

@@ -180,7 +180,7 @@ func BenchmarkSCPvsPBFT(b *testing.B) {
 	}
 }
 
-// BenchmarkTimeoutPolicy is the DESIGN §4 ablation: ballot timeout growth.
+// BenchmarkTimeoutPolicy is the DESIGN.md §2 ablation: ballot timeout growth.
 func BenchmarkTimeoutPolicy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rows, err := experiments.RunTimeoutPolicyAblation(6)

@@ -1,7 +1,7 @@
 // Command stellar-node runs ONE validator as an OS process, speaking the
 // authenticated TCP overlay (internal/transport) to its peers — where
-// stellar-sim and horizon-demo simulate a whole network in-process, N
-// stellar-node processes form a real quorum:
+// stellar-sim simulates a whole network in-process, N stellar-node
+// processes form a real quorum:
 //
 //	stellar-node -seed node-0 -listen :11625 -peers localhost:11626,localhost:11627 -horizon :8000
 //	stellar-node -seed node-1 -listen :11626 -peers localhost:11625,localhost:11627 -metrics :9001
@@ -11,7 +11,9 @@
 // same quorum set and genesis state with no coordination; -quorum lists
 // the labels of all validators (majority threshold). The demo master
 // account ("demo-master" seed label) exists at genesis for transaction
-// submission through horizon, exactly as in horizon-demo.
+// submission through horizon. A single validator is a quorum of one:
+//
+//	stellar-node -seed node-0 -quorum node-0 -horizon :8000 -interval 1s
 package main
 
 import (
@@ -155,7 +157,7 @@ func run(listen, peersFlag, seed, quorumFlag, horizonAddr, metricsAddr, network 
 			}
 		}
 	}
-	// Boot policy (DESIGN.md §16): a data dir holding a checkpoint restores
+	// Boot policy (DESIGN.md §7): a data dir holding a checkpoint restores
 	// and replays to its archived tip before the overlay opens; an empty
 	// data dir with -catchup fetches a peer's checkpointed state over the
 	// wire once the first peer is up, then catches up the ledgers past it;
@@ -221,7 +223,7 @@ func run(listen, peersFlag, seed, quorumFlag, horizonAddr, metricsAddr, network 
 	// Horizon (full API) and the metrics endpoint serve the same handler:
 	// the metrics address is the lightweight alternative when no client
 	// API is wanted, exposing /metrics, /debug/quorum, and /ledgers.
-	srv := horizon.New(node, loop, networkID)
+	srv := horizon.New(node, networkID)
 	srv.Mu = loop.Locker()
 	srv.SetIngress(horizon.IngressConfig{
 		SourceRate:  ingress.SubmitRate,

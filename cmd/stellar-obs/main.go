@@ -1,6 +1,8 @@
-// stellar-obs is the fleet observability collector: it scrapes every
-// node's /metrics, /debug/quorum, and /debug/trace/export endpoints and
-// turns per-process silos into cluster-level views.
+// stellar-obs is the operator's tool beside the node binary. Its fleet
+// commands scrape every node's /metrics, /debug/quorum, and
+// /debug/trace/export endpoints and turn per-process silos into
+// cluster-level views; its offline commands check traces, quorum
+// configurations (§6.2) and regenerate the paper's tables (§7).
 //
 //	stellar-obs table -nodes http://127.0.0.1:28000,http://127.0.0.1:28001
 //	stellar-obs table -nodes ... -watch 2s            # live fleet table
@@ -9,6 +11,7 @@
 //	stellar-obs tracecheck -cluster cluster-trace.json # trace links valid?
 //
 // merge exits non-zero with -fail-on-drop if the merged trace lost spans.
+// tracecheck and fbas exit 1 on a violation and 2 on a usage error.
 package main
 
 import (
@@ -35,6 +38,12 @@ func main() {
 		err = cmdMerge(os.Args[2:])
 	case "tracecheck":
 		cmdTracecheck(os.Args[2:])
+	case "fbas":
+		os.Exit(cmdFbas(os.Args[2:], os.Stdin, os.Stdout, os.Stderr))
+	case "tables":
+		os.Exit(cmdTables(os.Args[2:]))
+	case "benchjson":
+		err = cmdBenchJSON(os.Args[2:])
 	case "-h", "-help", "--help", "help":
 		usage()
 		return
@@ -53,10 +62,13 @@ func usage() {
 	fmt.Fprint(os.Stderr, `usage: stellar-obs <command> [flags]
 
 commands:
-  table   render the fleet status table (add -watch for live refresh)
-  alerts  sweep every node's /debug/alerts (add -fail-on-firing for CI)
-  merge   merge every node's span store into one Perfetto trace
+  table       render the fleet status table (add -watch for live refresh)
+  alerts      sweep every node's /debug/alerts (add -fail-on-firing for CI)
+  merge       merge every node's span store into one Perfetto trace
   tracecheck  validate a Chrome trace export (-lifecycle, -cluster)
+  fbas        check a quorum configuration for intersection and criticality
+  tables      regenerate the paper's evaluation tables (-list, -table, -full)
+  benchjson   convert go test -bench output on stdin into a micro report
 `)
 }
 

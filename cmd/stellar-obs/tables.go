@@ -1,17 +1,3 @@
-// Command benchtables regenerates every table and figure of the paper's
-// evaluation (§7) plus the §6.2 checker measurements, printing the same
-// rows and series the paper reports. See DESIGN.md's experiment index.
-//
-// Usage:
-//
-//	benchtables -table=all            # everything (slow)
-//	benchtables -table=fig9 -full     # one figure at paper scale
-//	benchtables -list                 # enumerate tables
-//
-// With -bench-json it instead converts `go test -bench` output piped on
-// stdin into a schema-versioned BENCH_micro.json:
-//
-//	go test -run '^$' -bench . -benchtime 1x . | benchtables -bench-json BENCH_micro.json
 package main
 
 import (
@@ -22,6 +8,53 @@ import (
 
 	"stellar/internal/experiments"
 )
+
+// cmdTables regenerates every table and figure of the paper's evaluation
+// (§7) plus the §6.2 checker measurements, printing the same rows and
+// series the paper reports (EXPERIMENTS.md holds the committed run):
+//
+//	stellar-obs tables -table=all            # everything (minutes)
+//	stellar-obs tables -table=fig9 -full     # one figure at paper scale
+//	stellar-obs tables -list                 # enumerate tables
+//
+// It returns the exit code: 1 when an experiment fails, 2 for an unknown
+// table.
+func cmdTables(args []string) int {
+	fs := flag.NewFlagSet("tables", flag.ExitOnError)
+	table := fs.String("table", "all", "table to regenerate (see -list)")
+	full := fs.Bool("full", false, "paper-scale sweeps (slow); default is a faithful reduced scale")
+	list := fs.Bool("list", false, "list available tables")
+	fs.Parse(args)
+
+	if *list {
+		for _, t := range tables {
+			fmt.Printf("  %-12s %s\n", t.name, t.desc)
+		}
+		return 0
+	}
+	ran := false
+	for _, t := range tables {
+		if *table != "all" && t.name != *table {
+			continue
+		}
+		if t.name == "critical" && *table == "all" {
+			continue // qi prints both
+		}
+		ran = true
+		fmt.Printf("\n=== %s — %s ===\n", t.name, t.desc)
+		start := time.Now()
+		if err := t.run(*full); err != nil {
+			fmt.Fprintf(os.Stderr, "error: %v\n", err)
+			return 1
+		}
+		fmt.Printf("(regenerated in %v)\n", time.Since(start).Round(time.Millisecond))
+	}
+	if !ran {
+		fmt.Fprintf(os.Stderr, "unknown table %q; use -list\n", *table)
+		return 2
+	}
+	return 0
+}
 
 var tables = []struct {
 	name string
@@ -39,52 +72,8 @@ var tables = []struct {
 	{"qi", "E9 / §6.2.1: quorum intersection checker scaling", runQI},
 	{"critical", "E10 / §6.2.2: criticality detection", runQI},
 	{"baselinebft", "E11: SCP vs closed-membership PBFT baseline", runBFT},
-	{"ablation", "DESIGN §4: ballot timeout policy ablation", runAblation},
+	{"ablation", "DESIGN.md §2: ballot timeout policy ablation", runAblation},
 	{"overlay", "§7.5 future work: flooding vs structured multicast", runOverlay},
-}
-
-func main() {
-	table := flag.String("table", "all", "table to regenerate (see -list)")
-	full := flag.Bool("full", false, "paper-scale sweeps (slow); default is a faithful reduced scale")
-	list := flag.Bool("list", false, "list available tables")
-	benchJSON := flag.String("bench-json", "",
-		"parse `go test -bench` output from stdin into a stellar-bench/v1 micro report at this path (- = stdout)")
-	flag.Parse()
-
-	if *benchJSON != "" {
-		if err := runBenchJSON(echoBench(os.Stdin), *benchJSON); err != nil {
-			fmt.Fprintf(os.Stderr, "error: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *list {
-		for _, t := range tables {
-			fmt.Printf("  %-12s %s\n", t.name, t.desc)
-		}
-		return
-	}
-	ran := false
-	for _, t := range tables {
-		if *table != "all" && t.name != *table {
-			continue
-		}
-		if t.name == "critical" && *table == "all" {
-			continue // qi prints both
-		}
-		ran = true
-		fmt.Printf("\n=== %s — %s ===\n", t.name, t.desc)
-		start := time.Now()
-		if err := t.run(*full); err != nil {
-			fmt.Fprintf(os.Stderr, "error: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("(regenerated in %v)\n", time.Since(start).Round(time.Millisecond))
-	}
-	if !ran {
-		fmt.Fprintf(os.Stderr, "unknown table %q; use -list\n", *table)
-		os.Exit(2)
-	}
 }
 
 func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
@@ -323,7 +312,7 @@ func runAblation(full bool) error {
 	if err != nil {
 		return err
 	}
-	fmt.Println("ablation: ballot timeout growth policy on a laggy network (DESIGN §4)")
+	fmt.Println("ablation: ballot timeout growth policy on a laggy network (DESIGN.md §2)")
 	fmt.Printf("%-20s %12s %18s\n", "policy", "close mean", "timeouts/ledger")
 	for _, r := range rows {
 		fmt.Printf("%-20s %12.2fs %18.2f\n", r.Policy, r.CloseMean.Seconds(), r.Timeouts)

@@ -3,6 +3,7 @@
 // Protocol, the federated Byzantine agreement model, and the full payment
 // network built on them. See README.md for the guided tour, DESIGN.md for
 // the system inventory, and EXPERIMENTS.md for the paper-vs-measured
-// record. The public API lives in internal/core; bench_test.go regenerates
-// every table and figure from the paper's evaluation.
+// record. A validator is cmd/stellar-node; `stellar-obs tables` and
+// bench_test.go regenerate every table and figure of the paper's
+// evaluation.
 package stellar

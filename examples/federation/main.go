@@ -5,6 +5,10 @@
 // quorum intersection with the §6.2 checker, then knocks an entire
 // organization offline and shows liveness continuing — the federated
 // model's point: no single org is a gatekeeper.
+//
+// Unlike the other examples it has no test: fifteen validators over ninety
+// seconds of network time take about half a minute of wall clock, so
+// `go test ./...` only builds it. Run it with `go run ./examples/federation`.
 package main
 
 import (

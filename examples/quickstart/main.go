@@ -8,31 +8,44 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
-	"stellar/internal/core"
+	"stellar/internal/herder"
 	"stellar/internal/ledger"
 	"stellar/internal/stellarcrypto"
 )
 
 func main() {
-	networkID := core.HashBytes([]byte("quickstart"))
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
+	networkID := stellarcrypto.HashBytes([]byte("quickstart"))
 
 	// Genesis: the master account holds the XLM supply.
-	state, masterKP := core.GenesisState(networkID)
+	state, masterKP := herder.GenesisState(networkID)
 	master := ledger.AccountIDFromPublicKey(masterKP.Public)
 	env := &ledger.ApplyEnv{LedgerSeq: 2, CloseTime: 1}
 
 	// Keys for our cast. Deterministic seeds keep the run reproducible.
-	bankKP := core.KeyPairFromString("first-national-bank")
-	aliceKP := core.KeyPairFromString("alice")
-	bobKP := core.KeyPairFromString("bob")
+	bankKP := stellarcrypto.KeyPairFromString("first-national-bank")
+	aliceKP := stellarcrypto.KeyPairFromString("alice")
+	bobKP := stellarcrypto.KeyPairFromString("bob")
 	bank := ledger.AccountIDFromPublicKey(bankKP.Public)
 	alice := ledger.AccountIDFromPublicKey(aliceKP.Public)
 	bob := ledger.AccountIDFromPublicKey(bobKP.Public)
 
-	// apply builds, signs, and applies one transaction, failing loudly.
+	// apply builds, signs, and applies one transaction; the first failure
+	// sticks in err and makes later calls no-ops.
+	var err error
 	apply := func(source ledger.AccountID, kp stellarcrypto.KeyPair, ops ...ledger.Operation) {
+		if err != nil {
+			return
+		}
 		acct := state.Account(source)
 		tx := &ledger.Transaction{
 			Source:     source,
@@ -43,53 +56,60 @@ func main() {
 		tx.Sign(networkID, kp)
 		res := state.ApplyTransaction(tx, networkID, env)
 		if !res.Success {
-			log.Fatalf("tx failed: %s %v", res.Err, res.OpErrors)
+			err = fmt.Errorf("tx failed: %s %v", res.Err, res.OpErrors)
 		}
 	}
 
 	// 1. Fund three accounts with XLM.
-	fmt.Println("1. creating accounts (CreateAccount)")
+	fmt.Fprintln(w, "1. creating accounts (CreateAccount)")
 	apply(master, masterKP,
-		ledger.Operation{Body: &ledger.CreateAccount{Destination: bank, StartingBalance: 1000 * core.One}},
-		ledger.Operation{Body: &ledger.CreateAccount{Destination: alice, StartingBalance: 100 * core.One}},
-		ledger.Operation{Body: &ledger.CreateAccount{Destination: bob, StartingBalance: 100 * core.One}},
+		ledger.Operation{Body: &ledger.CreateAccount{Destination: bank, StartingBalance: 1000 * ledger.One}},
+		ledger.Operation{Body: &ledger.CreateAccount{Destination: alice, StartingBalance: 100 * ledger.One}},
+		ledger.Operation{Body: &ledger.CreateAccount{Destination: bob, StartingBalance: 100 * ledger.One}},
 	)
 
 	// 2. The bank issues USD; Alice consents by opening a trustline.
-	usd, _ := core.NewAsset("USD", bank)
-	fmt.Println("2. issuing USD (ChangeTrust + Payment from the issuer mints)")
-	apply(alice, aliceKP, ledger.Operation{Body: &ledger.ChangeTrust{Asset: usd, Limit: 10_000 * core.One}})
-	apply(bank, bankKP, ledger.Operation{Body: &ledger.Payment{Destination: alice, Asset: usd, Amount: 500 * core.One}})
-	fmt.Printf("   alice now holds %s USD\n", core.FormatAmount(state.BalanceOf(alice, usd)))
+	usd := ledger.MustAsset("USD", bank)
+	fmt.Fprintln(w, "2. issuing USD (ChangeTrust + Payment from the issuer mints)")
+	apply(alice, aliceKP, ledger.Operation{Body: &ledger.ChangeTrust{Asset: usd, Limit: 10_000 * ledger.One}})
+	apply(bank, bankKP, ledger.Operation{Body: &ledger.Payment{Destination: alice, Asset: usd, Amount: 500 * ledger.One}})
+	fmt.Fprintf(w, "   alice now holds %s USD\n", ledger.FormatAmount(state.BalanceOf(alice, usd)))
 
 	// 3. A simple XLM payment.
-	fmt.Println("3. paying 25 XLM alice → bob (Payment)")
-	apply(alice, aliceKP, ledger.Operation{Body: &ledger.Payment{Destination: bob, Asset: core.NativeAsset(), Amount: 25 * core.One}})
+	fmt.Fprintln(w, "3. paying 25 XLM alice → bob (Payment)")
+	apply(alice, aliceKP, ledger.Operation{Body: &ledger.Payment{Destination: bob, Asset: ledger.NativeAsset(), Amount: 25 * ledger.One}})
 
 	// 4. The bank makes a market: sells USD for XLM at 2 XLM per USD.
-	fmt.Println("4. market making (ManageOffer): bank sells USD at 2 XLM/USD")
+	fmt.Fprintln(w, "4. market making (ManageOffer): bank sells USD at 2 XLM/USD")
 	apply(bank, bankKP, ledger.Operation{Body: &ledger.ManageOffer{
-		Selling: usd, Buying: core.NativeAsset(),
-		Amount: 1000 * core.One, Price: ledger.MustPrice(2, 1),
+		Selling: usd, Buying: ledger.NativeAsset(),
+		Amount: 1000 * ledger.One, Price: ledger.MustPrice(2, 1),
 	}})
-	book := state.OffersBook(usd, core.NativeAsset())
-	fmt.Printf("   order book now has %d offer(s); best price %s XLM/USD\n", len(book), book[0].Price)
+	if err != nil {
+		return err
+	}
+	book := state.OffersBook(usd, ledger.NativeAsset())
+	fmt.Fprintf(w, "   order book now has %d offer(s); best price %s XLM/USD\n", len(book), book[0].Price)
 
 	// 5. Bob pays Alice 10 USD — but Bob only holds XLM. PathPayment
 	//    converts through the order book atomically, with bob's cost
 	//    capped at 21 XLM (the end-to-end limit price, §1).
-	fmt.Println("5. cross-asset payment (PathPayment): bob sends XLM, alice receives USD")
-	before := state.BalanceOf(bob, core.NativeAsset())
+	fmt.Fprintln(w, "5. cross-asset payment (PathPayment): bob sends XLM, alice receives USD")
+	before := state.BalanceOf(bob, ledger.NativeAsset())
 	apply(bob, bobKP, ledger.Operation{Body: &ledger.PathPayment{
-		SendAsset: core.NativeAsset(), SendMax: 21 * core.One,
-		Destination: alice, DestAsset: usd, DestAmount: 10 * core.One,
+		SendAsset: ledger.NativeAsset(), SendMax: 21 * ledger.One,
+		Destination: alice, DestAsset: usd, DestAmount: 10 * ledger.One,
 	}})
-	fmt.Printf("   bob spent %s XLM; alice now holds %s USD\n",
-		core.FormatAmount(before-state.BalanceOf(bob, core.NativeAsset())),
-		core.FormatAmount(state.BalanceOf(alice, usd)))
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "   bob spent %s XLM; alice now holds %s USD\n",
+		ledger.FormatAmount(before-state.BalanceOf(bob, ledger.NativeAsset())),
+		ledger.FormatAmount(state.BalanceOf(alice, usd)))
 
 	// 6. Ledger totals.
-	fmt.Printf("\nledger: %d accounts, %d trustlines, %d offers; fee pool %s XLM\n",
+	fmt.Fprintf(w, "\nledger: %d accounts, %d trustlines, %d offers; fee pool %s XLM\n",
 		state.NumAccounts(), state.NumTrustlines(), state.NumOffers(),
-		core.FormatAmount(state.FeePool))
+		ledger.FormatAmount(state.FeePool))
+	return nil
 }

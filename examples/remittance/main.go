@@ -12,7 +12,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"stellar/internal/experiments"
@@ -22,6 +24,12 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	// A 4-validator network at the production 5-second cadence.
 	sim, err := experiments.Build(experiments.Options{
 		Validators: 4,
@@ -29,7 +37,7 @@ func main() {
 		NoLoad:     true, // we submit by hand
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	sim.Start()
 	node := sim.Nodes[0]
@@ -39,13 +47,18 @@ func main() {
 		record(h, results, cs)
 		for _, r := range results {
 			if !r.Success {
-				fmt.Printf("  ! tx failed in ledger %d: %s %v\n", h.LedgerSeq, r.Err, r.OpErrors)
+				fmt.Fprintf(w, "  ! tx failed in ledger %d: %s %v\n", h.LedgerSeq, r.Err, r.OpErrors)
 			}
 		}
 	}
 
 	master := ledger.AccountIDFromPublicKey(sim.MasterKey.Public)
+	// submit hands a transaction to the first validator and lets the
+	// network close a ledger with it; the first refusal sticks in err.
 	submit := func(desc string, source ledger.AccountID, kp stellarcrypto.KeyPair, ops ...ledger.Operation) {
+		if err != nil {
+			return
+		}
 		acct := node.State().Account(source)
 		tx := &ledger.Transaction{
 			Source:     source,
@@ -54,12 +67,12 @@ func main() {
 			Operations: ops,
 		}
 		tx.Sign(networkID, kp)
-		if err := node.SubmitTx(tx); err != nil {
-			log.Fatalf("%s: %v", desc, err)
+		if err = node.SubmitTx(tx); err != nil {
+			err = fmt.Errorf("%s: %w", desc, err)
+			return
 		}
-		// Let the network close a ledger with it.
 		sim.Run(6 * time.Second)
-		fmt.Printf("  ✓ %s (ledger %d)\n", desc, node.LastHeader().LedgerSeq)
+		fmt.Fprintf(w, "  ✓ %s (ledger %d)\n", desc, node.LastHeader().LedgerSeq)
 	}
 
 	newAccount := func(label string, xlm ledger.Amount) (ledger.AccountID, stellarcrypto.KeyPair) {
@@ -70,7 +83,7 @@ func main() {
 		return id, kp
 	}
 
-	fmt.Println("setting up anchors and market makers:")
+	fmt.Fprintln(w, "setting up anchors and market makers:")
 	usAnchor, usKP := newAccount("us-anchor", 100*ledger.One)
 	mxAnchor, mxKP := newAccount("mx-anchor", 100*ledger.One)
 	maker, makerKP := newAccount("market-maker", 1000*ledger.One)
@@ -80,7 +93,7 @@ func main() {
 	usd := ledger.MustAsset("USD", usAnchor)
 	mxn := ledger.MustAsset("MXN", mxAnchor)
 
-	fmt.Println("\nissuing anchor tokens (§5.1 trustlines):")
+	fmt.Fprintln(w, "\nissuing anchor tokens (§5.1 trustlines):")
 	submit("maker trusts USD+MXN", maker, makerKP,
 		ledger.Operation{Body: &ledger.ChangeTrust{Asset: usd, Limit: 1_000_000 * ledger.One}},
 		ledger.Operation{Body: &ledger.ChangeTrust{Asset: mxn, Limit: 1_000_000 * ledger.One}})
@@ -94,7 +107,7 @@ func main() {
 	submit("MX anchor funds market maker with 20,000 MXN", mxAnchor, mxKP,
 		ledger.Operation{Body: &ledger.Payment{Destination: maker, Asset: mxn, Amount: 20_000 * ledger.One}})
 
-	fmt.Println("\nmarket maker quotes USD/MXN at 17.5 (§5.1 order book):")
+	fmt.Fprintln(w, "\nmarket maker quotes USD/MXN at 17.5 (§5.1 order book):")
 	submit("maker sells MXN for USD", maker, makerKP,
 		ledger.Operation{Body: &ledger.ManageOffer{
 			Selling: mxn, Buying: usd,
@@ -103,7 +116,7 @@ func main() {
 		}})
 
 	// The remittance: $0.50 → 8.75 MXN, limit price protects the sender.
-	fmt.Println("\nsending $0.50 from the US to Mexico (PathPayment, §5.2):")
+	fmt.Fprintln(w, "\nsending $0.50 from the US to Mexico (PathPayment, §5.2):")
 	destAmount, _ := ledger.ParseAmount("8.75")
 	sendMax, _ := ledger.ParseAmount("0.51") // end-to-end limit price
 	before := node.LastHeader().CloseTime
@@ -113,16 +126,20 @@ func main() {
 			Destination: recipient, DestAsset: mxn, DestAmount: destAmount,
 		}})
 	after := node.LastHeader().CloseTime
+	if err != nil {
+		return err
+	}
 
-	fmt.Printf("\nresult:\n")
-	fmt.Printf("  recipient MXN balance: %s\n", ledger.FormatAmount(node.State().BalanceOf(recipient, mxn)))
-	fmt.Printf("  sender USD balance:    %s (spent ≤ $0.51 by the limit price)\n",
+	fmt.Fprintf(w, "\nresult:\n")
+	fmt.Fprintf(w, "  recipient MXN balance: %s\n", ledger.FormatAmount(node.State().BalanceOf(recipient, mxn)))
+	fmt.Fprintf(w, "  sender USD balance:    %s (spent ≤ $0.51 by the limit price)\n",
 		ledger.FormatAmount(node.State().BalanceOf(sender, usd)))
-	fmt.Printf("  settled in %d ledger close(s) ≈ %d seconds of network time\n", 1, after-before)
-	fmt.Printf("  fee paid: %s XLM (≈ $0.000001 at paper prices)\n", ledger.FormatAmount(100))
+	fmt.Fprintf(w, "  settled in %d ledger close(s) ≈ %d seconds of network time\n", 1, after-before)
+	fmt.Fprintf(w, "  fee paid: %s XLM (≈ $0.000001 at paper prices)\n", ledger.FormatAmount(100))
 
 	if err := sim.CheckAgreement(); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("  all 4 validators agree on every ledger hash ✓")
+	fmt.Fprintln(w, "  all 4 validators agree on every ledger hash ✓")
+	return nil
 }

@@ -26,7 +26,7 @@ func TestPartitionAlertsFireAndResolve(t *testing.T) {
 	// from the far side of the partition, refreshing the victims' liveness
 	// evidence and masking the quorum outage from the health monitor — a
 	// real detection-evasion property of replay attacks (see DESIGN.md
-	// §15). The close stall still fires either way; quorum-unavailable
+	// §8). The close stall still fires either way; quorum-unavailable
 	// needs the peers to go properly silent.
 	sc.Behaviors = BehaviorEquivocate
 	sc.Trace = true // the crash bundle must carry the span store

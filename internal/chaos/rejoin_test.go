@@ -11,16 +11,35 @@ import (
 
 // runRejoin executes the durable-state acceptance scenario and checks the
 // pieces the runner's own invariants don't: the expected alerts appear in
-// the report, and every validator's archive — including the victim's,
-// which in the wipe variant was repopulated purely over the wire — holds
-// a restorable checkpoint at the end.
+// the report, the rejoined node's close records run up to its last closed
+// ledger, and every validator's archive — including the victim's, which
+// in the wipe variant was repopulated purely over the wire — holds a
+// restorable checkpoint at the end.
 func runRejoin(t *testing.T, wipe bool) {
 	t.Helper()
 	base := t.TempDir()
 	dirFor := func(i int) string { return filepath.Join(base, fmt.Sprintf("node-%d", i)) }
-	rep, err := Run(KillWipeRejoinScenario(1, wipe, dirFor), nil)
+	sc := KillWipeRejoinScenario(1, wipe, dirFor)
+	r, err := NewRunner(sc, nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	rep, err := r.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range sc.Faults {
+		if f.Kind != FaultRejoin {
+			continue
+		}
+		var recorded uint32
+		if recs := r.Sim.Records[f.Node]; len(recs) > 0 {
+			recorded = recs[len(recs)-1].Seq
+		}
+		if tip := r.Sim.Nodes[f.Node].LastHeader().LedgerSeq; recorded != tip {
+			t.Fatalf("rejoined node %d closed through ledger %d but its records stop at %d",
+				f.Node, tip, recorded)
+		}
 	}
 	fired := make(map[string]bool)
 	for _, name := range rep.AlertsFired {

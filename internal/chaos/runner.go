@@ -11,7 +11,6 @@ import (
 
 	"stellar/internal/experiments"
 	"stellar/internal/fba"
-	"stellar/internal/herder"
 	"stellar/internal/history"
 	"stellar/internal/obs"
 	"stellar/internal/obs/flight"
@@ -347,16 +346,17 @@ func (r *Runner) wipeArchive(i int) error {
 }
 
 // rejoin replaces node i with a freshly built process sharing its
-// identity: herder.New re-registers the address on the simulated network
-// (replacing the dead handler), the overlay is re-meshed, and the node
-// boots the way a real restart would — restore-and-replay when its
-// archive still holds a checkpoint, network catchup when it was wiped.
+// identity: SimNetwork.NewNode re-registers the address on the simulated
+// network (replacing the dead handler), keeps its close records and
+// re-meshes it; the runner adds the adversary links. The node boots the
+// way a real restart would — restore-and-replay when its archive still
+// holds a checkpoint, network catchup when it was wiped.
 func (r *Runner) rejoin(i int) error {
 	cfg := r.Sim.Configs[i]
 	if cfg.Archive == nil {
 		return fmt.Errorf("no archive (scenario needs ArchiveDirFor)")
 	}
-	node, err := herder.New(r.Sim.Net, cfg)
+	node, err := r.Sim.NewNode(i)
 	if err != nil {
 		return err
 	}
@@ -365,15 +365,7 @@ func (r *Runner) rejoin(i int) error {
 	// sampleProbes re-reads r.Sim.Nodes[i] each tick, so the next sample
 	// already snapshots the replacement's registry. Keeping the engine
 	// preserves its fired-alert history for the detection assertions.
-	r.Sim.Nodes[i] = node
 	r.Checker.Replace(i, node)
-	for j, peer := range r.Sim.Nodes {
-		if j == i {
-			continue
-		}
-		node.Overlay().Connect(peer.Addr())
-		peer.Overlay().Connect(node.Addr())
-	}
 	for _, adv := range r.Advs {
 		node.Overlay().Connect(adv.Addr())
 		adv.Connect(node.Addr())

@@ -181,7 +181,7 @@ func PartitionHealScenario(seed int64) Scenario {
 }
 
 // KillWipeRejoinScenario is the durable-state acceptance scenario
-// (DESIGN.md §16): five validators, each archiving to a private data dir
+// (DESIGN.md §7): five validators, each archiving to a private data dir
 // (dirFor supplies the directories), lose three at once — enough that
 // consensus stalls and the detection layer must fire close-stall and
 // quorum-unavailable. The two bystanders later restart with their

@@ -11,9 +11,8 @@ import (
 	"stellar/internal/obs/timeseries"
 )
 
-// AlertFlags is the detection-layer tuning shared by stellar-node and
-// horizon-demo: sampling cadence, stall sensitivity, and the crash-bundle
-// destination. Detection is on by default — a node that cannot notice its
+// AlertFlags is stellar-node's detection-layer tuning: sampling cadence,
+// stall sensitivity, and the crash-bundle destination. Detection is on by default — a node that cannot notice its
 // own stall defeats the point — and -no-alerts turns the whole stack off.
 type AlertFlags struct {
 	// Disable turns the sampler, SLO engine, watchdog, and flight

@@ -1,5 +1,5 @@
-// Package cliutil holds the flag surface shared by the repo's binaries
-// (stellar-sim, horizon-demo, stellar-node), so the verification-tuning
+// Package cliutil holds the flag surface shared by the binaries that build
+// herder nodes (stellar-sim, stellar-node), so the verification-tuning
 // and tracing flags cannot drift apart: one registration point, one help
 // string, one trace-writing path.
 package cliutil

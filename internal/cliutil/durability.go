@@ -8,7 +8,7 @@ import (
 )
 
 // DurabilityFlags configure the disk-backed archive (ROADMAP item 3,
-// DESIGN.md §16): where state persists across restarts — a node with a
+// DESIGN.md §7): where state persists across restarts — a node with a
 // data dir also keeps its bucket list below level 0 there instead of in
 // RAM — how often bucket checkpoints are cut, and whether an empty node
 // should cold-start by fetching a peer's archive over the network.

@@ -12,7 +12,7 @@ import (
 // ledger 20; a fourth with an empty data dir and -catchup must fetch a
 // peer's checkpointed state over the overlay, replay the ledgers past it
 // from catch-up replies, join consensus and close five more ledgers
-// byte-identical with the quorum (DESIGN.md §16).
+// byte-identical with the quorum (DESIGN.md §7).
 func TestColdNodeCatchesUpOverTheWire(t *testing.T) {
 	// All four identities are in the quorum (3-of-4), so the first three
 	// close ledgers alone. A checkpoint every 16 ledgers leaves the latest

@@ -5,17 +5,14 @@ import (
 	"runtime"
 	"time"
 
-	"stellar/internal/fba"
 	"stellar/internal/pbft"
 	"stellar/internal/qconfig"
 	"stellar/internal/quorum"
-	"stellar/internal/scp"
 	"stellar/internal/simnet"
-	"stellar/internal/stellarcrypto"
 )
 
 // This file implements the experiment behind every table and figure of §7
-// (see DESIGN.md's experiment index E1–E12). Each Run* function builds a
+// (see DESIGN.md's experiment index E1–E13). Each Run* function builds a
 // network, drives it for a measured interval, and returns the series the
 // paper reports.
 
@@ -376,7 +373,7 @@ func pbftDecisionLatency(n int) (time.Duration, uint64) {
 	return decidedAt - start, msgs
 }
 
-// AblationTimeoutRow compares ballot timeout growth policies (DESIGN §4).
+// AblationTimeoutRow compares ballot timeout growth policies (DESIGN.md §2).
 type AblationTimeoutRow struct {
 	Policy    string
 	CloseMean time.Duration
@@ -478,10 +475,4 @@ func RunOverlayComparison(validators, ledgers int) ([]OverlayRow, error) {
 		})
 	}
 	return out, nil
-}
-
-// LeaderForSlot exposes leader-election computation over an experiment
-// topology (used by the nomination analysis in cmd/benchtables).
-func LeaderForSlot(networkID stellarcrypto.Hash, slot uint64, qset *fba.QuorumSet, self fba.NodeID) fba.NodeID {
-	return scp.LeaderForRound(networkID, slot, 1, qset, self)
 }

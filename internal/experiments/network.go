@@ -82,7 +82,7 @@ type Options struct {
 	// validators mean more envelopes queuing at each receiver.
 	ProcessingCost time.Duration
 	// Obs, when set, supplies the observability bundle (metric registry,
-	// trace ring, logger) for validator i. nil entries (or a nil func)
+	// span tracer, logger) for validator i. nil entries (or a nil func)
 	// leave the node on its silent defaults.
 	Obs func(i int) *obs.Obs
 	// Trace attaches one shared causal span tracer, on the simulation's
@@ -212,6 +212,8 @@ func Build(opts Options) (*SimNetwork, error) {
 		ids[i] = fba.NodeIDFromPublicKey(kp.Public)
 	}
 
+	s.Nodes = make([]*herder.Node, opts.Validators)
+	s.Records = make([][]herder.CloseStats, opts.Validators)
 	for i := 0; i < opts.Validators; i++ {
 		cfg := herder.Config{
 			Keys:              kps[i],
@@ -248,7 +250,9 @@ func Build(opts Options) (*SimNetwork, error) {
 		if cfg.Archive != nil {
 			cfg.CheckpointInterval = opts.CheckpointInterval
 		}
-		node, err := herder.New(s.Net, cfg)
+		s.Archives = append(s.Archives, cfg.Archive)
+		s.Configs = append(s.Configs, cfg)
+		node, err := s.NewNode(i)
 		if err != nil {
 			return nil, err
 		}
@@ -257,30 +261,6 @@ func Build(opts Options) (*SimNetwork, error) {
 			return nil, err
 		}
 		node.Bootstrap(state, 0)
-		s.Records = append(s.Records, nil)
-		node.OnLedgerClose = func(_ *ledger.Header, _ []ledger.TxResult, cs herder.CloseStats) {
-			s.Records[i] = append(s.Records[i], cs)
-		}
-		s.Nodes = append(s.Nodes, node)
-		s.Archives = append(s.Archives, cfg.Archive)
-		s.Configs = append(s.Configs, cfg)
-	}
-
-	// Topology.
-	for i, a := range s.Nodes {
-		for j, b := range s.Nodes {
-			if i == j {
-				continue
-			}
-			if opts.SparseTopology > 0 {
-				// Ring plus skip links up to K peers.
-				d := (j - i + opts.Validators) % opts.Validators
-				if d > opts.SparseTopology/2 && opts.Validators-d > opts.SparseTopology/2 {
-					continue
-				}
-			}
-			a.Overlay().Connect(b.Addr())
-		}
 	}
 
 	if opts.Multicast {
@@ -295,6 +275,31 @@ func Build(opts Options) (*SimNetwork, error) {
 
 	s.Gen = loadgen.NewGenerator(s.Net, s.Nodes, accounts, s.NetworkID, opts.TxRate)
 	return s, nil
+}
+
+// NewNode builds validator i from Configs[i] into Nodes[i], at genesis or
+// in place of a crashed one (herder.New takes over the dead handler's
+// address): its OnLedgerClose hook appends to Records[i], and it is linked
+// both ways with every built node the topology pairs it with (see
+// SparseTopology). The caller boots it.
+func (s *SimNetwork) NewNode(i int) (*herder.Node, error) {
+	node, err := herder.New(s.Net, s.Configs[i])
+	if err != nil {
+		return nil, err
+	}
+	node.OnLedgerClose = func(_ *ledger.Header, _ []ledger.TxResult, cs herder.CloseStats) {
+		s.Records[i] = append(s.Records[i], cs)
+	}
+	s.Nodes[i] = node
+	k, n := s.Opts.SparseTopology, s.Opts.Validators
+	for j, peer := range s.Nodes {
+		if d := (j - i + n) % n; peer == nil || j == i || (k > 0 && d > k/2 && n-d > k/2) {
+			continue
+		}
+		node.Overlay().Connect(peer.Addr())
+		peer.Overlay().AddPeer(node.Addr())
+	}
+	return node, nil
 }
 
 // Start begins the ledger cadence and the load generator.

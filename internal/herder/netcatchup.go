@@ -1,6 +1,6 @@
 package herder
 
-// The catch-up fetcher (DESIGN.md §16). Every node has one; it holds at
+// The catch-up fetcher (DESIGN.md §7). Every node has one; it holds at
 // most one outstanding request, for ledgers or for an archive file, with one
 // timer and one peer. A request unanswered for a ledger interval goes to the
 // next peer.

@@ -12,7 +12,7 @@ import (
 // instruments are the herder's registry series, resolved once at node
 // construction so hot-path recording is a mutex-guarded add with no map
 // lookups. Metric names are the contract the EXPERIMENTS.md figures and
-// DESIGN.md observability section refer to.
+// DESIGN.md §5 figure-to-metric map refer to.
 type instruments struct {
 	// SCP protocol volume (§7.2).
 	envEmitted  *obs.CounterVec // scp_envelopes_emitted_total{type}
@@ -32,7 +32,7 @@ type instruments struct {
 	ledgersClosed *obs.Counter   // herder_ledgers_closed_total
 	submitApplied *obs.Histogram // herder_submit_applied_seconds
 
-	// Admission pipeline (ROADMAP item 1; DESIGN.md §13). The children of
+	// Admission pipeline (ROADMAP item 1; DESIGN.md §8). The children of
 	// mempool_admitted_total{outcome} are resolved here, one per local
 	// AdmitCode and one per flooded mempool.Outcome ("flood_" + its name),
 	// so counting an admission builds no label and looks nothing up.
@@ -52,7 +52,7 @@ type instruments struct {
 	// Archive writes that failed, by file kind (herder.go archiveLedger).
 	archiveErrors *obs.CounterVec // history_write_errors_total{file}
 
-	// Catch-up, cold and lagging (catchup.go, netcatchup.go; DESIGN.md §16).
+	// Catch-up, cold and lagging (catchup.go, netcatchup.go; DESIGN.md §7).
 	catchupState    *obs.Gauge      // catchup_state
 	catchupFiles    *obs.CounterVec // catchup_files_fetched_total{kind}
 	catchupBytes    *obs.Counter    // catchup_bytes_fetched_total

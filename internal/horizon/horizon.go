@@ -20,27 +20,20 @@ import (
 	"stellar/internal/ledger"
 	"stellar/internal/obs"
 	"stellar/internal/obs/slo"
-	"stellar/internal/simnet"
 	"stellar/internal/stellarcrypto"
 )
 
 // Server is a horizon instance bound to one validator node. Because the
 // validator runs single-threaded inside its network environment, every
-// request takes the environment's lock: for a simulated node that mutex
-// excludes the goroutine advancing virtual time; for a TCP node
-// (cmd/stellar-node) it is the transport loop's lock, so requests see the
-// herder's state between events.
+// request takes the environment's lock: for a TCP node (cmd/stellar-node)
+// it is the transport loop's lock, so requests see the herder's state
+// between events; a test driving a simulated node shares a mutex with
+// whatever advances virtual time.
 type Server struct {
-	Mu   sync.Locker
-	Node *herder.Node
-	Net  simnet.Env
-
+	Mu        sync.Locker
+	Node      *herder.Node
 	NetworkID stellarcrypto.Hash
-	// EnablePprof mounts net/http/pprof under /debug/pprof/. Off by
-	// default: profiling endpoints expose internals and cost CPU, so the
-	// operator opts in per process (horizon-demo -pprof).
-	EnablePprof bool
-	archive     *history.Archive
+	archive   *history.Archive
 
 	// Submit-pipeline limits (submit.go, ratelimit.go). The zero config
 	// disables throttling; nil limiters allow everything.
@@ -62,8 +55,8 @@ type Server struct {
 // New builds a Server for the node with its own lock. Callers whose node
 // is driven by another goroutine (the simulation driver, the transport
 // loop) must replace Mu with that driver's lock before serving.
-func New(node *herder.Node, net simnet.Env, networkID stellarcrypto.Hash) *Server {
-	s := &Server{Mu: &sync.Mutex{}, Node: node, Net: net, NetworkID: networkID}
+func New(node *herder.Node, networkID stellarcrypto.Hash) *Server {
+	s := &Server{Mu: &sync.Mutex{}, Node: node, NetworkID: networkID}
 	s.httpReqs, s.httpLat = newHTTPInstruments(node.Obs().Reg)
 	s.ingressReqs = node.Obs().Reg.CounterVec("ingress_submissions_total",
 		"transaction submissions through POST /transactions, by admission outcome", "outcome")
@@ -86,9 +79,6 @@ func (s *Server) Handler() http.Handler {
 	s.handle(mux, "GET /debug/alerts", s.handleAlerts)
 	s.handle(mux, "POST /transactions", s.handleSubmit)
 	s.registerHistory(mux)
-	if s.EnablePprof {
-		registerPprof(mux)
-	}
 	return mux
 }
 

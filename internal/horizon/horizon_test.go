@@ -48,7 +48,7 @@ func newFixture(t *testing.T) *fixture {
 	node.Start()
 	net.RunFor(2 * time.Second)
 
-	srv := New(node, net, nid)
+	srv := New(node, nid)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return &fixture{t: t, net: net, node: node, srv: srv, ts: ts, nid: nid, master: master}

@@ -2,7 +2,6 @@ package horizon
 
 import (
 	"net/http"
-	"net/http/pprof"
 	"strconv"
 	"time"
 
@@ -143,17 +142,6 @@ func (s *Server) handleQuorum(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleTraceExport(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	_ = s.Node.Obs().Tracer.WriteExport(w, string(s.Node.ID()))
-}
-
-// registerPprof mounts the standard profiling handlers. They bypass the
-// metrics middleware on purpose: profile downloads can run for tens of
-// seconds and would distort the latency histograms.
-func registerPprof(mux *http.ServeMux) {
-	mux.HandleFunc("GET /debug/pprof/", pprof.Index)
-	mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
 }
 
 // newHTTPInstruments resolves the middleware's registry series.

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"sort"
 	"strconv"
 	"strings"
@@ -409,25 +408,13 @@ func TestQuorumEndpoint(t *testing.T) {
 	}
 }
 
-func TestPprofBehindFlag(t *testing.T) {
-	// Default: profiling routes are absent.
+// TestNoPprofEndpoints: profiling handlers expose process internals
+// (command line, heap, goroutines), so horizon mounts none.
+func TestNoPprofEndpoints(t *testing.T) {
 	f := newFixture(t)
-	if code := f.get("/debug/pprof/", nil); code != http.StatusNotFound {
-		t.Fatalf("pprof mounted without flag: status %d", code)
-	}
-
-	// With the flag, the index and cmdline endpoints answer.
-	f.srv.EnablePprof = true
-	ts := httptest.NewServer(f.srv.Handler())
-	defer ts.Close()
 	for _, path := range []string{"/debug/pprof/", "/debug/pprof/cmdline"} {
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != 200 {
-			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
+		if code := f.get(path, nil); code != http.StatusNotFound {
+			t.Fatalf("GET %s: status %d, want 404", path, code)
 		}
 	}
 }

@@ -6,7 +6,7 @@ import (
 	"time"
 )
 
-// Token-bucket rate limiting for the submit pipeline (DESIGN.md §13).
+// Token-bucket rate limiting for the submit pipeline (DESIGN.md §8).
 // One limiter instance covers one key space — the server runs two, keyed
 // by remote IP (pre-decode, the cheap outer gate) and by source account
 // (post-decode, what a fee actually spends). Buckets refill continuously

@@ -14,7 +14,7 @@ import (
 	"stellar/internal/stellarcrypto"
 )
 
-// The hardened transaction ingress (ROADMAP item 1, DESIGN.md §13):
+// The hardened transaction ingress (ROADMAP item 1, DESIGN.md §8):
 // POST /transactions runs decode → rate limit → signature
 // pre-verification (through the shared verify cache) → mempool admission
 // → flood, and maps every rejection onto explicit backpressure — 429

@@ -50,7 +50,7 @@ func newIngressFixture(t *testing.T, poolMax int, ingress IngressConfig, n int) 
 	node.Start()
 	net.RunFor(2 * time.Second)
 
-	srv := New(node, net, nid)
+	srv := New(node, nid)
 	srv.SetIngress(ingress)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
@@ -302,7 +302,7 @@ func TestSubmitNotBootstrapped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(node, net, nid)
+	srv := New(node, nid)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 

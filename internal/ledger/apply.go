@@ -258,7 +258,7 @@ func (st *State) VerifyTxSetSignatures(txs []*Transaction, networkID stellarcryp
 // ApplyTxSet executes a whole transaction set, returning per-transaction
 // results and the results hash for the header. When a verifier is
 // attached, signature verification fans out across the pool first;
-// execution itself is one sequential loop in apply order (DESIGN §14 has
+// execution itself is one sequential loop in apply order (DESIGN.md §3 has
 // the measurements behind that). That loop is the last reader of the set's
 // signature verdicts — an applied transaction's sequence number is spent —
 // so they leave the cache after it, under the keys its lookups computed.

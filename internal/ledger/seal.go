@@ -10,7 +10,7 @@ import (
 )
 
 // Sealed transactions: identity and wire form as facts computed once, at
-// the door, and carried with the transaction (DESIGN §9, "The life of a
+// the door, and carried with the transaction (DESIGN.md §3, "The life of a
 // transaction").
 //
 // A transaction is sealed by whoever first holds its canonical bytes: a

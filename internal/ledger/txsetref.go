@@ -10,7 +10,7 @@ import (
 	"stellar/internal/xdr"
 )
 
-// A proposal travels by reference (DESIGN §9, decision record). The consensus value names a
+// A proposal travels by reference (DESIGN.md §5, decision record). The consensus value names a
 // transaction set by hash (§5.3), and nearly every transaction of a peer's
 // proposal already sits in the receiver's pool, so what a proposer floods is
 // not the set but what a receiver needs to rebuild it: the previous-ledger

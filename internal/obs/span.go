@@ -23,7 +23,7 @@ import (
 //     *Span handles whose methods return immediately; the consensus hot
 //     path calls them unconditionally.
 //   - Clock injection. The simulation stamps spans with simnet virtual
-//     time; horizon-demo uses wall time. Real-compute phases inside a
+//     time; stellar-node uses wall time. Real-compute phases inside a
 //     virtually-instantaneous handler (apply, bucket merge) are recorded
 //     with explicitly measured wall durations via CompleteChild/EndAfter
 //     and laid out sequentially inside their parent.

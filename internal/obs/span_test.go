@@ -380,7 +380,8 @@ func TestMultiProcessExport(t *testing.T) {
 }
 
 func TestTracerConcurrency(t *testing.T) {
-	// The tracer is shared across goroutines in horizon-demo; hammer it.
+	// A stellar-node shares its tracer between the event loop and
+	// horizon's handlers; hammer it.
 	tr, _ := newTestTracer()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {

@@ -45,7 +45,7 @@ func nodeRegistry(t *testing.T) *obs.Registry {
 	reg := node.Obs().Reg
 	obs.RegisterRuntimeMetrics(reg)
 	obs.RegisterTracerMetrics(reg, nil)
-	horizon.New(node, net, nid)
+	horizon.New(node, nid)
 	loop := transport.NewLoop()
 	mgr, err := transport.NewManager(loop, transport.Config{ListenAddr: "127.0.0.1:0", Keys: kp, NetworkID: nid, Obs: node.Obs()})
 	if err != nil {

@@ -17,8 +17,8 @@ func WallClock() func() time.Duration {
 
 // Sampler drives a Ring from a registry on a wall-clock cadence. The
 // chaos harness does not use it — simulations call Ring.Observe directly
-// at each deterministic tick — but live binaries (stellar-node,
-// horizon-demo) need a goroutine that samples and evaluates on its own.
+// at each deterministic tick — but a live stellar-node needs a goroutine
+// that samples and evaluates on its own.
 type Sampler struct {
 	// Reg is the registry to snapshot; Ring receives the samples.
 	Reg  *obs.Registry

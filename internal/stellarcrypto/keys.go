@@ -15,7 +15,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"io"
 )
 
 // Hash is a SHA-256 digest. Ledger headers, transaction sets, buckets, and
@@ -112,15 +111,6 @@ func DeterministicKeyPairs(label string, n int) []KeyPair {
 		kps[i] = KeyPairFromString(fmt.Sprintf("%s-%d", label, i))
 	}
 	return kps
-}
-
-// ReadKeyPair reads 32 bytes of seed from r and derives a key pair.
-func ReadKeyPair(r io.Reader) (KeyPair, error) {
-	var seed [32]byte
-	if _, err := io.ReadFull(r, seed[:]); err != nil {
-		return KeyPair{}, fmt.Errorf("stellarcrypto: read seed: %w", err)
-	}
-	return KeyPairFromSeed(seed), nil
 }
 
 // Bytes returns the raw 32-byte public key.

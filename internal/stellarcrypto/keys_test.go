@@ -1,7 +1,6 @@
 package stellarcrypto
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -190,21 +189,5 @@ func TestSignaturePropertyAnyMessage(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestReadKeyPair(t *testing.T) {
-	seed := bytes.Repeat([]byte{7}, 32)
-	kp, err := ReadKeyPair(bytes.NewReader(seed))
-	if err != nil {
-		t.Fatalf("ReadKeyPair: %v", err)
-	}
-	var arr [32]byte
-	copy(arr[:], seed)
-	if !kp.Public.Equal(KeyPairFromSeed(arr).Public) {
-		t.Fatal("ReadKeyPair differs from KeyPairFromSeed")
-	}
-	if _, err := ReadKeyPair(bytes.NewReader(seed[:10])); err == nil {
-		t.Fatal("short seed accepted")
 	}
 }
