@@ -44,10 +44,11 @@ fmt:
 # staticcheck runs honnef.co/go/tools when the binary is available and
 # degrades to a notice when it is not: contributors without the tool still
 # get the rest of the gate, while CI pins and installs it so the check
-# always runs there.
+# always runs there. Like vet, it also reads the smoke tests.
 staticcheck:
 	@if command -v $(STATICCHECK) >/dev/null 2>&1; then \
-		$(STATICCHECK) ./...; \
+		$(STATICCHECK) ./... && \
+		$(STATICCHECK) -tags smoke ./internal/cluster/; \
 	else \
 		echo "staticcheck not installed; skipping (CI runs it pinned)"; \
 	fi

@@ -4,8 +4,8 @@
 // processes form a real quorum:
 //
 //	stellar-node -seed node-0 -listen :11625 -peers localhost:11626,localhost:11627 -horizon :8000
-//	stellar-node -seed node-1 -listen :11626 -peers localhost:11625,localhost:11627 -metrics :9001
-//	stellar-node -seed node-2 -listen :11627 -peers localhost:11625,localhost:11626 -metrics :9002
+//	stellar-node -seed node-1 -listen :11626 -peers localhost:11625,localhost:11627 -horizon :8001
+//	stellar-node -seed node-2 -listen :11627 -peers localhost:11625,localhost:11626 -horizon :8002
 //
 // Identities are derived from seed labels so every process computes the
 // same quorum set and genesis state with no coordination; -quorum lists
@@ -29,7 +29,6 @@ import (
 	"syscall"
 	"time"
 
-	"stellar/internal/cliutil"
 	"stellar/internal/fba"
 	"stellar/internal/herder"
 	"stellar/internal/history"
@@ -41,41 +40,118 @@ import (
 	"stellar/internal/transport"
 )
 
-func main() {
-	listen := flag.String("listen", ":11625", "TCP overlay listen address")
-	peersFlag := flag.String("peers", "", "comma-separated peer overlay addresses (host:port) to dial")
-	seed := flag.String("seed", "node-0", "identity seed label of this validator (must appear in -quorum)")
-	quorumFlag := flag.String("quorum", "node-0,node-1,node-2", "comma-separated identity seed labels of all validators (majority quorum)")
-	horizonAddr := flag.String("horizon", "", "HTTP listen address for the full horizon API (empty = disabled)")
-	metricsAddr := flag.String("metrics", "", "HTTP listen address for metrics and debug endpoints (empty = disabled)")
-	interval := flag.Duration("interval", 5*time.Second, "target ledger interval")
-	network := flag.String("network", "stellar-node-network", "network passphrase; nodes on different passphrases reject each other at handshake")
-	drift := flag.Duration("max-drift", 0, "close-time clock tolerance (0 = 10s); widen when -interval is sub-second")
-	queueSize := flag.Int("queue", 0, "per-peer outbound frame queue, oldest shed when full (0 = 512)")
-	verbose := flag.Bool("v", false, "structured node and transport logging to stderr")
-	var common cliutil.CommonFlags
-	common.Register(flag.CommandLine)
-	var ingress cliutil.IngressFlags
-	ingress.Register(flag.CommandLine)
-	var alerts cliutil.AlertFlags
-	alerts.Register(flag.CommandLine)
-	var dur cliutil.DurabilityFlags
-	dur.Register(flag.CommandLine)
-	flag.Parse()
+// config is the command line, parsed.
+type config struct {
+	listen, peers, seed, quorum, horizon, network string
+	interval, maxDrift                            time.Duration
+	verbose, traceLive                            bool
 
-	if err := run(*listen, *peersFlag, *seed, *quorumFlag, *horizonAddr, *metricsAddr,
-		*network, *interval, *drift, *queueSize, *verbose, &common, &ingress, &alerts, &dur); err != nil {
+	// Ingress: the pending pool's bounds (0 = package defaults) and
+	// per-source-account and per-remote-IP submission throttles (rate 0 =
+	// unlimited; burst 0 = 1 when the rate is set).
+	mempool, mempoolPerSource  int
+	submitRate, submitIPRate   float64
+	submitBurst, submitIPBurst int
+
+	// Durability: the archive directory (empty = in-memory only), the
+	// bucket checkpoint cadence in ledgers (0 = every ledger), network
+	// catch-up for an empty archive, and where crash bundles go.
+	dataDir            string
+	checkpointInterval int
+	catchup            bool
+	bundleDir          string
+}
+
+func (c *config) register(fs *flag.FlagSet) {
+	fs.StringVar(&c.listen, "listen", ":11625", "TCP overlay listen address")
+	fs.StringVar(&c.peers, "peers", "", "comma-separated peer overlay addresses (host:port) to dial")
+	fs.StringVar(&c.seed, "seed", "node-0", "identity seed label of this validator (must appear in -quorum)")
+	fs.StringVar(&c.quorum, "quorum", "node-0,node-1,node-2", "comma-separated identity seed labels of all validators (majority quorum)")
+	fs.StringVar(&c.horizon, "horizon", "", "HTTP listen address for the horizon API, metrics and debug endpoints (empty = disabled)")
+	fs.DurationVar(&c.interval, "interval", 5*time.Second, "target ledger interval")
+	fs.StringVar(&c.network, "network", "stellar-node-network", "network passphrase; nodes on different passphrases reject each other at handshake")
+	fs.DurationVar(&c.maxDrift, "max-drift", 0, "close-time clock tolerance (0 = 10s); widen when -interval is sub-second")
+	fs.BoolVar(&c.verbose, "v", false, "structured node and transport logging to stderr")
+	fs.BoolVar(&c.traceLive, "trace-live", false, "enable span tracing, served over /debug/trace/export")
+	fs.IntVar(&c.mempool, "mempool", 0, "pending transaction pool cap (0 = default 8192)")
+	fs.IntVar(&c.mempoolPerSource, "mempool-per-source", 0, "pending transactions one account may hold (0 = default 64)")
+	fs.Float64Var(&c.submitRate, "submit-rate", 0, "per-source-account submission rate in tx/sec (0 = unlimited)")
+	fs.IntVar(&c.submitBurst, "submit-burst", 0, "per-source-account submission burst (0 = 1 when -submit-rate is set)")
+	fs.Float64Var(&c.submitIPRate, "submit-ip-rate", 0, "per-remote-IP submission rate in tx/sec (0 = unlimited)")
+	fs.IntVar(&c.submitIPBurst, "submit-ip-burst", 0, "per-remote-IP submission burst (0 = 1 when -submit-ip-rate is set)")
+	fs.StringVar(&c.dataDir, "data-dir", "", "archive directory for headers, tx sets, buckets, and checkpoints (empty = in-memory only)")
+	fs.IntVar(&c.checkpointInterval, "checkpoint-interval", 0, "ledgers between bucket checkpoints (0 = every ledger; needs -data-dir)")
+	fs.BoolVar(&c.catchup, "catchup", false, "on an archive with no checkpoint, fetch a peer's checkpointed state and the ledgers past it over the network instead of bootstrapping at genesis (needs -data-dir and -peers)")
+	fs.StringVar(&c.bundleDir, "bundle-dir", "crash-bundles", "directory for crash bundles")
+}
+
+// validate rejects values the node would otherwise replace by a default
+// or misread, and flag combinations that cannot work.
+func (c *config) validate() error {
+	if c.interval <= 0 {
+		return fmt.Errorf("-interval %v: must be positive", c.interval)
+	}
+	if c.maxDrift < 0 {
+		return fmt.Errorf("-max-drift %v: must not be negative", c.maxDrift)
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"mempool", float64(c.mempool)},
+		{"mempool-per-source", float64(c.mempoolPerSource)},
+		{"submit-rate", c.submitRate},
+		{"submit-burst", float64(c.submitBurst)},
+		{"submit-ip-rate", c.submitIPRate},
+		{"submit-ip-burst", float64(c.submitIPBurst)},
+		{"checkpoint-interval", float64(c.checkpointInterval)},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("-%s %v: must not be negative", f.name, f.v)
+		}
+	}
+	if c.dataDir == "" {
+		if c.catchup {
+			return errors.New("-catchup needs -data-dir")
+		}
+		if c.checkpointInterval != 0 {
+			return errors.New("-checkpoint-interval needs -data-dir")
+		}
+	}
+	if c.catchup && len(c.peerList()) == 0 {
+		return errors.New("-catchup needs at least one -peers address")
+	}
+	return nil
+}
+
+// peerList splits -peers, dropping empty entries.
+func (c *config) peerList() []string {
+	var peers []string
+	for _, p := range strings.Split(c.peers, ",") {
+		if p = strings.TrimSpace(p); p != "" {
+			peers = append(peers, p)
+		}
+	}
+	return peers
+}
+
+func main() {
+	var c config
+	c.register(flag.CommandLine)
+	flag.Parse()
+	if err := c.validate(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		flag.Usage()
+		os.Exit(2)
+	}
+	if err := run(&c); err != nil {
 		fmt.Fprintf(os.Stderr, "error: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(listen, peersFlag, seed, quorumFlag, horizonAddr, metricsAddr, network string,
-	interval, drift time.Duration, queueSize int, verbose bool,
-	common *cliutil.CommonFlags, ingress *cliutil.IngressFlags, alerts *cliutil.AlertFlags,
-	dur *cliutil.DurabilityFlags) error {
-
-	labels := strings.Split(quorumFlag, ",")
+func run(c *config) error {
+	labels := strings.Split(c.quorum, ",")
 	ids := make([]fba.NodeID, 0, len(labels))
 	self := -1
 	for i, label := range labels {
@@ -86,28 +162,27 @@ func run(listen, peersFlag, seed, quorumFlag, horizonAddr, metricsAddr, network 
 		labels[i] = label
 		kp := stellarcrypto.KeyPairFromString(label)
 		ids = append(ids, fba.NodeIDFromPublicKey(kp.Public))
-		if label == seed {
+		if label == c.seed {
 			self = i
 		}
 	}
 	if self < 0 {
-		return fmt.Errorf("-seed %q is not among the -quorum labels %v", seed, labels)
+		return fmt.Errorf("-seed %q is not among the -quorum labels %v", c.seed, labels)
 	}
-	keys := stellarcrypto.KeyPairFromString(seed)
+	keys := stellarcrypto.KeyPairFromString(c.seed)
 	qset := fba.Majority(ids...)
-	networkID := stellarcrypto.HashBytes([]byte(network))
+	networkID := stellarcrypto.HashBytes([]byte(c.network))
 
 	ob := &obs.Obs{}
-	if verbose {
-		ob.Log = obs.NewLogger(os.Stderr, slog.LevelDebug).With(slog.String("node", seed))
+	if c.verbose {
+		ob.Log = obs.NewLogger(os.Stderr, slog.LevelDebug).With(slog.String("node", c.seed))
 	}
 	var tracer *obs.Tracer
-	if common.Tracing() {
+	if c.traceLive {
 		tracer = obs.NewTracer(nil) // wall clock
 		// Namespace span ids by this validator's public key so traces
 		// exported from independent processes merge without collisions.
 		tracer.SetIDBase(obs.IDBaseFromString(keys.Public.Address()))
-		tracer.SetLimit(common.TraceLimit)
 		ob.Tracer = tracer
 	}
 
@@ -123,9 +198,12 @@ func run(listen, peersFlag, seed, quorumFlag, horizonAddr, metricsAddr, network 
 		return err
 	}
 
-	arch, err := dur.Open()
-	if err != nil {
-		return err
+	var arch *history.Archive
+	if c.dataDir != "" {
+		var err error
+		if arch, err = history.Open(c.dataDir); err != nil {
+			return err
+		}
 	}
 
 	loop := transport.NewLoop()
@@ -133,14 +211,12 @@ func run(listen, peersFlag, seed, quorumFlag, horizonAddr, metricsAddr, network 
 		Keys:                keys,
 		QSet:                qset,
 		NetworkID:           networkID,
-		LedgerInterval:      interval,
-		MaxCloseTimeDrift:   drift,
-		VerifyWorkers:       common.VerifyWorkers,
-		VerifyCacheSize:     common.VerifyCache,
-		MempoolMaxTxs:       ingress.MempoolMax,
-		MempoolMaxPerSource: ingress.MempoolPerSource,
+		LedgerInterval:      c.interval,
+		MaxCloseTimeDrift:   c.maxDrift,
+		MempoolMaxTxs:       c.mempool,
+		MempoolMaxPerSource: c.mempoolPerSource,
 		Archive:             arch,
-		CheckpointInterval:  dur.CheckpointInterval,
+		CheckpointInterval:  c.checkpointInterval,
 		Obs:                 ob,
 	})
 	if err != nil {
@@ -149,14 +225,7 @@ func run(listen, peersFlag, seed, quorumFlag, horizonAddr, metricsAddr, network 
 	obs.RegisterRuntimeMetrics(node.Obs().Reg)
 	obs.RegisterTracerMetrics(node.Obs().Reg, tracer)
 
-	var peers []string
-	if peersFlag != "" {
-		for _, p := range strings.Split(peersFlag, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				peers = append(peers, p)
-			}
-		}
-	}
+	peers := c.peerList()
 	// Boot policy (DESIGN.md §7): a data dir holding a checkpoint restores
 	// and replays to its archived tip before the overlay opens; an empty
 	// data dir with -catchup fetches a peer's checkpointed state over the
@@ -173,14 +242,11 @@ func run(listen, peersFlag, seed, quorumFlag, horizonAddr, metricsAddr, network 
 			}
 		})
 		if rerr != nil {
-			return fmt.Errorf("restoring from %s: %w", dur.DataDir, rerr)
+			return fmt.Errorf("restoring from %s: %w", c.dataDir, rerr)
 		}
 		fmt.Printf("restored from %s at ledger %d (%d replayed past the checkpoint)\n",
-			dur.DataDir, node.LastHeader().LedgerSeq, replayed)
-	case dur.Catchup:
-		if len(peers) == 0 {
-			return errors.New("-catchup needs at least one -peers address")
-		}
+			c.dataDir, node.LastHeader().LedgerSeq, replayed)
+	case c.catchup:
 		// Deferred to the first OnPeerUp loop event: discovery needs a
 		// live peer. OnPeerUp events are serialized on the loop, so the
 		// one-shot reset below is race-free.
@@ -189,7 +255,7 @@ func run(listen, peersFlag, seed, quorumFlag, horizonAddr, metricsAddr, network 
 				fmt.Fprintf(os.Stderr, "catchup: %v\n", err)
 			}
 		}
-		fmt.Printf("empty archive at %s; waiting for a peer to catch up from\n", dur.DataDir)
+		fmt.Printf("empty archive at %s; waiting for a peer to catch up from\n", c.dataDir)
 	default:
 		loop.Run(func() {
 			node.Bootstrap(genesis, 0)
@@ -198,11 +264,10 @@ func run(listen, peersFlag, seed, quorumFlag, horizonAddr, metricsAddr, network 
 	}
 
 	mgr, err := transport.NewManager(loop, transport.Config{
-		ListenAddr: listen,
+		ListenAddr: c.listen,
 		Peers:      peers,
 		Keys:       keys,
 		NetworkID:  networkID,
-		QueueSize:  queueSize,
 		Obs:        node.Obs(),
 		OnPeerUp: func(p simnet.Addr) {
 			node.Overlay().AddPeer(p)
@@ -220,68 +285,51 @@ func run(listen, peersFlag, seed, quorumFlag, horizonAddr, metricsAddr, network 
 		return err
 	}
 
-	// Horizon (full API) and the metrics endpoint serve the same handler:
-	// the metrics address is the lightweight alternative when no client
-	// API is wanted, exposing /metrics, /debug/quorum, and /ledgers.
 	srv := horizon.New(node, networkID)
 	srv.Mu = loop.Locker()
 	srv.SetIngress(horizon.IngressConfig{
-		SourceRate:  ingress.SubmitRate,
-		SourceBurst: ingress.SubmitBurst,
-		IPRate:      ingress.SubmitIPRate,
-		IPBurst:     ingress.SubmitIPBurst,
+		SourceRate:  c.submitRate,
+		SourceBurst: c.submitBurst,
+		IPRate:      c.submitIPRate,
+		IPBurst:     c.submitIPBurst,
 	})
 
-	// Detection stack: registry sampler → SLO engine → liveness watchdog →
-	// flight recorder. The pre-sample hook refreshes the pull-style quorum
+	// Detection stack. The pre-sample hook refreshes the pull-style quorum
 	// gauges under the event-loop lock, because ledger close — the usual
 	// refresher — is exactly what a stall withholds. peer-loss arms at
 	// threshold-1: fewer live peers than that makes quorum unreachable.
-	stack := alerts.Build(cliutil.AlertWiring{
-		Node:     node,
-		NodeName: seed,
-		MinPeers: qset.Threshold - 1,
-		Pre:      func() { loop.Run(func() { node.RefreshQuorumHealth() }) },
-		Log:      ob.Log,
-	})
-	if stack != nil {
-		srv.SetAlerts(stack.Engine, seed, stack.Clock)
-	}
+	det := newDetection(node, c.seed, c.bundleDir, qset.Threshold-1,
+		func() { loop.Run(func() { node.RefreshQuorumHealth() }) }, ob.Log)
+	srv.SetAlerts(det.engine, c.seed, det.clock)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
 	if arch != nil {
 		fmt.Printf("archiving to %s (checkpoint every %d ledger(s); bucket list below level 0 on disk)\n",
-			dur.DataDir, max(dur.CheckpointInterval, 1))
+			c.dataDir, max(c.checkpointInterval, 1))
 	}
 
 	// SIGQUIT dumps a crash bundle without killing the process — the
 	// operator's on-demand post-mortem switch.
-	if stack != nil {
-		stack.Start()
-		quitc := make(chan os.Signal, 1)
-		signal.Notify(quitc, syscall.SIGQUIT)
-		defer signal.Stop(quitc)
-		go func() {
-			for range quitc {
-				if dir, err := stack.Flight.Dump("sigquit"); err != nil {
-					fmt.Fprintf(os.Stderr, "crash bundle: %v\n", err)
-				} else {
-					fmt.Fprintf(os.Stderr, "crash bundle written to %s\n", dir)
-				}
+	det.sampler.Start()
+	quitc := make(chan os.Signal, 1)
+	signal.Notify(quitc, syscall.SIGQUIT)
+	defer signal.Stop(quitc)
+	go func() {
+		for range quitc {
+			if dir, err := det.flight.Dump("sigquit"); err != nil {
+				fmt.Fprintf(os.Stderr, "crash bundle: %v\n", err)
+			} else {
+				fmt.Fprintf(os.Stderr, "crash bundle written to %s\n", dir)
 			}
-		}()
-	}
-
-	servers := make([]*http.Server, 0, 2)
-	errc := make(chan error, 2)
-	for _, addr := range []string{horizonAddr, metricsAddr} {
-		if addr == "" {
-			continue
 		}
-		hs := &http.Server{Addr: addr, Handler: srv.Handler()}
-		servers = append(servers, hs)
+	}()
+
+	var hs *http.Server
+	errc := make(chan error, 1)
+	if c.horizon != "" {
+		hs = &http.Server{Addr: c.horizon, Handler: srv.Handler()}
 		go func() {
 			if err := hs.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
 				errc <- err
@@ -289,14 +337,11 @@ func run(listen, peersFlag, seed, quorumFlag, horizonAddr, metricsAddr, network 
 		}()
 	}
 
-	fmt.Printf("validator %s (%s)\n", seed, node.ID())
+	fmt.Printf("validator %s (%s)\n", c.seed, node.ID())
 	fmt.Printf("overlay listening on %s, dialing %d peer(s); quorum %d-of-%d, ledgers every %v\n",
-		mgr.Addr(), len(peers), qset.Threshold, len(qset.Validators), interval)
-	if horizonAddr != "" {
-		fmt.Printf("horizon on %s — try: curl localhost%s/ledgers/latest\n", horizonAddr, horizonAddr)
-	}
-	if metricsAddr != "" {
-		fmt.Printf("metrics on %s — try: curl localhost%s/metrics\n", metricsAddr, metricsAddr)
+		mgr.Addr(), len(peers), qset.Threshold, len(qset.Validators), c.interval)
+	if hs != nil {
+		fmt.Printf("horizon on %s — try: curl localhost%s/ledgers/latest\n", c.horizon, c.horizon)
 	}
 
 	select {
@@ -308,23 +353,17 @@ func run(listen, peersFlag, seed, quorumFlag, horizonAddr, metricsAddr, network 
 
 	// Graceful shutdown: stop serving HTTP, halt the sampler (its pre-hook
 	// takes the event-loop lock, so it must quiesce before the loop dies),
-	// tear down the overlay, then flush the trace while the node state is
-	// quiescent.
-	sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	for _, hs := range servers {
+	// then tear down the overlay and the loop.
+	if hs != nil {
+		sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
 		if err := hs.Shutdown(sctx); err != nil {
 			fmt.Fprintf(os.Stderr, "http shutdown: %v\n", err)
 		}
 	}
-	stack.Stop()
+	det.sampler.Stop()
 	mgr.Close()
 	loop.Close()
-	if tracer != nil {
-		if err := common.WriteTrace(tracer); err != nil {
-			return fmt.Errorf("writing trace: %w", err)
-		}
-	}
 	return nil
 }
 

@@ -15,7 +15,6 @@ import (
 	"os"
 	"time"
 
-	"stellar/internal/cliutil"
 	"stellar/internal/experiments"
 	"stellar/internal/obs"
 )
@@ -31,21 +30,18 @@ func main() {
 	archive := flag.String("archive", "", "directory for a history archive (optional)")
 	decompose := flag.Bool("decompose", false, "print the per-phase latency decomposition table")
 	verbose := flag.Bool("v", false, "structured per-node logging to stderr")
-	var common cliutil.CommonFlags
-	common.Register(flag.CommandLine)
+	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON file (open in Perfetto)")
 	flag.Parse()
 
 	opts := experiments.Options{
-		Validators:      *validators,
-		Accounts:        *accounts,
-		TxRate:          *rate,
-		LedgerInterval:  *interval,
-		DropRate:        *dropRate,
-		Seed:            *seed,
-		ArchiveDir:      *archive,
-		VerifyWorkers:   common.VerifyWorkers,
-		VerifyCacheSize: common.VerifyCache,
-		Trace:           common.Tracing() || *decompose,
+		Validators:     *validators,
+		Accounts:       *accounts,
+		TxRate:         *rate,
+		LedgerInterval: *interval,
+		DropRate:       *dropRate,
+		Seed:           *seed,
+		ArchiveDir:     *archive,
+		Trace:          *tracePath != "" || *decompose,
 	}
 	if *verbose {
 		root := obs.NewLogger(os.Stderr, slog.LevelDebug)
@@ -110,12 +106,26 @@ func main() {
 		fmt.Println("):")
 		_ = d.WriteTable(os.Stdout)
 	}
-	if common.Tracing() {
-		if err := common.WriteTrace(s.Tracer); err != nil {
+	if *tracePath != "" {
+		if err := writeTrace(*tracePath, s.Tracer); err != nil {
 			fmt.Fprintf(os.Stderr, "error: %v\n", err)
 			os.Exit(1)
 		}
+		fmt.Printf("\ntrace written to %s (load in https://ui.perfetto.dev or chrome://tracing)\n", *tracePath)
 	}
+}
+
+// writeTrace writes the tracer's spans to path as Chrome trace-event JSON.
+func writeTrace(path string, tracer *obs.Tracer) error {
+	out, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := tracer.WriteChromeTrace(out); err != nil {
+		out.Close()
+		return err
+	}
+	return out.Close()
 }
 
 // ms renders a latency distribution's mean in milliseconds, truncated to the

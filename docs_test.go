@@ -3,6 +3,7 @@ package stellar
 import (
 	"io/fs"
 	"os"
+	"os/exec"
 	"path"
 	"path/filepath"
 	"regexp"
@@ -15,7 +16,10 @@ import (
 // backticks or a fenced block must exist, and so must a .json or .txt
 // name standing alone in backticks — unless the program itself writes it:
 // a crash-bundle member such as `slots.json` shows as that name in a Go
-// string literal.
+// string literal. Every -flag a guide or a skill note gives to a
+// stellar-* command must be one that binary (or that stellar-obs
+// subcommand) lists under -h; a flag standing alone at the start of a code
+// span must be listed by one of them, or be a go or make flag in toolFlags.
 func TestDocsNameWhatExists(t *testing.T) {
 	var files []string
 	var goSrc strings.Builder
@@ -64,6 +68,159 @@ func TestDocsNameWhatExists(t *testing.T) {
 			}
 		}
 	}
+
+	cmds := commandFlags(t)
+	skills, err := filepath.Glob(".*/skills/*/SKILL.md")
+	if err != nil || len(skills) == 0 {
+		t.Fatalf("no skill notes found (%v)", err)
+	}
+	for _, doc := range append([]string{"DESIGN.md", "README.md", "EXPERIMENTS.md"}, skills...) {
+		raw, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, use := range docFlagUses(string(raw)) {
+			if use.cmd != "" {
+				if !cmds[use.cmd][use.flag] {
+					t.Errorf("%s:%d: gives -%s to %s, which does not register it", doc, use.line, use.flag, use.cmd)
+				}
+				continue
+			}
+			ok := toolFlags[use.flag]
+			for _, flags := range cmds {
+				ok = ok || flags[use.flag]
+			}
+			if !ok {
+				t.Errorf("%s:%d: names -%s, which no stellar-* command registers", doc, use.line, use.flag)
+			}
+		}
+	}
+}
+
+// toolFlags are the go test and make flags the guides name on their own.
+var toolFlags = map[string]bool{"race": true}
+
+var (
+	stellarCmd  = regexp.MustCompile(`^(?:.*/)?(stellar-(?:node|sim|chaos|obs))$`)
+	helpFlag    = regexp.MustCompile(`(?m)^\s+-([\w-]+)`)
+	obsCommand  = regexp.MustCompile(`(?m)^  ([a-z]+)\s{2,}`)
+	inlineSpan  = regexp.MustCompile("`([^`\n]+(?:\n[^`\n]+)*)`")
+	flagToken   = regexp.MustCompile(`^--?[A-Za-z]`)
+	commandEnds = map[string]bool{"|": true, "||": true, "&&": true, ";": true, "&": true}
+)
+
+// commandFlags builds the stellar-* binaries and reads the flags each
+// registers from its -h output, with one entry per stellar-obs subcommand
+// ("stellar-obs fbas").
+func commandFlags(t *testing.T) map[string]map[string]bool {
+	t.Helper()
+	dir := t.TempDir()
+	build := exec.Command("go", "build", "-o", dir,
+		"./cmd/stellar-node", "./cmd/stellar-sim", "./cmd/stellar-chaos", "./cmd/stellar-obs")
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	help := func(bin string, args ...string) string {
+		// -h exits 0 or 2 depending on the binary; the listing is the same.
+		out, _ := exec.Command(filepath.Join(dir, bin), append(args, "-h")...).CombinedOutput()
+		return string(out)
+	}
+	parse := func(usage string) map[string]bool {
+		flags := make(map[string]bool)
+		for _, m := range helpFlag.FindAllStringSubmatch(usage, -1) {
+			flags[m[1]] = true
+		}
+		return flags
+	}
+	cmds := make(map[string]map[string]bool)
+	for _, bin := range []string{"stellar-node", "stellar-sim", "stellar-chaos"} {
+		cmds[bin] = parse(help(bin))
+	}
+	for _, m := range obsCommand.FindAllStringSubmatch(help("stellar-obs"), -1) {
+		cmds["stellar-obs "+m[1]] = parse(help("stellar-obs", m[1]))
+	}
+	if len(cmds) < 4 || len(cmds["stellar-node"]) == 0 {
+		t.Fatalf("read no flags from the binaries' -h output: %v", cmds)
+	}
+	return cmds
+}
+
+// flagUse is one flag a document gives: to a command ("stellar-node",
+// "stellar-obs fbas"), or alone at the start of a code span (cmd "").
+type flagUse struct {
+	cmd, flag string
+	line      int
+}
+
+// docFlagUses lists the flags a Markdown document gives in code: inline
+// spans, which may wrap across lines, and fenced command lines, joined
+// where a line ends in a backslash.
+func docFlagUses(doc string) []flagUse {
+	var uses []flagUse
+	lines := strings.Split(doc, "\n")
+	prose := make([]string, len(lines))
+	fenced := false
+	for i := 0; i < len(lines); i++ {
+		if strings.HasPrefix(strings.TrimSpace(lines[i]), "```") {
+			fenced = !fenced
+			continue
+		}
+		if !fenced {
+			prose[i] = lines[i]
+			continue
+		}
+		start, cmd := i, lines[i]
+		for strings.HasSuffix(cmd, "\\") && i+1 < len(lines) {
+			i++
+			cmd = strings.TrimSuffix(cmd, "\\") + " " + lines[i]
+		}
+		uses = append(uses, spanFlags(cmd, start+1, false)...)
+	}
+	text := strings.Join(prose, "\n")
+	for _, m := range inlineSpan.FindAllStringSubmatchIndex(text, -1) {
+		line := strings.Count(text[:m[0]], "\n") + 1
+		uses = append(uses, spanFlags(text[m[2]:m[3]], line, true)...)
+	}
+	return uses
+}
+
+// spanFlags lists the flags one span of code gives to the stellar-*
+// commands in it, up to the end of each command (a pipe, a list operator,
+// a redirect or a comment), and the flag it starts with when inline.
+func spanFlags(span string, line int, inline bool) []flagUse {
+	name := func(tok string) string {
+		tok = strings.TrimLeft(tok, "-")
+		if i := strings.IndexByte(tok, '='); i >= 0 {
+			tok = tok[:i]
+		}
+		return tok
+	}
+	var uses []flagUse
+	toks := strings.Fields(span)
+	if inline && len(toks) > 0 && flagToken.MatchString(toks[0]) {
+		uses = append(uses, flagUse{flag: name(toks[0]), line: line})
+	}
+	for i := 0; i < len(toks); i++ {
+		m := stellarCmd.FindStringSubmatch(toks[i])
+		if m == nil {
+			continue
+		}
+		cmd := m[1]
+		if cmd == "stellar-obs" && i+1 < len(toks) && !flagToken.MatchString(toks[i+1]) {
+			i++
+			cmd += " " + toks[i]
+		}
+		for ; i+1 < len(toks); i++ {
+			tok := toks[i+1]
+			if commandEnds[tok] || strings.ContainsRune("#<>", rune(tok[0])) || strings.HasPrefix(tok, "2>") {
+				break
+			}
+			if flagToken.MatchString(tok) {
+				uses = append(uses, flagUse{cmd: cmd, flag: name(tok), line: line})
+			}
+		}
+	}
+	return uses
 }
 
 type refKind int

@@ -43,14 +43,14 @@ func waitFor(timeout time.Duration, cond func() bool) bool {
 }
 
 // TestWedgedQuorumFiresAlertsAndResolves: with the detection stack sampling
-// fast, SIGSTOP freezes two of three validators. Their sockets stay open,
+// once per 250 ms ledger interval, SIGSTOP freezes two of three validators. Their sockets stay open,
 // so only the liveness rules can see it: close_stall and then
 // quorum_unavailable must fire on the survivor, its watchdog must dump a
 // crash bundle that names the stalled slot, and after SIGCONT every alert
 // on every node must resolve.
 func TestWedgedQuorumFiresAlertsAndResolves(t *testing.T) {
 	c := boot(t, Config{Validators: 3, Args: func(int) []string {
-		return []string{"-sample-interval", "250ms", "-stall-intervals", "8", "-bundle-dir", "bundles"}
+		return []string{"-bundle-dir", "bundles"}
 	}})
 	if err := c.WaitLedger(3, bootTimeout); err != nil {
 		t.Fatal(err)

@@ -58,17 +58,8 @@ type Options struct {
 	// CheckpointInterval is the archiving validators' checkpoint cadence
 	// in ledgers (0 = every ledger).
 	CheckpointInterval int
-	// NominationTimeout/BallotTimeout override SCP timer policies.
-	NominationTimeout func(round int) time.Duration
-	BallotTimeout     func(counter uint32) time.Duration
-	// OverlayCacheSize tunes flood dedup (ablation).
-	OverlayCacheSize int
-	// VerifyWorkers sizes each validator's signature-verification pool
-	// (0 = NumCPU, 1 = sequential).
-	VerifyWorkers int
-	// VerifyCacheSize bounds each validator's verification cache
-	// (0 = verify.DefaultCacheSize).
-	VerifyCacheSize int
+	// BallotTimeout overrides the SCP ballot timer policy.
+	BallotTimeout func(counter uint32) time.Duration
 	// MaxTxSetSize is the genesis ledger's cap on operations per ledger
 	// (default 5000, comfortably above the paper's 350 tx/s × 5 s so no
 	// transactions are dropped); a §5.3 upgrade vote can change it.
@@ -76,11 +67,6 @@ type Options struct {
 	// Multicast enables the §7.5 structured-multicast extension in place
 	// of flooding (the overlay comparison experiment).
 	Multicast bool
-	// ProcessingCost is the receiver-side CPU per message (default 150µs,
-	// our measured ed25519 verify plus protocol handling). This is what
-	// makes consensus latency grow with validator count (Fig 11): more
-	// validators mean more envelopes queuing at each receiver.
-	ProcessingCost time.Duration
 	// Obs, when set, supplies the observability bundle (metric registry,
 	// span tracer, logger) for validator i. nil entries (or a nil func)
 	// leave the node on its silent defaults.
@@ -133,10 +119,13 @@ func (o *Options) defaults() {
 	if o.MaxTxSetSize == 0 {
 		o.MaxTxSetSize = 5000
 	}
-	if o.ProcessingCost == 0 {
-		o.ProcessingCost = 150 * time.Microsecond
-	}
 }
+
+// processingCost is the receiver-side CPU per simulated message: our
+// measured ed25519 verify plus protocol handling. This is what makes
+// consensus latency grow with validator count (Fig 11): more validators
+// mean more envelopes queuing at each receiver.
+const processingCost = 150 * time.Microsecond
 
 // SimNetwork is a running simulated Stellar network.
 type SimNetwork struct {
@@ -172,7 +161,7 @@ func Build(opts Options) (*SimNetwork, error) {
 	s := &SimNetwork{Opts: opts}
 	s.Net = simnet.New(opts.Seed)
 	s.Net.SetLatency(simnet.UniformLatency(opts.LatencyMin, opts.LatencyMax))
-	s.Net.SetProcessingCost(opts.ProcessingCost)
+	s.Net.SetProcessingCost(processingCost)
 	if opts.DropRate > 0 {
 		s.Net.SetDropRate(opts.DropRate)
 	}
@@ -216,16 +205,12 @@ func Build(opts Options) (*SimNetwork, error) {
 	s.Records = make([][]herder.CloseStats, opts.Validators)
 	for i := 0; i < opts.Validators; i++ {
 		cfg := herder.Config{
-			Keys:              kps[i],
-			QSet:              opts.QSetFor(i, ids),
-			NetworkID:         s.NetworkID,
-			LedgerInterval:    opts.LedgerInterval,
-			NominationTimeout: opts.NominationTimeout,
-			BallotTimeout:     opts.BallotTimeout,
-			OverlayCacheSize:  opts.OverlayCacheSize,
-			VerifyWorkers:     opts.VerifyWorkers,
-			VerifyCacheSize:   opts.VerifyCacheSize,
-			Multicast:         opts.Multicast,
+			Keys:           kps[i],
+			QSet:           opts.QSetFor(i, ids),
+			NetworkID:      s.NetworkID,
+			LedgerInterval: opts.LedgerInterval,
+			BallotTimeout:  opts.BallotTimeout,
+			Multicast:      opts.Multicast,
 		}
 		if opts.Obs != nil {
 			cfg.Obs = opts.Obs(i)

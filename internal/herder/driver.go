@@ -141,11 +141,8 @@ func (d *driver) SetTimer(slot uint64, kind scp.TimerKind, delay time.Duration, 
 	n.timers[key] = n.net.After(n.addr, delay, cb)
 }
 
-// NominationTimeout returns the configured or default policy.
+// NominationTimeout returns the stellar-core-style linear policy.
 func (d *driver) NominationTimeout(round int) time.Duration {
-	if f := d.node().cfg.NominationTimeout; f != nil {
-		return f(round)
-	}
 	return scp.DefaultNominationTimeout(round)
 }
 

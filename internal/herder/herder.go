@@ -29,10 +29,9 @@ type Config struct {
 	// LedgerInterval is the target close cadence; Stellar runs SCP at
 	// 5-second intervals (§1).
 	LedgerInterval time.Duration
-	// NominationTimeout and BallotTimeout override the SCP timer
-	// policies; nil selects the stellar-core-style linear defaults.
-	NominationTimeout func(round int) time.Duration
-	BallotTimeout     func(counter uint32) time.Duration
+	// BallotTimeout overrides the SCP ballot timer policy; nil selects
+	// the stellar-core-style linear default.
+	BallotTimeout func(counter uint32) time.Duration
 	// MempoolMaxTxs bounds the pending transaction pool; the cheapest
 	// fee-per-op resident is evicted when a better-paying transaction
 	// arrives at a full pool (0 = mempool.DefaultMaxTxs).
@@ -55,15 +54,6 @@ type Config struct {
 	// governance; DesiredUpgrades are the upgrades it votes for (§5.3).
 	Governing       bool
 	DesiredUpgrades []Upgrade
-	// OverlayCacheSize tunes flood dedup (0 = default).
-	OverlayCacheSize int
-	// VerifyWorkers sizes the signature-verification worker pool shared
-	// by the ledger apply prepass and bucket spill merges (0 = NumCPU,
-	// 1 = sequential).
-	VerifyWorkers int
-	// VerifyCacheSize bounds the signature-verification LRU cache
-	// (0 = verify.DefaultCacheSize).
-	VerifyCacheSize int
 	// Multicast selects the §7.5 structured-multicast extension instead
 	// of flooding; requires SetMembers on the overlay after wiring.
 	Multicast bool
@@ -211,10 +201,10 @@ func New(net simnet.Env, cfg Config) (*Node, error) {
 	n.pooled = n.pool.Get
 	n.initTracer()
 	n.initHealthGauges()
-	n.updatePoolGauges() // publish mempool_capacity before any traffic
-	n.verifier = verify.New(cfg.VerifyWorkers, cfg.VerifyCacheSize)
+	n.updatePoolGauges()          // publish mempool_capacity before any traffic
+	n.verifier = verify.New(0, 0) // NumCPU workers, DefaultCacheSize entries
 	n.verifier.SetObs(ob.Reg)
-	n.ov = overlay.New(net, n.addr, cfg.NetworkID, cfg.OverlayCacheSize)
+	n.ov = overlay.New(net, n.addr, cfg.NetworkID)
 	n.ov.SetObs(ob.Reg, obs.Component(ob.Log, "overlay"))
 	if cfg.Multicast {
 		n.ov.SetMode(overlay.ModeTree)
@@ -341,9 +331,6 @@ func (n *Node) PendingCount() int { return n.pool.Len() }
 func (n *Node) PendingMaxSeq(source ledger.AccountID) (uint64, bool) {
 	return n.pool.MaxSeq(source)
 }
-
-// KnownTxSets reports how many transaction sets the node holds (debugging).
-func (n *Node) KnownTxSets() int { return len(n.txsets) }
 
 // onTx admits a peer-flooded transaction under the same pool policy as
 // local submissions (minus re-flooding, which the overlay handles). A

@@ -35,9 +35,8 @@ type Server struct {
 	NetworkID stellarcrypto.Hash
 	archive   *history.Archive
 
-	// Submit-pipeline limits (submit.go, ratelimit.go). The zero config
-	// disables throttling; nil limiters allow everything.
-	ingress    IngressConfig
+	// Submit-pipeline limits (submit.go, ratelimit.go). Nil limiters
+	// allow everything.
 	srcLimiter *rateLimiter
 	ipLimiter  *rateLimiter
 

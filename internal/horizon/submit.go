@@ -23,9 +23,9 @@ import (
 // same fee floor so well-behaved clients can price themselves in before
 // submitting.
 
-// defaultMaxBodyBytes caps a submission request body. Generous: the XDR
+// maxBodyBytes caps a submission request body. Generous: the XDR
 // decoder itself caps envelopes at 100 ops / 20 sigs, far below this.
-const defaultMaxBodyBytes = 64 << 10
+const maxBodyBytes = 64 << 10
 
 // IngressConfig tunes the submit pipeline's client-facing limits. Zero
 // rates mean unlimited; the zero value disables all throttling (the
@@ -39,13 +39,10 @@ type IngressConfig struct {
 	// gate that runs before the body is even decoded.
 	IPRate  float64
 	IPBurst int
-	// MaxBodyBytes caps the request body (0 = 64 KiB).
-	MaxBodyBytes int64
 }
 
 // SetIngress installs the ingress limits; call before serving.
 func (s *Server) SetIngress(cfg IngressConfig) {
-	s.ingress = cfg
 	s.srcLimiter = newRateLimiter(cfg.SourceRate, cfg.SourceBurst)
 	s.ipLimiter = newRateLimiter(cfg.IPRate, cfg.IPBurst)
 }
@@ -148,11 +145,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeReject(w, http.StatusTooManyRequests, wait, 0, "rate limit exceeded for this address")
 		return
 	}
-	maxBody := s.ingress.MaxBodyBytes
-	if maxBody <= 0 {
-		maxBody = defaultMaxBodyBytes
-	}
-	r.Body = http.MaxBytesReader(w, r.Body, maxBody)
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	var req SubmitRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		s.countSubmit("malformed")

@@ -42,10 +42,8 @@ type Config struct {
 	Dir string
 	// Node names the bundle ("node-0").
 	Node string
-	// Ring and Window select the time-series slice to dump (Window ≤ 0
-	// dumps everything retained).
-	Ring   *timeseries.Ring
-	Window time.Duration
+	// Ring is the time series; a bundle dumps everything it retains.
+	Ring *timeseries.Ring
 	// Tracer is the span store.
 	Tracer *obs.Tracer
 	// Slots returns the node's per-slot consensus records. It is called
@@ -123,7 +121,7 @@ func (r *Recorder) Dump(reason string) (string, error) {
 	note("stacks.txt", os.WriteFile(filepath.Join(dir, "stacks.txt"), buf, 0o644))
 
 	if r.cfg.Ring != nil {
-		note("timeseries.json", writeJSON(dir, "timeseries.json", r.cfg.Ring.Export(r.cfg.Window, now)))
+		note("timeseries.json", writeJSON(dir, "timeseries.json", r.cfg.Ring.Export(0, now)))
 	}
 	if r.cfg.Tracer != nil {
 		note("spans.json", writeJSON(dir, "spans.json", r.cfg.Tracer.Export(r.cfg.Node)))

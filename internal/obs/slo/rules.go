@@ -27,22 +27,6 @@ type Config struct {
 	// StallIntervals is how many expected intervals may pass with no close
 	// before close_stall fires (0 = 4).
 	StallIntervals int
-	// CloseIntervalMax is the close-interval p99 ceiling. Zero derives
-	// 1.5 × max(LedgerInterval, 2 s): header close times carry unix-second
-	// granularity, so sub-second cadences still observe ≥1 s intervals and
-	// a tight multiple of the true interval would always breach.
-	CloseIntervalMax time.Duration
-	// SubmitAppliedMax is the submit→applied p99 ceiling. Zero derives
-	// 3 × max(LedgerInterval, 2 s) — a submitted tx normally waits up to
-	// one full interval for the next close plus apply time.
-	SubmitAppliedMax time.Duration
-	// EvalWindow is the lookback for quantile rules. Zero derives
-	// max(30 s, 6 × LedgerInterval) so a window always spans several
-	// closes.
-	EvalWindow time.Duration
-	// MempoolMaxRatio is the mempool occupancy ratio that counts as
-	// saturated (0 = 0.9).
-	MempoolMaxRatio float64
 	// MinPeers fires peer_loss when transport_peers drops below it
 	// (0 disables the rule's breach condition — single-process demos have
 	// no transport).
@@ -55,25 +39,6 @@ func (c *Config) defaults() {
 	}
 	if c.StallIntervals <= 0 {
 		c.StallIntervals = 4
-	}
-	floor := c.LedgerInterval
-	if floor < 2*time.Second {
-		floor = 2 * time.Second
-	}
-	if c.CloseIntervalMax <= 0 {
-		c.CloseIntervalMax = floor + floor/2
-	}
-	if c.SubmitAppliedMax <= 0 {
-		c.SubmitAppliedMax = 3 * floor
-	}
-	if c.EvalWindow <= 0 {
-		c.EvalWindow = 6 * c.LedgerInterval
-		if c.EvalWindow < 30*time.Second {
-			c.EvalWindow = 30 * time.Second
-		}
-	}
-	if c.MempoolMaxRatio <= 0 {
-		c.MempoolMaxRatio = 0.9
 	}
 }
 
@@ -92,6 +57,16 @@ func DefaultRules(cfg Config) []Rule {
 	cfg.defaults()
 	stallWindow := time.Duration(cfg.StallIntervals) * cfg.LedgerInterval
 	damp := 2 * cfg.LedgerInterval
+	// Header close times carry unix-second granularity, so sub-second
+	// cadences still observe ≥1 s intervals: the quantile ceilings scale
+	// from max(LedgerInterval, 2 s). A submitted tx normally waits up to
+	// one full interval for the next close plus apply time, hence 3× for
+	// submit→applied. The lookback spans several closes.
+	floor := max(cfg.LedgerInterval, 2*time.Second)
+	closeIntervalMax := floor + floor/2
+	submitAppliedMax := 3 * floor
+	evalWindow := max(6*cfg.LedgerInterval, 30*time.Second)
+	const mempoolMaxRatio = 0.9
 
 	return []Rule{
 		{
@@ -118,7 +93,7 @@ func DefaultRules(cfg Config) []Rule {
 			For:      damp,
 			Claim:    "§7: close cadence p99 within 1.5x of the nominal interval",
 			Eval: func(r *timeseries.Ring, now time.Duration) Check {
-				w, ok := r.Window("herder_close_interval_seconds", cfg.EvalWindow, now)
+				w, ok := r.Window("herder_close_interval_seconds", evalWindow, now)
 				if !ok {
 					return Check{Unknown: true}
 				}
@@ -126,10 +101,10 @@ func DefaultRules(cfg Config) []Rule {
 				if !ok {
 					return Check{Unknown: true} // no closes in window: close_stall's job
 				}
-				c := Check{Value: p99, Threshold: cfg.CloseIntervalMax.Seconds()}
+				c := Check{Value: p99, Threshold: closeIntervalMax.Seconds()}
 				if p99 > c.Threshold {
 					c.Breached = true
-					c.Detail = fmt.Sprintf("close-interval p99 %.2fs over %s window", p99, cfg.EvalWindow)
+					c.Detail = fmt.Sprintf("close-interval p99 %.2fs over %s window", p99, evalWindow)
 				}
 				return c
 			},
@@ -140,7 +115,7 @@ func DefaultRules(cfg Config) []Rule {
 			For:      damp,
 			Claim:    "§7: submitted payments apply within a few close intervals end to end",
 			Eval: func(r *timeseries.Ring, now time.Duration) Check {
-				w, ok := r.Window("herder_submit_applied_seconds", cfg.EvalWindow, now)
+				w, ok := r.Window("herder_submit_applied_seconds", evalWindow, now)
 				if !ok {
 					return Check{Unknown: true}
 				}
@@ -148,10 +123,10 @@ func DefaultRules(cfg Config) []Rule {
 				if !ok {
 					return Check{Unknown: true} // no submissions in window
 				}
-				c := Check{Value: p99, Threshold: cfg.SubmitAppliedMax.Seconds()}
+				c := Check{Value: p99, Threshold: submitAppliedMax.Seconds()}
 				if p99 > c.Threshold {
 					c.Breached = true
-					c.Detail = fmt.Sprintf("submit→applied p99 %.2fs over %s window", p99, cfg.EvalWindow)
+					c.Detail = fmt.Sprintf("submit→applied p99 %.2fs over %s window", p99, evalWindow)
 				}
 				return c
 			},
@@ -210,8 +185,8 @@ func DefaultRules(cfg Config) []Rule {
 					return Check{Unknown: true}
 				}
 				ratio := size / capacity
-				c := Check{Value: ratio, Threshold: cfg.MempoolMaxRatio}
-				if ratio >= cfg.MempoolMaxRatio {
+				c := Check{Value: ratio, Threshold: mempoolMaxRatio}
+				if ratio >= mempoolMaxRatio {
 					c.Breached = true
 					c.Detail = fmt.Sprintf("mempool %0.f/%0.f (%.0f%% full)", size, capacity, ratio*100)
 				}

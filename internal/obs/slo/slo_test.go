@@ -1,6 +1,7 @@
 package slo
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -292,5 +293,77 @@ func TestDefaultRulesPeerLoss(t *testing.T) {
 	}
 	if got := on.State(RulePeerLoss); got != StateFiring {
 		t.Fatalf("peer_loss = %v, want firing at 0 < 2 peers", got)
+	}
+}
+
+// TestDefaultRulesQuantileCeilings drives close_interval_p99 and
+// submit_applied_p99 at three cadences. Their ceilings are derived from the
+// ledger interval alone: 1.5× and 3× max(interval, 2 s), over a
+// max(30 s, 6 × interval) window. Each rule stays quiet just below its
+// ceiling, fires just above it, and resolves once the window has slid past
+// the last slow observation.
+func TestDefaultRulesQuantileCeilings(t *testing.T) {
+	for _, interval := range []time.Duration{250 * time.Millisecond, time.Second, 5 * time.Second} {
+		floor := max(interval, 2*time.Second)
+		window := max(30*time.Second, 6*interval)
+		for _, tc := range []struct {
+			rule, family string
+			ceiling      time.Duration
+		}{
+			{RuleCloseIntervalP99, "herder_close_interval_seconds", floor + floor/2},
+			{RuleSubmitAppliedP99, "herder_submit_applied_seconds", 3 * floor},
+		} {
+			t.Run(fmt.Sprintf("%s/%v", tc.rule, interval), func(t *testing.T) {
+				ceiling := tc.ceiling.Seconds()
+				reg := obs.NewRegistry()
+				// Bucket edges a hair either side of the ceiling, so the
+				// interpolated p99 lands just below or just above it.
+				h := reg.Histogram(tc.family, "", []float64{0.99 * ceiling, ceiling, 1.01 * ceiling})
+				ring := timeseries.New(1024)
+				e := NewEngine(ring, DefaultRules(Config{LedgerInterval: interval}), reg, nil)
+				var now time.Duration
+				// run observes v once per interval for d.
+				run := func(v float64, d time.Duration) {
+					for end := now + d; now < end; {
+						h.Observe(v)
+						now += interval
+						ring.Observe(now, reg.Snapshot())
+						e.Evaluate(now)
+					}
+				}
+				alert := func() Alert {
+					for _, a := range e.Report("n", now).Alerts {
+						if a.Name == tc.rule {
+							return a
+						}
+					}
+					t.Fatalf("no %s in the report", tc.rule)
+					return Alert{}
+				}
+				below, above := 0.995*ceiling, 1.005*ceiling
+
+				run(below, 2*window)
+				if a := alert(); a.State != "inactive" || a.Threshold != ceiling || a.Value >= ceiling {
+					t.Fatalf("just below the ceiling: %+v, want inactive at threshold %.3f", a, ceiling)
+				}
+				run(above, interval)
+				if got := e.State(tc.rule); got == StateFiring {
+					t.Fatalf("fired on the first slow observation, before its %v damping", 2*interval)
+				}
+				run(above, window)
+				if a := alert(); a.State != "firing" || a.Value <= ceiling {
+					t.Fatalf("just above the ceiling: %+v, want firing", a)
+				}
+				run(below, window-2*interval)
+				if got := e.State(tc.rule); got != StateFiring {
+					t.Fatalf("%v after the last slow observation: %v, want still firing inside the %v window",
+						window-2*interval, got, window)
+				}
+				run(below, 2*interval)
+				if got := e.State(tc.rule); got != StateResolved {
+					t.Fatalf("a full %v window after the last slow observation: %v, want resolved", window, got)
+				}
+			})
+		}
 	}
 }

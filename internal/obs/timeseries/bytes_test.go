@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"stellar/internal/cliutil"
 	"stellar/internal/fba"
 	"stellar/internal/herder"
 	"stellar/internal/horizon"
@@ -53,7 +52,7 @@ func nodeRegistry(t *testing.T) *obs.Registry {
 	}
 	mgr.Close()
 	loop.Close()
-	(&cliutil.AlertFlags{}).Build(cliutil.AlertWiring{Node: node, NodeName: "ring-bytes"})
+	slo.NewEngine(timeseries.New(0), slo.DefaultRules(slo.Config{LedgerInterval: node.LedgerInterval()}), reg, nil)
 	return reg
 }
 

@@ -16,7 +16,7 @@ import (
 func TestFloodSurvivesModerateLoss(t *testing.T) {
 	// Full mesh of 8 under 30% random loss: each node can receive a
 	// broadcast over 7 independent paths, so every node still gets it.
-	net, overlays := buildMesh(t, 8, 0, fullMesh)
+	net, overlays := buildMesh(t, 8, fullMesh)
 	net.SetDropRate(0.3)
 	var got [8]int
 	for i := range overlays {
@@ -53,7 +53,7 @@ func TestTreeLosesMessagesFloodDoesNot(t *testing.T) {
 	}
 	treeNet.RunUntilIdle(0)
 
-	floodNet, floodOverlays := buildMesh(t, n, 0, fullMesh)
+	floodNet, floodOverlays := buildMesh(t, n, fullMesh)
 	floodNet.SetDropRate(0.3)
 	floodGot := 0
 	for i := 1; i < n; i++ {
@@ -74,7 +74,7 @@ func TestTreeLosesMessagesFloodDoesNot(t *testing.T) {
 }
 
 func TestAsymmetricLinkLossOnlyAffectsOneDirection(t *testing.T) {
-	net, overlays := buildMesh(t, 2, 0, fullMesh)
+	net, overlays := buildMesh(t, 2, fullMesh)
 	net.SetLinkDropRate("n0", "n1", 1.0)
 	got := [2]int{}
 	for i := range overlays {
@@ -96,7 +96,7 @@ func TestDuplicateInjectionSuppressedOncePerNode(t *testing.T) {
 	// An attacker (or a re-flooding peer) sends the same envelope to every
 	// node repeatedly; each node must deliver it to the application exactly
 	// once and suppress the rest, without re-flooding duplicates.
-	net, overlays := buildMesh(t, 5, 0, fullMesh)
+	net, overlays := buildMesh(t, 5, fullMesh)
 	var got [5]int
 	for i := range overlays {
 		i := i
@@ -149,7 +149,7 @@ func TestFloodRetransmitRepairsLoss(t *testing.T) {
 	// 100% loss during the first attempt), re-broadcasting after the
 	// network heals delivers it. The origin's own dedup cache must not
 	// stop the retransmission.
-	net, overlays := buildMesh(t, 4, 0, fullMesh)
+	net, overlays := buildMesh(t, 4, fullMesh)
 	got := 0
 	overlays[3].OnEnvelope = func(env *scp.Envelope) { got++ }
 	env := testEnvelope(1)

@@ -21,7 +21,7 @@ func buildTreeMesh(t *testing.T, n int) (*simnet.Network, []*Overlay, []simnet.A
 		addrs[i] = simnet.Addr(fmt.Sprintf("m%02d", i))
 	}
 	for i := range overlays {
-		overlays[i] = New(net, addrs[i], nid, 0)
+		overlays[i] = New(net, addrs[i], nid)
 		overlays[i].SetMode(ModeTree)
 		net.AddNode(addrs[i], simnet.HandlerFunc(overlays[i].HandleMessage))
 	}
@@ -77,7 +77,7 @@ func TestTreeMessageCountLinear(t *testing.T) {
 	}
 
 	// Same broadcast under flooding.
-	net2, floods := buildMesh(t, n, 0, fullMesh)
+	net2, floods := buildMesh(t, n, fullMesh)
 	floods[0].BroadcastEnvelope(testEnvelope(1))
 	net2.RunUntilIdle(0)
 	var floodSent uint64
@@ -130,7 +130,7 @@ func TestTreeCrashLosesSubtreeFloodDoesNot(t *testing.T) {
 		t.Fatalf("tree delivered %d despite interior crash; expected a lost subtree", delivered)
 	}
 
-	net2, floods := buildMesh(t, n, 0, fullMesh)
+	net2, floods := buildMesh(t, n, fullMesh)
 	floodDelivered := 0
 	for i := range floods {
 		floods[i].OnEnvelope = func(env *scp.Envelope) { floodDelivered++ }

@@ -188,8 +188,8 @@ func (p *Packet) size() int {
 	}
 }
 
-// DefaultSeenCacheSize bounds the duplicate-suppression cache.
-const DefaultSeenCacheSize = 4096
+// seenCacheSize bounds the duplicate-suppression cache.
+const seenCacheSize = 4096
 
 // Overlay is one node's view of the flooding network. It is backend-
 // agnostic: the same flooding, dedup, and TTL logic runs over the
@@ -266,17 +266,14 @@ func (o *Overlay) SetObs(reg *obs.Registry, log *slog.Logger) {
 }
 
 // New creates an overlay endpoint for self on a network environment
-// (simulated or real). cacheSize ≤ 0 selects the default.
-func New(net simnet.Env, self simnet.Addr, networkID stellarcrypto.Hash, cacheSize int) *Overlay {
-	if cacheSize <= 0 {
-		cacheSize = DefaultSeenCacheSize
-	}
+// (simulated or real).
+func New(net simnet.Env, self simnet.Addr, networkID stellarcrypto.Hash) *Overlay {
 	return &Overlay{
 		net:       net,
 		self:      self,
 		networkID: networkID,
-		seen:      make(map[stellarcrypto.Hash]struct{}, cacheSize),
-		ring:      make([]stellarcrypto.Hash, cacheSize),
+		seen:      make(map[stellarcrypto.Hash]struct{}, seenCacheSize),
+		ring:      make([]stellarcrypto.Hash, seenCacheSize),
 	}
 }
 

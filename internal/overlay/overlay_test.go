@@ -13,7 +13,7 @@ import (
 	"stellar/internal/stellarcrypto"
 )
 
-func buildMesh(t *testing.T, n int, cacheSize int, topology func(i, j int) bool) (*simnet.Network, []*Overlay) {
+func buildMesh(t *testing.T, n int, topology func(i, j int) bool) (*simnet.Network, []*Overlay) {
 	t.Helper()
 	net := simnet.New(1)
 	net.SetLatency(simnet.ConstantLatency(time.Millisecond))
@@ -24,7 +24,7 @@ func buildMesh(t *testing.T, n int, cacheSize int, topology func(i, j int) bool)
 		addrs[i] = simnet.Addr(fmt.Sprintf("n%d", i))
 	}
 	for i := range overlays {
-		overlays[i] = New(net, addrs[i], nid, cacheSize)
+		overlays[i] = New(net, addrs[i], nid)
 		net.AddNode(addrs[i], simnet.HandlerFunc(overlays[i].HandleMessage))
 	}
 	for i := range overlays {
@@ -54,7 +54,7 @@ func testEnvelope(seq uint64) *scp.Envelope {
 }
 
 func TestFloodReachesAllFullMesh(t *testing.T) {
-	net, overlays := buildMesh(t, 5, 0, fullMesh)
+	net, overlays := buildMesh(t, 5, fullMesh)
 	var got [5]int
 	for i := range overlays {
 		i := i
@@ -74,7 +74,7 @@ func TestFloodReachesAllFullMesh(t *testing.T) {
 
 func TestFloodReachesAllRing(t *testing.T) {
 	// Multi-hop: flooding must traverse the ring.
-	net, overlays := buildMesh(t, 8, 0, ringTopology(8))
+	net, overlays := buildMesh(t, 8, ringTopology(8))
 	var got [8]int
 	for i := range overlays {
 		i := i
@@ -90,7 +90,7 @@ func TestFloodReachesAllRing(t *testing.T) {
 }
 
 func TestDuplicateSuppression(t *testing.T) {
-	net, overlays := buildMesh(t, 4, 0, fullMesh)
+	net, overlays := buildMesh(t, 4, fullMesh)
 	delivered := 0
 	overlays[3].OnEnvelope = func(env *scp.Envelope) { delivered++ }
 	env := testEnvelope(1)
@@ -106,7 +106,7 @@ func TestDuplicateSuppression(t *testing.T) {
 }
 
 func TestTxFlooding(t *testing.T) {
-	net, overlays := buildMesh(t, 3, 0, fullMesh)
+	net, overlays := buildMesh(t, 3, fullMesh)
 	var got *ledger.Transaction
 	overlays[2].OnTx = func(tx *ledger.Transaction) { got = tx }
 	tx := &ledger.Transaction{
@@ -125,7 +125,10 @@ func TestTinyCacheStillTerminates(t *testing.T) {
 	// in principle; verify the network still quiesces and every message
 	// is delivered at least once (the ablation's degradation mode is
 	// duplicate deliveries, not loss).
-	net, overlays := buildMesh(t, 4, 2, fullMesh)
+	net, overlays := buildMesh(t, 4, fullMesh)
+	for _, o := range overlays {
+		o.ring = make([]stellarcrypto.Hash, 2)
+	}
 	deliveries := 0
 	overlays[3].OnEnvelope = func(env *scp.Envelope) { deliveries++ }
 	for i := 0; i < 10; i++ {
@@ -140,7 +143,8 @@ func TestTinyCacheStillTerminates(t *testing.T) {
 }
 
 func TestSeenCacheEviction(t *testing.T) {
-	o := New(simnet.New(1), "a", stellarcrypto.Hash{}, 2)
+	o := New(simnet.New(1), "a", stellarcrypto.Hash{})
+	o.ring = make([]stellarcrypto.Hash, 2)
 	h1 := stellarcrypto.HashBytes([]byte("1"))
 	h2 := stellarcrypto.HashBytes([]byte("2"))
 	h3 := stellarcrypto.HashBytes([]byte("3"))
@@ -159,7 +163,7 @@ func TestSeenCacheEviction(t *testing.T) {
 }
 
 func TestConnectIgnoresSelf(t *testing.T) {
-	o := New(simnet.New(1), "a", stellarcrypto.Hash{}, 0)
+	o := New(simnet.New(1), "a", stellarcrypto.Hash{})
 	o.Connect("a", "b")
 	if len(o.Peers()) != 1 || o.Peers()[0] != "b" {
 		t.Fatalf("peers = %v", o.Peers())
@@ -173,7 +177,7 @@ func TestConnectIgnoresSelf(t *testing.T) {
 // sets and requests for them are point-to-point: handed over with their
 // sender, never forwarded.
 func TestTxSetRefForwardedOnlyOnceHeld(t *testing.T) {
-	net, overlays := buildMesh(t, 4, 0, ringTopology(4)) // 0 – 1 – 2 – 3 – 0
+	net, overlays := buildMesh(t, 4, ringTopology(4)) // 0 – 1 – 2 – 3 – 0
 	ref := &ledger.TxSetRef{TxHashes: []stellarcrypto.Hash{stellarcrypto.HashBytes([]byte("tx"))}}
 	var heardFrom [4][]simnet.Addr
 	holds := [4]bool{2: true}

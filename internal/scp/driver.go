@@ -1,10 +1,6 @@
 package scp
 
-import (
-	"time"
-
-	"stellar/internal/fba"
-)
+import "time"
 
 // ValidationLevel grades a value's application-level validity.
 type ValidationLevel int
@@ -95,10 +91,4 @@ func DefaultNominationTimeout(round int) time.Duration {
 // times out after (1 + n) seconds.
 func DefaultBallotTimeout(counter uint32) time.Duration {
 	return time.Second + time.Duration(counter)*time.Second
-}
-
-// QuorumSetProvider lets analysis tools look up the quorum sets SCP has
-// learned from envelopes.
-type QuorumSetProvider interface {
-	KnownQuorumSets() fba.QuorumSets
 }

@@ -105,20 +105,6 @@ func (n *Node) PurgeBelow(keep uint64) {
 	}
 }
 
-// KnownQuorumSets returns the quorum sets learned from all slots' envelopes
-// plus our own; the quorum-intersection checker consumes this (§6.2).
-func (n *Node) KnownQuorumSets() fba.QuorumSets {
-	out := make(fba.QuorumSets)
-	q := n.qset
-	out[n.self] = &q
-	for _, s := range n.slots {
-		for id, qs := range s.qsets {
-			out[id] = qs
-		}
-	}
-	return out
-}
-
 // SlotIndices returns the indices of live slots in ascending order.
 func (n *Node) SlotIndices() []uint64 {
 	out := make([]uint64, 0, len(n.slots))

@@ -89,44 +89,8 @@ func newSlot(node *Node, index uint64) *Slot {
 	return s
 }
 
-// Index returns the slot number.
-func (s *Slot) Index() uint64 { return s.index }
-
-// Phase returns the current ballot-protocol phase.
-func (s *Slot) Phase() Phase { return s.phase }
-
-// Externalized reports whether the slot has decided, returning the value.
-func (s *Slot) Externalized() (Value, bool) {
-	if !s.externalized {
-		return nil, false
-	}
-	return s.c.Value, true
-}
-
-// CurrentBallot returns the slot's current ballot (zero if balloting has
-// not begun).
-func (s *Slot) CurrentBallot() Ballot { return s.b }
-
-// Leaders returns the current nomination leader set.
-func (s *Slot) Leaders() fba.NodeSet { return s.leaders.Copy() }
-
-// NominationRound returns the current nomination round number.
-func (s *Slot) NominationRound() int { return s.nomRound }
-
 // Candidates returns the confirmed-nominated values.
 func (s *Slot) Candidates() []Value { return s.candidates.Values() }
-
-// NominationState reports the sizes of the nomination sets (votes X,
-// accepted Y, candidates Z — §3.2.2) for introspection and debugging.
-func (s *Slot) NominationState() (votes, accepted, candidates int) {
-	return s.votes.Len(), s.acceptedNom.Len(), s.candidates.Len()
-}
-
-// StatementsHeld reports how many peers' latest statements this slot holds
-// per sub-protocol.
-func (s *Slot) StatementsHeld() (nomination, ballot int) {
-	return len(s.latestNom), len(s.latestBallot)
-}
 
 // LatestEnvelopes returns this node's newest nomination and ballot
 // envelopes for re-broadcast to lagging peers (the fix for the §6 outage:

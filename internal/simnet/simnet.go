@@ -196,9 +196,6 @@ func (n *Network) SetLinkDropRate(from, to Addr, p float64) {
 	n.linkDrop[[2]Addr{from, to}] = p
 }
 
-// ClearLinkDropRates removes all per-link loss.
-func (n *Network) ClearLinkDropRates() { clear(n.linkDrop) }
-
 // SetProcessingCost installs the per-message receiver CPU cost: messages
 // arriving while a node is busy queue behind the in-progress one. This is
 // how the simulation reproduces the paper's load-dependent latencies
@@ -230,9 +227,6 @@ func (n *Network) SetDown(addr Addr) { n.downed[addr] = true }
 
 // SetUp revives a crashed node.
 func (n *Network) SetUp(addr Addr) { delete(n.downed, addr) }
-
-// IsDown reports whether the node is marked crashed.
-func (n *Network) IsDown(addr Addr) bool { return n.downed[addr] }
 
 // Partition cuts the bidirectional link between a and b. Safe to call
 // mid-run: messages in flight on the link when the cut lands are lost

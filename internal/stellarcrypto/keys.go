@@ -13,7 +13,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"errors"
 	"fmt"
 )
 
@@ -186,6 +185,3 @@ func (s SecretKey) Seed() string { return encodeStrkey(versionSeed, s.ed.Seed())
 
 // IsZero reports whether the key is unset.
 func (s SecretKey) IsZero() bool { return len(s.ed) == 0 }
-
-// ErrBadSignature is returned when signature verification fails.
-var ErrBadSignature = errors.New("stellarcrypto: bad signature")

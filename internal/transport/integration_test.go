@@ -65,8 +65,8 @@ func TestThreeNodeTCPQuorum(t *testing.T) {
 			Peers:       peers,
 			Keys:        kp,
 			NetworkID:   networkID,
-			BackoffBase: 20 * time.Millisecond,
-			BackoffMax:  time.Second,
+			backoffBase: 20 * time.Millisecond,
+			backoffMax:  time.Second,
 			Obs:         node.Obs(),
 			OnPeerUp: func(p simnet.Addr) {
 				node.Overlay().AddPeer(p)

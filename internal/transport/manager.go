@@ -28,16 +28,10 @@ type Config struct {
 	Keys      stellarcrypto.KeyPair
 	NetworkID stellarcrypto.Hash
 
-	// QueueSize bounds each peer's outbound frame queue (default 512).
-	QueueSize int
-
-	// DialTimeout and HandshakeTimeout bound connection establishment;
-	// BackoffBase/BackoffMax shape reconnect delays (exponential with
-	// jitter). Zero values take defaults.
-	DialTimeout      time.Duration
-	HandshakeTimeout time.Duration
-	BackoffBase      time.Duration
-	BackoffMax       time.Duration
+	// backoffBase/backoffMax shape reconnect delays (exponential with
+	// jitter; zero = 200 ms and 10 s). In-package tests shorten them.
+	backoffBase time.Duration
+	backoffMax  time.Duration
 
 	// Obs receives transport_* metrics and logs; nil-safe.
 	Obs *obs.Obs
@@ -47,6 +41,14 @@ type Config struct {
 	OnPeerUp   func(simnet.Addr)
 	OnPeerDown func(simnet.Addr)
 }
+
+// Connection establishment bounds and the per-peer outbound frame queue,
+// whose oldest frames are shed when it is full.
+const (
+	dialTimeout      = 5 * time.Second
+	handshakeTimeout = 5 * time.Second
+	queueSize        = 512
+)
 
 // maxPeerLabels caps how many distinct peer identities the per-peer
 // counter vectors will label. Every authenticated remote mints five
@@ -171,20 +173,11 @@ func NewManager(loop *Loop, cfg Config) (*Manager, error) {
 	if cfg.Keys.Public.IsZero() {
 		return nil, errors.New("transport: config needs a keypair")
 	}
-	if cfg.QueueSize <= 0 {
-		cfg.QueueSize = 512
+	if cfg.backoffBase <= 0 {
+		cfg.backoffBase = 200 * time.Millisecond
 	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 5 * time.Second
-	}
-	if cfg.HandshakeTimeout <= 0 {
-		cfg.HandshakeTimeout = 5 * time.Second
-	}
-	if cfg.BackoffBase <= 0 {
-		cfg.BackoffBase = 200 * time.Millisecond
-	}
-	if cfg.BackoffMax <= 0 {
-		cfg.BackoffMax = 10 * time.Second
+	if cfg.backoffMax <= 0 {
+		cfg.backoffMax = 10 * time.Second
 	}
 	cfg.Obs = cfg.Obs.Normalize()
 
@@ -328,7 +321,7 @@ func (m *Manager) acceptLoop(ln net.Listener) {
 // plus jitter (reset to the base after every successful session).
 func (m *Manager) dialLoop(addr string) {
 	defer m.wg.Done()
-	backoff := m.cfg.BackoffBase
+	backoff := m.cfg.backoffBase
 	connected := false
 	for {
 		select {
@@ -336,7 +329,7 @@ func (m *Manager) dialLoop(addr string) {
 			return
 		default:
 		}
-		conn, err := net.DialTimeout("tcp", addr, m.cfg.DialTimeout)
+		conn, err := net.DialTimeout("tcp", addr, dialTimeout)
 		if err != nil {
 			m.ins.dialFailures.Inc()
 			m.log.Debug("dial failed", "addr", addr, "err", err, "retry_in", backoff)
@@ -348,7 +341,7 @@ func (m *Manager) dialLoop(addr string) {
 		}
 		if m.runConn(conn, true, connected) {
 			connected = true
-			backoff = m.cfg.BackoffBase
+			backoff = m.cfg.backoffBase
 		} else if !m.sleep(backoff) {
 			return
 		} else {
@@ -360,7 +353,7 @@ func (m *Manager) dialLoop(addr string) {
 // nextBackoff doubles the delay up to the cap and adds ±25% jitter so a
 // restarted network does not thunder back in lockstep.
 func (m *Manager) nextBackoff(cur time.Duration) time.Duration {
-	next := min(cur*2, m.cfg.BackoffMax)
+	next := min(cur*2, m.cfg.backoffMax)
 	m.mu.Lock()
 	jitter := time.Duration(m.dialRng.Int63n(int64(next)/2+1)) - next/4
 	m.mu.Unlock()
@@ -385,7 +378,7 @@ func (m *Manager) runConn(conn net.Conn, dialed, reconnect bool) bool {
 	if tc, ok := conn.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
 	}
-	id, err := handshake(conn, m.cfg.Keys, m.cfg.NetworkID, m.cfg.HandshakeTimeout)
+	id, err := handshake(conn, m.cfg.Keys, m.cfg.NetworkID, handshakeTimeout)
 	if err != nil {
 		m.ins.handshakeFailures.Inc()
 		m.log.Warn("handshake failed", "remote", conn.RemoteAddr().String(), "err", err)
@@ -395,7 +388,7 @@ func (m *Manager) runConn(conn net.Conn, dialed, reconnect bool) bool {
 	if reconnect {
 		m.ins.reconnects.With(m.ins.peerLabel(id)).Inc()
 	}
-	p := newPeer(id, conn, dialed, m.cfg.QueueSize)
+	p := newPeer(id, conn, dialed, queueSize)
 	p.ins = m.ins.forPeer(id)
 	if !m.register(p) {
 		conn.Close()

@@ -527,8 +527,8 @@ func newTestManager(t *testing.T, label string, peers []string) (*Manager, *Loop
 		Peers:       peers,
 		Keys:        keys,
 		NetworkID:   testNetworkID,
-		BackoffBase: 20 * time.Millisecond,
-		BackoffMax:  200 * time.Millisecond,
+		backoffBase: 20 * time.Millisecond,
+		backoffMax:  200 * time.Millisecond,
 		Obs:         obs.New(),
 	})
 	if err != nil {
@@ -659,7 +659,7 @@ func TestRouteEncodesFloodedPacketOnce(t *testing.T) {
 		size := 0
 		capture := NewLoop()
 		capture.send = func(_, _ simnet.Addr, _ any, n int) { size = n }
-		overlay.New(capture, m.Self(), testNetworkID, 0).SendDirect("x", pkt)
+		overlay.New(capture, m.Self(), testNetworkID).SendDirect("x", pkt)
 		var frame []byte
 		var err error
 		allocs := testing.AllocsPerRun(20, func() {
@@ -692,7 +692,7 @@ func TestManagerDuplicateConnections(t *testing.T) {
 
 	ma, err := NewManager(loopA, Config{
 		ListenAddr: "127.0.0.1:0", Keys: keysA, NetworkID: testNetworkID,
-		BackoffBase: 20 * time.Millisecond, BackoffMax: 200 * time.Millisecond, Obs: obs.New(),
+		backoffBase: 20 * time.Millisecond, backoffMax: 200 * time.Millisecond, Obs: obs.New(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -700,7 +700,7 @@ func TestManagerDuplicateConnections(t *testing.T) {
 	t.Cleanup(ma.Close)
 	mb, err := NewManager(loopB, Config{
 		ListenAddr: "127.0.0.1:0", Peers: []string{ma.Addr()}, Keys: keysB, NetworkID: testNetworkID,
-		BackoffBase: 20 * time.Millisecond, BackoffMax: 200 * time.Millisecond, Obs: obs.New(),
+		backoffBase: 20 * time.Millisecond, backoffMax: 200 * time.Millisecond, Obs: obs.New(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -739,7 +739,7 @@ func TestManagerRejectsWrongNetworkPeer(t *testing.T) {
 	rogue, err := NewManager(loop, Config{
 		Peers: []string{ma.Addr()}, Keys: keys,
 		NetworkID:   stellarcrypto.HashBytes([]byte("wrong-network")),
-		BackoffBase: 20 * time.Millisecond, BackoffMax: 200 * time.Millisecond, Obs: obs.New(),
+		backoffBase: 20 * time.Millisecond, backoffMax: 200 * time.Millisecond, Obs: obs.New(),
 	})
 	if err != nil {
 		t.Fatal(err)
