@@ -28,14 +28,12 @@ func main() {
 	seed := flag.Int64("seed", 0, "seed for a single scenario (0: run -scenarios random seeds)")
 	scenarios := flag.Int("scenarios", 10, "number of random scenarios when no -seed is given")
 	firstSeed := flag.Int64("first-seed", 1, "first seed of the random sweep")
-	metrics := flag.Bool("metrics", false, "dump the chaos metric registry after the run")
-	phases := flag.Bool("phases", false, "trace each scenario and print its per-phase latency table")
 	verbose := flag.Bool("v", false, "structured scenario logging to stderr")
 	flag.Parse()
 
-	ob := obs.New()
+	var log *slog.Logger
 	if *verbose {
-		ob.Log = obs.NewLogger(os.Stderr, slog.LevelInfo)
+		log = obs.NewLogger(os.Stderr, slog.LevelInfo)
 	}
 
 	build := func(s int64) chaos.Scenario {
@@ -58,7 +56,6 @@ func main() {
 			os.Exit(2)
 			panic("unreachable")
 		}
-		sc.Trace = *phases
 		return sc
 	}
 
@@ -73,24 +70,13 @@ func main() {
 
 	failures := 0
 	for _, s := range seeds {
-		rep, err := chaos.Run(build(s), ob)
+		rep, err := chaos.Run(build(s), log)
 		if err != nil {
 			failures++
 			fmt.Fprintf(os.Stderr, "FAIL: %v\n", err)
 			continue
 		}
 		fmt.Println(rep)
-		if rep.Phases != nil {
-			_ = rep.Phases.WriteTable(os.Stdout)
-			fmt.Println()
-		}
-	}
-
-	if *metrics {
-		fmt.Println()
-		if err := ob.Reg.WritePrometheus(os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "error: %v\n", err)
-		}
 	}
 
 	if failures > 0 {

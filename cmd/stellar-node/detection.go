@@ -29,7 +29,7 @@ type detection struct {
 // newDetection wires the stack for node. It samples once per ledger
 // interval, and at least once a second. pre runs before each sample under
 // whatever lock the node's event loop requires: it must refresh the
-// pull-style quorum gauges, which otherwise update only at ledger close.
+// quorum_available gauge, which otherwise updates only at ledger close.
 // minPeers arms the peer-loss rule. A firing close stall dumps a crash
 // bundle into bundleDir: the liveness watchdog.
 func newDetection(node *herder.Node, name, bundleDir string, minPeers int, pre func(), log *slog.Logger) *detection {
@@ -40,7 +40,7 @@ func newDetection(node *herder.Node, name, bundleDir string, minPeers int, pre f
 		LedgerInterval: node.LedgerInterval(),
 		StallIntervals: stallIntervals,
 		MinPeers:       minPeers,
-	}), ob.Reg, log)
+	}), log)
 	fl := flight.New(flight.Config{
 		Dir:    bundleDir,
 		Node:   name,

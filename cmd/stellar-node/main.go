@@ -294,8 +294,8 @@ func run(c *config) error {
 		IPBurst:     c.submitIPBurst,
 	})
 
-	// Detection stack. The pre-sample hook refreshes the pull-style quorum
-	// gauges under the event-loop lock, because ledger close — the usual
+	// Detection stack. The pre-sample hook refreshes the quorum_available
+	// gauge under the event-loop lock, because ledger close — the usual
 	// refresher — is exactly what a stall withholds. peer-loss arms at
 	// threshold-1: fewer live peers than that makes quorum unreachable.
 	det := newDetection(node, c.seed, c.bundleDir, qset.Threshold-1,

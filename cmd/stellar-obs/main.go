@@ -1,16 +1,17 @@
 // stellar-obs is the operator's tool beside the node binary. Its fleet
-// commands scrape every node's /metrics, /debug/quorum, and
+// commands scrape every node's /metrics, /ledgers/latest, /debug/alerts and
 // /debug/trace/export endpoints and turn per-process silos into
 // cluster-level views; its offline commands check traces, quorum
 // configurations (§6.2) and regenerate the paper's tables (§7).
 //
-//	stellar-obs table -nodes http://127.0.0.1:28000,http://127.0.0.1:28001
-//	stellar-obs table -nodes ... -watch 2s            # live fleet table
-//	stellar-obs alerts -nodes ... -fail-on-firing      # fleet alert sweep
+//	stellar-obs fleet -nodes http://127.0.0.1:28000,http://127.0.0.1:28001
+//	stellar-obs fleet -nodes ... -watch 2s             # live fleet table
+//	stellar-obs fleet -nodes ... -fail-on-firing       # CI: any alert firing?
 //	stellar-obs merge -nodes ... -o cluster-trace.json # Perfetto trace
 //	stellar-obs tracecheck -cluster cluster-trace.json # trace links valid?
 //
-// merge exits non-zero with -fail-on-drop if the merged trace lost spans.
+// fleet exits non-zero with -fail-on-firing if an alert fires, a node is
+// down, or a node's alert report cannot be read; merge with -fail-on-drop if the merged trace lost spans.
 // tracecheck and fbas exit 1 on a violation and 2 on a usage error.
 package main
 
@@ -30,10 +31,8 @@ func main() {
 	}
 	var err error
 	switch os.Args[1] {
-	case "table":
-		err = cmdTable(os.Args[2:])
-	case "alerts":
-		err = cmdAlerts(os.Args[2:])
+	case "fleet":
+		err = cmdFleet(os.Args[2:])
 	case "merge":
 		err = cmdMerge(os.Args[2:])
 	case "tracecheck":
@@ -62,8 +61,7 @@ func usage() {
 	fmt.Fprint(os.Stderr, `usage: stellar-obs <command> [flags]
 
 commands:
-  table       render the fleet status table (add -watch for live refresh)
-  alerts      sweep every node's /debug/alerts (add -fail-on-firing for CI)
+  fleet       every node's status row and firing alerts (-watch, -fail-on-firing)
   merge       merge every node's span store into one Perfetto trace
   tracecheck  validate a Chrome trace export (-lifecycle, -cluster)
   fbas        check a quorum configuration for intersection and criticality
@@ -84,64 +82,32 @@ func parseTargets(s string) ([]collect.Target, error) {
 	return ts, nil
 }
 
-func cmdTable(args []string) error {
-	fs := flag.NewFlagSet("table", flag.ExitOnError)
+func cmdFleet(args []string) error {
+	fs := flag.NewFlagSet("fleet", flag.ExitOnError)
 	nodes := targetsFlag(fs)
 	watch := fs.Duration("watch", 0, "refresh interval (0 = one shot)")
 	count := fs.Int("count", 0, "number of watch passes (0 = forever)")
 	timeout := fs.Duration("timeout", 5*time.Second, "per-request timeout")
+	failOnFiring := fs.Bool("fail-on-firing", false, "exit non-zero if the last pass found an alert firing (or a node down, or its alerts unreadable)")
 	fs.Parse(args)
 	targets, err := parseTargets(*nodes)
 	if err != nil {
 		return err
 	}
-	c := collect.NewClient(*timeout)
+	passes := *count
 	if *watch <= 0 {
-		scrapes := c.ScrapeAll(targets)
-		rows := make([]collect.NodeStatus, len(scrapes))
-		for i, s := range scrapes {
-			rows[i] = collect.Status(s, nil)
-		}
-		fmt.Print(collect.FleetTable(rows))
-		return nil
+		passes = 1
 	}
-	collect.Watch(c, targets, *watch, *count, func(table string) {
-		fmt.Printf("--- %s\n%s", time.Now().Format(time.TimeOnly), table)
-	})
-	return nil
-}
-
-func cmdAlerts(args []string) error {
-	fs := flag.NewFlagSet("alerts", flag.ExitOnError)
-	nodes := targetsFlag(fs)
-	watch := fs.Duration("watch", 0, "refresh interval (0 = one shot)")
-	count := fs.Int("count", 0, "number of watch passes (0 = forever)")
-	timeout := fs.Duration("timeout", 5*time.Second, "per-request timeout")
-	failOnFiring := fs.Bool("fail-on-firing", false, "exit non-zero if any alert is firing (or any node is down)")
-	fs.Parse(args)
-	targets, err := parseTargets(*nodes)
-	if err != nil {
-		return err
-	}
-	c := collect.NewClient(*timeout)
 	var firing int
-	for i := 0; ; i++ {
-		if i > 0 {
-			time.Sleep(*watch)
-		}
-		rows := collect.FetchAlertRows(c, targets)
-		var table string
-		table, firing = collect.AlertsTable(rows)
+	collect.Watch(collect.NewClient(*timeout), targets, *watch, passes, func(rows []collect.NodeStatus) {
 		if *watch > 0 {
 			fmt.Printf("--- %s\n", time.Now().Format(time.TimeOnly))
 		}
-		fmt.Print(table)
-		if *watch <= 0 || (*count > 0 && i+1 >= *count) {
-			break
-		}
-	}
+		fmt.Print(collect.FleetTable(rows))
+		firing = collect.Firing(rows)
+	})
 	if *failOnFiring && firing > 0 {
-		return fmt.Errorf("%d alert(s) firing", firing)
+		return fmt.Errorf("%d alert(s) firing, node(s) down or alert report(s) unreadable", firing)
 	}
 	return nil
 }

@@ -17,6 +17,7 @@ import (
 
 	"stellar/internal/experiments"
 	"stellar/internal/obs"
+	"stellar/internal/obs/collect"
 )
 
 func main() {
@@ -28,7 +29,6 @@ func main() {
 	dropRate := flag.Float64("drop", 0, "message drop probability [0,1)")
 	seed := flag.Int64("seed", 42, "deterministic simulation seed")
 	archive := flag.String("archive", "", "directory for a history archive (optional)")
-	decompose := flag.Bool("decompose", false, "print the per-phase latency decomposition table")
 	verbose := flag.Bool("v", false, "structured per-node logging to stderr")
 	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON file (open in Perfetto)")
 	flag.Parse()
@@ -41,7 +41,7 @@ func main() {
 		DropRate:       *dropRate,
 		Seed:           *seed,
 		ArchiveDir:     *archive,
-		Trace:          *tracePath != "" || *decompose,
+		Trace:          *tracePath != "",
 	}
 	if *verbose {
 		root := obs.NewLogger(os.Stderr, slog.LevelDebug)
@@ -97,15 +97,6 @@ func main() {
 		vs.Hits, vs.Misses, 100*vs.HitRate(), ps.Workers)
 	fmt.Printf("  agreement: all %d validators consistent at every ledger\n", len(s.Nodes))
 
-	if *decompose {
-		d := s.Tracer.Decompose()
-		fmt.Printf("\nlatency decomposition (%d spans", d.Spans())
-		if n := s.Tracer.Dropped(); n > 0 {
-			fmt.Printf(", %d dropped at the span cap", n)
-		}
-		fmt.Println("):")
-		_ = d.WriteTable(os.Stdout)
-	}
 	if *tracePath != "" {
 		if err := writeTrace(*tracePath, s.Tracer); err != nil {
 			fmt.Fprintf(os.Stderr, "error: %v\n", err)
@@ -115,13 +106,14 @@ func main() {
 	}
 }
 
-// writeTrace writes the tracer's spans to path as Chrome trace-event JSON.
+// writeTrace writes the tracer's spans to path as Chrome trace-event JSON,
+// one process per validator.
 func writeTrace(path string, tracer *obs.Tracer) error {
 	out, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := tracer.WriteChromeTrace(out); err != nil {
+	if _, err := collect.Merge([]*collect.Scrape{{Export: tracer.Export("stellar-sim")}}, out); err != nil {
 		out.Close()
 		return err
 	}

@@ -4,8 +4,10 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"stellar/internal/herder"
 	"stellar/internal/obs"
@@ -29,7 +31,6 @@ func TestPartitionAlertsFireAndResolve(t *testing.T) {
 	// §8). The close stall still fires either way; quorum-unavailable
 	// needs the peers to go properly silent.
 	sc.Behaviors = BehaviorEquivocate
-	sc.Trace = true // the crash bundle must carry the span store
 	sc.ExpectAlerts = []AlertExpectation{
 		{Alert: slo.RuleCloseStall, MustFire: true, MustResolve: true},
 		{Alert: slo.RuleQuorumUnavailable, MustFire: true, MustResolve: true},
@@ -132,5 +133,37 @@ func decodeJSON(t *testing.T, dir, name string, v any) {
 	}
 	if err := json.Unmarshal(b, v); err != nil {
 		t.Fatalf("decode %s: %v", name, err)
+	}
+}
+
+// A latency spike slows every round trip without cutting any link: closes
+// stretch past 1.5 intervals and submitted payments wait past three, so
+// close_interval_p99 and submit_applied_p99 fire on an honest node, and
+// both resolve once the spike is gone and their windows hold only normal
+// closes.
+func TestLatencySpikeAlertsFireAndResolve(t *testing.T) {
+	rep, err := Run(Scenario{
+		Name:       "latency-spike",
+		Seed:       4,
+		Validators: 4,
+		Faults: Schedule{
+			{At: 12 * time.Second, Kind: FaultLatencySpike, Extra: time.Second},
+			{At: 72 * time.Second, Kind: FaultLatencyRestore},
+		},
+		ExpectAlerts: []AlertExpectation{
+			{Alert: slo.RuleCloseIntervalP99, MustFire: true, MustResolve: true},
+			{Alert: slo.RuleSubmitAppliedP99, MustFire: true, MustResolve: true},
+		},
+		LivenessLedgers: 10,
+		LivenessWindow:  120 * time.Second,
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Slow, not stalled: a close still lands every few intervals, no
+	// peer is lost and the mempool drains, so nothing else fires.
+	want := []string{slo.RuleCloseIntervalP99, slo.RuleSubmitAppliedP99} // sorted, as AlertsFired is
+	if !slices.Equal(rep.AlertsFired, want) {
+		t.Fatalf("a latency spike fired %v, want exactly %v", rep.AlertsFired, want)
 	}
 }

@@ -32,9 +32,6 @@ type Report struct {
 	FaultsInjected   int
 	AdversaryPackets uint64
 	NetStats         simnet.Stats
-	// Phases is the per-phase latency decomposition when the scenario ran
-	// with Trace set, nil otherwise.
-	Phases *obs.Decomposition
 	// AlertsFired lists every alert that fired on any honest node during
 	// an Alerts-enabled run; AlertsUnresolved lists those still firing at
 	// the end; Bundles lists crash-bundle directories the flight
@@ -51,33 +48,6 @@ func (r *Report) String() string {
 		r.AdversaryPackets, r.VirtualTime)
 }
 
-// instruments are the chaos harness's registry series.
-type instruments struct {
-	scenarios *obs.CounterVec // chaos_scenarios_total{outcome}
-	faults    *obs.CounterVec // chaos_faults_injected_total{kind}
-	failures  *obs.CounterVec // chaos_invariant_failures_total{invariant}
-	ledgers   *obs.Counter    // chaos_ledgers_closed_total
-	advSent   *obs.Counter    // chaos_adversary_packets_total
-}
-
-func newInstruments(reg *obs.Registry) *instruments {
-	if reg == nil {
-		return nil
-	}
-	return &instruments{
-		scenarios: reg.CounterVec("chaos_scenarios_total",
-			"chaos scenarios run, by outcome", "outcome"),
-		faults: reg.CounterVec("chaos_faults_injected_total",
-			"faults injected into simulated networks", "kind"),
-		failures: reg.CounterVec("chaos_invariant_failures_total",
-			"invariant violations detected", "invariant"),
-		ledgers: reg.Counter("chaos_ledgers_closed_total",
-			"ledgers closed across all chaos scenarios (slowest node's view)"),
-		advSent: reg.Counter("chaos_adversary_packets_total",
-			"attack packets emitted by Byzantine adversaries"),
-	}
-}
-
 // Runner executes one scenario: it builds the simulated network and its
 // adversaries, applies the fault schedule in virtual-time order, checks
 // invariants every tick, and enforces liveness recovery after the heal.
@@ -88,7 +58,6 @@ type Runner struct {
 	Checker  *Checker
 
 	baseLatency simnet.LatencyModel
-	ins         *instruments
 	log         *slog.Logger
 	probes      []*alertProbe
 }
@@ -106,10 +75,9 @@ type alertProbe struct {
 	bundles []string
 }
 
-// Run builds and executes a scenario; ob (optional) supplies the metric
-// registry for outcome counters and the logger.
-func Run(sc Scenario, ob *obs.Obs) (*Report, error) {
-	r, err := NewRunner(sc, ob)
+// Run builds and executes a scenario; log may be nil.
+func Run(sc Scenario, log *slog.Logger) (*Report, error) {
+	r, err := NewRunner(sc, log)
 	if err != nil {
 		return nil, err
 	}
@@ -156,13 +124,14 @@ func quorumSetFor(topology Topology, honest, byz []fba.NodeID) (fba.QuorumSet, e
 }
 
 // NewRunner builds the scenario's network, adversaries, and checker.
-func NewRunner(sc Scenario, ob *obs.Obs) (*Runner, error) {
+func NewRunner(sc Scenario, log *slog.Logger) (*Runner, error) {
 	sc.defaults()
-	ob = ob.Normalize()
+	if log == nil {
+		log = obs.Nop()
+	}
 	r := &Runner{
 		Scenario: sc,
-		ins:      newInstruments(ob.Reg),
-		log:      obs.Component(ob.Log, "chaos"),
+		log:      obs.Component(log, "chaos"),
 	}
 
 	// Byzantine identities exist before the network is built so honest
@@ -189,7 +158,7 @@ func NewRunner(sc Scenario, ob *obs.Obs) (*Runner, error) {
 		},
 		ArchiveDirFor:      sc.ArchiveDirFor,
 		CheckpointInterval: sc.CheckpointInterval,
-		Trace:              sc.Trace,
+		Trace:              sc.BundleDir != "", // a crash bundle carries the span store
 	}
 	sim, err := experiments.Build(opts)
 	if err != nil {
@@ -230,7 +199,7 @@ func NewRunner(sc Scenario, ob *obs.Obs) (*Runner, error) {
 			p := &alertProbe{idx: i, ring: timeseries.New(0)}
 			p.engine = slo.NewEngine(p.ring, slo.DefaultRules(slo.Config{
 				LedgerInterval: sc.LedgerInterval,
-			}), n.Obs().Reg, ob.Log)
+			}), log)
 			if sc.BundleDir != "" {
 				p.flight = flight.New(flight.Config{
 					Dir:    sc.BundleDir,
@@ -240,7 +209,7 @@ func NewRunner(sc Scenario, ob *obs.Obs) (*Runner, error) {
 					Slots:  func() any { return n.SlotRecords() },
 					Alerts: p.engine,
 					Clock:  sim.Net.Now,
-					Log:    ob.Log,
+					Log:    log,
 				})
 				probe := p
 				p.engine.OnTransition(func(rule slo.Rule, from, to slo.State, now time.Duration) {
@@ -258,8 +227,8 @@ func NewRunner(sc Scenario, ob *obs.Obs) (*Runner, error) {
 }
 
 // sampleProbes feeds every probe one detection tick: refresh the node's
-// pull-style quorum gauges, snapshot its registry into the ring, and run
-// the rule engine on the virtual clock. Gauges otherwise refresh only at
+// quorum_available gauge, snapshot its registry into the ring, and run
+// the rule engine on the virtual clock. The gauge otherwise refreshes only at
 // ledger close — exactly the event a stall withholds.
 func (r *Runner) sampleProbes(now time.Duration) {
 	for _, p := range r.probes {
@@ -316,9 +285,6 @@ func (r *Runner) apply(f Fault) error {
 		if err := r.rejoin(f.Node); err != nil {
 			return fmt.Errorf("chaos: rejoin node %d: %w", f.Node, err)
 		}
-	}
-	if r.ins != nil {
-		r.ins.faults.With(f.Kind.String()).Inc()
 	}
 	r.log.Info("fault injected", "fault", f.String(), "t", net.Now())
 	return nil
@@ -387,10 +353,6 @@ func (r *Runner) rejoin(i int) error {
 // reproduce it: the scenario seed, the fault schedule, and a replay
 // command.
 func (r *Runner) fail(ie *InvariantError) error {
-	if r.ins != nil {
-		r.ins.failures.With(ie.Invariant).Inc()
-		r.ins.scenarios.With("fail").Inc()
-	}
 	var faults strings.Builder
 	for _, f := range r.Scenario.Faults {
 		fmt.Fprintf(&faults, "    %s\n", f)
@@ -441,9 +403,6 @@ func (r *Runner) Run() (*Report, error) {
 			return nil, r.fail(ie)
 		}
 		if err := r.apply(f); err != nil {
-			if r.ins != nil {
-				r.ins.scenarios.With("fail").Inc()
-			}
 			return nil, err
 		}
 	}
@@ -528,17 +487,9 @@ func (r *Runner) Run() (*Report, error) {
 	for _, a := range r.Advs {
 		rep.AdversaryPackets += a.Emitted
 	}
-	if r.Sim.Tracer != nil {
-		rep.Phases = r.Sim.Tracer.Decompose()
-	}
 	rep.AlertsFired = alertsFired
 	rep.AlertsUnresolved = alertsUnresolved
 	rep.Bundles = bundles
-	if r.ins != nil {
-		r.ins.scenarios.With("pass").Inc()
-		r.ins.ledgers.Add(float64(rep.MinSeq))
-		r.ins.advSent.Add(float64(rep.AdversaryPackets))
-	}
 	r.log.Info("scenario passed", "report", rep.String())
 	return rep, nil
 }

@@ -73,10 +73,6 @@ type Scenario struct {
 	CheckpointInterval int
 	// Replay overrides the replay command printed on failure.
 	Replay string
-	// Trace attaches a causal span tracer to the honest validators; the
-	// report then carries a per-phase latency decomposition (Report.Phases).
-	Trace bool
-
 	// Alerts attaches a per-validator SLO engine (internal/obs/slo) fed by
 	// per-tick registry samples, making detection itself a tested
 	// invariant. Implied by ExpectAlerts, NoAlerts, or BundleDir.
@@ -86,9 +82,10 @@ type Scenario struct {
 	// NoAlerts asserts no alert ever fired on any honest node — the
 	// false-positive guard for fault-free soaks.
 	NoAlerts bool
-	// BundleDir, when set, attaches a flight recorder to every honest
-	// node: a close-stall alert firing dumps a crash bundle there
-	// (Report.Bundles lists the directories).
+	// BundleDir, when set, attaches a flight recorder and a span tracer
+	// to every honest node: a close-stall alert firing dumps a crash
+	// bundle, span store included, there (Report.Bundles lists the
+	// directories).
 	BundleDir string
 }
 

@@ -17,11 +17,21 @@ import (
 	"stellar/internal/obs/timeseries"
 )
 
+// alerts returns nd's alert report from a fleet scrape, nil when the node
+// did not answer.
+func alerts(c *Cluster, nd *Node) *slo.Report {
+	s := c.Collect.ScrapeAll([]collect.Target{nd.Target()})[0]
+	if s.Err != nil {
+		return nil
+	}
+	return s.Alerts
+}
+
 // alertState returns the named alert's state on nd ("firing", "resolved",
 // ...), or "" when the node did not answer.
 func alertState(c *Cluster, nd *Node, name string) string {
-	rep, err := c.Collect.FetchAlerts(nd.Target())
-	if err != nil {
+	rep := alerts(c, nd)
+	if rep == nil {
 		return ""
 	}
 	for _, a := range rep.Alerts {
@@ -57,12 +67,12 @@ func TestWedgedQuorumFiresAlertsAndResolves(t *testing.T) {
 	}
 	// A few evaluation windows on a healthy quorum must fire nothing.
 	time.Sleep(3 * time.Second)
-	for _, row := range collect.FetchAlertRows(c.Collect, c.Targets()) {
-		if row.Err != nil {
-			t.Fatalf("%s: %v", row.Name, row.Err)
+	for _, s := range c.Collect.ScrapeAll(c.Targets()) {
+		if s.Err != nil {
+			t.Fatalf("%s: %v", s.Name(), s.Err)
 		}
-		if !row.Report.Enabled || row.Report.Firing != 0 {
-			t.Fatalf("%s on a healthy quorum: enabled %v, %d firing", row.Name, row.Report.Enabled, row.Report.Firing)
+		if s.Alerts == nil || !s.Alerts.Enabled || s.Alerts.Firing != 0 {
+			t.Fatalf("%s on a healthy quorum: alerts %+v", s.Name(), s.Alerts)
 		}
 	}
 
@@ -91,8 +101,8 @@ func TestWedgedQuorumFiresAlertsAndResolves(t *testing.T) {
 	}
 	for _, nd := range c.Nodes {
 		healed := waitFor(bootTimeout, func() bool {
-			rep, err := c.Collect.FetchAlerts(nd.Target())
-			return err == nil && rep.Firing == 0
+			rep := alerts(c, nd)
+			return rep != nil && rep.Firing == 0
 		})
 		if !healed {
 			t.Fatalf("%s still firing after the thaw", nd.Label)
@@ -101,8 +111,12 @@ func TestWedgedQuorumFiresAlertsAndResolves(t *testing.T) {
 	if s := alertState(c, survivor, "close_stall"); s != "resolved" {
 		t.Errorf("close_stall on node-0 is %q after the thaw, want resolved", s)
 	}
-	if firing := collect.FiringAlerts(collect.FetchAlertRows(c.Collect, c.Targets())); len(firing) > 0 {
-		t.Errorf("fleet sweep after the thaw: %v", firing)
+	var rows []collect.NodeStatus
+	for _, s := range c.Collect.ScrapeAll(c.Targets()) {
+		rows = append(rows, collect.Status(s, nil))
+	}
+	if collect.Firing(rows) > 0 {
+		t.Errorf("fleet sweep after the thaw:\n%s", collect.FleetTable(rows))
 	}
 }
 

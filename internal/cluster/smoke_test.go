@@ -3,11 +3,14 @@
 package cluster
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"strconv"
 	"testing"
 	"time"
+
+	"stellar/internal/herder"
 )
 
 // The smoke tests each boot a real quorum and hold only their assertions;
@@ -79,7 +82,7 @@ func sameHeaders(t *testing.T, c *Cluster, from, to uint32, nodes ...*Node) {
 
 // TestQuorumClosesIdenticalLedgers: three processes over loopback TCP
 // (authenticated handshake, real sockets) close ledger 20 with identical
-// headers, each sees both peers, and each serves /debug/quorum.
+// headers, and each sees both peers, on the wire and in /debug/quorum.
 func TestQuorumClosesIdenticalLedgers(t *testing.T) {
 	c := boot(t, Config{Validators: 3})
 	if err := c.WaitLedger(20, bootTimeout); err != nil {
@@ -94,8 +97,15 @@ func TestQuorumClosesIdenticalLedgers(t *testing.T) {
 		if peers, _ := m.Value("transport_peers"); peers != 2 {
 			t.Errorf("%s: transport_peers %v, want 2", nd.Label, peers)
 		}
-		if _, err := c.Collect.FetchQuorum(nd.Target()); err != nil {
-			t.Errorf("%s /debug/quorum: %v", nd.Label, err)
+		resp, err := c.Collect.HTTP.Get(nd.Target().URL + "/debug/quorum")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rep herder.QuorumHealthReport
+		err = json.NewDecoder(resp.Body).Decode(&rep)
+		resp.Body.Close()
+		if err != nil || len(rep.Nodes) != 2 || !rep.QuorumAvailable {
+			t.Errorf("%s /debug/quorum: %+v (%v), want both peers tracked and quorum available", nd.Label, rep, err)
 		}
 	}
 }

@@ -73,7 +73,7 @@ type Options struct {
 	Obs func(i int) *obs.Obs
 	// Trace attaches one shared causal span tracer, on the simulation's
 	// virtual clock, to every validator. The recorded spans are exported
-	// through SimNetwork.Tracer (Chrome trace JSON, latency decomposition).
+	// through SimNetwork.Tracer (collect.Merge renders it as Chrome trace JSON).
 	Trace bool
 }
 

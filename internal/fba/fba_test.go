@@ -2,6 +2,8 @@ package fba
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -442,5 +444,44 @@ func TestPropertySatisfiedAndBlockedDual(t *testing.T) {
 			t.Fatalf("duality violated for %s: satisfied=%v blockedByComp=%v",
 				s, q.SatisfiedBy(s), q.BlockedBy(comp))
 		}
+	}
+}
+
+// randomQSet builds a valid quorum set over nodes n0..n11, nested up to
+// depth levels deep, with a random threshold at every level.
+func randomQSet(r *rand.Rand, depth int) QuorumSet {
+	var q QuorumSet
+	for _, i := range r.Perm(12)[:r.Intn(5)] {
+		q.Validators = append(q.Validators, NodeID(fmt.Sprintf("n%d", i)))
+	}
+	if depth > 0 {
+		for k := r.Intn(4); k > 0; k-- {
+			q.InnerSets = append(q.InnerSets, randomQSet(r, depth-1))
+		}
+	}
+	if q.Size() == 0 {
+		q.Validators = ids("n0")
+	}
+	q.Threshold = 1 + r.Intn(q.Size())
+	return q
+}
+
+func TestPropertyBlockedIsNotSatisfiedByRest(t *testing.T) {
+	// §3.1: B meets every slice of q exactly when the nodes outside B hold
+	// no slice of q, for any nested quorum set and any node predicate.
+	f := func(seed int64, mask uint16) bool {
+		q := randomQSet(rand.New(rand.NewSource(seed)), 3)
+		if err := q.Validate(); err != nil {
+			t.Fatalf("generator built an invalid quorum set: %v", err)
+		}
+		bad := func(id NodeID) bool {
+			var i int
+			fmt.Sscanf(string(id), "n%d", &i)
+			return mask&(1<<i) != 0
+		}
+		return q.BlockedByFunc(bad) == !q.SatisfiedByFunc(func(id NodeID) bool { return !bad(id) })
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
 	}
 }

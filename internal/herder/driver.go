@@ -172,7 +172,6 @@ func (d *driver) StartedBallot(slot uint64, b scp.Ballot) {
 	if first {
 		n.traceFirstPrepare(slot)
 	}
-	n.ins.ballots.Inc()
 }
 
 // AcceptedCommit marks the point after which the slot's value is fixed.

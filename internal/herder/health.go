@@ -5,14 +5,13 @@ import (
 	"time"
 
 	"stellar/internal/fba"
-	"stellar/internal/obs"
 	"stellar/internal/scp"
 )
 
 // Live quorum-health monitoring (the operational signal stellar-core
 // exposes through its quorum info endpoint): which validators this node's
 // quorum set actually depends on, how far behind each one is, and whether
-// the unhealthy subset could block progress. Evidence comes from received
+// the healthy ones still satisfy a slice. Evidence comes from received
 // SCP envelopes — a validator is only as alive as its last statement.
 
 // behindLedgers is how many ledgers behind a peer may be before it
@@ -91,12 +90,10 @@ type QuorumHealthReport struct {
 	// Slices breaks health down per quorum-set level: index 0 is the top
 	// slice, the rest are inner sets in declaration order.
 	Slices []SliceHealth `json:"slices"`
-	// VBlockingAtRisk is true when the unhealthy set is v-blocking for
-	// this node: those validators together can prevent it from accepting
-	// or confirming anything (paper §4.3).
-	VBlockingAtRisk bool `json:"v_blocking_at_risk"`
 	// QuorumAvailable is true when the healthy validators (plus self)
-	// still satisfy a quorum slice — progress remains possible.
+	// still satisfy a quorum slice — progress remains possible. Its
+	// negation is exactly "the unhealthy validators are v-blocking for
+	// this node" (§3.1: B meets every slice iff the rest holds none).
 	QuorumAvailable bool `json:"quorum_available"`
 }
 
@@ -141,9 +138,6 @@ func (n *Node) QuorumHealth() *QuorumHealthReport {
 
 	isHealthy := func(id fba.NodeID) bool { return healthy[id] }
 	rep.Slices = sliceHealth(&n.cfg.QSet, isHealthy)
-	rep.VBlockingAtRisk = n.cfg.QSet.BlockedByFunc(func(id fba.NodeID) bool {
-		return !healthy[id]
-	})
 	rep.QuorumAvailable = n.cfg.QSet.SatisfiedByFunc(isHealthy)
 	return rep
 }
@@ -175,82 +169,19 @@ func sliceHealth(q *fba.QuorumSet, isHealthy func(fba.NodeID) bool) []SliceHealt
 	return out
 }
 
-// healthInstruments are the quorum_* gauges, refreshed at every ledger
-// close and on each registry scrape.
-type healthInstruments struct {
-	tracked   *obs.Gauge
-	behind    *obs.Gauge
-	missing   *obs.Gauge
-	silent    *obs.Gauge
-	vblocked  *obs.Gauge
-	available *obs.Gauge
-	lag       *obs.GaugeVec
-	heardAge  *obs.GaugeVec
-}
-
-// initHealthGauges registers the quorum_* series and hooks a refresh into
-// registry scrapes, so /metrics reflects current health even between
-// ledger closes.
-func (n *Node) initHealthGauges() {
-	reg := n.obs.Reg
-	n.health = &healthInstruments{
-		tracked: reg.Gauge("quorum_tracked_nodes",
-			"validators in the transitive quorum set, excluding self"),
-		behind: reg.Gauge("quorum_behind_total",
-			"tracked validators lagging 2+ ledgers behind"),
-		missing: reg.Gauge("quorum_missing_total",
-			"tracked validators never heard from"),
-		silent: reg.Gauge("quorum_silent_total",
-			"tracked validators silent for 2+ ledger intervals"),
-		vblocked: reg.Gauge("quorum_vblocking_at_risk",
-			"1 when the unhealthy validators form a v-blocking set"),
-		available: reg.Gauge("quorum_available",
-			"1 when healthy validators still satisfy a quorum slice"),
-		lag: reg.GaugeVec("quorum_node_lag",
-			"ledgers each tracked validator trails the local node", "node"),
-		heardAge: reg.GaugeVec("quorum_heard_age_seconds",
-			"virtual seconds since each tracked validator was heard", "node"),
-	}
-}
-
-// updateQuorumGauges recomputes the report and publishes it as gauges.
-func (n *Node) updateQuorumGauges() { _ = n.RefreshQuorumHealth() }
-
-// RefreshQuorumHealth computes the quorum report and publishes the
-// quorum_* gauges in one step — the horizon /debug/quorum handler serves
-// its return value, so the endpoint and /metrics always agree.
+// RefreshQuorumHealth computes the quorum report and publishes its
+// verdict as the quorum_available gauge in one step — the horizon
+// /debug/quorum handler serves its return value, so the endpoint and
+// /metrics always agree.
 func (n *Node) RefreshQuorumHealth() *QuorumHealthReport {
-	if n.health == nil || n.state == nil {
+	if n.state == nil {
 		return nil
 	}
 	rep := n.QuorumHealth()
-	var behind, missing, silent float64
-	for _, h := range rep.Nodes {
-		if h.Behind {
-			behind++
-		}
-		if h.Missing {
-			missing++
-		}
-		if h.Silent {
-			silent++
-		}
-		id := shortID(string(h.Node))
-		n.health.lag.With(id).Set(float64(h.Lag))
-		n.health.heardAge.With(id).Set(h.HeardAgo.Seconds())
+	avail := 0.0
+	if rep.QuorumAvailable {
+		avail = 1
 	}
-	n.health.tracked.Set(float64(len(rep.Nodes)))
-	n.health.behind.Set(behind)
-	n.health.missing.Set(missing)
-	n.health.silent.Set(silent)
-	n.health.vblocked.Set(boolGauge(rep.VBlockingAtRisk))
-	n.health.available.Set(boolGauge(rep.QuorumAvailable))
+	n.ins.quorumAvailable.Set(avail)
 	return rep
-}
-
-func boolGauge(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
 }

@@ -46,9 +46,6 @@ func TestQuorumHealthAllLive(t *testing.T) {
 	if len(rep.MissingOrBehind) != 0 {
 		t.Fatalf("missing_or_behind = %v on a healthy cluster", rep.MissingOrBehind)
 	}
-	if rep.VBlockingAtRisk {
-		t.Fatal("healthy cluster reported v-blocking risk")
-	}
 	if !rep.QuorumAvailable {
 		t.Fatal("healthy cluster reported quorum unavailable")
 	}
@@ -82,26 +79,19 @@ func TestQuorumHealthDetectsDownedPeer(t *testing.T) {
 		t.Fatalf("missing_or_behind = %v", rep.MissingOrBehind)
 	}
 	// One of three majority-quorum validators down: quorum still
-	// available, and no single node is v-blocking.
+	// available.
 	if !rep.QuorumAvailable {
 		t.Fatal("quorum reported unavailable with 2/3 live")
-	}
-	if rep.VBlockingAtRisk {
-		t.Fatal("one downed node of three reported as v-blocking")
 	}
 	live := byNode[nodes[1].ID()]
 	if !live.Healthy() {
 		t.Fatalf("live peer unhealthy: %+v", live)
 	}
 
-	// Two of three down: the unhealthy set becomes v-blocking and no
-	// quorum slice survives.
+	// Two of three down: no quorum slice survives.
 	net.SetDown(nodes[1].Addr())
 	net.RunFor(15 * time.Second)
 	rep = nodes[0].QuorumHealth()
-	if !rep.VBlockingAtRisk {
-		t.Fatal("two downed nodes of three not reported v-blocking")
-	}
 	if rep.QuorumAvailable {
 		t.Fatal("quorum reported available with majority down")
 	}
@@ -116,9 +106,8 @@ func TestQuorumHealthNeverHeard(t *testing.T) {
 			t.Fatalf("peer not reported missing before any envelope: %+v", h)
 		}
 	}
-	if !rep.VBlockingAtRisk || rep.QuorumAvailable {
-		t.Fatalf("silent network health wrong: vblock=%v avail=%v",
-			rep.VBlockingAtRisk, rep.QuorumAvailable)
+	if rep.QuorumAvailable {
+		t.Fatal("silent network reported quorum available")
 	}
 }
 
@@ -166,7 +155,7 @@ func buildHealthQuorum(t *testing.T, count int) (*simnet.Network, []*Node) {
 }
 
 // A node whose every peer goes dark must report the worst case — all
-// silent, v-blocking risk, quorum unavailable — and then walk all the way
+// silent, quorum unavailable — and then walk all the way
 // back to healthy after the heal, not stick on stale silence evidence.
 // The fault is a link partition (node 0 alone vs the rest), the same
 // shape the chaos harness injects: unlike SetDown it keeps the far
@@ -189,16 +178,15 @@ func TestQuorumHealthAllSilentAndRecovery(t *testing.T) {
 			t.Fatalf("peer not silent with the whole network dark: %+v", h)
 		}
 	}
-	if !rep.VBlockingAtRisk || rep.QuorumAvailable {
-		t.Fatalf("all-silent health wrong: vblock=%v avail=%v",
-			rep.VBlockingAtRisk, rep.QuorumAvailable)
+	if rep.QuorumAvailable {
+		t.Fatal("all-silent network reported quorum available")
 	}
 	if len(rep.MissingOrBehind) != 2 {
 		t.Fatalf("missing_or_behind = %v, want both peers", rep.MissingOrBehind)
 	}
 
-	// Heal: fresh envelopes must clear the silence verdicts and the
-	// risk flags once consensus resumes.
+	// Heal: fresh envelopes must clear the silence verdicts and restore
+	// availability once consensus resumes.
 	net.HealAll()
 	for _, n := range nodes {
 		n.RebroadcastLatest()
@@ -211,16 +199,15 @@ func TestQuorumHealthAllSilentAndRecovery(t *testing.T) {
 			t.Fatalf("peer still unhealthy after heal: %+v", h)
 		}
 	}
-	if rep.VBlockingAtRisk || !rep.QuorumAvailable {
-		t.Fatalf("post-heal health wrong: vblock=%v avail=%v",
-			rep.VBlockingAtRisk, rep.QuorumAvailable)
+	if !rep.QuorumAvailable {
+		t.Fatal("quorum still unavailable after heal")
 	}
 }
 
-// The v-blocking boundary, on a geometry where it is not the same as
-// losing quorum one node earlier: 4 validators, threshold 3, so TWO
-// unhealthy nodes are the smallest v-blocking set. One peer down must
-// not trip the risk flag; two must trip it and take availability with it.
+// The v-blocking boundary: 4 validators, threshold 3, so TWO unhealthy
+// nodes are the smallest v-blocking set, and exactly there availability
+// goes (fba's TestPropertyBlockedIsNotSatisfiedByRest: the two are one
+// predicate). One peer down must keep quorum available; two must not.
 func TestQuorumHealthExactlyVBlocking(t *testing.T) {
 	net, nodes := buildHealthQuorum(t, 4)
 	for _, n := range nodes {
@@ -231,9 +218,6 @@ func TestQuorumHealthExactlyVBlocking(t *testing.T) {
 	net.SetDown(nodes[3].Addr())
 	net.RunFor(15 * time.Second)
 	rep := nodes[0].QuorumHealth()
-	if rep.VBlockingAtRisk {
-		t.Fatal("one of four down is below the v-blocking boundary")
-	}
 	if !rep.QuorumAvailable {
 		t.Fatal("quorum must survive one of four down (threshold 3)")
 	}
@@ -241,9 +225,6 @@ func TestQuorumHealthExactlyVBlocking(t *testing.T) {
 	net.SetDown(nodes[2].Addr())
 	net.RunFor(15 * time.Second)
 	rep = nodes[0].QuorumHealth()
-	if !rep.VBlockingAtRisk {
-		t.Fatal("two of four down is exactly v-blocking; risk not reported")
-	}
 	if rep.QuorumAvailable {
 		t.Fatal("quorum reported available with only 2 of 4 healthy (threshold 3)")
 	}
@@ -256,23 +237,31 @@ func TestQuorumGaugesPublished(t *testing.T) {
 	}
 	net.RunFor(10 * time.Second)
 
-	vals := map[string]float64{}
-	for _, fs := range nodes[0].Obs().Reg.Snapshot() {
-		if len(fs.Samples) == 1 && len(fs.Samples[0].LabelValues) == 0 {
-			vals[fs.Name] = fs.Samples[0].Value
+	rep := nodes[0].RefreshQuorumHealth()
+	if len(rep.Nodes) != 2 || len(rep.MissingOrBehind) != 0 || !rep.QuorumAvailable {
+		t.Fatalf("healthy cluster: %d tracked, missing or behind %v, available %v; want 2, none, true",
+			len(rep.Nodes), rep.MissingOrBehind, rep.QuorumAvailable)
+	}
+	avail := func() float64 {
+		for _, fs := range nodes[0].Obs().Reg.Snapshot() {
+			if fs.Name == "quorum_available" {
+				return fs.Samples[0].Value
+			}
 		}
+		t.Fatal("quorum_available not registered")
+		return 0
 	}
-	if vals["quorum_tracked_nodes"] != 2 {
-		t.Fatalf("quorum_tracked_nodes = %v, want 2", vals["quorum_tracked_nodes"])
+	if v := avail(); v != 1 {
+		t.Fatalf("quorum_available = %v, want 1", v)
 	}
-	if vals["quorum_available"] != 1 {
-		t.Fatalf("quorum_available = %v, want 1", vals["quorum_available"])
+	// Both peers down: the next close-free refresh publishes the loss.
+	net.SetDown(nodes[1].Addr())
+	net.SetDown(nodes[2].Addr())
+	net.RunFor(15 * time.Second)
+	if rep := nodes[0].RefreshQuorumHealth(); rep.QuorumAvailable {
+		t.Fatal("quorum available with both peers down")
 	}
-	if vals["quorum_vblocking_at_risk"] != 0 {
-		t.Fatalf("quorum_vblocking_at_risk = %v, want 0", vals["quorum_vblocking_at_risk"])
-	}
-	if vals["quorum_behind_total"] != 0 || vals["quorum_missing_total"] != 0 {
-		t.Fatalf("behind/missing = %v/%v, want 0/0",
-			vals["quorum_behind_total"], vals["quorum_missing_total"])
+	if v := avail(); v != 0 {
+		t.Fatalf("quorum_available = %v with both peers down, want 0", v)
 	}
 }

@@ -150,10 +150,8 @@ type Node struct {
 	txTrace map[stellarcrypto.Hash]*txTrace
 
 	// peersHealth tracks per-validator liveness evidence from received
-	// SCP envelopes (health.go, GET /debug/quorum); health holds the
-	// derived quorum_* gauges.
+	// SCP envelopes (health.go, GET /debug/quorum).
 	peersHealth map[fba.NodeID]*peerStatus
-	health      *healthInstruments
 
 	// OnLedgerClose, when set, is invoked after each ledger applies, with
 	// what the node measured of the close. The node keeps no such records
@@ -200,7 +198,6 @@ func New(net simnet.Env, cfg Config) (*Node, error) {
 	}
 	n.pooled = n.pool.Get
 	n.initTracer()
-	n.initHealthGauges()
 	n.updatePoolGauges()          // publish mempool_capacity before any traffic
 	n.verifier = verify.New(0, 0) // NumCPU workers, DefaultCacheSize entries
 	n.verifier.SetObs(ob.Reg)
@@ -386,11 +383,6 @@ func (n *Node) noteEvicted(victims []mempool.EvictedTx) {
 func (n *Node) updatePoolGauges() {
 	n.ins.poolSize.Set(float64(n.pool.Len()))
 	n.ins.poolCap.Set(float64(n.pool.Cap()))
-	if fee, ops, ok := n.pool.FloorRate(); ok && n.pool.Full() {
-		n.ins.poolFloor.Set(float64(fee) / float64(ops))
-	} else {
-		n.ins.poolFloor.Set(0)
-	}
 }
 
 func (n *Node) onEnvelope(env *scp.Envelope) {
@@ -659,8 +651,8 @@ func (n *Node) applyLedger(ts *ledger.TxSet, sv *StellarValue, want *ledger.Head
 	}
 	n.traceApplyEnd(slot, applySpan)
 
-	// Refresh quorum-health gauges at the close boundary (health.go).
-	n.updateQuorumGauges()
+	// Refresh the quorum_available gauge at the close boundary (health.go).
+	n.RefreshQuorumHealth()
 
 	// Garbage-collect consensus state for closed slots.
 	n.scp.PurgeBelow(slot)

@@ -94,7 +94,6 @@ func (n *Node) fetchTimeout() {
 	f := &n.fetch
 	f.timer = nil
 	f.peerIdx++
-	n.ins.catchupRetries.Inc()
 	if f.phase == catchupDiscovering || f.phase == catchupFetching {
 		n.log.Warn("catchup: peer unresponsive, rotating", "peer", string(f.peer))
 		n.catchupDiscover()
@@ -226,7 +225,6 @@ func (n *Node) catchupOnChunk(p *overlay.Packet) {
 		return
 	}
 	if sha256.Sum256(p.ArchiveData) != p.ArchiveSum {
-		n.ins.catchupRetries.Inc()
 		n.catchupRequestChunk() // corrupt in transit; re-request
 		return
 	}
@@ -234,7 +232,6 @@ func (n *Node) catchupOnChunk(p *overlay.Packet) {
 		// Offset mismatch (crossed responses): restart this file cleanly.
 		n.log.Warn("catchup: part append failed, restarting file", "path", f.current, "err", err)
 		a.DiscardPart(f.current)
-		n.ins.catchupRetries.Inc()
 		n.catchupRequestChunk()
 		return
 	}
@@ -247,7 +244,6 @@ func (n *Node) catchupOnChunk(p *overlay.Packet) {
 		// Whole-file verification failed: the .part was deleted; refetch
 		// from zero.
 		n.log.Warn("catchup: file failed verification, refetching", "path", f.current, "err", err)
-		n.ins.catchupRetries.Inc()
 		n.catchupRequestChunk()
 		return
 	}

@@ -18,7 +18,6 @@ type instruments struct {
 	envEmitted  *obs.CounterVec // scp_envelopes_emitted_total{type}
 	envReceived *obs.CounterVec // scp_envelopes_received_total{type}
 	timeouts    *obs.CounterVec // scp_timeouts_total{kind}
-	ballots     *obs.Counter    // scp_ballots_started_total
 	nomRounds   *obs.Counter    // scp_nomination_rounds_total
 	externals   *obs.Counter    // scp_slots_externalized_total
 
@@ -42,12 +41,15 @@ type instruments struct {
 	evicted      *obs.Counter // mempool_evicted_total
 	poolSize     *obs.Gauge   // mempool_size
 	poolCap      *obs.Gauge   // mempool_capacity
-	poolFloor    *obs.Gauge   // mempool_fee_floor
 
 	// Proposals by reference (txsets.go): what became of each delivered
 	// reference, and whole sets sent on request.
 	txsetRefs   [refUnanswered + 1]*obs.Counter // herder_txset_refs_total{outcome}
 	txsetServed *obs.Counter                    // herder_txset_requests_served_total
+
+	// Live quorum health (health.go): 1 while the healthy validators still
+	// satisfy a slice.
+	quorumAvailable *obs.Gauge // quorum_available
 
 	// Archive writes that failed, by file kind (herder.go archiveLedger).
 	archiveErrors *obs.CounterVec // history_write_errors_total{file}
@@ -56,7 +58,6 @@ type instruments struct {
 	catchupState    *obs.Gauge      // catchup_state
 	catchupFiles    *obs.CounterVec // catchup_files_fetched_total{kind}
 	catchupBytes    *obs.Counter    // catchup_bytes_fetched_total
-	catchupRetries  *obs.Counter    // catchup_chunk_retries_total
 	catchupReplayed *obs.Counter    // catchup_ledgers_replayed_total
 }
 
@@ -72,8 +73,6 @@ func newInstruments(reg *obs.Registry) *instruments {
 			"SCP envelopes received from peers, by statement type", "type"),
 		timeouts: reg.CounterVec("scp_timeouts_total",
 			"nomination and ballot timer expiries", "kind"),
-		ballots: reg.Counter("scp_ballots_started_total",
-			"ballots this node moved to (prepare votes)"),
 		nomRounds: reg.Counter("scp_nomination_rounds_total",
 			"nomination rounds started, including timeout escalations"),
 		externals: reg.Counter("scp_slots_externalized_total",
@@ -101,10 +100,10 @@ func newInstruments(reg *obs.Registry) *instruments {
 			"transactions in the bounded fee-priority pool"),
 		poolCap: reg.Gauge("mempool_capacity",
 			"configured mempool capacity (mempool_size/mempool_capacity is occupancy)"),
-		poolFloor: reg.Gauge("mempool_fee_floor",
-			"fee per operation of the cheapest pooled transaction while full (0 = not full)"),
 		txsetServed: reg.Counter("herder_txset_requests_served_total",
 			"whole tx sets sent to a peer that asked for one by hash"),
+		quorumAvailable: reg.Gauge("quorum_available",
+			"1 when healthy validators still satisfy a quorum slice"),
 		archiveErrors: reg.CounterVec("history_write_errors_total",
 			"archive writes that failed (header, txset, bucket, checkpoint); a ledger whose header or txset failed stays in the catch-up window", "file"),
 		catchupState: reg.Gauge("catchup_state",
@@ -113,8 +112,6 @@ func newInstruments(reg *obs.Registry) *instruments {
 			"archive files of a peer's checkpointed state fetched and verified over the network", "kind"),
 		catchupBytes: reg.Counter("catchup_bytes_fetched_total",
 			"archive bytes fetched over the network"),
-		catchupRetries: reg.Counter("catchup_chunk_retries_total",
-			"catch-up requests re-sent: to the next peer after a timeout, or after a bad chunk"),
 		catchupReplayed: reg.Counter("catchup_ledgers_replayed_total",
 			"ledgers installed from peers' catch-up replies"),
 	}

@@ -283,7 +283,7 @@ func (n *Node) onPacketTrace(p *overlay.Packet, from simnet.Addr) {
 	case overlay.KindEnvelope:
 		n.traceRecvEnvelope(p.Envelope, ctx, from)
 	case overlay.KindTxSetRef:
-		n.traceRecvMarker("recv-txset", ctx, from)
+		n.traceRecvMarker(obs.SpanRecvTxSet, ctx, from)
 	}
 }
 
@@ -313,7 +313,7 @@ func (n *Node) traceRecvEnvelope(env *scp.Envelope, ctx obs.TraceContext, from s
 	if n.last != nil && env.Slot <= uint64(n.last.LedgerSeq) {
 		return
 	}
-	sp := n.tr.RemoteSpan("overlay", "recv-envelope", ctx)
+	sp := n.tr.RemoteSpan("overlay", obs.SpanRecvEnvelope, ctx)
 	sp.Arg("slot", strconv.FormatUint(env.Slot, 10))
 	sp.Arg("from", shortID(string(from)))
 	sp.End()

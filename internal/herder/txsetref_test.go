@@ -137,7 +137,7 @@ func TestTxSetRefMissAndMismatch(t *testing.T) {
 	easy := &ledger.TxSet{PrevLedgerHash: prev, Txs: pooled[:5]}
 	a.send(n, refPacket(easy, nid, a.addr))
 	if got := n.txsets[easy.Hash(nid)]; got == nil || refCount(n, refResolved) != 1 {
-		t.Fatalf("a reference to pooled transactions was not rebuilt (resolved=%v)", refCount(n, refResolved))
+		t.Fatalf("a reference to pooled transactions was not rebuilt (herder_txset_refs_total{outcome=resolved} = %v)", refCount(n, refResolved))
 	} else {
 		for i, tx := range got.Txs {
 			if tx != n.pool.Get(pooled[i].Hash(nid)) {
@@ -177,7 +177,7 @@ func TestTxSetRefMissAndMismatch(t *testing.T) {
 	b.send(n, &overlay.Packet{Kind: overlay.KindTxSet, TxSet: wiredSet(t, miss)})
 	got := n.txsets[mh]
 	if got == nil || refCount(n, refFetched) != 1 {
-		t.Fatalf("the requested set was not held (fetched=%v)", refCount(n, refFetched))
+		t.Fatalf("the requested set was not held (herder_txset_refs_total{outcome=fetched} = %v)", refCount(n, refFetched))
 	}
 	if !a.heard(overlay.KindTxSetRef, mh, nid) {
 		t.Fatal("the reference was not passed on once the set was held")
@@ -321,7 +321,7 @@ func TestTxSetRefStaleUnknownAndHostile(t *testing.T) {
 	a.send(n, &overlay.Packet{Kind: overlay.KindTxSetReq, TxSetHash: held})
 	b.send(n, &overlay.Packet{Kind: overlay.KindTxSetReq, TxSetHash: held})
 	if served(a) != 1 || served(b) != 1 || n.ins.txsetServed.Value() != 2 {
-		t.Fatalf("served %d and %d whole sets (counter %v), want one per asking peer", served(a), served(b), n.ins.txsetServed.Value())
+		t.Fatalf("served %d and %d whole sets (herder_txset_requests_served_total %v), want one per asking peer", served(a), served(b), n.ins.txsetServed.Value())
 	}
 	for _, p := range []*puppet{a, b} {
 		for _, pkt := range p.got {
@@ -414,7 +414,13 @@ func TestTxSetRefFetchedWithinTheRound(t *testing.T) {
 			t.Fatalf("node %d never rebuilt the victim's proposal from its pool", i)
 		}
 	}
-	if c := tracer.Decompose().Phase("recv-txset").Count; c == 0 {
+	markers := 0
+	for _, sp := range tracer.Export("cluster").Spans {
+		if sp.Name == obs.SpanRecvTxSet {
+			markers++
+		}
+	}
+	if markers == 0 {
 		t.Fatal("no recv-txset marker recorded for the references that arrived")
 	}
 

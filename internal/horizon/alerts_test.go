@@ -27,7 +27,7 @@ func TestDebugAlertsWired(t *testing.T) {
 	f := newFixture(t)
 	ring := timeseries.New(64)
 	rules := slo.DefaultRules(slo.Config{LedgerInterval: time.Second})
-	engine := slo.NewEngine(ring, rules, f.node.Obs().Reg, nil)
+	engine := slo.NewEngine(ring, rules, nil)
 
 	// Sample the live registry on the node's virtual clock and evaluate.
 	f.srv.Mu.Lock()

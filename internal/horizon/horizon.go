@@ -40,9 +40,8 @@ type Server struct {
 	srcLimiter *rateLimiter
 	ipLimiter  *rateLimiter
 
-	httpReqs    *obs.CounterVec   // horizon_http_requests_total{route,code}
-	httpLat     *obs.HistogramVec // horizon_http_request_seconds{route}
-	ingressReqs *obs.CounterVec   // ingress_submissions_total{outcome}
+	httpReqs    *obs.CounterVec // horizon_http_requests_total{route,code}
+	ingressReqs *obs.CounterVec // ingress_submissions_total{outcome}
 
 	// SLO alert surface (alerts.go). Nil until SetAlerts; the endpoint
 	// then serves a uniform enabled=false report.
@@ -56,7 +55,8 @@ type Server struct {
 // loop) must replace Mu with that driver's lock before serving.
 func New(node *herder.Node, networkID stellarcrypto.Hash) *Server {
 	s := &Server{Mu: &sync.Mutex{}, Node: node, NetworkID: networkID}
-	s.httpReqs, s.httpLat = newHTTPInstruments(node.Obs().Reg)
+	s.httpReqs = node.Obs().Reg.CounterVec("horizon_http_requests_total",
+		"horizon API requests, by route and status code", "route", "code")
 	s.ingressReqs = node.Obs().Reg.CounterVec("ingress_submissions_total",
 		"transaction submissions through POST /transactions, by admission outcome", "outcome")
 	return s

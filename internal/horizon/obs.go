@@ -4,12 +4,10 @@ import (
 	"net/http"
 	"strconv"
 	"time"
-
-	"stellar/internal/obs"
 )
 
-// Observability endpoints and middleware: every route is wrapped with
-// per-route request/latency instruments; GET /metrics exposes the node's
+// Observability endpoints and middleware: every route is wrapped with a
+// per-route request counter; GET /metrics exposes the node's
 // registry in Prometheus text format, and GET /debug/slots/{seq}/trace
 // serves the node's record of one slot's consensus phases (§7.3).
 
@@ -24,16 +22,14 @@ func (w *statusWriter) WriteHeader(code int) {
 	w.ResponseWriter.WriteHeader(code)
 }
 
-// handle registers a route wrapped with request count and latency
-// recording; the route label is the mux pattern, so label cardinality is
-// bounded by the routing table.
+// handle registers a route wrapped with request counting by status; the
+// route label is the mux pattern, so label cardinality is bounded by the
+// routing table.
 func (s *Server) handle(mux *http.ServeMux, pattern string, h http.HandlerFunc) {
 	mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		h(sw, r)
 		s.httpReqs.With(pattern, strconv.Itoa(sw.status)).Inc()
-		s.httpLat.With(pattern).ObserveDuration(time.Since(start))
 	})
 }
 
@@ -118,10 +114,10 @@ func (s *Server) handleSlotTrace(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleQuorum serves the live quorum-health report (tentpole: per-node
+// handleQuorum serves the live quorum-health report: per-node
 // externalization lag, missing/behind validators per slice, and whether
-// the unhealthy set is v-blocking). Refreshing through the node also
-// republishes the quorum_* gauges, so /metrics and this endpoint agree.
+// the healthy ones still satisfy a slice. Refreshing through the node
+// also republishes quorum_available, so /metrics and this endpoint agree.
 func (s *Server) handleQuorum(w http.ResponseWriter, r *http.Request) {
 	s.Mu.Lock()
 	defer s.Mu.Unlock()
@@ -142,13 +138,4 @@ func (s *Server) handleQuorum(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleTraceExport(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	_ = s.Node.Obs().Tracer.WriteExport(w, string(s.Node.ID()))
-}
-
-// newHTTPInstruments resolves the middleware's registry series.
-func newHTTPInstruments(reg *obs.Registry) (*obs.CounterVec, *obs.HistogramVec) {
-	reqs := reg.CounterVec("horizon_http_requests_total",
-		"horizon API requests, by route and status code", "route", "code")
-	lat := reg.HistogramVec("horizon_http_request_seconds",
-		"horizon API request latency, by route", nil, "route")
-	return reqs, lat
 }

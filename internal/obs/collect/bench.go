@@ -109,7 +109,7 @@ func ParseGoBench(r io.Reader) ([]MicroBench, error) {
 // originating root's start to the latest applied-phase end on any node.
 // Returns the samples (seconds) and how many trees crossed processes.
 func TraceLatencies(scrapes []*Scrape) (samples []float64, crossNode int) {
-	spans, _ := align(scrapes)
+	spans, _, _ := align(scrapes)
 	type agg struct {
 		rootStart  int64
 		hasRoot    bool
@@ -129,7 +129,7 @@ func TraceLatencies(scrapes []*Scrape) (samples []float64, crossNode int) {
 	for i := range spans {
 		sp := &spans[i]
 		a := tree(sp.Trace)
-		a.nodes[sp.node] = true
+		a.nodes[sp.pid] = true
 		switch sp.Name {
 		case obs.SpanTx:
 			// The originating root is the tx span with no remote parent.

@@ -1,8 +1,8 @@
 // Package collect is the fleet-side half of the observability layer: it
-// scrapes every node's /metrics, /debug/quorum, and /debug/trace/export
-// endpoints, estimates per-node clock offsets from the scrape exchange
-// itself (NTP-style midpoint correction), and merges the per-process span
-// stores into one skew-aligned, Perfetto-loadable cluster trace. The
+// scrapes every node's /metrics, /ledgers/latest, /debug/alerts and
+// /debug/trace/export endpoints, estimates per-node clock offsets from the
+// scrape exchange itself (NTP-style midpoint correction), and merges the
+// per-process span stores into one skew-aligned, Perfetto-loadable trace. The
 // stellar-obs CLI is a thin front end over this package; the cluster smoke
 // tests (internal/cluster) use the same scrapes, and TraceLatencies turns
 // them into the paper's §7.3 cross-node submit→applied latency.
@@ -107,9 +107,10 @@ type Scrape struct {
 	Target  Target
 	Export  *obs.Export
 	Metrics Metrics
-	Quorum  json.RawMessage
 	Ledger  *LedgerInfo
 	Alerts  *slo.Report
+	// AlertsErr is why a reachable node's /debug/alerts could not be read.
+	AlertsErr error
 
 	// OffsetNanos estimates the node's wall clock minus the collector's,
 	// from the trace-export exchange: the server stamps NowUnixNanos while
@@ -188,32 +189,36 @@ func (c *Client) FetchMetrics(t Target) (Metrics, error) {
 	return ParseMetrics(bufio.NewScanner(resp.Body))
 }
 
-// FetchLedger retrieves one node's latest-ledger summary.
-func (c *Client) FetchLedger(t Target) (*LedgerInfo, error) {
-	resp, err := c.get(t.URL + "/ledgers/latest")
+// getJSON decodes the JSON document at url into v.
+func (c *Client) getJSON(url string, v any) error {
+	resp, err := c.get(url)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer resp.Body.Close()
+	return json.NewDecoder(resp.Body).Decode(v)
+}
+
+// FetchLedger retrieves one node's latest-ledger summary.
+func (c *Client) FetchLedger(t Target) (*LedgerInfo, error) {
 	var li LedgerInfo
-	if err := json.NewDecoder(resp.Body).Decode(&li); err != nil {
+	if err := c.getJSON(t.URL+"/ledgers/latest", &li); err != nil {
 		return nil, err
 	}
 	return &li, nil
 }
 
-// FetchQuorum retrieves one node's /debug/quorum report verbatim.
-func (c *Client) FetchQuorum(t Target) (json.RawMessage, error) {
-	resp, err := c.get(t.URL + "/debug/quorum")
-	if err != nil {
+// fetchAlerts retrieves one node's /debug/alerts report.
+func (c *Client) fetchAlerts(t Target) (*slo.Report, error) {
+	var rep slo.Report
+	if err := c.getJSON(t.URL+"/debug/alerts", &rep); err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
-	var raw json.RawMessage
-	if err := json.NewDecoder(resp.Body).Decode(&raw); err != nil {
-		return nil, err
+	if rep.Schema != slo.ReportSchema {
+		return nil, fmt.Errorf("collect: %s/debug/alerts: schema %q, want %q",
+			t.URL, rep.Schema, slo.ReportSchema)
 	}
-	return raw, nil
+	return &rep, nil
 }
 
 // ScrapeAll collects every surface from every target. Per-node failures
@@ -238,8 +243,9 @@ func (c *Client) ScrapeAll(targets []Target) []*Scrape {
 			s.Err = err
 			continue
 		}
-		s.Quorum, _ = c.FetchQuorum(t) // optional; table shows "?" when absent
-		s.Alerts, _ = c.FetchAlerts(t) // optional; table shows "?" when absent
+		// An unreadable alert report does not hide the node's row, but
+		// the fleet counts it as degraded (see Firing).
+		s.Alerts, s.AlertsErr = c.fetchAlerts(t)
 	}
 	return out
 }

@@ -180,6 +180,119 @@ func TestMergeUnresolvedRemoteParent(t *testing.T) {
 	}
 }
 
+// mergeOne renders one tracer's export as the simulator does, and decodes
+// the events.
+func mergeOne(t *testing.T, tr *obs.Tracer) []chromeEvent {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := Merge([]*Scrape{{Export: tr.Export("sim")}}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	var out chromeTrace
+	if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
+		t.Fatalf("export is not valid JSON: %v", err)
+	}
+	if out.DisplayTimeUnit != "ms" {
+		t.Fatalf("displayTimeUnit = %q", out.DisplayTimeUnit)
+	}
+	return out.TraceEvents
+}
+
+func TestMergeChromeTraceFormat(t *testing.T) {
+	var now time.Duration
+	tr := obs.NewTracer(func() time.Duration { return now })
+	node := tr.Proc("node 1")
+
+	slot := node.Span("consensus", obs.SpanSlot)
+	slot.Arg("seq", "2")
+	tx := node.Span("tx 00aa", obs.SpanTx)
+	pending := tx.Child(obs.SpanTxPending)
+	now += time.Second
+	pending.End()
+	tr.Flow(pending, slot)
+	cons := tx.Child(obs.SpanTxConsensus)
+	now += 4 * time.Second
+	cons.End()
+	tx.End()
+	slot.End()
+	node.Span("consensus", "hanging")
+
+	var xEvents, meta, flowS, flowF int
+	var slotEv, pendingEv, openEv bool
+	for _, ev := range mergeOne(t, tr) {
+		switch ev.Ph {
+		case "X":
+			xEvents++
+			if ev.Pid != 1 {
+				t.Fatalf("X event pid = %d, want 1", ev.Pid)
+			}
+			if ev.Args["id"] == "" {
+				t.Fatalf("X event %q missing span id arg", ev.Name)
+			}
+			switch ev.Name {
+			case obs.SpanSlot:
+				slotEv = true
+				if ev.Args["seq"] != "2" || *ev.Dur != 5e6 {
+					t.Fatalf("slot args %v dur %v µs, want seq 2 and 5e6", ev.Args, *ev.Dur)
+				}
+			case obs.SpanTxPending:
+				pendingEv = true
+				if ev.Args["parent"] == "" || *ev.Dur != 1e6 {
+					t.Fatalf("pending args %v dur %v µs, want a parent and 1e6", ev.Args, *ev.Dur)
+				}
+			case "hanging":
+				openEv = ev.Args["unfinished"] == "true"
+			}
+		case "M":
+			meta++
+		case "s":
+			flowS++
+			if ev.ID == "" {
+				t.Fatal("flow start without id")
+			}
+		case "f":
+			flowF++
+		default:
+			t.Fatalf("unexpected ph %q", ev.Ph)
+		}
+	}
+	if xEvents != 5 || !slotEv || !pendingEv {
+		t.Fatalf("%d X events (slot %v, pending %v), want 5 with both", xEvents, slotEv, pendingEv)
+	}
+	if !openEv {
+		t.Fatal("open span not marked unfinished")
+	}
+	// 1 process_name + 2 thread_name (consensus, tx 00aa) metadata events.
+	if meta != 3 {
+		t.Fatalf("got %d metadata events, want 3", meta)
+	}
+	// One explicit Flow call → one s/f pair.
+	if flowS != 1 || flowF != 1 {
+		t.Fatalf("flow events s=%d f=%d, want 1/1", flowS, flowF)
+	}
+}
+
+// The simulator's validators share one tracer, one proc each: every proc
+// becomes its own process, named after it.
+func TestMergeGivesEachProcItsOwnPid(t *testing.T) {
+	tr := obs.NewTracer(func() time.Duration { return 0 })
+	tr.Proc("node a").Span("consensus", obs.SpanSlot).End()
+	tr.Proc("node b").Span("consensus", obs.SpanSlot).End()
+	pids := map[int]bool{}
+	names := map[int]string{}
+	for _, ev := range mergeOne(t, tr) {
+		switch {
+		case ev.Ph == "X":
+			pids[ev.Pid] = true
+		case ev.Name == "process_name":
+			names[ev.Pid] = ev.Args["name"]
+		}
+	}
+	if !pids[1] || !pids[2] || names[1] != "node a" || names[2] != "node b" {
+		t.Fatalf("pids %v named %v, want 1 = node a and 2 = node b", pids, names)
+	}
+}
+
 func TestTraceLatencies(t *testing.T) {
 	samples, crossNode := TraceLatencies(syntheticScrapes())
 	if crossNode != 1 {
@@ -223,28 +336,5 @@ ok  	stellar	1.2s
 	}
 	if rows[2].Extra["ops/s"] != 14000 || rows[2].Extra["sched-speedup"] != 8 {
 		t.Errorf("row 2 custom metrics: %+v", rows[2])
-	}
-}
-
-func TestStatusAndFleetTable(t *testing.T) {
-	s := syntheticScrapes()[0]
-	s.Metrics = Metrics{
-		"herder_ledgers_closed_total": 9,
-		"herder_tx_per_ledger_sum":    120,
-		"transport_peers":             2,
-		"quorum_available":            1,
-		"trace_spans_dropped":         0,
-	}
-	s.Ledger = &LedgerInfo{Sequence: 10, CloseTime: s.FetchedAt.Unix() - 1}
-	st := Status(s, nil)
-	if st.LedgerSeq != 10 || st.Peers != 2 || !st.QuorumAvail {
-		t.Fatalf("status %+v", st)
-	}
-	if st.TxPerSecond >= 0 {
-		t.Error("tx/s must be unknown with no previous pass")
-	}
-	table := FleetTable([]NodeStatus{st, {Name: "node-x", Err: "connection refused"}})
-	if !strings.Contains(table, "node-a") || !strings.Contains(table, "DOWN: connection refused") {
-		t.Errorf("table:\n%s", table)
 	}
 }

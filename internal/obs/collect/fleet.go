@@ -10,52 +10,33 @@ import (
 
 // The live fleet table: one row per node, derived from a scrape pass.
 // This is the §7 operator's view — is the quorum healthy, is every node
-// closing at cadence, which link is shedding.
+// closing at cadence, which link is shedding, and what each node's own SLO
+// engine (internal/obs/slo) judges firing.
 
 // NodeStatus is one node's row.
 type NodeStatus struct {
-	Name string `json:"name"`
-	URL  string `json:"url"`
-	Err  string `json:"error,omitempty"`
+	Name string
+	URL  string
+	Err  string
 
-	LedgerSeq uint32 `json:"ledger_seq"`
+	LedgerSeq uint32
 	// CloseLagSeconds is how far behind the node's last close time sits
 	// against the collector's (offset-corrected) clock.
-	CloseLagSeconds float64 `json:"close_lag_seconds"`
-	LedgersClosed   float64 `json:"ledgers_closed"`
+	CloseLagSeconds float64
 	// TxPerSecond is the applied-transaction rate; it needs two passes
 	// (watch mode) and is negative when unknown.
-	TxPerSecond   float64 `json:"tx_per_second"`
-	TxApplied     float64 `json:"tx_applied"`
-	PendingTxs    float64 `json:"pending_txs"`
-	Peers         float64 `json:"peers"`
-	QuorumAvail   bool    `json:"quorum_available"`
-	SpansRecorded float64 `json:"trace_spans_recorded"`
-	SpansDropped  float64 `json:"trace_spans_dropped"`
-	OffsetMillis  float64 `json:"clock_offset_ms"`
-	// Alerts summarizes the node's own SLO verdict: "?" when the node
-	// serves no /debug/alerts, "off" when alerting is disabled, "ok" when
-	// nothing fires, else the firing alert names.
-	Alerts string `json:"alerts"`
-}
-
-// alertsSummary compresses a node's alert report into one table cell.
-func alertsSummary(rep *slo.Report) string {
-	switch {
-	case rep == nil:
-		return "?"
-	case !rep.Enabled:
-		return "off"
-	case rep.Firing == 0:
-		return "ok"
-	}
-	var names []string
-	for _, a := range rep.Alerts {
-		if a.State == slo.StateFiring.String() {
-			names = append(names, a.Name)
-		}
-	}
-	return strings.Join(names, ",")
+	TxPerSecond   float64
+	TxApplied     float64
+	PendingTxs    float64
+	Peers         float64
+	QuorumAvail   bool
+	SpansRecorded float64
+	SpansDropped  float64
+	OffsetMillis  float64
+	// Alerts is the node's own SLO verdict (GET /debug/alerts); nil when
+	// it could not be read, AlertsErr saying why.
+	Alerts    *slo.Report
+	AlertsErr string
 }
 
 // Status derives one node's row from its scrape; prev (same node, earlier
@@ -67,7 +48,6 @@ func Status(s *Scrape, prev *Scrape) NodeStatus {
 		return st
 	}
 	m := s.Metrics
-	st.LedgersClosed = m.Sum("herder_ledgers_closed_total")
 	st.TxApplied = m.Sum("herder_tx_per_ledger_sum")
 	st.PendingTxs = m.Sum("mempool_size")
 	st.Peers = m.Sum("transport_peers")
@@ -75,7 +55,10 @@ func Status(s *Scrape, prev *Scrape) NodeStatus {
 	st.SpansRecorded = m.Sum("trace_spans_recorded")
 	st.SpansDropped = m.Sum("trace_spans_dropped")
 	st.OffsetMillis = float64(s.OffsetNanos) / 1e6
-	st.Alerts = alertsSummary(s.Alerts)
+	st.Alerts = s.Alerts
+	if s.AlertsErr != nil {
+		st.AlertsErr = s.AlertsErr.Error()
+	}
 	if s.Ledger != nil {
 		st.LedgerSeq = s.Ledger.Sequence
 		// The node's close time is on its own clock; compare in that frame.
@@ -91,7 +74,24 @@ func Status(s *Scrape, prev *Scrape) NodeStatus {
 	return st
 }
 
-// FleetTable renders the rows as a fixed-width text table.
+// alertsCell compresses a node's alert report into its row's last cell:
+// "?" when the report could not be read, "off" when alerting is disabled.
+func alertsCell(rep *slo.Report) string {
+	switch {
+	case rep == nil:
+		return "?"
+	case !rep.Enabled:
+		return "off"
+	case rep.Firing > 0:
+		return fmt.Sprintf("FIRING %d, pending %d", rep.Firing, rep.Pending)
+	case rep.Pending > 0:
+		return fmt.Sprintf("pending %d", rep.Pending)
+	}
+	return "ok"
+}
+
+// FleetTable renders the rows as a fixed-width text table, each node's
+// firing and pending alerts listed under its row.
 func FleetTable(rows []NodeStatus) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-12s %7s %9s %8s %7s %6s %6s %7s %9s %9s %s\n",
@@ -115,15 +115,45 @@ func FleetTable(rows []NodeStatus) string {
 		}
 		fmt.Fprintf(&b, "%-12s %7d %8.1fs %8s %7.0f %6.0f %6.0f %7s %9s %8.1fms %s\n",
 			r.Name, r.LedgerSeq, r.CloseLagSeconds, txps, r.TxApplied,
-			r.PendingTxs, r.Peers, quorum, spans, r.OffsetMillis, r.Alerts)
+			r.PendingTxs, r.Peers, quorum, spans, r.OffsetMillis, alertsCell(r.Alerts))
+		if r.Alerts == nil {
+			fmt.Fprintf(&b, "  alerts unreadable: %s\n", r.AlertsErr)
+			continue
+		}
+		for _, a := range r.Alerts.Alerts {
+			if a.State != slo.StateFiring.String() && a.State != slo.StatePending.String() {
+				continue
+			}
+			detail := a.Detail
+			if detail != "" {
+				detail = " — " + detail
+			}
+			fmt.Fprintf(&b, "  %-20s %-8s %-8s%s\n", a.Name, a.State, a.Severity, detail)
+		}
 	}
 	return b.String()
 }
 
-// Watch scrapes the targets every interval and renders a table per pass
-// through emit, until passes are exhausted (0 = forever). It is the
-// engine behind `stellar-obs table -watch`.
-func Watch(c *Client, targets []Target, interval time.Duration, passes int, emit func(string)) {
+// Firing counts the alerts firing across the rows, a DOWN node or one whose
+// alert report cannot be read counting as one: a node that cannot say it
+// is healthy is the degradation a fleet sweep is for.
+func Firing(rows []NodeStatus) int {
+	n := 0
+	for _, r := range rows {
+		switch {
+		case r.Err != "", r.Alerts == nil:
+			n++
+		default:
+			n += r.Alerts.Firing
+		}
+	}
+	return n
+}
+
+// Watch scrapes the targets every interval and hands each pass's rows to
+// emit, until passes are exhausted (0 = forever). It is the engine behind
+// `stellar-obs fleet`; one pass is the one-shot table.
+func Watch(c *Client, targets []Target, interval time.Duration, passes int, emit func([]NodeStatus)) {
 	var prev []*Scrape
 	for i := 0; passes == 0 || i < passes; i++ {
 		if i > 0 {
@@ -138,7 +168,7 @@ func Watch(c *Client, targets []Target, interval time.Duration, passes int, emit
 			}
 			rows[j] = Status(s, p)
 		}
-		emit(FleetTable(rows))
+		emit(rows)
 		prev = cur
 	}
 }

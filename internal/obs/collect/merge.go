@@ -34,8 +34,8 @@ type MergeStats struct {
 	SpansOut        int   `json:"spans_out"`
 	DroppedAtSource int64 `json:"dropped_at_source"`
 	// CrossLinks counts remote_parent references resolved across two
-	// different nodes' stores; Unresolved counts references whose parent
-	// span is in no scraped store (evicted, or the node was unreachable).
+	// processes; Unresolved counts references whose parent span is in no
+	// scraped store (evicted, or the node was unreachable).
 	CrossLinks int `json:"cross_links"`
 	Unresolved int `json:"unresolved_remote_parents"`
 	// MaxOffsetNanos is the largest absolute estimated clock offset —
@@ -68,16 +68,19 @@ type chromeTrace struct {
 // mergedSpan is one span placed on the collector's aligned timeline.
 type mergedSpan struct {
 	*obs.ExportSpan
-	node     int // index into the scrape list (merged-trace pid − 1)
+	pid      int // merged-trace process: one per (export, proc) pair
 	absStart int64
 	absEnd   int64
 }
 
-// align flattens the scraped exports onto one absolute timeline.
-func align(scrapes []*Scrape) ([]mergedSpan, *MergeStats) {
-	stats := &MergeStats{}
-	var spans []mergedSpan
-	for ni, s := range scrapes {
+// align flattens the scraped exports onto one absolute timeline. Each
+// (export, proc) pair becomes one merged-trace process, so a node's own
+// export is one process and the simulator's shared tracer is one per
+// node; names[pid-1] labels it: the scrape's name when its export has one
+// proc, the proc's name otherwise.
+func align(scrapes []*Scrape) (spans []mergedSpan, names []string, stats *MergeStats) {
+	stats = &MergeStats{}
+	for _, s := range scrapes {
 		if s.Err != nil || s.Export == nil {
 			continue
 		}
@@ -86,13 +89,23 @@ func align(scrapes []*Scrape) ([]mergedSpan, *MergeStats) {
 		if off := abs64(s.OffsetNanos); off > stats.MaxOffsetNanos {
 			stats.MaxOffsetNanos = off
 		}
+		first := len(names)
+		if procs := s.Export.Procs; len(procs) > 1 {
+			names = append(names, procs...)
+		} else {
+			names = append(names, s.Name())
+		}
 		base := s.Export.EpochUnixNanos - s.OffsetNanos
 		for i := range s.Export.Spans {
 			sp := &s.Export.Spans[i]
 			stats.SpansIn++
+			pid := first + 1
+			if sp.Proc > 0 && first+sp.Proc < len(names) {
+				pid += sp.Proc
+			}
 			spans = append(spans, mergedSpan{
 				ExportSpan: sp,
-				node:       ni,
+				pid:        pid,
 				absStart:   base + sp.StartNanos,
 				absEnd:     base + sp.EndNanos,
 			})
@@ -104,7 +117,7 @@ func align(scrapes []*Scrape) ([]mergedSpan, *MergeStats) {
 		}
 		return spans[i].ID < spans[j].ID
 	})
-	return spans, stats
+	return spans, names, stats
 }
 
 func abs64(v int64) int64 {
@@ -114,22 +127,20 @@ func abs64(v int64) int64 {
 	return v
 }
 
-// Merge renders the scraped span stores as one Perfetto-loadable trace.
-// Each node becomes a process (pid); its tracks become threads. Every
-// remote_parent reference that resolves in the merged set gains a flow
-// arrow, which is what makes one transaction's lifecycle legible across
-// three processes.
+// Merge renders the scraped span stores as one Perfetto-loadable trace,
+// the one Chrome trace writer: a cluster's scrapes, or the simulator's
+// single shared-tracer export. Each node becomes a process (pid); its
+// tracks become threads. Every remote_parent reference that resolves in
+// the merged set gains a flow arrow, which is what makes one
+// transaction's lifecycle legible across processes.
 func Merge(scrapes []*Scrape, w io.Writer) (*MergeStats, error) {
-	spans, stats := align(scrapes)
+	spans, names, stats := align(scrapes)
 
 	out := chromeTrace{DisplayTimeUnit: "ms", TraceEvents: []chromeEvent{}}
-	for ni, s := range scrapes {
-		if s.Err != nil || s.Export == nil {
-			continue
-		}
+	for i, name := range names {
 		out.TraceEvents = append(out.TraceEvents, chromeEvent{
-			Name: "process_name", Ph: "M", Pid: ni + 1,
-			Args: map[string]string{"name": s.Name()},
+			Name: "process_name", Ph: "M", Pid: i + 1,
+			Args: map[string]string{"name": name},
 		})
 	}
 
@@ -140,7 +151,7 @@ func Merge(scrapes []*Scrape, w io.Writer) (*MergeStats, error) {
 	usec := func(abs int64) float64 { return float64(abs-t0) / 1e3 }
 
 	type trackKey struct {
-		node  int
+		pid   int
 		track string
 	}
 	tids := make(map[trackKey]int)
@@ -148,12 +159,12 @@ func Merge(scrapes []*Scrape, w io.Writer) (*MergeStats, error) {
 	for i := range spans {
 		sp := &spans[i]
 		byID[sp.ID] = sp
-		key := trackKey{sp.node, sp.Track}
+		key := trackKey{sp.pid, sp.Track}
 		if _, ok := tids[key]; !ok {
 			tid := len(tids) + 1
 			tids[key] = tid
 			out.TraceEvents = append(out.TraceEvents, chromeEvent{
-				Name: "thread_name", Ph: "M", Pid: sp.node + 1, Tid: tid,
+				Name: "thread_name", Ph: "M", Pid: sp.pid, Tid: tid,
 				Args: map[string]string{"name": sp.Track},
 			})
 		}
@@ -169,9 +180,9 @@ func Merge(scrapes []*Scrape, w io.Writer) (*MergeStats, error) {
 		}
 		out.TraceEvents = append(out.TraceEvents,
 			chromeEvent{Name: "flow", Cat: "flow", Ph: "s", Ts: usec(from.absStart),
-				Pid: from.node + 1, Tid: tids[trackKey{from.node, from.Track}], ID: id},
+				Pid: from.pid, Tid: tids[trackKey{from.pid, from.Track}], ID: id},
 			chromeEvent{Name: "flow", Cat: "flow", Ph: "f", BP: "e", Ts: toTs,
-				Pid: to.node + 1, Tid: tids[trackKey{to.node, to.Track}], ID: id},
+				Pid: to.pid, Tid: tids[trackKey{to.pid, to.Track}], ID: id},
 		)
 	}
 
@@ -204,20 +215,19 @@ func Merge(scrapes []*Scrape, w io.Writer) (*MergeStats, error) {
 		out.TraceEvents = append(out.TraceEvents, chromeEvent{
 			Name: sp.Name, Cat: sp.Track, Ph: "X",
 			Ts: usec(sp.absStart), Dur: &dur,
-			Pid: sp.node + 1, Tid: tids[trackKey{sp.node, sp.Track}],
+			Pid: sp.pid, Tid: tids[trackKey{sp.pid, sp.Track}],
 			Args: args,
 		})
 		stats.SpansOut++
-		// In-process cross-track parent arrow, as the single-node exporter
-		// draws it.
-		if p := byID[sp.Parent]; p != nil && (p.node != sp.node || p.Track != sp.Track) {
+		// Cross-track parent arrow.
+		if p := byID[sp.Parent]; p != nil && (p.pid != sp.pid || p.Track != sp.Track) {
 			emitFlow(p, sp)
 		}
 		// Cross-process continuation arrow.
 		if sp.RemoteParent != 0 {
 			if p := byID[sp.RemoteParent]; p != nil {
 				emitFlow(p, sp)
-				if p.node != sp.node {
+				if p.pid != sp.pid {
 					stats.CrossLinks++
 				}
 			} else {

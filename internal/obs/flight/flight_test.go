@@ -41,7 +41,7 @@ func TestDumpFullBundle(t *testing.T) {
 	}
 	slots := func() any { return []slot{{Slot: 7}} }
 
-	engine := slo.NewEngine(ring, slo.DefaultRules(slo.Config{LedgerInterval: time.Second}), reg, nil)
+	engine := slo.NewEngine(ring, slo.DefaultRules(slo.Config{LedgerInterval: time.Second}), nil)
 	engine.Evaluate(time.Second)
 
 	r := New(Config{

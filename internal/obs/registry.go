@@ -307,8 +307,8 @@ type FamilySnapshot struct {
 
 // AddScrapeHook registers fn to run at the start of every Snapshot (and
 // hence every WritePrometheus scrape), before any lock is taken for the
-// copy. Hooks refresh pull-style gauges — runtime self-metrics, quorum
-// health — so scraped values are current without a background poller.
+// copy. Hooks refresh pull-style gauges (the runtime self-metrics) so
+// scraped values are current without a background poller.
 func (r *Registry) AddScrapeHook(fn func()) {
 	r.mu.Lock()
 	r.hooks = append(r.hooks, fn)

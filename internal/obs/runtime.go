@@ -5,36 +5,30 @@ import (
 	"runtime/metrics"
 )
 
-// Runtime self-metrics: process-level health (heap, GC, goroutines) read
+// Runtime self-metrics: process-level health (heap, GC) read
 // from runtime/metrics and refreshed lazily on every scrape via a
 // registry hook — no background poller, no samples while nobody looks.
 
 // runtimeSamples are the runtime/metrics series we export. Names are
 // stable across Go versions per the runtime/metrics compatibility policy.
 const (
-	rmHeapBytes  = "/memory/classes/heap/objects:bytes"
-	rmGoroutines = "/sched/goroutines:goroutines"
-	rmGCPauses   = "/gc/pauses:seconds"
-	rmGCCycles   = "/gc/cycles/total:gc-cycles"
+	rmHeapBytes = "/memory/classes/heap/objects:bytes"
+	rmGCPauses  = "/gc/pauses:seconds"
+	rmGCCycles  = "/gc/cycles/total:gc-cycles"
 )
 
-// RegisterRuntimeMetrics wires heap, goroutine, and GC-pause gauges into
-// the registry, refreshed on each scrape.
+// RegisterRuntimeMetrics wires heap and GC gauges into the registry,
+// refreshed on each scrape.
 func RegisterRuntimeMetrics(reg *Registry) {
 	heap := reg.Gauge("go_heap_objects_bytes",
 		"bytes of live heap memory occupied by objects")
-	goroutines := reg.Gauge("go_goroutines",
-		"current number of goroutines")
 	gcCycles := reg.Gauge("go_gc_cycles_total",
 		"completed GC cycles since process start")
-	gcPauseCount := reg.Gauge("go_gc_pause_count_total",
-		"stop-the-world GC pauses since process start")
 	gcPauseSeconds := reg.Gauge("go_gc_pause_seconds_total",
 		"approximate cumulative stop-the-world GC pause time")
 
 	samples := []metrics.Sample{
 		{Name: rmHeapBytes},
-		{Name: rmGoroutines},
 		{Name: rmGCPauses},
 		{Name: rmGCCycles},
 	}
@@ -46,34 +40,27 @@ func RegisterRuntimeMetrics(reg *Registry) {
 				if s.Value.Kind() == metrics.KindUint64 {
 					heap.Set(float64(s.Value.Uint64()))
 				}
-			case rmGoroutines:
-				if s.Value.Kind() == metrics.KindUint64 {
-					goroutines.Set(float64(s.Value.Uint64()))
-				}
 			case rmGCCycles:
 				if s.Value.Kind() == metrics.KindUint64 {
 					gcCycles.Set(float64(s.Value.Uint64()))
 				}
 			case rmGCPauses:
 				if s.Value.Kind() == metrics.KindFloat64Histogram {
-					count, total := histogramTotals(s.Value.Float64Histogram())
-					gcPauseCount.Set(float64(count))
-					gcPauseSeconds.Set(total)
+					gcPauseSeconds.Set(pauseTotal(s.Value.Float64Histogram()))
 				}
 			}
 		}
 	})
 }
 
-// histogramTotals folds a runtime Float64Histogram into a pause count and
-// an approximate total (each pause counted at its bucket midpoint;
-// unbounded edge buckets fall back to their finite side).
-func histogramTotals(h *metrics.Float64Histogram) (count uint64, total float64) {
+// pauseTotal folds a runtime Float64Histogram into an approximate total
+// (each pause counted at its bucket midpoint; unbounded edge buckets fall
+// back to their finite side).
+func pauseTotal(h *metrics.Float64Histogram) (total float64) {
 	for i, n := range h.Counts {
 		if n == 0 {
 			continue
 		}
-		count += n
 		lo, hi := h.Buckets[i], h.Buckets[i+1]
 		var mid float64
 		switch {
@@ -88,5 +75,5 @@ func histogramTotals(h *metrics.Float64Histogram) (count uint64, total float64) 
 		}
 		total += mid * float64(n)
 	}
-	return count, total
+	return total
 }

@@ -14,7 +14,6 @@ const (
 	RuleCloseIntervalP99  = "close_interval_p99"
 	RuleSubmitAppliedP99  = "submit_applied_p99"
 	RuleQuorumUnavailable = "quorum_unavailable"
-	RuleVBlockingRisk     = "vblocking_risk"
 	RuleMempoolSaturated  = "mempool_saturated"
 	RulePeerLoss          = "peer_loss"
 )
@@ -148,27 +147,6 @@ func DefaultRules(cfg Config) []Rule {
 				if v < 1 {
 					c.Breached = true
 					c.Detail = "no quorum slice has all members healthy"
-				}
-				return c
-			},
-		},
-		{
-			Name:     RuleVBlockingRisk,
-			Severity: SeverityWarning,
-			For:      damp,
-			Claim:    "§3: an unheard v-blocking set can block this node from ever ratifying",
-			Eval: func(r *timeseries.Ring, now time.Duration) Check {
-				if !armed(r) {
-					return Check{Unknown: true}
-				}
-				v, ok := r.Last("quorum_vblocking_at_risk")
-				if !ok {
-					return Check{Unknown: true}
-				}
-				c := Check{Value: v, Threshold: 0}
-				if v > 0 {
-					c.Breached = true
-					c.Detail = "missing/behind nodes form a v-blocking set"
 				}
 				return c
 			},

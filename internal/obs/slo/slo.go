@@ -7,9 +7,9 @@
 // befouled quorums (§3) — so a degraded node *judges* its own telemetry
 // instead of leaving an operator to eyeball /metrics.
 //
-// Alert state is exported three ways: alerts_* registry metrics (so a
-// fleet scrape sees them), structured log events on every transition, and
-// the Report document behind horizon's GET /debug/alerts.
+// Alert state is exported two ways: structured log events on every
+// transition, and the Report document behind horizon's GET /debug/alerts
+// (which a fleet scrape reads).
 package slo
 
 import (
@@ -79,7 +79,7 @@ type Check struct {
 // Rule is one declarative SLO: a named evaluation function over the ring
 // plus firing policy and provenance.
 type Rule struct {
-	// Name identifies the alert ("close_stall"); it is the alerts_* label.
+	// Name identifies the alert ("close_stall").
 	Name string
 	// Severity ranks it.
 	Severity Severity
@@ -121,40 +121,17 @@ type Engine struct {
 	states       []ruleState
 	log          *slog.Logger
 	onTransition []func(rule Rule, from, to State, now time.Duration)
-
-	firingG     *obs.GaugeVec   // alerts_firing{alert}
-	pendingG    *obs.GaugeVec   // alerts_pending{alert}
-	transitions *obs.CounterVec // alerts_transitions_total{alert,to}
-	evals       *obs.Counter    // alerts_evaluations_total
 }
 
-// NewEngine builds an engine over ring with the given rules, registering
-// the alerts_* series on reg (nil-safe: a nil registry or logger keeps
-// the engine silent on that surface).
-func NewEngine(ring *timeseries.Ring, rules []Rule, reg *obs.Registry, log *slog.Logger) *Engine {
-	e := &Engine{
+// NewEngine builds an engine over ring with the given rules (a nil logger
+// keeps transitions silent).
+func NewEngine(ring *timeseries.Ring, rules []Rule, log *slog.Logger) *Engine {
+	return &Engine{
 		ring:   ring,
 		rules:  rules,
 		states: make([]ruleState, len(rules)),
 		log:    obs.Component(log, "slo"),
 	}
-	if reg != nil {
-		e.firingG = reg.GaugeVec("alerts_firing",
-			"1 while the named SLO alert is firing", "alert")
-		e.pendingG = reg.GaugeVec("alerts_pending",
-			"1 while the named SLO alert is breached but inside its for-duration", "alert")
-		e.transitions = reg.CounterVec("alerts_transitions_total",
-			"alert state transitions, by alert and destination state", "alert", "to")
-		e.evals = reg.Counter("alerts_evaluations_total",
-			"rule-set evaluation passes run by the SLO engine")
-		// Publish every rule at 0 immediately so dashboards and asserts can
-		// distinguish "rule exists, not firing" from "engine absent".
-		for _, r := range rules {
-			e.firingG.With(r.Name).Set(0)
-			e.pendingG.With(r.Name).Set(0)
-		}
-	}
-	return e
 }
 
 // OnTransition registers fn to run on every state transition — the
@@ -173,9 +150,6 @@ func (e *Engine) OnTransition(fn func(rule Rule, from, to State, now time.Durati
 func (e *Engine) Evaluate(now time.Duration) {
 	var events []transitionEvent
 	e.mu.Lock()
-	if e.evals != nil {
-		e.evals.Inc()
-	}
 	for i := range e.rules {
 		rule := &e.rules[i]
 		st := &e.states[i]
@@ -218,8 +192,7 @@ func (e *Engine) Evaluate(now time.Duration) {
 	}
 }
 
-// transition moves rule i to state to, publishing metrics and logs, and
-// returns the event for post-unlock callback delivery. Caller holds e.mu.
+// transition moves rule i to state to, logging it, and returns the event for post-unlock callback delivery. Caller holds e.mu.
 func (e *Engine) transition(i int, to State, now time.Duration) transitionEvent {
 	rule := e.rules[i]
 	st := &e.states[i]
@@ -228,11 +201,6 @@ func (e *Engine) transition(i int, to State, now time.Duration) transitionEvent 
 	st.since = now
 	if to == StateFiring {
 		st.fired++
-	}
-	if e.firingG != nil {
-		e.firingG.With(rule.Name).Set(boolGauge(to == StateFiring))
-		e.pendingG.With(rule.Name).Set(boolGauge(to == StatePending))
-		e.transitions.With(rule.Name, to.String()).Inc()
 	}
 	attrs := []any{
 		"alert", rule.Name, "from", from.String(), "to", to.String(),
@@ -248,13 +216,6 @@ func (e *Engine) transition(i int, to State, now time.Duration) transitionEvent 
 		e.log.Debug("alert transition", attrs...)
 	}
 	return transitionEvent{rule: rule, from: from, to: to, now: now}
-}
-
-func boolGauge(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // State reports the named rule's current state (StateInactive for unknown

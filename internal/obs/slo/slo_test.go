@@ -19,7 +19,7 @@ func stubRule(name string, forDur time.Duration, verdict *Check) Rule {
 
 func TestStateMachineForDamping(t *testing.T) {
 	verdict := Check{}
-	e := NewEngine(nil, []Rule{stubRule("r", 10*time.Second, &verdict)}, obs.NewRegistry(), nil)
+	e := NewEngine(nil, []Rule{stubRule("r", 10*time.Second, &verdict)}, nil)
 
 	e.Evaluate(1 * time.Second)
 	if got := e.State("r"); got != StateInactive {
@@ -69,7 +69,7 @@ func TestStateMachineForDamping(t *testing.T) {
 
 func TestBlipShorterThanForNeverFires(t *testing.T) {
 	verdict := Check{Breached: true}
-	e := NewEngine(nil, []Rule{stubRule("r", 10*time.Second, &verdict)}, nil, nil)
+	e := NewEngine(nil, []Rule{stubRule("r", 10*time.Second, &verdict)}, nil)
 	e.Evaluate(0)
 	verdict = Check{}
 	e.Evaluate(5 * time.Second) // breach cleared inside the for-duration
@@ -83,7 +83,7 @@ func TestBlipShorterThanForNeverFires(t *testing.T) {
 
 func TestUnknownHoldsState(t *testing.T) {
 	verdict := Check{Breached: true}
-	e := NewEngine(nil, []Rule{stubRule("r", 0, &verdict)}, nil, nil)
+	e := NewEngine(nil, []Rule{stubRule("r", 0, &verdict)}, nil)
 	e.Evaluate(0)
 	if got := e.State("r"); got != StateFiring {
 		t.Fatalf("state = %v, want firing (for=0)", got)
@@ -95,10 +95,9 @@ func TestUnknownHoldsState(t *testing.T) {
 	}
 }
 
-func TestTransitionCallbackAndMetrics(t *testing.T) {
-	reg := obs.NewRegistry()
+func TestTransitionCallback(t *testing.T) {
 	verdict := Check{Breached: true}
-	e := NewEngine(nil, []Rule{stubRule("r", 0, &verdict)}, reg, nil)
+	e := NewEngine(nil, []Rule{stubRule("r", 0, &verdict)}, nil)
 	var gotFrom, gotTo State
 	calls := 0
 	e.OnTransition(func(rule Rule, from, to State, now time.Duration) {
@@ -109,31 +108,11 @@ func TestTransitionCallbackAndMetrics(t *testing.T) {
 	if calls != 1 || gotFrom != StateInactive || gotTo != StateFiring {
 		t.Fatalf("callback calls=%d from=%v to=%v", calls, gotFrom, gotTo)
 	}
-	fired := findGauge(t, reg, "alerts_firing", "r")
-	if fired != 1 {
-		t.Fatalf("alerts_firing{r} = %v, want 1", fired)
-	}
 	verdict = Check{}
 	e.Evaluate(time.Second)
-	if findGauge(t, reg, "alerts_firing", "r") != 0 {
-		t.Fatal("alerts_firing{r} should drop to 0 on resolve")
+	if calls != 2 || gotFrom != StateFiring || gotTo != StateResolved {
+		t.Fatalf("callback calls=%d from=%v to=%v, want firing to resolved", calls, gotFrom, gotTo)
 	}
-}
-
-func findGauge(t *testing.T, reg *obs.Registry, family, label string) float64 {
-	t.Helper()
-	for _, f := range reg.Snapshot() {
-		if f.Name != family {
-			continue
-		}
-		for _, s := range f.Samples {
-			if len(s.LabelValues) == 1 && s.LabelValues[0] == label {
-				return s.Value
-			}
-		}
-	}
-	t.Fatalf("series %s{%s} not found", family, label)
-	return 0
 }
 
 func TestReportShape(t *testing.T) {
@@ -141,7 +120,7 @@ func TestReportShape(t *testing.T) {
 	e := NewEngine(nil, []Rule{
 		stubRule("a", 0, &verdict),
 		stubRule("b", time.Hour, &verdict),
-	}, nil, nil)
+	}, nil)
 	e.Evaluate(time.Second)
 	rep := e.Report("node-0", 2*time.Second)
 	if rep.Schema != ReportSchema || !rep.Enabled || rep.Node != "node-0" {
@@ -166,7 +145,7 @@ func TestDefaultRulesCloseStallFireResolve(t *testing.T) {
 	closed := reg.Counter("herder_ledgers_closed_total", "ledgers closed")
 	ring := timeseries.New(256)
 	rules := DefaultRules(Config{LedgerInterval: time.Second, StallIntervals: 4})
-	e := NewEngine(ring, rules, reg, nil)
+	e := NewEngine(ring, rules, nil)
 
 	tick := func(at time.Duration) {
 		ring.Observe(at, reg.Snapshot())
@@ -207,12 +186,10 @@ func TestDefaultRulesArming(t *testing.T) {
 	reg := obs.NewRegistry()
 	closed := reg.Counter("herder_ledgers_closed_total", "ledgers closed")
 	avail := reg.Gauge("quorum_available", "quorum available")
-	vrisk := reg.Gauge("quorum_vblocking_at_risk", "v-blocking risk")
 	avail.Set(0) // boot: nothing heard yet
-	vrisk.Set(1)
 	ring := timeseries.New(64)
 	rules := DefaultRules(Config{LedgerInterval: time.Second})
-	e := NewEngine(ring, rules, reg, nil)
+	e := NewEngine(ring, rules, nil)
 
 	for i := 1; i <= 10; i++ {
 		ring.Observe(time.Duration(i)*time.Second, reg.Snapshot())
@@ -221,14 +198,10 @@ func TestDefaultRulesArming(t *testing.T) {
 	if got := e.State(RuleQuorumUnavailable); got != StateInactive {
 		t.Fatalf("unarmed quorum_unavailable = %v, want inactive", got)
 	}
-	if got := e.State(RuleVBlockingRisk); got != StateInactive {
-		t.Fatalf("unarmed vblocking_risk = %v, want inactive", got)
-	}
 
 	// Armed and healthy: still quiet.
 	closed.Inc()
 	avail.Set(1)
-	vrisk.Set(0)
 	ring.Observe(11*time.Second, reg.Snapshot())
 	e.Evaluate(11 * time.Second)
 	if e.Firing() != 0 {
@@ -252,7 +225,7 @@ func TestDefaultRulesMempoolSaturated(t *testing.T) {
 	capacity := reg.Gauge("mempool_capacity", "pool cap")
 	ring := timeseries.New(64)
 	rules := DefaultRules(Config{LedgerInterval: time.Second})
-	e := NewEngine(ring, rules, reg, nil)
+	e := NewEngine(ring, rules, nil)
 
 	capacity.Set(100)
 	size.Set(50)
@@ -278,7 +251,7 @@ func TestDefaultRulesPeerLoss(t *testing.T) {
 	ring := timeseries.New(64)
 
 	// MinPeers=0 disables the rule entirely.
-	off := NewEngine(ring, DefaultRules(Config{LedgerInterval: time.Second}), nil, nil)
+	off := NewEngine(ring, DefaultRules(Config{LedgerInterval: time.Second}), nil)
 	peers.Set(0)
 	ring.Observe(time.Second, reg.Snapshot())
 	off.Evaluate(time.Second)
@@ -286,7 +259,7 @@ func TestDefaultRulesPeerLoss(t *testing.T) {
 		t.Fatalf("disabled peer_loss = %v", got)
 	}
 
-	on := NewEngine(ring, DefaultRules(Config{LedgerInterval: time.Second, MinPeers: 2}), nil, nil)
+	on := NewEngine(ring, DefaultRules(Config{LedgerInterval: time.Second, MinPeers: 2}), nil)
 	for i := 2; i <= 6; i++ {
 		ring.Observe(time.Duration(i)*time.Second, reg.Snapshot())
 		on.Evaluate(time.Duration(i) * time.Second)
@@ -320,7 +293,7 @@ func TestDefaultRulesQuantileCeilings(t *testing.T) {
 				// interpolated p99 lands just below or just above it.
 				h := reg.Histogram(tc.family, "", []float64{0.99 * ceiling, ceiling, 1.01 * ceiling})
 				ring := timeseries.New(1024)
-				e := NewEngine(ring, DefaultRules(Config{LedgerInterval: interval}), reg, nil)
+				e := NewEngine(ring, DefaultRules(Config{LedgerInterval: interval}), nil)
 				var now time.Duration
 				// run observes v once per interval for d.
 				run := func(v float64, d time.Duration) {

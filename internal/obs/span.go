@@ -1,9 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
-	"fmt"
-	"io"
 	"sort"
 	"sync"
 	"time"
@@ -13,9 +10,9 @@ import (
 // protocol do on slot N", the Tracer answers "where did the time go":
 // hierarchical spans follow a transaction through its whole lifecycle
 // (submit → pending queue → nomination candidate → balloting → apply →
-// bucket merge → archive) and a slot through its consensus phases, and the
-// result exports as Chrome trace-event JSON loadable in Perfetto or
-// chrome://tracing.
+// bucket merge → archive) and a slot through its consensus phases. The
+// store exports as a stellar-trace-export/v1 document (spanctx.go), which
+// collect.Merge renders as Chrome trace-event JSON for Perfetto.
 //
 // Design constraints:
 //
@@ -30,28 +27,28 @@ import (
 //   - Bounded memory. The tracer stops recording new spans past its
 //     limit and counts the drops instead of growing without bound.
 
-// Span names used by the herder/ledger instrumentation and understood by
-// the decomposition reporter (decompose.go). Keeping them in one place
-// makes the trace schema greppable.
+// Span names used by the herder/ledger instrumentation. Keeping them in
+// one place makes the trace schema greppable.
 const (
-	SpanSlot        = "slot"           // nomination start → ledger applied
-	SpanTrigger     = "trigger"        // trigger timer fire → scp.Nominate returns (wall-measured)
-	SpanNomination  = "nomination"     // nomination start → first prepare
-	SpanBalloting   = "balloting"      // first prepare → externalize
-	SpanPrepare     = "ballot-prepare" // first prepare → accept commit
-	SpanCommit      = "ballot-commit"  // accept commit → externalize
-	SpanApply       = "apply"          // externalize → state/bucket/archive done
-	SpanSigPrepass  = "sig-prepass"    // parallel signature verification prepass
-	SpanTxApply     = "tx-apply"       // transaction execution
-	SpanBucketMerge = "bucket-merge"   // bucket list ingestion + spills
-	SpanArchive     = "archive"        // history archive writes
-	SpanTx          = "tx"             // per-transaction root: submit → applied
-	SpanTxSubmit    = "submit"         // client submission
-	SpanTxAdmit     = "admit"          // mempool admission decision marker
-	SpanTxPending   = "pending"        // pending pool wait until candidate selection
-	SpanTxConsensus = "consensus"      // candidate selection → externalize
-	SpanTxApplied   = "applied"        // the tx's share of the apply phase
-
+	SpanSlot         = "slot"           // nomination start → ledger applied
+	SpanTrigger      = "trigger"        // trigger timer fire → scp.Nominate returns (wall-measured)
+	SpanNomination   = "nomination"     // nomination start → first prepare
+	SpanBalloting    = "balloting"      // first prepare → externalize
+	SpanPrepare      = "ballot-prepare" // first prepare → accept commit
+	SpanCommit       = "ballot-commit"  // accept commit → externalize
+	SpanApply        = "apply"          // externalize → state/bucket/archive done
+	SpanSigPrepass   = "sig-prepass"    // parallel signature verification prepass
+	SpanTxApply      = "tx-apply"       // transaction execution
+	SpanBucketMerge  = "bucket-merge"   // bucket list ingestion + spills
+	SpanArchive      = "archive"        // history archive writes
+	SpanTx           = "tx"             // per-transaction root: submit → applied
+	SpanTxSubmit     = "submit"         // client submission
+	SpanTxAdmit      = "admit"          // mempool admission decision marker
+	SpanTxPending    = "pending"        // pending pool wait until candidate selection
+	SpanTxConsensus  = "consensus"      // candidate selection → externalize
+	SpanTxApplied    = "applied"        // the tx's share of the apply phase
+	SpanRecvEnvelope = "recv-envelope"  // a peer's SCP envelope for an open slot arrived
+	SpanRecvTxSet    = "recv-txset"     // a peer's tx-set reference arrived
 )
 
 // DefaultSpanCapacity bounds a tracer's memory (~120 B/span).
@@ -417,138 +414,4 @@ func (t *Tracer) snapshot() ([]spanRec, []flowRec, []string) {
 		return spans[i].id < spans[j].id
 	})
 	return spans, append([]flowRec(nil), t.flows...), append([]string(nil), t.procs...)
-}
-
-// --- Chrome trace-event JSON export ---
-
-// chromeEvent is one entry of the trace-event format's JSON Object Format
-// (the "traceEvents" array). Perfetto and chrome://tracing load it as-is.
-type chromeEvent struct {
-	Name string            `json:"name"`
-	Cat  string            `json:"cat,omitempty"`
-	Ph   string            `json:"ph"`
-	Ts   float64           `json:"ts"` // microseconds
-	Dur  *float64          `json:"dur,omitempty"`
-	Pid  int               `json:"pid"`
-	Tid  int               `json:"tid"`
-	ID   string            `json:"id,omitempty"`
-	BP   string            `json:"bp,omitempty"`
-	Args map[string]string `json:"args,omitempty"`
-}
-
-type chromeTrace struct {
-	TraceEvents     []chromeEvent `json:"traceEvents"`
-	DisplayTimeUnit string        `json:"displayTimeUnit"`
-}
-
-func usec(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e3 }
-
-// WriteChromeTrace renders every recorded span as a complete ("X") event
-// plus process/thread naming metadata and flow ("s"/"f") arrows for
-// cross-track parent links and explicit Flow calls. The output loads in
-// Perfetto (ui.perfetto.dev) and chrome://tracing.
-func (t *Tracer) WriteChromeTrace(w io.Writer) error {
-	if t == nil {
-		_, err := io.WriteString(w, `{"traceEvents":[],"displayTimeUnit":"ms"}`)
-		return err
-	}
-	spans, flows, procs := t.snapshot()
-
-	out := chromeTrace{DisplayTimeUnit: "ms", TraceEvents: []chromeEvent{}}
-	for i, name := range procs {
-		out.TraceEvents = append(out.TraceEvents, chromeEvent{
-			Name: "process_name", Ph: "M", Pid: i + 1,
-			Args: map[string]string{"name": name},
-		})
-	}
-
-	// Track (pid, track-name) → tid, in first-appearance order.
-	type trackKey struct {
-		proc  int
-		track string
-	}
-	tids := make(map[trackKey]int)
-	byID := make(map[uint64]*spanRec, len(spans))
-	for i := range spans {
-		sp := &spans[i]
-		byID[sp.id] = sp
-		key := trackKey{sp.proc, sp.track}
-		if _, ok := tids[key]; !ok {
-			tid := len(tids) + 1
-			tids[key] = tid
-			out.TraceEvents = append(out.TraceEvents, chromeEvent{
-				Name: "thread_name", Ph: "M", Pid: sp.proc + 1, Tid: tid,
-				Args: map[string]string{"name": sp.track},
-			})
-		}
-	}
-
-	flowSeq := 0
-	emitFlow := func(from, to *spanRec) {
-		flowSeq++
-		id := fmt.Sprintf("f%d", flowSeq)
-		out.TraceEvents = append(out.TraceEvents,
-			chromeEvent{Name: "flow", Cat: "flow", Ph: "s", Ts: usec(from.start),
-				Pid: from.proc + 1, Tid: tids[trackKey{from.proc, from.track}], ID: id},
-			chromeEvent{Name: "flow", Cat: "flow", Ph: "f", BP: "e", Ts: usec(maxDur(to.start, from.start)),
-				Pid: to.proc + 1, Tid: tids[trackKey{to.proc, to.track}], ID: id},
-		)
-	}
-
-	for i := range spans {
-		sp := &spans[i]
-		args := map[string]string{"id": fmt.Sprintf("%d", sp.id)}
-		if sp.parent != 0 {
-			args["parent"] = fmt.Sprintf("%d", sp.parent)
-		}
-		if sp.remoteParent != 0 {
-			args["remote_parent"] = fmt.Sprintf("%d", sp.remoteParent)
-			if sp.origin != "" {
-				args["origin"] = sp.origin
-			}
-			args["trace"] = fmt.Sprintf("%d", sp.trace)
-		}
-		for _, a := range sp.args {
-			args[a.key] = a.value
-		}
-		if sp.open {
-			args["unfinished"] = "true"
-		}
-		// dur is emitted even when zero: instantaneous spans (e.g. submit)
-		// must still parse as complete events.
-		dur := usec(sp.end - sp.start)
-		out.TraceEvents = append(out.TraceEvents, chromeEvent{
-			Name: sp.name, Cat: sp.track, Ph: "X",
-			Ts: usec(sp.start), Dur: &dur,
-			Pid: sp.proc + 1, Tid: tids[trackKey{sp.proc, sp.track}],
-			Args: args,
-		})
-		// Cross-track parent → child arrow.
-		if p := byID[sp.parent]; p != nil && (p.proc != sp.proc || p.track != sp.track) {
-			emitFlow(p, sp)
-		}
-		// Remote parent resolved in this same store (in-process multi-node
-		// tracers, and merged cluster traces): draw the cross-process arrow.
-		if sp.remoteParent != 0 {
-			if p := byID[sp.remoteParent]; p != nil {
-				emitFlow(p, sp)
-			}
-		}
-	}
-	for _, f := range flows {
-		from, to := byID[f.from], byID[f.to]
-		if from != nil && to != nil {
-			emitFlow(from, to)
-		}
-	}
-
-	enc := json.NewEncoder(w)
-	return enc.Encode(&out)
-}
-
-func maxDur(a, b time.Duration) time.Duration {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -2,8 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"encoding/json"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -71,12 +69,11 @@ func TestNilTracerFastPath(t *testing.T) {
 		t.Fatalf("nil tracer Now = %v, want 0", now)
 	}
 	var buf bytes.Buffer
-	if err := tr.WriteChromeTrace(&buf); err != nil {
-		t.Fatalf("nil tracer WriteChromeTrace: %v", err)
+	if err := tr.WriteExport(&buf, "n"); err != nil {
+		t.Fatalf("nil tracer WriteExport: %v", err)
 	}
-	var out map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
-		t.Fatalf("nil tracer output not JSON: %v", err)
+	if exp, err := DecodeExport(&buf); err != nil || len(exp.Spans) != 0 {
+		t.Fatalf("nil tracer export = %+v, %v; want an empty document", exp, err)
 	}
 }
 
@@ -235,147 +232,9 @@ func TestOpenSpansExportAsUnfinished(t *testing.T) {
 	p := tr.Proc("n")
 	p.Span("t", "hanging")
 	clk.Advance(time.Second)
-	var buf bytes.Buffer
-	if err := tr.WriteChromeTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), `"unfinished":"true"`) {
-		t.Fatalf("open span not marked unfinished: %s", buf.String())
-	}
-}
-
-func TestWriteChromeTraceFormat(t *testing.T) {
-	tr, clk := newTestTracer()
-	node := tr.Proc("node 1")
-
-	slot := node.Span("consensus", SpanSlot)
-	slot.Arg("seq", "2")
-	tx := node.Span("tx 00aa", SpanTx)
-	pending := tx.Child(SpanTxPending)
-	clk.Advance(time.Second)
-	pending.End()
-	tr.Flow(pending, slot)
-	cons := tx.Child(SpanTxConsensus)
-	clk.Advance(4 * time.Second)
-	cons.End()
-	tx.End()
-	slot.End()
-
-	var buf bytes.Buffer
-	if err := tr.WriteChromeTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var out struct {
-		TraceEvents []struct {
-			Name string            `json:"name"`
-			Ph   string            `json:"ph"`
-			Ts   float64           `json:"ts"`
-			Dur  float64           `json:"dur"`
-			Pid  int               `json:"pid"`
-			Tid  int               `json:"tid"`
-			ID   string            `json:"id"`
-			Args map[string]string `json:"args"`
-		} `json:"traceEvents"`
-		DisplayTimeUnit string `json:"displayTimeUnit"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
-		t.Fatalf("export is not valid JSON: %v", err)
-	}
-	if out.DisplayTimeUnit != "ms" {
-		t.Fatalf("displayTimeUnit = %q", out.DisplayTimeUnit)
-	}
-
-	var xEvents, meta, flowS, flowF int
-	var slotEv, pendingEv bool
-	for _, ev := range out.TraceEvents {
-		switch ev.Ph {
-		case "X":
-			xEvents++
-			if ev.Pid != 1 {
-				t.Fatalf("X event pid = %d, want 1", ev.Pid)
-			}
-			if ev.Tid == 0 {
-				t.Fatalf("X event %q has zero tid", ev.Name)
-			}
-			if ev.Args["id"] == "" {
-				t.Fatalf("X event %q missing span id arg", ev.Name)
-			}
-			if ev.Name == SpanSlot {
-				slotEv = true
-				if ev.Args["seq"] != "2" {
-					t.Fatalf("slot args = %v", ev.Args)
-				}
-				if ev.Dur != 5e6 {
-					t.Fatalf("slot dur = %v µs, want 5e6", ev.Dur)
-				}
-			}
-			if ev.Name == SpanTxPending {
-				pendingEv = true
-				if ev.Args["parent"] == "" {
-					t.Fatal("pending span missing parent arg")
-				}
-				if ev.Dur != 1e6 {
-					t.Fatalf("pending dur = %v µs, want 1e6", ev.Dur)
-				}
-			}
-		case "M":
-			meta++
-		case "s":
-			flowS++
-			if ev.ID == "" {
-				t.Fatal("flow start without id")
-			}
-		case "f":
-			flowF++
-		default:
-			t.Fatalf("unexpected ph %q", ev.Ph)
-		}
-	}
-	if xEvents != 4 {
-		t.Fatalf("got %d X events, want 4", xEvents)
-	}
-	if !slotEv || !pendingEv {
-		t.Fatal("missing slot or pending X event")
-	}
-	// 1 process_name + 2 thread_name (consensus, tx 00aa) metadata events.
-	if meta != 3 {
-		t.Fatalf("got %d metadata events, want 3", meta)
-	}
-	// One explicit Flow call → one s/f pair.
-	if flowS != 1 || flowF != 1 {
-		t.Fatalf("flow events s=%d f=%d, want 1/1", flowS, flowF)
-	}
-}
-
-func TestMultiProcessExport(t *testing.T) {
-	tr, _ := newTestTracer()
-	a := tr.Proc("node a")
-	b := tr.Proc("node b")
-	sa := a.Span("consensus", SpanSlot)
-	sb := b.Span("consensus", SpanSlot)
-	sa.End()
-	sb.End()
-	var buf bytes.Buffer
-	if err := tr.WriteChromeTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var out struct {
-		TraceEvents []struct {
-			Ph  string `json:"ph"`
-			Pid int    `json:"pid"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
-		t.Fatal(err)
-	}
-	pids := map[int]bool{}
-	for _, ev := range out.TraceEvents {
-		if ev.Ph == "X" {
-			pids[ev.Pid] = true
-		}
-	}
-	if !pids[1] || !pids[2] {
-		t.Fatalf("pids = %v, want {1,2}", pids)
+	exp := tr.Export("n")
+	if len(exp.Spans) != 1 || !exp.Spans[0].Open || exp.Spans[0].EndNanos != int64(time.Second) {
+		t.Fatalf("open span exported as %+v, want open and running to now", exp.Spans)
 	}
 }
 
@@ -400,8 +259,7 @@ func TestTracerConcurrency(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	var buf bytes.Buffer
-	if err := tr.WriteChromeTrace(&buf); err != nil {
-		t.Fatal(err)
+	if exp := tr.Export("n"); len(exp.Spans) == 0 {
+		t.Fatal("no spans exported")
 	}
 }

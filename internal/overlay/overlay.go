@@ -243,7 +243,6 @@ type overlayInstruments struct {
 	bytesSent *obs.CounterVec // overlay_bytes_sent_total{kind}
 	delivered *obs.CounterVec // overlay_packets_delivered_total{kind}
 	dupes     *obs.Counter    // overlay_dupes_suppressed_total
-	peers     *obs.Gauge      // overlay_peers
 }
 
 // SetObs wires the overlay's counters into a registry and attaches a
@@ -259,7 +258,6 @@ func (o *Overlay) SetObs(reg *obs.Registry, log *slog.Logger) {
 				"novel packets delivered to the application", "kind"),
 			dupes: reg.Counter("overlay_dupes_suppressed_total",
 				"duplicate packets dropped by the flood dedup cache"),
-			peers: reg.Gauge("overlay_peers", "connected peer count"),
 		}
 	}
 	o.log = log
@@ -285,7 +283,6 @@ func (o *Overlay) Connect(peers ...simnet.Addr) {
 			o.peers = append(o.peers, p)
 		}
 	}
-	o.gaugePeers()
 }
 
 // AddPeer adds one peer if not already present. Real transports call this
@@ -301,7 +298,6 @@ func (o *Overlay) AddPeer(p simnet.Addr) {
 		}
 	}
 	o.peers = append(o.peers, p)
-	o.gaugePeers()
 }
 
 // RemovePeer drops a peer (a real connection died); unknown peers are a
@@ -310,15 +306,8 @@ func (o *Overlay) RemovePeer(p simnet.Addr) {
 	for i, q := range o.peers {
 		if q == p {
 			o.peers = append(o.peers[:i], o.peers[i+1:]...)
-			o.gaugePeers()
 			return
 		}
-	}
-}
-
-func (o *Overlay) gaugePeers() {
-	if o.ins != nil {
-		o.ins.peers.Set(float64(len(o.peers)))
 	}
 }
 

@@ -72,11 +72,8 @@ type instruments struct {
 	handshakeFailures *obs.Counter
 	dialFailures      *obs.Counter
 	decodeErrors      *obs.Counter
-	labelOverflows    *obs.Counter
 	reconnects        *obs.CounterVec // {peer}
 	framesIn          *obs.CounterVec // {peer}
-	framesOut         *obs.CounterVec // {peer}
-	bytesIn           *obs.CounterVec // {peer}
 	bytesOut          *obs.CounterVec // {peer}
 	queueSheds        *obs.CounterVec // {peer}
 
@@ -92,11 +89,8 @@ func newInstruments(reg *obs.Registry) *instruments {
 		decodeErrors:      reg.Counter("transport_decode_errors_total", "Inbound frames dropped because they failed to decode."),
 		reconnects:        reg.CounterVec("transport_reconnects_total", "Successful dials that replaced a previously lost connection.", "peer"),
 		framesIn:          reg.CounterVec("transport_frames_in_total", "Frames received from authenticated peers.", "peer"),
-		framesOut:         reg.CounterVec("transport_frames_out_total", "Frames written to authenticated peers.", "peer"),
-		bytesIn:           reg.CounterVec("transport_bytes_in_total", "Payload bytes received from authenticated peers.", "peer"),
 		bytesOut:          reg.CounterVec("transport_bytes_out_total", "Wire bytes written to authenticated peers.", "peer"),
 		queueSheds:        reg.CounterVec("transport_queue_sheds_total", "Outbound frames shed because a peer's send queue was full.", "peer"),
-		labelOverflows:    reg.Counter("transport_peer_label_overflow_total", "Peer-labeled observations attributed to the \"other\" label because the distinct-peer cap was reached."),
 		peerLabels:        make(map[string]bool),
 	}
 }
@@ -115,22 +109,19 @@ func (ins *instruments) peerLabel(id simnet.Addr) string {
 		ins.peerLabels[s] = true
 		return s
 	}
-	ins.labelOverflows.Inc()
 	return peerOverflowLabel
 }
 
 // peerInstruments are one remote's resolved counter children, looked up
 // once at registration so the per-frame path costs no label lookups.
 type peerInstruments struct {
-	framesIn, framesOut, bytesIn, bytesOut, queueSheds *obs.Counter
+	framesIn, bytesOut, queueSheds *obs.Counter
 }
 
 func (ins *instruments) forPeer(id simnet.Addr) *peerInstruments {
 	peer := ins.peerLabel(id)
 	return &peerInstruments{
 		framesIn:   ins.framesIn.With(peer),
-		framesOut:  ins.framesOut.With(peer),
-		bytesIn:    ins.bytesIn.With(peer),
 		bytesOut:   ins.bytesOut.With(peer),
 		queueSheds: ins.queueSheds.With(peer),
 	}
@@ -413,10 +404,7 @@ func (m *Manager) runConn(conn net.Conn, dialed, reconnect bool) bool {
 	m.wg.Add(1)
 	go func() {
 		defer m.wg.Done()
-		p.writeLoop(func(n int) {
-			p.ins.framesOut.Inc()
-			p.ins.bytesOut.Add(float64(n))
-		})
+		p.writeLoop(func(n int) { p.ins.bytesOut.Add(float64(n)) })
 		p.close()
 	}()
 
@@ -502,7 +490,6 @@ func (m *Manager) readLoop(p *peer) {
 			return
 		}
 		p.ins.framesIn.Inc()
-		p.ins.bytesIn.Add(float64(len(payload)))
 		if typ != FramePacket {
 			m.ins.decodeErrors.Inc()
 			m.log.Warn("unexpected frame type after handshake", "peer", string(p.id), "type", typ.String())

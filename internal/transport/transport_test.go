@@ -502,6 +502,22 @@ func TestDecodePacketRejectsHostile(t *testing.T) {
 			t.Errorf("%s: DecodePacket accepted hostile input", name)
 		}
 	}
+
+	// A manager drops such a frame from an authenticated peer and counts
+	// it: a request cut short, sent by a peer that passed the handshake.
+	m, _, _ := newTestManager(t, "mgr-hostile", nil)
+	conn, err := net.Dial("tcp", m.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := handshake(conn, stellarcrypto.KeyPairFromString("mgr-sender"), testNetworkID, time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFrame(conn, FramePacket, cases["req cut short"]); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "transport_decode_errors_total to count the cut frame", func() bool { return m.ins.decodeErrors.Value() == 1 })
 }
 
 // newTestManager wires a manager with no herder node behind it, capturing
@@ -733,11 +749,19 @@ func TestManagerDuplicateConnections(t *testing.T) {
 func TestManagerRejectsWrongNetworkPeer(t *testing.T) {
 	ma, _, _ := newTestManager(t, "mgr-a", nil)
 
+	// A port nothing listens on: the rogue's dials to it fail.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed := ln.Addr().String()
+	ln.Close()
+
 	keys := stellarcrypto.KeyPairFromString("mgr-rogue")
 	loop := NewLoop()
 	loop.AddNode(simnet.Addr(keys.Public.Address()), &captureHandler{got: make(chan *overlay.Packet, 1)})
 	rogue, err := NewManager(loop, Config{
-		Peers: []string{ma.Addr()}, Keys: keys,
+		Peers: []string{ma.Addr(), closed}, Keys: keys,
 		NetworkID:   stellarcrypto.HashBytes([]byte("wrong-network")),
 		backoffBase: 20 * time.Millisecond, backoffMax: 200 * time.Millisecond, Obs: obs.New(),
 	})
@@ -746,8 +770,23 @@ func TestManagerRejectsWrongNetworkPeer(t *testing.T) {
 	}
 	t.Cleanup(rogue.Close)
 
-	waitFor(t, "handshake failures", func() bool { return ma.ins.handshakeFailures.Value() >= 1 })
+	waitFor(t, "transport_handshake_failures_total to count the wrong network", func() bool { return ma.ins.handshakeFailures.Value() >= 1 })
+	waitFor(t, "transport_dial_failures_total to count the closed port", func() bool { return rogue.ins.dialFailures.Value() >= 1 })
 	if n := ma.NumPeers(); n != 0 {
 		t.Fatalf("wrong-network peer registered: NumPeers=%d", n)
 	}
+
+	// An older protocol version is turned away at the hello too, and
+	// counted.
+	mc, _, _ := newTestManager(t, "mgr-c", nil)
+	conn, err := net.Dial("tcp", mc.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	hello := Hello{Version: 3, NetworkID: testNetworkID, PublicKey: keys.Public}
+	if err := WriteFrame(conn, FrameHello, hello.encode()); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "transport_handshake_failures_total to count the v3 hello", func() bool { return mc.ins.handshakeFailures.Value() == 1 })
 }

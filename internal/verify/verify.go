@@ -272,8 +272,6 @@ func (c *Cache) Stats() CacheStats {
 // loop resumes only after Run returns).
 type Pool struct {
 	workers int
-
-	batches atomic.Uint64
 	tasks   atomic.Uint64
 }
 
@@ -304,7 +302,6 @@ func (p *Pool) Run(n int, fn func(i int)) {
 		return
 	}
 	if p != nil {
-		p.batches.Add(1)
 		p.tasks.Add(uint64(n))
 	}
 	w := p.Workers()
@@ -338,18 +335,16 @@ func (p *Pool) Run(n int, fn func(i int)) {
 // PoolStats is a point-in-time snapshot of pool utilization.
 type PoolStats struct {
 	Workers int
-	Batches uint64
 	Tasks   uint64
 }
 
-// Stats snapshots the batch/task counters.
+// Stats snapshots the task counter.
 func (p *Pool) Stats() PoolStats {
 	if p == nil {
 		return PoolStats{Workers: 1}
 	}
 	return PoolStats{
 		Workers: p.workers,
-		Batches: p.batches.Load(),
 		Tasks:   p.tasks.Load(),
 	}
 }
@@ -392,8 +387,6 @@ type instruments struct {
 	hits    *obs.Counter
 	misses  *obs.Counter
 	entries *obs.Gauge
-	workers *obs.Gauge
-	batches *obs.Counter
 	tasks   *obs.Counter
 
 	mu   sync.Mutex
@@ -402,7 +395,7 @@ type instruments struct {
 }
 
 // SetObs registers the pipeline's metrics on reg: cache hits/misses and
-// resident entries, pool width and cumulative batches/tasks. Counters are
+// resident entries, and cumulative pool tasks. Counters are
 // advanced by delta against the last snapshot so SetObs may be called
 // after the verifier has already been in use.
 func (v *Verifier) SetObs(reg *obs.Registry) {
@@ -413,11 +406,8 @@ func (v *Verifier) SetObs(reg *obs.Registry) {
 		hits:    reg.Counter("verify_cache_hits_total", "Signature verification cache hits."),
 		misses:  reg.Counter("verify_cache_misses_total", "Signature verification cache misses."),
 		entries: reg.Gauge("verify_cache_entries", "Resident signature verification cache entries."),
-		workers: reg.Gauge("verify_pool_workers", "Configured verification pool width."),
-		batches: reg.Counter("verify_pool_batches_total", "Parallel-for batches run by the verification pool."),
 		tasks:   reg.Counter("verify_pool_tasks_total", "Tasks executed by the verification pool."),
 	}
-	v.ins.workers.Set(float64(v.Pool.Workers()))
 	v.ins.observe(v)
 }
 
@@ -433,7 +423,6 @@ func (ins *instruments) observe(v *Verifier) {
 	ins.hits.Add(float64(cs.Hits - ins.last.Hits))
 	ins.misses.Add(float64(cs.Misses - ins.last.Misses))
 	ins.entries.Set(float64(cs.Entries))
-	ins.batches.Add(float64(ps.Batches - ins.pool.Batches))
 	ins.tasks.Add(float64(ps.Tasks - ins.pool.Tasks))
 	ins.last = cs
 	ins.pool = ps

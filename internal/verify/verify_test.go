@@ -180,9 +180,6 @@ func TestVerifierObs(t *testing.T) {
 	if got := reg.Gauge("verify_cache_entries", "").Value(); got != 1 {
 		t.Fatalf("verify_cache_entries = %v, want 1", got)
 	}
-	if got := reg.Gauge("verify_pool_workers", "").Value(); got != 2 {
-		t.Fatalf("verify_pool_workers = %v, want 2", got)
-	}
 	if got := reg.Counter("verify_pool_tasks_total", "").Value(); got != 4 {
 		t.Fatalf("verify_pool_tasks_total = %v, want 4", got)
 	}
