@@ -129,6 +129,8 @@ fuzz:
 	$(GO) test ./internal/xdr/ -run '^$$' -fuzz '^FuzzQuorumSetDecodeRoundTrip$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ledger/ -run '^$$' -fuzz '^FuzzCheckSignatures$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/transport/ -run '^$$' -fuzz '^FuzzFrameDecode$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/ledger/ -run '^$$' -fuzz '^FuzzTxSetRefResolve$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/bucket/disk/ -run '^$$' -fuzz '^FuzzBucketFile$$' -fuzztime $(FUZZTIME)
 
 # bench-micro regenerates BENCH_micro.json from one pass of the
 # microbenchmarks.

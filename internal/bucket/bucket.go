@@ -11,10 +11,11 @@
 package bucket
 
 import (
-	"crypto/sha256"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
+	"strings"
 
 	"stellar/internal/ledger"
 	"stellar/internal/stellarcrypto"
@@ -32,41 +33,26 @@ type Bucket struct {
 	hash    stellarcrypto.Hash
 }
 
-// NewBucket builds a bucket from entries (which must not contain duplicate
-// keys; they will be sorted).
+// NewBucket builds a bucket from entries with distinct keys, in any order.
 func NewBucket(entries []Entry) *Bucket {
-	es := append([]Entry(nil), entries...)
-	sort.Slice(es, func(i, j int) bool { return es[i].Key < es[j].Key })
-	b := &Bucket{entries: es}
-	b.rehash()
+	b, err := ReadBucket(NewSliceReader(sortedCopy(entries)))
+	if err != nil {
+		panic(fmt.Sprintf("bucket: NewBucket: %v", err)) // only a repeated key fails
+	}
 	return b
+}
+
+// sortedCopy returns entries in key order, leaving the caller's slice as is.
+func sortedCopy(entries []Entry) []Entry {
+	es := slices.Clone(entries)
+	slices.SortFunc(es, func(a, b Entry) int { return strings.Compare(a.Key, b.Key) })
+	return es
 }
 
 var emptyBucket = NewBucket(nil)
 
 // EmptyBucket returns the canonical empty bucket.
 func EmptyBucket() *Bucket { return emptyBucket }
-
-// rehashChunk is how many bytes of entry encodings rehash gathers before
-// handing them to SHA-256: the whole encoding never exists at once.
-const rehashChunk = 4 << 10
-
-// rehash streams the entries' canonical encodings through SHA-256, as the
-// disk store's writer does, so hashing a bucket costs one small buffer
-// rather than a copy of the bucket.
-func (b *Bucket) rehash() {
-	h := sha256.New()
-	e := xdr.NewEncoder(rehashChunk + 256)
-	for _, entry := range b.entries {
-		AppendEntryEncoding(e, entry)
-		if e.Len() >= rehashChunk {
-			h.Write(e.Bytes())
-			e.Reset()
-		}
-	}
-	h.Write(e.Bytes())
-	h.Sum(b.hash[:0])
-}
 
 // Hash returns the bucket's content hash.
 func (b *Bucket) Hash() stellarcrypto.Hash { return b.hash }
@@ -79,52 +65,6 @@ func (b *Bucket) Empty() bool { return len(b.entries) == 0 }
 
 // Entries exposes the sorted entries; callers must not mutate them.
 func (b *Bucket) Entries() []Entry { return b.entries }
-
-// Get looks up a key, reporting (entry, found). Binary search; used only
-// by reconciliation and state restore, never transaction processing.
-func (b *Bucket) Get(key string) (Entry, bool) {
-	i := sort.Search(len(b.entries), func(i int) bool { return b.entries[i].Key >= key })
-	if i < len(b.entries) && b.entries[i].Key == key {
-		return b.entries[i], true
-	}
-	return Entry{}, false
-}
-
-// Merge combines newer onto older: for duplicate keys the newer entry
-// shadows the older one. When keepTombstones is false (merging into the
-// bottom level), deletions annihilate entirely.
-func Merge(newer, older *Bucket, keepTombstones bool) *Bucket {
-	out := make([]Entry, 0, len(newer.entries)+len(older.entries))
-	i, j := 0, 0
-	for i < len(newer.entries) || j < len(older.entries) {
-		var e Entry
-		switch {
-		case j >= len(older.entries):
-			e = newer.entries[i]
-			i++
-		case i >= len(newer.entries):
-			e = older.entries[j]
-			j++
-		case newer.entries[i].Key < older.entries[j].Key:
-			e = newer.entries[i]
-			i++
-		case newer.entries[i].Key > older.entries[j].Key:
-			e = older.entries[j]
-			j++
-		default: // same key: newer shadows older
-			e = newer.entries[i]
-			i++
-			j++
-		}
-		if e.Data == nil && !keepTombstones {
-			continue
-		}
-		out = append(out, e)
-	}
-	b := &Bucket{entries: out}
-	b.rehash()
-	return b
-}
 
 // NumLevels is the depth of the bucket list. With fanout 4 and two buckets
 // per level, level i covers ~2·4^i ledgers; 9 levels span ~10^5 ledgers of
@@ -231,18 +171,6 @@ func (l *List) slotBucket(s slot) (*Bucket, error) {
 	return l.store.Load(s.hash)
 }
 
-// mustBucket is slotBucket for the internal paths with no error channel
-// (Get, AllLive). A store read failing means the node's own durable state
-// is unreadable — there is no useful way to continue, so it panics, like
-// an I/O error inside a database engine's page read.
-func (l *List) mustBucket(s slot) *Bucket {
-	b, err := l.slotBucket(s)
-	if err != nil {
-		panic(fmt.Sprintf("bucket: reading spilled bucket %s: %v", s.hash.Hex(), err))
-	}
-	return b
-}
-
 // half returns the spill period of a level in ledgers.
 func half(i int) uint32 {
 	h := uint32(2)
@@ -256,8 +184,9 @@ func half(i int) uint32 {
 // the sequential path.
 func (l *List) SetPool(p *verify.Pool) { l.pool = p }
 
-// AddBatch ingests the entries changed by ledger ledgerSeq, spilling
-// levels whose period has elapsed, and recomputes the cumulative hash.
+// AddBatch ingests the entries changed by ledger ledgerSeq (distinct keys,
+// in any order), spilling levels whose period has elapsed, and recomputes
+// the cumulative hash.
 //
 // The sequential formulation spills from the deepest level upward, each
 // spill merging level i's snap onto level i+1's curr. Those merges are
@@ -270,7 +199,8 @@ func (l *List) SetPool(p *verify.Pool) { l.pool = p }
 // that: it captures every job's inputs up front, runs the jobs (on the
 // pool when attached), then installs results exactly as the sequential
 // loop would. Buckets are immutable once built, so sharing them across
-// jobs is safe.
+// jobs is safe. Level 0's ingest of the changed entries is one more job of
+// the same shape, merging them onto level 0's curr.
 func (l *List) AddBatch(ledgerSeq uint32, changed []Entry) {
 	var spills [NumLevels]bool
 	for i := 0; i <= NumLevels-2; i++ {
@@ -291,23 +221,14 @@ func (l *List) AddBatch(ledgerSeq uint32, changed []Entry) {
 			older = memSlot(emptyBucket)
 		}
 		keepTombstones := i+1 < NumLevels-1
-		if l.spilledLevel(i + 1) {
-			// Deep-level merge: stream both inputs through the store's
-			// writer so the output never materializes in memory. The
-			// incremental hash over the canonical entry encodings equals
-			// the in-memory Merge+rehash result by construction.
-			jobs = append(jobs, func() error {
-				s, err := l.mergeToStore(newer, older, keepTombstones)
-				if err != nil {
-					return fmt.Errorf("level %d spill: %w", i, err)
-				}
-				merged[i] = s
-				return nil
-			})
-			continue
-		}
 		jobs = append(jobs, func() error {
-			merged[i] = memSlot(Merge(newer.mem, older.mem, keepTombstones))
+			nr, err := l.slotReader(newer)
+			if err == nil {
+				merged[i], err = l.merge(nr, newer.n, older, keepTombstones, l.spilledLevel(i+1))
+			}
+			if err != nil {
+				return fmt.Errorf("level %d spill: %w", i, err)
+			}
 			return nil
 		})
 	}
@@ -316,9 +237,10 @@ func (l *List) AddBatch(ledgerSeq uint32, changed []Entry) {
 		if spills[0] {
 			older = memSlot(emptyBucket)
 		}
-		jobs = append(jobs, func() error {
-			ingested = memSlot(Merge(NewBucket(changed), older.mem, true))
-			return nil
+		jobs = append(jobs, func() (err error) {
+			batch := sortedCopy(changed)
+			ingested, err = l.merge(NewSliceReader(batch), len(batch), older, true, false)
+			return err
 		})
 	}
 	errs := make([]error, len(jobs))
@@ -351,34 +273,39 @@ func (l *List) AddBatch(ledgerSeq uint32, changed []Entry) {
 	l.rehash()
 }
 
-// mergeToStore streams a spill merge into the store, returning the
-// resulting slot. Empty results stay resident as the canonical empty
-// bucket (whose hash a zero-entry stream also produces) so no file is
-// written for them.
-func (l *List) mergeToStore(newer, older slot, keepTombstones bool) (slot, error) {
-	nr, err := l.slotReader(newer)
-	if err != nil {
-		return slot{}, err
-	}
-	defer nr.Close()
+// merge streams newer (n entries, closed when done) onto older into a new
+// slot: a file of the store when spilled, a resident bucket otherwise.
+// Every bucket AddBatch installs is built here, and an empty result is the
+// canonical empty bucket, for which no file is written.
+func (l *List) merge(newer EntryReader, n int, older slot, keepTombstones, spilled bool) (slot, error) {
+	defer newer.Close()
 	or, err := l.slotReader(older)
 	if err != nil {
 		return slot{}, err
 	}
 	defer or.Close()
-	w := l.store.Writer()
-	if err := MergeStreams(nr, or, keepTombstones, w); err != nil {
+	var mem *memWriter
+	var w BucketWriter
+	if spilled {
+		w = l.store.Writer()
+	} else {
+		mem = newMemWriter(n + older.n)
+		w = mem
+	}
+	if err := MergeStreams(newer, or, keepTombstones, w); err != nil {
 		w.Abort()
 		return slot{}, err
 	}
-	h, n, err := w.Commit()
-	if err != nil {
+	h, count, err := w.Commit()
+	switch {
+	case err != nil:
 		return slot{}, err
-	}
-	if n == 0 {
+	case count == 0:
 		return memSlot(emptyBucket), nil
+	case mem != nil:
+		return memSlot(mem.bucket), nil
 	}
-	return slot{hash: h, n: n}, nil
+	return slot{hash: h, n: count}, nil
 }
 
 // rehash recomputes the cumulative list hash from the per-bucket hashes.
@@ -447,22 +374,6 @@ func (l *List) SetBucket(levelIdx int, snap bool, b *Bucket) error {
 	return nil
 }
 
-// Get returns the newest version of a key across all levels, reporting
-// whether it is live ((entry,true)), deleted, or absent ((_, false)).
-// Spilled buckets are decoded from the store on every call; Get stays off
-// the transaction hot path (reconciliation and tests only).
-func (l *List) Get(key string) (Entry, bool) {
-	for i := range l.levels {
-		if e, ok := l.mustBucket(l.levels[i].curr).Get(key); ok {
-			return e, e.Data != nil
-		}
-		if e, ok := l.mustBucket(l.levels[i].snap).Get(key); ok {
-			return e, e.Data != nil
-		}
-	}
-	return Entry{}, false
-}
-
 // AllLive returns every live entry, newest version winning, sorted by key.
 // Used to restore full ledger state from an archived bucket list. Spilled
 // buckets are streamed, so peak memory is the live set plus one bucket's
@@ -498,35 +409,5 @@ func (l *List) AllLive() []Entry {
 		scan(l.levels[i].snap)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
-}
-
-// TotalEntries counts entries across all buckets (tombstones included),
-// a measure of bucket merge workload (experiment E3's overhead driver).
-func (l *List) TotalEntries() int {
-	n := 0
-	for i := range l.levels {
-		n += l.levels[i].curr.n + l.levels[i].snap.n
-	}
-	return n
-}
-
-// DiffHashes compares two bucket-hash indexes and returns the positions
-// that differ — reconciliation after disconnection downloads only those
-// buckets (§5.1).
-func DiffHashes(a, b []stellarcrypto.Hash) []int {
-	var out []int
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			out = append(out, i)
-		}
-	}
-	for i := n; i < len(a) || i < len(b); i++ {
-		out = append(out, i)
-	}
 	return out
 }

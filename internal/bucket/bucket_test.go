@@ -1,8 +1,11 @@
 package bucket
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -37,44 +40,92 @@ func TestBucketSortedAndHashed(t *testing.T) {
 	}
 }
 
-func TestBucketGet(t *testing.T) {
-	b := NewBucket([]Entry{e("a", "1"), e("c", "3")})
-	if got, ok := b.Get("a"); !ok || string(got.Data) != "1" {
-		t.Fatal("Get(a) wrong")
+// mergeBuckets runs the list's one merge over two resident buckets.
+func mergeBuckets(t *testing.T, newer, older *Bucket, keepTombstones bool) *Bucket {
+	t.Helper()
+	w := newMemWriter(0)
+	if err := MergeStreams(NewSliceReader(newer.Entries()), NewSliceReader(older.Entries()), keepTombstones, w); err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := b.Get("b"); ok {
-		t.Fatal("Get(b) found phantom")
+	if _, _, err := w.Commit(); err != nil {
+		t.Fatal(err)
 	}
+	return w.bucket
 }
 
 func TestMergeNewerShadows(t *testing.T) {
 	older := NewBucket([]Entry{e("a", "old"), e("b", "keep")})
 	newer := NewBucket([]Entry{e("a", "new"), e("c", "add")})
-	m := Merge(newer, older, true)
-	if got, _ := m.Get("a"); string(got.Data) != "new" {
-		t.Fatal("newer did not shadow")
-	}
-	if got, _ := m.Get("b"); string(got.Data) != "keep" {
-		t.Fatal("older-only entry lost")
-	}
-	if m.Len() != 3 {
-		t.Fatalf("merged len = %d", m.Len())
+	m := mergeBuckets(t, newer, older, true)
+	if want := []Entry{e("a", "new"), e("b", "keep"), e("c", "add")}; !reflect.DeepEqual(m.Entries(), want) {
+		t.Fatalf("merged %v, want %v", m.Entries(), want)
 	}
 }
 
 func TestMergeTombstones(t *testing.T) {
 	older := NewBucket([]Entry{e("a", "1"), e("b", "2")})
 	newer := NewBucket([]Entry{e("a", "")}) // tombstone
-	kept := Merge(newer, older, true)
-	if got, ok := kept.Get("a"); !ok || got.Data != nil {
-		t.Fatal("tombstone not preserved with keepTombstones")
+	if kept := mergeBuckets(t, newer, older, true); !reflect.DeepEqual(kept.Entries(), []Entry{e("a", ""), e("b", "2")}) {
+		t.Fatalf("with keepTombstones merged %v", kept.Entries())
 	}
-	dropped := Merge(newer, older, false)
-	if _, ok := dropped.Get("a"); ok {
-		t.Fatal("tombstone not annihilated at bottom level")
+	if dropped := mergeBuckets(t, newer, older, false); !reflect.DeepEqual(dropped.Entries(), []Entry{e("b", "2")}) {
+		t.Fatalf("at the bottom level merged %v", dropped.Entries())
 	}
-	if got, ok := dropped.Get("b"); !ok || string(got.Data) != "2" {
-		t.Fatal("unrelated entry lost at bottom merge")
+}
+
+// TestMergeMatchesMapModel: over seeded random newer and older buckets with
+// tombstones and empty payloads, the merge's entries and content hash are
+// those of a map model in which the newest version of a key wins and
+// tombstones are dropped only when merging into the bottom level.
+func TestMergeMatchesMapModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(38))
+	randomEntries := func() map[string]Entry {
+		m := map[string]Entry{}
+		for n := rng.Intn(120); len(m) < n; {
+			key := fmt.Sprintf("k%03d", rng.Intn(200))
+			switch rng.Intn(6) {
+			case 0:
+				m[key] = Entry{Key: key} // tombstone
+			case 1:
+				m[key] = Entry{Key: key, Data: []byte{}}
+			default:
+				m[key] = Entry{Key: key, Data: []byte(fmt.Sprintf("v%d", rng.Int63()))}
+			}
+		}
+		return m
+	}
+	bucketOf := func(m map[string]Entry) *Bucket {
+		var es []Entry
+		for _, en := range m {
+			es = append(es, en)
+		}
+		return NewBucket(es)
+	}
+	for i := 0; i < 300; i++ {
+		newerM, olderM := randomEntries(), randomEntries()
+		newer, older := bucketOf(newerM), bucketOf(olderM)
+		for _, keep := range []bool{true, false} {
+			model := map[string]Entry{}
+			for k, en := range olderM {
+				model[k] = en
+			}
+			for k, en := range newerM {
+				model[k] = en
+			}
+			for k, en := range model {
+				if en.Data == nil && !keep {
+					delete(model, k)
+				}
+			}
+			want := bucketOf(model)
+			got := mergeBuckets(t, newer, older, keep)
+			if !reflect.DeepEqual(got.Entries(), want.Entries()) {
+				t.Fatalf("case %d keepTombstones=%v: merged %d entries, the model %d", i, keep, got.Len(), want.Len())
+			}
+			if got.Hash() != oneBufferHash(want) {
+				t.Fatalf("case %d keepTombstones=%v: merged hash %s, the model's %s", i, keep, got.Hash().Hex(), oneBufferHash(want).Hex())
+			}
+		}
 	}
 }
 
@@ -84,14 +135,24 @@ func TestEmptyBucket(t *testing.T) {
 	}
 }
 
+// get returns a key's live entry, reporting whether there is one.
+func get(l *List, key string) (Entry, bool) {
+	for _, en := range l.AllLive() {
+		if en.Key == key {
+			return en, true
+		}
+	}
+	return Entry{}, false
+}
+
 func TestListAddBatchAndGet(t *testing.T) {
 	l := NewList()
 	l.AddBatch(1, []Entry{e("x", "1")})
-	if got, ok := l.Get("x"); !ok || string(got.Data) != "1" {
+	if got, ok := get(l, "x"); !ok || string(got.Data) != "1" {
 		t.Fatal("entry not visible after AddBatch")
 	}
 	l.AddBatch(2, []Entry{e("x", "2")})
-	if got, _ := l.Get("x"); string(got.Data) != "2" {
+	if got, _ := get(l, "x"); string(got.Data) != "2" {
 		t.Fatal("newer version not returned")
 	}
 }
@@ -100,7 +161,7 @@ func TestListDeletionVisible(t *testing.T) {
 	l := NewList()
 	l.AddBatch(1, []Entry{e("x", "1")})
 	l.AddBatch(2, []Entry{e("x", "")})
-	if _, live := l.Get("x"); live {
+	if _, live := get(l, "x"); live {
 		t.Fatal("deleted entry still live")
 	}
 }
@@ -129,7 +190,7 @@ func TestListSpillsKeepAllEntries(t *testing.T) {
 	}
 	for seq := uint32(1); seq <= 200; seq++ {
 		key := fmt.Sprintf("key-%03d", seq)
-		got, live := l.Get(key)
+		got, live := get(l, key)
 		if !live || string(got.Data) != fmt.Sprintf("v%d", seq) {
 			t.Fatalf("key %s lost after spills (live=%v)", key, live)
 		}
@@ -150,7 +211,7 @@ func TestListUpdatesShadowAcrossLevels(t *testing.T) {
 		l.AddBatch(seq, nil)
 	}
 	l.AddBatch(65, []Entry{e("k", "new")})
-	if got, _ := l.Get("k"); string(got.Data) != "new" {
+	if got, _ := get(l, "k"); string(got.Data) != "new" {
 		t.Fatalf("stale version returned: %q", got.Data)
 	}
 	live := l.AllLive()
@@ -205,16 +266,29 @@ func TestRestoreEquivalence(t *testing.T) {
 	}
 }
 
+// differing lists the positions at which two lists' bucket hashes differ:
+// the buckets reconciliation after a disconnection downloads (§5.1).
+func differing(a, b *List) []int {
+	var out []int
+	bh := b.BucketHashes()
+	for i, h := range a.BucketHashes() {
+		if h != bh[i] {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
 func TestDiffHashes(t *testing.T) {
 	l1 := NewList()
 	l2 := NewList()
 	l1.AddBatch(1, []Entry{e("x", "1")})
 	l2.AddBatch(1, []Entry{e("x", "1")})
-	if d := DiffHashes(l1.BucketHashes(), l2.BucketHashes()); len(d) != 0 {
+	if d := differing(l1, l2); len(d) != 0 {
 		t.Fatalf("identical lists differ: %v", d)
 	}
 	l2.AddBatch(2, []Entry{e("y", "2")})
-	d := DiffHashes(l1.BucketHashes(), l2.BucketHashes())
+	d := differing(l1, l2)
 	if len(d) == 0 {
 		t.Fatal("diverged lists report no diff")
 	}
@@ -238,7 +312,7 @@ func TestReconcileViaDiff(t *testing.T) {
 		}
 	}
 	// stale stopped at 30; copy differing buckets from fresh.
-	diff := DiffHashes(stale.BucketHashes(), fresh.BucketHashes())
+	diff := differing(stale, fresh)
 	if len(diff) == 0 {
 		t.Fatal("no diff detected")
 	}
@@ -355,12 +429,12 @@ func TestAddBatchParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// oneBufferHash is the rehash this package used before it streamed: the
-// whole concatenated encoding in one buffer, hashed at once.
+// oneBufferHash is the content hash computed the plain way: the whole
+// concatenated encoding in one buffer, hashed at once.
 func oneBufferHash(b *Bucket) stellarcrypto.Hash {
 	e := xdr.NewEncoder(64 * len(b.entries))
 	for _, entry := range b.entries {
-		AppendEntryEncoding(e, entry)
+		encodeEntry(e, entry)
 	}
 	return stellarcrypto.HashBytes(e.Bytes())
 }
@@ -431,7 +505,6 @@ func TestStoreBackedListHoldsOnlyLevelZero(t *testing.T) {
 				out = append(out, e(key, fmt.Sprintf("v%d", seq)))
 			}
 		}
-		SortEntries(out)
 		return out
 	}
 	for seq := uint32(1); seq <= 640; seq++ {
@@ -461,5 +534,67 @@ func TestStoreBackedListHoldsOnlyLevelZero(t *testing.T) {
 	}
 	if len(store.m) == 0 {
 		t.Fatal("setup: the store holds no bucket")
+	}
+}
+
+// TestEntryDecoderReadsOnlyWhatTheEncoderWrites: the decoder returns an
+// encoder's entries as they went in, tombstones and empty payloads
+// distinct, and refuses encodings the encoder cannot produce.
+func TestEntryDecoderReadsOnlyWhatTheEncoderWrites(t *testing.T) {
+	decode := func(region []byte) ([]Entry, error) {
+		d := NewEntryDecoder(bytes.NewReader(region), int64(len(region)))
+		var out []Entry
+		for {
+			en, err := d.Next()
+			if err == io.EOF {
+				return out, nil
+			}
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, en)
+		}
+	}
+	in := []Entry{e("a", "1"), e("bb", ""), {Key: "ccc", Data: []byte{}}, e("dddd", "four")}
+	var region bytes.Buffer
+	enc := NewEntryEncoder(&region)
+	for _, en := range in {
+		if err := enc.Append(en); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, err := enc.Sum(); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := decode(region.Bytes()); err != nil || !reflect.DeepEqual(got, in) {
+		t.Fatalf("round trip gave %v, %v", got, err)
+	}
+
+	raw := func(entries ...Entry) []byte {
+		x := xdr.NewEncoder(64)
+		for _, en := range entries {
+			encodeEntry(x, en)
+		}
+		return x.Bytes()
+	}
+	padded := raw(e("a", "1"))
+	padded[5] = 1 // the key's padding
+	flag := raw(e("a", ""))
+	flag[11] = 2 // the presence flag
+	for name, region := range map[string][]byte{
+		"keys out of order":  raw(e("b", "1"), e("a", "2")),
+		"a repeated key":     raw(e("a", "1"), e("a", "2")),
+		"nonzero padding":    padded,
+		"presence flag 2":    flag,
+		"cut inside a field": raw(e("abc", "data"))[:10],
+		"a length past the end": func() []byte {
+			b := raw(e("a", "1"))
+			b[3] = 200
+			return b
+		}(),
+	} {
+		if got, err := decode(region); err == nil {
+			t.Errorf("%s: decoded %v", name, got)
+		}
 	}
 }

@@ -11,12 +11,13 @@
 //	magic "STLRBKT1" ‖ sha256(payload) ‖ payload
 //	payload = version u32 ‖ entry encodings ‖ count u32
 //
-// where each entry encoding is bucket.AppendEntryEncoding's canonical
-// form — exactly the unit the bucket content hash is defined over. The
-// bucket hash is therefore sha256 of the entry region, computable
-// incrementally while writing, and byte-identical to the in-memory
-// Bucket.Hash() by construction. The entry count rides as a trailer, not
-// a header, so a single forward pass suffices to write the file.
+// where the entry region is written by a bucket.EntryEncoder and read by a
+// bucket.EntryDecoder: the canonical entry encodings the bucket content
+// hash is defined over, so the bucket hash is sha256 of the entry region,
+// computed while writing, and byte-identical to the in-memory Bucket.Hash()
+// by construction. This package owns only the framing around it. The entry
+// count rides as a trailer, not a header, so a single forward pass suffices
+// to write the file.
 package disk
 
 import (
@@ -46,10 +47,6 @@ const headerLen = len(Magic) + sha256.Size
 
 // readBufferSize is the chunk size of streaming reads.
 const readBufferSize = 256 << 10
-
-// maxFieldLen bounds a single key or entry payload while decoding, so a
-// corrupt length prefix cannot demand an absurd allocation.
-const maxFieldLen = 64 << 20
 
 // Store is a directory of content-addressed bucket files.
 type Store struct {
@@ -117,24 +114,7 @@ func (s *Store) Load(h stellarcrypto.Hash) (*bucket.Bucket, error) {
 		return nil, err
 	}
 	defer r.Close()
-	var entries []bucket.Entry
-	for {
-		e, err := r.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		entries = append(entries, e)
-	}
-	b := bucket.NewBucket(entries)
-	if b.Hash() != h {
-		// The streaming reader already verified the content hash; this
-		// re-check guards the decode→rebuild round trip itself.
-		return nil, fmt.Errorf("disk: bucket %s decoded to hash %s", h.Hex(), b.Hash().Hex())
-	}
-	return b, nil
+	return bucket.ReadBucket(r)
 }
 
 const tmpPrefix = ".tmp-bucket-"
@@ -148,35 +128,9 @@ type fileWriter struct {
 	store   *Store
 	f       *os.File
 	bw      *bufio.Writer
-	fileSum hash.Hash // over the whole payload
-	content hash.Hash // over the entry region only (the bucket hash)
-	enc     entryEncoder
-	count   int
-	lastKey string
+	fileSum hash.Hash            // over the whole payload
+	entries *bucket.EntryEncoder // the entry region and the bucket hash
 	err     error
-}
-
-// entryEncoder reuses one buffer for per-entry canonical encodings.
-type entryEncoder struct{ buf []byte }
-
-func (ee *entryEncoder) encode(e bucket.Entry) []byte {
-	ee.buf = ee.buf[:0]
-	ee.buf = binary.BigEndian.AppendUint32(ee.buf, uint32(len(e.Key)))
-	ee.buf = append(ee.buf, e.Key...)
-	for pad := (4 - len(e.Key)%4) % 4; pad > 0; pad-- {
-		ee.buf = append(ee.buf, 0)
-	}
-	if e.Data == nil {
-		ee.buf = binary.BigEndian.AppendUint32(ee.buf, 0)
-	} else {
-		ee.buf = binary.BigEndian.AppendUint32(ee.buf, 1)
-		ee.buf = binary.BigEndian.AppendUint32(ee.buf, uint32(len(e.Data)))
-		ee.buf = append(ee.buf, e.Data...)
-		for pad := (4 - len(e.Data)%4) % 4; pad > 0; pad-- {
-			ee.buf = append(ee.buf, 0)
-		}
-	}
-	return ee.buf
 }
 
 func (w *fileWriter) lazyInit() error {
@@ -191,7 +145,7 @@ func (w *fileWriter) lazyInit() error {
 	w.f = f
 	w.bw = bufio.NewWriterSize(f, readBufferSize)
 	w.fileSum = sha256.New()
-	w.content = sha256.New()
+	w.entries = bucket.NewEntryEncoder(io.MultiWriter(w.bw, w.fileSum))
 	var hdr [headerLen]byte
 	copy(hdr[:], Magic) // checksum bytes stay zero until Commit patches them
 	if _, err := w.bw.Write(hdr[:]); err != nil {
@@ -212,32 +166,17 @@ func (w *fileWriter) fail(err error) {
 	if w.err == nil {
 		w.err = fmt.Errorf("disk: write bucket: %w", err)
 	}
-	if w.f != nil {
-		name := w.f.Name()
-		w.f.Close()
-		_ = os.Remove(name)
-		w.f = nil
-	}
+	w.Abort()
 }
 
 func (w *fileWriter) Append(e bucket.Entry) error {
 	if err := w.lazyInit(); err != nil {
 		return err
 	}
-	if w.count > 0 && e.Key <= w.lastKey {
-		err := fmt.Errorf("disk: writer keys out of order (%q after %q)", e.Key, w.lastKey)
+	if err := w.entries.Append(e); err != nil {
 		w.fail(err)
 		return w.err
 	}
-	enc := w.enc.encode(e)
-	if _, err := w.bw.Write(enc); err != nil {
-		w.fail(err)
-		return w.err
-	}
-	w.fileSum.Write(enc)
-	w.content.Write(enc)
-	w.count++
-	w.lastKey = e.Key
 	return nil
 }
 
@@ -245,17 +184,19 @@ func (w *fileWriter) Commit() (stellarcrypto.Hash, int, error) {
 	if err := w.lazyInit(); err != nil {
 		return stellarcrypto.Hash{}, 0, err
 	}
-	if w.count == 0 {
+	h, count, err := w.entries.Sum()
+	if err != nil {
+		w.fail(err)
+		return stellarcrypto.Hash{}, 0, w.err
+	}
+	if count == 0 {
 		// The canonical empty bucket stays purely in memory; a zero-entry
 		// stream hashes to its hash with no file written.
-		name := w.f.Name()
-		w.f.Close()
-		_ = os.Remove(name)
-		w.f = nil
-		return bucket.EmptyBucket().Hash(), 0, nil
+		w.Abort()
+		return h, 0, nil
 	}
 	var trailer [4]byte
-	binary.BigEndian.PutUint32(trailer[:], uint32(w.count))
+	binary.BigEndian.PutUint32(trailer[:], uint32(count))
 	if _, err := w.bw.Write(trailer[:]); err != nil {
 		w.fail(err)
 		return stellarcrypto.Hash{}, 0, w.err
@@ -273,8 +214,6 @@ func (w *fileWriter) Commit() (stellarcrypto.Hash, int, error) {
 		w.fail(err)
 		return stellarcrypto.Hash{}, 0, w.err
 	}
-	var h stellarcrypto.Hash
-	copy(h[:], w.content.Sum(nil))
 	tmp := w.f.Name()
 	if err := w.f.Close(); err != nil {
 		_ = os.Remove(tmp)
@@ -286,7 +225,7 @@ func (w *fileWriter) Commit() (stellarcrypto.Hash, int, error) {
 		w.err = err
 		return stellarcrypto.Hash{}, 0, w.err
 	}
-	return h, w.count, nil
+	return h, count, nil
 }
 
 func (w *fileWriter) Abort() {
@@ -324,20 +263,8 @@ func (s *Store) Reader(h stellarcrypto.Hash) (bucket.EntryReader, error) {
 	if err != nil {
 		return nil, fmt.Errorf("disk: bucket %s: %w", h.Hex(), err)
 	}
-	st, err := f.Stat()
+	r, err := newFileReader(f, h)
 	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("disk: bucket %s: %w", h.Hex(), err)
-	}
-	r := &fileReader{
-		f:       f,
-		br:      bufio.NewReaderSize(f, readBufferSize),
-		want:    h,
-		size:    st.Size(),
-		fileSum: sha256.New(),
-		content: sha256.New(),
-	}
-	if err := r.readHeader(); err != nil {
 		f.Close()
 		return nil, err
 	}
@@ -348,97 +275,53 @@ type fileReader struct {
 	f       *os.File
 	br      *bufio.Reader
 	want    stellarcrypto.Hash
-	size    int64
-	pos     int64 // absolute file offset consumed so far
 	stored  [sha256.Size]byte
 	fileSum hash.Hash
 	content hash.Hash
+	entries *bucket.EntryDecoder
 	count   int
 	done    bool
 	err     error
+}
+
+// newFileReader reads f's header and positions it at the entry region.
+func newFileReader(f *os.File, h stellarcrypto.Hash) (*fileReader, error) {
+	st, err := f.Stat()
+	if err != nil {
+		return nil, fmt.Errorf("disk: bucket %s: %w", h.Hex(), err)
+	}
+	r := &fileReader{
+		f:       f,
+		br:      bufio.NewReaderSize(f, readBufferSize),
+		want:    h,
+		fileSum: sha256.New(),
+		content: sha256.New(),
+	}
+	const framing = int64(headerLen + 8) // header + version + count trailer
+	if st.Size() < framing {
+		return nil, r.corrupt("%d bytes is too short", st.Size())
+	}
+	var hdr [headerLen + 4]byte
+	if _, err := io.ReadFull(r.br, hdr[:]); err != nil {
+		return nil, r.corrupt("%v", err)
+	}
+	if string(hdr[:len(Magic)]) != Magic {
+		return nil, r.corrupt("bad magic")
+	}
+	copy(r.stored[:], hdr[len(Magic):headerLen])
+	ver := hdr[headerLen:]
+	r.fileSum.Write(ver)
+	if v := binary.BigEndian.Uint32(ver); v != formatVersion {
+		return nil, r.corrupt("unsupported version %d", v)
+	}
+	r.entries = bucket.NewEntryDecoder(io.TeeReader(r.br, io.MultiWriter(r.fileSum, r.content)), st.Size()-framing)
+	return r, nil
 }
 
 func (r *fileReader) corrupt(format string, args ...any) error {
 	r.err = fmt.Errorf("disk: bucket %s: corrupted or truncated file: %s",
 		r.want.Hex(), fmt.Sprintf(format, args...))
 	return r.err
-}
-
-// readRaw consumes n bytes without hashing (the file header).
-func (r *fileReader) readRaw(buf []byte) error {
-	if _, err := io.ReadFull(r.br, buf); err != nil {
-		return r.corrupt("%v", err)
-	}
-	r.pos += int64(len(buf))
-	return nil
-}
-
-// readPayload consumes n bytes of payload, feeding the file checksum and
-// (when inContent) the content hash.
-func (r *fileReader) readPayload(buf []byte, inContent bool) error {
-	if _, err := io.ReadFull(r.br, buf); err != nil {
-		return r.corrupt("%v", err)
-	}
-	r.fileSum.Write(buf)
-	if inContent {
-		r.content.Write(buf)
-	}
-	r.pos += int64(len(buf))
-	return nil
-}
-
-func (r *fileReader) readHeader() error {
-	if r.size < int64(headerLen)+8 { // header + version + count trailer
-		return r.corrupt("%d bytes is too short", r.size)
-	}
-	var hdr [headerLen]byte
-	if err := r.readRaw(hdr[:]); err != nil {
-		return err
-	}
-	if string(hdr[:len(Magic)]) != Magic {
-		return r.corrupt("bad magic")
-	}
-	copy(r.stored[:], hdr[len(Magic):])
-	var ver [4]byte
-	if err := r.readPayload(ver[:], false); err != nil {
-		return err
-	}
-	if v := binary.BigEndian.Uint32(ver[:]); v != formatVersion {
-		return r.corrupt("unsupported version %d", v)
-	}
-	return nil
-}
-
-// entriesEnd is the file offset where the entry region stops (the count
-// trailer begins).
-func (r *fileReader) entriesEnd() int64 { return r.size - 4 }
-
-func (r *fileReader) u32(inContent bool) (uint32, error) {
-	var b [4]byte
-	if err := r.readPayload(b[:], inContent); err != nil {
-		return 0, err
-	}
-	return binary.BigEndian.Uint32(b[:]), nil
-}
-
-func (r *fileReader) opaque(n uint32) ([]byte, error) {
-	if n > maxFieldLen {
-		return nil, r.corrupt("field length %d too large", n)
-	}
-	padded := int64(n) + int64((4-n%4)%4)
-	if r.pos+padded > r.entriesEnd() {
-		return nil, r.corrupt("field runs past entry region")
-	}
-	buf := make([]byte, padded)
-	if err := r.readPayload(buf, true); err != nil {
-		return nil, err
-	}
-	for _, p := range buf[n:] {
-		if p != 0 {
-			return nil, r.corrupt("nonzero padding")
-		}
-	}
-	return buf[:n], nil
 }
 
 func (r *fileReader) Next() (bucket.Entry, error) {
@@ -448,37 +331,12 @@ func (r *fileReader) Next() (bucket.Entry, error) {
 	if r.done {
 		return bucket.Entry{}, io.EOF
 	}
-	if r.pos >= r.entriesEnd() {
+	e, err := r.entries.Next()
+	if err == io.EOF {
 		return bucket.Entry{}, r.finish()
 	}
-	klen, err := r.u32(true)
 	if err != nil {
-		return bucket.Entry{}, err
-	}
-	key, err := r.opaque(klen)
-	if err != nil {
-		return bucket.Entry{}, err
-	}
-	present, err := r.u32(true)
-	if err != nil {
-		return bucket.Entry{}, err
-	}
-	e := bucket.Entry{Key: string(key)}
-	switch present {
-	case 0:
-	case 1:
-		dlen, err := r.u32(true)
-		if err != nil {
-			return bucket.Entry{}, err
-		}
-		if e.Data, err = r.opaque(dlen); err != nil {
-			return bucket.Entry{}, err
-		}
-		if e.Data == nil {
-			e.Data = []byte{} // a present empty payload is not a tombstone
-		}
-	default:
-		return bucket.Entry{}, r.corrupt("bad presence flag %d", present)
+		return bucket.Entry{}, r.corrupt("%v", err)
 	}
 	r.count++
 	return e, nil
@@ -488,11 +346,12 @@ func (r *fileReader) Next() (bucket.Entry, error) {
 // io.EOF. Any mismatch surfaces as an error so a consumer can never
 // mistake a corrupt bucket for a complete one.
 func (r *fileReader) finish() error {
-	count, err := r.u32(false)
-	if err != nil {
-		return err
+	var trailer [4]byte
+	if _, err := io.ReadFull(r.br, trailer[:]); err != nil {
+		return r.corrupt("%v", err)
 	}
-	if int(count) != r.count {
+	r.fileSum.Write(trailer[:])
+	if count := binary.BigEndian.Uint32(trailer[:]); int(count) != r.count {
 		return r.corrupt("trailer count %d, read %d entries", count, r.count)
 	}
 	if !bytes.Equal(r.fileSum.Sum(nil), r.stored[:]) {
@@ -516,35 +375,20 @@ func (s *Store) Adopt(src string, h stellarcrypto.Hash) error {
 	if err != nil {
 		return fmt.Errorf("disk: adopt bucket: %w", err)
 	}
-	st, err := f.Stat()
+	defer f.Close()
+	r, err := newFileReader(f, h)
 	if err != nil {
-		f.Close()
-		return fmt.Errorf("disk: adopt bucket: %w", err)
-	}
-	r := &fileReader{
-		f:       f,
-		br:      bufio.NewReaderSize(f, readBufferSize),
-		want:    h,
-		size:    st.Size(),
-		fileSum: sha256.New(),
-		content: sha256.New(),
-	}
-	if err := r.readHeader(); err != nil {
-		f.Close()
 		return err
 	}
 	for {
 		if _, err := r.Next(); err == io.EOF {
 			break
 		} else if err != nil {
-			f.Close()
 			return err
 		}
 	}
 	if err := f.Sync(); err != nil {
-		f.Close()
 		return fmt.Errorf("disk: adopt bucket: %w", err)
 	}
-	f.Close()
 	return renameAndSyncDir(src, s.Path(h), s.dir)
 }

@@ -3,18 +3,15 @@ package bucket
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"stellar/internal/stellarcrypto"
-	"stellar/internal/xdr"
 )
 
-// Store is a content-addressed repository of immutable buckets. The two
-// implementations — MemStore here and the disk-backed store in
-// internal/bucket/disk — are interchangeable: a bucket's hash is defined
-// over its canonical entry encoding (AppendEntryEncoding), not over any
-// storage representation, so a List backed by either store produces
-// byte-identical level and snapshot hashes.
+// Store is a content-addressed repository of immutable buckets: the
+// disk-backed store in internal/bucket/disk, or MemStore in tests. Both
+// hash through EntryEncoder, so a bucket's hash is defined over its
+// canonical entry encoding, not over any storage representation, and a List
+// backed by either produces byte-identical level and snapshot hashes.
 type Store interface {
 	// Put persists a bucket; storing the same content twice is a no-op.
 	Put(b *Bucket) error
@@ -47,20 +44,6 @@ type BucketWriter interface {
 	Abort()
 }
 
-// AppendEntryEncoding appends one entry's canonical encoding to e. This is
-// the unit the bucket content hash is defined over: a bucket's hash is
-// SHA-256 of its entries' encodings concatenated in key order, which both
-// the in-memory rehash and the disk store's streaming writer compute.
-func AppendEntryEncoding(e *xdr.Encoder, entry Entry) {
-	e.PutString(entry.Key)
-	if entry.Data == nil {
-		e.PutBool(false)
-	} else {
-		e.PutBool(true)
-		e.PutBytes(entry.Data)
-	}
-}
-
 // sliceReader adapts an in-memory entry slice to EntryReader.
 type sliceReader struct {
 	entries []Entry
@@ -84,9 +67,58 @@ func (r *sliceReader) Next() (Entry, error) {
 
 func (r *sliceReader) Close() error { return nil }
 
-// MemStore is the in-memory Store: a map from hash to decoded bucket.
-// It exists for tests and for symmetry with the disk store; a List with
-// no store at all keeps buckets in its own level slots.
+// memWriter builds a resident bucket: it keeps the entries as appended and
+// hashes them as they come.
+type memWriter struct {
+	enc     *EntryEncoder
+	entries []Entry
+	bucket  *Bucket // set by Commit
+}
+
+// newMemWriter returns a writer with room for n entries.
+func newMemWriter(n int) *memWriter {
+	return &memWriter{enc: NewEntryEncoder(nil), entries: make([]Entry, 0, n)}
+}
+
+func (w *memWriter) Append(e Entry) error {
+	if err := w.enc.Append(e); err != nil {
+		return err
+	}
+	w.entries = append(w.entries, e)
+	return nil
+}
+
+func (w *memWriter) Commit() (stellarcrypto.Hash, int, error) {
+	h, n, err := w.enc.Sum()
+	w.bucket = &Bucket{entries: w.entries, hash: h}
+	return h, n, err
+}
+
+func (w *memWriter) Abort() { w.entries = nil }
+
+// ReadBucket decodes a whole stream into a resident bucket, hashing it as it
+// reads; the stream's keys must be strictly increasing.
+func ReadBucket(r EntryReader) (*Bucket, error) {
+	w := newMemWriter(0)
+	for {
+		e, err := r.Next()
+		if err == io.EOF {
+			break
+		}
+		if err == nil {
+			err = w.Append(e)
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	_, _, err := w.Commit()
+	return w.bucket, err
+}
+
+// MemStore is an in-memory Store, a fake for tests: a map from hash to a
+// bucket built by the same writer a list's resident merges use. A List
+// with no store at all keeps buckets in its own level slots.
 type MemStore struct {
 	m map[stellarcrypto.Hash]*Bucket
 }
@@ -126,31 +158,21 @@ func (s *MemStore) Has(h stellarcrypto.Hash) bool {
 	return ok
 }
 
-// Writer starts a streaming write into the store.
-func (s *MemStore) Writer() BucketWriter { return &memWriter{store: s} }
+// Writer starts a write whose Commit puts the bucket into the store.
+func (s *MemStore) Writer() BucketWriter { return memStoreWriter{newMemWriter(0), s} }
 
-type memWriter struct {
-	store   *MemStore
-	entries []Entry
+type memStoreWriter struct {
+	*memWriter
+	store *MemStore
 }
 
-func (w *memWriter) Append(e Entry) error {
-	if n := len(w.entries); n > 0 && e.Key <= w.entries[n-1].Key {
-		return fmt.Errorf("bucket: writer keys out of order (%q after %q)", e.Key, w.entries[n-1].Key)
+func (w memStoreWriter) Commit() (stellarcrypto.Hash, int, error) {
+	h, n, err := w.memWriter.Commit()
+	if err != nil {
+		return h, n, err
 	}
-	w.entries = append(w.entries, e)
-	return nil
+	return h, n, w.store.Put(w.bucket)
 }
-
-func (w *memWriter) Commit() (stellarcrypto.Hash, int, error) {
-	b := NewBucket(w.entries)
-	if err := w.store.Put(b); err != nil {
-		return stellarcrypto.Hash{}, 0, err
-	}
-	return b.Hash(), b.Len(), nil
-}
-
-func (w *memWriter) Abort() { w.entries = nil }
 
 // peekReader wraps an EntryReader with one-entry lookahead for merging.
 type peekReader struct {
@@ -159,12 +181,6 @@ type peekReader struct {
 	ok   bool
 	err  error
 	done bool
-}
-
-func newPeekReader(r EntryReader) *peekReader {
-	p := &peekReader{r: r}
-	p.advance()
-	return p
 }
 
 func (p *peekReader) advance() {
@@ -184,12 +200,16 @@ func (p *peekReader) advance() {
 	p.cur, p.ok = e, true
 }
 
-// MergeStreams merges the newer stream onto the older one into w with
-// exactly the semantics of Merge: duplicate keys resolve to the newer
-// entry, and tombstones annihilate when keepTombstones is false. Both
-// inputs must be in key order. The caller commits (or aborts) w.
+// MergeStreams merges the newer stream onto the older one into w: duplicate
+// keys resolve to the newer entry, and tombstones annihilate when
+// keepTombstones is false (merging into the bottom level). Both inputs must
+// be in key order. Every bucket a List builds comes out of it. The caller
+// commits (or aborts) w.
 func MergeStreams(newer, older EntryReader, keepTombstones bool, w BucketWriter) error {
-	nr, or := newPeekReader(newer), newPeekReader(older)
+	// The lookahead lives on the stack: no write barrier per entry.
+	nr, or := peekReader{r: newer}, peekReader{r: older}
+	nr.advance()
+	or.advance()
 	for nr.ok || or.ok {
 		var e Entry
 		switch {
@@ -221,9 +241,4 @@ func MergeStreams(newer, older EntryReader, keepTombstones bool, w BucketWriter)
 		return nr.err
 	}
 	return or.err
-}
-
-// SortEntries sorts entries into the canonical bucket key order.
-func SortEntries(entries []Entry) {
-	sort.Slice(entries, func(i, j int) bool { return entries[i].Key < entries[j].Key })
 }

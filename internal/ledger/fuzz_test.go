@@ -1,10 +1,13 @@
 package ledger
 
 import (
+	"bytes"
+	"fmt"
 	"testing"
 
 	"stellar/internal/stellarcrypto"
 	"stellar/internal/verify"
+	"stellar/internal/xdr"
 )
 
 // FuzzCheckSignatures holds the tentpole's core safety property under
@@ -148,6 +151,146 @@ func FuzzCheckSignatures(f *testing.F) {
 		if errRef != nil && (errRef.Error() != errCold.Error() || errRef.Error() != errWarm.Error()) {
 			t.Fatalf("error text diverges (flows into the results hash):\n ref:  %v\n cold: %v\n warm: %v",
 				errRef, errCold, errWarm)
+		}
+	})
+}
+
+// FuzzTxSetRefResolve holds proposals by reference to their promise under
+// arbitrary references and pools: a reference that resolves yields a set
+// that hashes to the reference's SetHash and is made of the pool's own
+// sealed instances, byte for byte the envelopes the digest names. A
+// reference either arrives as raw bytes through DecodeTxSetRefXDR or is
+// built from the input over a fixed set of transactions, listing known and
+// unknown hashes under an honest or a forged digest. The pool holds each
+// transaction as its own sealed copy, as a copy signed differently (same
+// hash, other bytes), unsealed, as another transaction, or not at all.
+func FuzzTxSetRefResolve(f *testing.F) {
+	nid := stellarcrypto.HashBytes([]byte("fuzz-txsetref-network"))
+	type variants struct{ own, resigned, unsealed *Transaction }
+	var txs []variants
+	for i := 0; i < 8; i++ {
+		kp := stellarcrypto.KeyPairFromString(fmt.Sprintf("fuzz-txsetref-%d", i%3))
+		tx := &Transaction{Source: AccountIDFromPublicKey(kp.Public), Fee: 100, SeqNum: uint64(i + 1),
+			Operations: []Operation{{Body: &BumpSequence{BumpTo: uint64(i)}}}}
+		tx.Sign(nid, kp)
+		own, err := DecodeSignedTransactionXDR(tx.MarshalSignedXDR())
+		if err != nil {
+			f.Fatal(err)
+		}
+		own.Seal(nid)
+		unsealed := &Transaction{Source: tx.Source, Fee: tx.Fee, SeqNum: tx.SeqNum, Operations: tx.Operations, Signatures: tx.Signatures}
+		resigned := &Transaction{Source: tx.Source, Fee: tx.Fee, SeqNum: tx.SeqNum, Operations: tx.Operations,
+			Signatures: []DecoratedSignature{tx.Signatures[0]}}
+		resigned.Signatures[0].Hint[0] ^= 0xff // no signature covers the hint
+		resigned.Seal(nid)
+		txs = append(txs, variants{own, resigned, unsealed})
+	}
+
+	honest := &TxSet{PrevLedgerHash: nid, Txs: []*Transaction{txs[2].own, txs[0].own, txs[5].own}}
+	e := xdr.NewEncoder(256)
+	honest.Ref(nid).EncodeXDR(e)
+	f.Add(bytes.Clone(e.Bytes()))
+	// Generated references: byte 0 the length, byte 1 the proposer's
+	// copies and digest, bytes 2–9 how the pool holds each transaction,
+	// byte 10 the previous ledger, bytes 11.. the listed transactions.
+	for _, seed := range [][]byte{
+		{3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2},    // three own copies, honest digest
+		{4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2, 7}, // four
+		{2, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1},       // the proposer signed one differently
+		{2, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1},       // ... and the pool holds that copy
+		{2, 0, 1, 2, 3, 4, 0, 0, 0, 0, 0, 0, 1},       // the pool holds odd copies
+		{3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xf3, 2}, // an unknown hash
+		{2, 4, 0, 0, 0, 0, 0, 0, 0, 0, 9, 0, 1},       // a forged digest
+		{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},             // the empty set
+		{3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1},    // a hash listed twice
+	} {
+		f.Add(seed)
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		at := func(i int) byte {
+			if i < len(data) {
+				return data[i]
+			}
+			return 0
+		}
+		pool := map[stellarcrypto.Hash]*Transaction{}
+		for j, v := range txs {
+			var held *Transaction
+			switch at(2+j) % 5 {
+			case 0:
+				held = v.own
+			case 1:
+				held = v.resigned
+			case 2:
+				held = v.unsealed
+			case 3:
+				held = txs[(j+1)%len(txs)].own
+			}
+			if held != nil {
+				pool[v.own.Hash(nid)] = held
+			}
+		}
+
+		d := xdr.NewDecoder(data)
+		ref, err := DecodeTxSetRefXDR(d)
+		if err != nil || !d.Done() {
+			ref = &TxSetRef{PrevLedgerHash: stellarcrypto.HashBytes([]byte{at(10)})}
+			var proposed []*Transaction
+			for i := 0; i < int(at(0)%12); i++ {
+				b := at(11 + i)
+				if b >= 0xf0 {
+					ref.TxHashes = append(ref.TxHashes, stellarcrypto.HashBytes([]byte{b, byte(i)}))
+					continue
+				}
+				tx := txs[int(b)%len(txs)].own
+				if at(1)&1 != 0 && i == 0 {
+					tx = txs[int(b)%len(txs)].resigned
+				}
+				ref.TxHashes = append(ref.TxHashes, tx.Hash(nid))
+				proposed = append(proposed, tx)
+			}
+			ref.EnvelopeDigest = envelopeDigest(proposed)
+			if at(1)&4 != 0 {
+				ref.EnvelopeDigest[0] ^= at(10) | 1
+			}
+		}
+
+		got := ref.Resolve(nid, func(h stellarcrypto.Hash) *Transaction { return pool[h] })
+		if got == nil {
+			return
+		}
+		if len(got.Txs) != len(ref.TxHashes) {
+			t.Fatalf("resolved %d transactions from a reference listing %d", len(got.Txs), len(ref.TxHashes))
+		}
+		for i, tx := range got.Txs {
+			if own := pool[ref.TxHashes[i]]; tx != own || tx.seal.wire == nil {
+				t.Fatalf("element %d is not the pool's own sealed instance", i)
+			}
+		}
+		if envelopeDigest(got.Txs) != ref.EnvelopeDigest {
+			t.Fatal("the resolved envelopes do not hash to the reference's digest")
+		}
+		// What the set encodes to is the pool's envelope bytes, and it
+		// hashes, decoded afresh, to the set the reference names.
+		enc := xdr.NewEncoder(1024)
+		got.EncodeXDR(enc)
+		want := xdr.NewEncoder(1024)
+		want.PutFixed(ref.PrevLedgerHash[:])
+		want.PutUint32(uint32(len(got.Txs)))
+		for _, h := range ref.TxHashes {
+			want.PutFixed(pool[h].seal.wire)
+		}
+		if !bytes.Equal(enc.Bytes(), want.Bytes()) {
+			t.Fatal("the resolved set does not encode to the pool's envelope bytes")
+		}
+		dd := xdr.NewDecoder(enc.Bytes())
+		fresh, err := DecodeTxSetXDR(dd)
+		if err != nil || !dd.Done() {
+			t.Fatalf("the resolved set does not decode: %v", err)
+		}
+		if fresh.Hash(nid) != ref.SetHash() || got.Hash(nid) != ref.SetHash() {
+			t.Fatalf("resolved set hashes to %s, the reference names %s", fresh.Hash(nid).Hex(), ref.SetHash().Hex())
 		}
 	})
 }
