@@ -131,6 +131,7 @@ fuzz:
 	$(GO) test ./internal/transport/ -run '^$$' -fuzz '^FuzzFrameDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/ledger/ -run '^$$' -fuzz '^FuzzTxSetRefResolve$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/bucket/disk/ -run '^$$' -fuzz '^FuzzBucketFile$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/mempool/ -run '^$$' -fuzz '^FuzzPoolOps$$' -fuzztime $(FUZZTIME)
 
 # bench-micro regenerates BENCH_micro.json from one pass of the
 # microbenchmarks.

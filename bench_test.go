@@ -411,7 +411,7 @@ func BenchmarkVerifierSteadyState(b *testing.B) {
 				if res := pool.Add(tx, h); !res.Outcome.Admitted() {
 					b.Fatal(res.Outcome)
 				}
-				pool.Prove(h, st, networkID)
+				pool.Prove(h, st, st.CheckAuth(tx, networkID))
 			}
 		}
 		b.StartTimer()
@@ -509,7 +509,7 @@ func BenchmarkTriggerBuild(b *testing.B) {
 				if res := pool.Add(tx, h); !res.Outcome.Admitted() {
 					b.Fatal(res.Outcome)
 				}
-				pool.Prove(h, st, networkID)
+				pool.Prove(h, st, st.CheckAuth(tx, networkID))
 			}
 			prev := stellarcrypto.HashBytes([]byte("prev"))
 			b.ReportAllocs()

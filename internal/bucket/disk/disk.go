@@ -45,8 +45,10 @@ const formatVersion = 1
 // headerLen is the byte offset where the payload begins.
 const headerLen = len(Magic) + sha256.Size
 
-// readBufferSize is the chunk size of streaming reads.
-const readBufferSize = 256 << 10
+// bufferSize is the buffer of every streaming file reader and writer. A
+// close holds several at once, and each counts in the heap the garbage
+// collector paces itself on.
+const bufferSize = 32 << 10
 
 // Store is a directory of content-addressed bucket files.
 type Store struct {
@@ -143,7 +145,7 @@ func (w *fileWriter) lazyInit() error {
 		return w.err
 	}
 	w.f = f
-	w.bw = bufio.NewWriterSize(f, readBufferSize)
+	w.bw = bufio.NewWriterSize(f, bufferSize)
 	w.fileSum = sha256.New()
 	w.entries = bucket.NewEntryEncoder(io.MultiWriter(w.bw, w.fileSum))
 	var hdr [headerLen]byte
@@ -292,7 +294,7 @@ func newFileReader(f *os.File, h stellarcrypto.Hash) (*fileReader, error) {
 	}
 	r := &fileReader{
 		f:       f,
-		br:      bufio.NewReaderSize(f, readBufferSize),
+		br:      bufio.NewReaderSize(f, bufferSize),
 		want:    h,
 		fileSum: sha256.New(),
 		content: sha256.New(),

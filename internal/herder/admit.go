@@ -109,7 +109,7 @@ func (n *Node) AdmitTx(tx *ledger.Transaction) AdmitResult {
 		return res
 	}
 
-	add := n.pool.Add(tx, h)
+	add := n.pool.AddAt(tx, h, n.net.Now())
 	switch add.Outcome {
 	case mempool.Duplicate:
 		res.Code = AdmitDuplicate
@@ -135,7 +135,7 @@ func (n *Node) AdmitTx(tx *ledger.Transaction) AdmitResult {
 		return res
 	}
 
-	n.notePooled(h, add.Evicted)
+	n.notePooled(h, add.Evicted, n.state.CheckAuth(tx, n.cfg.NetworkID))
 	n.traceSubmitTx(h, add.Outcome)
 	n.ov.BroadcastTxCtx(tx, n.txCtx(h))
 	return res

@@ -165,3 +165,73 @@ func TestFeeStatsTracksPool(t *testing.T) {
 		t.Fatalf("BaseFee = %d", fs.BaseFee)
 	}
 }
+
+// TestForgedFloodCannotTakeOrDisplace: a flooded transaction that names an
+// account this node holds is signature-checked before the pool sees it. A
+// forged copy at a winning fee — one replacing a resident's sequence number,
+// one outbidding the floor of a full pool — is refused as flood_invalid and
+// every honest resident stays. A flood that needs a signature from an
+// account this node cannot see yet — its source, or only an operation's —
+// is still pooled unchecked.
+func TestForgedFloodCannotTakeOrDisplace(t *testing.T) {
+	node, _, master := admitTestNode(t, true)
+	base := node.state.BaseFee
+	var residents []stellarcrypto.Hash
+	for i := uint64(1); i <= 4; i++ { // MempoolMaxTxs: 4
+		res := node.AdmitTx(masterTx(node, master, base, i))
+		if res.Code != AdmitAccepted {
+			t.Fatalf("fill %d: %+v", i, res)
+		}
+		residents = append(residents, res.Hash)
+	}
+
+	forger := stellarcrypto.KeyPairFromString("admit-forger")
+	for _, seqAhead := range []uint64{1, 5} { // replace-by-fee, full-pool eviction
+		forged := masterTx(node, master, 10*base, seqAhead)
+		forged.Signatures = nil
+		forged.Sign(node.cfg.NetworkID, forger)
+		node.onTx(forged)
+		if node.pool.Contains(forged.Hash(node.cfg.NetworkID)) {
+			t.Fatalf("forged flood at sequence +%d was pooled", seqAhead)
+		}
+	}
+	for i, h := range residents {
+		if !node.pool.Contains(h) {
+			t.Fatalf("honest resident %d was displaced by a forged flood", i+1)
+		}
+	}
+	if got := node.ins.floodInvalid.Value(); got != 2 {
+		t.Fatalf("mempool_admitted_total{flood_invalid} = %v, want 2", got)
+	}
+	if got := node.ins.evicted.Value(); got != 0 {
+		t.Fatalf("mempool_evicted_total = %v, want 0", got)
+	}
+
+	ghost := stellarcrypto.KeyPairFromString("admit-ghost")
+	ghostID := ledger.AccountIDFromPublicKey(ghost.Public)
+	orphan := &ledger.Transaction{
+		Source: ghostID, Fee: 10 * base, SeqNum: 1,
+		Operations: []ledger.Operation{{Body: &ledger.Payment{
+			Destination: ledger.AccountIDFromPublicKey(master.Public), Amount: ledger.One}}},
+	}
+	orphan.Sign(node.cfg.NetworkID, forger)
+	node.onTx(orphan)
+	if !node.pool.Contains(orphan.Hash(node.cfg.NetworkID)) {
+		t.Fatal("flood from an account this node cannot see yet was not pooled")
+	}
+
+	// The source exists and signed, but an operation's source is an account
+	// created on a ledger this node has not applied yet.
+	opLag := masterTx(node, master, 10*base, 5)
+	opLag.Operations[0].Source = ghostID
+	opLag.Signatures = nil
+	opLag.Sign(node.cfg.NetworkID, master)
+	opLag.Sign(node.cfg.NetworkID, ghost)
+	node.onTx(opLag)
+	if !node.pool.Contains(opLag.Hash(node.cfg.NetworkID)) {
+		t.Fatal("flood with an operation source this node cannot see yet was not pooled")
+	}
+	if got := node.ins.floodInvalid.Value(); got != 2 {
+		t.Fatalf("mempool_admitted_total{flood_invalid} = %v after the lagging floods, want 2", got)
+	}
+}

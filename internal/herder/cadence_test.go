@@ -279,8 +279,9 @@ func TestFloodedTxIsPreVerified(t *testing.T) {
 		t.Fatalf("flooded tx not pooled: pool holds %d", node.PendingCount())
 	}
 	admitted := node.verifier.Cache.Stats()
-	if admitted.Misses != sigsBefore.Misses+1 {
-		t.Fatalf("admission verified %d signatures cold, want 1", admitted.Misses-sigsBefore.Misses)
+	if admitted.Misses != sigsBefore.Misses+1 || admitted.Hits != sigsBefore.Hits {
+		t.Fatalf("admission verified %d signatures cold and %d warm, want 1 and 0 (one check, its verdict the proof)",
+			admitted.Misses-sigsBefore.Misses, admitted.Hits-sigsBefore.Hits)
 	}
 	net.RunFor(2 * time.Second)
 	if got := node.state.Account(source).SeqNum; got != tx.SeqNum {

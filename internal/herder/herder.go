@@ -99,10 +99,6 @@ type Node struct {
 	// lastLedgerTxs is the transaction count of the latest close, served
 	// by FeeStats as a demand signal.
 	lastLedgerTxs int
-	// admitTimes stamps each pooled tx at admission so applyLedger can
-	// observe the end-to-end submit→applied latency. Entries leave with
-	// their tx: applied, evicted, or pruned stale.
-	admitTimes map[stellarcrypto.Hash]time.Duration
 
 	// txsets holds the proposed transaction sets of open slots only, and
 	// txsetSeen the ledger at which each was learned, for the age rule that
@@ -184,7 +180,6 @@ func New(net simnet.Env, cfg Config) (*Node, error) {
 		net:          net,
 		headers:      make(map[uint32]stellarcrypto.Hash),
 		pool:         mempool.New(mempool.Config{MaxTxs: cfg.MempoolMaxTxs, MaxPerSource: cfg.MempoolMaxPerSource}),
-		admitTimes:   make(map[stellarcrypto.Hash]time.Duration),
 		txsets:       make(map[stellarcrypto.Hash]*ledger.TxSet),
 		txsetSeen:    make(map[stellarcrypto.Hash]uint32),
 		txsetAsked:   make(map[txsetPeer]uint32),
@@ -330,20 +325,31 @@ func (n *Node) PendingMaxSeq(source ledger.AccountID) (uint64, bool) {
 }
 
 // onTx admits a peer-flooded transaction under the same pool policy as
-// local submissions (minus re-flooding, which the overlay handles). A
-// rejected flood must close the lifecycle trace the packet hook may have
-// opened, or the bounded span map leaks.
+// local submissions (minus re-flooding, which the overlay handles). Its
+// signatures are checked before the pool sees it, and the verdict becomes
+// its proof (notePooled). A failing copy is refused when every account it
+// needs signatures from exists here, so a forged copy can neither take a
+// pool slot nor displace a resident; one that names an account this node
+// cannot see yet is pooled unchecked. A rejected flood must close the
+// lifecycle trace the packet hook may have opened, or the bounded span map
+// leaks.
 func (n *Node) onTx(tx *ledger.Transaction) {
 	if n.state == nil {
 		return
 	}
 	h := tx.Seal(n.cfg.NetworkID)
-	if len(tx.Operations) == 0 || tx.Fee < n.state.MinFee(tx) {
+	var auth error
+	invalid := len(tx.Operations) == 0 || tx.Fee < n.state.MinFee(tx)
+	if !invalid {
+		auth = n.state.CheckAuth(tx, n.cfg.NetworkID)
+		invalid = auth != nil && n.state.HasSigningAccounts(tx)
+	}
+	if invalid {
 		n.ins.floodInvalid.Inc()
 		n.traceEvictTx(h, "invalid")
 		return
 	}
-	res := n.pool.Add(tx, h)
+	res := n.pool.AddAt(tx, h, n.net.Now())
 	n.ins.flooded[res.Outcome].Inc()
 	if !res.Outcome.Admitted() {
 		if res.Outcome != mempool.Duplicate {
@@ -351,22 +357,22 @@ func (n *Node) onTx(tx *ledger.Transaction) {
 		}
 		return
 	}
-	n.notePooled(h, res.Evicted)
+	n.notePooled(h, res.Evicted, auth)
 }
 
 // notePooled is the bookkeeping every admission shares, local or flooded:
-// the admit-time stamp, the victims it displaced, the gauges, and the
-// proof. Proving now, in the idle part of the interval, is what lets the
-// trigger skip the signature check and the apply hit a warm cache. A
-// transaction that fails it stays pooled all the same — this node may be a
-// few milliseconds behind on the ledger that created the source account,
-// and overlay dedup would never re-deliver a dropped flood — and is simply
-// checked in full at each trigger.
-func (n *Node) notePooled(h stellarcrypto.Hash, evicted []mempool.EvictedTx) {
-	n.admitTimes[h] = n.net.Now()
+// the victims it displaced, the gauges, and the proof from auth, the
+// transaction's CheckAuth verdict against the current state. Taking it at
+// admission, in the idle part of the interval, is what lets the trigger
+// skip the signature check and the apply hit a warm cache. A transaction
+// that fails it stays pooled all the same — an account it names may exist
+// only a few milliseconds later on this node, and overlay dedup would never
+// re-deliver a dropped flood — and is simply checked in full at each
+// trigger.
+func (n *Node) notePooled(h stellarcrypto.Hash, evicted []mempool.EvictedTx, auth error) {
 	n.noteEvicted(evicted)
 	n.updatePoolGauges()
-	n.pool.Prove(h, n.state, n.cfg.NetworkID)
+	n.pool.Prove(h, n.state, auth)
 }
 
 // noteEvicted records fee-pressure evictions: counts them and closes the
@@ -375,7 +381,6 @@ func (n *Node) noteEvicted(victims []mempool.EvictedTx) {
 	for _, v := range victims {
 		n.ins.evicted.Inc()
 		n.traceEvictTx(v.Hash, "fee-pressure")
-		delete(n.admitTimes, v.Hash)
 	}
 }
 
@@ -603,14 +608,12 @@ func (n *Node) applyLedger(ts *ledger.TxSet, sv *StellarValue, want *ledger.Head
 	}
 	n.ins.observeClose(cs)
 	// End-to-end submit→applied latency for txs this node admitted itself
-	// (the SLO engine's p99 source; floods and local submits both stamp).
-	if len(n.admitTimes) > 0 {
-		for _, tx := range ts.Txs {
-			th := tx.Hash(n.cfg.NetworkID)
-			if at, ok := n.admitTimes[th]; ok {
-				n.ins.submitApplied.ObserveDuration(now - at)
-				delete(n.admitTimes, th)
-			}
+	// (the SLO engine's p99 source; floods and local submits both stamp),
+	// taken before PruneStale below drops them from the pool; one that
+	// stays pooled is not observed again.
+	for _, tx := range ts.Txs {
+		if at, ok := n.pool.TakeAdmittedAt(tx.Hash(n.cfg.NetworkID)); ok {
+			n.ins.submitApplied.ObserveDuration(now - at)
 		}
 	}
 	n.traceTxsApplied(slot, applySpan, ts, cs.Apply)
@@ -629,7 +632,6 @@ func (n *Node) applyLedger(ts *ledger.TxSet, sv *StellarValue, want *ledger.Head
 		return acct == nil || tx.SeqNum <= acct.SeqNum
 	}) {
 		n.traceEvictTx(v.Hash, "stale")
-		delete(n.admitTimes, v.Hash)
 	}
 	n.lastLedgerTxs = len(ts.Txs)
 	n.updatePoolGauges()

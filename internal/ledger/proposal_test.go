@@ -51,7 +51,7 @@ func (w *proposerWorld) admit(tx *ledger.Transaction, networkID stellarcrypto.Ha
 		return
 	}
 	if w.proofs {
-		w.pool.Prove(h, w.st, networkID)
+		w.pool.Prove(h, w.st, w.st.CheckAuth(tx, networkID))
 	} else {
 		_ = w.st.CheckSignatures(tx, networkID)
 	}

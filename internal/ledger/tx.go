@@ -180,6 +180,19 @@ func (tx *Transaction) requiredLevels() map[AccountID]ThresholdLevel {
 	return req
 }
 
+// HasSigningAccounts reports whether every account whose signatures tx
+// needs — its source and each operation's source — exists in st, so that a
+// CheckAuth failure against st is the signatures' fault and not a ledger
+// this state has yet to apply.
+func (st *State) HasSigningAccounts(tx *Transaction) bool {
+	for acct := range tx.requiredLevels() {
+		if !st.HasAccount(acct) {
+			return false
+		}
+	}
+	return true
+}
+
 // thresholdValue extracts the weight an account demands for a level.
 func thresholdValue(a *AccountEntry, lvl ThresholdLevel) uint8 {
 	switch lvl {

@@ -36,6 +36,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"time"
 
 	"stellar/internal/ledger"
 	"stellar/internal/stellarcrypto"
@@ -113,23 +114,36 @@ type AddResult struct {
 	MinFeeToEnter ledger.Amount
 }
 
+// entry is a pooled transaction and everything the pool knows about it:
+// one allocation per transaction, reached from byHash, the eviction heap and
+// its source's chain.
 type entry struct {
-	tx    *ledger.Transaction
-	hash  stellarcrypto.Hash
-	index int // position in the eviction heap
+	tx   *ledger.Transaction
+	hash stellarcrypto.Hash
+	// next is the same source's pending transaction with the next higher
+	// sequence number; nil at the end of the chain.
+	next *entry
+	// admitted is when the node admitted the transaction (AddAt), on the
+	// clock of its network environment.
+	admitted time.Duration
+	index    int // position in the eviction heap
 	// proven records that tx passed ledger.State.CheckAuth when the
 	// state's auth epoch was provenAt (Prove, Candidates).
-	proven   bool
 	provenAt uint64
+	proven   bool
+	// taken records that TakeAdmittedAt has handed admitted out.
+	taken bool
 }
 
 // Pool is the bounded fee-priority pending set. It is not internally
 // synchronized: like the rest of the herder it relies on the network
 // environment's single-threaded event loop.
 type Pool struct {
-	cfg      Config
-	byHash   map[stellarcrypto.Hash]*entry
-	bySource map[ledger.AccountID]map[uint64]*entry
+	cfg    Config
+	byHash map[stellarcrypto.Hash]*entry
+	// bySource holds each source's pending transaction with the lowest
+	// sequence number, the head of its chain in ascending sequence order.
+	bySource map[ledger.AccountID]*entry
 	evict    evictHeap // cheapest fee rate at the root
 	// evictions counts fee-pressure evictions and replacements since
 	// construction (not applied/stale pruning).
@@ -147,7 +161,7 @@ func New(cfg Config) *Pool {
 	return &Pool{
 		cfg:      cfg,
 		byHash:   make(map[stellarcrypto.Hash]*entry),
-		bySource: make(map[ledger.AccountID]map[uint64]*entry),
+		bySource: make(map[ledger.AccountID]*entry),
 	}
 }
 
@@ -178,21 +192,31 @@ func (p *Pool) Get(h stellarcrypto.Hash) *ledger.Transaction {
 	return nil
 }
 
+// TakeAdmittedAt returns the admission time AddAt recorded for the pooled
+// transaction, once: ok is false when it is not pooled or its time was
+// taken before. A transaction that applies without leaving the pool is so
+// observed at most once however many sets carry it.
+func (p *Pool) TakeAdmittedAt(h stellarcrypto.Hash) (at time.Duration, ok bool) {
+	e := p.byHash[h]
+	if e == nil || e.taken {
+		return 0, false
+	}
+	e.taken = true
+	return e.admitted, true
+}
+
 // MaxSeq returns the highest pending sequence number for the source, so
 // the API layer can chain client sequence numbers past what the ledger
 // state alone would allow.
 func (p *Pool) MaxSeq(source ledger.AccountID) (uint64, bool) {
-	seqs := p.bySource[source]
-	if len(seqs) == 0 {
+	e := p.bySource[source]
+	if e == nil {
 		return 0, false
 	}
-	var max uint64
-	for seq := range seqs {
-		if seq > max {
-			max = seq
-		}
+	for e.next != nil {
+		e = e.next
 	}
-	return max, true
+	return e.tx.SeqNum, true
 }
 
 // Each calls f for every pooled transaction in unspecified order; callers
@@ -211,13 +235,14 @@ func (p *Pool) Each(f func(h stellarcrypto.Hash, tx *ledger.Transaction)) {
 // nothing else — apply runs the full CheckValid on every transaction — so
 // a wrong one could cost this node a proposal, never the ledger's safety.
 
-// Prove checks the pooled transaction's structure and signatures against
-// st and remembers a pass. The herder calls it at admission, in the idle
-// part of the interval, which also warms the signature cache for apply. A
-// failure is not remembered: the node may simply be a ledger behind the
-// one that creates the source account.
-func (p *Pool) Prove(h stellarcrypto.Hash, st *ledger.State, networkID stellarcrypto.Hash) {
-	if e := p.byHash[h]; e != nil && st.CheckAuth(e.tx, networkID) == nil {
+// Prove records verdict, the caller's st.CheckAuth of the pooled
+// transaction against st as it stands, and remembers a pass at st's auth
+// epoch. The herder takes the verdict at admission, in the idle part of
+// the interval, which also warms the signature cache for apply. A failure
+// is not remembered: the node may simply be a ledger behind the one that
+// creates the source account.
+func (p *Pool) Prove(h stellarcrypto.Hash, st *ledger.State, verdict error) {
+	if e := p.byHash[h]; e != nil && verdict == nil {
 		e.proven, e.provenAt = true, st.AuthEpoch()
 	}
 }
@@ -309,17 +334,31 @@ func rateLess(a, b *entry) bool {
 	return bytes.Compare(a.hash[:], b.hash[:]) > 0
 }
 
-// Add runs the admission policy for one transaction. The hash must be
-// tx.Hash under the pool's network — the pool never recomputes it.
+// Add is AddAt for a caller that keeps no admission times.
 func (p *Pool) Add(tx *ledger.Transaction, h stellarcrypto.Hash) AddResult {
+	return p.AddAt(tx, h, 0)
+}
+
+// AddAt runs the admission policy for one transaction and, when it is
+// admitted, records at as its admission time (TakeAdmittedAt). The hash must
+// be tx.Hash under the pool's network — the pool never recomputes it.
+func (p *Pool) AddAt(tx *ledger.Transaction, h stellarcrypto.Hash, at time.Duration) AddResult {
 	if p.byHash[h] != nil {
 		return AddResult{Outcome: Duplicate}
 	}
 	res := AddResult{Outcome: Added}
 
+	pending := 0
+	var holder *entry
+	for e := p.bySource[tx.Source]; e != nil; e = e.next {
+		if e.tx.SeqNum == tx.SeqNum {
+			holder = e
+		}
+		pending++
+	}
 	// One pending transaction per (source, sequence): a strictly higher
 	// fee rate supersedes, anything else is told what it must pay.
-	if holder := p.bySource[tx.Source][tx.SeqNum]; holder != nil {
+	if holder != nil {
 		if !feeRateGreater(tx, holder.tx) {
 			return AddResult{
 				Outcome:       RejectedSeqConflict,
@@ -327,12 +366,13 @@ func (p *Pool) Add(tx *ledger.Transaction, h stellarcrypto.Hash) AddResult {
 			}
 		}
 		p.remove(holder)
+		pending--
 		p.evictions++
 		res.Outcome = Replaced
 		res.Evicted = append(res.Evicted, EvictedTx{Hash: holder.hash, Tx: holder.tx})
 	}
 
-	if len(p.bySource[tx.Source]) >= p.cfg.MaxPerSource {
+	if pending >= p.cfg.MaxPerSource {
 		return AddResult{Outcome: RejectedSourceCap}
 	}
 
@@ -341,27 +381,55 @@ func (p *Pool) Add(tx *ledger.Transaction, h stellarcrypto.Hash) AddResult {
 	for len(p.byHash) >= p.cfg.MaxTxs {
 		worst := p.evict[0]
 		if !feeRateGreater(tx, worst.tx) {
-			res := AddResult{
+			return AddResult{
 				Outcome:       RejectedFull,
 				MinFeeToEnter: feeToBeat(worst.tx.Fee, worst.tx.NumOperations(), tx.NumOperations()),
 			}
-			return res
 		}
 		p.remove(worst)
 		p.evictions++
 		res.Evicted = append(res.Evicted, EvictedTx{Hash: worst.hash, Tx: worst.tx})
 	}
 
-	e := &entry{tx: tx, hash: h}
+	e := &entry{tx: tx, hash: h, admitted: at}
 	p.byHash[h] = e
-	seqs := p.bySource[tx.Source]
-	if seqs == nil {
-		seqs = make(map[uint64]*entry)
-		p.bySource[tx.Source] = seqs
-	}
-	seqs[tx.SeqNum] = e
+	p.link(e)
 	heap.Push(&p.evict, e)
 	return res
+}
+
+// link inserts e into its source's chain, which holds no entry with its
+// sequence number.
+func (p *Pool) link(e *entry) {
+	head := p.bySource[e.tx.Source]
+	if head == nil || e.tx.SeqNum < head.tx.SeqNum {
+		e.next = head
+		p.bySource[e.tx.Source] = e
+		return
+	}
+	prev := head
+	for prev.next != nil && prev.next.tx.SeqNum < e.tx.SeqNum {
+		prev = prev.next
+	}
+	e.next, prev.next = prev.next, e
+}
+
+// unlink takes e out of its source's chain.
+func (p *Pool) unlink(e *entry) {
+	head := p.bySource[e.tx.Source]
+	switch {
+	case head == e && e.next == nil:
+		delete(p.bySource, e.tx.Source)
+	case head == e:
+		p.bySource[e.tx.Source] = e.next
+	default:
+		prev := head
+		for prev.next != e {
+			prev = prev.next
+		}
+		prev.next = e.next
+	}
+	e.next = nil
 }
 
 // feeRateGreater reports whether a's fee per operation strictly exceeds
@@ -377,15 +445,10 @@ func (p *Pool) Remove(h stellarcrypto.Hash) {
 	}
 }
 
-// remove unlinks an entry from all three indexes.
+// remove takes an entry out of all three indexes.
 func (p *Pool) remove(e *entry) {
 	delete(p.byHash, e.hash)
-	if seqs := p.bySource[e.tx.Source]; seqs != nil {
-		delete(seqs, e.tx.SeqNum)
-		if len(seqs) == 0 {
-			delete(p.bySource, e.tx.Source)
-		}
-	}
+	p.unlink(e)
 	heap.Remove(&p.evict, e.index)
 }
 

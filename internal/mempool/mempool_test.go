@@ -3,8 +3,10 @@ package mempool
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"sort"
 	"testing"
+	"time"
 
 	"stellar/internal/ledger"
 	"stellar/internal/stellarcrypto"
@@ -340,7 +342,7 @@ func TestProofsSpareTheSignatureCheck(t *testing.T) {
 	for _, txn := range []*ledger.Transaction{pay, early} {
 		h := txn.Seal(nid)
 		p.Add(txn, h)
-		p.Prove(h, st, nid) // early's source does not exist yet: no proof
+		p.Prove(h, st, st.CheckAuth(txn, nid)) // early's source does not exist yet: no proof
 	}
 	candidates := func(wantLookups uint64, want ...*ledger.Transaction) {
 		t.Helper()
@@ -384,4 +386,47 @@ func TestProofsSpareTheSignatureCheck(t *testing.T) {
 	late.Sign(nid, ghost)
 	p.Add(late, late.Seal(nid))
 	candidates(1) // late: the lookup hits, the weight is gone; early is stale by sequence
+}
+
+// TestPoolBytesPerTransaction bounds what the pool adds to the heap per
+// pending transaction on top of the transaction itself: its entry, admission
+// time included, its byHash slot, its heap slot and its source's chain head.
+// It pools 2 000 one-payment transactions from distinct sources, each
+// decoded from its wire bytes and sealed as a flood arrives, and reads
+// HeapAlloc after a collection before and after.
+func TestPoolBytesPerTransaction(t *testing.T) {
+	const n = 2000
+	nid := stellarcrypto.HashBytes([]byte("mempool-footprint"))
+	signer := stellarcrypto.KeyPairFromString("mempool-footprint-signer")
+	txs := make([]*ledger.Transaction, n)
+	hs := make([]stellarcrypto.Hash, n)
+	for i := range txs {
+		src := ledger.AccountIDFromPublicKey(stellarcrypto.KeyPairFromString(fmt.Sprintf("footprint-%d", i)).Public)
+		txn := &ledger.Transaction{Source: src, Fee: 100, SeqNum: 1<<32 + 1,
+			Operations: []ledger.Operation{{Body: &ledger.Payment{Destination: src, Amount: ledger.One}}}}
+		txn.Sign(nid, signer)
+		decoded, err := ledger.DecodeSignedTransactionXDR(txn.MarshalSignedXDR())
+		if err != nil {
+			t.Fatal(err)
+		}
+		txs[i], hs[i] = decoded, decoded.Seal(nid)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	p := New(Config{})
+	for i := range txs {
+		if res := p.AddAt(txs[i], hs[i], time.Duration(i)); res.Outcome != Added {
+			t.Fatalf("tx %d: %v", i, res.Outcome)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	perTx := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / n
+	runtime.KeepAlive(txs)
+	runtime.KeepAlive(p)
+	t.Logf("pool bookkeeping: %.0f B per pooled payment", perTx)
+	if perTx > 300 {
+		t.Fatalf("pool holds %.0f B per pooled payment beyond the transactions, want ≤ 300", perTx)
+	}
 }
