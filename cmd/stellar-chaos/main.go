@@ -24,7 +24,7 @@ import (
 )
 
 func main() {
-	scenario := flag.String("scenario", "", "named scenario to run: partition-heal, kill-wipe-rejoin, kill-restore-rejoin (default: randomized)")
+	scenario := flag.String("scenario", "", "named scenario to run: partition-heal, forge-relay, kill-wipe-rejoin, kill-restore-rejoin (default: randomized)")
 	seed := flag.Int64("seed", 0, "seed for a single scenario (0: run -scenarios random seeds)")
 	scenarios := flag.Int("scenarios", 10, "number of random scenarios when no -seed is given")
 	firstSeed := flag.Int64("first-seed", 1, "first seed of the random sweep")
@@ -41,6 +41,8 @@ func main() {
 		switch *scenario {
 		case "partition-heal":
 			sc = chaos.PartitionHealScenario(s)
+		case "forge-relay":
+			sc = chaos.ForgeRelayScenario(s)
 		case "kill-wipe-rejoin", "kill-restore-rejoin":
 			base, err := os.MkdirTemp("", "stellar-chaos-archives-")
 			if err != nil {
@@ -52,7 +54,7 @@ func main() {
 		case "":
 			sc = chaos.Generate(s)
 		default:
-			fmt.Fprintf(os.Stderr, "unknown scenario %q (have: partition-heal, kill-wipe-rejoin, kill-restore-rejoin)\n", *scenario)
+			fmt.Fprintf(os.Stderr, "unknown scenario %q (have: partition-heal, forge-relay, kill-wipe-rejoin, kill-restore-rejoin)\n", *scenario)
 			os.Exit(2)
 			panic("unreachable")
 		}

@@ -54,7 +54,7 @@ type config struct {
 	submitBurst, submitIPBurst int
 
 	// Durability: the archive directory (empty = in-memory only), the
-	// bucket checkpoint cadence in ledgers (0 = every ledger), network
+	// bucket checkpoint cadence in ledgers (0 = herder's default), network
 	// catch-up for an empty archive, and where crash bundles go.
 	dataDir            string
 	checkpointInterval int
@@ -80,7 +80,7 @@ func (c *config) register(fs *flag.FlagSet) {
 	fs.Float64Var(&c.submitIPRate, "submit-ip-rate", 0, "per-remote-IP submission rate in tx/sec (0 = unlimited)")
 	fs.IntVar(&c.submitIPBurst, "submit-ip-burst", 0, "per-remote-IP submission burst (0 = 1 when -submit-ip-rate is set)")
 	fs.StringVar(&c.dataDir, "data-dir", "", "archive directory for headers, tx sets, buckets, and checkpoints (empty = in-memory only)")
-	fs.IntVar(&c.checkpointInterval, "checkpoint-interval", 0, "ledgers between bucket checkpoints (0 = every ledger; needs -data-dir)")
+	fs.IntVar(&c.checkpointInterval, "checkpoint-interval", 0, fmt.Sprintf("ledgers between bucket checkpoints (0 = every %d ledgers; needs -data-dir)", herder.DefaultCheckpointInterval))
 	fs.BoolVar(&c.catchup, "catchup", false, "on an archive with no checkpoint, fetch a peer's checkpointed state and the ledgers past it over the network instead of bootstrapping at genesis (needs -data-dir and -peers)")
 	fs.StringVar(&c.bundleDir, "bundle-dir", "crash-bundles", "directory for crash bundles")
 }
@@ -226,27 +226,15 @@ func run(c *config) error {
 	obs.RegisterTracerMetrics(node.Obs().Reg, tracer)
 
 	peers := c.peerList()
-	// Boot policy (DESIGN.md §7): a data dir holding a checkpoint restores
-	// and replays to its archived tip before the overlay opens; an empty
-	// data dir with -catchup fetches a peer's checkpointed state over the
-	// wire once the first peer is up, then catches up the ledgers past it;
-	// otherwise every process derives the shared genesis.
+	// Boot policy (DESIGN.md §7): a data dir restores its latest checkpoint,
+	// or genesis while it holds none, and replays to its archived tip before
+	// the overlay opens; an empty data dir with -catchup fetches a peer's
+	// checkpointed state over the wire once the first peer is up, then
+	// catches up the ledgers past it; without a data dir every process
+	// derives the shared genesis.
 	var startCatchup func()
 	switch {
-	case arch != nil && hasCheckpoint(arch):
-		var replayed int
-		var rerr error
-		loop.Run(func() {
-			if replayed, rerr = node.RestoreFromArchive(arch); rerr == nil {
-				node.Start()
-			}
-		})
-		if rerr != nil {
-			return fmt.Errorf("restoring from %s: %w", c.dataDir, rerr)
-		}
-		fmt.Printf("restored from %s at ledger %d (%d replayed past the checkpoint)\n",
-			c.dataDir, node.LastHeader().LedgerSeq, replayed)
-	case c.catchup:
+	case c.catchup && !herder.ArchiveHoldsLedgers(arch):
 		// Deferred to the first OnPeerUp loop event: discovery needs a
 		// live peer. OnPeerUp events are serialized on the loop, so the
 		// one-shot reset below is race-free.
@@ -256,6 +244,22 @@ func run(c *config) error {
 			}
 		}
 		fmt.Printf("empty archive at %s; waiting for a peer to catch up from\n", c.dataDir)
+	case arch != nil:
+		var replayed int
+		var rerr error
+		loop.Run(func() {
+			if replayed, rerr = node.RestoreFromArchive(arch, genesis); rerr == nil {
+				node.Start()
+			}
+		})
+		if rerr != nil {
+			return fmt.Errorf("restoring from %s: %w", c.dataDir, rerr)
+		}
+		if seq := node.LastHeader().LedgerSeq; seq > 1 {
+			fmt.Printf("restored from %s at ledger %d (%d archived ledgers replayed)\n", c.dataDir, seq, replayed)
+		} else {
+			fmt.Printf("empty archive at %s; booting at genesis\n", c.dataDir)
+		}
 	default:
 		loop.Run(func() {
 			node.Bootstrap(genesis, 0)
@@ -307,7 +311,7 @@ func run(c *config) error {
 
 	if arch != nil {
 		fmt.Printf("archiving to %s (checkpoint every %d ledger(s); bucket list below level 0 on disk)\n",
-			c.dataDir, max(c.checkpointInterval, 1))
+			c.dataDir, node.CheckpointInterval())
 	}
 
 	// SIGQUIT dumps a crash bundle without killing the process — the
@@ -365,10 +369,4 @@ func run(c *config) error {
 	mgr.Close()
 	loop.Close()
 	return nil
-}
-
-// hasCheckpoint reports whether the archive holds a restorable checkpoint.
-func hasCheckpoint(a *history.Archive) bool {
-	_, err := a.LatestCheckpointSeq()
-	return err == nil
 }

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"time"
@@ -29,8 +30,15 @@ const (
 	// BehaviorFlood blasts duplicate and garbage packets to stress the
 	// overlay dedup cache and the herder's value validation.
 	BehaviorFlood
+	// BehaviorForge relays every envelope the adversary hears to every
+	// peer with one signature bit flipped. The copy fails
+	// verification; an overlay that keyed dedup on the signing payload
+	// alone would take it for the genuine envelope, and on fast links it
+	// arrives first.
+	BehaviorForge
 
-	// BehaviorAll enables every attack.
+	// BehaviorAll enables every attack that runs on the attack timer;
+	// BehaviorForge, a relay, is asked for by name.
 	BehaviorAll = BehaviorEquivocate | BehaviorReplay | BehaviorFlood
 )
 
@@ -54,6 +62,9 @@ func (b Behavior) String() string {
 	}
 	if b&BehaviorFlood != 0 {
 		add("flood")
+	}
+	if b&BehaviorForge != 0 {
+		add("forge")
 	}
 	return s
 }
@@ -138,7 +149,7 @@ func (a *Adversary) schedule() {
 }
 
 // handle eavesdrops on flood traffic to learn the network's current slot
-// and a pool of plausible values; it forwards nothing.
+// and a pool of plausible values; it forwards nothing genuine.
 func (a *Adversary) handle(from simnet.Addr, msg any, size int) {
 	p, ok := msg.(*overlay.Packet)
 	if !ok || p.Kind != overlay.KindEnvelope || p.Envelope == nil {
@@ -161,6 +172,24 @@ func (a *Adversary) handle(from simnet.Addr, msg any, size int) {
 		a.recorded = append(a.recorded, env)
 	} else {
 		a.recorded[a.rng.Intn(len(a.recorded))] = env
+	}
+	if a.behaviors&BehaviorForge != 0 {
+		a.forge(env)
+	}
+}
+
+// forge relays env to every peer with the first bit of its signature
+// flipped.
+func (a *Adversary) forge(env *scp.Envelope) {
+	if len(env.Signature) == 0 {
+		return
+	}
+	sig := bytes.Clone(env.Signature)
+	sig[0] ^= 1
+	forged := &scp.Envelope{Node: env.Node, Slot: env.Slot, Seq: env.Seq, QSet: env.QSet,
+		Statement: env.Statement, Signature: sig}
+	for _, p := range a.peers {
+		a.sendEnvelope(p, forged)
 	}
 }
 
@@ -290,7 +319,7 @@ func (a *Adversary) flood() {
 }
 
 func (a *Adversary) sign(env *scp.Envelope) *scp.Envelope {
-	env.Signature = a.keys.Secret.Sign(env.SigningPayload())
+	env.Sign(a.keys.Secret.Sign)
 	return env
 }
 

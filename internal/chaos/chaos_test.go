@@ -198,6 +198,29 @@ func TestPartitionHealSweep(t *testing.T) {
 	}
 }
 
+// TestForgeRelaySweep: one adversary on fast links relays every envelope
+// with a flipped signature bit. Honest nodes must keep closing ledgers on
+// every seed — a forged copy is refused and not forwarded, and it never
+// shadows the genuine envelope in a seen set.
+func TestForgeRelaySweep(t *testing.T) {
+	seeds := seedCount(t, 20)
+	for seed := int64(1); seed <= int64(seeds); seed++ {
+		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
+			t.Parallel()
+			rep, err := Run(ForgeRelayScenario(seed), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.AdversaryPackets == 0 {
+				t.Fatal("the adversary forged nothing")
+			}
+			if rep.MinSeq < 10 {
+				t.Fatalf("honest nodes closed only %d ledgers in %v", rep.MinSeq, rep.VirtualTime)
+			}
+		})
+	}
+}
+
 // TestRandomScenarioSweep drives the generator end to end on a handful of
 // seeds (the nightly job widens the sweep via CHAOS_SEEDS).
 func TestRandomScenarioSweep(t *testing.T) {

@@ -11,6 +11,7 @@ import (
 
 	"stellar/internal/experiments"
 	"stellar/internal/fba"
+	"stellar/internal/herder"
 	"stellar/internal/history"
 	"stellar/internal/obs"
 	"stellar/internal/obs/flight"
@@ -193,6 +194,20 @@ func NewRunner(sc Scenario, log *slog.Logger) (*Runner, error) {
 		}
 		r.Advs = append(r.Advs, adv)
 	}
+	if sc.AdversaryLatency > 0 {
+		isAdv := make(map[simnet.Addr]bool, len(r.Advs))
+		for _, adv := range r.Advs {
+			isAdv[adv.Addr()] = true
+		}
+		base := r.baseLatency
+		r.baseLatency = func(from, to simnet.Addr, rng *rand.Rand) time.Duration {
+			if isAdv[from] || isAdv[to] {
+				return sc.AdversaryLatency
+			}
+			return base(from, to, rng)
+		}
+		sim.Net.SetLatency(r.baseLatency)
+	}
 
 	if sc.Alerts {
 		for i, n := range sim.Nodes {
@@ -316,7 +331,7 @@ func (r *Runner) wipeArchive(i int) error {
 // network (replacing the dead handler), keeps its close records and
 // re-meshes it; the runner adds the adversary links. The node boots the
 // way a real restart would — restore-and-replay when its archive still
-// holds a checkpoint, network catchup when it was wiped.
+// holds ledgers, network catchup when it was wiped.
 func (r *Runner) rejoin(i int) error {
 	cfg := r.Sim.Configs[i]
 	if cfg.Archive == nil {
@@ -336,9 +351,13 @@ func (r *Runner) rejoin(i int) error {
 		node.Overlay().Connect(adv.Addr())
 		adv.Connect(node.Addr())
 	}
-	if _, err := cfg.Archive.LatestCheckpointSeq(); err == nil {
+	if herder.ArchiveHoldsLedgers(cfg.Archive) {
 		// Disk survived: a warm restart — restore, replay, rejoin.
-		if _, err := node.RestoreFromArchive(cfg.Archive); err != nil {
+		genesis, err := r.Sim.GenesisState()
+		if err != nil {
+			return err
+		}
+		if _, err := node.RestoreFromArchive(cfg.Archive, genesis); err != nil {
 			return err
 		}
 		node.Start()

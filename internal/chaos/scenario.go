@@ -42,6 +42,10 @@ type Scenario struct {
 	Byzantine int
 	// Behaviors selects adversary attacks (default BehaviorAll).
 	Behaviors Behavior
+	// AdversaryLatency, when set, is the one-way latency of every link to
+	// or from an adversary, in place of the network's model: a
+	// well-connected relay whose packets arrive before honest ones.
+	AdversaryLatency time.Duration
 	// Accounts is the synthetic ledger population (default 200 — small:
 	// chaos runs stress consensus, not the transaction engine).
 	Accounts int
@@ -68,8 +72,9 @@ type Scenario struct {
 	// FaultRejoin: peers need archives to serve network catchup from, and
 	// the victim needs one to fetch (or restore) into.
 	ArchiveDirFor func(i int) string
-	// CheckpointInterval is the archiving cadence in ledgers (0 = every
-	// ledger — what rejoin scenarios want, so a checkpoint always exists).
+	// CheckpointInterval is the archiving cadence in ledgers (0 =
+	// herder.DefaultCheckpointInterval; rejoin scenarios set 1, so a
+	// checkpoint always exists).
 	CheckpointInterval int
 	// Replay overrides the replay command printed on failure.
 	Replay string
@@ -174,6 +179,28 @@ func PartitionHealScenario(seed int64) Scenario {
 			{At: 42 * time.Second, Kind: FaultHeal},
 		},
 		Replay: fmt.Sprintf("go run ./cmd/stellar-chaos -scenario partition-heal -seed %d", seed),
+	}
+}
+
+// ForgeRelayScenario is the forged-relay scenario: five honest validators
+// and one adversary that relays every envelope it hears, one signature bit
+// flipped, over 0.5 ms links to every node, so each forged copy arrives
+// before the genuine one. Liveness must hold: the overlay keys dedup on
+// the signed bytes, signature included, and does not forward what SCP
+// refused, so a forged copy can never stand in for the genuine envelope.
+// The liveness window opens at 60 s.
+func ForgeRelayScenario(seed int64) Scenario {
+	return Scenario{
+		Name:             "forge-relay",
+		Seed:             seed,
+		Topology:         TopologyFlat,
+		Validators:       5,
+		Byzantine:        1,
+		Behaviors:        BehaviorForge,
+		AdversaryLatency: 500 * time.Microsecond,
+		Faults:           Schedule{{At: 60 * time.Second, Kind: FaultHeal}},
+		LivenessWindow:   120 * time.Second,
+		Replay:           fmt.Sprintf("go run ./cmd/stellar-chaos -scenario forge-relay -seed %d", seed),
 	}
 }
 

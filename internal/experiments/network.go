@@ -56,7 +56,7 @@ type Options struct {
 	// deployment where every node owns its data dir. Overrides ArchiveDir.
 	ArchiveDirFor func(i int) string
 	// CheckpointInterval is the archiving validators' checkpoint cadence
-	// in ledgers (0 = every ledger).
+	// in ledgers (0 = herder.DefaultCheckpointInterval).
 	CheckpointInterval int
 	// BallotTimeout overrides the SCP ballot timer policy.
 	BallotTimeout func(counter uint32) time.Duration
@@ -152,6 +152,9 @@ type SimNetwork struct {
 	// that sets its own hook wraps that one. The tables read these through
 	// Summary.
 	Records [][]herder.CloseStats
+
+	genesis       []ledger.SnapshotEntry // the genesis ledger every validator boots from
+	genesisHeader *ledger.Header
 }
 
 // Build constructs the network: genesis state with synthetic accounts,
@@ -191,8 +194,8 @@ func Build(opts Options) (*SimNetwork, error) {
 		return nil, err
 	}
 	s.Accounts = accounts
-	genesisSnapshot := genesis.SnapshotAll()
-	genesisHeader := ledger.GenesisHeader(genesis, 0)
+	s.genesis = genesis.SnapshotAll()
+	s.genesisHeader = ledger.GenesisHeader(genesis, 0)
 
 	// Validator identities and quorum sets.
 	kps := stellarcrypto.DeterministicKeyPairs(fmt.Sprintf("validator-%d", opts.Seed), opts.Validators)
@@ -241,7 +244,7 @@ func Build(opts Options) (*SimNetwork, error) {
 		if err != nil {
 			return nil, err
 		}
-		state, err := ledger.RestoreState(genesisSnapshot, genesisHeader)
+		state, err := s.GenesisState()
 		if err != nil {
 			return nil, err
 		}
@@ -260,6 +263,12 @@ func Build(opts Options) (*SimNetwork, error) {
 
 	s.Gen = loadgen.NewGenerator(s.Net, s.Nodes, accounts, s.NetworkID, opts.TxRate)
 	return s, nil
+}
+
+// GenesisState returns a fresh copy of the genesis ledger the validators
+// booted from, for a node that boots or restores later.
+func (s *SimNetwork) GenesisState() (*ledger.State, error) {
+	return ledger.RestoreState(s.genesis, s.genesisHeader)
 }
 
 // NewNode builds validator i from Configs[i] into Nodes[i], at genesis or

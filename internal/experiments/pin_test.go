@@ -25,6 +25,9 @@ func TestArchivePin(t *testing.T) {
 		LedgerInterval: 5 * time.Second,
 		Seed:           42,
 		ArchiveDir:     t.TempDir(),
+		// A checkpoint every ledger: 40 s at 5 s is eight ledgers, short
+		// of the default cadence's first checkpoint.
+		CheckpointInterval: 1,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -23,6 +23,8 @@ func TestSoakLongRunWithChurnAndCatchUp(t *testing.T) {
 		TxRate:     40,
 		ArchiveDir: t.TempDir(),
 		Seed:       777,
+		// The late validator joins from the archive at the live tip.
+		CheckpointInterval: 1,
 	}
 	s, err := Build(opts)
 	if err != nil {
@@ -144,7 +146,7 @@ func TestSoakLongRunWithChurnAndCatchUp(t *testing.T) {
 // bucket list hash of the actual ledger contents (checked implicitly by
 // agreement; here we rebuild state from one node's bucket entries).
 func TestSoakStateRebuildFromBuckets(t *testing.T) {
-	opts := Options{Validators: 3, Accounts: 300, TxRate: 30, ArchiveDir: t.TempDir(), Seed: 778}
+	opts := Options{Validators: 3, Accounts: 300, TxRate: 30, ArchiveDir: t.TempDir(), CheckpointInterval: 1, Seed: 778}
 	s, err := Build(opts)
 	if err != nil {
 		t.Fatal(err)

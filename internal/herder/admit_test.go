@@ -6,8 +6,10 @@ import (
 
 	"stellar/internal/fba"
 	"stellar/internal/ledger"
+	"stellar/internal/overlay"
 	"stellar/internal/simnet"
 	"stellar/internal/stellarcrypto"
+	"stellar/internal/transport"
 )
 
 // admitTestNode builds a single self-quorum validator; when run is true
@@ -233,5 +235,51 @@ func TestForgedFloodCannotTakeOrDisplace(t *testing.T) {
 	}
 	if got := node.ins.floodInvalid.Value(); got != 2 {
 		t.Fatalf("mempool_admitted_total{flood_invalid} = %v after the lagging floods, want 2", got)
+	}
+}
+
+// TestLoopDropsSeenFloodsBeforeDecode: on a process's transport loop, New
+// registers the overlay itself as the node's handler, which is what lets a
+// connection reader drop a flooded copy the node has seen before decoding
+// it. A wrapped handler would silently decode every copy again: the copy
+// would then allocate.
+func TestLoopDropsSeenFloodsBeforeDecode(t *testing.T) {
+	loop := transport.NewLoop()
+	nid := stellarcrypto.HashBytes([]byte("admit-test"))
+	kp := stellarcrypto.KeyPairFromString("admit-validator")
+	self := fba.NodeIDFromPublicKey(kp.Public)
+	node, err := New(loop, Config{
+		Keys:           kp,
+		QSet:           fba.QuorumSet{Threshold: 1, Validators: []fba.NodeID{self}},
+		NetworkID:      nid,
+		LedgerInterval: time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer loop.Close()
+	genesis, master := GenesisState(nid)
+	loop.Run(func() { node.Bootstrap(genesis, 0) })
+	var payload []byte
+	loop.Run(func() {
+		payload, err = transport.EncodePacket(&overlay.Packet{
+			Kind: overlay.KindTx, Tx: masterTx(node, master, 100, 1), TTL: 4, Origin: "peer"})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := loop.Receive("peer", payload); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if err := loop.Receive("peer", payload); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a seen transaction's copy cost %v allocations: it was decoded", allocs)
+	}
+	if got := node.Overlay().DupesSuppessed.Load(); got != 21 {
+		t.Fatalf("%d copies counted as suppressed, want 21", got)
 	}
 }

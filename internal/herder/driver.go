@@ -109,9 +109,9 @@ func (d *driver) EmitEnvelope(env *scp.Envelope) {
 	n.ov.BroadcastEnvelopeCtx(env, n.slotCtx(env.Slot))
 }
 
-// SignEnvelope signs with the validator key.
+// SignEnvelope signs with the validator key, which seals the envelope.
 func (d *driver) SignEnvelope(env *scp.Envelope) {
-	env.Signature = d.node().cfg.Keys.Secret.Sign(env.SigningPayload())
+	env.Sign(d.node().cfg.Keys.Secret.Sign)
 }
 
 // VerifyEnvelope checks the sender's signature; the node ID is the public

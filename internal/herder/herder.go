@@ -47,8 +47,8 @@ type Config struct {
 	Archive *history.Archive
 	// CheckpointInterval is how many ledgers pass between bucket/checkpoint
 	// snapshots into the archive (headers and tx sets are archived every
-	// ledger regardless, so any checkpoint can replay to tip). 0 = every
-	// ledger.
+	// ledger regardless, so any checkpoint can replay to tip). 0 =
+	// DefaultCheckpointInterval.
 	CheckpointInterval int
 	// Governing marks the validator as participating in upgrade
 	// governance; DesiredUpgrades are the upgrades it votes for (§5.3).
@@ -196,7 +196,7 @@ func New(net simnet.Env, cfg Config) (*Node, error) {
 	n.updatePoolGauges()          // publish mempool_capacity before any traffic
 	n.verifier = verify.New(0, 0) // NumCPU workers, DefaultCacheSize entries
 	n.verifier.SetObs(ob.Reg)
-	n.ov = overlay.New(net, n.addr, cfg.NetworkID)
+	n.ov = overlay.New(net, n.addr)
 	n.ov.SetObs(ob.Reg, obs.Component(ob.Log, "overlay"))
 	if cfg.Multicast {
 		n.ov.SetMode(overlay.ModeTree)
@@ -213,7 +213,7 @@ func New(net simnet.Env, cfg Config) (*Node, error) {
 		return nil, err
 	}
 	n.scp = scpNode
-	net.AddNode(n.addr, simnet.HandlerFunc(n.ov.HandleMessage))
+	net.AddNode(n.addr, n.ov)
 	return n, nil
 }
 
@@ -332,10 +332,11 @@ func (n *Node) PendingMaxSeq(source ledger.AccountID) (uint64, bool) {
 // pool slot nor displace a resident; one that names an account this node
 // cannot see yet is pooled unchecked. A rejected flood must close the
 // lifecycle trace the packet hook may have opened, or the bounded span map
-// leaks.
-func (n *Node) onTx(tx *ledger.Transaction) {
+// leaks. It reports whether the flood was refused, which the overlay does
+// not forward.
+func (n *Node) onTx(tx *ledger.Transaction) (refused bool) {
 	if n.state == nil {
-		return
+		return false
 	}
 	h := tx.Seal(n.cfg.NetworkID)
 	var auth error
@@ -347,7 +348,7 @@ func (n *Node) onTx(tx *ledger.Transaction) {
 	if invalid {
 		n.ins.floodInvalid.Inc()
 		n.traceEvictTx(h, "invalid")
-		return
+		return true
 	}
 	res := n.pool.AddAt(tx, h, n.net.Now())
 	n.ins.flooded[res.Outcome].Inc()
@@ -355,9 +356,10 @@ func (n *Node) onTx(tx *ledger.Transaction) {
 		if res.Outcome != mempool.Duplicate {
 			n.traceEvictTx(h, res.Outcome.String())
 		}
-		return
+		return false
 	}
 	n.notePooled(h, res.Evicted, auth)
+	return false
 }
 
 // notePooled is the bookkeeping every admission shares, local or flooded:
@@ -390,9 +392,12 @@ func (n *Node) updatePoolGauges() {
 	n.ins.poolCap.Set(float64(n.pool.Cap()))
 }
 
-func (n *Node) onEnvelope(env *scp.Envelope) {
+// onEnvelope hands a flooded envelope to SCP and reports whether SCP
+// refused it: malformed, or not signed by the node it names. An envelope for
+// a slot already closed is not checked, and not refused.
+func (n *Node) onEnvelope(env *scp.Envelope) (refused bool) {
 	if n.state == nil {
-		return
+		return false
 	}
 	n.ins.envReceived.With(stmtLabel(env.Statement.Type)).Inc()
 	// Health evidence must be taken from every envelope — a peer stuck
@@ -401,12 +406,14 @@ func (n *Node) onEnvelope(env *scp.Envelope) {
 	n.noteEnvelope(env)
 	// Ignore slots already closed; stale envelopes cannot help.
 	if env.Slot <= uint64(n.last.LedgerSeq) {
-		return
+		return false
 	}
 	// Only an envelope SCP accepted (well-formed, signed) counts.
-	if n.scp.Receive(env) == nil {
-		n.record(env.Slot, func(r *SlotRecord) { r.EnvelopesReceived++ })
+	if n.scp.Receive(env) != nil {
+		return true
 	}
+	n.record(env.Slot, func(r *SlotRecord) { r.EnvelopesReceived++ })
+	return false
 }
 
 // triggerNextLedger builds a transaction candidate set and starts
@@ -709,30 +716,49 @@ func (n *Node) attachBucketStore() {
 	}
 }
 
-// checkpointInterval normalizes the configured cadence.
-func (n *Node) checkpointInterval() uint32 {
+// DefaultCheckpointInterval is the checkpoint cadence of a node configured
+// with none: stellar-core's checkpoint frequency. Between checkpoints a
+// close writes only what a restart replays — the header and the transaction
+// set — and a node restarted before the first checkpoint replays its
+// archived ledgers from genesis (RestoreFromArchive, DESIGN.md §7).
+const DefaultCheckpointInterval = 64
+
+// CheckpointInterval is the node's checkpoint cadence in ledgers, the
+// configured one or DefaultCheckpointInterval.
+func (n *Node) CheckpointInterval() uint32 {
 	if n.cfg.CheckpointInterval > 0 {
 		return uint32(n.cfg.CheckpointInterval)
 	}
-	return 1
+	return DefaultCheckpointInterval
 }
 
 // archiveLedger writes the closed ledger to the archive — header and
 // transaction set every ledger, buckets and a checkpoint every
-// checkpointInterval — and reports whether the archive holds the ledger. A
-// ledger it holds already, one RestoreFromArchive read back from it, is not
-// written again. A failed write is logged and counted; the node keeps
-// closing ledgers (validators need not host archives, §5.4), and any
-// failure ends this ledger's archiving, so a checkpoint never names a
-// ledger or a bucket the archive does not hold.
+// CheckpointInterval — and reports whether the archive holds the ledger. A
+// ledger it holds already, one a restore or a catch-up replayed, is not
+// written again and must be this very header; another header there is
+// counted as a failed header write, and the ledger is served from the
+// recent window instead (RestoreFromArchive resumes a restarted node on its
+// archived chain, so this is a fault, not a path). A failed write is logged
+// and counted; the node keeps closing ledgers (validators need not host
+// archives, §5.4), and any failure ends this ledger's archiving, so a
+// checkpoint never names a ledger or a bucket the archive does not hold.
 func (n *Node) archiveLedger(hdr *ledger.Header, ts *ledger.TxSet) (stored bool) {
 	a := n.cfg.Archive
-	if a.HasLedger(hdr.LedgerSeq) {
-		return true
-	}
 	failed := func(file string, err error) {
 		n.ins.archiveErrors.With(file).Inc()
 		n.log.Error("archive write failed", "file", file, "seq", hdr.LedgerSeq, "err", err)
+	}
+	if a.HasLedger(hdr.LedgerSeq) {
+		held, err := a.GetHeader(hdr.LedgerSeq)
+		if err == nil && held.Hash() != hdr.Hash() {
+			err = fmt.Errorf("archive holds another ledger %d", hdr.LedgerSeq)
+		}
+		if err != nil {
+			failed("header", err)
+			return false
+		}
+		return true
 	}
 	if err := a.PutHeader(hdr); err != nil {
 		failed("header", err)
@@ -742,7 +768,7 @@ func (n *Node) archiveLedger(hdr *ledger.Header, ts *ledger.TxSet) (stored bool)
 		failed("txset", err)
 		return false
 	}
-	if hdr.LedgerSeq%n.checkpointInterval() != 0 {
+	if hdr.LedgerSeq%n.CheckpointInterval() != 0 {
 		return true
 	}
 	hashes := n.buckets.BucketHashes()

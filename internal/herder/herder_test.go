@@ -358,6 +358,7 @@ func TestCatchUpFromArchive(t *testing.T) {
 	}
 	net, nodes, nid := buildPair(t, func(cfgs []*Config) {
 		cfgs[0].Archive = arch
+		cfgs[0].CheckpointInterval = 1 // the late node joins at the live tip
 	})
 	for _, n := range nodes {
 		n.Start()

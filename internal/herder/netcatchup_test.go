@@ -78,7 +78,7 @@ func TestRestoreFromArchiveReplaysToTip(t *testing.T) {
 	tip := nodes[0].LastHeader()
 
 	fresh := freshNode(t, nodes, nid, func(c *Config) { c.Archive = a })
-	replayed, err := fresh.RestoreFromArchive(a)
+	replayed, err := fresh.RestoreFromArchive(a, genesisOf(nid))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestRestoreFromArchiveDiskBacked(t *testing.T) {
 	fresh := freshNode(t, nodes, nid, func(c *Config) {
 		c.Archive = a
 	})
-	if _, err := fresh.RestoreFromArchive(a); err != nil {
+	if _, err := fresh.RestoreFromArchive(a, genesisOf(nid)); err != nil {
 		t.Fatal(err)
 	}
 	if fresh.LastHeader().Hash() != tip.Hash() {

@@ -50,13 +50,24 @@ func (n *Node) ReplayLedger(hdr *ledger.Header, ts *ledger.TxSet) error {
 	return n.applyLedger(ts, sv, hdr)
 }
 
-// RestoreFromArchive cold-boots the node from an archive: restore the
-// latest checkpoint, then replay every archived ledger past it. Returns
-// how many ledgers were replayed beyond the checkpoint. Running off the
-// end of the archive (no header for the next sequence) is the normal
-// stopping condition; a corrupt file is an error.
-func (n *Node) RestoreFromArchive(a *history.Archive) (replayed int, err error) {
-	if err := n.CatchUp(a); err != nil {
+// RestoreFromArchive cold-boots the node from its own archive: restore the
+// latest checkpoint or, while the archive holds none yet, start from
+// genesis, the state the network began from; then replay every archived
+// ledger past that point. Every replayed header must be the one its replay
+// computes (ReplayLedger), so a restarted node resumes at its archived tip
+// on the chain it closed, whether or not a checkpoint was due yet. Returns
+// how many ledgers were replayed. Running off the end of the archive (no
+// header for the next sequence) is the normal stopping condition; a corrupt
+// file is an error.
+func (n *Node) RestoreFromArchive(a *history.Archive, genesis *ledger.State) (replayed int, err error) {
+	switch _, err := a.LatestCheckpointSeq(); {
+	case err == nil:
+		if err := n.CatchUp(a); err != nil {
+			return 0, err
+		}
+	case errors.Is(err, fs.ErrNotExist):
+		n.Bootstrap(genesis, 0)
+	default:
 		return 0, err
 	}
 	for {
@@ -77,4 +88,11 @@ func (n *Node) RestoreFromArchive(a *history.Archive) (replayed int, err error) 
 		}
 		replayed++
 	}
+}
+
+// ArchiveHoldsLedgers reports whether a holds a checkpoint or any ledger
+// closed after genesis: whether RestoreFromArchive resumes past genesis.
+func ArchiveHoldsLedgers(a *history.Archive) bool {
+	_, err := a.LatestCheckpointSeq()
+	return err == nil || a.HasLedger(2)
 }

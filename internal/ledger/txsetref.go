@@ -45,7 +45,8 @@ type TxSetRef struct {
 // EnvelopeHash is SHA-256 over the transaction's complete envelope —
 // payload and signatures — and so tells apart what Hash cannot: two copies
 // of one transaction signed differently. It does not depend on the network.
-// A sealed transaction answers from its seal.
+// A sealed transaction answers from its seal. It is also a flooded
+// transaction's dedup id in the overlay.
 func (tx *Transaction) EnvelopeHash() stellarcrypto.Hash {
 	s := &tx.seal
 	if s.wire == nil {
@@ -55,6 +56,17 @@ func (tx *Transaction) EnvelopeHash() stellarcrypto.Hash {
 		s.envHash, s.enveloped = stellarcrypto.HashBytes(s.wire), true
 	}
 	return s.envHash
+}
+
+// KeepEnvelopeHash records h as the EnvelopeHash of a transaction just
+// decoded, for a caller that hashed exactly the bytes it was decoded from
+// before decoding them (the transport does, to ask the overlay's seen set
+// first): h must be SHA-256 over those bytes. An unsealed transaction
+// ignores it.
+func (tx *Transaction) KeepEnvelopeHash(h stellarcrypto.Hash) {
+	if s := &tx.seal; s.wire != nil {
+		s.envHash, s.enveloped = h, true
+	}
 }
 
 // envelopeDigest folds envelope hashes, in order, into one.

@@ -21,7 +21,7 @@ func TestFloodSurvivesModerateLoss(t *testing.T) {
 	var got [8]int
 	for i := range overlays {
 		i := i
-		overlays[i].OnEnvelope = func(env *scp.Envelope) { got[i]++ }
+		overlays[i].OnEnvelope = func(env *scp.Envelope) bool { got[i]++; return false }
 	}
 	for seq := uint64(1); seq <= 5; seq++ {
 		overlays[0].BroadcastEnvelope(testEnvelope(seq))
@@ -46,7 +46,7 @@ func TestTreeLosesMessagesFloodDoesNot(t *testing.T) {
 	treeNet.SetDropRate(0.3)
 	treeGot := 0
 	for i := 1; i < n; i++ {
-		treeOverlays[i].OnEnvelope = func(env *scp.Envelope) { treeGot++ }
+		treeOverlays[i].OnEnvelope = func(env *scp.Envelope) bool { treeGot++; return false }
 	}
 	for seq := uint64(1); seq <= rounds; seq++ {
 		treeOverlays[0].BroadcastEnvelope(testEnvelope(seq))
@@ -57,7 +57,7 @@ func TestTreeLosesMessagesFloodDoesNot(t *testing.T) {
 	floodNet.SetDropRate(0.3)
 	floodGot := 0
 	for i := 1; i < n; i++ {
-		floodOverlays[i].OnEnvelope = func(env *scp.Envelope) { floodGot++ }
+		floodOverlays[i].OnEnvelope = func(env *scp.Envelope) bool { floodGot++; return false }
 	}
 	for seq := uint64(1); seq <= rounds; seq++ {
 		floodOverlays[0].BroadcastEnvelope(testEnvelope(seq))
@@ -79,7 +79,7 @@ func TestAsymmetricLinkLossOnlyAffectsOneDirection(t *testing.T) {
 	got := [2]int{}
 	for i := range overlays {
 		i := i
-		overlays[i].OnEnvelope = func(env *scp.Envelope) { got[i]++ }
+		overlays[i].OnEnvelope = func(env *scp.Envelope) bool { got[i]++; return false }
 	}
 	overlays[0].BroadcastEnvelope(testEnvelope(1)) // n0→n1 is severed
 	overlays[1].BroadcastEnvelope(testEnvelope(2)) // n1→n0 still works
@@ -100,7 +100,7 @@ func TestDuplicateInjectionSuppressedOncePerNode(t *testing.T) {
 	var got [5]int
 	for i := range overlays {
 		i := i
-		overlays[i].OnEnvelope = func(env *scp.Envelope) { got[i]++ }
+		overlays[i].OnEnvelope = func(env *scp.Envelope) bool { got[i]++; return false }
 	}
 	env := testEnvelope(1)
 	p := &Packet{Kind: KindEnvelope, Envelope: env, TTL: DefaultTTL, Origin: "attacker"}
@@ -118,7 +118,7 @@ func TestDuplicateInjectionSuppressedOncePerNode(t *testing.T) {
 	}
 	var suppressed uint64
 	for _, o := range overlays {
-		suppressed += o.DupesSuppessed
+		suppressed += o.DupesSuppessed.Load()
 	}
 	if suppressed == 0 {
 		t.Fatal("no duplicates suppressed")
@@ -131,7 +131,7 @@ func TestTreeDedupUnderDuplicateDelivery(t *testing.T) {
 	net, overlays, _ := buildTreeMesh(t, 9)
 	var total int
 	for i := 1; i < 9; i++ {
-		overlays[i].OnEnvelope = func(env *scp.Envelope) { total++ }
+		overlays[i].OnEnvelope = func(env *scp.Envelope) bool { total++; return false }
 	}
 	env := testEnvelope(1)
 	overlays[0].BroadcastEnvelope(env)
@@ -151,7 +151,7 @@ func TestFloodRetransmitRepairsLoss(t *testing.T) {
 	// stop the retransmission.
 	net, overlays := buildMesh(t, 4, fullMesh)
 	got := 0
-	overlays[3].OnEnvelope = func(env *scp.Envelope) { got++ }
+	overlays[3].OnEnvelope = func(env *scp.Envelope) bool { got++; return false }
 	env := testEnvelope(1)
 	net.SetDropRate(1.0)
 	overlays[0].BroadcastEnvelope(env)

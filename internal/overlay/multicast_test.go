@@ -7,21 +7,19 @@ import (
 
 	"stellar/internal/scp"
 	"stellar/internal/simnet"
-	"stellar/internal/stellarcrypto"
 )
 
 func buildTreeMesh(t *testing.T, n int) (*simnet.Network, []*Overlay, []simnet.Addr) {
 	t.Helper()
 	net := simnet.New(1)
 	net.SetLatency(simnet.ConstantLatency(time.Millisecond))
-	nid := stellarcrypto.HashBytes([]byte("mcast-test"))
 	overlays := make([]*Overlay, n)
 	addrs := make([]simnet.Addr, n)
 	for i := range addrs {
 		addrs[i] = simnet.Addr(fmt.Sprintf("m%02d", i))
 	}
 	for i := range overlays {
-		overlays[i] = New(net, addrs[i], nid)
+		overlays[i] = New(net, addrs[i])
 		overlays[i].SetMode(ModeTree)
 		net.AddNode(addrs[i], simnet.HandlerFunc(overlays[i].HandleMessage))
 	}
@@ -41,7 +39,7 @@ func TestTreeReachesAll(t *testing.T) {
 	var got [13]int
 	for i := range overlays {
 		i := i
-		overlays[i].OnEnvelope = func(env *scp.Envelope) { got[i]++ }
+		overlays[i].OnEnvelope = func(env *scp.Envelope) bool { got[i]++; return false }
 	}
 	// Broadcast from several different origins: the tree is per-origin.
 	for origin := 0; origin < 13; origin += 4 {
@@ -121,7 +119,7 @@ func TestTreeCrashLosesSubtreeFloodDoesNot(t *testing.T) {
 	net, overlays, addrs := buildTreeMesh(t, n)
 	delivered := 0
 	for i := range overlays {
-		overlays[i].OnEnvelope = func(env *scp.Envelope) { delivered++ }
+		overlays[i].OnEnvelope = func(env *scp.Envelope) bool { delivered++; return false }
 	}
 	net.SetDown(addrs[1]) // a child of the origin's root position
 	overlays[0].BroadcastEnvelope(testEnvelope(7))
@@ -133,7 +131,7 @@ func TestTreeCrashLosesSubtreeFloodDoesNot(t *testing.T) {
 	net2, floods := buildMesh(t, n, fullMesh)
 	floodDelivered := 0
 	for i := range floods {
-		floods[i].OnEnvelope = func(env *scp.Envelope) { floodDelivered++ }
+		floods[i].OnEnvelope = func(env *scp.Envelope) bool { floodDelivered++; return false }
 	}
 	net2.SetDown("n1")
 	floods[0].BroadcastEnvelope(testEnvelope(7))

@@ -15,6 +15,8 @@ package overlay
 import (
 	"fmt"
 	"log/slog"
+	"sync"
+	"sync/atomic"
 
 	"stellar/internal/ledger"
 	"stellar/internal/obs"
@@ -136,13 +138,17 @@ type CatchupItem struct {
 // DefaultTTL comfortably exceeds the diameter of any realistic overlay.
 const DefaultTTL = 16
 
-// id returns the packet's dedup identity.
-func (p *Packet) id(networkID stellarcrypto.Hash) stellarcrypto.Hash {
+// id returns the packet's dedup identity. For an envelope or a transaction
+// it is SHA-256 over the signed bytes as they travel — the packet's flooded
+// body, everything after kind, TTL, origin and trace context — so a copy
+// whose signature differs never shares the genuine one's id, and a
+// transport can key a frame before decoding it.
+func (p *Packet) id() stellarcrypto.Hash {
 	switch p.Kind {
 	case KindEnvelope:
-		return stellarcrypto.HashBytes(p.Envelope.SigningPayload())
+		return p.Envelope.ID()
 	case KindTx:
-		return p.Tx.Hash(networkID)
+		return p.Tx.EnvelopeHash()
 	case KindTxSetRef:
 		return p.TxSetRef.SetHash()
 	default:
@@ -191,26 +197,62 @@ func (p *Packet) size() int {
 // seenCacheSize bounds the duplicate-suppression cache.
 const seenCacheSize = 4096
 
+// seenSet is the duplicate-suppression cache: a set plus a FIFO eviction
+// ring. It is the one seen set of a node, asked both by the overlay and,
+// before they decode, by a transport's connection readers (Seen), so it
+// takes its own lock.
+type seenSet struct {
+	mu   sync.Mutex
+	ids  map[stellarcrypto.Hash]struct{}
+	ring []stellarcrypto.Hash
+	next int
+}
+
+// has reports whether id is in the set.
+func (s *seenSet) has(id stellarcrypto.Hash) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_, ok := s.ids[id]
+	return ok
+}
+
+// add inserts id, evicting FIFO; it reports whether id was new.
+func (s *seenSet) add(id stellarcrypto.Hash) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, dup := s.ids[id]; dup {
+		return false
+	}
+	if old := s.ring[s.next]; !old.Zero() {
+		delete(s.ids, old)
+	}
+	s.ring[s.next] = id
+	s.next = (s.next + 1) % len(s.ring)
+	s.ids[id] = struct{}{}
+	return true
+}
+
 // Overlay is one node's view of the flooding network. It is backend-
 // agnostic: the same flooding, dedup, and TTL logic runs over the
 // deterministic simulator or a real TCP transport, whichever simnet.Env
 // is supplied at construction.
 type Overlay struct {
-	net       simnet.Env
-	self      simnet.Addr
-	networkID stellarcrypto.Hash
-	peers     []simnet.Addr
-	mode      Mode
-	members   []simnet.Addr
+	net     simnet.Env
+	self    simnet.Addr
+	peers   []simnet.Addr
+	mode    Mode
+	members []simnet.Addr
 
-	// Dedup cache: set plus FIFO eviction ring.
-	seen     map[stellarcrypto.Hash]struct{}
-	ring     []stellarcrypto.Hash
-	ringNext int
+	seen seenSet
 
-	// Delivery callbacks into the herder.
-	OnEnvelope func(*scp.Envelope)
-	OnTx       func(*ledger.Transaction)
+	// Delivery callbacks into the herder. OnEnvelope and OnTx report
+	// whether the application refused the payload — a bad signature, a
+	// malformed statement, a flooded transaction that cannot pay or is not
+	// signed as it must be. A refused packet stays marked seen, under its
+	// own bytes, but is not forwarded: a node floods only what it did not
+	// refuse, as stellar-core floods only what its herder accepted.
+	OnEnvelope func(*scp.Envelope) (refused bool)
+	OnTx       func(*ledger.Transaction) (refused bool)
 	// OnTxSetRef reports whether the application now holds the set the
 	// reference names; only then is the reference marked seen and forwarded.
 	// One that is still missing is delivered again from the next peer, which
@@ -226,10 +268,11 @@ type Overlay struct {
 	// consensus state never depends on it.
 	OnTraceCtx func(p *Packet, from simnet.Addr)
 
-	// Counters.
+	// Counters. DupesSuppessed is also counted by connection readers
+	// (Seen).
 	FloodsSent     uint64
 	Delivered      uint64
-	DupesSuppessed uint64
+	DupesSuppessed atomic.Uint64
 
 	// Registry instruments (nil until SetObs; guarded at each use so an
 	// unwired overlay — unit tests, tools — costs nothing).
@@ -265,13 +308,14 @@ func (o *Overlay) SetObs(reg *obs.Registry, log *slog.Logger) {
 
 // New creates an overlay endpoint for self on a network environment
 // (simulated or real).
-func New(net simnet.Env, self simnet.Addr, networkID stellarcrypto.Hash) *Overlay {
+func New(net simnet.Env, self simnet.Addr) *Overlay {
 	return &Overlay{
-		net:       net,
-		self:      self,
-		networkID: networkID,
-		seen:      make(map[stellarcrypto.Hash]struct{}, seenCacheSize),
-		ring:      make([]stellarcrypto.Hash, seenCacheSize),
+		net:  net,
+		self: self,
+		seen: seenSet{
+			ids:  make(map[stellarcrypto.Hash]struct{}, seenCacheSize),
+			ring: make([]stellarcrypto.Hash, seenCacheSize),
+		},
 	}
 }
 
@@ -325,18 +369,16 @@ func (o *Overlay) send(to simnet.Addr, p *Packet) {
 // Peers returns the connected peers.
 func (o *Overlay) Peers() []simnet.Addr { return o.peers }
 
-// markSeen inserts the id, evicting FIFO; reports whether it was new.
-func (o *Overlay) markSeen(id stellarcrypto.Hash) bool {
-	if _, dup := o.seen[id]; dup {
+// Seen reports whether a flooded envelope or transaction with this id — the
+// SHA-256 of its flooded body (Packet.id) — has been seen already, and counts
+// it as a suppressed duplicate when it has. Safe for concurrent use: a
+// transport's connection readers ask it before they decode a frame, so a
+// copy costs one hash and no decode.
+func (o *Overlay) Seen(id stellarcrypto.Hash) bool {
+	if !o.seen.has(id) {
 		return false
 	}
-	old := o.ring[o.ringNext]
-	if !old.Zero() {
-		delete(o.seen, old)
-	}
-	o.ring[o.ringNext] = id
-	o.ringNext = (o.ringNext + 1) % len(o.ring)
-	o.seen[id] = struct{}{}
+	o.suppressed()
 	return true
 }
 
@@ -349,7 +391,7 @@ func (o *Overlay) BroadcastEnvelope(env *scp.Envelope) {
 // trace context so receivers continue the slot's causal tree.
 func (o *Overlay) BroadcastEnvelopeCtx(env *scp.Envelope, ctx obs.TraceContext) {
 	p := &Packet{Kind: KindEnvelope, Envelope: env, TTL: DefaultTTL, Origin: o.self, Trace: ctx}
-	o.markSeen(p.id(o.networkID))
+	o.seen.add(p.id())
 	o.disseminate(p, "")
 }
 
@@ -362,7 +404,7 @@ func (o *Overlay) BroadcastTx(tx *ledger.Transaction) {
 // trace context.
 func (o *Overlay) BroadcastTxCtx(tx *ledger.Transaction, ctx obs.TraceContext) {
 	p := &Packet{Kind: KindTx, Tx: tx, TTL: DefaultTTL, Origin: o.self, Trace: ctx}
-	o.markSeen(p.id(o.networkID))
+	o.seen.add(p.id())
 	o.disseminate(p, "")
 }
 
@@ -376,7 +418,7 @@ func (o *Overlay) SendDirect(to simnet.Addr, p *Packet) {
 // ctx is the proposing slot span's trace context, zero when there is none.
 func (o *Overlay) BroadcastTxSetRef(ref *ledger.TxSetRef, ctx obs.TraceContext) {
 	p := &Packet{Kind: KindTxSetRef, TxSetRef: ref, TTL: DefaultTTL, Origin: o.self, Trace: ctx}
-	o.markSeen(p.id(o.networkID))
+	o.seen.add(p.id())
 	o.disseminate(p, "")
 }
 
@@ -408,41 +450,43 @@ func (o *Overlay) HandleMessage(from simnet.Addr, msg any, size int) {
 		}
 		return
 	}
-	id := p.id(o.networkID)
+	id := p.id()
 	if p.Kind == KindTxSetRef {
 		// Seen only once the set is held (OnTxSetRef).
-		if _, dup := o.seen[id]; dup {
-			o.suppressed()
+		if o.Seen(id) {
 			return
 		}
 		o.delivered(p, from)
 		if o.OnTxSetRef != nil && o.OnTxSetRef(from, p.TxSetRef) {
-			o.markSeen(id)
+			o.seen.add(id)
 			o.forward(p, from)
 		}
 		return
 	}
-	if !o.markSeen(id) {
+	if !o.seen.add(id) {
 		o.suppressed()
 		return
 	}
 	o.delivered(p, from)
+	refused := false
 	switch p.Kind {
 	case KindEnvelope:
 		if o.OnEnvelope != nil {
-			o.OnEnvelope(p.Envelope)
+			refused = o.OnEnvelope(p.Envelope)
 		}
 	case KindTx:
 		if o.OnTx != nil {
-			o.OnTx(p.Tx)
+			refused = o.OnTx(p.Tx)
 		}
 	}
-	o.forward(p, from)
+	if !refused {
+		o.forward(p, from)
+	}
 }
 
 // suppressed counts a duplicate the dedup cache dropped.
 func (o *Overlay) suppressed() {
-	o.DupesSuppessed++
+	o.DupesSuppessed.Add(1)
 	if o.ins != nil {
 		o.ins.dupes.Inc()
 	}

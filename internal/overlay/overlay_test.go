@@ -1,7 +1,9 @@
 package overlay
 
 import (
+	"bytes"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -17,14 +19,13 @@ func buildMesh(t *testing.T, n int, topology func(i, j int) bool) (*simnet.Netwo
 	t.Helper()
 	net := simnet.New(1)
 	net.SetLatency(simnet.ConstantLatency(time.Millisecond))
-	nid := stellarcrypto.HashBytes([]byte("overlay-test"))
 	overlays := make([]*Overlay, n)
 	addrs := make([]simnet.Addr, n)
 	for i := range overlays {
 		addrs[i] = simnet.Addr(fmt.Sprintf("n%d", i))
 	}
 	for i := range overlays {
-		overlays[i] = New(net, addrs[i], nid)
+		overlays[i] = New(net, addrs[i])
 		net.AddNode(addrs[i], simnet.HandlerFunc(overlays[i].HandleMessage))
 	}
 	for i := range overlays {
@@ -58,7 +59,7 @@ func TestFloodReachesAllFullMesh(t *testing.T) {
 	var got [5]int
 	for i := range overlays {
 		i := i
-		overlays[i].OnEnvelope = func(env *scp.Envelope) { got[i]++ }
+		overlays[i].OnEnvelope = func(env *scp.Envelope) bool { got[i]++; return false }
 	}
 	overlays[0].BroadcastEnvelope(testEnvelope(1))
 	net.RunUntilIdle(0)
@@ -78,7 +79,7 @@ func TestFloodReachesAllRing(t *testing.T) {
 	var got [8]int
 	for i := range overlays {
 		i := i
-		overlays[i].OnEnvelope = func(env *scp.Envelope) { got[i]++ }
+		overlays[i].OnEnvelope = func(env *scp.Envelope) bool { got[i]++; return false }
 	}
 	overlays[0].BroadcastEnvelope(testEnvelope(1))
 	net.RunUntilIdle(0)
@@ -92,7 +93,7 @@ func TestFloodReachesAllRing(t *testing.T) {
 func TestDuplicateSuppression(t *testing.T) {
 	net, overlays := buildMesh(t, 4, fullMesh)
 	delivered := 0
-	overlays[3].OnEnvelope = func(env *scp.Envelope) { delivered++ }
+	overlays[3].OnEnvelope = func(env *scp.Envelope) bool { delivered++; return false }
 	env := testEnvelope(1)
 	overlays[0].BroadcastEnvelope(env)
 	overlays[0].BroadcastEnvelope(env) // re-broadcast of identical message
@@ -100,7 +101,7 @@ func TestDuplicateSuppression(t *testing.T) {
 	if delivered != 1 {
 		t.Fatalf("delivered %d times despite dedup", delivered)
 	}
-	if overlays[3].DupesSuppessed == 0 {
+	if overlays[3].DupesSuppessed.Load() == 0 {
 		t.Fatal("no duplicates suppressed in full mesh")
 	}
 }
@@ -108,7 +109,7 @@ func TestDuplicateSuppression(t *testing.T) {
 func TestTxFlooding(t *testing.T) {
 	net, overlays := buildMesh(t, 3, fullMesh)
 	var got *ledger.Transaction
-	overlays[2].OnTx = func(tx *ledger.Transaction) { got = tx }
+	overlays[2].OnTx = func(tx *ledger.Transaction) bool { got = tx; return false }
 	tx := &ledger.Transaction{
 		Source: "GABC", Fee: 100, SeqNum: 7,
 		Operations: []ledger.Operation{{Body: &ledger.BumpSequence{}}},
@@ -127,10 +128,10 @@ func TestTinyCacheStillTerminates(t *testing.T) {
 	// duplicate deliveries, not loss).
 	net, overlays := buildMesh(t, 4, fullMesh)
 	for _, o := range overlays {
-		o.ring = make([]stellarcrypto.Hash, 2)
+		o.seen.ring = make([]stellarcrypto.Hash, 2)
 	}
 	deliveries := 0
-	overlays[3].OnEnvelope = func(env *scp.Envelope) { deliveries++ }
+	overlays[3].OnEnvelope = func(env *scp.Envelope) bool { deliveries++; return false }
 	for i := 0; i < 10; i++ {
 		overlays[0].BroadcastEnvelope(testEnvelope(uint64(i)))
 	}
@@ -143,27 +144,27 @@ func TestTinyCacheStillTerminates(t *testing.T) {
 }
 
 func TestSeenCacheEviction(t *testing.T) {
-	o := New(simnet.New(1), "a", stellarcrypto.Hash{})
-	o.ring = make([]stellarcrypto.Hash, 2)
+	o := New(simnet.New(1), "a")
+	o.seen.ring = make([]stellarcrypto.Hash, 2)
 	h1 := stellarcrypto.HashBytes([]byte("1"))
 	h2 := stellarcrypto.HashBytes([]byte("2"))
 	h3 := stellarcrypto.HashBytes([]byte("3"))
-	if !o.markSeen(h1) || !o.markSeen(h2) {
+	if !o.seen.add(h1) || !o.seen.add(h2) {
 		t.Fatal("fresh ids reported seen")
 	}
-	if o.markSeen(h1) {
+	if o.seen.add(h1) {
 		t.Fatal("h1 not deduped")
 	}
-	if !o.markSeen(h3) { // evicts h1
+	if !o.seen.add(h3) { // evicts h1
 		t.Fatal("h3 reported seen")
 	}
-	if !o.markSeen(h1) {
+	if !o.seen.add(h1) {
 		t.Fatal("h1 should have been evicted")
 	}
 }
 
 func TestConnectIgnoresSelf(t *testing.T) {
-	o := New(simnet.New(1), "a", stellarcrypto.Hash{})
+	o := New(simnet.New(1), "a")
 	o.Connect("a", "b")
 	if len(o.Peers()) != 1 || o.Peers()[0] != "b" {
 		t.Fatalf("peers = %v", o.Peers())
@@ -213,10 +214,10 @@ func TestTxSetRefForwardedOnlyOnceHeld(t *testing.T) {
 		t.Fatalf("node 3 heard the reference from %v, want n0, n0, n2: every holder it can ask", got)
 	}
 	// Held now: the same reference is a duplicate.
-	dupes := overlays[1].DupesSuppessed
+	dupes := overlays[1].DupesSuppessed.Load()
 	overlays[0].BroadcastTxSetRef(ref, obs.TraceContext{})
 	net.RunUntilIdle(0)
-	if len(heardFrom[1]) != 2 || overlays[1].DupesSuppessed != dupes+1 {
+	if len(heardFrom[1]) != 2 || overlays[1].DupesSuppessed.Load() != dupes+1 {
 		t.Fatal("a reference to a held set was delivered again")
 	}
 
@@ -225,5 +226,91 @@ func TestTxSetRefForwardedOnlyOnceHeld(t *testing.T) {
 	net.RunUntilIdle(0)
 	if direct != 2 || overlays[1].FloodsSent != 1 {
 		t.Fatalf("%d direct packets handed over, node 1 flooded %d packets: want 2 and only the reference", direct, overlays[1].FloodsSent)
+	}
+}
+
+// TestRefusedIsSeenButNotForwarded: a payload the application refuses stays
+// marked seen, under its own bytes, and goes no further; a copy whose
+// signature differs by one bit has another id, so whichever of the two
+// arrives first, the genuine one is still delivered and forwarded.
+func TestRefusedIsSeenButNotForwarded(t *testing.T) {
+	net, overlays := buildMesh(t, 3, ringTopology(3)) // a line is enough: 0 – 1 – 2 (and 2 – 0, cut below)
+	overlays[0].RemovePeer("n2")
+	overlays[2].RemovePeer("n0")
+	genuine := testEnvelope(1)
+	genuine.Signature = bytes.Repeat([]byte{0x5a}, 64)
+	forged := *genuine
+	forged.Signature = bytes.Clone(genuine.Signature)
+	forged.Signature[63] ^= 1
+	for _, first := range []*scp.Envelope{&forged, genuine} {
+		var got [3][]byte
+		for i, o := range overlays {
+			o.seen = seenSet{ids: map[stellarcrypto.Hash]struct{}{}, ring: make([]stellarcrypto.Hash, seenCacheSize)}
+			o.OnEnvelope = func(env *scp.Envelope) bool {
+				got[i] = append(got[i], env.Signature[63])
+				return env.Signature[63] != genuine.Signature[63]
+			}
+		}
+		second := genuine
+		if first == genuine {
+			second = &forged
+		}
+		overlays[0].BroadcastEnvelope(first)
+		overlays[0].BroadcastEnvelope(second)
+		net.RunUntilIdle(0)
+		want := genuine.Signature[63]
+		if len(got[1]) != 2 {
+			t.Fatalf("node 1 got %d copies, want both: neither may shadow the other", len(got[1]))
+		}
+		if len(got[2]) != 1 || got[2][0] != want {
+			t.Fatalf("node 2 got %v, want only the genuine copy: the refused one is not forwarded", got[2])
+		}
+		if !overlays[1].Seen(forged.ID()) || !overlays[1].Seen(genuine.ID()) {
+			t.Fatal("a delivered copy is not marked seen")
+		}
+	}
+}
+
+// TestSeenCountsSuppressed: the readers' pre-decode ask counts a duplicate
+// as the overlay's own dedup does.
+func TestSeenCountsSuppressed(t *testing.T) {
+	o := New(simnet.New(1), "a")
+	env := testEnvelope(1)
+	if o.Seen(env.ID()) || o.DupesSuppessed.Load() != 0 {
+		t.Fatal("an unseen id reported seen")
+	}
+	o.BroadcastEnvelope(env)
+	if !o.Seen(env.ID()) || o.DupesSuppessed.Load() != 1 {
+		t.Fatalf("a broadcast envelope: seen %v, %d suppressed; want seen, 1", o.Seen(env.ID()), o.DupesSuppessed.Load())
+	}
+}
+
+// TestSeenConcurrentWithFlooding: connection readers ask the seen set from
+// their own goroutines while the node floods and delivers under its loop.
+func TestSeenConcurrentWithFlooding(t *testing.T) {
+	o := New(simnet.New(1), "a")
+	envs := make([]*scp.Envelope, 64)
+	for i := range envs {
+		envs[i] = testEnvelope(uint64(i))
+		envs[i].ID() // ids are computed on the loop before readers race for them
+	}
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, env := range envs {
+				o.Seen(env.ID())
+			}
+		}()
+	}
+	for _, env := range envs {
+		o.BroadcastEnvelope(env)
+	}
+	wg.Wait()
+	for _, env := range envs {
+		if !o.Seen(env.ID()) {
+			t.Fatal("a broadcast envelope is not seen")
+		}
 	}
 }

@@ -19,21 +19,25 @@ import (
 // leaves room without letting a hostile peer declare a billion.
 const maxStatementValues = 4096
 
-// EncodeXDR appends the envelope's canonical wire encoding.
+// EncodeXDR appends the envelope's canonical wire encoding; a sealed
+// envelope appends the bytes it keeps.
 func (e *Envelope) EncodeXDR(enc *xdr.Encoder) {
-	enc.PutString(string(e.Node))
-	enc.PutUint64(e.Slot)
-	enc.PutUint64(e.Seq)
-	e.QSet.EncodeXDR(enc)
-	encodeStatement(enc, &e.Statement)
+	if e.seal.wire != nil {
+		enc.PutFixed(e.seal.wire)
+		return
+	}
+	e.encodePayload(enc)
 	enc.PutBytes(e.Signature)
 }
 
 // MarshalXDR encodes the envelope into a fresh slice.
 func (e *Envelope) MarshalXDR() []byte { return xdr.Marshal(e) }
 
-// DecodeEnvelopeXDR reads one envelope written by EncodeXDR.
+// DecodeEnvelopeXDR reads one envelope written by EncodeXDR and seals it
+// over the bytes it was read from. The seal aliases the decoder's input,
+// which the caller must not modify afterwards.
 func DecodeEnvelopeXDR(d *xdr.Decoder) (*Envelope, error) {
+	start := d.Offset()
 	node, err := d.String()
 	if err != nil {
 		return nil, err
@@ -54,6 +58,7 @@ func DecodeEnvelopeXDR(d *xdr.Decoder) (*Envelope, error) {
 	if err != nil {
 		return nil, err
 	}
+	payloadLen := d.Offset() - start
 	sig, err := d.Bytes()
 	if err != nil {
 		return nil, err
@@ -65,6 +70,7 @@ func DecodeEnvelopeXDR(d *xdr.Decoder) (*Envelope, error) {
 		QSet:      qset,
 		Statement: *st,
 		Signature: sig,
+		seal:      envSeal{wire: d.Since(start), payloadLen: payloadLen},
 	}, nil
 }
 

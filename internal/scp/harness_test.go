@@ -66,7 +66,7 @@ func (d *testDriver) EmitEnvelope(env *Envelope) {
 }
 
 func (d *testDriver) SignEnvelope(env *Envelope) {
-	env.Signature = d.kp.Secret.Sign(env.SigningPayload())
+	env.Sign(d.kp.Secret.Sign)
 }
 
 func (d *testDriver) VerifyEnvelope(env *Envelope) bool {

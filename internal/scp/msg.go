@@ -165,25 +165,31 @@ type Envelope struct {
 	QSet      fba.QuorumSet
 	Statement Statement
 	Signature []byte
+
+	// seal keeps the bytes the envelope was signed or decoded as
+	// (seal.go); the zero value means unsealed.
+	seal envSeal
 }
 
-// SigningPayload returns the canonical bytes covered by the signature.
+// SigningPayload returns the canonical bytes covered by the signature. A
+// sealed envelope answers with a window into its kept bytes, which the
+// caller must not modify.
 func (e *Envelope) SigningPayload() []byte {
+	if s := &e.seal; s.wire != nil {
+		return s.wire[:s.payloadLen:s.payloadLen]
+	}
 	enc := xdr.NewEncoder(256)
-	enc.PutString(string(e.Node))
-	enc.PutUint64(e.Slot)
-	enc.PutUint64(e.Seq)
-	e.QSet.EncodeXDR(enc)
-	encodeStatement(enc, &e.Statement)
-	out := make([]byte, enc.Len())
-	copy(out, enc.Bytes())
-	return out
+	e.encodePayload(enc)
+	return enc.Bytes()
 }
 
-// WireSize approximates the envelope's on-the-wire size in bytes for the
-// simulator's bandwidth accounting.
+// WireSize is the envelope's encoded size in bytes, the transport's frame
+// size hint and the simulator's bandwidth accounting.
 func (e *Envelope) WireSize() int {
-	return len(e.SigningPayload()) + len(e.Signature)
+	if e.seal.wire != nil {
+		return len(e.seal.wire)
+	}
+	return len(e.MarshalXDR())
 }
 
 func encodeStatement(enc *xdr.Encoder, st *Statement) {

@@ -32,6 +32,9 @@ func frameSeeds() [][]byte {
 	if p, err := EncodePacket(&overlay.Packet{Kind: overlay.KindEnvelope, Envelope: testEnvelope(), TTL: 4, Origin: "G"}); err == nil {
 		add(FramePacket, p)
 	}
+	if p, err := EncodePacket(&overlay.Packet{Kind: overlay.KindTx, Tx: testTx(), TTL: 4, Origin: "GORIGIN"}); err == nil {
+		add(FramePacket, p)
+	}
 	// Packets carrying a propagated trace context (v2 wire field).
 	if p, err := EncodePacket(&overlay.Packet{
 		Kind: overlay.KindEnvelope, Envelope: testEnvelope(), TTL: 4, Origin: "G",
@@ -103,10 +106,12 @@ func frameSeeds() [][]byte {
 // FuzzFrameDecode feeds arbitrary bytes to the frame reader and, for
 // packet frames, the packet codec. Invariants: no panic; a hostile
 // length prefix never costs more allocation than the input actually
-// backs (the decoded payload is no longer than the input); and anything
+// backs (the decoded payload is no longer than the input); anything
 // the strict packet decoder accepts re-encodes to the identical bytes
 // (the flood dedup hash is computed on content, so canonical form
-// matters).
+// matters); and the key a connection reader computes before decoding
+// (floodKey) is the dedup id of the packet decoded, for exactly the
+// flooded envelope and transaction kinds.
 func FuzzFrameDecode(f *testing.F) {
 	for _, s := range frameSeeds() {
 		f.Add(s)
@@ -145,6 +150,21 @@ func FuzzFrameDecode(f *testing.F) {
 		}
 		if !bytes.Equal(back, payload) {
 			t.Fatalf("packet round trip not canonical:\n in:  %x\n out: %x", payload, back)
+		}
+		key, keyed := floodKey(payload)
+		switch pkt.Kind {
+		case overlay.KindEnvelope:
+			if !keyed || key != pkt.Envelope.ID() {
+				t.Fatalf("pre-decode key %x (keyed %v), envelope id %x", key, keyed, pkt.Envelope.ID())
+			}
+		case overlay.KindTx:
+			if !keyed || key != pkt.Tx.EnvelopeHash() {
+				t.Fatalf("pre-decode key %x (keyed %v), transaction envelope hash %x", key, keyed, pkt.Tx.EnvelopeHash())
+			}
+		default:
+			if keyed {
+				t.Fatalf("a %v packet was keyed before decoding", pkt.Kind)
+			}
 		}
 	})
 }

@@ -2,9 +2,12 @@ package transport
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
+	"stellar/internal/overlay"
 	"stellar/internal/simnet"
+	"stellar/internal/stellarcrypto"
 )
 
 // Loop is the real-time implementation of simnet.Env backing one local
@@ -25,6 +28,11 @@ type Loop struct {
 
 	self    simnet.Addr
 	handler simnet.Handler
+	// ov is the handler when it is an overlay, as herder.New registers it
+	// (TestLoopDropsSeenFloodsBeforeDecode holds that): its seen set is
+	// what connection readers ask before they decode a frame (Receive).
+	// Read without the loop lock, hence atomic.
+	ov atomic.Pointer[overlay.Overlay]
 
 	// send is installed by the Manager; nil sends are dropped (a node with
 	// no transport yet simply reaches no one, like an unwired overlay).
@@ -49,6 +57,45 @@ func (l *Loop) AddNode(addr simnet.Addr, h simnet.Handler) {
 		panic("transport: one node per loop")
 	}
 	l.self, l.handler = addr, h
+	if ov, ok := h.(*overlay.Overlay); ok {
+		l.ov.Store(ov)
+	}
+}
+
+// Receive hands the local node one inbound packet frame's payload from
+// peer from, on the calling connection reader's goroutine. A flooded
+// envelope or transaction the overlay has seen already costs one hash of
+// its flooded body (floodKey) and one look in the overlay's seen set, which
+// counts it as suppressed, and is dropped undecoded; anything else is
+// decoded and delivered as one loop event, a fresh flooded payload keeping
+// that hash as its id. The error is the decoder's, for a frame dropped as
+// undecodable.
+func (l *Loop) Receive(from simnet.Addr, payload []byte) error {
+	var id stellarcrypto.Hash
+	flooded := false
+	if ov := l.ov.Load(); ov != nil {
+		if id, flooded = floodKey(payload); flooded && ov.Seen(id) {
+			return nil
+		}
+	}
+	pkt, err := DecodePacket(payload)
+	if err != nil {
+		return err
+	}
+	if flooded {
+		switch {
+		case pkt.Envelope != nil:
+			pkt.Envelope.KeepID(id)
+		case pkt.Tx != nil:
+			pkt.Tx.KeepEnvelopeHash(id)
+		}
+	}
+	l.Run(func() {
+		if l.handler != nil {
+			l.handler.HandleMessage(from, pkt, len(payload))
+		}
+	})
+	return nil
 }
 
 // Self returns the local node's address ("" before AddNode).
@@ -111,15 +158,6 @@ func (l *Loop) drainDeferred() {
 		l.deferred = l.deferred[1:]
 		fn()
 	}
-}
-
-// deliver hands an inbound message to the local node as one event.
-func (l *Loop) deliver(from simnet.Addr, msg any, size int) {
-	l.Run(func() {
-		if l.handler != nil {
-			l.handler.HandleMessage(from, msg, size)
-		}
-	})
 }
 
 // Close stops the loop: subsequent and in-flight-but-unstarted events are

@@ -481,7 +481,8 @@ func (m *Manager) teardown(p *peer) {
 }
 
 // readLoop decodes inbound frames and delivers packets to the local node
-// as loop events; it returns when the connection fails or is closed.
+// as loop events; it returns when the connection fails or is closed. A
+// flooded copy the node has seen already is dropped before it is decoded.
 func (m *Manager) readLoop(p *peer) {
 	r := bufio.NewReaderSize(p.conn, readBufferSize)
 	for {
@@ -495,12 +496,9 @@ func (m *Manager) readLoop(p *peer) {
 			m.log.Warn("unexpected frame type after handshake", "peer", string(p.id), "type", typ.String())
 			return
 		}
-		pkt, err := DecodePacket(payload)
-		if err != nil {
+		if err := m.loop.Receive(p.id, payload); err != nil {
 			m.ins.decodeErrors.Inc()
 			m.log.Warn("dropping undecodable packet", "peer", string(p.id), "err", err)
-			continue
 		}
-		m.loop.deliver(p.id, pkt, len(payload))
 	}
 }

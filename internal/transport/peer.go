@@ -8,8 +8,13 @@ import (
 )
 
 // peer is one authenticated connection. Outbound frames pass through a
-// bounded deque drained by a dedicated writer goroutine; when a slow peer
-// lets the queue fill, the oldest frame is shed. Enqueue therefore never
+// bounded deque drained by a dedicated writer goroutine, which takes every
+// queued frame each time it wakes and writes them with one call
+// (net.Buffers: one writev on a TCP connection). Frames the writer holds
+// count against the queue's limit until their write returns, so a slow
+// peer's connection buffers at most limit+1 frames, as when frames were
+// written one at a time; when it fills, the oldest queued frame is shed.
+// Enqueue therefore never
 // blocks: consensus keeps its cadence and a laggard peer recovers via
 // catch-up rather than by stalling everyone else (the same policy
 // stellar-core applies to flooded traffic).
@@ -24,6 +29,7 @@ type peer struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	queue  [][]byte // encoded frames, oldest first
+	taken  int      // frames the writer holds, not yet written
 	limit  int
 	closed bool
 
@@ -37,7 +43,8 @@ func newPeer(id simnet.Addr, conn net.Conn, dialed bool, queueLimit int) *peer {
 }
 
 // enqueue queues one encoded frame for the writer, shedding the oldest
-// queued frame when full. Returns how many frames were shed (0 or 1).
+// queued frame when the queue and the writer's batch together hold limit
+// frames. Returns how many frames were shed (0 or 1).
 func (p *peer) enqueue(frame []byte) int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -45,7 +52,7 @@ func (p *peer) enqueue(frame []byte) int {
 		return 0
 	}
 	shed := 0
-	if len(p.queue) >= p.limit {
+	if len(p.queue) > 0 && len(p.queue)+p.taken >= p.limit {
 		p.queue = p.queue[1:]
 		shed = 1
 	}
@@ -54,19 +61,24 @@ func (p *peer) enqueue(frame []byte) int {
 	return shed
 }
 
-// next blocks until a frame is available or the peer closes.
-func (p *peer) next() ([]byte, bool) {
+// take blocks until frames are queued or the peer closes, then hands the
+// writer every queued frame, oldest first, and gives the queue spare's
+// storage in their place. The writer calls it once its previous batch is
+// written, so only this batch counts as taken.
+func (p *peer) take(spare [][]byte) ([][]byte, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	p.taken = 0
 	for len(p.queue) == 0 && !p.closed {
 		p.cond.Wait()
 	}
 	if p.closed {
 		return nil, false
 	}
-	frame := p.queue[0]
-	p.queue = p.queue[1:]
-	return frame, true
+	batch := p.queue
+	p.queue = spare
+	p.taken = len(batch)
+	return batch, true
 }
 
 // close releases the writer and the connection; idempotent.
@@ -84,19 +96,25 @@ func (p *peer) close() {
 	close(p.done)
 }
 
-// writeLoop drains the queue onto the connection until the peer closes or
-// a write fails (the manager tears the peer down on return).
+// writeLoop drains the queue onto the connection, one write per wakeup,
+// until the peer closes or a write fails (the manager tears the peer down
+// on return). onWrite is told the bytes of each write.
 func (p *peer) writeLoop(onWrite func(frameBytes int)) error {
+	var spare [][]byte
 	for {
-		frame, ok := p.next()
+		batch, ok := p.take(spare)
 		if !ok {
 			return nil
 		}
-		if _, err := p.conn.Write(frame); err != nil {
+		bufs := net.Buffers(batch)
+		n, err := bufs.WriteTo(p.conn)
+		if err != nil {
 			return err
 		}
 		if onWrite != nil {
-			onWrite(len(frame))
+			onWrite(int(n))
 		}
+		// WriteTo has let go of every frame; the storage is the next spare.
+		spare = batch[:0]
 	}
 }

@@ -293,11 +293,29 @@ func TestPeerQueueShedsOldest(t *testing.T) {
 		t.Fatalf("shed %d frames, want 2", shed)
 	}
 	// Oldest (0, 1) are gone; 2, 3, 4 remain in order.
-	for _, want := range []byte{2, 3, 4} {
-		frame, ok := p.next()
-		if !ok || frame[0] != want {
-			t.Fatalf("dequeued %v (ok=%v), want [%d]", frame, ok, want)
+	batch, ok := p.take(nil)
+	if !ok || len(batch) != 3 {
+		t.Fatalf("took %v (ok=%v), want the three newest frames", batch, ok)
+	}
+	for i, want := range []byte{2, 3, 4} {
+		if batch[i][0] != want {
+			t.Fatalf("frame %d is %v, want [%d]", i, batch[i], want)
 		}
+	}
+
+	// The writer now holds those three in a write that does not return:
+	// they count against the limit, so what queues behind them is one
+	// frame, the newest, as behind a single frame in flight.
+	shed = 0
+	for i := 5; i < 10; i++ {
+		shed += p.enqueue([]byte{byte(i)})
+	}
+	if shed != 4 {
+		t.Fatalf("shed %d frames behind a blocked write, want 4", shed)
+	}
+	batch, ok = p.take(nil)
+	if !ok || len(batch) != 1 || batch[0][0] != 9 {
+		t.Fatalf("took %v (ok=%v) after the blocked write, want only the newest frame", batch, ok)
 	}
 }
 
@@ -320,8 +338,7 @@ func testEnvelope() *scp.Envelope {
 	}
 }
 
-func testTx(t *testing.T) *ledger.Transaction {
-	t.Helper()
+func testTx() *ledger.Transaction {
 	kp := stellarcrypto.KeyPairFromString("transport-tx-key")
 	src := ledger.AccountIDFromPublicKey(kp.Public)
 	other := ledger.AccountIDFromPublicKey(stellarcrypto.KeyPairFromString("transport-tx-other").Public)
@@ -337,10 +354,10 @@ func testTx(t *testing.T) *ledger.Transaction {
 	return tx
 }
 
-// fieldsOnly returns a copy of p whose transactions and sets are rebuilt
-// from their exported fields: a decoded transaction also carries the bytes
-// it came from (ledger/seal.go), which a hand-built one does not, and
-// round trips are judged on content.
+// fieldsOnly returns a copy of p whose envelope, transactions and sets are
+// rebuilt from their exported fields: a decoded envelope or transaction
+// also carries the bytes it came from (scp/seal.go, ledger/seal.go), which
+// a hand-built one does not, and round trips are judged on content.
 func fieldsOnly(p *overlay.Packet) *overlay.Packet {
 	plainTx := func(tx *ledger.Transaction) *ledger.Transaction {
 		return &ledger.Transaction{Source: tx.Source, Fee: tx.Fee, SeqNum: tx.SeqNum,
@@ -354,6 +371,9 @@ func fieldsOnly(p *overlay.Packet) *overlay.Packet {
 		return out
 	}
 	c := *p
+	if e := c.Envelope; e != nil {
+		c.Envelope = &scp.Envelope{Node: e.Node, Slot: e.Slot, Seq: e.Seq, QSet: e.QSet, Statement: e.Statement, Signature: e.Signature}
+	}
 	if c.Tx != nil {
 		c.Tx = plainTx(c.Tx)
 	}
@@ -372,7 +392,7 @@ func fieldsOnly(p *overlay.Packet) *overlay.Packet {
 }
 
 func TestPacketRoundTrip(t *testing.T) {
-	tx := testTx(t)
+	tx := testTx()
 	ts := &ledger.TxSet{PrevLedgerHash: stellarcrypto.HashBytes([]byte("prev")), Txs: []*ledger.Transaction{tx}}
 	packets := []*overlay.Packet{
 		{Kind: overlay.KindEnvelope, Envelope: testEnvelope(), TTL: 5, Origin: "GORIGIN"},
@@ -670,12 +690,12 @@ func TestRouteEncodesFloodedPacketOnce(t *testing.T) {
 	// and a frame copy.
 	for _, pkt := range []*overlay.Packet{
 		first,
-		{Kind: overlay.KindTx, Tx: testTx(t), TTL: overlay.DefaultTTL, Origin: m.Self()},
+		{Kind: overlay.KindTx, Tx: testTx(), TTL: overlay.DefaultTTL, Origin: m.Self()},
 	} {
 		size := 0
 		capture := NewLoop()
 		capture.send = func(_, _ simnet.Addr, _ any, n int) { size = n }
-		overlay.New(capture, m.Self(), testNetworkID).SendDirect("x", pkt)
+		overlay.New(capture, m.Self()).SendDirect("x", pkt)
 		var frame []byte
 		var err error
 		allocs := testing.AllocsPerRun(20, func() {

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 
 	"stellar/internal/ledger"
@@ -196,6 +197,29 @@ func encodePacket(e *xdr.Encoder, p *overlay.Packet) error {
 		return fmt.Errorf("transport: cannot encode packet kind %v", p.Kind)
 	}
 	return nil
+}
+
+// floodKey returns the dedup id of a flooded envelope or transaction packet
+// straight from its payload: SHA-256 over the flooded body, everything after
+// kind, TTL, origin and trace context. That body is the envelope's or the
+// transaction's sealed bytes, so the key equals the decoded packet's id; ok
+// is false for any other kind, or a header too short to skip.
+func floodKey(payload []byte) (id stellarcrypto.Hash, ok bool) {
+	const fixed = 4 + 4 + 4 // kind, TTL, the origin's length
+	if len(payload) < fixed {
+		return id, false
+	}
+	switch overlay.Kind(binary.BigEndian.Uint32(payload)) {
+	case overlay.KindEnvelope, overlay.KindTx:
+	default:
+		return id, false
+	}
+	origin := uint64(binary.BigEndian.Uint32(payload[8:]))
+	body := fixed + (origin+3)&^3 + 16 // the padded origin, the trace context's two uint64s
+	if body > uint64(len(payload)) {
+		return id, false
+	}
+	return stellarcrypto.HashBytes(payload[body:]), true
 }
 
 // DecodePacket parses one overlay packet from a frame payload.

@@ -120,13 +120,19 @@ func FuzzQuorumSetDecodeRoundTrip(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		q, err := fba.DecodeQuorumSetXDR(xdr.NewDecoder(data))
+		d := xdr.NewDecoder(data)
+		q, err := fba.DecodeQuorumSetXDR(d)
 		if err != nil {
 			return
 		}
-		// Encoding sorts validators, so the input need not be canonical —
-		// but one encode pass must reach the fixpoint.
+		// The decoder refuses what the encoder would not write (unsorted or
+		// repeated validators), so what it accepts re-encodes to exactly the
+		// bytes it read: an envelope sealed over its received bytes relies
+		// on that.
 		b1 := xdr.Marshal(&q)
+		if in := d.Since(0); !bytes.Equal(b1, in) {
+			t.Fatalf("accepted non-canonical encoding:\n in:  %x\n out: %x", in, b1)
+		}
 		d2 := xdr.NewDecoder(b1)
 		q2, err := fba.DecodeQuorumSetXDR(d2)
 		if err != nil {
