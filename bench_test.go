@@ -168,18 +168,6 @@ func BenchmarkCriticality(b *testing.B) {
 	}
 }
 
-// BenchmarkSCPvsPBFT is E11: the closed-membership baseline comparison.
-func BenchmarkSCPvsPBFT(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.RunSCPvsPBFT([]int{4})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(msf(rows[0].SCPLatency), "scp-ms")
-		b.ReportMetric(msf(rows[0].PBFTLatency), "pbft-ms")
-	}
-}
-
 // BenchmarkTimeoutPolicy is the DESIGN.md §2 ablation: ballot timeout growth.
 func BenchmarkTimeoutPolicy(b *testing.B) {
 	for i := 0; i < b.N; i++ {

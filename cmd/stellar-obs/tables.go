@@ -71,9 +71,7 @@ var tables = []struct {
 	{"cost", "E8 / §7.4: cost of running a validator", runCost},
 	{"qi", "E9 / §6.2.1: quorum intersection checker scaling", runQI},
 	{"critical", "E10 / §6.2.2: criticality detection", runQI},
-	{"baselinebft", "E11: SCP vs closed-membership PBFT baseline", runBFT},
 	{"ablation", "DESIGN.md §2: ballot timeout policy ablation", runAblation},
-	{"overlay", "§7.5 future work: flooding vs structured multicast", runOverlay},
 }
 
 func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
@@ -262,43 +260,6 @@ func runQI(full bool) error {
 	for _, r := range rows {
 		fmt.Printf("%6d %6d %11v %10d %10s %9d\n",
 			r.Orgs, r.Nodes, r.Intersects, r.Examined, r.Elapsed.Round(time.Millisecond), r.Critical)
-	}
-	return nil
-}
-
-func runBFT(full bool) error {
-	sizes := []int{4, 7}
-	if full {
-		sizes = []int{4, 7, 10, 16, 19}
-	}
-	fmt.Println("context (§2.1): SCP trades extra messages for open membership vs closed BFT")
-	rows, err := experiments.RunSCPvsPBFT(sizes)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%4s %14s %10s %14s %10s\n", "N", "SCP lat(ms)", "SCP msgs", "PBFT lat(ms)", "PBFT msgs")
-	for _, r := range rows {
-		fmt.Printf("%4d %14.1f %10d %14.1f %10d\n",
-			r.N, ms(r.SCPLatency), r.SCPMsgs, ms(r.PBFTLatency), r.PBFTMsgs)
-	}
-	return nil
-}
-
-func runOverlay(full bool) error {
-	validators, ledgers := 10, 8
-	if full {
-		validators, ledgers = 25, 20
-	}
-	rows, err := experiments.RunOverlayComparison(validators, ledgers)
-	if err != nil {
-		return err
-	}
-	fmt.Println("paper (§7.5): flooding \"should ideally use more efficient, structured")
-	fmt.Println("peer-to-peer multicast\"; implemented here as the future-work extension")
-	fmt.Printf("%-30s %16s %16s %10s\n", "strategy", "msgs/ledger", "KiB/ledger", "close(s)")
-	for _, r := range rows {
-		fmt.Printf("%-30s %16.0f %16.1f %10.2f\n",
-			r.Strategy, r.MsgsPerLedger, r.BytesPerLedger/1024, r.CloseMean.Seconds())
 	}
 	return nil
 }

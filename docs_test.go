@@ -20,9 +20,12 @@ import (
 // stellar-* command must be one that binary (or that stellar-obs
 // subcommand) lists under -h; a flag standing alone at the start of a code
 // span must be listed by one of them, or be a go or make flag in toolFlags.
+// Every -table=NAME must be a table `stellar-obs tables -list` lists (or
+// all), and every TestX, BenchmarkX or FuzzX named in code must be a func
+// in some _test.go file.
 func TestDocsNameWhatExists(t *testing.T) {
 	var files []string
-	var goSrc strings.Builder
+	var goSrc, testSrc strings.Builder
 	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -36,12 +39,16 @@ func TestDocsNameWhatExists(t *testing.T) {
 		}
 		p = filepath.ToSlash(p)
 		files = append(files, p)
-		if strings.HasSuffix(p, ".go") && !strings.HasSuffix(p, "_test.go") {
+		if strings.HasSuffix(p, ".go") {
 			b, err := os.ReadFile(p)
 			if err != nil {
 				return err
 			}
-			goSrc.Write(b)
+			if strings.HasSuffix(p, "_test.go") {
+				testSrc.Write(b)
+			} else {
+				goSrc.Write(b)
+			}
 		}
 		return nil
 	})
@@ -49,6 +56,10 @@ func TestDocsNameWhatExists(t *testing.T) {
 		t.Fatal(err)
 	}
 	written := goSrc.String()
+	testFuncs := make(map[string]bool)
+	for _, m := range testFunc.FindAllStringSubmatch(testSrc.String(), -1) {
+		testFuncs[m[1]] = true
+	}
 
 	for _, doc := range []string{"DESIGN.md", "README.md", "EXPERIMENTS.md"} {
 		raw, err := os.ReadFile(doc)
@@ -69,7 +80,21 @@ func TestDocsNameWhatExists(t *testing.T) {
 		}
 	}
 
-	cmds := commandFlags(t)
+	bin := buildCommands(t)
+	cmds := commandFlags(bin)
+	if len(cmds) < 4 || len(cmds["stellar-node"]) == 0 {
+		t.Fatalf("read no flags from the binaries' -h output: %v", cmds)
+	}
+	tables := map[string]bool{"all": true}
+	list, _ := exec.Command(filepath.Join(bin, "stellar-obs"), "tables", "-list").Output()
+	for _, line := range strings.Split(string(list), "\n") {
+		if f := strings.Fields(line); len(f) > 0 {
+			tables[f[0]] = true
+		}
+	}
+	if len(tables) < 2 {
+		t.Fatalf("stellar-obs tables -list listed no tables:\n%s", list)
+	}
 	skills, err := filepath.Glob(".*/skills/*/SKILL.md")
 	if err != nil || len(skills) == 0 {
 		t.Fatalf("no skill notes found (%v)", err)
@@ -78,6 +103,20 @@ func TestDocsNameWhatExists(t *testing.T) {
 		raw, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(raw), "\n") {
+			for _, m := range tableArg.FindAllStringSubmatch(line, -1) {
+				if !tables[m[1]] {
+					t.Errorf("%s:%d: names -table=%s, which stellar-obs tables -list does not list", doc, i+1, m[1])
+				}
+			}
+		}
+		for _, span := range codeSpans(string(raw)) {
+			for _, name := range testName.FindAllString(span.text, -1) {
+				if !testFuncs[name] {
+					t.Errorf("%s:%d: `%s` names %s, which no _test.go file declares", doc, span.line, span.text, name)
+				}
+			}
 		}
 		for _, use := range docFlagUses(string(raw)) {
 			if use.cmd != "" {
@@ -107,12 +146,14 @@ var (
 	inlineSpan  = regexp.MustCompile("`([^`\n]+(?:\n[^`\n]+)*)`")
 	flagToken   = regexp.MustCompile(`^--?[A-Za-z]`)
 	commandEnds = map[string]bool{"|": true, "||": true, "&&": true, ";": true, "&": true}
+	tableArg    = regexp.MustCompile(`-table=(\w+)`)
+	testName    = regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z]\w*`)
+	testFunc    = regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)[A-Z]\w*)\(`)
 )
 
-// commandFlags builds the stellar-* binaries and reads the flags each
-// registers from its -h output, with one entry per stellar-obs subcommand
-// ("stellar-obs fbas").
-func commandFlags(t *testing.T) map[string]map[string]bool {
+// buildCommands builds the stellar-* binaries into a temporary directory
+// and returns it.
+func buildCommands(t *testing.T) string {
 	t.Helper()
 	dir := t.TempDir()
 	build := exec.Command("go", "build", "-o", dir,
@@ -120,6 +161,13 @@ func commandFlags(t *testing.T) map[string]map[string]bool {
 	if out, err := build.CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
+	return dir
+}
+
+// commandFlags reads the flags each stellar-* binary in dir registers from
+// its -h output, with one entry per stellar-obs subcommand ("stellar-obs
+// fbas").
+func commandFlags(dir string) map[string]map[string]bool {
 	help := func(bin string, args ...string) string {
 		// -h exits 0 or 2 depending on the binary; the listing is the same.
 		out, _ := exec.Command(filepath.Join(dir, bin), append(args, "-h")...).CombinedOutput()
@@ -138,9 +186,6 @@ func commandFlags(t *testing.T) map[string]map[string]bool {
 	}
 	for _, m := range obsCommand.FindAllStringSubmatch(help("stellar-obs"), -1) {
 		cmds["stellar-obs "+m[1]] = parse(help("stellar-obs", m[1]))
-	}
-	if len(cmds) < 4 || len(cmds["stellar-node"]) == 0 {
-		t.Fatalf("read no flags from the binaries' -h output: %v", cmds)
 	}
 	return cmds
 }
@@ -243,43 +288,58 @@ var (
 	braces     = regexp.MustCompile(`\{([^{}]*)\}`)
 )
 
-// docRefs lists the repository names a Markdown document cites in code:
-// inline spans and the lines of fenced blocks.
-func docRefs(doc string) []docRef {
-	var refs []docRef
+// codeSpan is one piece of code a Markdown document shows: an inline span
+// or one line of a fenced block.
+type codeSpan struct {
+	text   string
+	line   int
+	fenced bool
+}
+
+// codeSpans lists a Markdown document's inline spans and fenced lines.
+func codeSpans(doc string) []codeSpan {
+	var spans []codeSpan
 	fenced := false
 	for i, line := range strings.Split(doc, "\n") {
 		if strings.HasPrefix(strings.TrimSpace(line), "```") {
 			fenced = !fenced
 			continue
 		}
-		spans := []string{line}
-		if !fenced {
-			spans = nil
-			for _, m := range inlineCode.FindAllStringSubmatch(line, -1) {
-				spans = append(spans, m[1])
-			}
+		if fenced {
+			spans = append(spans, codeSpan{text: line, line: i + 1, fenced: true})
+			continue
 		}
-		for _, span := range spans {
-			for _, tok := range pathToken.FindAllString(span, -1) {
-				for _, name := range expandBraces(tok) {
-					name = strings.TrimPrefix(strings.TrimPrefix(name, "./"), "stellar/")
-					name = strings.TrimRight(strings.TrimSuffix(name, "/..."), "/.,")
-					ref := docRef{name: name, span: span, line: i + 1}
-					switch {
-					case strings.HasSuffix(name, ".go"):
-						ref.kind = refGo
-					case strings.HasPrefix(name, "internal/"), strings.HasPrefix(name, "cmd/"),
-						strings.HasPrefix(name, "examples/"):
-						ref.kind = refPath
-					case !fenced && name == span && !strings.Contains(name, "/") &&
-						(strings.HasSuffix(name, ".json") || strings.HasSuffix(name, ".txt")):
-						ref.kind = refData
-					default:
-						continue
-					}
-					refs = append(refs, ref)
+		for _, m := range inlineCode.FindAllStringSubmatch(line, -1) {
+			spans = append(spans, codeSpan{text: m[1], line: i + 1})
+		}
+	}
+	return spans
+}
+
+// docRefs lists the repository names a Markdown document cites in code:
+// inline spans and the lines of fenced blocks.
+func docRefs(doc string) []docRef {
+	var refs []docRef
+	for _, cs := range codeSpans(doc) {
+		span := cs.text
+		for _, tok := range pathToken.FindAllString(span, -1) {
+			for _, name := range expandBraces(tok) {
+				name = strings.TrimPrefix(strings.TrimPrefix(name, "./"), "stellar/")
+				name = strings.TrimRight(strings.TrimSuffix(name, "/..."), "/.,")
+				ref := docRef{name: name, span: span, line: cs.line}
+				switch {
+				case strings.HasSuffix(name, ".go"):
+					ref.kind = refGo
+				case strings.HasPrefix(name, "internal/"), strings.HasPrefix(name, "cmd/"),
+					strings.HasPrefix(name, "examples/"):
+					ref.kind = refPath
+				case !cs.fenced && name == span && !strings.Contains(name, "/") &&
+					(strings.HasSuffix(name, ".json") || strings.HasSuffix(name, ".txt")):
+					ref.kind = refData
+				default:
+					continue
 				}
+				refs = append(refs, ref)
 			}
 		}
 	}

@@ -5,14 +5,12 @@ import (
 	"runtime"
 	"time"
 
-	"stellar/internal/pbft"
 	"stellar/internal/qconfig"
 	"stellar/internal/quorum"
-	"stellar/internal/simnet"
 )
 
 // This file implements the experiment behind every table and figure of §7
-// (see DESIGN.md's experiment index E1–E13). Each Run* function builds a
+// (see DESIGN.md's experiment index E1–E12). Each Run* function builds a
 // network, drives it for a measured interval, and returns the series the
 // paper reports.
 
@@ -293,86 +291,6 @@ func RunQuorumCheck(orgCounts []int) ([]QIRow, error) {
 	return out, nil
 }
 
-// BFTRow compares SCP and the PBFT baseline at one size (E11).
-type BFTRow struct {
-	N           int
-	SCPLatency  time.Duration
-	SCPMsgs     uint64
-	PBFTLatency time.Duration
-	PBFTMsgs    uint64
-}
-
-// RunSCPvsPBFT runs single-decision latency for both protocols at equal N
-// over identical link latency.
-func RunSCPvsPBFT(sizes []int) ([]BFTRow, error) {
-	var out []BFTRow
-	for _, n := range sizes {
-		scpLat, scpMsgs, err := scpDecisionLatency(n)
-		if err != nil {
-			return nil, err
-		}
-		pbftLat, pbftMsgs := pbftDecisionLatency(n)
-		out = append(out, BFTRow{
-			N: n, SCPLatency: scpLat, SCPMsgs: scpMsgs,
-			PBFTLatency: pbftLat, PBFTMsgs: pbftMsgs,
-		})
-	}
-	return out, nil
-}
-
-// scpDecisionLatency runs one SCP slot to externalization.
-func scpDecisionLatency(n int) (time.Duration, uint64, error) {
-	opts := Options{Validators: n, Accounts: 64, TxRate: 5, LedgerInterval: 5 * time.Second}
-	s, err := Build(opts)
-	if err != nil {
-		return 0, 0, err
-	}
-	s.Start()
-	s.Run(3 * opts.LedgerInterval)
-	s.Stop()
-	m := s.Summary()
-	lat := time.Duration(m.Nomination.Mean()) + time.Duration(m.Balloting.Mean())
-	var msgs uint64
-	for _, node := range s.Nodes {
-		msgs += node.Overlay().FloodsSent
-	}
-	ledgers := uint64(s.Nodes[0].LastHeader().LedgerSeq)
-	if ledgers > 1 {
-		msgs /= ledgers - 1
-	}
-	return lat, msgs, nil
-}
-
-// pbftDecisionLatency runs one PBFT slot to decision.
-func pbftDecisionLatency(n int) (time.Duration, uint64) {
-	net := simnet.New(99)
-	net.SetLatency(simnet.UniformLatency(2*time.Millisecond, 10*time.Millisecond))
-	rs := pbft.NewGroup(net, pbft.Config{N: n, Timeout: 5 * time.Second})
-	var decidedAt time.Duration
-	decided := 0
-	for _, r := range rs {
-		r.Decided = func(slot uint64, v pbft.Value) {
-			decided++
-			if decided == len(rs) {
-				decidedAt = net.Now()
-			}
-		}
-	}
-	start := net.Now()
-	for _, r := range rs {
-		r.Propose(1, pbft.Value("proposal"))
-	}
-	net.RunFor(30 * time.Second)
-	var msgs uint64
-	for _, r := range rs {
-		msgs += r.MessagesSent
-	}
-	if decided < len(rs) {
-		return 30 * time.Second, msgs
-	}
-	return decidedAt - start, msgs
-}
-
 // AblationTimeoutRow compares ballot timeout growth policies (DESIGN.md §2).
 type AblationTimeoutRow struct {
 	Policy    string
@@ -421,57 +339,6 @@ func RunTimeoutPolicyAblation(ledgers int) ([]AblationTimeoutRow, error) {
 			Policy:    p.name,
 			CloseMean: time.Duration(m.CloseInterval.Mean()),
 			Timeouts:  m.BallotTimeouts.Mean(),
-		})
-	}
-	return out, nil
-}
-
-// OverlayRow compares dissemination strategies (§7.5 future work).
-type OverlayRow struct {
-	Strategy       string
-	MsgsPerLedger  float64 // network-wide overlay sends per closed ledger
-	BytesPerLedger float64
-	CloseMean      time.Duration
-}
-
-// RunOverlayComparison pits the production flooding overlay against the
-// §7.5 structured-multicast extension at the same validator count.
-func RunOverlayComparison(validators, ledgers int) ([]OverlayRow, error) {
-	var out []OverlayRow
-	for _, mode := range []struct {
-		name      string
-		multicast bool
-	}{{"flooding (§7.5 production)", false}, {"structured multicast (tree)", true}} {
-		opts := Options{
-			Validators: validators,
-			Accounts:   500,
-			TxRate:     20,
-			Multicast:  mode.multicast,
-		}
-		s, err := Build(opts)
-		if err != nil {
-			return nil, err
-		}
-		s.Start()
-		s.Run(time.Duration(ledgers+2) * s.Opts.LedgerInterval)
-		s.Stop()
-		if err := s.CheckAgreement(); err != nil {
-			return nil, fmt.Errorf("%s: %w", mode.name, err)
-		}
-		var sent uint64
-		for _, n := range s.Nodes {
-			sent += n.Overlay().FloodsSent
-		}
-		closed := float64(s.Nodes[0].LastHeader().LedgerSeq - 1)
-		if closed == 0 {
-			return nil, fmt.Errorf("%s: no ledgers closed", mode.name)
-		}
-		m := s.Summary()
-		out = append(out, OverlayRow{
-			Strategy:       mode.name,
-			MsgsPerLedger:  float64(sent) / closed,
-			BytesPerLedger: float64(s.Net.Stats().BytesDelivered) / closed,
-			CloseMean:      time.Duration(m.CloseInterval.Mean()),
 		})
 	}
 	return out, nil

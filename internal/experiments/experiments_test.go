@@ -110,20 +110,6 @@ func TestRunQuorumCheck(t *testing.T) {
 	}
 }
 
-func TestRunSCPvsPBFT(t *testing.T) {
-	rows, err := RunSCPvsPBFT([]int{4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rows[0]
-	if r.SCPLatency <= 0 || r.PBFTLatency <= 0 {
-		t.Fatalf("latencies: scp=%v pbft=%v", r.SCPLatency, r.PBFTLatency)
-	}
-	if r.PBFTMsgs == 0 || r.SCPMsgs == 0 {
-		t.Fatalf("messages: scp=%d pbft=%d", r.SCPMsgs, r.PBFTMsgs)
-	}
-}
-
 func TestRunValidatorCost(t *testing.T) {
 	res, err := RunValidatorCost(4, 1000, 5)
 	if err != nil {
@@ -134,25 +120,5 @@ func TestRunValidatorCost(t *testing.T) {
 	}
 	if res.InboundMbitSec <= 0 {
 		t.Fatal("no inbound bandwidth measured")
-	}
-}
-
-func TestRunOverlayComparison(t *testing.T) {
-	rows, err := RunOverlayComparison(7, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	flood, tree := rows[0], rows[1]
-	// The §7.5 prediction: structured multicast is clearly cheaper at
-	// equal consensus behavior.
-	if tree.MsgsPerLedger >= flood.MsgsPerLedger/2 {
-		t.Fatalf("multicast (%.0f msgs/ledger) not clearly cheaper than flooding (%.0f)",
-			tree.MsgsPerLedger, flood.MsgsPerLedger)
-	}
-	if tree.CloseMean > flood.CloseMean+time.Second {
-		t.Fatalf("multicast close %v much worse than flooding %v", tree.CloseMean, flood.CloseMean)
 	}
 }

@@ -64,9 +64,6 @@ type Options struct {
 	// (default 5000, comfortably above the paper's 350 tx/s × 5 s so no
 	// transactions are dropped); a §5.3 upgrade vote can change it.
 	MaxTxSetSize int
-	// Multicast enables the §7.5 structured-multicast extension in place
-	// of flooding (the overlay comparison experiment).
-	Multicast bool
 	// Obs, when set, supplies the observability bundle (metric registry,
 	// span tracer, logger) for validator i. nil entries (or a nil func)
 	// leave the node on its silent defaults.
@@ -213,7 +210,6 @@ func Build(opts Options) (*SimNetwork, error) {
 			NetworkID:      s.NetworkID,
 			LedgerInterval: opts.LedgerInterval,
 			BallotTimeout:  opts.BallotTimeout,
-			Multicast:      opts.Multicast,
 		}
 		if opts.Obs != nil {
 			cfg.Obs = opts.Obs(i)
@@ -249,16 +245,6 @@ func Build(opts Options) (*SimNetwork, error) {
 			return nil, err
 		}
 		node.Bootstrap(state, 0)
-	}
-
-	if opts.Multicast {
-		addrs := make([]simnet.Addr, len(s.Nodes))
-		for i, n := range s.Nodes {
-			addrs[i] = n.Addr()
-		}
-		for _, n := range s.Nodes {
-			n.Overlay().SetMembers(addrs...)
-		}
 	}
 
 	s.Gen = loadgen.NewGenerator(s.Net, s.Nodes, accounts, s.NetworkID, opts.TxRate)

@@ -14,8 +14,12 @@ var update = flag.Bool("update", false, "rewrite testdata/archive_pin.txt from t
 // TestArchivePin runs the seeded simulator in one fixed configuration and
 // compares the archive it writes — the last checkpoint's header hash and
 // the bucket-list hash restored from its buckets — to the digest in
-// testdata. Any change to fees, apply rules, consensus or the archive
-// format moves the digest; a change that must leave them alone keeps it.
+// testdata, together with the simulator's message counts. Any change to
+// fees, apply rules, consensus or the archive format moves the digest; a
+// change that must leave them alone keeps it. The counts catch what the
+// hashes cannot: a change to nomination (a leader's weight, a round's
+// timeout) that still ends in the same value sends a different number of
+// envelopes. Bytes stay out, so a new wire-size estimate leaves the pin.
 // `go test -run Pin -update` rewrites the digest.
 func TestArchivePin(t *testing.T) {
 	s, err := Build(Options{
@@ -57,7 +61,9 @@ func TestArchivePin(t *testing.T) {
 	if buckets.Hash() != h.SnapshotHash {
 		t.Fatalf("restored bucket list %x, header commits to %x", buckets.Hash(), h.SnapshotHash)
 	}
-	got := fmt.Sprintf("ledger %d\nheader %x\nbuckets %x\n", cp.LedgerSeq, cp.HeaderHash[:], h.SnapshotHash[:])
+	st := s.Net.Stats()
+	got := fmt.Sprintf("ledger %d\nheader %x\nbuckets %x\nmessages sent %d\nmessages delivered %d\n",
+		cp.LedgerSeq, cp.HeaderHash[:], h.SnapshotHash[:], st.MessagesSent, st.MessagesDelivered)
 
 	path := filepath.Join("testdata", "archive_pin.txt")
 	if *update {

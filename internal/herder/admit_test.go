@@ -279,7 +279,7 @@ func TestLoopDropsSeenFloodsBeforeDecode(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("a seen transaction's copy cost %v allocations: it was decoded", allocs)
 	}
-	if got := node.Overlay().DupesSuppessed.Load(); got != 21 {
-		t.Fatalf("%d copies counted as suppressed, want 21", got)
+	if got := node.Obs().Reg.Counter("overlay_dupes_suppressed_total", "").Value(); got != 21 {
+		t.Fatalf("%v copies counted as suppressed, want 21", got)
 	}
 }

@@ -32,9 +32,14 @@ type peerStatus struct {
 // noteEnvelope folds one received envelope into the health table. An
 // externalize statement proves the peer closed that slot; any other
 // statement proves it closed the slot before (it is still deciding this
-// one). Runs on every envelope, before staleness filtering.
+// one). Runs on every envelope, before staleness filtering; an envelope
+// naming a node outside the quorum set is not recorded, since the report
+// never reads it.
 func (n *Node) noteEnvelope(env *scp.Envelope) {
-	ps := n.peersHealth[env.Node]
+	ps, member := n.peersHealth[env.Node]
+	if !member {
+		return
+	}
 	if ps == nil {
 		ps = &peerStatus{}
 		n.peersHealth[env.Node] = ps
@@ -106,12 +111,9 @@ func (n *Node) QuorumHealth() *QuorumHealthReport {
 	}
 	silentAfter := time.Duration(silentIntervals) * n.cfg.LedgerInterval
 
-	members := n.cfg.QSet.Members()
-	ids := make([]fba.NodeID, 0, len(members))
-	for id := range members {
-		if id != n.id {
-			ids = append(ids, id)
-		}
+	ids := make([]fba.NodeID, 0, len(n.peersHealth))
+	for id := range n.peersHealth {
+		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 

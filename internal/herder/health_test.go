@@ -1,11 +1,13 @@
 package herder
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
 	"stellar/internal/fba"
 	"stellar/internal/ledger"
+	"stellar/internal/scp"
 	"stellar/internal/simnet"
 	"stellar/internal/stellarcrypto"
 )
@@ -263,5 +265,70 @@ func TestQuorumGaugesPublished(t *testing.T) {
 	}
 	if v := avail(); v != 0 {
 		t.Fatalf("quorum_available = %v with both peers down, want 0", v)
+	}
+}
+
+// TestHealthTracksQuorumMembersOnly: envelopes naming nodes outside the
+// quorum set — made up, or simply not trusted — add no entry to the health
+// table, whose report reads only the quorum set's members.
+func TestHealthTracksQuorumMembersOnly(t *testing.T) {
+	_, nodes, _ := buildPair(t, nil)
+	n := nodes[0]
+	before := len(n.peersHealth)
+	for i := 0; i < 100; i++ {
+		n.onEnvelope(&scp.Envelope{
+			Node: fba.NodeID(fmt.Sprintf("stranger-%d", i)), Slot: 2, Seq: 1,
+			QSet:      fba.Majority(n.ID()),
+			Statement: scp.Statement{Type: scp.StmtNominate, Votes: []scp.Value{scp.Value("v")}},
+		})
+	}
+	if len(n.peersHealth) != before {
+		t.Fatalf("health table grew from %d to %d entries on envelopes from non-members", before, len(n.peersHealth))
+	}
+	if rep := n.QuorumHealth(); len(rep.Nodes) != 2 {
+		t.Fatalf("report covers %d nodes, want the 2 other quorum members", len(rep.Nodes))
+	}
+}
+
+// TestHealthIgnoresOwnEnvelopes: a node's own envelopes, echoed back by
+// the flood, are not evidence about a peer and add no entry.
+func TestHealthIgnoresOwnEnvelopes(t *testing.T) {
+	_, nodes, _ := buildPair(t, nil)
+	n := nodes[0]
+	n.noteEnvelope(&scp.Envelope{Node: n.ID(), Slot: 9, Statement: scp.Statement{Type: scp.StmtExternalize}})
+	if _, ok := n.peersHealth[n.ID()]; ok {
+		t.Fatal("health table holds an entry for self")
+	}
+	for _, h := range n.QuorumHealth().Nodes {
+		if h.Node == n.ID() {
+			t.Fatalf("report lists self: %+v", h)
+		}
+	}
+}
+
+// TestNoteEnvelopeClosedSlot: an EXTERNALIZE for slot s proves the peer
+// closed s; any other statement about s proves only s−1. Evidence never
+// moves backwards.
+func TestNoteEnvelopeClosedSlot(t *testing.T) {
+	_, nodes, _ := buildPair(t, nil)
+	n := nodes[0]
+	peer := nodes[1].ID()
+	for _, step := range []struct {
+		slot       uint64
+		typ        scp.StatementType
+		lastSlot   uint64
+		lastClosed uint64
+	}{
+		{7, scp.StmtNominate, 7, 6},
+		{7, scp.StmtExternalize, 7, 7},
+		{5, scp.StmtExternalize, 7, 7},
+		{9, scp.StmtNominate, 9, 8},
+	} {
+		n.noteEnvelope(&scp.Envelope{Node: peer, Slot: step.slot, Statement: scp.Statement{Type: step.typ}})
+		ps := n.peersHealth[peer]
+		if ps == nil || ps.lastSlot != step.lastSlot || ps.lastClosed != step.lastClosed {
+			t.Fatalf("after %v for slot %d: %+v, want last slot %d, last closed %d",
+				step.typ, step.slot, ps, step.lastSlot, step.lastClosed)
+		}
 	}
 }

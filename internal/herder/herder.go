@@ -54,9 +54,6 @@ type Config struct {
 	// governance; DesiredUpgrades are the upgrades it votes for (§5.3).
 	Governing       bool
 	DesiredUpgrades []Upgrade
-	// Multicast selects the §7.5 structured-multicast extension instead
-	// of flooding; requires SetMembers on the overlay after wiring.
-	Multicast bool
 	// MaxCloseTimeDrift bounds how far in the future a proposed close
 	// time may sit and still be fully valid (0 = 10s, stellar-core's
 	// clock tolerance). Close times advance at least one second per
@@ -146,7 +143,9 @@ type Node struct {
 	txTrace map[stellarcrypto.Hash]*txTrace
 
 	// peersHealth tracks per-validator liveness evidence from received
-	// SCP envelopes (health.go, GET /debug/quorum).
+	// SCP envelopes (health.go, GET /debug/quorum). Its keys are the
+	// quorum set's members other than self, fixed in New; a member not yet
+	// heard from maps to nil.
 	peersHealth map[fba.NodeID]*peerStatus
 
 	// OnLedgerClose, when set, is invoked after each ledger applies, with
@@ -191,6 +190,11 @@ func New(net simnet.Env, cfg Config) (*Node, error) {
 		triggered:    make(map[uint64]bool),
 		peersHealth:  make(map[fba.NodeID]*peerStatus),
 	}
+	for v := range cfg.QSet.Members() {
+		if v != id {
+			n.peersHealth[v] = nil
+		}
+	}
 	n.pooled = n.pool.Get
 	n.initTracer()
 	n.updatePoolGauges()          // publish mempool_capacity before any traffic
@@ -198,9 +202,6 @@ func New(net simnet.Env, cfg Config) (*Node, error) {
 	n.verifier.SetObs(ob.Reg)
 	n.ov = overlay.New(net, n.addr)
 	n.ov.SetObs(ob.Reg, obs.Component(ob.Log, "overlay"))
-	if cfg.Multicast {
-		n.ov.SetMode(overlay.ModeTree)
-	}
 	n.ov.OnEnvelope = n.onEnvelope
 	n.ov.OnTx = n.onTx
 	n.ov.OnTxSetRef = n.onTxSetRef

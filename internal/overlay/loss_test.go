@@ -2,9 +2,9 @@ package overlay
 
 // Dissemination under adverse delivery: random message loss and duplicate
 // injection. Flooding's redundancy (every peer forwards novel messages to
-// all other peers) should ride out moderate loss, structured multicast's
-// single-path trees should not, and the dedup cache must absorb duplicates
-// arriving via any path without double-delivering to the application.
+// all other peers) should ride out moderate loss, and the dedup cache must
+// absorb duplicates arriving via any path without double-delivering to the
+// application.
 
 import (
 	"testing"
@@ -34,42 +34,6 @@ func TestFloodSurvivesModerateLoss(t *testing.T) {
 		if got[i] != 5 {
 			t.Fatalf("node %d delivered %d of 5 broadcasts under loss", i, got[i])
 		}
-	}
-}
-
-func TestTreeLosesMessagesFloodDoesNot(t *testing.T) {
-	// The same loss rate against tree multicast: each member has exactly
-	// one inbound path per broadcast, so loss translates directly into
-	// missed deliveries. This quantifies the redundancy flooding buys.
-	const n, rounds = 13, 10
-	treeNet, treeOverlays, _ := buildTreeMesh(t, n)
-	treeNet.SetDropRate(0.3)
-	treeGot := 0
-	for i := 1; i < n; i++ {
-		treeOverlays[i].OnEnvelope = func(env *scp.Envelope) bool { treeGot++; return false }
-	}
-	for seq := uint64(1); seq <= rounds; seq++ {
-		treeOverlays[0].BroadcastEnvelope(testEnvelope(seq))
-	}
-	treeNet.RunUntilIdle(0)
-
-	floodNet, floodOverlays := buildMesh(t, n, fullMesh)
-	floodNet.SetDropRate(0.3)
-	floodGot := 0
-	for i := 1; i < n; i++ {
-		floodOverlays[i].OnEnvelope = func(env *scp.Envelope) bool { floodGot++; return false }
-	}
-	for seq := uint64(1); seq <= rounds; seq++ {
-		floodOverlays[0].BroadcastEnvelope(testEnvelope(seq))
-	}
-	floodNet.RunUntilIdle(0)
-
-	want := (n - 1) * rounds
-	if floodGot != want {
-		t.Fatalf("flood delivered %d of %d under loss", floodGot, want)
-	}
-	if treeGot >= want {
-		t.Fatalf("tree delivered %d of %d despite 30%% loss on single paths", treeGot, want)
 	}
 }
 
@@ -116,31 +80,12 @@ func TestDuplicateInjectionSuppressedOncePerNode(t *testing.T) {
 			t.Fatalf("node %d delivered %d times, want exactly 1", i, got[i])
 		}
 	}
-	var suppressed uint64
+	var dupes float64
 	for _, o := range overlays {
-		suppressed += o.DupesSuppessed.Load()
+		dupes += dupesOf(o)
 	}
-	if suppressed == 0 {
+	if dupes == 0 {
 		t.Fatal("no duplicates suppressed")
-	}
-}
-
-func TestTreeDedupUnderDuplicateDelivery(t *testing.T) {
-	// Duplicate injection against tree mode: re-broadcasting the same
-	// envelope from its origin must not double-deliver anywhere.
-	net, overlays, _ := buildTreeMesh(t, 9)
-	var total int
-	for i := 1; i < 9; i++ {
-		overlays[i].OnEnvelope = func(env *scp.Envelope) bool { total++; return false }
-	}
-	env := testEnvelope(1)
-	overlays[0].BroadcastEnvelope(env)
-	net.RunUntilIdle(0)
-	first := total
-	overlays[0].BroadcastEnvelope(env) // identical payload, same dedup id
-	net.RunUntilIdle(0)
-	if total != first {
-		t.Fatalf("duplicate broadcast delivered %d extra times", total-first)
 	}
 }
 

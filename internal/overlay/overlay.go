@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"log/slog"
 	"sync"
-	"sync/atomic"
 
 	"stellar/internal/ledger"
 	"stellar/internal/obs"
@@ -94,8 +93,8 @@ type Packet struct {
 	// TTL bounds re-flooding so that an undersized dedup cache degrades
 	// into extra duplicates rather than an infinite forwarding loop.
 	TTL int
-	// Origin is the node that first broadcast the packet; structured
-	// multicast (multicast.go) builds its tree rooted here.
+	// Origin is the node that first broadcast the packet; a receiver's
+	// continuation spans name it as the trace context's origin.
 	Origin simnet.Addr
 	// Trace is the propagated span context (trace id + emitting span id);
 	// zero when the sender was not tracing. It rides the wire so receiving
@@ -237,11 +236,9 @@ func (s *seenSet) add(id stellarcrypto.Hash) bool {
 // deterministic simulator or a real TCP transport, whichever simnet.Env
 // is supplied at construction.
 type Overlay struct {
-	net     simnet.Env
-	self    simnet.Addr
-	peers   []simnet.Addr
-	mode    Mode
-	members []simnet.Addr
+	net   simnet.Env
+	self  simnet.Addr
+	peers []simnet.Addr
 
 	seen seenSet
 
@@ -268,12 +265,6 @@ type Overlay struct {
 	// consensus state never depends on it.
 	OnTraceCtx func(p *Packet, from simnet.Addr)
 
-	// Counters. DupesSuppessed is also counted by connection readers
-	// (Seen).
-	FloodsSent     uint64
-	Delivered      uint64
-	DupesSuppessed atomic.Uint64
-
 	// Registry instruments (nil until SetObs; guarded at each use so an
 	// unwired overlay — unit tests, tools — costs nothing).
 	ins *overlayInstruments
@@ -294,7 +285,7 @@ func (o *Overlay) SetObs(reg *obs.Registry, log *slog.Logger) {
 	if reg != nil {
 		o.ins = &overlayInstruments{
 			pktsSent: reg.CounterVec("overlay_packets_sent_total",
-				"packets this node sent (floods, tree multicast, direct)", "kind"),
+				"packets this node sent (floods and direct)", "kind"),
 			bytesSent: reg.CounterVec("overlay_bytes_sent_total",
 				"approximate wire bytes this node sent (§7.4 bandwidth)", "kind"),
 			delivered: reg.CounterVec("overlay_packets_delivered_total",
@@ -392,7 +383,7 @@ func (o *Overlay) BroadcastEnvelope(env *scp.Envelope) {
 func (o *Overlay) BroadcastEnvelopeCtx(env *scp.Envelope, ctx obs.TraceContext) {
 	p := &Packet{Kind: KindEnvelope, Envelope: env, TTL: DefaultTTL, Origin: o.self, Trace: ctx}
 	o.seen.add(p.id())
-	o.disseminate(p, "")
+	o.flood(p, "")
 }
 
 // BroadcastTx floods a locally submitted transaction.
@@ -405,7 +396,7 @@ func (o *Overlay) BroadcastTx(tx *ledger.Transaction) {
 func (o *Overlay) BroadcastTxCtx(tx *ledger.Transaction, ctx obs.TraceContext) {
 	p := &Packet{Kind: KindTx, Tx: tx, TTL: DefaultTTL, Origin: o.self, Trace: ctx}
 	o.seen.add(p.id())
-	o.disseminate(p, "")
+	o.flood(p, "")
 }
 
 // SendDirect delivers a packet point-to-point: no flooding, no dedup.
@@ -419,7 +410,7 @@ func (o *Overlay) SendDirect(to simnet.Addr, p *Packet) {
 func (o *Overlay) BroadcastTxSetRef(ref *ledger.TxSetRef, ctx obs.TraceContext) {
 	p := &Packet{Kind: KindTxSetRef, TxSetRef: ref, TTL: DefaultTTL, Origin: o.self, Trace: ctx}
 	o.seen.add(p.id())
-	o.disseminate(p, "")
+	o.flood(p, "")
 }
 
 // flood sends to every peer except the one the packet arrived from.
@@ -431,7 +422,6 @@ func (o *Overlay) flood(p *Packet, except simnet.Addr) {
 		if peer == except {
 			continue
 		}
-		o.FloodsSent++
 		o.send(peer, p)
 	}
 }
@@ -486,7 +476,6 @@ func (o *Overlay) HandleMessage(from simnet.Addr, msg any, size int) {
 
 // suppressed counts a duplicate the dedup cache dropped.
 func (o *Overlay) suppressed() {
-	o.DupesSuppessed.Add(1)
 	if o.ins != nil {
 		o.ins.dupes.Inc()
 	}
@@ -495,7 +484,6 @@ func (o *Overlay) suppressed() {
 // delivered counts a novel flooded packet and shows it to the trace hook,
 // before its payload callback runs.
 func (o *Overlay) delivered(p *Packet, from simnet.Addr) {
-	o.Delivered++
 	if o.ins != nil {
 		o.ins.delivered.With(p.Kind.String()).Inc()
 	}
@@ -508,5 +496,5 @@ func (o *Overlay) delivered(p *Packet, from simnet.Addr) {
 func (o *Overlay) forward(p *Packet, from simnet.Addr) {
 	fwd := *p
 	fwd.TTL--
-	o.disseminate(&fwd, from)
+	o.flood(&fwd, from)
 }

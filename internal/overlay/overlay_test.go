@@ -26,6 +26,7 @@ func buildMesh(t *testing.T, n int, topology func(i, j int) bool) (*simnet.Netwo
 	}
 	for i := range overlays {
 		overlays[i] = New(net, addrs[i])
+		overlays[i].SetObs(obs.NewRegistry(), nil)
 		net.AddNode(addrs[i], simnet.HandlerFunc(overlays[i].HandleMessage))
 	}
 	for i := range overlays {
@@ -37,6 +38,12 @@ func buildMesh(t *testing.T, n int, topology func(i, j int) bool) (*simnet.Netwo
 	}
 	return net, overlays
 }
+
+// dupesOf reads o's overlay_dupes_suppressed_total.
+func dupesOf(o *Overlay) float64 { return o.ins.dupes.Value() }
+
+// packetsSent reads o's overlay_packets_sent_total{kind}.
+func packetsSent(o *Overlay, k Kind) float64 { return o.ins.pktsSent.With(k.String()).Value() }
 
 func fullMesh(i, j int) bool { return true }
 
@@ -74,19 +81,127 @@ func TestFloodReachesAllFullMesh(t *testing.T) {
 }
 
 func TestFloodReachesAllRing(t *testing.T) {
-	// Multi-hop: flooding must traverse the ring.
-	net, overlays := buildMesh(t, 8, ringTopology(8))
-	var got [8]int
+	// Multi-hop: flooding must traverse the ring, and with the origin's
+	// neighbour n1 crashed it still reaches every live node the long way.
+	for _, tc := range []struct {
+		name string
+		down int
+	}{{"all-up", -1}, {"n1-down", 1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			net, overlays := buildMesh(t, 8, ringTopology(8))
+			if tc.down >= 0 {
+				net.SetDown(simnet.Addr(fmt.Sprintf("n%d", tc.down)))
+			}
+			var got [8]int
+			for i := range overlays {
+				i := i
+				overlays[i].OnEnvelope = func(env *scp.Envelope) bool { got[i]++; return false }
+			}
+			overlays[0].BroadcastEnvelope(testEnvelope(1))
+			net.RunUntilIdle(0)
+			for i := 1; i < 8; i++ {
+				want := 1
+				if i == tc.down {
+					want = 0
+				}
+				if got[i] != want {
+					t.Fatalf("ring node %d delivered %d times, want %d", i, got[i], want)
+				}
+			}
+		})
+	}
+}
+
+// TestFloodFromEveryOrigin: every node of a ring broadcasts its own
+// envelope at once; each must reach every other node exactly once.
+func TestFloodFromEveryOrigin(t *testing.T) {
+	const n = 8
+	net, overlays := buildMesh(t, n, ringTopology(n))
+	var got [n]int
 	for i := range overlays {
 		i := i
 		overlays[i].OnEnvelope = func(env *scp.Envelope) bool { got[i]++; return false }
 	}
-	overlays[0].BroadcastEnvelope(testEnvelope(1))
+	for i, o := range overlays {
+		o.BroadcastEnvelope(testEnvelope(uint64(100 + i)))
+	}
 	net.RunUntilIdle(0)
-	for i := 1; i < 8; i++ {
-		if got[i] != 1 {
-			t.Fatalf("ring node %d delivered %d times", i, got[i])
+	for i := range got {
+		if got[i] != n-1 {
+			t.Fatalf("node %d delivered %d envelopes, want %d", i, got[i], n-1)
 		}
+	}
+}
+
+// TestFloodSendCount pins what one broadcast costs in envelope packets:
+// every node sends a novel packet once to each peer but the one it came
+// from, so a full mesh of n pays (n−1)², a ring n+1, and a star n−1
+// whether the hub or a leaf broadcasts.
+func TestFloodSendCount(t *testing.T) {
+	star := func(i, j int) bool { return i == 0 || j == 0 }
+	for _, tc := range []struct {
+		name     string
+		n        int
+		topology func(i, j int) bool
+		origin   int
+		want     float64
+	}{
+		{"full-2", 2, fullMesh, 0, 1},
+		{"full-5", 5, fullMesh, 0, 16},
+		{"full-16", 16, fullMesh, 0, 225},
+		{"ring-4", 4, ringTopology(4), 0, 5},
+		{"ring-13", 13, ringTopology(13), 0, 14},
+		{"star-hub", 6, star, 0, 5},
+		{"star-leaf", 6, star, 3, 5},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			net, overlays := buildMesh(t, tc.n, tc.topology)
+			delivered := make([]int, tc.n)
+			for i := range overlays {
+				i := i
+				overlays[i].OnEnvelope = func(env *scp.Envelope) bool { delivered[i]++; return false }
+			}
+			overlays[tc.origin].BroadcastEnvelope(testEnvelope(1))
+			net.RunUntilIdle(0)
+			var sent float64
+			for i, o := range overlays {
+				sent += packetsSent(o, KindEnvelope)
+				want := 1
+				if i == tc.origin {
+					want = 0
+				}
+				if delivered[i] != want {
+					t.Fatalf("node %d delivered %d times, want %d", i, delivered[i], want)
+				}
+			}
+			if sent != tc.want {
+				t.Fatalf("one broadcast sent %v envelope packets, want %v", sent, tc.want)
+			}
+		})
+	}
+}
+
+// TestFloodForwardsUnknownOrigin: a packet whose origin and sender are
+// not peers is still forwarded to every peer. Only the sender is left out
+// of a flood; the origin plays no part in routing.
+func TestFloodForwardsUnknownOrigin(t *testing.T) {
+	net, overlays := buildMesh(t, 5, ringTopology(5))
+	var got [5]int
+	for i := range overlays {
+		i := i
+		overlays[i].OnEnvelope = func(env *scp.Envelope) bool { got[i]++; return false }
+	}
+	net.AddNode("stranger", simnet.HandlerFunc(func(simnet.Addr, any, int) {}))
+	p := &Packet{Kind: KindEnvelope, Envelope: testEnvelope(1), TTL: DefaultTTL, Origin: "stranger"}
+	net.Send("stranger", "n2", p, p.size())
+	net.RunUntilIdle(0)
+	for i := range got {
+		if got[i] != 1 {
+			t.Fatalf("node %d delivered %d times, want exactly 1", i, got[i])
+		}
+	}
+	if sent := packetsSent(overlays[2], KindEnvelope); sent != 2 {
+		t.Fatalf("n2 forwarded to %v peers, want both ring neighbours", sent)
 	}
 }
 
@@ -101,7 +216,7 @@ func TestDuplicateSuppression(t *testing.T) {
 	if delivered != 1 {
 		t.Fatalf("delivered %d times despite dedup", delivered)
 	}
-	if overlays[3].DupesSuppessed.Load() == 0 {
+	if dupesOf(overlays[3]) == 0 {
 		t.Fatal("no duplicates suppressed in full mesh")
 	}
 }
@@ -214,18 +329,27 @@ func TestTxSetRefForwardedOnlyOnceHeld(t *testing.T) {
 		t.Fatalf("node 3 heard the reference from %v, want n0, n0, n2: every holder it can ask", got)
 	}
 	// Held now: the same reference is a duplicate.
-	dupes := overlays[1].DupesSuppessed.Load()
+	dupes := dupesOf(overlays[1])
 	overlays[0].BroadcastTxSetRef(ref, obs.TraceContext{})
 	net.RunUntilIdle(0)
-	if len(heardFrom[1]) != 2 || overlays[1].DupesSuppessed.Load() != dupes+1 {
+	if len(heardFrom[1]) != 2 || dupesOf(overlays[1]) != dupes+1 {
 		t.Fatal("a reference to a held set was delivered again")
 	}
 
 	overlays[0].SendDirect("n1", &Packet{Kind: KindTxSetReq, TxSetHash: ref.SetHash()})
 	overlays[0].SendDirect("n1", &Packet{Kind: KindTxSet, TxSet: &ledger.TxSet{}, TTL: DefaultTTL})
 	net.RunUntilIdle(0)
-	if direct != 2 || overlays[1].FloodsSent != 1 {
-		t.Fatalf("%d direct packets handed over, node 1 flooded %d packets: want 2 and only the reference", direct, overlays[1].FloodsSent)
+	if direct != 2 {
+		t.Fatalf("%d direct packets handed over, want 2", direct)
+	}
+	for k := KindEnvelope; k <= KindTxSetReq; k++ {
+		want := 0.0
+		if k == KindTxSetRef {
+			want = 1
+		}
+		if got := packetsSent(overlays[1], k); got != want {
+			t.Fatalf("node 1 sent %v %s packets, want %v: it floods only the reference", got, k, want)
+		}
 	}
 }
 
@@ -275,13 +399,14 @@ func TestRefusedIsSeenButNotForwarded(t *testing.T) {
 // as the overlay's own dedup does.
 func TestSeenCountsSuppressed(t *testing.T) {
 	o := New(simnet.New(1), "a")
+	o.SetObs(obs.NewRegistry(), nil)
 	env := testEnvelope(1)
-	if o.Seen(env.ID()) || o.DupesSuppessed.Load() != 0 {
+	if o.Seen(env.ID()) || dupesOf(o) != 0 {
 		t.Fatal("an unseen id reported seen")
 	}
 	o.BroadcastEnvelope(env)
-	if !o.Seen(env.ID()) || o.DupesSuppessed.Load() != 1 {
-		t.Fatalf("a broadcast envelope: seen %v, %d suppressed; want seen, 1", o.Seen(env.ID()), o.DupesSuppessed.Load())
+	if !o.Seen(env.ID()) || dupesOf(o) != 1 {
+		t.Fatalf("a broadcast envelope: seen %v, %v suppressed; want seen, 1", o.Seen(env.ID()), dupesOf(o))
 	}
 }
 

@@ -8,21 +8,25 @@ import (
 
 	"stellar/internal/fba"
 	"stellar/internal/ledger"
+	"stellar/internal/obs"
 	"stellar/internal/overlay"
 	"stellar/internal/scp"
 	"stellar/internal/stellarcrypto"
 )
 
 // floodLoop is a loop hosting a bare overlay that counts the envelopes and
-// transactions delivered to it.
-func floodLoop() (*Loop, *overlay.Overlay, *int) {
-	loop := NewLoop()
+// transactions delivered to it; suppressed is its registry's
+// overlay_dupes_suppressed_total.
+func floodLoop() (loop *Loop, suppressed *obs.Counter, delivered *int) {
+	loop = NewLoop()
 	ov := overlay.New(loop, "self")
+	reg := obs.NewRegistry()
+	ov.SetObs(reg, nil)
 	loop.AddNode("self", ov)
-	delivered := 0
-	ov.OnEnvelope = func(*scp.Envelope) bool { delivered++; return false }
-	ov.OnTx = func(*ledger.Transaction) bool { delivered++; return false }
-	return loop, ov, &delivered
+	delivered = new(int)
+	ov.OnEnvelope = func(*scp.Envelope) bool { *delivered++; return false }
+	ov.OnTx = func(*ledger.Transaction) bool { *delivered++; return false }
+	return loop, reg.Counter("overlay_dupes_suppressed_total", ""), delivered
 }
 
 // signedEnvelopePayload is the packet payload of a signed envelope; its
@@ -50,7 +54,7 @@ func TestDuplicateDroppedBeforeDecode(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, payload := range [][]byte{signedEnvelopePayload(t, 1), txPayload} {
-		loop, ov, delivered := floodLoop()
+		loop, suppressed, delivered := floodLoop()
 		if err := loop.Receive("peer", payload); err != nil || *delivered != 1 {
 			t.Fatalf("a fresh frame: err %v, %d delivered; want it delivered", err, *delivered)
 		}
@@ -62,8 +66,8 @@ func TestDuplicateDroppedBeforeDecode(t *testing.T) {
 		if allocs != 0 {
 			t.Fatalf("a duplicate frame cost %v allocations: it was decoded", allocs)
 		}
-		if *delivered != 1 || ov.DupesSuppessed.Load() != 101 {
-			t.Fatalf("%d delivered, %d suppressed; want 1 and the 101 copies", *delivered, ov.DupesSuppessed.Load())
+		if *delivered != 1 || suppressed.Value() != 101 {
+			t.Fatalf("%d delivered, %v suppressed; want 1 and the 101 copies", *delivered, suppressed.Value())
 		}
 	}
 }
@@ -76,14 +80,14 @@ func TestForgedCopyNeverSuppressesGenuine(t *testing.T) {
 	forged := bytes.Clone(genuine)
 	forged[len(forged)-1] ^= 1
 	for _, order := range [][][]byte{{genuine, forged}, {forged, genuine}} {
-		loop, ov, delivered := floodLoop()
+		loop, suppressed, delivered := floodLoop()
 		for _, payload := range order {
 			if err := loop.Receive("peer", payload); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if *delivered != 2 || ov.DupesSuppessed.Load() != 0 {
-			t.Fatalf("%d delivered, %d suppressed: one copy shadowed the other", *delivered, ov.DupesSuppessed.Load())
+		if *delivered != 2 || suppressed.Value() != 0 {
+			t.Fatalf("%d delivered, %v suppressed: one copy shadowed the other", *delivered, suppressed.Value())
 		}
 	}
 }
