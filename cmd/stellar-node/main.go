@@ -231,7 +231,8 @@ func run(c *config) error {
 	// the overlay opens; an empty data dir with -catchup fetches a peer's
 	// checkpointed state over the wire once the first peer is up, then
 	// catches up the ledgers past it; without a data dir every process
-	// derives the shared genesis.
+	// derives the shared genesis. Each path then starts the ledger cadence,
+	// which nominates at once on a tip this node did not ballot on.
 	var startCatchup func()
 	switch {
 	case c.catchup && !herder.ArchiveHoldsLedgers(arch):

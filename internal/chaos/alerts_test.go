@@ -93,11 +93,11 @@ func TestPartitionAlertsFireAndResolve(t *testing.T) {
 	open := slots[len(slots)-1]
 	var applied uint64
 	for _, r := range slots {
-		if r.Applied != 0 {
+		if r.Applied.Seen {
 			applied = r.Slot
 		}
 	}
-	if open.Slot != applied+1 || open.NominationStart == 0 || open.Externalized != 0 ||
+	if open.Slot != applied+1 || !open.NominationStart.Seen || open.Externalized.Seen ||
 		open.NominationTimeouts+open.BallotTimeouts == 0 {
 		t.Fatalf("newest record is not the stalled open slot after ledger %d: %+v", applied, open)
 	}

@@ -160,7 +160,7 @@ func checkBundle(t *testing.T, dir string) {
 		t.Fatal("slots.json holds no record")
 	}
 	open := slots[len(slots)-1]
-	if open.NominationStart == 0 || open.Externalized != 0 {
+	if !open.NominationStart.Seen || open.Externalized.Seen {
 		t.Errorf("newest slot record %+v: want nomination started and no externalize", open)
 	}
 }

@@ -5,12 +5,14 @@ package cluster
 import (
 	"encoding/json"
 	"fmt"
+	"net/http"
 	"os"
 	"strconv"
 	"testing"
 	"time"
 
 	"stellar/internal/herder"
+	"stellar/internal/horizon"
 )
 
 // The smoke tests each boot a real quorum and hold only their assertions;
@@ -107,5 +109,44 @@ func TestQuorumClosesIdenticalLedgers(t *testing.T) {
 		if err != nil || len(rep.Nodes) != 2 || !rep.QuorumAvailable {
 			t.Errorf("%s /debug/quorum: %+v (%v), want both peers tracked and quorum available", nd.Label, rep, err)
 		}
+	}
+}
+
+// TestBootClosesFirstLedgerAtOnce: a booted validator's tip (genesis) has no
+// local ballot start, so it nominates at once (DESIGN.md §5). With a 2 s
+// interval every node closes ledger 2 within 1 s of the last node's start;
+// waiting an interval before the first nomination would take 2 s.
+func TestBootClosesFirstLedgerAtOnce(t *testing.T) {
+	const interval = 2 * time.Second
+	c := boot(t, Config{Validators: 3, Args: func(int) []string { return []string{"-interval", interval.String()} }})
+	started := time.Now() // the last node's process has just been started
+	deadline := started.Add(interval / 2)
+	for _, nd := range c.Nodes {
+		for {
+			li, err := c.Ledger(nd, "latest")
+			if err == nil && li.Sequence >= 2 {
+				t.Logf("%s: ledger 2 closed by %v after the last node's start", nd.Label, time.Since(started).Round(time.Millisecond))
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s at ledger %d %v after the last node's start, want ledger 2 (last error: %v)",
+					nd.Label, li.Sequence, time.Since(started).Round(time.Millisecond), err)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+	// Where the saving is: each node's slot 2 record, on its Unix-time
+	// clock, against the last node's start.
+	at := func(s string) time.Duration {
+		d, _ := time.ParseDuration(s)
+		return (d - time.Duration(started.UnixNano())).Round(time.Millisecond)
+	}
+	for _, nd := range c.Nodes {
+		var tr horizon.SlotTraceInfo
+		if status, body, err := c.get(nd, "/debug/slots/2/trace"); err != nil || status != http.StatusOK || json.Unmarshal(body, &tr) != nil {
+			t.Fatalf("%s /debug/slots/2/trace: status %d, %v", nd.Label, status, err)
+		}
+		t.Logf("%s slot 2: nominated at %v, externalized at %v (from the last node's start)",
+			nd.Label, at(tr.NominationStart), at(tr.Externalize))
 	}
 }

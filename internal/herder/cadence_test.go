@@ -29,18 +29,18 @@ func buildCadenceTrio(t *testing.T) (*simnet.Network, []*Node, stellarcrypto.Has
 
 // Phase boundaries of a slot record, for firstEvents.
 var (
-	nominationStart = func(r SlotRecord) time.Duration { return r.NominationStart }
-	firstPrepare    = func(r SlotRecord) time.Duration { return r.FirstPrepare }
-	externalized    = func(r SlotRecord) time.Duration { return r.Externalized }
+	nominationStart = func(r SlotRecord) Stamp { return r.NominationStart }
+	firstPrepare    = func(r SlotRecord) Stamp { return r.FirstPrepare }
+	externalized    = func(r SlotRecord) Stamp { return r.Externalized }
 )
 
 // firstEvents maps slot → virtual time of one phase boundary, for every
 // slot the node's records saw it in.
-func firstEvents(n *Node, boundary func(SlotRecord) time.Duration) map[uint64]time.Duration {
+func firstEvents(n *Node, boundary func(SlotRecord) Stamp) map[uint64]time.Duration {
 	out := make(map[uint64]time.Duration)
 	for _, r := range n.SlotRecords() {
-		if at := boundary(r); at != 0 {
-			out[r.Slot] = at
+		if s := boundary(r); s.Seen {
+			out[r.Slot] = s.At
 		}
 	}
 	return out
@@ -84,6 +84,27 @@ func TestTriggerGapIsIntervalPlusNomination(t *testing.T) {
 		}
 		if checked < 8 {
 			t.Fatalf("node %d: only %d consecutive trigger pairs in 21s", i, checked)
+		}
+	}
+}
+
+// TestBootNominatesAtOnce: a booted node's tip (genesis) has no local ballot
+// start, so Start triggers at once, and three nodes started together decide
+// ledger 2 within a few message delays instead of one interval after boot.
+func TestBootNominatesAtOnce(t *testing.T) {
+	net, nodes, _ := buildCadenceTrio(t)
+	for _, n := range nodes {
+		n.Start()
+	}
+	interval := nodes[0].cfg.LedgerInterval
+	net.RunFor(interval/2 - time.Nanosecond)
+	for i, n := range nodes {
+		r, ok := n.SlotRecord(2)
+		if !ok || !r.NominationStart.Seen || r.NominationStart.At != 0 {
+			t.Fatalf("node %d: slot 2 nomination %+v, want it started at boot (t = 0)", i, r.NominationStart)
+		}
+		if !r.Externalized.Seen || n.LastHeader().LedgerSeq < 2 {
+			t.Fatalf("node %d: slot 2 not externalized and applied by %v (record %+v)", i, net.Now(), r)
 		}
 	}
 }
@@ -227,39 +248,77 @@ func histogramSample(t *testing.T, n *Node, name string) obs.Sample {
 	return obs.Sample{}
 }
 
-// TestTriggerWaitIsClamped: whatever the recorded ballot start, the wait
-// armed at apply stays inside [0, LedgerInterval].
+// TestTriggerWaitIsClamped: Start and the close path arm the trigger by one
+// rule — one interval after this node's first prepare on its tip, clamped
+// to [0, LedgerInterval] from now, and at once when the tip has none.
 func TestTriggerWaitIsClamped(t *testing.T) {
-	for name, tc := range map[string]struct {
-		ballotStartFromNow time.Duration
-		wantWait           func(interval time.Duration) time.Duration
+	none := time.Duration(1 << 62) // no first prepare on the tip
+	rows := []struct {
+		name                string
+		firstPrepareFromNow time.Duration
+		wantWait            func(interval time.Duration) time.Duration
 	}{
-		"ballot start in the future": {time.Hour, func(i time.Duration) time.Duration { return i }},
-		"ballot start long ago":      {-time.Hour, func(time.Duration) time.Duration { return 0 }},
-		"mid-interval":               {-300 * time.Millisecond, func(i time.Duration) time.Duration { return i - 300*time.Millisecond }},
-	} {
-		net, nodes, _ := buildCadenceTrio(t)
-		laggard := nodes[2]
-		net.SetDown(laggard.Addr())
-		nodes[0].Start()
-		nodes[1].Start()
-		net.RunFor(5 * time.Second)
-		net.SetUp(laggard.Addr())
-		items := catchupItems(nodes[0], laggard.last.LedgerSeq+1)[:1]
-
-		laggard.slots.write(uint64(items[0].Header.LedgerSeq), func(r *SlotRecord) {
-			r.BallotsStarted, r.FirstPrepare = 1, net.Now()+tc.ballotStartFromNow
-		})
-		laggard.applyCatchup(items)
-		armed, armedAt := laggard.trigTimer, net.Now()
-		for !armed.Fired() {
-			if !net.Step() {
-				t.Fatalf("%s: trigger never fired", name)
+		{"no first prepare", none, func(time.Duration) time.Duration { return 0 }},
+		{"first prepare long ago", -time.Hour, func(time.Duration) time.Duration { return 0 }},
+		{"first prepare 300ms ago", -300 * time.Millisecond, func(i time.Duration) time.Duration { return i - 300*time.Millisecond }},
+		{"first prepare in the future", time.Hour, func(i time.Duration) time.Duration { return i }},
+	}
+	// Each path brings node n to a tip whose record prepare sets up, arms
+	// the trigger, and returns n. The node is cut off from its peers, so no
+	// envelope can close a ledger and re-arm the timer before it fires.
+	paths := []struct {
+		name string
+		arm  func(net *simnet.Network, nodes []*Node, prepare func(n *Node, slot uint64)) *Node
+	}{
+		{"start", func(net *simnet.Network, nodes []*Node, prepare func(*Node, uint64)) *Node {
+			n := nodes[0]
+			isolate(net, n, nodes)
+			net.RunFor(time.Second)
+			prepare(n, uint64(n.last.LedgerSeq))
+			n.Start()
+			return n
+		}},
+		{"close", func(net *simnet.Network, nodes []*Node, prepare func(*Node, uint64)) *Node {
+			laggard := nodes[2]
+			isolate(net, laggard, nodes)
+			nodes[0].Start()
+			nodes[1].Start()
+			net.RunFor(5 * time.Second)
+			items := catchupItems(nodes[0], laggard.last.LedgerSeq+1)[:1]
+			prepare(laggard, uint64(items[0].Header.LedgerSeq))
+			laggard.applyCatchup(items)
+			return laggard
+		}},
+	}
+	for _, row := range rows {
+		for _, path := range paths {
+			net, nodes, _ := buildCadenceTrio(t)
+			n := path.arm(net, nodes, func(n *Node, slot uint64) {
+				if row.firstPrepareFromNow == none {
+					return
+				}
+				n.slots.write(slot, func(r *SlotRecord) {
+					r.BallotsStarted, r.FirstPrepare = 1, stamp(net.Now()+row.firstPrepareFromNow)
+				})
+			})
+			armed, armedAt, interval := n.trigTimer, net.Now(), n.cfg.LedgerInterval
+			for !armed.Fired() && !armed.Cancelled() && net.Now() <= armedAt+interval && net.Step() {
+			}
+			if !armed.Fired() {
+				t.Fatalf("%s, %s: the trigger armed at %v did not fire within an interval", row.name, path.name, armedAt)
+			}
+			if got, want := net.Now()-armedAt, row.wantWait(interval); got != want {
+				t.Fatalf("%s, %s: trigger fired after %v, want %v", row.name, path.name, got, want)
 			}
 		}
-		interval := laggard.cfg.LedgerInterval
-		if got, want := net.Now()-armedAt, tc.wantWait(interval); got != want {
-			t.Fatalf("%s: trigger fired after %v, want %v", name, got, want)
+	}
+}
+
+// isolate cuts n's links to every other node.
+func isolate(net *simnet.Network, n *Node, nodes []*Node) {
+	for _, m := range nodes {
+		if m != n {
+			net.Partition(n.Addr(), m.Addr())
 		}
 	}
 }

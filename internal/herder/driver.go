@@ -165,7 +165,7 @@ func (d *driver) StartedBallot(slot uint64, b scp.Ballot) {
 	now, first := n.net.Now(), false
 	n.record(slot, func(r *SlotRecord) {
 		if first = !r.Prepared(); first {
-			r.FirstPrepare = now
+			r.FirstPrepare = stamp(now)
 		}
 		r.BallotsStarted++
 	})
@@ -178,7 +178,7 @@ func (d *driver) StartedBallot(slot uint64, b scp.Ballot) {
 func (d *driver) AcceptedCommit(slot uint64, b scp.Ballot) {
 	n := d.node()
 	now := n.net.Now()
-	n.record(slot, func(r *SlotRecord) { r.AcceptCommit = now })
+	n.record(slot, func(r *SlotRecord) { r.AcceptCommit = stamp(now) })
 	n.traceAcceptCommit(slot)
 	n.log.Debug("accepted commit", "slot", slot, "counter", b.Counter)
 }
@@ -200,7 +200,7 @@ func (d *driver) Timeout(slot uint64, kind scp.TimerKind) {
 func (d *driver) NominationConfirmed(slot uint64) {
 	n := d.node()
 	now := n.net.Now()
-	n.record(slot, func(r *SlotRecord) { r.CandidateConfirmed = now })
+	n.record(slot, func(r *SlotRecord) { r.CandidateConfirmed = stamp(now) })
 }
 
 // NominationRoundStarted counts nomination rounds: round 1 at the trigger,

@@ -12,7 +12,8 @@ import (
 // exposes through its quorum info endpoint): which validators this node's
 // quorum set actually depends on, how far behind each one is, and whether
 // the healthy ones still satisfy a slice. Evidence comes from received
-// SCP envelopes — a validator is only as alive as its last statement.
+// SCP envelopes whose signature was checked — a validator is only as alive
+// as its last statement, and only it can make one.
 
 // behindLedgers is how many ledgers behind a peer may be before it
 // counts as "behind" (one in-flight slot is normal).
@@ -29,12 +30,23 @@ type peerStatus struct {
 	lastHeard  time.Duration // node-clock time of the last envelope
 }
 
-// noteEnvelope folds one received envelope into the health table. An
-// externalize statement proves the peer closed that slot; any other
-// statement proves it closed the slot before (it is still deciding this
-// one). Runs on every envelope, before staleness filtering; an envelope
-// naming a node outside the quorum set is not recorded, since the report
-// never reads it.
+// with is ps updated by one envelope heard at now. An externalize statement
+// proves the peer closed that slot; any other statement proves it closed
+// the slot before (it is still deciding this one).
+func (ps peerStatus) with(env *scp.Envelope, now time.Duration) peerStatus {
+	ps.lastHeard = now
+	ps.lastSlot = max(ps.lastSlot, env.Slot)
+	closed := env.Slot - 1
+	if env.Statement.Type == scp.StmtExternalize {
+		closed = env.Slot
+	}
+	ps.lastClosed = max(ps.lastClosed, closed)
+	return ps
+}
+
+// noteEnvelope folds one envelope SCP accepted — well-formed, and signed by
+// the node it names — into the health table. An envelope naming a node
+// outside the quorum set is not recorded, since the report never reads it.
 func (n *Node) noteEnvelope(env *scp.Envelope) {
 	ps, member := n.peersHealth[env.Node]
 	if !member {
@@ -44,17 +56,30 @@ func (n *Node) noteEnvelope(env *scp.Envelope) {
 		ps = &peerStatus{}
 		n.peersHealth[env.Node] = ps
 	}
-	ps.lastHeard = n.net.Now()
-	if env.Slot > ps.lastSlot {
-		ps.lastSlot = env.Slot
+	*ps = ps.with(env, n.net.Now())
+}
+
+// noteClosedSlotEnvelope takes health evidence from an envelope for a slot
+// this node has closed, which SCP never sees: a peer stuck replaying old
+// slots is exactly what /debug/quorum reports. It counts only when it would
+// change the member's verdict (Missing, Behind or Silent), and then only
+// once the node's shared verifier passed its signature — so a steady state
+// adds no signature checks, and a forged envelope revives no one.
+func (n *Node) noteClosedSlotEnvelope(env *scp.Envelope) {
+	ps, member := n.peersHealth[env.Node]
+	if !member {
+		return
 	}
-	closed := env.Slot - 1
-	if env.Statement.Type == scp.StmtExternalize {
-		closed = env.Slot
+	var next peerStatus
+	if ps != nil {
+		next = *ps
 	}
-	if closed > ps.lastClosed {
-		ps.lastClosed = closed
+	now := n.net.Now()
+	next = next.with(env, now)
+	if n.health(ps, now).verdict() == n.health(&next, now).verdict() || !(*driver)(n).VerifyEnvelope(env) {
+		return
 	}
+	n.noteEnvelope(env)
 }
 
 // NodeHealth is one tracked validator's view in the quorum report.
@@ -71,6 +96,30 @@ type NodeHealth struct {
 
 // Healthy reports whether the validator counts toward quorum availability.
 func (h *NodeHealth) Healthy() bool { return !h.Missing && !h.Behind && !h.Silent }
+
+// verdict is the part of h that decides health.
+func (h NodeHealth) verdict() [3]bool { return [3]bool{h.Missing, h.Behind, h.Silent} }
+
+// health is what the report says at now of a member with evidence ps (nil:
+// never heard from), against this node's tip.
+func (n *Node) health(ps *peerStatus, now time.Duration) NodeHealth {
+	var h NodeHealth
+	if ps == nil {
+		h.Missing = true
+		return h
+	}
+	var local uint32
+	if n.last != nil {
+		local = n.last.LedgerSeq
+	}
+	h.LastSlot = ps.lastSlot
+	h.LastClosed = ps.lastClosed
+	h.Lag = int64(local) - int64(ps.lastClosed)
+	h.HeardAgo = now - ps.lastHeard
+	h.Behind = h.Lag >= behindLedgers
+	h.Silent = h.HeardAgo > time.Duration(silentIntervals)*n.cfg.LedgerInterval
+	return h
+}
 
 // SliceHealth summarizes one level of the quorum-set tree: how many of
 // its members (validators or inner sets) are currently usable against its
@@ -109,7 +158,6 @@ func (n *Node) QuorumHealth() *QuorumHealthReport {
 	if n.last != nil {
 		rep.LocalSeq = n.last.LedgerSeq
 	}
-	silentAfter := time.Duration(silentIntervals) * n.cfg.LedgerInterval
 
 	ids := make([]fba.NodeID, 0, len(n.peersHealth))
 	for id := range n.peersHealth {
@@ -119,17 +167,8 @@ func (n *Node) QuorumHealth() *QuorumHealthReport {
 
 	healthy := map[fba.NodeID]bool{n.id: true} // self is trivially healthy
 	for _, id := range ids {
-		h := NodeHealth{Node: id}
-		if ps := n.peersHealth[id]; ps == nil {
-			h.Missing = true
-		} else {
-			h.LastSlot = ps.lastSlot
-			h.LastClosed = ps.lastClosed
-			h.Lag = int64(rep.LocalSeq) - int64(ps.lastClosed)
-			h.HeardAgo = rep.Now - ps.lastHeard
-			h.Behind = h.Lag >= behindLedgers
-			h.Silent = h.HeardAgo > silentAfter
-		}
+		h := n.health(n.peersHealth[id], rep.Now)
+		h.Node = id
 		if h.Healthy() {
 			healthy[id] = true
 		} else {

@@ -332,3 +332,90 @@ func TestNoteEnvelopeClosedSlot(t *testing.T) {
 		}
 	}
 }
+
+// downedThirdPeer runs buildPair's trio for 10 s, then with node 2 down for
+// 30 s, and returns node 0's view of node 2: Behind and Silent.
+func downedThirdPeer(t *testing.T) (*simnet.Network, []*Node, NodeHealth) {
+	t.Helper()
+	net, nodes, _ := buildPair(t, nil)
+	for _, n := range nodes {
+		n.Start()
+	}
+	net.RunFor(10 * time.Second)
+	net.SetDown(nodes[2].Addr())
+	net.RunFor(30 * time.Second)
+	h := healthByNode(nodes[0].QuorumHealth())[nodes[2].ID()]
+	if !h.Behind || !h.Silent {
+		t.Fatalf("setup: downed peer %+v, want behind and silent", h)
+	}
+	return net, nodes, h
+}
+
+// externalizeFrom is an EXTERNALIZE statement for slot naming node, signed
+// by its key when signer is set and unsigned otherwise.
+func externalizeFrom(node *Node, slot uint64, signer *Node) *scp.Envelope {
+	env := &scp.Envelope{
+		Node: node.ID(), Slot: slot, Seq: 1, QSet: node.cfg.QSet,
+		Statement: scp.Statement{Type: scp.StmtExternalize, Ballot: scp.Ballot{Counter: 1, Value: scp.Value("v")}, NH: 1},
+	}
+	if signer != nil {
+		env.Sign(signer.cfg.Keys.Secret.Sign)
+	}
+	return env
+}
+
+// TestForgedEnvelopeRevivesNoOne: health evidence is taken only from
+// envelopes whose signature was checked. An unsigned EXTERNALIZE naming a
+// crashed member — for a slot ahead of the tip, which SCP refuses, or for
+// one already closed — leaves it Behind and Silent at its last real close.
+func TestForgedEnvelopeRevivesNoOne(t *testing.T) {
+	_, nodes, before := downedThirdPeer(t)
+	observer, victim := nodes[0], nodes[2]
+	for _, slot := range []uint64{1000, uint64(observer.LastHeader().LedgerSeq)} {
+		observer.onEnvelope(externalizeFrom(victim, slot, nil))
+		after := healthByNode(observer.RefreshQuorumHealth())[victim.ID()]
+		if after.verdict() != before.verdict() || after.LastClosed != before.LastClosed || after.LastSlot != before.LastSlot {
+			t.Fatalf("a forged envelope for slot %d changed the crashed member:\n before %+v\n after  %+v", slot, before, after)
+		}
+	}
+}
+
+// TestReplayedOldSlotsStayBehind: a member that speaks only about slots
+// this node closed long ago — genuinely signed — is alive but stuck: Behind,
+// not Silent.
+func TestReplayedOldSlotsStayBehind(t *testing.T) {
+	_, nodes, before := downedThirdPeer(t)
+	observer, stuck := nodes[0], nodes[2]
+	observer.onEnvelope(externalizeFrom(stuck, before.LastClosed, stuck))
+	after := healthByNode(observer.QuorumHealth())[stuck.ID()]
+	if !after.Behind || after.Silent || after.HeardAgo != 0 {
+		t.Fatalf("a member replaying old slots: %+v, want behind and not silent", after)
+	}
+}
+
+// TestOldSlotsOfHealthyMembersCostNoCheck: in a steady state an envelope
+// for a closed slot cannot change a member's verdict, so it is not
+// verified, signed or not, and changes nothing.
+func TestOldSlotsOfHealthyMembersCostNoCheck(t *testing.T) {
+	net, nodes, _ := buildPair(t, nil)
+	for _, n := range nodes {
+		n.Start()
+	}
+	net.RunFor(10 * time.Second)
+	observer, live := nodes[0], nodes[1]
+	before := healthByNode(observer.QuorumHealth())[live.ID()]
+	if !before.Healthy() {
+		t.Fatalf("setup: live member %+v", before)
+	}
+	checks := func() uint64 { s := observer.verifier.Cache.Stats(); return s.Hits + s.Misses }
+	was := checks()
+	old := uint64(observer.LastHeader().LedgerSeq) - 1
+	observer.onEnvelope(externalizeFrom(live, old, live))
+	observer.onEnvelope(externalizeFrom(live, old, nil))
+	if got := checks() - was; got != 0 {
+		t.Fatalf("old-slot envelopes from a healthy member took %d signature checks, want 0", got)
+	}
+	if after := healthByNode(observer.QuorumHealth())[live.ID()]; after != before {
+		t.Fatalf("old-slot envelopes changed a healthy member:\n before %+v\n after  %+v", before, after)
+	}
+}

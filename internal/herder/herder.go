@@ -284,16 +284,35 @@ func (n *Node) adoptBuckets(buckets *bucket.List, hdr *ledger.Header) error {
 	return nil
 }
 
-// Start begins the ledger trigger cadence; call after Bootstrap.
+// Start begins the ledger trigger cadence; call after Bootstrap, a restore
+// or a catch-up. It arms the trigger by the rule every close does
+// (triggerWait): a tip this node did not ballot on — genesis, a restored or
+// fetched ledger — triggers at once.
 func (n *Node) Start() {
-	n.scheduleTrigger(n.cfg.LedgerInterval)
+	n.scheduleTrigger(n.triggerWait())
+}
+
+// triggerWait is the ledger cadence, the one rule by which Start and every
+// close arm the trigger: the next ledger triggers one interval after this
+// node first prepared on its tip — the one event every intact node sees
+// within a message delay of the others — clamped to [0, interval] from now,
+// so balloting, apply and archive run inside the interval instead of
+// pushing the next trigger out. A tip without a local ballot start
+// (genesis, a restore, a catch-up, an externalize learned from peers)
+// triggers at once, as stellar-core's herder does at boot.
+func (n *Node) triggerWait() time.Duration {
+	rec, ok := n.SlotRecord(uint64(n.last.LedgerSeq))
+	if !ok || !rec.Prepared() {
+		return 0
+	}
+	return min(max(rec.FirstPrepare.At+n.cfg.LedgerInterval-n.net.Now(), 0), n.cfg.LedgerInterval)
 }
 
 // scheduleTrigger (re)arms the ledger cadence timer. A single handle with
 // cancel-replace semantics keeps exactly one trigger chain alive; it is
-// re-armed at every ledger apply (applyLedger anchors it on the closed
-// slot's ballot start), which revives the cadence after a crash (the
-// simulator consumes timers that fire while a node is down).
+// re-armed at every ledger apply (by triggerWait), which revives the
+// cadence after a crash (the simulator consumes timers that fire while a
+// node is down).
 func (n *Node) scheduleTrigger(d time.Duration) {
 	if n.trigTimer != nil {
 		n.trigTimer.Cancel()
@@ -395,24 +414,22 @@ func (n *Node) updatePoolGauges() {
 
 // onEnvelope hands a flooded envelope to SCP and reports whether SCP
 // refused it: malformed, or not signed by the node it names. An envelope for
-// a slot already closed is not checked, and not refused.
+// a slot already closed cannot help consensus: it is not refused, and is
+// checked only when it would change a peer's health (health.go).
 func (n *Node) onEnvelope(env *scp.Envelope) (refused bool) {
 	if n.state == nil {
 		return false
 	}
 	n.ins.envReceived.With(stmtLabel(env.Statement.Type)).Inc()
-	// Health evidence must be taken from every envelope — a peer stuck
-	// replaying old slots is exactly what /debug/quorum reports — so this
-	// runs before the staleness cut below.
-	n.noteEnvelope(env)
-	// Ignore slots already closed; stale envelopes cannot help.
 	if env.Slot <= uint64(n.last.LedgerSeq) {
+		n.noteClosedSlotEnvelope(env)
 		return false
 	}
 	// Only an envelope SCP accepted (well-formed, signed) counts.
 	if n.scp.Receive(env) != nil {
 		return true
 	}
+	n.noteEnvelope(env)
 	n.record(env.Slot, func(r *SlotRecord) { r.EnvelopesReceived++ })
 	return false
 }
@@ -459,7 +476,7 @@ func (n *Node) triggerNextLedger() {
 		sv.Upgrades = append(sv.Upgrades, n.cfg.DesiredUpgrades...)
 	}
 	now := n.net.Now()
-	n.record(slot, func(r *SlotRecord) { r.NominationStart = now })
+	n.record(slot, func(r *SlotRecord) { r.NominationStart = stamp(now) })
 	n.log.Debug("trigger ledger", "slot", slot, "txs", len(candidates), "close_time", closeTime)
 	n.scp.Nominate(slot, sv.Encode())
 	trigDur := time.Since(trigStart)
@@ -488,7 +505,7 @@ func (n *Node) onExternalized(slot uint64, raw scp.Value) {
 	}
 	n.decided[slot] = sv
 	now := n.net.Now()
-	n.record(slot, func(r *SlotRecord) { r.Externalized = now })
+	n.record(slot, func(r *SlotRecord) { r.Externalized = stamp(now) })
 	n.ins.externals.Inc()
 	n.traceExternalized(slot)
 	n.log.Debug("externalized", "slot", slot, "close_time", sv.CloseTime)
@@ -591,27 +608,22 @@ func (n *Node) applyLedger(ts *ledger.TxSet, sv *StellarValue, want *ledger.Head
 	}
 	now := n.net.Now()
 	var rec SlotRecord
-	n.record(slot, func(r *SlotRecord) { r.Applied = now; rec = *r })
-	// nextTrigger is when the cadence fires next (re-armed below): one
-	// interval after this node started balloting on the slot. The zero
-	// value — no local ballot start — lies in the past.
-	var nextTrigger time.Duration
+	n.record(slot, func(r *SlotRecord) { r.Applied = stamp(now); rec = *r })
 	if rec.InSCP() {
 		cs.InSCP = true
 		cs.NominationTimeouts, cs.BallotTimeouts, cs.Emitted = rec.NominationTimeouts, rec.BallotTimeouts, rec.EnvelopesEmitted
 		if rec.Prepared() {
-			nextTrigger = rec.FirstPrepare + n.cfg.LedgerInterval
-			if rec.NominationStart > 0 {
-				cs.Nominated, cs.Nomination = true, rec.FirstPrepare-rec.NominationStart
+			if rec.NominationStart.Seen {
+				cs.Nominated, cs.Nomination = true, rec.FirstPrepare.Since(rec.NominationStart)
 			}
 			// Balloting ends at externalize, not here: on a wall clock the
 			// apply above has already taken its milliseconds. A slot this
 			// node did not externalize (catch-up) ends when that arrived.
 			decidedAt := rec.Externalized
-			if decidedAt == 0 {
-				decidedAt = now
+			if !decidedAt.Seen {
+				decidedAt = stamp(now)
 			}
-			cs.Balloted, cs.Balloting = true, decidedAt-rec.FirstPrepare
+			cs.Balloted, cs.Balloting = true, decidedAt.Since(rec.FirstPrepare)
 		}
 	}
 	n.ins.observeClose(cs)
@@ -667,14 +679,10 @@ func (n *Node) applyLedger(ts *ledger.TxSet, sv *StellarValue, want *ledger.Head
 	// Garbage-collect consensus state for closed slots.
 	n.scp.PurgeBelow(slot)
 
-	// Re-arm the ledger cadence one interval after this slot's ballot
-	// start — the one event every intact node sees within a message delay
-	// of the others — so balloting, apply and archive run inside the
-	// interval instead of pushing the next trigger out. A slot closed
-	// without a local ballot start (catch-up, externalize learned from
-	// peers) triggers at once. Re-arming at every apply also revives the
-	// trigger chain after a crash killed its pending timer.
-	wait := min(max(nextTrigger-n.net.Now(), 0), n.cfg.LedgerInterval)
+	// Re-arm the ledger cadence on the ledger just closed (triggerWait).
+	// Re-arming at every apply also revives the trigger chain after a crash
+	// killed its pending timer.
+	wait := n.triggerWait()
 	n.ins.intervalSlack.ObserveDuration(wait)
 	n.scheduleTrigger(wait)
 

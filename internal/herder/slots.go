@@ -1,31 +1,35 @@
 package herder
 
 import (
+	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 )
 
 // SlotRecord is what this node saw of one slot: the phase boundaries of the
 // paper's §7.3 breakdown on the node's clock, and the slot's round, timeout
-// and envelope counts. A zero time is a boundary the node has not (yet)
-// seen. Each SCP callback and the herder's trigger, receive, externalize and
-// apply paths write it once; applyLedger derives the slot's CloseStats from
-// it, and horizon's /debug/slots/{seq}/trace and the crash bundle's
+// and envelope counts. Each boundary carries its own presence (Stamp): the
+// simulator's clock starts at 0, and a node triggers at boot, so a time of 0
+// is a boundary seen, not a missing one. Each SCP callback and the herder's
+// trigger, receive, externalize and apply paths write it once; applyLedger
+// derives the slot's CloseStats from it, triggerWait arms the next ledger
+// from it, and horizon's /debug/slots/{seq}/trace and the crash bundle's
 // slots.json serve it.
 type SlotRecord struct {
 	Slot uint64 `json:"slot"`
 
-	NominationStart    time.Duration `json:"nomination_start_ns,omitempty"`
-	CandidateConfirmed time.Duration `json:"candidate_confirmed_ns,omitempty"`
-	FirstPrepare       time.Duration `json:"first_prepare_ns,omitempty"`
-	AcceptCommit       time.Duration `json:"accept_commit_ns,omitempty"`
-	Externalized       time.Duration `json:"externalize_ns,omitempty"`
-	Applied            time.Duration `json:"ledger_applied_ns,omitempty"`
+	NominationStart    Stamp `json:"nomination_start_ns"`
+	CandidateConfirmed Stamp `json:"candidate_confirmed_ns"`
+	FirstPrepare       Stamp `json:"first_prepare_ns"`
+	AcceptCommit       Stamp `json:"accept_commit_ns"`
+	Externalized       Stamp `json:"externalize_ns"`
+	Applied            Stamp `json:"ledger_applied_ns"`
 
 	// NominationRounds counts rounds started, round 1 included;
 	// BallotsStarted counts ballots moved to, so it is > 0 once FirstPrepare
-	// is set.
+	// is seen.
 	NominationRounds   int `json:"nomination_rounds"`
 	BallotsStarted     int `json:"ballots_started"`
 	NominationTimeouts int `json:"nomination_timeouts"`
@@ -34,15 +38,50 @@ type SlotRecord struct {
 	EnvelopesReceived  int `json:"envelopes_received"`
 }
 
+// Stamp is one phase boundary of a slot: whether the node saw it and, if
+// it did, when, on the node's clock. In JSON a seen boundary is its time in
+// nanoseconds and an unseen one is null.
+type Stamp struct {
+	At   time.Duration
+	Seen bool
+}
+
+// stamp is a boundary seen at at.
+func stamp(at time.Duration) Stamp { return Stamp{At: at, Seen: true} }
+
+// Since is the time from earlier to s; it means something only when both
+// were seen.
+func (s Stamp) Since(earlier Stamp) time.Duration { return s.At - earlier.At }
+
+func (s Stamp) MarshalJSON() ([]byte, error) {
+	if !s.Seen {
+		return []byte("null"), nil
+	}
+	return strconv.AppendInt(nil, int64(s.At), 10), nil
+}
+
+func (s *Stamp) UnmarshalJSON(b []byte) error {
+	if string(b) == "null" {
+		*s = Stamp{}
+		return nil
+	}
+	ns, err := strconv.ParseInt(string(b), 10, 64)
+	if err != nil {
+		return fmt.Errorf("slot boundary %q: %w", b, err)
+	}
+	*s = stamp(time.Duration(ns))
+	return nil
+}
+
 // Prepared reports whether the node started balloting on the slot.
-func (r *SlotRecord) Prepared() bool { return r.BallotsStarted > 0 }
+func (r *SlotRecord) Prepared() bool { return r.FirstPrepare.Seen }
 
 // InSCP reports whether the node took part in the slot's consensus: it
 // nominated, balloted, timed out, emitted or externalized. Receiving
 // envelopes, or applying a ledger decided without it, is not taking part.
 func (r *SlotRecord) InSCP() bool {
-	return r.NominationStart > 0 || r.Prepared() || r.NominationTimeouts+r.BallotTimeouts > 0 ||
-		r.EnvelopesEmitted > 0 || r.Externalized > 0
+	return r.NominationStart.Seen || r.Prepared() || r.NominationTimeouts+r.BallotTimeouts > 0 ||
+		r.EnvelopesEmitted > 0 || r.Externalized.Seen
 }
 
 // slotLog holds the records of the last recentWindow slots in a fixed array

@@ -64,7 +64,7 @@ func TestFarFutureEnvelopesLeaveTheOpenSlot(t *testing.T) {
 		}
 		stepUntil("the open slot nominates", func() bool {
 			r, _ := n.SlotRecord(open)
-			return r.NominationStart > 0
+			return r.NominationStart.Seen
 		})
 		if inject {
 			outsider := stellarcrypto.KeyPairFromString("far-future-sender")
@@ -87,7 +87,7 @@ func TestFarFutureEnvelopesLeaveTheOpenSlot(t *testing.T) {
 		}
 		stepUntil("the next slot nominates", func() bool {
 			r, _ := n.SlotRecord(open + 1)
-			return r.NominationStart > 0
+			return r.NominationStart.Seen
 		})
 		var out outcome
 		out.rec, _ = n.SlotRecord(open)

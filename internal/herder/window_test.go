@@ -167,6 +167,9 @@ func TestWindowKeepsFactsNotBodies(t *testing.T) {
 	for _, n := range append([]*Node{memOnly}, nodes...) {
 		n.Start()
 	}
+	// The load starts once the boot ledger closed: submitted then, a ledger's
+	// transactions are in every pool by its trigger, and each closes whole.
+	closeLedgers(t, net, nodes[0], 1, func() {})
 	submit := func() {
 		for i, p := range payers {
 			if err := nodes[i%len(nodes)].SubmitTx(p.payment(nid, payers[(i+1)%len(payers)].id)); err != nil {

@@ -28,11 +28,6 @@ func (s *Server) registerHistory(mux *http.ServeMux) {
 func (s *Server) handleLedgerBySeq(w http.ResponseWriter, r *http.Request) {
 	s.Mu.Lock()
 	defer s.Mu.Unlock()
-	if r.PathValue("seq") == "latest" {
-		// The mux prefers the literal route, but be safe.
-		s.handleLatestLedger(w, r)
-		return
-	}
 	seq, err := strconv.ParseUint(r.PathValue("seq"), 10, 32)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad ledger sequence")
@@ -44,16 +39,7 @@ func (s *Server) handleLedgerBySeq(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusNotFound, "ledger %d not archived", seq)
 			return
 		}
-		writeJSON(w, http.StatusOK, LedgerInfo{
-			Sequence:     hdr.LedgerSeq,
-			Hash:         hdr.Hash().Hex(),
-			PrevHash:     hdr.PrevHash().Hex(),
-			CloseTime:    hdr.CloseTime,
-			TxSetHash:    hdr.TxSetHash.Hex(),
-			SnapshotHash: hdr.SnapshotHash.Hex(),
-			BaseFee:      ledger.FormatAmount(hdr.BaseFee),
-			BaseReserve:  ledger.FormatAmount(hdr.BaseReserve),
-		})
+		writeJSON(w, http.StatusOK, ledgerInfo(hdr))
 		return
 	}
 	// Without an archive the node still remembers every header hash it

@@ -8,6 +8,7 @@
 package horizon
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -48,6 +49,14 @@ type Server struct {
 	alerts      *slo.Engine
 	alertsNode  string
 	alertsClock func() time.Duration
+
+	// latest is GET /ledgers/latest's body and the header it renders,
+	// guarded by Mu: clients poll it far more often than ledgers close, so
+	// it is rendered once per header.
+	latest struct {
+		hdr  *ledger.Header
+		body []byte
+	}
 }
 
 // New builds a Server for the node with its own lock. Callers whose node
@@ -82,11 +91,23 @@ func (s *Server) Handler() http.Handler {
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
+	writeBody(w, status, encodeJSON(v))
+}
+
+// encodeJSON is the body every JSON response carries: v indented, then a
+// newline.
+func encodeJSON(v any) []byte {
+	var b bytes.Buffer
+	enc := json.NewEncoder(&b)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(v)
+	return b.Bytes()
+}
+
+func writeBody(w http.ResponseWriter, status int, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	_, _ = w.Write(body)
 }
 
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {
@@ -105,15 +126,26 @@ type LedgerInfo struct {
 	BaseReserve  string `json:"base_reserve"`
 }
 
+// handleLatestLedger serves the tip's LedgerInfo, rendered at the first
+// request that sees a new header and served as those bytes until the next.
+// The lock is held only to read the tip.
 func (s *Server) handleLatestLedger(w http.ResponseWriter, r *http.Request) {
 	s.Mu.Lock()
-	defer s.Mu.Unlock()
 	h := s.Node.LastHeader()
+	if h != nil && h != s.latest.hdr {
+		s.latest.hdr, s.latest.body = h, encodeJSON(ledgerInfo(h))
+	}
+	body := s.latest.body
+	s.Mu.Unlock()
 	if h == nil {
 		writeError(w, http.StatusServiceUnavailable, "node not bootstrapped")
 		return
 	}
-	writeJSON(w, http.StatusOK, LedgerInfo{
+	writeBody(w, http.StatusOK, body)
+}
+
+func ledgerInfo(h *ledger.Header) LedgerInfo {
+	return LedgerInfo{
 		Sequence:     h.LedgerSeq,
 		Hash:         h.Hash().Hex(),
 		PrevHash:     h.PrevHash().Hex(),
@@ -122,7 +154,7 @@ func (s *Server) handleLatestLedger(w http.ResponseWriter, r *http.Request) {
 		SnapshotHash: h.SnapshotHash.Hex(),
 		BaseFee:      ledger.FormatAmount(h.BaseFee),
 		BaseReserve:  ledger.FormatAmount(h.BaseReserve),
-	})
+	}
 }
 
 // AccountInfo is the public view of an account and its trustlines.

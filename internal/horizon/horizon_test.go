@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -102,6 +103,57 @@ func TestLatestLedgerEndpoint(t *testing.T) {
 	}
 	if len(info.Hash) != 64 {
 		t.Fatalf("hash = %q", info.Hash)
+	}
+}
+
+// TestLatestLedgerRenderedOncePerClose: the latest-ledger body is rendered
+// once per header and served as those bytes, which are exactly what
+// encoding the header's LedgerInfo on every request gives; after a close it
+// names the new tip.
+func TestLatestLedgerRenderedOncePerClose(t *testing.T) {
+	f := newFixture(t)
+	fetch := func() []byte {
+		t.Helper()
+		resp, err := http.Get(f.ts.URL + "/ledgers/latest")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != 200 || resp.Header.Get("Content-Type") != "application/json" {
+			t.Fatalf("status %d, content type %q, %v", resp.StatusCode, resp.Header.Get("Content-Type"), err)
+		}
+		return body
+	}
+	perRequest := func(h *ledger.Header) []byte {
+		var b bytes.Buffer
+		enc := json.NewEncoder(&b)
+		enc.SetIndent("", "  ")
+		_ = enc.Encode(LedgerInfo{
+			Sequence:     h.LedgerSeq,
+			Hash:         h.Hash().Hex(),
+			PrevHash:     h.PrevHash().Hex(),
+			CloseTime:    h.CloseTime,
+			TxSetHash:    h.TxSetHash.Hex(),
+			SnapshotHash: h.SnapshotHash.Hex(),
+			BaseFee:      ledger.FormatAmount(h.BaseFee),
+			BaseReserve:  ledger.FormatAmount(h.BaseReserve),
+		})
+		return b.Bytes()
+	}
+	for round := 0; round < 2; round++ {
+		tip := f.node.LastHeader()
+		first := fetch()
+		if want := perRequest(tip); !bytes.Equal(first, want) {
+			t.Fatalf("ledger %d body:\n%s\nwant, as rendered per request:\n%s", tip.LedgerSeq, first, want)
+		}
+		if again := fetch(); !bytes.Equal(again, first) {
+			t.Fatalf("ledger %d: a second request got other bytes", tip.LedgerSeq)
+		}
+		f.advance(2 * time.Second)
+		if f.node.LastHeader() == tip {
+			t.Fatal("setup: no ledger closed")
+		}
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"net/http"
 	"strconv"
 	"time"
+
+	"stellar/internal/herder"
 )
 
 // Observability endpoints and middleware: every route is wrapped with a
@@ -76,6 +78,8 @@ func fmtAt(d time.Duration, ok bool) string {
 	return d.String()
 }
 
+func fmtStamp(s herder.Stamp) string { return fmtAt(s.At, s.Seen) }
+
 // handleSlotTrace serves the slot's record. The record has its own lock,
 // so like /metrics this never takes the loop lock or blocks consensus.
 func (s *Server) handleSlotTrace(w http.ResponseWriter, r *http.Request) {
@@ -90,23 +94,23 @@ func (s *Server) handleSlotTrace(w http.ResponseWriter, r *http.Request) {
 			"no record of slot %d (not seen, or no longer among the recent slots the node keeps)", seq)
 		return
 	}
-	// A zero time is a boundary not seen; durations may legitimately be
-	// zero in virtual time (a self-quorum node externalizes without network
-	// delay), so they are gated on boundary presence, not on the value.
-	nom, prep, ext := rec.NominationStart > 0, rec.Prepared(), rec.Externalized > 0
+	// Durations may legitimately be zero in virtual time (a self-quorum
+	// node externalizes without network delay), so they are gated on
+	// boundary presence, not on the value.
+	nom, prep, ext := rec.NominationStart, rec.FirstPrepare, rec.Externalized
 	writeJSON(w, http.StatusOK, SlotTraceInfo{
 		Slot:               rec.Slot,
-		Externalized:       ext,
-		Applied:            rec.Applied > 0,
-		NominationStart:    fmtAt(rec.NominationStart, nom),
-		CandidateConfirmed: fmtAt(rec.CandidateConfirmed, rec.CandidateConfirmed > 0),
-		FirstPrepare:       fmtAt(rec.FirstPrepare, prep),
-		AcceptCommit:       fmtAt(rec.AcceptCommit, rec.AcceptCommit > 0),
-		Externalize:        fmtAt(rec.Externalized, ext),
-		LedgerApplied:      fmtAt(rec.Applied, rec.Applied > 0),
-		Nomination:         fmtAt(rec.FirstPrepare-rec.NominationStart, nom && prep),
-		Balloting:          fmtAt(rec.Externalized-rec.FirstPrepare, prep && ext),
-		Total:              fmtAt(rec.Externalized-rec.NominationStart, nom && ext),
+		Externalized:       ext.Seen,
+		Applied:            rec.Applied.Seen,
+		NominationStart:    fmtStamp(nom),
+		CandidateConfirmed: fmtStamp(rec.CandidateConfirmed),
+		FirstPrepare:       fmtStamp(prep),
+		AcceptCommit:       fmtStamp(rec.AcceptCommit),
+		Externalize:        fmtStamp(ext),
+		LedgerApplied:      fmtStamp(rec.Applied),
+		Nomination:         fmtAt(prep.Since(nom), nom.Seen && prep.Seen),
+		Balloting:          fmtAt(ext.Since(prep), prep.Seen && ext.Seen),
+		Total:              fmtAt(ext.Since(nom), nom.Seen && ext.Seen),
 		Timeouts:           rec.NominationTimeouts + rec.BallotTimeouts,
 		NominationRounds:   rec.NominationRounds,
 		EnvelopesEmitted:   rec.EnvelopesEmitted,

@@ -178,8 +178,11 @@ func (r *Ring) Last(name string) (float64, bool) {
 }
 
 // Delta reports how much a counter family grew over the window ending at
-// now. ok is false when the ring lacks a baseline sample at least window
-// old — callers must treat that as "unknown", not zero.
+// now. A drop between two samples is a counter reset — the process behind
+// the registry was replaced, and its counters restarted from zero — so the
+// value after it counts as growth from zero, as Prometheus's increase()
+// reads it. ok is false when the ring lacks a baseline sample at least
+// window old — callers must treat that as "unknown", not zero.
 func (r *Ring) Delta(name string, window, now time.Duration) (float64, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -188,12 +191,31 @@ func (r *Ring) Delta(name string, window, now time.Duration) (float64, bool) {
 	if cur == nil || base == nil || cur.At <= base.At {
 		return 0, false
 	}
-	cp, ok1 := cur.Points[name]
-	bp, ok2 := base.Points[name]
-	if !ok1 || !ok2 {
+	bp, ok := base.Points[name]
+	if _, ok2 := cur.Points[name]; !ok || !ok2 {
 		return 0, false
 	}
-	return cp.Value - bp.Value, true
+	grew, prev := 0.0, bp.Value
+	for i := 0; i < len(r.buf); i++ {
+		s := r.at(i)
+		if s.At <= base.At {
+			continue
+		}
+		if s.At > cur.At {
+			break
+		}
+		p, ok := s.Points[name]
+		if !ok {
+			continue
+		}
+		if p.Value >= prev {
+			grew += p.Value - prev
+		} else {
+			grew += p.Value
+		}
+		prev = p.Value
+	}
+	return grew, true
 }
 
 // Rate is Delta divided by the window in seconds.

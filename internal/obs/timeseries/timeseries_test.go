@@ -77,6 +77,34 @@ func TestDeltaBaselineGating(t *testing.T) {
 	}
 }
 
+// TestDeltaAcrossCounterReset: a registry replaced mid-window (a restarted
+// process) restarts its counters at zero. The growth after the drop still
+// counts, so a replacement that closed ledgers is not read as stalled; one
+// that closed none is.
+func TestDeltaAcrossCounterReset(t *testing.T) {
+	r := New(16)
+	observe := func(at time.Duration, v float64) {
+		reg := obs.NewRegistry()
+		reg.Counter("c", "test counter").Add(v)
+		r.Observe(at, reg.Snapshot())
+	}
+	observe(0, 3)
+	observe(10*time.Second, 3) // the old process, stalled
+	observe(11*time.Second, 0) // its replacement
+	observe(15*time.Second, 2)
+	observe(20*time.Second, 3)
+	if d, ok := r.Delta("c", 20*time.Second, 20*time.Second); !ok || d != 3 {
+		t.Fatalf("Delta across a reset = %v,%v, want 3,true (the replacement's closes)", d, ok)
+	}
+	if d, ok := r.Delta("c", 10*time.Second, 10*time.Second); !ok || d != 0 {
+		t.Fatalf("Delta before the reset = %v,%v, want 0,true", d, ok)
+	}
+	observe(40*time.Second, 0) // replaced again, and closes nothing
+	if d, ok := r.Delta("c", 19*time.Second, 40*time.Second); !ok || d != 0 {
+		t.Fatalf("Delta of a replacement that closed nothing = %v,%v, want 0,true", d, ok)
+	}
+}
+
 func TestMaxWindow(t *testing.T) {
 	reg := obs.NewRegistry()
 	g := reg.Gauge("g", "test gauge")

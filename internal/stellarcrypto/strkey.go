@@ -18,18 +18,29 @@ const (
 
 var b32 = base32.StdEncoding.WithPadding(base32.NoPadding)
 
-// crc16 computes the CRC16-XModem checksum used by strkey.
-func crc16(data []byte) uint16 {
-	var crc uint16
-	for _, b := range data {
-		crc ^= uint16(b) << 8
-		for i := 0; i < 8; i++ {
+// crc16Table holds the CRC16-XModem (polynomial 0x1021) remainder of each
+// byte value shifted into the high byte, so crc16 takes one lookup per byte
+// instead of eight conditional shifts.
+var crc16Table = func() (t [256]uint16) {
+	for i := range t {
+		crc := uint16(i) << 8
+		for range 8 {
 			if crc&0x8000 != 0 {
 				crc = crc<<1 ^ 0x1021
 			} else {
 				crc <<= 1
 			}
 		}
+		t[i] = crc
+	}
+	return t
+}()
+
+// crc16 computes the CRC16-XModem checksum used by strkey.
+func crc16(data []byte) uint16 {
+	var crc uint16
+	for _, b := range data {
+		crc = crc<<8 ^ crc16Table[byte(crc>>8)^b]
 	}
 	return crc
 }
@@ -50,6 +61,12 @@ func decodeStrkey(version strkeyVersion, s string) ([]byte, error) {
 	}
 	if len(raw) < 3 {
 		return nil, fmt.Errorf("stellarcrypto: strkey too short")
+	}
+	// One key, one string: the base32 decoder skips newlines and ignores the
+	// unused low bits of a last character, so a string carrying either is
+	// another spelling of some key and is refused.
+	if len(s) != b32.EncodedLen(len(raw)) || (len(raw)%5 != 0 && b32.EncodeToString(raw) != s) {
+		return nil, fmt.Errorf("stellarcrypto: strkey not in canonical form")
 	}
 	body, cksum := raw[:len(raw)-2], raw[len(raw)-2:]
 	want := crc16(body)
