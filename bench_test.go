@@ -1,9 +1,9 @@
-// Benchmarks regenerating the paper's evaluation (§7): one benchmark per
-// table and figure (experiment index in DESIGN.md), plus micro-benchmarks
-// for the subsystems whose cost the paper discusses. Latencies inside the
-// network simulations are virtual-time measurements reported as custom
-// metrics; Go's ns/op for those benches measures the real cost of
-// simulating, not the system's latency.
+// Micro-benchmarks for the subsystems whose cost the paper discusses, plus
+// the §7.3 baseline experiment as one BENCH_micro.json row; the other
+// tables and figures of §7 come from `stellar-obs tables` (experiment index
+// in DESIGN.md). Latencies inside the network simulations are virtual-time
+// measurements reported as custom metrics; Go's ns/op for those benches
+// measures the real cost of simulating, not the system's latency.
 package stellar
 
 import (
@@ -20,91 +20,11 @@ import (
 	"stellar/internal/mempool"
 	"stellar/internal/obs"
 	"stellar/internal/overlay"
-	"stellar/internal/qconfig"
-	"stellar/internal/quorum"
 	"stellar/internal/scp"
 	"stellar/internal/stellarcrypto"
 	"stellar/internal/transport"
 	"stellar/internal/verify"
 )
-
-func msf(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
-
-// BenchmarkMessagesPerLedger is E1 (§7.2): SCP envelopes per ledger.
-func BenchmarkMessagesPerLedger(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunMessagesPerLedger(10)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.MeanPerLedger, "msgs/ledger")
-	}
-}
-
-// BenchmarkTimeoutProfile is E2 (Figure 8): timeout percentiles on
-// degraded links.
-func BenchmarkTimeoutProfile(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunTimeoutProfile(20)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(res.Nomination99), "nom-timeouts-p99")
-		b.ReportMetric(float64(res.Balloting99), "ballot-timeouts-p99")
-	}
-}
-
-// BenchmarkLatencyVsAccounts is E3 (Figure 9).
-func BenchmarkLatencyVsAccounts(b *testing.B) {
-	for _, accounts := range []int{1_000, 10_000, 100_000} {
-		b.Run(fmt.Sprintf("accounts=%d", accounts), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				rows, err := experiments.RunAccountsSweep([]int{accounts}, 5)
-				if err != nil {
-					b.Fatal(err)
-				}
-				r := rows[0]
-				b.ReportMetric(msf(r.Nomination), "nominate-ms")
-				b.ReportMetric(msf(r.Balloting), "ballot-ms")
-				b.ReportMetric(msf(r.LedgerUpdate), "ledgerupd-ms")
-			}
-		})
-	}
-}
-
-// BenchmarkLatencyVsLoad is E4 (Figure 10).
-func BenchmarkLatencyVsLoad(b *testing.B) {
-	for _, rate := range []float64{100, 200, 300} {
-		b.Run(fmt.Sprintf("rate=%.0f", rate), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				rows, err := experiments.RunLoadSweep([]float64{rate}, 10_000, 5)
-				if err != nil {
-					b.Fatal(err)
-				}
-				r := rows[0]
-				b.ReportMetric(msf(r.LedgerUpdate), "ledgerupd-ms")
-				b.ReportMetric(r.TxPerLedger, "tx/ledger")
-			}
-		})
-	}
-}
-
-// BenchmarkLatencyVsValidators is E5 (Figure 11).
-func BenchmarkLatencyVsValidators(b *testing.B) {
-	for _, n := range []int{4, 10, 19} {
-		b.Run(fmt.Sprintf("validators=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				rows, err := experiments.RunValidatorsSweep([]int{n}, 2_000, 4)
-				if err != nil {
-					b.Fatal(err)
-				}
-				r := rows[0]
-				b.ReportMetric(msf(r.Nomination), "nominate-ms")
-				b.ReportMetric(msf(r.Balloting), "ballot-ms")
-			}
-		})
-	}
-}
 
 // BenchmarkBaseline is E6/E7 (§7.3): the baseline experiment and close
 // rate.
@@ -118,69 +38,6 @@ func BenchmarkBaseline(b *testing.B) {
 		b.ReportMetric(res.Row.CloseMean.Seconds(), "close-s")
 	}
 }
-
-// BenchmarkValidatorCost is E8 (§7.4).
-func BenchmarkValidatorCost(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunValidatorCost(10, 5_000, 6)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.InboundMbitSec, "in-Mbit/s")
-		b.ReportMetric(res.HeapMiB, "heap-MiB")
-	}
-}
-
-// BenchmarkQuorumIntersection is E9/E10 (§6.2): the checker on tiered
-// topologies of growing size.
-func BenchmarkQuorumIntersection(b *testing.B) {
-	for _, orgs := range []int{5, 7, 9} {
-		cfg := qconfig.SimulatedNetwork(orgs, 3, qconfig.High)
-		qs, err := cfg.QuorumSets()
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(fmt.Sprintf("orgs=%d", orgs), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res := quorum.CheckIntersection(qs)
-				if !res.Intersects {
-					b.Fatal("intersection violated")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkCriticality is the E10 companion: per-org worst-case analysis.
-func BenchmarkCriticality(b *testing.B) {
-	cfg := qconfig.SimulatedNetwork(5, 3, qconfig.High)
-	qs, err := cfg.QuorumSets()
-	if err != nil {
-		b.Fatal(err)
-	}
-	orgs := quorum.GroupByPrefix(qs)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rep := quorum.CheckCriticality(qs, orgs)
-		if rep.AnyCritical() {
-			b.Fatal("unexpected critical org")
-		}
-	}
-}
-
-// BenchmarkTimeoutPolicy is the DESIGN.md §2 ablation: ballot timeout growth.
-func BenchmarkTimeoutPolicy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.RunTimeoutPolicyAblation(6)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(rows[0].CloseMean.Seconds(), "linear-close-s")
-		b.ReportMetric(rows[len(rows)-1].CloseMean.Seconds(), "const-close-s")
-	}
-}
-
-// --- micro-benchmarks on the subsystems the paper's costs come from ---
 
 // BenchmarkBucketSpill measures bucket-list ingestion including spills,
 // the "overhead of merging buckets, which get larger" of Figure 9.

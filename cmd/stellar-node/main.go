@@ -43,7 +43,7 @@ import (
 // config is the command line, parsed.
 type config struct {
 	listen, peers, seed, quorum, horizon, network string
-	interval, maxDrift                            time.Duration
+	interval                                      time.Duration
 	verbose, traceLive                            bool
 
 	// Ingress: the pending pool's bounds (0 = package defaults) and
@@ -70,7 +70,6 @@ func (c *config) register(fs *flag.FlagSet) {
 	fs.StringVar(&c.horizon, "horizon", "", "HTTP listen address for the horizon API, metrics and debug endpoints (empty = disabled)")
 	fs.DurationVar(&c.interval, "interval", 5*time.Second, "target ledger interval")
 	fs.StringVar(&c.network, "network", "stellar-node-network", "network passphrase; nodes on different passphrases reject each other at handshake")
-	fs.DurationVar(&c.maxDrift, "max-drift", 0, "close-time clock tolerance (0 = 10s); widen when -interval is sub-second")
 	fs.BoolVar(&c.verbose, "v", false, "structured node and transport logging to stderr")
 	fs.BoolVar(&c.traceLive, "trace-live", false, "enable span tracing, served over /debug/trace/export")
 	fs.IntVar(&c.mempool, "mempool", 0, "pending transaction pool cap (0 = default 8192)")
@@ -90,9 +89,6 @@ func (c *config) register(fs *flag.FlagSet) {
 func (c *config) validate() error {
 	if c.interval <= 0 {
 		return fmt.Errorf("-interval %v: must be positive", c.interval)
-	}
-	if c.maxDrift < 0 {
-		return fmt.Errorf("-max-drift %v: must not be negative", c.maxDrift)
 	}
 	for _, f := range []struct {
 		name string
@@ -212,7 +208,6 @@ func run(c *config) error {
 		QSet:                qset,
 		NetworkID:           networkID,
 		LedgerInterval:      c.interval,
-		MaxCloseTimeDrift:   c.maxDrift,
 		MempoolMaxTxs:       c.mempool,
 		MempoolMaxPerSource: c.mempoolPerSource,
 		Archive:             arch,

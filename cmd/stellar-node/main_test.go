@@ -15,12 +15,11 @@ func TestValidate(t *testing.T) {
 		wantErr string // "" = valid
 	}{
 		{nil, ""},
-		{[]string{"-interval", "250ms", "-max-drift", "10s", "-mempool", "16", "-mempool-per-source", "4"}, ""},
+		{[]string{"-interval", "250ms", "-mempool", "16", "-mempool-per-source", "4"}, ""},
 		{[]string{"-submit-rate", "5", "-submit-burst", "10", "-submit-ip-rate", "50", "-submit-ip-burst", "100"}, ""},
 		{[]string{"-data-dir", "d", "-checkpoint-interval", "8", "-catchup", "-peers", "localhost:11626"}, ""},
 		{[]string{"-interval", "0"}, "-interval 0s: must be positive"},
 		{[]string{"-interval", "-1s"}, "-interval -1s: must be positive"},
-		{[]string{"-max-drift", "-1s"}, "-max-drift -1s: must not be negative"},
 		{[]string{"-mempool", "-1"}, "-mempool -1: must not be negative"},
 		{[]string{"-mempool-per-source", "-1"}, "-mempool-per-source -1: must not be negative"},
 		{[]string{"-submit-rate", "-0.5"}, "-submit-rate -0.5: must not be negative"},

@@ -40,7 +40,7 @@ func main() {
 		LedgerInterval: *interval,
 		DropRate:       *dropRate,
 		Seed:           *seed,
-		ArchiveDir:     *archive,
+		ArchiveDirFor:  experiments.ArchiveAt(*archive),
 		Trace:          *tracePath != "",
 	}
 	if *verbose {

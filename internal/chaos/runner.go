@@ -380,6 +380,14 @@ func (r *Runner) fail(ie *InvariantError) error {
 		r.Scenario.Name, r.Scenario.Seed, ie, faults.String(), r.Scenario.ReplayCommand())
 }
 
+const (
+	// tick is how often the runner checks invariants and samples probes.
+	tick = 500 * time.Millisecond
+	// antiEntropy is the rebroadcast cadence — the §6 lesson: validators
+	// keep helping peers finish previous ledgers.
+	antiEntropy = 2 * time.Second
+)
+
 // Run executes the scenario and returns its report, or an error carrying
 // the seed and replay command if any invariant fails.
 func (r *Runner) Run() (*Report, error) {
@@ -393,15 +401,12 @@ func (r *Runner) Run() (*Report, error) {
 	}
 
 	net := r.Sim.Net
-	nextAE := sc.AntiEntropy
+	nextAE := antiEntropy
 	// advance steps virtual time to the target, checking invariants every
 	// tick and running anti-entropy rebroadcast on its cadence.
 	advance := func(until time.Duration) *InvariantError {
 		for net.Now() < until {
-			step := until - net.Now()
-			if step > sc.Tick {
-				step = sc.Tick
-			}
+			step := min(until-net.Now(), tick)
 			net.RunFor(step)
 			if ie := r.Checker.Check(); ie != nil {
 				return ie
@@ -411,7 +416,7 @@ func (r *Runner) Run() (*Report, error) {
 				for _, n := range r.Sim.Nodes {
 					n.RebroadcastLatest()
 				}
-				nextAE = net.Now() + sc.AntiEntropy
+				nextAE = net.Now() + antiEntropy
 			}
 		}
 		return nil
@@ -431,10 +436,7 @@ func (r *Runner) Run() (*Report, error) {
 	baseline := r.Checker.Seqs()
 	deadline := healAt + sc.LivenessWindow
 	for net.Now() < deadline {
-		target := net.Now() + sc.Tick
-		if target > deadline {
-			target = deadline
-		}
+		target := min(net.Now()+tick, deadline)
 		if ie := advance(target); ie != nil {
 			return nil, r.fail(ie)
 		}

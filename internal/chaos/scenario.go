@@ -62,11 +62,6 @@ type Scenario struct {
 	// LivenessWindow bounds the virtual time allowed for that recovery
 	// (default 60 s — twelve ledger cadences).
 	LivenessWindow time.Duration
-	// Tick is how often invariants are checked (default 500 ms).
-	Tick time.Duration
-	// AntiEntropy is the rebroadcast cadence (default 2 s) — the §6
-	// lesson: validators keep helping peers finish previous ledgers.
-	AntiEntropy time.Duration
 	// ArchiveDirFor gives validator i a private history archive at the
 	// returned directory ("" = none). Required by FaultKillWipe and
 	// FaultRejoin: peers need archives to serve network catchup from, and
@@ -133,12 +128,6 @@ func (sc *Scenario) defaults() {
 	}
 	if sc.LivenessWindow == 0 {
 		sc.LivenessWindow = 60 * time.Second
-	}
-	if sc.Tick == 0 {
-		sc.Tick = 500 * time.Millisecond
-	}
-	if sc.AntiEntropy == 0 {
-		sc.AntiEntropy = 2 * time.Second
 	}
 	if len(sc.ExpectAlerts) > 0 || sc.NoAlerts || sc.BundleDir != "" {
 		sc.Alerts = true

@@ -100,9 +100,7 @@ func Start(cfg Config) (*Cluster, error) {
 			Label: label,
 			URL:   "http://127.0.0.1:" + strconv.Itoa(ports[n+i]),
 			Dir:   filepath.Join(cfg.Dir, label),
-			// Four ledgers a second keep the tests short; a sub-second
-			// interval advances close time faster than the wall clock,
-			// hence the wide drift.
+			// Four ledgers a second keep the tests short.
 			argv: []string{
 				"-seed", label,
 				"-quorum", strings.Join(labels, ","),
@@ -110,7 +108,6 @@ func Start(cfg Config) (*Cluster, error) {
 				"-peers", strings.Join(peers, ","),
 				"-horizon", "127.0.0.1:" + strconv.Itoa(ports[n+i]),
 				"-interval", "250ms",
-				"-max-drift", "24h",
 				"-v",
 			},
 		}
@@ -304,6 +301,7 @@ type Tx struct {
 // Result is how horizon answered one submission.
 type Result struct {
 	Status     int
+	Hash       string // the transaction's hash, when accepted
 	Err        string
 	RetryAfter int64 // seconds, from the Retry-After header
 }
@@ -323,10 +321,11 @@ func (c *Cluster) Submit(nd *Node, tx Tx) (Result, error) {
 	res := Result{Status: resp.StatusCode}
 	res.RetryAfter, _ = strconv.ParseInt(resp.Header.Get("Retry-After"), 10, 64)
 	var payload struct {
+		Hash  string `json:"hash"`
 		Error string `json:"error"`
 	}
 	_ = json.NewDecoder(resp.Body).Decode(&payload)
-	res.Err = payload.Error
+	res.Hash, res.Err = payload.Hash, payload.Error
 	return res, nil
 }
 

@@ -283,7 +283,7 @@ func RunQuorumCheck(orgCounts []int) ([]QIRow, error) {
 			Orgs:       orgs,
 			Nodes:      len(qs),
 			Intersects: res.Intersects,
-			Examined:   res.QuorumsExamined,
+			Examined:   res.CandidatesExamined,
 			Elapsed:    time.Since(start),
 			Critical:   len(crit.Critical),
 		})

@@ -26,9 +26,6 @@ type Options struct {
 	Validators int
 	// Accounts is the total synthetic account count (default 100,000).
 	Accounts int
-	// ActiveAccounts is how many accounts generate load (default scales
-	// with TxRate: 4× the per-interval transaction volume).
-	ActiveAccounts int
 	// TxRate is the offered load in transactions per second (default 100).
 	TxRate float64
 	// NoLoad disables the load generator entirely (examples that submit
@@ -46,14 +43,10 @@ type Options struct {
 	// QSetFor overrides quorum sets; default is the §7.3 worst case:
 	// every validator knows every other, slices are any simple majority.
 	QSetFor func(i int, all []fba.NodeID) fba.QuorumSet
-	// SparseTopology connects each validator to at most K peers instead
-	// of all-to-all (0 = full mesh).
-	SparseTopology int
-	// ArchiveDir, when non-empty, attaches a shared history archive.
-	ArchiveDir string
-	// ArchiveDirFor, when set, gives validator i a PRIVATE archive at the
-	// returned directory ("" = none for that validator) — the durable-state
-	// deployment where every node owns its data dir. Overrides ArchiveDir.
+	// ArchiveDirFor, when set, gives validator i a private archive at the
+	// returned directory ("" = none for that validator): ArchiveAt for one
+	// archiving validator, as in production, or one per validator for the
+	// durable-state deployment where every node owns its data dir.
 	ArchiveDirFor func(i int) string
 	// CheckpointInterval is the archiving validators' checkpoint cadence
 	// in ledgers (0 = herder.DefaultCheckpointInterval).
@@ -95,16 +88,6 @@ func (o *Options) defaults() {
 	if o.LatencyMax == 0 {
 		o.LatencyMax = 10 * time.Millisecond
 	}
-	if o.ActiveAccounts == 0 {
-		perLedger := int(o.TxRate*o.LedgerInterval.Seconds()) * 4
-		if perLedger < 16 {
-			perLedger = 16
-		}
-		if perLedger > o.Accounts {
-			perLedger = o.Accounts
-		}
-		o.ActiveAccounts = perLedger
-	}
 	if o.QSetFor == nil {
 		o.QSetFor = func(i int, all []fba.NodeID) fba.QuorumSet {
 			return fba.Majority(all...)
@@ -115,6 +98,23 @@ func (o *Options) defaults() {
 	}
 	if o.MaxTxSetSize == 0 {
 		o.MaxTxSetSize = 5000
+	}
+}
+
+// activeAccounts is how many accounts generate load: 4× the per-interval
+// transaction volume, at least 16 and at most all of them.
+func (o *Options) activeAccounts() int {
+	return min(max(int(o.TxRate*o.LedgerInterval.Seconds())*4, 16), o.Accounts)
+}
+
+// ArchiveAt is an Options.ArchiveDirFor that gives validator 0 the archive
+// at dir and the others none.
+func ArchiveAt(dir string) func(i int) string {
+	return func(i int) string {
+		if i == 0 {
+			return dir
+		}
+		return ""
 	}
 }
 
@@ -131,9 +131,8 @@ type SimNetwork struct {
 	Nodes     []*herder.Node
 	Gen       *loadgen.Generator
 	NetworkID stellarcrypto.Hash
-	Archive   *history.Archive
-	// Archives holds validator i's private archive when ArchiveDirFor was
-	// set (nil entries where the validator has none).
+	// Archives holds validator i's archive (nil where it has none; see
+	// Options.ArchiveDirFor).
 	Archives []*history.Archive
 	// Configs keeps each validator's herder configuration so a chaos
 	// harness can rebuild a node with the same identity after a crash
@@ -170,23 +169,13 @@ func Build(opts Options) (*SimNetwork, error) {
 		s.Tracer = obs.NewTracer(s.Net.Now)
 	}
 
-	var arch *history.Archive
-	if opts.ArchiveDir != "" {
-		var err error
-		arch, err = history.Open(opts.ArchiveDir)
-		if err != nil {
-			return nil, err
-		}
-		s.Archive = arch
-	}
-
 	// Genesis with synthetic accounts (shared verbatim by all nodes:
 	// each gets its own copy via restore to keep states independent).
 	genesis, masterKey := herder.GenesisState(s.NetworkID)
 	genesis.MaxTxSetSize = opts.MaxTxSetSize
 	s.MasterKey = masterKey
 	master := ledger.AccountIDFromPublicKey(masterKey.Public)
-	accounts, err := loadgen.Populate(genesis, master, masterKey, s.NetworkID, opts.Accounts, opts.ActiveAccounts)
+	accounts, err := loadgen.Populate(genesis, master, masterKey, s.NetworkID, opts.Accounts, opts.activeAccounts())
 	if err != nil {
 		return nil, err
 	}
@@ -228,8 +217,6 @@ func Build(opts Options) (*SimNetwork, error) {
 				}
 				cfg.Archive = na
 			}
-		} else if arch != nil && i == 0 {
-			cfg.Archive = arch // one archiving validator, as in production
 		}
 		if cfg.Archive != nil {
 			cfg.CheckpointInterval = opts.CheckpointInterval
@@ -260,8 +247,7 @@ func (s *SimNetwork) GenesisState() (*ledger.State, error) {
 // NewNode builds validator i from Configs[i] into Nodes[i], at genesis or
 // in place of a crashed one (herder.New takes over the dead handler's
 // address): its OnLedgerClose hook appends to Records[i], and it is linked
-// both ways with every built node the topology pairs it with (see
-// SparseTopology). The caller boots it.
+// both ways with every other built node. The caller boots it.
 func (s *SimNetwork) NewNode(i int) (*herder.Node, error) {
 	node, err := herder.New(s.Net, s.Configs[i])
 	if err != nil {
@@ -271,9 +257,8 @@ func (s *SimNetwork) NewNode(i int) (*herder.Node, error) {
 		s.Records[i] = append(s.Records[i], cs)
 	}
 	s.Nodes[i] = node
-	k, n := s.Opts.SparseTopology, s.Opts.Validators
 	for j, peer := range s.Nodes {
-		if d := (j - i + n) % n; peer == nil || j == i || (k > 0 && d > k/2 && n-d > k/2) {
+		if peer == nil || j == i {
 			continue
 		}
 		node.Overlay().Connect(peer.Addr())

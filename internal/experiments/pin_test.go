@@ -28,7 +28,7 @@ func TestArchivePin(t *testing.T) {
 		TxRate:         20,
 		LedgerInterval: 5 * time.Second,
 		Seed:           42,
-		ArchiveDir:     t.TempDir(),
+		ArchiveDirFor:  ArchiveAt(t.TempDir()),
 		// A checkpoint every ledger: 40 s at 5 s is eight ledgers, short
 		// of the default cadence's first checkpoint.
 		CheckpointInterval: 1,
@@ -43,18 +43,18 @@ func TestArchivePin(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cp, err := s.Archive.LatestCheckpoint()
+	cp, err := s.Archives[0].LatestCheckpoint()
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := s.Archive.GetHeader(cp.LedgerSeq)
+	h, err := s.Archives[0].GetHeader(cp.LedgerSeq)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if h.Hash() != cp.HeaderHash {
 		t.Fatalf("checkpoint %d names header %x, archive holds %x", cp.LedgerSeq, cp.HeaderHash, h.Hash())
 	}
-	buckets, err := s.Archive.RestoreBucketList(cp)
+	buckets, err := s.Archives[0].RestoreBucketList(cp)
 	if err != nil {
 		t.Fatal(err)
 	}

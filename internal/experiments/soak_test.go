@@ -18,11 +18,11 @@ func TestSoakLongRunWithChurnAndCatchUp(t *testing.T) {
 		t.Skip("soak test")
 	}
 	opts := Options{
-		Validators: 5,
-		Accounts:   1000,
-		TxRate:     40,
-		ArchiveDir: t.TempDir(),
-		Seed:       777,
+		Validators:    5,
+		Accounts:      1000,
+		TxRate:        40,
+		ArchiveDirFor: ArchiveAt(t.TempDir()),
+		Seed:          777,
 		// The late validator joins from the archive at the live tip.
 		CheckpointInterval: 1,
 	}
@@ -92,7 +92,7 @@ func TestSoakLongRunWithChurnAndCatchUp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := late.CatchUp(s.Archive); err != nil {
+	if err := late.CatchUp(s.Archives[0]); err != nil {
 		t.Fatal(err)
 	}
 	late.Overlay().Connect(s.Nodes[0].Addr(), s.Nodes[1].Addr())
@@ -124,7 +124,7 @@ func TestSoakLongRunWithChurnAndCatchUp(t *testing.T) {
 
 	// The archive can replay history: every archived tx set references
 	// its predecessor's header hash (Figure 3 chain).
-	cp, err := s.Archive.LatestCheckpoint()
+	cp, err := s.Archives[0].LatestCheckpoint()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,10 +132,10 @@ func TestSoakLongRunWithChurnAndCatchUp(t *testing.T) {
 		t.Fatalf("archive checkpoint at %d", cp.LedgerSeq)
 	}
 	for seq := cp.LedgerSeq - 5; seq <= cp.LedgerSeq; seq++ {
-		if _, err := s.Archive.GetTxSet(seq); err != nil {
+		if _, err := s.Archives[0].GetTxSet(seq); err != nil {
 			t.Fatalf("archived tx set %d missing: %v", seq, err)
 		}
-		if _, err := s.Archive.GetHeader(seq); err != nil {
+		if _, err := s.Archives[0].GetHeader(seq); err != nil {
 			t.Fatalf("archived header %d missing: %v", seq, err)
 		}
 	}
@@ -146,7 +146,7 @@ func TestSoakLongRunWithChurnAndCatchUp(t *testing.T) {
 // bucket list hash of the actual ledger contents (checked implicitly by
 // agreement; here we rebuild state from one node's bucket entries).
 func TestSoakStateRebuildFromBuckets(t *testing.T) {
-	opts := Options{Validators: 3, Accounts: 300, TxRate: 30, ArchiveDir: t.TempDir(), CheckpointInterval: 1, Seed: 778}
+	opts := Options{Validators: 3, Accounts: 300, TxRate: 30, ArchiveDirFor: ArchiveAt(t.TempDir()), CheckpointInterval: 1, Seed: 778}
 	s, err := Build(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -156,15 +156,15 @@ func TestSoakStateRebuildFromBuckets(t *testing.T) {
 	s.Stop()
 	s.Run(10 * time.Second)
 
-	cp, err := s.Archive.LatestCheckpoint()
+	cp, err := s.Archives[0].LatestCheckpoint()
 	if err != nil {
 		t.Fatal(err)
 	}
-	hdr, err := s.Archive.GetHeader(cp.LedgerSeq)
+	hdr, err := s.Archives[0].GetHeader(cp.LedgerSeq)
 	if err != nil {
 		t.Fatal(err)
 	}
-	buckets, err := s.Archive.RestoreBucketList(cp)
+	buckets, err := s.Archives[0].RestoreBucketList(cp)
 	if err != nil {
 		t.Fatal(err)
 	}

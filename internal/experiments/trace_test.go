@@ -18,7 +18,7 @@ import (
 func TestSimTraceIsAClusterTrace(t *testing.T) {
 	opts := smallOpts()
 	opts.Trace = true
-	opts.ArchiveDir = t.TempDir()
+	opts.ArchiveDirFor = ArchiveAt(t.TempDir())
 	s, err := Build(opts)
 	if err != nil {
 		t.Fatal(err)

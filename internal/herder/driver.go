@@ -19,6 +19,10 @@ var (
 
 func (d *driver) node() *Node { return (*Node)(d) }
 
+// closeTimeTolerance is how far, in seconds, a close time may sit ahead of
+// the local clock and still be fully valid: stellar-core's clock tolerance.
+const closeTimeTolerance = 10
+
 // ValidateValue implements the §5.3 validity rules for StellarValues.
 func (d *driver) ValidateValue(slot uint64, raw scp.Value) scp.ValidationLevel {
 	n := d.node()
@@ -30,16 +34,14 @@ func (d *driver) ValidateValue(slot uint64, raw scp.Value) scp.ValidationLevel {
 		return scp.ValueMaybeValid
 	}
 	// Close time must move strictly forward (§5.3) and not sit in the
-	// future beyond clock tolerance.
+	// future beyond clock tolerance — unless it is the one-second step
+	// proposedCloseTime forces on a chain already ahead of the clock, as
+	// a sub-second cadence makes it.
 	if sv.CloseTime <= n.last.CloseTime && slot == uint64(n.last.LedgerSeq)+1 {
 		return scp.ValueInvalid
 	}
-	drift := n.cfg.MaxCloseTimeDrift
-	if drift <= 0 {
-		drift = 10 * time.Second
-	}
-	now := int64(n.net.Now() / time.Second)
-	fullyValid := sv.CloseTime <= now+int64(drift/time.Second)
+	bound := max(int64(n.net.Now()/time.Second)+closeTimeTolerance, n.last.CloseTime+1)
+	fullyValid := sv.CloseTime <= bound
 
 	// Upgrades: invalid upgrades poison the value; valid-but-undesired
 	// ones make it merely acceptable for a governing node (§5.3).

@@ -54,14 +54,6 @@ type Config struct {
 	// governance; DesiredUpgrades are the upgrades it votes for (§5.3).
 	Governing       bool
 	DesiredUpgrades []Upgrade
-	// MaxCloseTimeDrift bounds how far in the future a proposed close
-	// time may sit and still be fully valid (0 = 10s, stellar-core's
-	// clock tolerance). Close times advance at least one second per
-	// ledger, so deployments closing ledgers faster than one per second
-	// — TCP integration tests, for instance — must widen this or
-	// validation starts rejecting values once the schedule outruns the
-	// wall clock.
-	MaxCloseTimeDrift time.Duration
 	// Obs supplies the node's observability bundle (metric registry,
 	// logger, span tracer). nil, or a bundle with nil fields, selects
 	// defaults: a private registry, silent logs, no tracing.
@@ -232,6 +224,12 @@ func (n *Node) State() *ledger.State { return n.state }
 
 // LastHeader returns the latest closed ledger header.
 func (n *Node) LastHeader() *ledger.Header { return n.last }
+
+// Archive returns the history archive the node writes its closed ledgers
+// to, or nil when it keeps none. It is fixed at New, so any goroutine may
+// read it; the archive's files are written whole by rename, so any
+// goroutine may read those too.
+func (n *Node) Archive() *history.Archive { return n.cfg.Archive }
 
 // HeaderHash returns the hash of the header closed at seq, if known.
 func (n *Node) HeaderHash(seq uint32) (stellarcrypto.Hash, bool) {

@@ -289,6 +289,44 @@ func TestOversizedProposalIsInvalid(t *testing.T) {
 	}
 }
 
+// TestValidateValueCloseTime: a close time is fully valid up to the later
+// of the clock's tolerance and the one-second step past the last close, the
+// step proposedCloseTime takes on a chain ahead of the clock (as a
+// sub-second cadence makes it); further ahead it is only maybe-valid, and
+// at or before the last close it is invalid.
+func TestValidateValueCloseTime(t *testing.T) {
+	net, nodes, nid := buildPair(t, nil)
+	net.RunFor(100 * time.Second)
+	n := nodes[0]
+	now := int64(net.Now() / time.Second)
+	slot := uint64(n.LastHeader().LedgerSeq) + 1
+	for _, tc := range []struct {
+		name              string
+		lastClose, closed int64
+		want              scp.ValidationLevel
+	}{
+		{"at the clock's tolerance", now, now + closeTimeTolerance, scp.ValueFullyValid},
+		{"60 s ahead of the clock", now, now + 60, scp.ValueMaybeValid},
+		{"last+1 on a chain 60 s ahead", now + 60, now + 61, scp.ValueFullyValid},
+		{"last+2 on a chain 60 s ahead", now + 60, now + 62, scp.ValueMaybeValid},
+		{"at the last close", now + 60, now + 60, scp.ValueInvalid},
+		{"before the last close", now, now - 1, scp.ValueInvalid},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tip := *n.last
+			tip.CloseTime = tc.lastClose
+			n.last = &tip
+			ts := &ledger.TxSet{PrevLedgerHash: tip.Hash()}
+			n.txsets[ts.Hash(nid)] = ts
+			v := (&StellarValue{TxSetHash: ts.Hash(nid), CloseTime: tc.closed}).Encode()
+			if got := (*driver)(n).ValidateValue(slot, v); got != tc.want {
+				t.Fatalf("close time %+d s on a tip at %+d s is %v, want %v",
+					tc.closed-now, tc.lastClose-now, got, tc.want)
+			}
+		})
+	}
+}
+
 // TestVotedMaxTxSetSizeReachesProposers: a §5.3 vote that lowers the
 // per-ledger operation cap changes what every proposer puts in a set, not
 // only the header. With three times the new cap pooled, each later ledger

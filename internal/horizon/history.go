@@ -4,20 +4,13 @@ import (
 	"net/http"
 	"strconv"
 
-	"stellar/internal/history"
 	"stellar/internal/ledger"
 )
 
 // Historical lookups (§5.4): "there needs to be some place one can look up
-// a transaction from two years ago." When the server is configured with a
-// history archive, horizon serves old ledgers and transactions from it.
-
-// WithArchive attaches a history archive for the /ledgers/{seq} and
-// /transactions/{hash} endpoints.
-func (s *Server) WithArchive(a *history.Archive) *Server {
-	s.archive = a
-	return s
-}
+// a transaction from two years ago." A node with a data dir serves the
+// transactions of its closed ledgers from its own history archive; one
+// without answers 501 for them.
 
 func (s *Server) registerHistory(mux *http.ServeMux) {
 	s.handle(mux, "GET /ledgers/{seq}", s.handleLedgerBySeq)
@@ -25,34 +18,26 @@ func (s *Server) registerHistory(mux *http.ServeMux) {
 	s.handle(mux, "GET /transactions/{hash}", s.handleTxByHash)
 }
 
+// handleLedgerBySeq serves the hash of a header the node chained itself,
+// which is what cross-node divergence checks compare (the cluster smoke
+// test and the benchmark poll it across the TCP quorum).
 func (s *Server) handleLedgerBySeq(w http.ResponseWriter, r *http.Request) {
-	s.Mu.Lock()
-	defer s.Mu.Unlock()
 	seq, err := strconv.ParseUint(r.PathValue("seq"), 10, 32)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad ledger sequence")
 		return
 	}
-	if s.archive != nil {
-		hdr, err := s.archive.GetHeader(uint32(seq))
-		if err != nil {
-			writeError(w, http.StatusNotFound, "ledger %d not archived", seq)
-			return
-		}
-		writeJSON(w, http.StatusOK, ledgerInfo(hdr))
+	s.Mu.Lock()
+	h, ok := s.Node.HeaderHash(uint32(seq))
+	s.Mu.Unlock()
+	if !ok {
+		writeError(w, http.StatusNotFound, "ledger %d not known to this node", seq)
 		return
 	}
-	// Without an archive the node still remembers every header hash it
-	// chained, which is exactly what cross-node divergence checks need
-	// (the cluster smoke test compares this across the TCP quorum).
-	if h, ok := s.Node.HeaderHash(uint32(seq)); ok {
-		writeJSON(w, http.StatusOK, map[string]any{
-			"sequence": seq,
-			"hash":     h.Hex(),
-		})
-		return
-	}
-	writeError(w, http.StatusNotFound, "ledger %d not known to this node", seq)
+	writeJSON(w, http.StatusOK, map[string]any{
+		"sequence": seq,
+		"hash":     h.Hex(),
+	})
 }
 
 // TxInfo is the public view of an archived transaction.
@@ -83,19 +68,20 @@ func txInfo(tx *ledger.Transaction, seq uint32, hash string) TxInfo {
 	return info
 }
 
+// handleLedgerTxs reads the ledger's transaction set from the archive; the
+// archive is read without the node's lock.
 func (s *Server) handleLedgerTxs(w http.ResponseWriter, r *http.Request) {
-	s.Mu.Lock()
-	defer s.Mu.Unlock()
 	seq, err := strconv.ParseUint(r.PathValue("seq"), 10, 32)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad ledger sequence")
 		return
 	}
-	if s.archive == nil {
-		writeError(w, http.StatusNotImplemented, "no history archive configured")
+	a := s.Node.Archive()
+	if a == nil {
+		writeError(w, http.StatusNotImplemented, "node keeps no history archive")
 		return
 	}
-	ts, err := s.archive.GetTxSet(uint32(seq))
+	ts, err := a.GetTxSet(uint32(seq))
 	if err != nil {
 		writeError(w, http.StatusNotFound, "ledger %d not archived", seq)
 		return
@@ -107,29 +93,31 @@ func (s *Server) handleLedgerTxs(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"ledger": seq, "transactions": out})
 }
 
-// handleTxByHash scans backward from the latest archived ledger. A real
-// deployment would keep an index; the archive scan keeps the archive the
-// single source of truth, as §5.4 describes.
+// handleTxByHash scans the archive backward from the node's tip, which the
+// close that moved it archived under the same lock. A real deployment would
+// keep an index; the scan keeps the archive the single source of truth, as
+// §5.4 describes. The lock is held only to read the tip.
 func (s *Server) handleTxByHash(w http.ResponseWriter, r *http.Request) {
-	s.Mu.Lock()
-	defer s.Mu.Unlock()
 	want := r.PathValue("hash")
-	if s.archive == nil {
-		writeError(w, http.StatusNotImplemented, "no history archive configured")
+	a := s.Node.Archive()
+	if a == nil {
+		writeError(w, http.StatusNotImplemented, "node keeps no history archive")
 		return
 	}
-	cp, err := s.archive.LatestCheckpoint()
-	if err != nil {
-		writeError(w, http.StatusNotFound, "archive empty")
+	s.Mu.Lock()
+	tip := s.Node.LastHeader()
+	s.Mu.Unlock()
+	if tip == nil {
+		writeError(w, http.StatusServiceUnavailable, "node not bootstrapped")
 		return
 	}
 	const scanWindow = 1024
 	lo := uint32(2)
-	if cp.LedgerSeq > scanWindow {
-		lo = cp.LedgerSeq - scanWindow
+	if tip.LedgerSeq > scanWindow {
+		lo = tip.LedgerSeq - scanWindow
 	}
-	for seq := cp.LedgerSeq; seq >= lo; seq-- {
-		ts, err := s.archive.GetTxSet(seq)
+	for seq := tip.LedgerSeq; seq >= lo; seq-- {
+		ts, err := a.GetTxSet(seq)
 		if err != nil {
 			continue
 		}

@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"stellar/internal/herder"
-	"stellar/internal/history"
 	"stellar/internal/ledger"
 	"stellar/internal/obs"
 	"stellar/internal/obs/slo"
@@ -34,7 +33,6 @@ type Server struct {
 	Mu        sync.Locker
 	Node      *herder.Node
 	NetworkID stellarcrypto.Hash
-	archive   *history.Archive
 
 	// Submit-pipeline limits (submit.go, ratelimit.go). Nil limiters
 	// allow everything.

@@ -30,6 +30,12 @@ type fixture struct {
 }
 
 func newFixture(t *testing.T) *fixture {
+	return newArchivedFixture(t, nil)
+}
+
+// newArchivedFixture is newFixture with the validator writing its closed
+// ledgers to arch (nil: no archive).
+func newArchivedFixture(t *testing.T, arch *history.Archive) *fixture {
 	t.Helper()
 	net := simnet.New(1)
 	nid := stellarcrypto.HashBytes([]byte("horizon-test"))
@@ -40,6 +46,7 @@ func newFixture(t *testing.T) *fixture {
 		QSet:           fba.QuorumSet{Threshold: 1, Validators: []fba.NodeID{self}},
 		NetworkID:      nid,
 		LedgerInterval: time.Second,
+		Archive:        arch,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -346,16 +353,15 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestHistoryEndpoints: a node with an archive serves its closed ledgers'
+// transactions from it, the newest included, which no checkpoint covers yet
+// at the default cadence of one every 64 ledgers.
 func TestHistoryEndpoints(t *testing.T) {
-	// Rebuild the fixture with an archive attached.
-	f := newFixture(t)
 	arch, err := history.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.srv.WithArchive(arch)
-	// The validator itself isn't archiving in this fixture; simulate the
-	// archive by writing a closed ledger's artifacts directly.
+	f := newArchivedFixture(t, arch)
 	master := ledger.AccountIDFromPublicKey(f.master.Public)
 	f.srv.Mu.Lock()
 	seq := f.node.State().Account(master).SeqNum
@@ -365,47 +371,59 @@ func TestHistoryEndpoints(t *testing.T) {
 	}
 	tx.Sign(f.nid, f.master)
 	txHash := tx.Hash(f.nid).Hex()
-	hdr := f.node.LastHeader()
-	ts := &ledger.TxSet{PrevLedgerHash: hdr.PrevHash(), Txs: []*ledger.Transaction{tx}}
-	if err := arch.PutHeader(hdr); err != nil {
-		t.Fatal(err)
-	}
-	if err := arch.PutTxSet(hdr.LedgerSeq, ts); err != nil {
-		t.Fatal(err)
-	}
-	if err := arch.PutCheckpoint(&history.Checkpoint{LedgerSeq: hdr.LedgerSeq}); err != nil {
+	if err := f.node.SubmitTx(tx); err != nil {
 		t.Fatal(err)
 	}
 	f.srv.Mu.Unlock()
-
-	var li LedgerInfo
-	if code := f.get(fmt.Sprintf("/ledgers/%d", hdr.LedgerSeq), &li); code != 200 {
-		t.Fatalf("ledger lookup status %d", code)
+	f.advance(3 * time.Second)
+	if cp, err := arch.LatestCheckpoint(); err == nil {
+		t.Fatalf("archive holds checkpoint %d; the lookups must not need one", cp.LedgerSeq)
 	}
-	if li.Sequence != hdr.LedgerSeq {
-		t.Fatalf("ledger lookup seq %d", li.Sequence)
+
+	var ti TxInfo
+	if code := f.get("/transactions/"+txHash, &ti); code != 200 {
+		t.Fatalf("tx lookup status %d", code)
+	}
+	if ti.Hash != txHash || ti.Ledger < 2 || len(ti.Operations) != 1 || ti.Operations[0].Type != "ManageData" {
+		t.Fatalf("tx info = %+v", ti)
 	}
 	var txs struct {
 		Transactions []TxInfo `json:"transactions"`
 	}
-	if code := f.get(fmt.Sprintf("/ledgers/%d/transactions", hdr.LedgerSeq), &txs); code != 200 {
-		t.Fatal("ledger txs lookup failed")
+	if code := f.get(fmt.Sprintf("/ledgers/%d/transactions", ti.Ledger), &txs); code != 200 {
+		t.Fatalf("ledger txs lookup status %d", code)
 	}
 	if len(txs.Transactions) != 1 || txs.Transactions[0].Hash != txHash {
 		t.Fatalf("ledger txs = %+v", txs)
 	}
-	var ti TxInfo
-	if code := f.get("/transactions/"+txHash, &ti); code != 200 {
-		t.Fatal("tx lookup failed")
+	var li LedgerInfo
+	if code := f.get(fmt.Sprintf("/ledgers/%d", ti.Ledger), &li); code != 200 {
+		t.Fatalf("ledger lookup status %d", code)
 	}
-	if ti.Hash != txHash || len(ti.Operations) != 1 || ti.Operations[0].Type != "ManageData" {
-		t.Fatalf("tx info = %+v", ti)
+	if want, _ := f.node.HeaderHash(ti.Ledger); li.Sequence != ti.Ledger || li.Hash != want.Hex() {
+		t.Fatalf("ledger lookup = %+v, want hash %s", li, want.Hex())
 	}
-	if code := f.get("/transactions/deadbeef", nil); code != 404 {
-		t.Fatalf("missing tx status %d", code)
+	// The lookups read the archive outside the lock, while closes write it.
+	closing := make(chan struct{})
+	go func() {
+		defer close(closing)
+		f.advance(3 * time.Second)
+	}()
+	for i := 0; i < 10; i++ {
+		if code := f.get("/transactions/"+txHash, nil); code != 200 {
+			t.Fatalf("tx lookup during closes: status %d", code)
+		}
 	}
-	if code := f.get("/ledgers/999999", nil); code != 404 {
-		t.Fatalf("missing ledger status %d", code)
+	<-closing
+	for path, want := range map[string]int{
+		"/transactions/deadbeef":       http.StatusNotFound,
+		"/ledgers/999999":              http.StatusNotFound,
+		"/ledgers/999999/transactions": http.StatusNotFound,
+		"/ledgers/x/transactions":      http.StatusBadRequest,
+	} {
+		if code := f.get(path, nil); code != want {
+			t.Fatalf("GET %s status %d, want %d", path, code, want)
+		}
 	}
 }
 
@@ -427,7 +445,9 @@ func TestHistoryEndpointsNoArchive(t *testing.T) {
 	if code := f.get("/ledgers/999999", nil); code != http.StatusNotFound {
 		t.Fatalf("status %d for unknown ledger", code)
 	}
-	if code := f.get("/transactions/abcd", nil); code != http.StatusNotImplemented {
-		t.Fatalf("status %d without archive", code)
+	for _, path := range []string{"/transactions/abcd", "/ledgers/2/transactions"} {
+		if code := f.get(path, nil); code != http.StatusNotImplemented {
+			t.Fatalf("GET %s status %d without archive", path, code)
+		}
 	}
 }

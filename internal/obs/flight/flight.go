@@ -53,9 +53,6 @@ type Config struct {
 	Alerts *slo.Engine
 	// Clock is the shared telemetry time axis (nil = zero times).
 	Clock func() time.Duration
-	// Cooldown rate-limits automatic dumps (0 = 1 min). Manual Dump calls
-	// ignore it.
-	Cooldown time.Duration
 	// Log receives dump events.
 	Log *slog.Logger
 }
@@ -74,9 +71,6 @@ type Recorder struct {
 // New builds a recorder (cfg.Dir and cfg.Node required in practice, but
 // nothing is touched on disk until a dump happens).
 func New(cfg Config) *Recorder {
-	if cfg.Cooldown <= 0 {
-		cfg.Cooldown = time.Minute
-	}
 	return &Recorder{cfg: cfg, log: obs.Component(cfg.Log, "flight")}
 }
 
@@ -147,6 +141,9 @@ func (r *Recorder) Dump(reason string) (string, error) {
 	return dir, nil
 }
 
+// autoDumpCooldown rate-limits automatic dumps; manual Dump calls ignore it.
+const autoDumpCooldown = time.Minute
+
 // AutoDump is Dump behind the cooldown: the watchdog calls it on every
 // close-stall transition, and repeated stalls within the cooldown are
 // suppressed so a flapping alert cannot fill the disk. The now argument
@@ -154,7 +151,7 @@ func (r *Recorder) Dump(reason string) (string, error) {
 // directory and whether a dump happened.
 func (r *Recorder) AutoDump(reason string, now time.Duration) (string, bool) {
 	r.mu.Lock()
-	if r.hasAuto && now-r.lastAuto < r.cfg.Cooldown {
+	if r.hasAuto && now-r.lastAuto < autoDumpCooldown {
 		r.mu.Unlock()
 		return "", false
 	}

@@ -128,14 +128,14 @@ func TestDumpNilSources(t *testing.T) {
 }
 
 func TestAutoDumpCooldown(t *testing.T) {
-	r := New(Config{Dir: t.TempDir(), Node: "n", Cooldown: 10 * time.Second})
+	r := New(Config{Dir: t.TempDir(), Node: "n"})
 	if _, ok := r.AutoDump("stall", 0); !ok {
 		t.Fatal("first AutoDump should dump")
 	}
-	if _, ok := r.AutoDump("stall", 5*time.Second); ok {
+	if _, ok := r.AutoDump("stall", autoDumpCooldown-time.Second); ok {
 		t.Fatal("AutoDump inside cooldown must be suppressed")
 	}
-	if _, ok := r.AutoDump("stall", 15*time.Second); !ok {
+	if _, ok := r.AutoDump("stall", autoDumpCooldown); !ok {
 		t.Fatal("AutoDump past cooldown should dump")
 	}
 }

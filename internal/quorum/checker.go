@@ -35,9 +35,12 @@ type Result struct {
 	// Disjoint1 and Disjoint2 witness a violation when Intersects is
 	// false: two quorums with empty intersection.
 	Disjoint1, Disjoint2 fba.NodeSet
-	// QuorumsExamined counts the minimal quorums the search visited,
-	// reported so operators can see how hard their topology is to check.
-	QuorumsExamined int
+	// CandidatesExamined counts the node sets the search visited, each
+	// one or two quorum fixpoints, reported so operators can see how hard
+	// their topology is to check. (In an intersecting system rule 2b ends
+	// every branch before it grows into a quorum, so a count of quorums
+	// reached would read 0.)
+	CandidatesExamined int
 	// SCCs is the number of strongly connected components of the trust
 	// graph that contain at least one quorum.
 	SCCs int
@@ -77,7 +80,7 @@ func CheckIntersection(qsets fba.QuorumSets) Result {
 
 	scc := quorumSCCs[0]
 	q1, q2, examined := findDisjointQuorums(scc, qsets)
-	res.QuorumsExamined = examined
+	res.CandidatesExamined = examined
 	if q1 != nil {
 		res.Intersects = false
 		res.Disjoint1, res.Disjoint2 = q1, q2
@@ -89,7 +92,7 @@ func CheckIntersection(qsets fba.QuorumSets) Result {
 
 // findDisjointQuorums searches the node set for a minimal quorum whose
 // complement still contains a quorum. It returns the witnesses, or nils,
-// plus the number of minimal quorums examined.
+// plus the number of candidate sets examined.
 func findDisjointQuorums(universe fba.NodeSet, qsets fba.QuorumSets) (fba.NodeSet, fba.NodeSet, int) {
 	sys := buildSystem(qsets)
 	uni := sys.toBitset(universe)
@@ -100,6 +103,7 @@ func findDisjointQuorums(universe fba.NodeSet, qsets fba.QuorumSets) (fba.NodeSe
 	// bitset representation.
 	var rec func(candidate, avail bitset) bool
 	rec = func(candidate, avail bitset) bool {
+		examined++
 		// Rule 2a: prune when candidate cannot grow into a quorum using
 		// only available nodes.
 		reach := candidate.copy()
@@ -120,7 +124,6 @@ func findDisjointQuorums(universe fba.NodeSet, qsets fba.QuorumSets) (fba.NodeSe
 		if !candidate.empty() && sys.isQuorumBits(candidate) {
 			// Rule 3: candidate is a quorum, and rule 2b just proved a
 			// quorum survives in its complement — a disjoint pair.
-			examined++
 			q1, q2 = candidate.copy(), other
 			return true
 		}
@@ -226,7 +229,7 @@ func (r Result) String() string {
 	case !r.HasQuorum:
 		return "no quorums exist (network cannot make progress)"
 	case r.Intersects:
-		return fmt.Sprintf("enjoys quorum intersection (%d minimal quorums examined)", r.QuorumsExamined)
+		return fmt.Sprintf("enjoys quorum intersection (%d candidate sets examined)", r.CandidatesExamined)
 	default:
 		return fmt.Sprintf("DISJOINT QUORUMS: %s vs %s", r.Disjoint1, r.Disjoint2)
 	}

@@ -29,6 +29,20 @@ func TestIntersectionSymmetricMajority(t *testing.T) {
 	}
 }
 
+// TestCandidatesExaminedCountsTheSearch: an intersecting system reports the
+// work its proof took, and a larger one more of it.
+func TestCandidatesExaminedCountsTheSearch(t *testing.T) {
+	small := CheckIntersection(symmetric(4, 3))
+	large := CheckIntersection(symmetric(7, 5))
+	if !small.Intersects || !large.Intersects {
+		t.Fatalf("both should intersect: %s; %s", small, large)
+	}
+	if small.CandidatesExamined == 0 || large.CandidatesExamined <= small.CandidatesExamined {
+		t.Fatalf("candidates examined: 3-of-4 %d, 5-of-7 %d; want 0 < small < large",
+			small.CandidatesExamined, large.CandidatesExamined)
+	}
+}
+
 func TestIntersectionSymmetricHalf(t *testing.T) {
 	// 2-of-4: two disjoint pairs form disjoint quorums.
 	res := CheckIntersection(symmetric(4, 2))

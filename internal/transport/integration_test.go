@@ -41,11 +41,7 @@ func TestThreeNodeTCPQuorum(t *testing.T) {
 			QSet:           qset,
 			NetworkID:      networkID,
 			LedgerInterval: interval,
-			// Close times advance at least 1s per ledger, far faster than
-			// the 100ms wall-clock cadence; a wide drift tolerance keeps
-			// validation from rejecting the future-dated schedule.
-			MaxCloseTimeDrift: time.Hour,
-			Obs:               obs.New(),
+			Obs:            obs.New(),
 		})
 		if err != nil {
 			t.Fatalf("herder.New(%d): %v", i, err)

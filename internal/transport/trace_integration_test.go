@@ -46,12 +46,11 @@ func TestThreeNodeTracePropagation(t *testing.T) {
 		tracers[i].SetIDBase(obs.IDBaseFromString(kp.Public.Address()))
 		ob.Tracer = tracers[i]
 		node, err := herder.New(loops[i], herder.Config{
-			Keys:              kp,
-			QSet:              qset,
-			NetworkID:         networkID,
-			LedgerInterval:    interval,
-			MaxCloseTimeDrift: time.Hour,
-			Obs:               ob,
+			Keys:           kp,
+			QSet:           qset,
+			NetworkID:      networkID,
+			LedgerInterval: interval,
+			Obs:            ob,
 		})
 		if err != nil {
 			t.Fatalf("herder.New(%d): %v", i, err)
