@@ -46,12 +46,8 @@ type config struct {
 	interval                                      time.Duration
 	verbose, traceLive                            bool
 
-	// Ingress: the pending pool's bounds (0 = package defaults) and
-	// per-source-account and per-remote-IP submission throttles (rate 0 =
-	// unlimited; burst 0 = 1 when the rate is set).
-	mempool, mempoolPerSource  int
-	submitRate, submitIPRate   float64
-	submitBurst, submitIPBurst int
+	// Ingress: the pending pool's bounds (0 = package defaults).
+	mempool, mempoolPerSource int
 
 	// Durability: the archive directory (empty = in-memory only), the
 	// bucket checkpoint cadence in ledgers (0 = herder's default), network
@@ -74,10 +70,6 @@ func (c *config) register(fs *flag.FlagSet) {
 	fs.BoolVar(&c.traceLive, "trace-live", false, "enable span tracing, served over /debug/trace/export")
 	fs.IntVar(&c.mempool, "mempool", 0, "pending transaction pool cap (0 = default 8192)")
 	fs.IntVar(&c.mempoolPerSource, "mempool-per-source", 0, "pending transactions one account may hold (0 = default 64)")
-	fs.Float64Var(&c.submitRate, "submit-rate", 0, "per-source-account submission rate in tx/sec (0 = unlimited)")
-	fs.IntVar(&c.submitBurst, "submit-burst", 0, "per-source-account submission burst (0 = 1 when -submit-rate is set)")
-	fs.Float64Var(&c.submitIPRate, "submit-ip-rate", 0, "per-remote-IP submission rate in tx/sec (0 = unlimited)")
-	fs.IntVar(&c.submitIPBurst, "submit-ip-burst", 0, "per-remote-IP submission burst (0 = 1 when -submit-ip-rate is set)")
 	fs.StringVar(&c.dataDir, "data-dir", "", "archive directory for headers, tx sets, buckets, and checkpoints (empty = in-memory only)")
 	fs.IntVar(&c.checkpointInterval, "checkpoint-interval", 0, fmt.Sprintf("ledgers between bucket checkpoints (0 = every %d ledgers; needs -data-dir)", herder.DefaultCheckpointInterval))
 	fs.BoolVar(&c.catchup, "catchup", false, "on an archive with no checkpoint, fetch a peer's checkpointed state and the ledgers past it over the network instead of bootstrapping at genesis (needs -data-dir and -peers)")
@@ -92,15 +84,11 @@ func (c *config) validate() error {
 	}
 	for _, f := range []struct {
 		name string
-		v    float64
+		v    int
 	}{
-		{"mempool", float64(c.mempool)},
-		{"mempool-per-source", float64(c.mempoolPerSource)},
-		{"submit-rate", c.submitRate},
-		{"submit-burst", float64(c.submitBurst)},
-		{"submit-ip-rate", c.submitIPRate},
-		{"submit-ip-burst", float64(c.submitIPBurst)},
-		{"checkpoint-interval", float64(c.checkpointInterval)},
+		{"mempool", c.mempool},
+		{"mempool-per-source", c.mempoolPerSource},
+		{"checkpoint-interval", c.checkpointInterval},
 	} {
 		if f.v < 0 {
 			return fmt.Errorf("-%s %v: must not be negative", f.name, f.v)
@@ -287,12 +275,6 @@ func run(c *config) error {
 
 	srv := horizon.New(node, networkID)
 	srv.Mu = loop.Locker()
-	srv.SetIngress(horizon.IngressConfig{
-		SourceRate:  c.submitRate,
-		SourceBurst: c.submitBurst,
-		IPRate:      c.submitIPRate,
-		IPBurst:     c.submitIPBurst,
-	})
 
 	// Detection stack. The pre-sample hook refreshes the quorum_available
 	// gauge under the event-loop lock, because ledger close — the usual

@@ -16,16 +16,11 @@ func TestValidate(t *testing.T) {
 	}{
 		{nil, ""},
 		{[]string{"-interval", "250ms", "-mempool", "16", "-mempool-per-source", "4"}, ""},
-		{[]string{"-submit-rate", "5", "-submit-burst", "10", "-submit-ip-rate", "50", "-submit-ip-burst", "100"}, ""},
 		{[]string{"-data-dir", "d", "-checkpoint-interval", "8", "-catchup", "-peers", "localhost:11626"}, ""},
 		{[]string{"-interval", "0"}, "-interval 0s: must be positive"},
 		{[]string{"-interval", "-1s"}, "-interval -1s: must be positive"},
 		{[]string{"-mempool", "-1"}, "-mempool -1: must not be negative"},
 		{[]string{"-mempool-per-source", "-1"}, "-mempool-per-source -1: must not be negative"},
-		{[]string{"-submit-rate", "-0.5"}, "-submit-rate -0.5: must not be negative"},
-		{[]string{"-submit-burst", "-1"}, "-submit-burst -1: must not be negative"},
-		{[]string{"-submit-ip-rate", "-2"}, "-submit-ip-rate -2: must not be negative"},
-		{[]string{"-submit-ip-burst", "-1"}, "-submit-ip-burst -1: must not be negative"},
 		{[]string{"-data-dir", "d", "-checkpoint-interval", "-1"}, "-checkpoint-interval -1: must not be negative"},
 		{[]string{"-checkpoint-interval", "8"}, "-checkpoint-interval needs -data-dir"},
 		{[]string{"-catchup", "-peers", "localhost:11626"}, "-catchup needs -data-dir"},

@@ -3,6 +3,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -43,7 +44,7 @@ func cmdTables(args []string) int {
 		ran = true
 		fmt.Printf("\n=== %s — %s ===\n", t.name, t.desc)
 		start := time.Now()
-		if err := t.run(*full); err != nil {
+		if err := t.run(os.Stdout, *full); err != nil {
 			fmt.Fprintf(os.Stderr, "error: %v\n", err)
 			return 1
 		}
@@ -59,7 +60,7 @@ func cmdTables(args []string) int {
 var tables = []struct {
 	name string
 	desc string
-	run  func(full bool) error
+	run  func(w io.Writer, full bool) error
 }{
 	{"messages", "E1 / §7.2: SCP messages per ledger", runMessages},
 	{"fig8", "E2 / Figure 8: timeouts per ledger percentiles", runFig8},
@@ -76,17 +77,17 @@ var tables = []struct {
 
 func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
 
-func printLatencyRows(rows []experiments.LatencyRow) {
-	fmt.Printf("%-18s %12s %12s %14s %10s %10s\n",
+func printLatencyRows(w io.Writer, rows []experiments.LatencyRow) {
+	fmt.Fprintf(w, "%-18s %12s %12s %14s %10s %10s\n",
 		"setting", "nominate(ms)", "ballot(ms)", "ledgerupd(ms)", "close(s)", "tx/ledger")
 	for _, r := range rows {
-		fmt.Printf("%-18s %12.2f %12.2f %14.3f %10.2f %10.1f\n",
+		fmt.Fprintf(w, "%-18s %12.2f %12.2f %14.3f %10.2f %10.1f\n",
 			r.Label, ms(r.Nomination), ms(r.Balloting), ms(r.LedgerUpdate),
 			r.CloseMean.Seconds(), r.TxPerLedger)
 	}
 }
 
-func runMessages(full bool) error {
+func runMessages(w io.Writer, full bool) error {
 	ledgers := 20
 	if full {
 		ledgers = 100
@@ -95,13 +96,13 @@ func runMessages(full bool) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("paper (§7.2): ~7 logical messages per ledger, 6-7 observed\n")
-	fmt.Printf("measured:     mean %.1f msgs/ledger, max %d, over %d ledger-samples\n",
+	fmt.Fprintf(w, "paper (§7.2): ~7 logical messages per ledger, 6-7 observed\n")
+	fmt.Fprintf(w, "measured:     mean %.1f msgs/ledger, max %d, over %d ledger-samples\n",
 		res.MeanPerLedger, res.MaxPerLedger, res.Ledgers)
 	return nil
 }
 
-func runFig8(full bool) error {
+func runFig8(w io.Writer, full bool) error {
 	ledgers := 40
 	if full {
 		ledgers = 400
@@ -110,32 +111,32 @@ func runFig8(full bool) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("paper (Fig 8, 68h production): nomination p75=0 p99=1 max=4; balloting p75=0 p99=0 max=1\n")
-	fmt.Printf("%-12s %6s %6s %6s\n", "percentile", "p75", "p99", "max")
-	fmt.Printf("%-12s %6d %6d %6d\n", "nomination", res.Nomination75, res.Nomination99, res.NominationMax)
-	fmt.Printf("%-12s %6d %6d %6d\n", "balloting", res.Balloting75, res.Balloting99, res.BallotingMax)
-	fmt.Printf("(%d ledger-samples over degraded links)\n", res.Ledgers)
+	fmt.Fprintf(w, "paper (Fig 8, 68h production): nomination p75=0 p99=1 max=4; balloting p75=0 p99=0 max=1\n")
+	fmt.Fprintf(w, "%-12s %6s %6s %6s\n", "percentile", "p75", "p99", "max")
+	fmt.Fprintf(w, "%-12s %6d %6d %6d\n", "nomination", res.Nomination75, res.Nomination99, res.NominationMax)
+	fmt.Fprintf(w, "%-12s %6d %6d %6d\n", "balloting", res.Balloting75, res.Balloting99, res.BallotingMax)
+	fmt.Fprintf(w, "(%d ledger-samples over degraded links)\n", res.Ledgers)
 	return nil
 }
 
-func runFig9(full bool) error {
+func runFig9(w io.Writer, full bool) error {
 	counts := []int{1_000, 10_000, 100_000}
 	ledgers := 8
 	if full {
 		counts = []int{100_000, 1_000_000, 5_000_000}
 		ledgers = 20
 	}
-	fmt.Println("paper (Fig 9): latency roughly flat from 10^5 to 5·10^7 accounts;")
-	fmt.Println("ledger update dominated by bucket merging as accounts grow")
+	fmt.Fprintln(w, "paper (Fig 9): latency roughly flat from 10^5 to 5·10^7 accounts;")
+	fmt.Fprintln(w, "ledger update dominated by bucket merging as accounts grow")
 	rows, err := experiments.RunAccountsSweep(counts, ledgers)
 	if err != nil {
 		return err
 	}
-	printLatencyRows(rows)
+	printLatencyRows(w, rows)
 	return nil
 }
 
-func runFig10(full bool) error {
+func runFig10(w io.Writer, full bool) error {
 	rates := []float64{100, 200, 300}
 	accounts := 20_000
 	ledgers := 8
@@ -144,16 +145,16 @@ func runFig10(full bool) error {
 		accounts = 100_000
 		ledgers = 20
 	}
-	fmt.Println("paper (Fig 10): consensus grows slowly; ledger update grows with tx/ledger")
+	fmt.Fprintln(w, "paper (Fig 10): consensus grows slowly; ledger update grows with tx/ledger")
 	rows, err := experiments.RunLoadSweep(rates, accounts, ledgers)
 	if err != nil {
 		return err
 	}
-	printLatencyRows(rows)
+	printLatencyRows(w, rows)
 	return nil
 }
 
-func runFig11(full bool) error {
+func runFig11(w io.Writer, full bool) error {
 	counts := []int{4, 10, 19}
 	accounts := 5_000
 	ledgers := 6
@@ -162,17 +163,17 @@ func runFig11(full bool) error {
 		accounts = 100_000
 		ledgers = 15
 	}
-	fmt.Println("paper (Fig 11): nomination grows slowly; balloting dominates with more validators;")
-	fmt.Println("ledger update independent of node count")
+	fmt.Fprintln(w, "paper (Fig 11): nomination grows slowly; balloting dominates with more validators;")
+	fmt.Fprintln(w, "ledger update independent of node count")
 	rows, err := experiments.RunValidatorsSweep(counts, accounts, ledgers)
 	if err != nil {
 		return err
 	}
-	printLatencyRows(rows)
+	printLatencyRows(w, rows)
 	return nil
 }
 
-func runBaseline(full bool) error {
+func runBaseline(w io.Writer, full bool) error {
 	accounts := 20_000
 	ledgers := 10
 	if full {
@@ -183,23 +184,23 @@ func runBaseline(full bool) error {
 	if err != nil {
 		return err
 	}
-	fmt.Println("paper (§7.3): 507 ± 49 tx/ledger; nomination 82.53ms, balloting 95.96ms,")
-	fmt.Println("ledger update 174.08ms; no transactions dropped")
-	fmt.Printf("measured: %.0f ± %.0f tx/ledger over %d ledgers\n",
+	fmt.Fprintln(w, "paper (§7.3): 507 ± 49 tx/ledger; nomination 82.53ms, balloting 95.96ms,")
+	fmt.Fprintln(w, "ledger update 174.08ms; no transactions dropped")
+	fmt.Fprintf(w, "measured: %.0f ± %.0f tx/ledger over %d ledgers\n",
 		res.TxPerLedgerMean, res.TxPerLedgerStdev, res.Row.Ledgers)
-	fmt.Printf("          nomination %.2fms (p99 %.2fms), balloting %.2fms (p99 %.2fms),\n",
+	fmt.Fprintf(w, "          nomination %.2fms (p99 %.2fms), balloting %.2fms (p99 %.2fms),\n",
 		ms(res.Row.Nomination), ms(res.Nomination99), ms(res.Row.Balloting), ms(res.Balloting99))
-	fmt.Printf("          ledger update %.3fms (p99 %.3fms), close %.2fs\n",
+	fmt.Fprintf(w, "          ledger update %.3fms (p99 %.3fms), close %.2fs\n",
 		ms(res.Row.LedgerUpdate), ms(res.LedgerUpdate99), res.Row.CloseMean.Seconds())
 	return nil
 }
 
-func runCloseRate(full bool) error {
+func runCloseRate(w io.Writer, full bool) error {
 	ledgers := 8
 	if full {
 		ledgers = 25
 	}
-	fmt.Println("paper (§7.3): average close times 5.03s, 5.10s, 5.15s across the three sweeps")
+	fmt.Fprintln(w, "paper (§7.3): average close times 5.03s, 5.10s, 5.15s across the three sweeps")
 	type sweep struct {
 		name string
 		run  func() ([]experiments.LatencyRow, error)
@@ -226,12 +227,12 @@ func runCloseRate(full bool) error {
 				worst = r.CloseMean
 			}
 		}
-		fmt.Printf("%-18s worst mean close interval %.2fs\n", s.name, worst.Seconds())
+		fmt.Fprintf(w, "%-18s worst mean close interval %.2fs\n", s.name, worst.Seconds())
 	}
 	return nil
 }
 
-func runCost(full bool) error {
+func runCost(w io.Writer, full bool) error {
 	validators, accounts, ledgers := 10, 10_000, 10
 	if full {
 		validators, accounts, ledgers = 34, 100_000, 30
@@ -240,31 +241,31 @@ func runCost(full bool) error {
 	if err != nil {
 		return err
 	}
-	fmt.Println("paper (§7.4): ~7% CPU, 300MiB RSS, 2.78/2.56 Mbit/s in/out on a c5.large")
-	fmt.Printf("measured: heap %.1f MiB/validator; bandwidth in %.2f Mbit/s, out %.2f Mbit/s (%d ledgers)\n",
+	fmt.Fprintln(w, "paper (§7.4): ~7% CPU, 300MiB RSS, 2.78/2.56 Mbit/s in/out on a c5.large")
+	fmt.Fprintf(w, "measured: heap %.1f MiB/validator; bandwidth in %.2f Mbit/s, out %.2f Mbit/s (%d ledgers)\n",
 		res.HeapMiB, res.InboundMbitSec, res.OutboundMbitSec, res.Ledgers)
 	return nil
 }
 
-func runQI(full bool) error {
+func runQI(w io.Writer, full bool) error {
 	orgs := []int{3, 5, 7, 8}
 	if full {
 		orgs = []int{3, 5, 7, 9, 10, 11}
 	}
-	fmt.Println("paper (§6.2.1): 20-30 node transitive closures check in seconds on one CPU")
+	fmt.Fprintln(w, "paper (§6.2.1): 20-30 node transitive closures check in seconds on one CPU")
 	rows, err := experiments.RunQuorumCheck(orgs)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%6s %6s %11s %10s %10s %9s\n", "orgs", "nodes", "intersects", "examined", "elapsed", "critical")
+	fmt.Fprintf(w, "%6s %6s %11s %10s %10s %9s\n", "orgs", "nodes", "intersects", "examined", "elapsed", "critical")
 	for _, r := range rows {
-		fmt.Printf("%6d %6d %11v %10d %10s %9d\n",
+		fmt.Fprintf(w, "%6d %6d %11v %10d %10s %9d\n",
 			r.Orgs, r.Nodes, r.Intersects, r.Examined, r.Elapsed.Round(time.Millisecond), r.Critical)
 	}
 	return nil
 }
 
-func runAblation(full bool) error {
+func runAblation(w io.Writer, full bool) error {
 	ledgers := 10
 	if full {
 		ledgers = 40
@@ -273,10 +274,10 @@ func runAblation(full bool) error {
 	if err != nil {
 		return err
 	}
-	fmt.Println("ablation: ballot timeout growth policy on a laggy network (DESIGN.md §2)")
-	fmt.Printf("%-20s %12s %18s\n", "policy", "close mean", "timeouts/ledger")
+	fmt.Fprintln(w, "ablation: ballot timeout growth policy on a laggy network (DESIGN.md §2)")
+	fmt.Fprintf(w, "%-20s %12s %18s\n", "policy", "close mean", "timeouts/ledger")
 	for _, r := range rows {
-		fmt.Printf("%-20s %12.2fs %18.2f\n", r.Policy, r.CloseMean.Seconds(), r.Timeouts)
+		fmt.Fprintf(w, "%-20s %12.2fs %18.2f\n", r.Policy, r.CloseMean.Seconds(), r.Timeouts)
 	}
 	return nil
 }

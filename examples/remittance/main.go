@@ -67,8 +67,8 @@ func run(w io.Writer) error {
 			Operations: ops,
 		}
 		tx.Sign(networkID, kp)
-		if err = node.SubmitTx(tx); err != nil {
-			err = fmt.Errorf("%s: %w", desc, err)
+		if res := node.AdmitTx(tx); res.Code != herder.AdmitAccepted {
+			err = fmt.Errorf("%s: %s: %v", desc, res.Code, res.Err)
 			return
 		}
 		sim.Run(6 * time.Second)

@@ -9,6 +9,7 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -74,6 +75,9 @@ type Cluster struct {
 	// Collect scrapes the nodes: metrics, alerts, quorum, span stores.
 	Collect *collect.Client
 	bin     string
+	// seqs holds each funded load account's last used sequence number
+	// (Fund, Pay).
+	seqs []uint64
 }
 
 // Start boots the quorum's first cfg.Running validators. On error no
@@ -284,19 +288,9 @@ func (c *Cluster) WaitLedger(seq uint32, timeout time.Duration, nodes ...*Node) 
 	return nil
 }
 
-// Op and Tx are horizon's demo submission form: the server signs for the
-// seed label.
-type Op struct {
-	Type        string `json:"type"`
-	Destination string `json:"destination,omitempty"`
-	Asset       string `json:"asset,omitempty"`
-	Amount      string `json:"amount,omitempty"`
-}
-
-type Tx struct {
-	SourceSeed string `json:"source_seed"`
-	Operations []Op   `json:"operations"`
-}
+// networkID is the ID of stellar-node's default network passphrase, which
+// every envelope the harness signs is signed for.
+var networkID = stellarcrypto.HashBytes([]byte("stellar-node-network"))
 
 // Result is how horizon answered one submission.
 type Result struct {
@@ -306,10 +300,10 @@ type Result struct {
 	RetryAfter int64 // seconds, from the Retry-After header
 }
 
-// Submit posts one transaction. Only a transport failure is an error; a
-// 4xx or 5xx answer is a Result.
-func (c *Cluster) Submit(nd *Node, tx Tx) (Result, error) {
-	body, err := json.Marshal(tx)
+// Submit posts one signed transaction as an envelope. Only a transport
+// failure is an error; a 4xx or 5xx answer is a Result.
+func (c *Cluster) Submit(nd *Node, tx *ledger.Transaction) (Result, error) {
+	body, err := json.Marshal(map[string]string{"envelope_xdr": hex.EncodeToString(tx.MarshalSignedXDR())})
 	if err != nil {
 		return Result{}, err
 	}
@@ -329,41 +323,96 @@ func (c *Cluster) Submit(nd *Node, tx Tx) (Result, error) {
 	return res, nil
 }
 
-// account returns the seed label and account ID of load account i.
-func account(i int) (seed, id string) {
-	seed = "load-acct-" + strconv.Itoa(i)
-	return seed, string(ledger.AccountIDFromPublicKey(stellarcrypto.KeyPairFromString(seed).Public))
+// account returns the key pair and account ID of load account i.
+func account(i int) (stellarcrypto.KeyPair, ledger.AccountID) {
+	kp := stellarcrypto.KeyPairFromString("load-acct-" + strconv.Itoa(i))
+	return kp, ledger.AccountIDFromPublicKey(kp.Public)
 }
 
-// Payment is load account i's unit payment to account (i+1) mod n.
-func Payment(i, n int) Tx {
-	seed, _ := account(i)
+// signed builds and signs a transaction from kp's account at sequence
+// number seq, paying the base fee per operation.
+func signed(kp stellarcrypto.KeyPair, seq uint64, ops ...ledger.OpBody) *ledger.Transaction {
+	tx := &ledger.Transaction{
+		Source: ledger.AccountIDFromPublicKey(kp.Public),
+		Fee:    ledger.DefaultBaseFee * ledger.Amount(len(ops)),
+		SeqNum: seq,
+	}
+	for _, op := range ops {
+		tx.Operations = append(tx.Operations, ledger.Operation{Body: op})
+	}
+	tx.Sign(networkID, kp)
+	return tx
+}
+
+// payment is load account i's unit payment to account (i+1) mod n at
+// sequence number seq.
+func payment(i, n int, seq uint64) *ledger.Transaction {
+	kp, _ := account(i)
 	_, to := account((i + 1) % n)
-	return Tx{SourceSeed: seed, Operations: []Op{{Type: "payment", Destination: to, Asset: "native", Amount: "1"}}}
+	return signed(kp, seq, &ledger.Payment{Destination: to, Asset: ledger.NativeAsset(), Amount: ledger.One})
+}
+
+// Pay submits load account i's next unit payment to account (i+1) mod n
+// through nd. The harness signs on the client side, as a wallet does:
+// Fund read each account's sequence number from the node once, and a
+// payment the node took (202 or 200) uses up the next one, so a refused
+// payment's number is offered again.
+func (c *Cluster) Pay(nd *Node, i, n int) (Result, error) {
+	res, err := c.Submit(nd, payment(i, n, c.seqs[i]+1))
+	if err == nil && (res.Status == http.StatusAccepted || res.Status == http.StatusOK) {
+		c.seqs[i]++
+	}
+	return res, err
+}
+
+// accountSeq reads an account's sequence number from nd; ok is false while
+// the account does not exist there.
+func (c *Cluster) accountSeq(nd *Node, id ledger.AccountID) (seq uint64, ok bool, err error) {
+	status, body, err := c.get(nd, "/accounts/"+string(id))
+	if err != nil || status != http.StatusOK {
+		return 0, false, err
+	}
+	var info struct {
+		Sequence uint64 `json:"sequence"`
+	}
+	if err := json.Unmarshal(body, &info); err != nil {
+		return 0, false, err
+	}
+	return info.Sequence, true, nil
 }
 
 // Fund creates load accounts 0 … n-1 from the genesis demo-master account
-// in one transaction submitted to nd, and waits until nd has applied it.
+// in one transaction submitted to nd, waits until nd has applied it, and
+// reads each account's sequence number for Pay.
 func (c *Cluster) Fund(nd *Node, n int, timeout time.Duration) error {
-	tx := Tx{SourceSeed: "demo-master"}
+	master := stellarcrypto.KeyPairFromString("demo-master")
+	seq, ok, err := c.accountSeq(nd, ledger.AccountIDFromPublicKey(master.Public))
+	if err != nil || !ok {
+		return fmt.Errorf("funding: reading demo-master: found %v, %v", ok, err)
+	}
+	var ops []ledger.OpBody
 	for i := 0; i < n; i++ {
 		_, id := account(i)
-		tx.Operations = append(tx.Operations, Op{Type: "create_account", Destination: id, Amount: "1000"})
+		ops = append(ops, &ledger.CreateAccount{Destination: id, StartingBalance: 1000 * ledger.One})
 	}
-	res, err := c.Submit(nd, tx)
+	res, err := c.Submit(nd, signed(master, seq+1, ops...))
 	if err != nil {
 		return err
 	}
 	if res.Status != http.StatusAccepted {
 		return fmt.Errorf("funding: status %d: %s", res.Status, res.Err)
 	}
-	_, last := account(n - 1)
-	for deadline := time.Now().Add(timeout); ; time.Sleep(100 * time.Millisecond) {
-		if status, _, err := c.get(nd, "/accounts/"+last); err == nil && status == http.StatusOK {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("funding: account %s absent after %v", last, timeout)
+	c.seqs = make([]uint64, n)
+	for i := range c.seqs {
+		_, id := account(i)
+		for deadline := time.Now().Add(timeout); ; time.Sleep(100 * time.Millisecond) {
+			if c.seqs[i], ok, err = c.accountSeq(nd, id); err == nil && ok {
+				break
+			}
+			if time.Now().After(deadline) {
+				return fmt.Errorf("funding: account %s absent after %v", id, timeout)
+			}
 		}
 	}
+	return nil
 }

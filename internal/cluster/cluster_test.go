@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"stellar/internal/ledger"
 )
 
 // These tests cover the harness pieces that need no node process, so they
@@ -31,28 +33,33 @@ func TestLogTailKeepsLastLines(t *testing.T) {
 }
 
 // TestPaymentsFormARing: load account i pays account (i+1) mod n one
-// native unit, so n concurrent payments touch every account once as
-// source and once as destination.
+// native unit, signed with its own key at the sequence number asked for,
+// so n concurrent payments touch every account once as source and once as
+// destination.
 func TestPaymentsFormARing(t *testing.T) {
 	const n = 3
-	seeds := map[string]bool{}
+	sources := map[ledger.AccountID]bool{}
 	for i := 0; i < n; i++ {
-		tx := Payment(i, n)
-		seed, _ := account(i)
+		tx := payment(i, n, 7)
+		kp, id := account(i)
 		_, to := account((i + 1) % n)
-		if tx.SourceSeed != seed || seeds[seed] {
-			t.Errorf("payment %d: source %q (seen before: %v)", i, tx.SourceSeed, seeds[seed])
+		if tx.Source != id || sources[id] || tx.SeqNum != 7 {
+			t.Errorf("payment %d: source %s at sequence %d (seen before: %v)", i, tx.Source, tx.SeqNum, sources[id])
 		}
-		seeds[seed] = true
+		sources[id] = true
 		if len(tx.Operations) != 1 {
 			t.Fatalf("payment %d: %d operations", i, len(tx.Operations))
 		}
-		op := tx.Operations[0]
-		if op.Type != "payment" || op.Destination != to || op.Asset != "native" || op.Amount != "1" {
-			t.Errorf("payment %d: %+v, want 1 native to %s", i, op, to)
+		op, ok := tx.Operations[0].Body.(*ledger.Payment)
+		if !ok || op.Destination != to || !op.Asset.IsNative() || op.Amount != ledger.One {
+			t.Errorf("payment %d: %+v, want 1 native to %s", i, tx.Operations[0].Body, to)
+		}
+		h := tx.Hash(networkID)
+		if len(tx.Signatures) != 1 || !kp.Public.Verify(h[:], tx.Signatures[0].Sig) {
+			t.Errorf("payment %d is not signed by its source's key", i)
 		}
 	}
-	if _, last := account(0); Payment(n-1, n).Operations[0].Destination != last {
+	if _, first := account(0); payment(n-1, n, 1).Operations[0].Body.(*ledger.Payment).Destination != first {
 		t.Error("the last account does not pay the first")
 	}
 }

@@ -24,7 +24,7 @@ func TestHistoryServedFromDataDir(t *testing.T) {
 	if err := c.Fund(nd, 2, bootTimeout); err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.Submit(nd, Payment(0, 2))
+	res, err := c.Pay(nd, 0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

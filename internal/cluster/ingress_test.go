@@ -36,11 +36,11 @@ func TestIngressPushesBackWithoutLosingTransactions(t *testing.T) {
 	for rate := 8.0; rate <= 512 && rejected429 == 0; rate *= 2 {
 		gap := time.Duration(float64(time.Second) / rate)
 		for end := time.Now().Add(3 * time.Second); time.Now().Before(end); time.Sleep(gap) {
-			// Each account submits to one node only: horizon chains the
-			// sequence number on the receiving node's pool.
+			// Each account submits to one node only, so its payments
+			// reach one pool in sequence order.
 			src := next % accounts
 			next++
-			res, err := c.Submit(c.Nodes[src%len(c.Nodes)], Payment(src, accounts))
+			res, err := c.Pay(c.Nodes[src%len(c.Nodes)], src, accounts)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -28,7 +28,8 @@ func TestTracedLoadMergesAcrossProcesses(t *testing.T) {
 	}
 
 	// One payment per account per ledger closed on node-0, for ten seconds;
-	// each account submits to one node, which chains its sequence numbers.
+	// each account submits to one node, so its payments reach one pool in
+	// sequence order.
 	var last uint32
 	for end := time.Now().Add(10 * time.Second); time.Now().Before(end); time.Sleep(50 * time.Millisecond) {
 		li, err := c.Ledger(first, "latest")
@@ -37,7 +38,7 @@ func TestTracedLoadMergesAcrossProcesses(t *testing.T) {
 		}
 		last = li.Sequence
 		for i := 0; i < accounts; i++ {
-			res, err := c.Submit(c.Nodes[i%len(c.Nodes)], Payment(i, accounts))
+			res, err := c.Pay(c.Nodes[i%len(c.Nodes)], i, accounts)
 			if err != nil {
 				t.Fatal(err)
 			}

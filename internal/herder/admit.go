@@ -9,68 +9,52 @@ import (
 	"stellar/internal/stellarcrypto"
 )
 
-// Admission front door (ROADMAP item 1): AdmitTx is the one gate every
-// locally submitted transaction passes — basic validity, then the
-// bounded fee-priority pool's policy — with a per-outcome result rich
-// enough for the horizon layer to map onto HTTP backpressure semantics
-// (429 + Retry-After + min-fee hint) without re-deriving pool state.
+// Admission (§5.2, DESIGN.md §8): a transaction reaches the pool one way,
+// through admit, whether a client handed it to this node (AdmitTx) or a
+// peer flooded it (onTx). The gate seals it, checks what no later ledger
+// can change (structure, fee floor, time bounds already ended), runs
+// CheckAuth, and leaves the rest to the bounded fee-priority pool; every
+// outcome is counted in one vocabulary, AdmitCode, which the horizon layer
+// maps onto HTTP (400, 429 + Retry-After + min-fee hint, 503).
 
 // AdmitCode classifies an admission attempt.
 type AdmitCode int
 
 // Admission codes.
 const (
-	// AdmitAccepted: pooled and flooded.
+	// AdmitAccepted: pooled (and, when local, flooded).
 	AdmitAccepted AdmitCode = iota
 	// AdmitDuplicate: already pooled (idempotent success).
 	AdmitDuplicate
-	// AdmitInvalid: fails stateless checks (no operations, fee below the
-	// base-fee minimum). A client retry needs a different transaction.
+	// AdmitInvalid: malformed, a fee below the base-fee minimum, or time
+	// bounds that ended at or before the last close. A client retry needs a
+	// different transaction.
 	AdmitInvalid
+	// AdmitBadSignature: CheckAuth refused it — its signatures do not carry
+	// the weight an account it names requires, or that account does not
+	// exist here. A flood is refused so only when every such account exists.
+	AdmitBadSignature
 	// AdmitPoolFull: the pool is saturated and the fee does not beat the
-	// eviction floor. Retryable; MinFee says what would get in now.
+	// eviction floor; MinFee says what would get in now.
 	AdmitPoolFull
-	// AdmitSourceCap: the source account is at its pending cap.
-	// Retryable after one of its transactions applies.
+	// AdmitSourceCap: the source account is at its pending cap until one
+	// of its transactions applies.
 	AdmitSourceCap
 	// AdmitSeqConflict: another pending transaction holds this (source,
-	// sequence) at an equal-or-better fee rate. Retryable with MinFee to
-	// replace it, or with the next sequence number.
+	// sequence) at an equal-or-better fee rate; MinFee replaces it.
 	AdmitSeqConflict
-	// AdmitNotReady: the node has no ledger state or is catching up to
-	// the network; clients should retry against a synced node.
+	// AdmitNotReady: the node has no ledger state yet.
 	AdmitNotReady
 )
 
+var admitNames = [...]string{"accepted", "duplicate", "invalid", "bad_signature", "pool_full", "source_cap", "seq_conflict", "not_ready"}
+
 // String names the code for metric labels and error text.
 func (c AdmitCode) String() string {
-	switch c {
-	case AdmitAccepted:
-		return "accepted"
-	case AdmitDuplicate:
-		return "duplicate"
-	case AdmitInvalid:
-		return "invalid"
-	case AdmitPoolFull:
-		return "pool_full"
-	case AdmitSourceCap:
-		return "source_cap"
-	case AdmitSeqConflict:
-		return "seq_conflict"
-	case AdmitNotReady:
-		return "not_ready"
+	if c < 0 || int(c) >= len(admitNames) {
+		return "unknown"
 	}
-	return "unknown"
-}
-
-// Retryable reports whether the same transaction (possibly at a higher
-// fee) can succeed later without modification of anything but fee/timing.
-func (c AdmitCode) Retryable() bool {
-	switch c {
-	case AdmitPoolFull, AdmitSourceCap, AdmitSeqConflict, AdmitNotReady:
-		return true
-	}
-	return false
+	return admitNames[c]
 }
 
 // AdmitResult reports one admission attempt.
@@ -89,56 +73,102 @@ type AdmitResult struct {
 	Evicted int
 }
 
-// AdmitTx runs the admission pipeline for a locally submitted
-// transaction: basic validity, pool policy, then flood. It is
-// deterministic — the outcome depends only on ledger state and pool
-// contents, never on wall-clock time or map order. Admission seals the
-// transaction (ledger.Transaction.Seal): the caller must not modify it
-// afterwards.
-func (n *Node) AdmitTx(tx *ledger.Transaction) AdmitResult {
+// AdmitTx admits a transaction a client handed to this node and floods it
+// on acceptance; any CheckAuth failure refuses it. It is deterministic —
+// the outcome depends only on ledger state and pool contents, never on
+// wall-clock time or map order. Admission seals the transaction
+// (ledger.Transaction.Seal): the caller must not modify it afterwards.
+func (n *Node) AdmitTx(tx *ledger.Transaction) AdmitResult { return n.admit(tx, true) }
+
+// onTx admits a peer-flooded transaction through the same gate, and
+// reports whether it was refused as invalid or badly signed, which the
+// overlay then does not forward. A flood that fails CheckAuth is refused
+// only when every account it needs signatures from exists here, so a
+// forged copy can neither take a pool slot nor displace a resident; one
+// that names an account this node cannot see yet is pooled unchecked —
+// the account may exist a ledger later here, and overlay dedup never
+// re-delivers a dropped flood.
+func (n *Node) onTx(tx *ledger.Transaction) (refused bool) {
+	c := n.admit(tx, false).Code
+	return c == AdmitInvalid || c == AdmitBadSignature
+}
+
+// admit is the one admission routine. A refused flood closes the lifecycle
+// trace the packet hook may have opened, or the bounded span map leaks.
+func (n *Node) admit(tx *ledger.Transaction, local bool) AdmitResult {
+	counts := &n.ins.admitted
+	if !local {
+		counts = &n.ins.flooded
+	}
 	if n.state == nil {
+		counts[AdmitNotReady].Inc()
 		return AdmitResult{Code: AdmitNotReady, Err: fmt.Errorf("herder: node not bootstrapped")}
 	}
 	h := tx.Seal(n.cfg.NetworkID)
 	res := AdmitResult{Hash: h}
-	if len(tx.Operations) == 0 || tx.Fee < n.state.MinFee(tx) {
-		res.Code = AdmitInvalid
-		res.MinFee = n.state.MinFee(tx)
-		res.Err = fmt.Errorf("herder: transaction fails basic checks")
-		n.ins.admitted[res.Code].Inc()
-		return res
+	var auth error
+	var add mempool.AddResult
+	if err := n.checkBasic(tx); err != nil {
+		res.Code, res.Err, res.MinFee = AdmitInvalid, err, n.state.MinFee(tx)
+	} else if auth = n.state.CheckAuth(tx, n.cfg.NetworkID); auth != nil && (local || n.state.HasSigningAccounts(tx)) {
+		res.Code, res.Err = AdmitBadSignature, auth
+	} else {
+		add = n.pool.AddAt(tx, h, n.net.Now())
+		res.Code, res.MinFee = poolCode[add.Outcome], add.MinFeeToEnter
+		switch add.Outcome {
+		case mempool.RejectedFull:
+			res.Err = fmt.Errorf("herder: mempool full (fee floor %d)", add.MinFeeToEnter)
+		case mempool.RejectedSourceCap:
+			res.Err = fmt.Errorf("herder: source account at pending cap (%d)", n.pool.PerSourceCap())
+		case mempool.RejectedSeqConflict:
+			res.Err = fmt.Errorf("herder: sequence number already pending (replace fee %d)", add.MinFeeToEnter)
+		}
 	}
-
-	add := n.pool.AddAt(tx, h, n.net.Now())
-	switch add.Outcome {
-	case mempool.Duplicate:
-		res.Code = AdmitDuplicate
-		n.ins.admitted[res.Code].Inc()
-		return res
-	case mempool.RejectedFull:
-		res.Code = AdmitPoolFull
-		res.MinFee = add.MinFeeToEnter
-		res.Err = fmt.Errorf("herder: mempool full (fee floor %d)", add.MinFeeToEnter)
-	case mempool.RejectedSourceCap:
-		res.Code = AdmitSourceCap
-		res.Err = fmt.Errorf("herder: source account at pending cap (%d)", n.pool.PerSourceCap())
-	case mempool.RejectedSeqConflict:
-		res.Code = AdmitSeqConflict
-		res.MinFee = add.MinFeeToEnter
-		res.Err = fmt.Errorf("herder: sequence number already pending (replace fee %d)", add.MinFeeToEnter)
-	default: // Added or Replaced
-		res.Code = AdmitAccepted
+	counts[res.Code].Inc()
+	switch {
+	case res.Code == AdmitAccepted:
 		res.Evicted = len(add.Evicted)
+		n.notePooled(h, add.Evicted, auth)
+		if local {
+			n.traceLocalTx(h, add.Outcome)
+			n.ov.BroadcastTx(tx, n.txCtx(h))
+		}
+	case !local && res.Code != AdmitDuplicate:
+		n.traceEvictTx(h, res.Code.String())
 	}
-	n.ins.admitted[res.Code].Inc()
-	if res.Code != AdmitAccepted {
-		return res
-	}
-
-	n.notePooled(h, add.Evicted, n.state.CheckAuth(tx, n.cfg.NetworkID))
-	n.traceSubmitTx(h, add.Outcome)
-	n.ov.BroadcastTxCtx(tx, n.txCtx(h))
 	return res
+}
+
+// poolCode maps the pool's verdict onto the admission vocabulary.
+var poolCode = [...]AdmitCode{
+	mempool.Added:               AdmitAccepted,
+	mempool.Duplicate:           AdmitDuplicate,
+	mempool.Replaced:            AdmitAccepted,
+	mempool.RejectedFull:        AdmitPoolFull,
+	mempool.RejectedSourceCap:   AdmitSourceCap,
+	mempool.RejectedSeqConflict: AdmitSeqConflict,
+}
+
+// checkBasic is the part of the gate no later ledger can change: the
+// transaction's structure, its fee against the floor, and time bounds that
+// ended at or before the last close (stellar-core's txTOO_LATE).
+func (n *Node) checkBasic(tx *ledger.Transaction) error {
+	if err := tx.CheckStructure(); err != nil {
+		return err
+	}
+	if min := n.state.MinFee(tx); tx.Fee < min {
+		return fmt.Errorf("herder: fee %d below minimum %d", tx.Fee, min)
+	}
+	if expired(tx, n.last.CloseTime) {
+		return fmt.Errorf("herder: time bounds ended at %d, last close at %d", tx.TimeBounds.MaxTime, n.last.CloseTime)
+	}
+	return nil
+}
+
+// expired reports whether tx's time bounds end at or before closeTime: no
+// ledger closing after it can include tx.
+func expired(tx *ledger.Transaction, closeTime int64) bool {
+	return tx.TimeBounds != nil && tx.TimeBounds.MaxTime != 0 && tx.TimeBounds.MaxTime <= closeTime
 }
 
 // CatchingUp reports whether the node is behind the network: it has no

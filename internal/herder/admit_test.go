@@ -53,28 +53,25 @@ func masterTx(node *Node, master stellarcrypto.KeyPair, fee ledger.Amount, seqAh
 }
 
 // TestAdmitNotReadyBeforeBootstrap: with no ledger state the front door
-// stays closed with a retryable code, not a panic or silent accept.
+// stays closed with not_ready and an error, not a panic or silent accept.
 func TestAdmitNotReadyBeforeBootstrap(t *testing.T) {
 	node, _, _ := admitTestNode(t, false)
 	res := node.AdmitTx(&ledger.Transaction{})
 	if res.Code != AdmitNotReady {
 		t.Fatalf("code = %v, want not_ready", res.Code)
 	}
-	if !res.Code.Retryable() || res.Err == nil {
-		t.Fatalf("not_ready must be retryable with an error, got %+v", res)
+	if res.Err == nil {
+		t.Fatalf("not_ready must carry an error, got %+v", res)
 	}
 }
 
-// TestAdmitInvalidFee: a fee below the base-fee minimum is a
-// non-retryable rejection carrying the minimum as the hint.
+// TestAdmitInvalidFee: a fee below the base-fee minimum is refused as
+// invalid, carrying the minimum as the hint.
 func TestAdmitInvalidFee(t *testing.T) {
 	node, _, master := admitTestNode(t, true)
 	res := node.AdmitTx(masterTx(node, master, 1, 1))
 	if res.Code != AdmitInvalid {
 		t.Fatalf("code = %v, want invalid", res.Code)
-	}
-	if res.Code.Retryable() {
-		t.Fatal("invalid must not be retryable")
 	}
 	if res.MinFee != node.state.BaseFee {
 		t.Fatalf("MinFee = %d, want %d", res.MinFee, node.state.BaseFee)
@@ -130,19 +127,87 @@ func TestCatchingUpOnFutureDecision(t *testing.T) {
 	}
 }
 
-// TestSubmitTxWrapsAdmit: the legacy SubmitTx entry point maps accepted
-// and duplicate to nil and surfaces rejections as errors.
-func TestSubmitTxWrapsAdmit(t *testing.T) {
+// TestAdmitEndedTimeBounds: a transaction whose time bounds ended at or
+// before the last close is refused as invalid, and a pooled one is dropped
+// by the close whose close time reaches its MaxTime, even though its
+// sequence number never comes up.
+func TestAdmitEndedTimeBounds(t *testing.T) {
+	node, net, master := admitTestNode(t, true)
+	base := node.state.BaseFee
+	ended := masterTx(node, master, base, 1)
+	ended.TimeBounds = &ledger.TimeBounds{MaxTime: node.last.CloseTime}
+	ended.Signatures = nil
+	ended.Sign(node.cfg.NetworkID, master)
+	if res := node.AdmitTx(ended); res.Code != AdmitInvalid || res.Err == nil {
+		t.Fatalf("ended time bounds: %+v, want invalid", res)
+	}
+
+	// Sequence +2 cannot apply while +1 is missing; its bounds end one
+	// second after the last close.
+	maxTime := node.last.CloseTime + 1
+	waiting := masterTx(node, master, base, 2)
+	waiting.TimeBounds = &ledger.TimeBounds{MaxTime: maxTime}
+	waiting.Signatures = nil
+	waiting.Sign(node.cfg.NetworkID, master)
+	if res := node.AdmitTx(waiting); res.Code != AdmitAccepted {
+		t.Fatalf("live time bounds: %+v, want accepted", res)
+	}
+	for node.last.CloseTime < maxTime {
+		net.RunFor(time.Second)
+	}
+	if node.PendingCount() != 0 {
+		t.Fatalf("pool holds %d after ledger %d closed at %d, at or past MaxTime %d",
+			node.PendingCount(), node.last.LedgerSeq, node.last.CloseTime, maxTime)
+	}
+}
+
+// TestFloodEndedTimeBoundsRefused: a flooded transaction whose time bounds
+// ended at or before the last close meets the same gate as a local one. It
+// is refused as flood_invalid, which the overlay does not forward, and takes
+// no pool slot.
+func TestFloodEndedTimeBoundsRefused(t *testing.T) {
 	node, _, master := admitTestNode(t, true)
 	tx := masterTx(node, master, node.state.BaseFee, 1)
-	if err := node.SubmitTx(tx); err != nil {
-		t.Fatalf("accepted submit returned %v", err)
+	tx.TimeBounds = &ledger.TimeBounds{MaxTime: node.last.CloseTime}
+	tx.Signatures = nil
+	tx.Sign(node.cfg.NetworkID, master)
+	if !node.onTx(tx) {
+		t.Fatal("flood with ended time bounds was not refused")
 	}
-	if err := node.SubmitTx(tx); err != nil {
-		t.Fatalf("duplicate submit returned %v", err)
+	if node.pool.Contains(tx.Hash(node.cfg.NetworkID)) {
+		t.Fatal("flood with ended time bounds was pooled")
 	}
-	if err := node.SubmitTx(masterTx(node, master, 1, 2)); err == nil {
-		t.Fatal("invalid submit returned nil error")
+	if got := node.ins.flooded[AdmitInvalid].Value(); got != 1 {
+		t.Fatalf("mempool_admitted_total{flood_invalid} = %v, want 1", got)
+	}
+}
+
+// TestLocalBadSignatureNeverFloods: a locally submitted transaction whose
+// signature fails is refused by the gate; no pool holds it and no peer
+// hears of it.
+func TestLocalBadSignatureNeverFloods(t *testing.T) {
+	net, nodes, nid := buildPair(t, nil)
+	for _, n := range nodes {
+		n.Start()
+	}
+	net.RunFor(3 * time.Second)
+	_, master := GenesisState(nid)
+	tx := masterTx(nodes[0], master, nodes[0].state.BaseFee, 1)
+	tx.Signatures = nil
+	tx.Sign(nid, stellarcrypto.KeyPairFromString("admit-forger"))
+	if res := nodes[0].AdmitTx(tx); res.Code != AdmitBadSignature || res.Err == nil {
+		t.Errorf("forged local submission: %+v, want bad_signature", res)
+	}
+	net.RunFor(3 * time.Second)
+	for i, n := range nodes {
+		if n.PendingCount() != 0 {
+			t.Errorf("node %d pools %d transactions", i, n.PendingCount())
+		}
+		for c, ctr := range n.ins.flooded {
+			if v := ctr.Value(); v != 0 {
+				t.Errorf("node %d counted %v floods as %s", i, v, AdmitCode(c))
+			}
+		}
 	}
 }
 
@@ -171,7 +236,8 @@ func TestFeeStatsTracksPool(t *testing.T) {
 // TestForgedFloodCannotTakeOrDisplace: a flooded transaction that names an
 // account this node holds is signature-checked before the pool sees it. A
 // forged copy at a winning fee — one replacing a resident's sequence number,
-// one outbidding the floor of a full pool — is refused as flood_invalid and
+// one outbidding the floor of a full pool — is refused as
+// flood_bad_signature and
 // every honest resident stays. A flood that needs a signature from an
 // account this node cannot see yet — its source, or only an operation's —
 // is still pooled unchecked.
@@ -202,8 +268,8 @@ func TestForgedFloodCannotTakeOrDisplace(t *testing.T) {
 			t.Fatalf("honest resident %d was displaced by a forged flood", i+1)
 		}
 	}
-	if got := node.ins.floodInvalid.Value(); got != 2 {
-		t.Fatalf("mempool_admitted_total{flood_invalid} = %v, want 2", got)
+	if got := node.ins.flooded[AdmitBadSignature].Value(); got != 2 {
+		t.Fatalf("mempool_admitted_total{flood_bad_signature} = %v, want 2", got)
 	}
 	if got := node.ins.evicted.Value(); got != 0 {
 		t.Fatalf("mempool_evicted_total = %v, want 0", got)
@@ -233,8 +299,8 @@ func TestForgedFloodCannotTakeOrDisplace(t *testing.T) {
 	if !node.pool.Contains(opLag.Hash(node.cfg.NetworkID)) {
 		t.Fatal("flood with an operation source this node cannot see yet was not pooled")
 	}
-	if got := node.ins.floodInvalid.Value(); got != 2 {
-		t.Fatalf("mempool_admitted_total{flood_invalid} = %v after the lagging floods, want 2", got)
+	if got := node.ins.flooded[AdmitBadSignature].Value(); got != 2 {
+		t.Fatalf("mempool_admitted_total{flood_bad_signature} = %v after the lagging floods, want 2", got)
 	}
 }
 

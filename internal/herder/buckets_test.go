@@ -50,7 +50,7 @@ func TestDurableNodeNeverDecodesSpilledBuckets(t *testing.T) {
 	}
 	closeLedgers(t, net, n, 150, func() {
 		for i, p := range payers {
-			if err := nodes[i%len(nodes)].SubmitTx(p.payment(nid, payers[(i+1)%len(payers)].id)); err != nil {
+			if err := nodes[i%len(nodes)].AdmitTx(p.payment(nid, payers[(i+1)%len(payers)].id)).Err; err != nil {
 				t.Fatal(err)
 			}
 		}

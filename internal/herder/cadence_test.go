@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"stellar/internal/ledger"
-	"stellar/internal/mempool"
 	"stellar/internal/obs"
 	"stellar/internal/overlay"
 	"stellar/internal/simnet"
@@ -364,7 +363,7 @@ func TestFloodedTxIsPreVerified(t *testing.T) {
 	if node.PendingCount() != 1 {
 		t.Fatalf("flooded tx from a not-yet-visible account was dropped: pool holds %d", node.PendingCount())
 	}
-	if got := node.ins.flooded[mempool.Added].Value(); got != 2 {
-		t.Fatalf("mempool_admitted_total{flood_added} = %v, want 2", got)
+	if got := node.ins.flooded[AdmitAccepted].Value(); got != 2 {
+		t.Fatalf("mempool_admitted_total{flood_accepted} = %v, want 2", got)
 	}
 }

@@ -99,7 +99,7 @@ func TestCatchupReplyChecksEveryLedger(t *testing.T) {
 	net, nodes, nid, payers := buildFunded(t, 4, nil)
 	victim := lagBehind(t, net, nodes, 6, func() {
 		for i, p := range payers {
-			if err := nodes[i%2].SubmitTx(p.payment(nid, payers[(i+1)%len(payers)].id)); err != nil {
+			if err := nodes[i%2].AdmitTx(p.payment(nid, payers[(i+1)%len(payers)].id)).Err; err != nil {
 				t.Fatal(err)
 			}
 		}

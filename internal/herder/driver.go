@@ -108,7 +108,7 @@ func (d *driver) EmitEnvelope(env *scp.Envelope) {
 	n := d.node()
 	n.record(env.Slot, func(r *SlotRecord) { r.EnvelopesEmitted++ })
 	n.ins.envEmitted.With(stmtLabel(env.Statement.Type)).Inc()
-	n.ov.BroadcastEnvelopeCtx(env, n.slotCtx(env.Slot))
+	n.ov.BroadcastEnvelope(env, n.slotCtx(env.Slot))
 }
 
 // SignEnvelope signs with the validator key, which seals the envelope.

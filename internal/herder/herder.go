@@ -318,77 +318,16 @@ func (n *Node) scheduleTrigger(d time.Duration) {
 	n.trigTimer = n.net.After(n.addr, d, n.triggerNextLedger)
 }
 
-// SubmitTx accepts a transaction from a client: it runs the admission
-// pipeline (admit.go) and floods on acceptance. Duplicates are a
-// succeed-silently no-op for backward compatibility; richer callers
-// (the horizon submit handler) use AdmitTx directly for per-outcome
-// status codes and fee hints.
-func (n *Node) SubmitTx(tx *ledger.Transaction) error {
-	res := n.AdmitTx(tx)
-	switch res.Code {
-	case AdmitAccepted, AdmitDuplicate:
-		return nil
-	default:
-		return res.Err
-	}
-}
-
 // PendingCount reports the transaction pool size.
 func (n *Node) PendingCount() int { return n.pool.Len() }
 
-// PendingMaxSeq reports the highest pending sequence number for a source
-// account, so the API layer can chain submissions past the ledger state.
-func (n *Node) PendingMaxSeq(source ledger.AccountID) (uint64, bool) {
-	return n.pool.MaxSeq(source)
-}
-
-// onTx admits a peer-flooded transaction under the same pool policy as
-// local submissions (minus re-flooding, which the overlay handles). Its
-// signatures are checked before the pool sees it, and the verdict becomes
-// its proof (notePooled). A failing copy is refused when every account it
-// needs signatures from exists here, so a forged copy can neither take a
-// pool slot nor displace a resident; one that names an account this node
-// cannot see yet is pooled unchecked. A rejected flood must close the
-// lifecycle trace the packet hook may have opened, or the bounded span map
-// leaks. It reports whether the flood was refused, which the overlay does
-// not forward.
-func (n *Node) onTx(tx *ledger.Transaction) (refused bool) {
-	if n.state == nil {
-		return false
-	}
-	h := tx.Seal(n.cfg.NetworkID)
-	var auth error
-	invalid := len(tx.Operations) == 0 || tx.Fee < n.state.MinFee(tx)
-	if !invalid {
-		auth = n.state.CheckAuth(tx, n.cfg.NetworkID)
-		invalid = auth != nil && n.state.HasSigningAccounts(tx)
-	}
-	if invalid {
-		n.ins.floodInvalid.Inc()
-		n.traceEvictTx(h, "invalid")
-		return true
-	}
-	res := n.pool.AddAt(tx, h, n.net.Now())
-	n.ins.flooded[res.Outcome].Inc()
-	if !res.Outcome.Admitted() {
-		if res.Outcome != mempool.Duplicate {
-			n.traceEvictTx(h, res.Outcome.String())
-		}
-		return false
-	}
-	n.notePooled(h, res.Evicted, auth)
-	return false
-}
-
-// notePooled is the bookkeeping every admission shares, local or flooded:
-// the victims it displaced, the gauges, and the proof from auth, the
-// transaction's CheckAuth verdict against the current state. Taking it at
-// admission, in the idle part of the interval, is what lets the trigger
-// skip the signature check and the apply hit a warm cache. A transaction
-// that fails it stays pooled all the same — an account it names may exist
-// only a few milliseconds later on this node, and overlay dedup would never
-// re-deliver a dropped flood — and is simply checked in full at each
-// trigger.
+// notePooled is the bookkeeping every accepted admission shares, local or
+// flooded: the victims it displaced, the gauges, and the proof from auth,
+// the transaction's CheckAuth verdict against the current state. Taking it
+// at admission, in the idle part of the interval, is what lets the trigger
+// skip the signature check and the apply hit a warm cache. A flood pooled
+// with a failing verdict (it names an account this node cannot see yet)
+// has no proof and is checked in full at each trigger.
 func (n *Node) notePooled(h stellarcrypto.Hash, evicted []mempool.EvictedTx, auth error) {
 	n.noteEvicted(evicted)
 	n.updatePoolGauges()
@@ -643,11 +582,12 @@ func (n *Node) applyLedger(ts *ledger.TxSet, sv *StellarValue, want *ledger.Head
 	delete(n.decided, slot)
 	delete(n.triggered, slot)
 
-	// Drop applied/stale transactions from the pool (canonical hash order
-	// inside PruneStale keeps the trace/event sequence deterministic).
+	// Drop applied, superseded and expired transactions from the pool
+	// (canonical hash order inside PruneStale keeps the trace/event sequence
+	// deterministic).
 	for _, v := range n.pool.PruneStale(func(tx *ledger.Transaction) bool {
 		acct := n.state.Account(tx.Source)
-		return acct == nil || tx.SeqNum <= acct.SeqNum
+		return acct == nil || tx.SeqNum <= acct.SeqNum || expired(tx, hdr.CloseTime)
 	}) {
 		n.traceEvictTx(v.Hash, "stale")
 	}
@@ -844,7 +784,7 @@ func (n *Node) RebroadcastLatest() {
 	}
 	for _, idx := range n.scp.SlotIndices() {
 		for _, env := range n.scp.Slot(idx).LatestEnvelopes() {
-			n.ov.BroadcastEnvelope(env)
+			n.ov.BroadcastEnvelope(env, obs.TraceContext{})
 		}
 	}
 	n.rebroadcastTxSetRefs()

@@ -231,7 +231,7 @@ func TestSubmittedPaymentApplies(t *testing.T) {
 		}},
 	}
 	tx.Sign(nid, masterKP)
-	if err := nodes[0].SubmitTx(tx); err != nil {
+	if err := nodes[0].AdmitTx(tx).Err; err != nil {
 		t.Fatal(err)
 	}
 	net.RunFor(15 * time.Second)
@@ -360,7 +360,7 @@ func TestVotedMaxTxSetSizeReachesProposers(t *testing.T) {
 		upgradeSeq[i] = n.LastHeader().LedgerSeq
 	}
 	for i, p := range payers {
-		if err := nodes[0].SubmitTx(p.payment(nid, payers[(i+1)%len(payers)].id)); err != nil {
+		if err := nodes[0].AdmitTx(p.payment(nid, payers[(i+1)%len(payers)].id)).Err; err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -445,7 +445,7 @@ func TestCatchUpFromArchive(t *testing.T) {
 		}},
 	}
 	tx.Sign(nid, masterKP)
-	if err := nodes[0].SubmitTx(tx); err != nil {
+	if err := nodes[0].AdmitTx(tx).Err; err != nil {
 		t.Fatal(err)
 	}
 	net.RunFor(6 * time.Second)

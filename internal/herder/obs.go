@@ -4,7 +4,6 @@ import (
 	"strings"
 	"time"
 
-	"stellar/internal/mempool"
 	"stellar/internal/obs"
 	"stellar/internal/scp"
 )
@@ -31,16 +30,15 @@ type instruments struct {
 	ledgersClosed *obs.Counter   // herder_ledgers_closed_total
 	submitApplied *obs.Histogram // herder_submit_applied_seconds
 
-	// Admission pipeline (ROADMAP item 1; DESIGN.md §8). The children of
-	// mempool_admitted_total{outcome} are resolved here, one per local
-	// AdmitCode and one per flooded mempool.Outcome ("flood_" + its name),
-	// so counting an admission builds no label and looks nothing up.
-	admitted     [AdmitNotReady + 1]*obs.Counter
-	flooded      [mempool.RejectedSeqConflict + 1]*obs.Counter
-	floodInvalid *obs.Counter
-	evicted      *obs.Counter // mempool_evicted_total
-	poolSize     *obs.Gauge   // mempool_size
-	poolCap      *obs.Gauge   // mempool_capacity
+	// Admission (admit.go; DESIGN.md §8). The children of
+	// mempool_admitted_total{outcome} are resolved here, one per AdmitCode
+	// for local submissions and one per AdmitCode for floods ("flood_" +
+	// its name), so counting an admission builds no label and looks
+	// nothing up.
+	admitted, flooded [AdmitNotReady + 1]*obs.Counter
+	evicted           *obs.Counter // mempool_evicted_total
+	poolSize          *obs.Gauge   // mempool_size
+	poolCap           *obs.Gauge   // mempool_capacity
 
 	// Proposals by reference (txsets.go): what became of each delivered
 	// reference, and whole sets sent on request.
@@ -93,7 +91,6 @@ func newInstruments(reg *obs.Registry) *instruments {
 			"ledgers this node applied"),
 		submitApplied: reg.Histogram("herder_submit_applied_seconds",
 			"local admission (submit or flood) to ledger apply, end to end (§7.3)", nil),
-		floodInvalid: admitted.With("flood_invalid"),
 		evicted: reg.Counter("mempool_evicted_total",
 			"pooled transactions displaced by fee-pressure eviction"),
 		poolSize: reg.Gauge("mempool_size",
@@ -117,12 +114,10 @@ func newInstruments(reg *obs.Registry) *instruments {
 	}
 	for c := range ins.admitted {
 		ins.admitted[c] = admitted.With(AdmitCode(c).String())
+		ins.flooded[c] = admitted.With("flood_" + AdmitCode(c).String())
 	}
 	for o := range ins.txsetRefs {
 		ins.txsetRefs[o] = txsetRefs.With(refOutcomeNames[o])
-	}
-	for o := range ins.flooded {
-		ins.flooded[o] = admitted.With("flood_" + mempool.Outcome(o).String())
 	}
 	return ins
 }

@@ -87,10 +87,10 @@ func (n *Node) initTracer() {
 	n.txTrace = make(map[stellarcrypto.Hash]*txTrace)
 }
 
-// traceSubmitTx opens the lifecycle root for a client-submitted tx,
+// traceLocalTx opens the lifecycle root for a locally submitted tx,
 // recording the admission decision as an instant marker (so the trace
 // shows whether the pool took it outright or via replace-by-fee).
-func (n *Node) traceSubmitTx(h stellarcrypto.Hash, outcome mempool.Outcome) {
+func (n *Node) traceLocalTx(h stellarcrypto.Hash, outcome mempool.Outcome) {
 	if n.tr == nil || len(n.txTrace) >= maxTracedTxs {
 		return
 	}

@@ -54,7 +54,7 @@ func TestSlotAndTxSpansRecorded(t *testing.T) {
 		}},
 	}
 	tx.Sign(nid, masterKP)
-	if err := nodes[0].SubmitTx(tx); err != nil {
+	if err := nodes[0].AdmitTx(tx).Err; err != nil {
 		t.Fatal(err)
 	}
 	net.RunFor(15 * time.Second)

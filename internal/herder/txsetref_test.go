@@ -127,7 +127,7 @@ func TestTxSetRefMissAndMismatch(t *testing.T) {
 	}
 	pooled := txs[:6]
 	for _, tx := range pooled {
-		if err := n.SubmitTx(tx); err != nil {
+		if err := n.AdmitTx(tx).Err; err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -191,7 +191,7 @@ func TestTxSetRefMissAndMismatch(t *testing.T) {
 	// must not stand in. The set is fetched and kept as received, sharing
 	// with the pool only the envelopes that are the same bytes.
 	n2tx := payers[0].payment(nid, payers[1].id)
-	if err := n.SubmitTx(resignedCopy(n2tx)); err != nil {
+	if err := n.AdmitTx(resignedCopy(n2tx)).Err; err != nil {
 		t.Fatal(err)
 	}
 	other := &ledger.TxSet{PrevLedgerHash: prev, Txs: append([]*ledger.Transaction{n2tx}, pooled...)}
@@ -230,7 +230,7 @@ func TestResolvedSetHeldWithoutLookups(t *testing.T) {
 	var txs []*ledger.Transaction
 	for i, p := range payers {
 		tx := p.payment(nid, payers[(i+1)%len(payers)].id)
-		if err := n.SubmitTx(tx); err != nil {
+		if err := n.AdmitTx(tx).Err; err != nil {
 			t.Fatal(err)
 		}
 		txs = append(txs, tx)
@@ -379,7 +379,7 @@ func TestTxSetRefFetchedWithinTheRound(t *testing.T) {
 	closeLedgers(t, net, nodes[0], 1, func() {
 		for i, p := range payers {
 			tx := p.payment(nid, payers[(i+1)%len(payers)].id)
-			if err := nodes[i%2].SubmitTx(tx); err != nil {
+			if err := nodes[i%2].AdmitTx(tx).Err; err != nil {
 				t.Fatal(err)
 			}
 			lost = tx.Hash(nid)
@@ -489,7 +489,7 @@ func TestLateTxSetReqServedFromArchive(t *testing.T) {
 	}
 	closeLedgers(t, net, n, txsetKeep+3, func() {
 		for i, p := range payers {
-			if err := nodes[i%3].SubmitTx(p.payment(nid, payers[(i+1)%len(payers)].id)); err != nil {
+			if err := nodes[i%3].AdmitTx(p.payment(nid, payers[(i+1)%len(payers)].id)).Err; err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -613,9 +613,9 @@ func TestProposalsByReferenceUnderLossAndReordering(t *testing.T) {
 					for i, p := range payers {
 						p.seq = nodes[0].State().Account(p.id).SeqNum
 						tx := p.payment(nid, payers[(i+1)%len(payers)].id)
-						_ = nodes[(i+round)%3].SubmitTx(tx)
+						nodes[(i+round)%3].AdmitTx(tx)
 						if i%3 == 0 {
-							_ = nodes[(i+round+1)%3].SubmitTx(resignedCopy(tx))
+							nodes[(i+round+1)%3].AdmitTx(resignedCopy(tx))
 						}
 					}
 				}

@@ -172,7 +172,7 @@ func TestWindowKeepsFactsNotBodies(t *testing.T) {
 	closeLedgers(t, net, nodes[0], 1, func() {})
 	submit := func() {
 		for i, p := range payers {
-			if err := nodes[i%len(nodes)].SubmitTx(p.payment(nid, payers[(i+1)%len(payers)].id)); err != nil {
+			if err := nodes[i%len(nodes)].AdmitTx(p.payment(nid, payers[(i+1)%len(payers)].id)).Err; err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -317,7 +317,7 @@ func TestCatchupFarBehind(t *testing.T) {
 	net, nodes, nid, payers := buildFunded(t, 10, durable(t))
 	victim := lagBehind(t, net, nodes, 60, func() {
 		for i, p := range payers {
-			if err := nodes[i%2].SubmitTx(p.bulk(nid)); err != nil {
+			if err := nodes[i%2].AdmitTx(p.bulk(nid)).Err; err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -366,7 +366,7 @@ func TestCatchupFromDiskMatchesMemory(t *testing.T) {
 		net, nodes, nid, payers := buildFunded(t, 5, mutate)
 		victim := lagBehind(t, net, nodes, 60, func() {
 			for i, p := range payers {
-				if err := nodes[i%2].SubmitTx(p.payment(nid, payers[(i+1)%len(payers)].id)); err != nil {
+				if err := nodes[i%2].AdmitTx(p.payment(nid, payers[(i+1)%len(payers)].id)).Err; err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -34,11 +34,6 @@ type Server struct {
 	Node      *herder.Node
 	NetworkID stellarcrypto.Hash
 
-	// Submit-pipeline limits (submit.go, ratelimit.go). Nil limiters
-	// allow everything.
-	srcLimiter *rateLimiter
-	ipLimiter  *rateLimiter
-
 	httpReqs    *obs.CounterVec // horizon_http_requests_total{route,code}
 	ingressReqs *obs.CounterVec // ingress_submissions_total{outcome}
 

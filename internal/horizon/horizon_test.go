@@ -2,6 +2,7 @@ package horizon
 
 import (
 	"bytes"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -99,6 +100,50 @@ func (f *fixture) post(path string, body any, out any) int {
 	return resp.StatusCode
 }
 
+// client signs envelopes for one account as a wallet does: it reads the
+// account's sequence number from GET /accounts/{id} once and counts up
+// locally from there.
+type client struct {
+	f   *fixture
+	kp  stellarcrypto.KeyPair
+	id  ledger.AccountID
+	seq uint64
+}
+
+func (f *fixture) client(kp stellarcrypto.KeyPair) *client {
+	f.t.Helper()
+	c := &client{f: f, kp: kp, id: ledger.AccountIDFromPublicKey(kp.Public)}
+	var info AccountInfo
+	if code := f.get("/accounts/"+string(c.id), &info); code != http.StatusOK {
+		f.t.Fatalf("GET /accounts/%s: status %d", c.id, code)
+	}
+	c.seq = info.SeqNum
+	return c
+}
+
+// sign builds and signs the client's next transaction, paying the base
+// fee per operation.
+func (c *client) sign(ops ...ledger.OpBody) *ledger.Transaction {
+	c.seq++
+	tx := &ledger.Transaction{Source: c.id, Fee: ledger.DefaultBaseFee * ledger.Amount(len(ops)), SeqNum: c.seq}
+	for _, op := range ops {
+		tx.Operations = append(tx.Operations, ledger.Operation{Body: op})
+	}
+	tx.Sign(c.f.nid, c.kp)
+	return tx
+}
+
+// submit posts the client's next transaction and returns the status.
+func (c *client) submit(ops ...ledger.OpBody) int {
+	c.f.t.Helper()
+	return c.f.post("/transactions", envelopeBody(c.sign(ops...)), nil)
+}
+
+// envelopeBody is the submission body for a signed transaction.
+func envelopeBody(tx *ledger.Transaction) SubmitRequest {
+	return SubmitRequest{EnvelopeXDR: hex.EncodeToString(tx.MarshalSignedXDR())}
+}
+
 func TestLatestLedgerEndpoint(t *testing.T) {
 	f := newFixture(t)
 	var info LedgerInfo
@@ -181,39 +226,19 @@ func TestAccountEndpoint(t *testing.T) {
 
 func TestSubmitAndQueryFlow(t *testing.T) {
 	f := newFixture(t)
-	// The genesis master seed is derived inside GenesisState; replicate
-	// the derivation used there via a known label is not possible, so
-	// fund a demo account directly through the node.
 	aliceKP := stellarcrypto.KeyPairFromString("hz-alice")
 	alice := ledger.AccountIDFromPublicKey(aliceKP.Public)
-	master := ledger.AccountIDFromPublicKey(f.master.Public)
-
-	f.srv.Mu.Lock()
-	seq := f.node.State().Account(master).SeqNum
-	tx := &ledger.Transaction{
-		Source: master, Fee: ledger.DefaultBaseFee, SeqNum: seq + 1,
-		Operations: []ledger.Operation{{
-			Body: &ledger.CreateAccount{Destination: alice, StartingBalance: 1000 * ledger.One},
-		}},
+	if code := f.client(f.master).submit(&ledger.CreateAccount{Destination: alice, StartingBalance: 1000 * ledger.One}); code != http.StatusAccepted {
+		t.Fatalf("create alice: status %d", code)
 	}
-	tx.Sign(f.nid, f.master)
-	if err := f.node.SubmitTx(tx); err != nil {
-		f.srv.Mu.Unlock()
-		t.Fatal(err)
-	}
-	f.srv.Mu.Unlock()
 	f.advance(3 * time.Second)
 
-	// Now submit a payment through the HTTP API using alice's seed.
+	// Now alice, signing for herself, creates bob.
 	bobKP := stellarcrypto.KeyPairFromString("hz-bob")
 	bob := ledger.AccountIDFromPublicKey(bobKP.Public)
 	var submitResp map[string]string
-	code := f.post("/transactions", SubmitRequest{
-		SourceSeed: "hz-alice",
-		Operations: []SubmitOp{{
-			Type: "create_account", Destination: string(bob), Amount: "50",
-		}},
-	}, &submitResp)
+	code := f.post("/transactions", envelopeBody(f.client(aliceKP).sign(
+		&ledger.CreateAccount{Destination: bob, StartingBalance: 50 * ledger.One})), &submitResp)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit status %d: %v", code, submitResp)
 	}
@@ -230,67 +255,35 @@ func TestSubmitAndQueryFlow(t *testing.T) {
 
 func TestOrderBookAndPathsEndpoints(t *testing.T) {
 	f := newFixture(t)
-	master := ledger.AccountIDFromPublicKey(f.master.Public)
-	usd := "USD:" + string(master)
-
-	// Set up: alice trusts USD:master and makes a market XLM→USD.
-	code := f.post("/transactions", SubmitRequest{
-		SourceSeed: "hz-mm-seed",
-		Operations: []SubmitOp{{Type: "payment"}},
-	}, nil)
-	if code == http.StatusAccepted {
-		t.Fatal("bogus tx accepted")
-	}
-
-	// Create the market maker account directly.
+	master := f.client(f.master)
 	mmKP := stellarcrypto.KeyPairFromString("hz-mm")
-	mm := ledger.AccountIDFromPublicKey(mmKP.Public)
-	f.srv.Mu.Lock()
-	seq := f.node.State().Account(master).SeqNum
-	tx := &ledger.Transaction{
-		Source: master, Fee: ledger.DefaultBaseFee, SeqNum: seq + 1,
-		Operations: []ledger.Operation{{
-			Body: &ledger.CreateAccount{Destination: mm, StartingBalance: 10000 * ledger.One},
-		}},
-	}
-	tx.Sign(f.nid, f.master)
-	_ = f.node.SubmitTx(tx)
-	f.srv.Mu.Unlock()
-	f.advance(3 * time.Second)
+	mmID := ledger.AccountIDFromPublicKey(mmKP.Public)
+	usdAsset := ledger.MustAsset("USD", master.id)
+	usd := "USD:" + string(master.id)
 
-	// mm trusts USD, master issues, mm offers USD for XLM.
-	if code := f.post("/transactions", SubmitRequest{
-		SourceSeed: "hz-mm",
-		Operations: []SubmitOp{{Type: "change_trust", Asset: usd, Limit: "100000"}},
-	}, nil); code != http.StatusAccepted {
-		t.Fatalf("change_trust status %d", code)
+	// An envelope from an account that does not exist is refused.
+	ghost := &client{f: f, kp: mmKP, id: mmID}
+	if code := f.post("/transactions", envelopeBody(ghost.sign(&ledger.Payment{Destination: master.id, Amount: ledger.One})), nil); code != http.StatusBadRequest {
+		t.Fatalf("envelope from a missing account: status %d, want 400", code)
 	}
-	f.advance(3 * time.Second)
 
-	f.srv.Mu.Lock()
-	seq = f.node.State().Account(master).SeqNum
-	usdAsset := ledger.MustAsset("USD", master)
-	tx = &ledger.Transaction{
-		Source: master, Fee: ledger.DefaultBaseFee, SeqNum: seq + 1,
-		Operations: []ledger.Operation{{
-			Body: &ledger.Payment{Destination: mm, Asset: usdAsset, Amount: 5000 * ledger.One},
-		}},
+	// Set up: mm trusts USD:master, master issues to mm, and mm makes a
+	// market USD→XLM.
+	submit := func(name string, c *client, op ledger.OpBody) {
+		t.Helper()
+		if code := c.submit(op); code != http.StatusAccepted {
+			t.Fatalf("%s: status %d", name, code)
+		}
+		f.advance(3 * time.Second)
 	}
-	tx.Sign(f.nid, f.master)
-	_ = f.node.SubmitTx(tx)
-	f.srv.Mu.Unlock()
-	f.advance(3 * time.Second)
-
-	if code := f.post("/transactions", SubmitRequest{
-		SourceSeed: "hz-mm",
-		Operations: []SubmitOp{{
-			Type: "manage_offer", Selling: usd, Buying: "native",
-			Amount: "1000", PriceN: 2, PriceD: 1, // 2 XLM per USD
-		}},
-	}, nil); code != http.StatusAccepted {
-		t.Fatalf("manage_offer status %d", code)
-	}
-	f.advance(3 * time.Second)
+	submit("create mm", master, &ledger.CreateAccount{Destination: mmID, StartingBalance: 10000 * ledger.One})
+	mm := f.client(mmKP)
+	submit("change_trust", mm, &ledger.ChangeTrust{Asset: usdAsset, Limit: 100000 * ledger.One})
+	submit("issue", master, &ledger.Payment{Destination: mmID, Asset: usdAsset, Amount: 5000 * ledger.One})
+	submit("manage_offer", mm, &ledger.ManageOffer{
+		Selling: usdAsset, Buying: ledger.NativeAsset(), Amount: 1000 * ledger.One,
+		Price: ledger.Price{N: 2, D: 1}, // 2 XLM per USD
+	})
 
 	var book struct {
 		Offers []OfferInfo `json:"offers"`
@@ -362,19 +355,11 @@ func TestHistoryEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := newArchivedFixture(t, arch)
-	master := ledger.AccountIDFromPublicKey(f.master.Public)
-	f.srv.Mu.Lock()
-	seq := f.node.State().Account(master).SeqNum
-	tx := &ledger.Transaction{
-		Source: master, Fee: ledger.DefaultBaseFee, SeqNum: seq + 1,
-		Operations: []ledger.Operation{{Body: &ledger.ManageData{Name: "k", Value: []byte("v")}}},
-	}
-	tx.Sign(f.nid, f.master)
+	tx := f.client(f.master).sign(&ledger.ManageData{Name: "k", Value: []byte("v")})
 	txHash := tx.Hash(f.nid).Hex()
-	if err := f.node.SubmitTx(tx); err != nil {
-		t.Fatal(err)
+	if code := f.post("/transactions", envelopeBody(tx), nil); code != http.StatusAccepted {
+		t.Fatalf("submit status %d", code)
 	}
-	f.srv.Mu.Unlock()
 	f.advance(3 * time.Second)
 	if cp, err := arch.LatestCheckpoint(); err == nil {
 		t.Fatalf("archive holds checkpoint %d; the lookups must not need one", cp.LedgerSeq)

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -20,16 +21,16 @@ import (
 )
 
 // ingressFixture is the submit-pipeline test rig: a single-validator
-// network with a small configurable mempool, ingress limits, and a set
-// of funded accounts to submit from.
+// network with a small configurable mempool and a set of funded accounts
+// to submit from.
 type ingressFixture struct {
 	*fixture
 	accounts []stellarcrypto.KeyPair
 }
 
 // newIngressFixture boots a validator with the given mempool bound and
-// ingress limits and funds n accounts in one genesis-master transaction.
-func newIngressFixture(t *testing.T, poolMax int, ingress IngressConfig, n int) *ingressFixture {
+// funds n accounts in one genesis-master transaction.
+func newIngressFixture(t *testing.T, poolMax int, n int) *ingressFixture {
 	t.Helper()
 	net := simnet.New(1)
 	nid := stellarcrypto.HashBytes([]byte("ingress-test"))
@@ -51,7 +52,6 @@ func newIngressFixture(t *testing.T, poolMax int, ingress IngressConfig, n int) 
 	net.RunFor(2 * time.Second)
 
 	srv := New(node, nid)
-	srv.SetIngress(ingress)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	f := &ingressFixture{fixture: &fixture{
@@ -59,28 +59,18 @@ func newIngressFixture(t *testing.T, poolMax int, ingress IngressConfig, n int) 
 	}}
 
 	if n > 0 {
-		masterID := ledger.AccountIDFromPublicKey(master.Public)
-		var ops []ledger.Operation
+		var ops []ledger.OpBody
 		for i := 0; i < n; i++ {
 			akp := stellarcrypto.KeyPairFromString(fmt.Sprintf("ingress-acct-%d", i))
 			f.accounts = append(f.accounts, akp)
-			ops = append(ops, ledger.Operation{Body: &ledger.CreateAccount{
+			ops = append(ops, &ledger.CreateAccount{
 				Destination:     ledger.AccountIDFromPublicKey(akp.Public),
 				StartingBalance: 1000 * ledger.One,
-			}})
+			})
 		}
-		f.srv.Mu.Lock()
-		seq := node.State().Account(masterID).SeqNum
-		tx := &ledger.Transaction{
-			Source: masterID, Fee: ledger.DefaultBaseFee * ledger.Amount(len(ops)),
-			SeqNum: seq + 1, Operations: ops,
+		if code := f.client(master).submit(ops...); code != http.StatusAccepted {
+			t.Fatalf("funding: status %d", code)
 		}
-		tx.Sign(nid, master)
-		if err := node.SubmitTx(tx); err != nil {
-			f.srv.Mu.Unlock()
-			t.Fatal(err)
-		}
-		f.srv.Mu.Unlock()
 		f.advance(3 * time.Second)
 	}
 	return f
@@ -147,9 +137,9 @@ func checkRetryable(t *testing.T, resp *http.Response, rej RejectBody) {
 }
 
 // TestSubmitAdmissionOutcomes walks the submit pipeline through every
-// admission outcome against one fixture (pool of 2, no rate limits).
+// admission outcome against one fixture (pool of 2).
 func TestSubmitAdmissionOutcomes(t *testing.T) {
-	f := newIngressFixture(t, 2, IngressConfig{}, 4)
+	f := newIngressFixture(t, 2, 4)
 	base := ledger.DefaultBaseFee
 
 	t.Run("accepted", func(t *testing.T) {
@@ -210,6 +200,42 @@ func TestSubmitAdmissionOutcomes(t *testing.T) {
 			}},
 		}
 		tx.Sign(f.nid, stellarcrypto.KeyPairFromString("not-the-owner"))
+		resp, rej, _ := f.submit(SubmitRequest{EnvelopeXDR: hex.EncodeToString(tx.MarshalSignedXDR())})
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("status %d, want 400", resp.StatusCode)
+		}
+		if rej.Error == "" {
+			t.Fatal("missing error body")
+		}
+	})
+
+	t.Run("no_envelope", func(t *testing.T) {
+		resp, rej, _ := f.submit(map[string]string{})
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("status %d, want 400", resp.StatusCode)
+		}
+		if rej.Error == "" {
+			t.Fatal("missing error body")
+		}
+	})
+
+	t.Run("ended_time_bounds", func(t *testing.T) {
+		// Time bounds that ended at the last close: no later ledger can
+		// include it, so it is refused before it reaches the pool.
+		kp := f.accounts[2]
+		source := ledger.AccountIDFromPublicKey(kp.Public)
+		f.srv.Mu.Lock()
+		seq := f.node.State().Account(source).SeqNum
+		closeTime := f.node.LastHeader().CloseTime
+		f.srv.Mu.Unlock()
+		tx := &ledger.Transaction{
+			Source: source, Fee: base, SeqNum: seq + 1,
+			TimeBounds: &ledger.TimeBounds{MaxTime: closeTime},
+			Operations: []ledger.Operation{{
+				Body: &ledger.Payment{Destination: source, Amount: ledger.One},
+			}},
+		}
+		tx.Sign(f.nid, kp)
 		resp, rej, _ := f.submit(SubmitRequest{EnvelopeXDR: hex.EncodeToString(tx.MarshalSignedXDR())})
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("status %d, want 400", resp.StatusCode)
@@ -288,6 +314,59 @@ func TestSubmitAdmissionOutcomes(t *testing.T) {
 	})
 }
 
+// TestSubmitSourceCap: an account holding its quota of pending
+// transactions gets 429 + Retry-After for the next one, with no min_fee —
+// no fee gets it in before one of its transactions applies — while another
+// account is unaffected.
+func TestSubmitSourceCap(t *testing.T) {
+	f := newIngressFixture(t, 0, 2)
+	base := ledger.DefaultBaseFee
+	var fs FeeStatsResponse
+	if code := f.get("/fee_stats", &fs); code != 200 || fs.PerSourceCap < 1 {
+		t.Fatalf("fee_stats status %d, per_source_cap %d", code, fs.PerSourceCap)
+	}
+	quota := uint64(fs.PerSourceCap)
+	for i := uint64(1); i <= quota; i++ {
+		if resp, _, _ := f.submit(SubmitRequest{EnvelopeXDR: f.envelope(0, base, i)}); resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit %d status %d", i, resp.StatusCode)
+		}
+	}
+	resp, rej, _ := f.submit(SubmitRequest{EnvelopeXDR: f.envelope(0, 10*base, quota+1)})
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("over-quota status %d, want 429", resp.StatusCode)
+	}
+	checkRetryable(t, resp, rej)
+	if rej.MinFee != "" {
+		t.Fatalf("source_cap 429 carries min_fee %q; no fee can enter", rej.MinFee)
+	}
+	if resp, _, _ := f.submit(SubmitRequest{EnvelopeXDR: f.envelope(1, base, 1)}); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("other account status %d", resp.StatusCode)
+	}
+}
+
+// TestSubmitBodyCap: a body over the cap is refused as malformed before
+// any of it is judged.
+func TestSubmitBodyCap(t *testing.T) {
+	f := newIngressFixture(t, 0, 1)
+	body := `{"envelope_xdr":"` + f.envelope(0, ledger.DefaultBaseFee, 1) + strings.Repeat(" ", maxBodyBytes) + `"}`
+	resp, err := http.Post(f.ts.URL+"/transactions", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rej RejectBody
+	json.NewDecoder(resp.Body).Decode(&rej)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(rej.Error, "too large") {
+		t.Fatalf("status %d, error %q; want 400, body too large", resp.StatusCode, rej.Error)
+	}
+	f.srv.Mu.Lock()
+	n := f.node.PendingCount()
+	f.srv.Mu.Unlock()
+	if n != 0 {
+		t.Fatalf("pool holds %d after an oversized body", n)
+	}
+}
+
 // TestSubmitNotBootstrapped maps the no-state/catching-up path to 503
 // with Retry-After.
 func TestSubmitNotBootstrapped(t *testing.T) {
@@ -320,43 +399,9 @@ func TestSubmitNotBootstrapped(t *testing.T) {
 	}
 }
 
-// TestSubmitSourceRateLimit exercises the per-account token bucket.
-func TestSubmitSourceRateLimit(t *testing.T) {
-	f := newIngressFixture(t, 0, IngressConfig{SourceRate: 0.01, SourceBurst: 1}, 2)
-	base := ledger.DefaultBaseFee
-	if resp, _, _ := f.submit(SubmitRequest{EnvelopeXDR: f.envelope(0, base, 1)}); resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("first submit status %d", resp.StatusCode)
-	}
-	resp, rej, _ := f.submit(SubmitRequest{EnvelopeXDR: f.envelope(0, base, 2)})
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("second submit status %d, want 429", resp.StatusCode)
-	}
-	checkRetryable(t, resp, rej)
-	// A different account is unaffected.
-	if resp, _, _ := f.submit(SubmitRequest{EnvelopeXDR: f.envelope(1, base, 1)}); resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("other account status %d", resp.StatusCode)
-	}
-}
-
-// TestSubmitIPRateLimit exercises the pre-decode IP bucket.
-func TestSubmitIPRateLimit(t *testing.T) {
-	f := newIngressFixture(t, 0, IngressConfig{IPRate: 0.01, IPBurst: 2}, 1)
-	base := ledger.DefaultBaseFee
-	for i := uint64(1); i <= 2; i++ {
-		if resp, _, _ := f.submit(SubmitRequest{EnvelopeXDR: f.envelope(0, base, i)}); resp.StatusCode != http.StatusAccepted {
-			t.Fatalf("submit %d status %d", i, resp.StatusCode)
-		}
-	}
-	resp, rej, _ := f.submit(SubmitRequest{EnvelopeXDR: "ignored"})
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("status %d, want 429", resp.StatusCode)
-	}
-	checkRetryable(t, resp, rej)
-}
-
 // TestFeeStatsQuiescent checks the endpoint's shape on an unloaded node.
 func TestFeeStatsQuiescent(t *testing.T) {
-	f := newIngressFixture(t, 0, IngressConfig{}, 0)
+	f := newIngressFixture(t, 0, 0)
 	var fs FeeStatsResponse
 	if code := f.get("/fee_stats", &fs); code != 200 {
 		t.Fatalf("status %d", code)
@@ -375,8 +420,12 @@ func TestFeeStatsQuiescent(t *testing.T) {
 // race-detector gate for the mempool under the loop lock.
 func TestSubmitConcurrentWithCloses(t *testing.T) {
 	const workers = 32
-	f := newIngressFixture(t, 256, IngressConfig{}, workers)
+	f := newIngressFixture(t, 256, workers)
 	masterID := ledger.AccountIDFromPublicKey(f.master.Public)
+	clients := make([]*client, workers)
+	for w, kp := range f.accounts {
+		clients[w] = f.client(kp)
+	}
 
 	stop := make(chan struct{})
 	var driver sync.WaitGroup
@@ -401,12 +450,7 @@ func TestSubmitConcurrentWithCloses(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 8; i++ {
-				resp, _, _ := f.submit(SubmitRequest{
-					SourceSeed: fmt.Sprintf("ingress-acct-%d", w),
-					Operations: []SubmitOp{{
-						Type: "payment", Destination: string(masterID), Amount: "1",
-					}},
-				})
+				resp, _, _ := f.submit(envelopeBody(clients[w].sign(&ledger.Payment{Destination: masterID, Amount: ledger.One})))
 				mu.Lock()
 				statuses[resp.StatusCode]++
 				mu.Unlock()
@@ -443,5 +487,103 @@ func TestSubmitConcurrentWithCloses(t *testing.T) {
 	f.srv.Mu.Unlock()
 	if advanced == 0 {
 		t.Fatal("no account sequence advanced; accepted txs never applied")
+	}
+}
+
+// TestSubmitToLaggingNodeIsNotReady: a node that is catching up answers
+// 503 + Retry-After to a valid payment from an account created on a ledger
+// it has not applied yet — "not yet", not the permanent 400 that judging
+// the signatures against its stale state would give — and accepts the same
+// envelope once it has caught up.
+func TestSubmitToLaggingNodeIsNotReady(t *testing.T) {
+	net := simnet.New(1)
+	net.SetLatency(simnet.UniformLatency(2*time.Millisecond, 8*time.Millisecond))
+	nid := stellarcrypto.HashBytes([]byte("ingress-lag"))
+	kps := stellarcrypto.DeterministicKeyPairs("ingress-lag", 3)
+	var ids []fba.NodeID
+	for _, kp := range kps {
+		ids = append(ids, fba.NodeIDFromPublicKey(kp.Public))
+	}
+	var nodes []*herder.Node
+	var master stellarcrypto.KeyPair
+	for _, kp := range kps {
+		node, err := herder.New(net, herder.Config{
+			Keys: kp, QSet: fba.Majority(ids...), NetworkID: nid, LedgerInterval: time.Second,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var genesis *ledger.State
+		genesis, master = herder.GenesisState(nid)
+		node.Bootstrap(genesis, 0)
+		nodes = append(nodes, node)
+	}
+	for _, a := range nodes {
+		for _, b := range nodes {
+			if a != b {
+				a.Overlay().Connect(b.Addr())
+			}
+		}
+		a.Start()
+	}
+	net.RunFor(3 * time.Second)
+
+	// The lagging node is cut off while the other two create alice.
+	lag, ahead := nodes[2], nodes[0]
+	for _, n := range nodes[:2] {
+		net.Partition(lag.Addr(), n.Addr())
+	}
+	masterID := ledger.AccountIDFromPublicKey(master.Public)
+	aliceKP := stellarcrypto.KeyPairFromString("ingress-lag-alice")
+	alice := ledger.AccountIDFromPublicKey(aliceKP.Public)
+	create := &ledger.Transaction{
+		Source: masterID, Fee: ledger.DefaultBaseFee, SeqNum: ahead.State().Account(masterID).SeqNum + 1,
+		Operations: []ledger.Operation{{Body: &ledger.CreateAccount{Destination: alice, StartingBalance: 100 * ledger.One}}},
+	}
+	create.Sign(nid, master)
+	if res := ahead.AdmitTx(create); res.Code != herder.AdmitAccepted {
+		t.Fatalf("create alice: %+v", res)
+	}
+	for end := net.Now() + 30*time.Second; !ahead.State().HasAccount(alice) && net.Now() < end; {
+		net.RunFor(time.Second)
+	}
+	if !ahead.State().HasAccount(alice) || lag.State().HasAccount(alice) {
+		t.Fatalf("alice should exist on the connected nodes only: ahead at %d (%v), lag at %d (%v)", ahead.LastHeader().LedgerSeq, ahead.State().HasAccount(alice), lag.LastHeader().LedgerSeq, lag.State().HasAccount(alice))
+	}
+
+	// Healed, the lagging node hears a decision for a ledger past its next
+	// one and knows it is behind.
+	net.HealAll()
+	for end := net.Now() + 10*time.Second; !lag.CatchingUp() && net.Now() < end; net.Step() {
+	}
+	if !lag.CatchingUp() || lag.State().HasAccount(alice) {
+		t.Fatalf("lagging node: catching up %v, holds alice %v; want true, false", lag.CatchingUp(), lag.State().HasAccount(alice))
+	}
+	srv := New(lag, nid)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	pay := &ledger.Transaction{
+		Source: alice, Fee: ledger.DefaultBaseFee, SeqNum: ahead.State().Account(alice).SeqNum + 1,
+		Operations: []ledger.Operation{{Body: &ledger.Payment{Destination: masterID, Amount: ledger.One}}},
+	}
+	pay.Sign(nid, aliceKP)
+	post := func() *http.Response {
+		t.Helper()
+		raw, _ := json.Marshal(envelopeBody(pay))
+		resp, err := http.Post(ts.URL+"/transactions", "application/json", bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp
+	}
+	if resp := post(); resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("lagging node: status %d, Retry-After %q; want 503 with Retry-After", resp.StatusCode, resp.Header.Get("Retry-After"))
+	}
+
+	for end := net.Now() + 10*time.Second; lag.CatchingUp() && net.Now() < end; net.Step() {
+	}
+	if resp := post(); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("caught-up node: status %d, want 202", resp.StatusCode)
 	}
 }

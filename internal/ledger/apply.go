@@ -44,7 +44,7 @@ func (r *TxResult) EncodeXDR(e *xdr.Encoder) {
 // closeTime is the anticipated ledger close time. The order of the three
 // parts is consensus-visible: the first error lands in TxResult.Err.
 func (st *State) CheckValid(tx *Transaction, networkID stellarcrypto.Hash, closeTime int64) error {
-	if err := tx.checkStructure(); err != nil {
+	if err := tx.CheckStructure(); err != nil {
 		return err
 	}
 	if err := st.CheckSeqAndFee(tx, closeTime); err != nil {
@@ -53,9 +53,9 @@ func (st *State) CheckValid(tx *Transaction, networkID stellarcrypto.Hash, close
 	return tx.checkSignatures(st, networkID)
 }
 
-// checkStructure is the part of CheckValid that reads nothing but the
+// CheckStructure is the part of CheckValid that reads nothing but the
 // transaction: operation count and each operation's own parameters.
-func (tx *Transaction) checkStructure() error {
+func (tx *Transaction) CheckStructure() error {
 	if len(tx.Operations) == 0 {
 		return fmt.Errorf("ledger: transaction has no operations")
 	}
@@ -106,7 +106,7 @@ func (st *State) CheckSeqAndFee(tx *Transaction, closeTime int64) error {
 // CheckSeqAndFee it then equals a passing CheckValid. The mempool builds
 // proposals on that (mempool.Pool.Candidates); apply never does.
 func (st *State) CheckAuth(tx *Transaction, networkID stellarcrypto.Hash) error {
-	if err := tx.checkStructure(); err != nil {
+	if err := tx.CheckStructure(); err != nil {
 		return err
 	}
 	return tx.checkSignatures(st, networkID)

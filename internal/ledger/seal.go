@@ -22,7 +22,7 @@ import (
 // built from the exported fields; Sign, the one editing method, drops the
 // seal itself.
 //
-// A transaction built by hand (tests, load generators, horizon's demo path)
+// A transaction built by hand (tests, load generators, signing clients)
 // is unsealed and computes everything on demand, so it stays freely mutable
 // until it is admitted.
 //

@@ -216,10 +216,10 @@ type sigCandidate struct {
 }
 
 // CheckSignatures verifies the transaction's signatures against current
-// account state without the rest of the validity checks — the horizon
-// submit pipeline's signature pre-verification gate. It routes through
-// the state's verification pipeline, so a signature verified here is a
-// cache hit at nomination and apply time.
+// account state without the rest of the validity checks, the half of
+// CheckAuth the verify benchmarks time on its own. It routes through the
+// state's verification pipeline, so a signature verified here is a cache
+// hit at nomination and apply time.
 func (st *State) CheckSignatures(tx *Transaction, networkID stellarcrypto.Hash) error {
 	return tx.checkSignatures(st, networkID)
 }

@@ -160,7 +160,7 @@ func (g *Generator) submitOne() {
 		}},
 	}
 	tx.Sign(g.networkID, from.Key)
-	if err := node.SubmitTx(tx); err == nil {
+	if c := node.AdmitTx(tx).Code; c == herder.AdmitAccepted || c == herder.AdmitDuplicate {
 		g.Submitted++
 	}
 }

@@ -223,8 +223,14 @@ func comparePool(t *testing.T, step int, p *Pool, m poolModel, known []stellarcr
 			}
 		}
 		cov.deepestSource = max(cov.deepestSource, n)
-		if got, ok := p.MaxSeq(src); ok != (n > 0) || got != want {
-			t.Fatalf("step %d: MaxSeq(%s) = %d %v, model %d %v", step, src, got, ok, want, n > 0)
+		// The source's chain holds exactly its pooled transactions, in
+		// sequence order.
+		var chain []uint64
+		for e := p.bySource[src]; e != nil; e = e.next {
+			chain = append(chain, e.tx.SeqNum)
+		}
+		if len(chain) != n || n > 0 && (chain[n-1] != want || !slices.IsSorted(chain)) {
+			t.Fatalf("step %d: %s's chain holds sequences %v, model %d ending at %d", step, src, chain, n, want)
 		}
 	}
 	worst, found := m.floor()

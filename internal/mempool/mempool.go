@@ -205,20 +205,6 @@ func (p *Pool) TakeAdmittedAt(h stellarcrypto.Hash) (at time.Duration, ok bool) 
 	return e.admitted, true
 }
 
-// MaxSeq returns the highest pending sequence number for the source, so
-// the API layer can chain client sequence numbers past what the ledger
-// state alone would allow.
-func (p *Pool) MaxSeq(source ledger.AccountID) (uint64, bool) {
-	e := p.bySource[source]
-	if e == nil {
-		return 0, false
-	}
-	for e.next != nil {
-		e = e.next
-	}
-	return e.tx.SeqNum, true
-}
-
 // Each calls f for every pooled transaction in unspecified order; callers
 // feeding consensus must canonicalize (Candidates does).
 func (p *Pool) Each(f func(h stellarcrypto.Hash, tx *ledger.Transaction)) {

@@ -198,18 +198,11 @@ func TestEvictionTieBreakIsCanonical(t *testing.T) {
 	}
 }
 
-func TestRemoveAndMaxSeq(t *testing.T) {
+func TestRemove(t *testing.T) {
 	p := New(Config{})
 	mustAdd(t, p, "alice", 1, 100, 1)
 	h2 := mustAdd(t, p, "alice", 2, 100, 1)
 	mustAdd(t, p, "alice", 5, 100, 1)
-
-	if max, ok := p.MaxSeq("alice"); !ok || max != 5 {
-		t.Fatalf("MaxSeq=(%d,%v), want (5,true)", max, ok)
-	}
-	if _, ok := p.MaxSeq("bob"); ok {
-		t.Fatal("MaxSeq for unknown source should be !ok")
-	}
 
 	p.Remove(h2)
 	if p.Contains(h2) || p.Len() != 2 {

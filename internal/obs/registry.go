@@ -178,22 +178,9 @@ func (c *Counter) Value() float64 {
 // Gauge is a value that can go up and down.
 type Gauge struct{ m *metric }
 
-// GaugeVec is a labeled gauge family.
-type GaugeVec struct{ f *family }
-
 // Gauge registers (or finds) an unlabeled gauge.
 func (r *Registry) Gauge(name, help string) *Gauge {
 	return &Gauge{m: r.family(name, help, KindGauge, nil, nil).child(nil)}
-}
-
-// GaugeVec registers (or finds) a gauge family with labels.
-func (r *Registry) GaugeVec(name, help string, labelNames ...string) *GaugeVec {
-	return &GaugeVec{f: r.family(name, help, KindGauge, nil, labelNames)}
-}
-
-// With resolves the child gauge for the given label values.
-func (v *GaugeVec) With(labelValues ...string) *Gauge {
-	return &Gauge{m: v.f.child(labelValues)}
 }
 
 // Set stores the value.
@@ -223,9 +210,6 @@ func (g *Gauge) Value() float64 {
 // the bucket count regardless of observation volume.
 type Histogram struct{ m *metric }
 
-// HistogramVec is a labeled histogram family.
-type HistogramVec struct{ f *family }
-
 // DefBuckets suit sub-second protocol latencies in seconds, covering the
 // paper's measured range (~1 ms nomination to multi-second timeouts).
 var DefBuckets = []float64{
@@ -243,19 +227,6 @@ func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
 		buckets = DefBuckets
 	}
 	return &Histogram{m: r.family(name, help, KindHistogram, buckets, nil).child(nil)}
-}
-
-// HistogramVec registers (or finds) a labeled histogram family.
-func (r *Registry) HistogramVec(name, help string, buckets []float64, labelNames ...string) *HistogramVec {
-	if buckets == nil {
-		buckets = DefBuckets
-	}
-	return &HistogramVec{f: r.family(name, help, KindHistogram, buckets, labelNames)}
-}
-
-// With resolves the child histogram for the given label values.
-func (v *HistogramVec) With(labelValues ...string) *Histogram {
-	return &Histogram{m: v.f.child(labelValues)}
 }
 
 // Observe records one sample.

@@ -77,8 +77,8 @@ func TestHistogramBuckets(t *testing.T) {
 
 func TestWritePrometheus(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("a_total", "counts a").Add(2)
-	r.GaugeVec("b_gauge", "gauges b", "who").With(`we"ird\label`).Set(1.5)
+	r.CounterVec("a_total", "counts a", "who").With(`we"ird\label`).Add(2)
+	r.Gauge("b_gauge", "gauges b").Set(1.5)
 	r.Histogram("c_seconds", "times c", []float64{0.5}).Observe(0.25)
 
 	var sb strings.Builder
@@ -89,9 +89,9 @@ func TestWritePrometheus(t *testing.T) {
 	for _, want := range []string{
 		"# HELP a_total counts a\n",
 		"# TYPE a_total counter\n",
-		"a_total 2\n",
+		`a_total{who="we\"ird\\label"} 2` + "\n",
 		"# TYPE b_gauge gauge\n",
-		`b_gauge{who="we\"ird\\label"} 1.5` + "\n",
+		"b_gauge 1.5\n",
 		"# TYPE c_seconds histogram\n",
 		`c_seconds_bucket{le="0.5"} 1` + "\n",
 		`c_seconds_bucket{le="+Inf"} 1` + "\n",

@@ -176,17 +176,25 @@ func TestQuantileInfClampAndEmpty(t *testing.T) {
 	}
 }
 
+// TestWindowLabelSummed: a labeled histogram family is summed over its
+// children. The registry has no labeled histograms, so the snapshots are
+// built by hand.
 func TestWindowLabelSummed(t *testing.T) {
-	reg := obs.NewRegistry()
-	hv := reg.HistogramVec("h", "latency", []float64{1, 2}, "peer")
+	snap := func(a, b uint64) []obs.FamilySnapshot {
+		return []obs.FamilySnapshot{{Name: "h", Kind: obs.KindHistogram, Buckets: []float64{1, 2}, Samples: []obs.Sample{
+			{LabelNames: []string{"peer"}, LabelValues: []string{"a"}, BucketCounts: []uint64{a, a, a}, Sum: 0.5 * float64(a), Count: a},
+			{LabelNames: []string{"peer"}, LabelValues: []string{"b"}, BucketCounts: []uint64{0, b, b}, Sum: 1.5 * float64(b), Count: b},
+		}}}
+	}
 	r := New(16)
-	r.Observe(0, reg.Snapshot())
-	hv.With("a").Observe(0.5)
-	hv.With("b").Observe(1.5)
-	r.Observe(10*time.Second, reg.Snapshot())
+	r.Observe(0, snap(0, 0))
+	r.Observe(10*time.Second, snap(1, 1))
 	w, ok := r.Window("h", 10*time.Second, 10*time.Second)
 	if !ok || w.Count != 2 {
 		t.Fatalf("labeled Window Count = %d ok=%v, want 2", w.Count, ok)
+	}
+	if w.Sum != 2 || len(w.Cum) != 3 || w.Cum[0] != 1 || w.Cum[1] != 2 || w.Cum[2] != 2 {
+		t.Fatalf("labeled Window Sum = %v Cum = %v, want 2 and [1 2 2]", w.Sum, w.Cum)
 	}
 }
 

@@ -9,6 +9,7 @@ package overlay
 import (
 	"testing"
 
+	"stellar/internal/obs"
 	"stellar/internal/scp"
 	"stellar/internal/simnet"
 )
@@ -24,7 +25,7 @@ func TestFloodSurvivesModerateLoss(t *testing.T) {
 		overlays[i].OnEnvelope = func(env *scp.Envelope) bool { got[i]++; return false }
 	}
 	for seq := uint64(1); seq <= 5; seq++ {
-		overlays[0].BroadcastEnvelope(testEnvelope(seq))
+		overlays[0].BroadcastEnvelope(testEnvelope(seq), obs.TraceContext{})
 	}
 	net.RunUntilIdle(0)
 	if net.Stats().DroppedLoss == 0 {
@@ -45,8 +46,8 @@ func TestAsymmetricLinkLossOnlyAffectsOneDirection(t *testing.T) {
 		i := i
 		overlays[i].OnEnvelope = func(env *scp.Envelope) bool { got[i]++; return false }
 	}
-	overlays[0].BroadcastEnvelope(testEnvelope(1)) // n0→n1 is severed
-	overlays[1].BroadcastEnvelope(testEnvelope(2)) // n1→n0 still works
+	overlays[0].BroadcastEnvelope(testEnvelope(1), obs.TraceContext{}) // n0→n1 is severed
+	overlays[1].BroadcastEnvelope(testEnvelope(2), obs.TraceContext{}) // n1→n0 still works
 	net.RunUntilIdle(0)
 	if got[1] != 0 {
 		t.Fatal("message crossed a fully lossy link")
@@ -99,13 +100,13 @@ func TestFloodRetransmitRepairsLoss(t *testing.T) {
 	overlays[3].OnEnvelope = func(env *scp.Envelope) bool { got++; return false }
 	env := testEnvelope(1)
 	net.SetDropRate(1.0)
-	overlays[0].BroadcastEnvelope(env)
+	overlays[0].BroadcastEnvelope(env, obs.TraceContext{})
 	net.RunUntilIdle(0)
 	if got != 0 {
 		t.Fatal("delivery through 100% loss")
 	}
 	net.SetDropRate(0)
-	overlays[0].BroadcastEnvelope(env)
+	overlays[0].BroadcastEnvelope(env, obs.TraceContext{})
 	net.RunUntilIdle(0)
 	if got != 1 {
 		t.Fatalf("retransmission delivered %d times, want 1", got)

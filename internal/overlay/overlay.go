@@ -373,27 +373,18 @@ func (o *Overlay) Seen(id stellarcrypto.Hash) bool {
 	return true
 }
 
-// BroadcastEnvelope floods a locally generated SCP envelope.
-func (o *Overlay) BroadcastEnvelope(env *scp.Envelope) {
-	o.BroadcastEnvelopeCtx(env, obs.TraceContext{})
-}
-
-// BroadcastEnvelopeCtx floods an envelope carrying the emitting span's
-// trace context so receivers continue the slot's causal tree.
-func (o *Overlay) BroadcastEnvelopeCtx(env *scp.Envelope, ctx obs.TraceContext) {
+// BroadcastEnvelope floods a locally generated SCP envelope; ctx is the
+// emitting span's trace context, so receivers continue the slot's causal
+// tree, zero when there is none.
+func (o *Overlay) BroadcastEnvelope(env *scp.Envelope, ctx obs.TraceContext) {
 	p := &Packet{Kind: KindEnvelope, Envelope: env, TTL: DefaultTTL, Origin: o.self, Trace: ctx}
 	o.seen.add(p.id())
 	o.flood(p, "")
 }
 
-// BroadcastTx floods a locally submitted transaction.
-func (o *Overlay) BroadcastTx(tx *ledger.Transaction) {
-	o.BroadcastTxCtx(tx, obs.TraceContext{})
-}
-
-// BroadcastTxCtx floods a transaction carrying the submitting span's
-// trace context.
-func (o *Overlay) BroadcastTxCtx(tx *ledger.Transaction, ctx obs.TraceContext) {
+// BroadcastTx floods a locally submitted transaction; ctx is the
+// submitting span's trace context, zero when there is none.
+func (o *Overlay) BroadcastTx(tx *ledger.Transaction, ctx obs.TraceContext) {
 	p := &Packet{Kind: KindTx, Tx: tx, TTL: DefaultTTL, Origin: o.self, Trace: ctx}
 	o.seen.add(p.id())
 	o.flood(p, "")

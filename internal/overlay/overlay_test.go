@@ -68,7 +68,7 @@ func TestFloodReachesAllFullMesh(t *testing.T) {
 		i := i
 		overlays[i].OnEnvelope = func(env *scp.Envelope) bool { got[i]++; return false }
 	}
-	overlays[0].BroadcastEnvelope(testEnvelope(1))
+	overlays[0].BroadcastEnvelope(testEnvelope(1), obs.TraceContext{})
 	net.RunUntilIdle(0)
 	for i := 1; i < 5; i++ {
 		if got[i] != 1 {
@@ -97,7 +97,7 @@ func TestFloodReachesAllRing(t *testing.T) {
 				i := i
 				overlays[i].OnEnvelope = func(env *scp.Envelope) bool { got[i]++; return false }
 			}
-			overlays[0].BroadcastEnvelope(testEnvelope(1))
+			overlays[0].BroadcastEnvelope(testEnvelope(1), obs.TraceContext{})
 			net.RunUntilIdle(0)
 			for i := 1; i < 8; i++ {
 				want := 1
@@ -123,7 +123,7 @@ func TestFloodFromEveryOrigin(t *testing.T) {
 		overlays[i].OnEnvelope = func(env *scp.Envelope) bool { got[i]++; return false }
 	}
 	for i, o := range overlays {
-		o.BroadcastEnvelope(testEnvelope(uint64(100 + i)))
+		o.BroadcastEnvelope(testEnvelope(uint64(100+i)), obs.TraceContext{})
 	}
 	net.RunUntilIdle(0)
 	for i := range got {
@@ -161,7 +161,7 @@ func TestFloodSendCount(t *testing.T) {
 				i := i
 				overlays[i].OnEnvelope = func(env *scp.Envelope) bool { delivered[i]++; return false }
 			}
-			overlays[tc.origin].BroadcastEnvelope(testEnvelope(1))
+			overlays[tc.origin].BroadcastEnvelope(testEnvelope(1), obs.TraceContext{})
 			net.RunUntilIdle(0)
 			var sent float64
 			for i, o := range overlays {
@@ -210,8 +210,8 @@ func TestDuplicateSuppression(t *testing.T) {
 	delivered := 0
 	overlays[3].OnEnvelope = func(env *scp.Envelope) bool { delivered++; return false }
 	env := testEnvelope(1)
-	overlays[0].BroadcastEnvelope(env)
-	overlays[0].BroadcastEnvelope(env) // re-broadcast of identical message
+	overlays[0].BroadcastEnvelope(env, obs.TraceContext{})
+	overlays[0].BroadcastEnvelope(env, obs.TraceContext{}) // re-broadcast of identical message
 	net.RunUntilIdle(0)
 	if delivered != 1 {
 		t.Fatalf("delivered %d times despite dedup", delivered)
@@ -229,7 +229,7 @@ func TestTxFlooding(t *testing.T) {
 		Source: "GABC", Fee: 100, SeqNum: 7,
 		Operations: []ledger.Operation{{Body: &ledger.BumpSequence{}}},
 	}
-	overlays[0].BroadcastTx(tx)
+	overlays[0].BroadcastTx(tx, obs.TraceContext{})
 	net.RunUntilIdle(0)
 	if got == nil || got.SeqNum != 7 {
 		t.Fatal("transaction not flooded")
@@ -248,7 +248,7 @@ func TestTinyCacheStillTerminates(t *testing.T) {
 	deliveries := 0
 	overlays[3].OnEnvelope = func(env *scp.Envelope) bool { deliveries++; return false }
 	for i := 0; i < 10; i++ {
-		overlays[0].BroadcastEnvelope(testEnvelope(uint64(i)))
+		overlays[0].BroadcastEnvelope(testEnvelope(uint64(i)), obs.TraceContext{})
 	}
 	if n := net.RunUntilIdle(100000); n >= 100000 {
 		t.Fatal("flooding did not terminate with tiny cache")
@@ -379,8 +379,8 @@ func TestRefusedIsSeenButNotForwarded(t *testing.T) {
 		if first == genuine {
 			second = &forged
 		}
-		overlays[0].BroadcastEnvelope(first)
-		overlays[0].BroadcastEnvelope(second)
+		overlays[0].BroadcastEnvelope(first, obs.TraceContext{})
+		overlays[0].BroadcastEnvelope(second, obs.TraceContext{})
 		net.RunUntilIdle(0)
 		want := genuine.Signature[63]
 		if len(got[1]) != 2 {
@@ -404,7 +404,7 @@ func TestSeenCountsSuppressed(t *testing.T) {
 	if o.Seen(env.ID()) || dupesOf(o) != 0 {
 		t.Fatal("an unseen id reported seen")
 	}
-	o.BroadcastEnvelope(env)
+	o.BroadcastEnvelope(env, obs.TraceContext{})
 	if !o.Seen(env.ID()) || dupesOf(o) != 1 {
 		t.Fatalf("a broadcast envelope: seen %v, %v suppressed; want seen, 1", o.Seen(env.ID()), dupesOf(o))
 	}
@@ -430,7 +430,7 @@ func TestSeenConcurrentWithFlooding(t *testing.T) {
 		}()
 	}
 	for _, env := range envs {
-		o.BroadcastEnvelope(env)
+		o.BroadcastEnvelope(env, obs.TraceContext{})
 	}
 	wg.Wait()
 	for _, env := range envs {

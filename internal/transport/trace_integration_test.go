@@ -130,11 +130,11 @@ func TestThreeNodeTracePropagation(t *testing.T) {
 			}},
 		}
 		tx.Sign(networkID, masterKP)
-		submitErr = nodes[0].SubmitTx(tx)
+		submitErr = nodes[0].AdmitTx(tx).Err
 	})
 	<-done
 	if submitErr != nil {
-		t.Fatalf("SubmitTx: %v", submitErr)
+		t.Fatalf("AdmitTx: %v", submitErr)
 	}
 	waitForSeq(8) // enough closes for the tx to externalize and apply everywhere
 
