@@ -132,6 +132,7 @@ fuzz:
 	$(GO) test ./internal/ledger/ -run '^$$' -fuzz '^FuzzTxSetRefResolve$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/bucket/disk/ -run '^$$' -fuzz '^FuzzBucketFile$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/mempool/ -run '^$$' -fuzz '^FuzzPoolOps$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/mempool/ -run '^$$' -fuzz '^FuzzAuthEpoch$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/stellarcrypto/ -run '^$$' -fuzz '^FuzzStrkeyDecode$$' -fuzztime $(FUZZTIME)
 
 # bench-micro regenerates BENCH_micro.json from one pass of the

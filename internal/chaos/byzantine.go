@@ -36,11 +36,22 @@ const (
 	// alone would take it for the genuine envelope, and on fast links it
 	// arrives first.
 	BehaviorForge
+	// BehaviorForgeClosed sends, on the attack timer, forgeClosedCopies
+	// copies of a recorded envelope for a slot the network has closed to
+	// one honest peer, each with a different signature bit flipped. Each
+	// copy has its own dedup id, so a node that forwards closed-slot
+	// envelopes unverified floods every one of them network-wide; Echoed
+	// counts the copies honest nodes send back to the adversary.
+	BehaviorForgeClosed
 
-	// BehaviorAll enables every attack that runs on the attack timer;
-	// BehaviorForge, a relay, is asked for by name.
+	// BehaviorAll enables the attacks the random scenarios draw from;
+	// BehaviorForge and BehaviorForgeClosed are asked for by name.
 	BehaviorAll = BehaviorEquivocate | BehaviorReplay | BehaviorFlood
 )
+
+// forgeClosedCopies is how many forged copies BehaviorForgeClosed sends per
+// attack round.
+const forgeClosedCopies = 8
 
 // String names the enabled behaviors.
 func (b Behavior) String() string {
@@ -65,6 +76,9 @@ func (b Behavior) String() string {
 	}
 	if b&BehaviorForge != 0 {
 		add("forge")
+	}
+	if b&BehaviorForgeClosed != 0 {
+		add("forge-closed")
 	}
 	return s
 }
@@ -99,6 +113,11 @@ type Adversary struct {
 
 	// Emitted counts attack packets sent, for reports and metrics.
 	Emitted uint64
+	// Echoed counts the adversary's own packets that honest nodes
+	// forwarded back to it.
+	Echoed uint64
+	// forgeBit is the signature bit BehaviorForgeClosed flips next.
+	forgeBit int
 }
 
 // NewAdversary creates a Byzantine node. qset is the quorum set it
@@ -155,6 +174,9 @@ func (a *Adversary) handle(from simnet.Addr, msg any, size int) {
 	if !ok || p.Kind != overlay.KindEnvelope || p.Envelope == nil {
 		return
 	}
+	if p.Origin == a.addr {
+		a.Echoed++
+	}
 	env := p.Envelope
 	if env.Slot > a.maxSlot {
 		a.maxSlot = env.Slot
@@ -184,13 +206,20 @@ func (a *Adversary) forge(env *scp.Envelope) {
 	if len(env.Signature) == 0 {
 		return
 	}
-	sig := bytes.Clone(env.Signature)
-	sig[0] ^= 1
-	forged := &scp.Envelope{Node: env.Node, Slot: env.Slot, Seq: env.Seq, QSet: env.QSet,
-		Statement: env.Statement, Signature: sig}
+	f := forged(env, 0)
 	for _, p := range a.peers {
-		a.sendEnvelope(p, forged)
+		a.sendEnvelope(p, f)
 	}
+}
+
+// forged is a copy of env with bit of its signature, counted modulo the
+// signature's length, flipped.
+func forged(env *scp.Envelope, bit int) *scp.Envelope {
+	sig := bytes.Clone(env.Signature)
+	bit %= 8 * len(sig)
+	sig[bit/8] ^= 1 << (bit % 8)
+	return &scp.Envelope{Node: env.Node, Slot: env.Slot, Seq: env.Seq, QSet: env.QSet,
+		Statement: env.Statement, Signature: sig}
 }
 
 func (a *Adversary) observeValue(v scp.Value) {
@@ -215,7 +244,37 @@ func (a *Adversary) attack() {
 	if a.behaviors&BehaviorFlood != 0 {
 		a.flood()
 	}
+	if a.behaviors&BehaviorForgeClosed != 0 {
+		a.forgeClosed()
+	}
 	a.schedule()
+}
+
+// forgeClosed sends forgeClosedCopies differently forged copies of a
+// recorded envelope for a closed slot — two below the newest slot heard —
+// to one honest peer. The flipped bit moves on from round to round, so a
+// copy is new to the network's dedup unless the same envelope comes round
+// again after all its bits were flipped once.
+func (a *Adversary) forgeClosed() {
+	n := len(a.recorded)
+	if n == 0 || len(a.peers) == 0 {
+		return
+	}
+	var env *scp.Envelope
+	for i, start := 0, a.rng.Intn(n); i < n; i++ {
+		if e := a.recorded[(start+i)%n]; e.Slot+2 <= a.maxSlot && len(e.Signature) > 0 {
+			env = e
+			break
+		}
+	}
+	if env == nil {
+		return
+	}
+	peer := a.peers[a.rng.Intn(len(a.peers))]
+	for range forgeClosedCopies {
+		a.sendEnvelope(peer, forged(env, a.forgeBit))
+		a.forgeBit++
+	}
 }
 
 // conflictingValues produces two distinct plausible values: an observed

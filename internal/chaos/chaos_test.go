@@ -375,3 +375,29 @@ func TestRunsAreDeterministic(t *testing.T) {
 		t.Fatalf("replay diverged:\n  %s\n  %+v\nvs\n  %s\n  %+v", a, a.NetStats, b, b.NetStats)
 	}
 }
+
+// TestForgedClosedSlotEnvelopesAreNotForwarded: an adversary sends, each
+// round, differently forged copies of an envelope for a closed slot to one
+// honest validator. Every honest node verifies a closed-slot envelope
+// before forwarding it, so no copy comes back, and consensus goes on.
+func TestForgedClosedSlotEnvelopesAreNotForwarded(t *testing.T) {
+	r, err := NewRunner(Scenario{Name: "forge-closed", Seed: 1, Byzantine: 1, Behaviors: BehaviorForgeClosed,
+		Faults: Schedule{{At: 60 * time.Second, Kind: FaultHeal}}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := r.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	adv := r.Advs[0]
+	if adv.Emitted < 100 {
+		t.Fatalf("the adversary forged %d closed-slot copies, want at least 100", adv.Emitted)
+	}
+	if adv.Echoed != 0 {
+		t.Fatalf("honest nodes forwarded forged closed-slot copies %d times, want 0", adv.Echoed)
+	}
+	if rep.MinSeq < 10 {
+		t.Fatalf("honest nodes closed only %d ledgers in %v", rep.MinSeq, rep.VirtualTime)
+	}
+}

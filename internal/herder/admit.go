@@ -1,6 +1,7 @@
 package herder
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -34,6 +35,12 @@ const (
 	// the weight an account it names requires, or that account does not
 	// exist here. A flood is refused so only when every such account exists.
 	AdmitBadSignature
+	// AdmitBadSeq: its sequence number does not continue its source's
+	// chain (ledger.State.ValidChain): the account has used it already, or,
+	// for a client's own submission, the pool holds no chain up to it. A
+	// flood is refused so only when used, since two floods on one link may
+	// arrive out of order.
+	AdmitBadSeq
 	// AdmitPoolFull: the pool is saturated and the fee does not beat the
 	// eviction floor; MinFee says what would get in now.
 	AdmitPoolFull
@@ -47,7 +54,7 @@ const (
 	AdmitNotReady
 )
 
-var admitNames = [...]string{"accepted", "duplicate", "invalid", "bad_signature", "pool_full", "source_cap", "seq_conflict", "not_ready"}
+var admitNames = [...]string{"accepted", "duplicate", "invalid", "bad_signature", "bad_seq", "pool_full", "source_cap", "seq_conflict", "not_ready"}
 
 // String names the code for metric labels and error text.
 func (c AdmitCode) String() string {
@@ -81,16 +88,17 @@ type AdmitResult struct {
 func (n *Node) AdmitTx(tx *ledger.Transaction) AdmitResult { return n.admit(tx, true) }
 
 // onTx admits a peer-flooded transaction through the same gate, and
-// reports whether it was refused as invalid or badly signed, which the
-// overlay then does not forward. A flood that fails CheckAuth is refused
-// only when every account it needs signatures from exists here, so a
-// forged copy can neither take a pool slot nor displace a resident; one
-// that names an account this node cannot see yet is pooled unchecked —
-// the account may exist a ledger later here, and overlay dedup never
-// re-delivers a dropped flood.
+// reports whether it was refused as invalid, badly signed or spent, which
+// the overlay then does not forward. A flood that fails CheckAuth is
+// refused only when every account it needs signatures from exists here, so
+// a forged copy can neither take a pool slot nor displace a resident; one
+// that names an account this node cannot see yet is pooled unchecked — the
+// account may exist a ledger later here, and overlay dedup never
+// re-delivers a dropped flood. A gapped flood is pooled unchecked for the
+// same reason: its predecessor may still be on its way.
 func (n *Node) onTx(tx *ledger.Transaction) (refused bool) {
 	c := n.admit(tx, false).Code
-	return c == AdmitInvalid || c == AdmitBadSignature
+	return c == AdmitInvalid || c == AdmitBadSignature || c == AdmitBadSeq
 }
 
 // admit is the one admission routine. A refused flood closes the lifecycle
@@ -112,6 +120,8 @@ func (n *Node) admit(tx *ledger.Transaction, local bool) AdmitResult {
 		res.Code, res.Err, res.MinFee = AdmitInvalid, err, n.state.MinFee(tx)
 	} else if auth = n.state.CheckAuth(tx, n.cfg.NetworkID); auth != nil && (local || n.state.HasSigningAccounts(tx)) {
 		res.Code, res.Err = AdmitBadSignature, auth
+	} else if err := n.checkSeq(tx, local); err != nil {
+		res.Code, res.Err = AdmitBadSeq, err
 	} else {
 		add = n.pool.AddAt(tx, h, n.net.Now())
 		res.Code, res.MinFee = poolCode[add.Outcome], add.MinFeeToEnter
@@ -161,6 +171,21 @@ func (n *Node) checkBasic(tx *ledger.Transaction) error {
 	}
 	if expired(tx, n.last.CloseTime) {
 		return fmt.Errorf("herder: time bounds ended at %d, last close at %d", tx.TimeBounds.MaxTime, n.last.CloseTime)
+	}
+	return nil
+}
+
+// checkSeq is the gate's part of the sequence rule: tx must continue its
+// source's pooled chain (ledger.State.ValidChain). A sequence number the
+// account has used is refused; one past a gap is refused only when local.
+// A chain that stops before tx — a time bound not open yet, fees the
+// balance cannot cover now, a gap a flood left — is left to the proposal.
+func (n *Node) checkSeq(tx *ledger.Transaction, local bool) error {
+	chain := append(n.pool.Chain(tx.Source, tx.SeqNum), tx)
+	k, err := n.state.ValidChain(chain, n.proposedCloseTime())
+	var bad *ledger.SeqError
+	if k == len(chain)-1 && errors.As(err, &bad) && (bad.Used || local) {
+		return err
 	}
 	return nil
 }

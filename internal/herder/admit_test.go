@@ -143,14 +143,14 @@ func TestAdmitEndedTimeBounds(t *testing.T) {
 	}
 
 	// Sequence +2 cannot apply while +1 is missing; its bounds end one
-	// second after the last close.
+	// second after the last close. A flood pools it: +1 may be on its way.
 	maxTime := node.last.CloseTime + 1
 	waiting := masterTx(node, master, base, 2)
 	waiting.TimeBounds = &ledger.TimeBounds{MaxTime: maxTime}
 	waiting.Signatures = nil
 	waiting.Sign(node.cfg.NetworkID, master)
-	if res := node.AdmitTx(waiting); res.Code != AdmitAccepted {
-		t.Fatalf("live time bounds: %+v, want accepted", res)
+	if refused := node.onTx(waiting); refused || node.PendingCount() != 1 {
+		t.Fatalf("live time bounds: refused %v, %d pooled, want pooled", refused, node.PendingCount())
 	}
 	for node.last.CloseTime < maxTime {
 		net.RunFor(time.Second)

@@ -3,6 +3,7 @@ package herder
 import (
 	"time"
 
+	"stellar/internal/ledger"
 	"stellar/internal/scp"
 	"stellar/internal/stellarcrypto"
 )
@@ -65,15 +66,53 @@ func (d *driver) ValidateValue(slot uint64, raw scp.Value) scp.ValidationLevel {
 		// The tx set may still be in flight; acceptable but not votable.
 		return scp.ValueMaybeValid
 	}
-	// The set must build on the tip and fit the ledger's operation cap,
-	// which honest proposers apply with SurgePrice.
-	if ts.PrevLedgerHash != n.last.Hash() || ts.NumOperations() > n.state.MaxTxSetSize {
+	// The set must build on the tip, fit the ledger's operation cap, which
+	// honest proposers apply with SurgePrice, and hold only transactions
+	// that can apply.
+	if ts.PrevLedgerHash != n.last.Hash() || ts.NumOperations() > n.state.MaxTxSetSize ||
+		!n.txSetValid(sv.TxSetHash, ts, sv.CloseTime) {
 		return scp.ValueInvalid
 	}
 	if !fullyValid {
 		return scp.ValueMaybeValid
 	}
 	return scp.ValueFullyValid
+}
+
+// txSetValid is stellar-core's TxSetFrame::checkValid for a known set on
+// the tip, closing at closeTime: each source's transactions, in sequence
+// order, must form a whole valid chain (ledger.State.ValidChain), and each
+// transaction the pool has not proven must pass CheckAuth. A set built by
+// Candidates and SurgePrice on this tip passes. Each (set, close time) is
+// judged once per tip (pruneTxSets forgets the verdicts): SCP asks about a
+// set ≈ 10 times a slot on pay_saturate, and judging a full set each time
+// raised nomination_ms_mean there from ≈ 4 to ≈ 7 ms.
+func (n *Node) txSetValid(h stellarcrypto.Hash, ts *ledger.TxSet, closeTime int64) bool {
+	key := txsetJudged{h, closeTime}
+	if ok, judged := n.setVerdicts[key]; judged {
+		return ok
+	}
+	ok := n.checkTxSet(ts, closeTime)
+	n.setVerdicts[key] = ok
+	return ok
+}
+
+func (n *Node) checkTxSet(ts *ledger.TxSet, closeTime int64) bool {
+	if !n.state.ValidChains(ts.Txs, closeTime) {
+		return false
+	}
+	for _, tx := range ts.Txs {
+		if !n.pool.Proven(tx, tx.Hash(n.cfg.NetworkID), n.state) && n.state.CheckAuth(tx, n.cfg.NetworkID) != nil {
+			return false
+		}
+	}
+	return true
+}
+
+// txsetJudged keys txSetValid's verdicts.
+type txsetJudged struct {
+	set       stellarcrypto.Hash
+	closeTime int64
 }
 
 // CombineCandidates implements the §5.3 composition rule.
@@ -99,6 +138,18 @@ func (d *driver) CombineCandidates(slot uint64, candidates []scp.Value) scp.Valu
 		// No candidate's tx set is known locally; fall back to the first
 		// candidate's hash so the composite stays applicable elsewhere.
 		combined.TxSetHash = svs[0].TxSetHash
+	}
+	// The latest close time may end a time bound the set's proposer saw
+	// open; the composite then closes when that proposer proposed, as
+	// stellar-core's combineCandidates does.
+	if ts, ok := n.txsets[combined.TxSetHash]; ok && n.last != nil && ts.PrevLedgerHash == n.last.Hash() &&
+		!n.txSetValid(combined.TxSetHash, ts, combined.CloseTime) {
+		for _, sv := range svs {
+			if sv.TxSetHash == combined.TxSetHash {
+				combined.CloseTime = sv.CloseTime
+				break
+			}
+		}
 	}
 	return combined.Encode()
 }

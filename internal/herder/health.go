@@ -61,10 +61,9 @@ func (n *Node) noteEnvelope(env *scp.Envelope) {
 
 // noteClosedSlotEnvelope takes health evidence from an envelope for a slot
 // this node has closed, which SCP never sees: a peer stuck replaying old
-// slots is exactly what /debug/quorum reports. It counts only when it would
-// change the member's verdict (Missing, Behind or Silent), and then only
-// once the node's shared verifier passed its signature — so a steady state
-// adds no signature checks, and a forged envelope revives no one.
+// slots is exactly what /debug/quorum reports. onEnvelope has verified its
+// signature, so a forged envelope revives no one. It counts only when it
+// would change the member's verdict (Missing, Behind or Silent).
 func (n *Node) noteClosedSlotEnvelope(env *scp.Envelope) {
 	ps, member := n.peersHealth[env.Node]
 	if !member {
@@ -76,7 +75,7 @@ func (n *Node) noteClosedSlotEnvelope(env *scp.Envelope) {
 	}
 	now := n.net.Now()
 	next = next.with(env, now)
-	if n.health(ps, now).verdict() == n.health(&next, now).verdict() || !(*driver)(n).VerifyEnvelope(env) {
+	if n.health(ps, now).verdict() == n.health(&next, now).verdict() {
 		return
 	}
 	n.noteEnvelope(env)

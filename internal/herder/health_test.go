@@ -393,10 +393,11 @@ func TestReplayedOldSlotsStayBehind(t *testing.T) {
 	}
 }
 
-// TestOldSlotsOfHealthyMembersCostNoCheck: in a steady state an envelope
-// for a closed slot cannot change a member's verdict, so it is not
-// verified, signed or not, and changes nothing.
-func TestOldSlotsOfHealthyMembersCostNoCheck(t *testing.T) {
+// TestOldSlotEnvelopesAreVerified: an envelope for a closed slot is checked
+// through the shared cache before anything else. A genuine one is kept for
+// forwarding, a forged one is refused, and in a steady state neither
+// changes a member's verdict.
+func TestOldSlotEnvelopesAreVerified(t *testing.T) {
 	net, nodes, _ := buildPair(t, nil)
 	for _, n := range nodes {
 		n.Start()
@@ -410,10 +411,14 @@ func TestOldSlotsOfHealthyMembersCostNoCheck(t *testing.T) {
 	checks := func() uint64 { s := observer.verifier.Cache.Stats(); return s.Hits + s.Misses }
 	was := checks()
 	old := uint64(observer.LastHeader().LedgerSeq) - 1
-	observer.onEnvelope(externalizeFrom(live, old, live))
-	observer.onEnvelope(externalizeFrom(live, old, nil))
-	if got := checks() - was; got != 0 {
-		t.Fatalf("old-slot envelopes from a healthy member took %d signature checks, want 0", got)
+	if observer.onEnvelope(externalizeFrom(live, old, live)) {
+		t.Fatal("a genuine envelope for a closed slot was refused")
+	}
+	if !observer.onEnvelope(externalizeFrom(live, old, nil)) {
+		t.Fatal("an unsigned envelope for a closed slot was not refused")
+	}
+	if got := checks() - was; got != 2 {
+		t.Fatalf("old-slot envelopes took %d signature checks, want 2", got)
 	}
 	if after := healthByNode(observer.QuorumHealth())[live.ID()]; after != before {
 		t.Fatalf("old-slot envelopes changed a healthy member:\n before %+v\n after  %+v", before, after)

@@ -100,6 +100,9 @@ type Node struct {
 	txsetAsked   map[txsetPeer]uint32
 	txsetServed  map[txsetPeer]uint32
 	txsetApplied map[stellarcrypto.Hash]uint32
+	// setVerdicts holds ValidateValue's judgments of sets on the tip
+	// (txSetValid, driver.go).
+	setVerdicts map[txsetJudged]bool
 
 	// recent holds the header and transaction set of each of the last
 	// recentWindow ledgers that the archive does not: every one on a node
@@ -176,6 +179,7 @@ func New(net simnet.Env, cfg Config) (*Node, error) {
 		txsetAsked:   make(map[txsetPeer]uint32),
 		txsetServed:  make(map[txsetPeer]uint32),
 		txsetApplied: make(map[stellarcrypto.Hash]uint32),
+		setVerdicts:  make(map[txsetJudged]bool),
 		recent:       make(map[uint32]overlay.CatchupItem),
 		decided:      make(map[uint64]*StellarValue),
 		timers:       make(map[timerKey]*simnet.Timer),
@@ -256,9 +260,10 @@ func (n *Node) Bootstrap(genesis *ledger.State, closeTime int64) {
 
 // adoptState makes state and its bucket list, both standing at hdr, the
 // node's ledger: metrics, the shared verifier and pool, the durable bucket
-// store, and the chain tip. Every path that installs a ledger state
-// (genesis, checkpoint restore, a refused replay's rewind) goes through
-// here, so a wiring change cannot miss one of them.
+// store, the chain tip, and the pool's entries the new tip made stale.
+// Every path that installs a ledger state (genesis, checkpoint restore, a
+// refused replay's rewind) goes through here, so a wiring change cannot
+// miss one of them.
 func (n *Node) adoptState(state *ledger.State, buckets *bucket.List, hdr *ledger.Header) {
 	n.state = state
 	n.state.SetObs(n.obs.Reg)
@@ -269,6 +274,22 @@ func (n *Node) adoptState(state *ledger.State, buckets *bucket.List, hdr *ledger
 	n.attachBucketStore()
 	n.last = hdr
 	n.headers[hdr.LedgerSeq] = hdr.Hash()
+	n.pruneStale()
+	n.updatePoolGauges()
+}
+
+// pruneStale drops the pooled transactions the tip has made useless:
+// applied or superseded, from a source that is gone, or expired at the
+// tip's close time. Candidates stops a source's chain at a stale head, so
+// every path that moves the tip prunes (canonical hash order inside
+// PruneStale keeps the trace/event sequence deterministic).
+func (n *Node) pruneStale() {
+	for _, v := range n.pool.PruneStale(func(tx *ledger.Transaction) bool {
+		acct := n.state.Account(tx.Source)
+		return acct == nil || tx.SeqNum <= acct.SeqNum || expired(tx, n.last.CloseTime)
+	}) {
+		n.traceEvictTx(v.Hash, "stale")
+	}
 }
 
 // adoptBuckets makes the ledger a bucket list holds at hdr the node's
@@ -349,16 +370,21 @@ func (n *Node) updatePoolGauges() {
 	n.ins.poolCap.Set(float64(n.pool.Cap()))
 }
 
-// onEnvelope hands a flooded envelope to SCP and reports whether SCP
-// refused it: malformed, or not signed by the node it names. An envelope for
-// a slot already closed cannot help consensus: it is not refused, and is
-// checked only when it would change a peer's health (health.go).
+// onEnvelope hands a flooded envelope to SCP and reports whether it was
+// refused: malformed, or not signed by the node it names. An envelope for a
+// slot already closed cannot help consensus, but a late genuine copy still
+// helps a lagging peer and tells this node about the sender's health
+// (health.go); its signature is checked through the shared cache, and a
+// forgery is refused so that the overlay does not forward it.
 func (n *Node) onEnvelope(env *scp.Envelope) (refused bool) {
 	if n.state == nil {
 		return false
 	}
 	n.ins.envReceived.With(stmtLabel(env.Statement.Type)).Inc()
 	if env.Slot <= uint64(n.last.LedgerSeq) {
+		if !(*driver)(n).VerifyEnvelope(env) {
+			return true
+		}
 		n.noteClosedSlotEnvelope(env)
 		return false
 	}
@@ -582,15 +608,7 @@ func (n *Node) applyLedger(ts *ledger.TxSet, sv *StellarValue, want *ledger.Head
 	delete(n.decided, slot)
 	delete(n.triggered, slot)
 
-	// Drop applied, superseded and expired transactions from the pool
-	// (canonical hash order inside PruneStale keeps the trace/event sequence
-	// deterministic).
-	for _, v := range n.pool.PruneStale(func(tx *ledger.Transaction) bool {
-		acct := n.state.Account(tx.Source)
-		return acct == nil || tx.SeqNum <= acct.SeqNum || expired(tx, hdr.CloseTime)
-	}) {
-		n.traceEvictTx(v.Hash, "stale")
-	}
+	n.pruneStale()
 	n.lastLedgerTxs = len(ts.Txs)
 	n.updatePoolGauges()
 

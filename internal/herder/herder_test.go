@@ -269,14 +269,15 @@ func TestUpgradeGovernance(t *testing.T) {
 // a valid close time, is fully valid with the cap's operations and invalid
 // with one more — whatever a proposer's own SurgePrice would have done.
 func TestOversizedProposalIsInvalid(t *testing.T) {
-	_, nodes, nid := buildPair(t, nil)
-	n := nodes[0]
+	_, nodes, nid, payers := buildFunded(t, 1, nil)
+	n, p := nodes[0], payers[0]
 	n.state.MaxTxSetSize = 3
 	proposal := func(ops int) scp.Value {
-		tx := &ledger.Transaction{Source: "GPROPOSER", Fee: 100, SeqNum: 1}
+		tx := &ledger.Transaction{Source: p.id, Fee: 100 * ledger.Amount(ops), SeqNum: p.seq + 1}
 		for i := 0; i < ops; i++ {
-			tx.Operations = append(tx.Operations, ledger.Operation{Body: &ledger.Payment{Destination: "GNOBODY", Amount: 1}})
+			tx.Operations = append(tx.Operations, ledger.Operation{Body: &ledger.Payment{Destination: p.id, Asset: ledger.NativeAsset(), Amount: 1}})
 		}
+		tx.Sign(nid, p.kp)
 		ts := &ledger.TxSet{PrevLedgerHash: n.LastHeader().Hash(), Txs: []*ledger.Transaction{tx}}
 		n.txsets[ts.Hash(nid)] = ts
 		return (&StellarValue{TxSetHash: ts.Hash(nid), CloseTime: n.LastHeader().CloseTime + 1}).Encode()

@@ -170,9 +170,10 @@ func (n *Node) onTxSetReply(from simnet.Addr, ts *ledger.TxSet) {
 // arrived before this close, since the overlay dedup would suppress their
 // re-floods and the referencing values could never become votable. The
 // request records go at the same age; a request still on record then was
-// never answered.
+// never answered. The verdicts on sets judged on the old tip go at once.
 func (n *Node) pruneTxSets() {
 	tip := n.last.LedgerSeq
+	clear(n.setVerdicts)
 	needed := make(map[stellarcrypto.Hash]bool, len(n.decided))
 	for _, dv := range n.decided {
 		needed[dv.TxSetHash] = true

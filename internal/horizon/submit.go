@@ -110,7 +110,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusAccepted, SubmitResponse{Hash: res.Hash.Hex(), Status: "pending"})
 	case herder.AdmitDuplicate:
 		writeJSON(w, http.StatusOK, SubmitResponse{Hash: res.Hash.Hex(), Status: "duplicate"})
-	case herder.AdmitInvalid, herder.AdmitBadSignature:
+	case herder.AdmitInvalid, herder.AdmitBadSignature, herder.AdmitBadSeq:
 		writeError(w, http.StatusBadRequest, "%v", res.Err)
 	case herder.AdmitPoolFull, herder.AdmitSourceCap, herder.AdmitSeqConflict:
 		writeReject(w, http.StatusTooManyRequests, s.retryInterval(), res.MinFee, "%v", res.Err)

@@ -314,6 +314,27 @@ func TestSubmitAdmissionOutcomes(t *testing.T) {
 	})
 }
 
+// TestSubmitUsedSequenceIsBadSeq: an envelope that has applied already
+// cannot apply again, so posting it again is 400 bad_seq, not a 202 for a
+// transaction the next close would drop; so is one past a gap.
+func TestSubmitUsedSequenceIsBadSeq(t *testing.T) {
+	f := newIngressFixture(t, 0, 1)
+	env := f.envelope(0, ledger.DefaultBaseFee, 1)
+	if resp, _, _ := f.submit(SubmitRequest{EnvelopeXDR: env}); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("first post: status %d, want 202", resp.StatusCode)
+	}
+	f.advance(3 * time.Second)
+	for name, env := range map[string]string{"applied": env, "gapped": f.envelope(0, ledger.DefaultBaseFee, 2)} {
+		resp, rej, _ := f.submit(SubmitRequest{EnvelopeXDR: env})
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(rej.Error, "bad sequence number") {
+			t.Fatalf("%s envelope: status %d %q, want 400 bad sequence number", name, resp.StatusCode, rej.Error)
+		}
+	}
+	if got := f.node.PendingCount(); got != 0 {
+		t.Fatalf("pool holds %d after the refusals", got)
+	}
+}
+
 // TestSubmitSourceCap: an account holding its quota of pending
 // transactions gets 429 + Retry-After for the next one, with no min_fee —
 // no fee gets it in before one of its transactions applies — while another

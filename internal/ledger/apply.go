@@ -1,8 +1,12 @@
 package ledger
 
 import (
+	"bytes"
+	"cmp"
+	"container/heap"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"stellar/internal/obs"
@@ -74,29 +78,66 @@ func (tx *Transaction) CheckStructure() error {
 }
 
 // CheckSeqAndFee is the part of CheckValid that changes from ledger to
-// ledger: the source account exists, the sequence number is the next one,
-// closeTime is inside the time bounds, and the fee is sufficient and
-// affordable.
+// ledger: ValidChain's one-step case.
 func (st *State) CheckSeqAndFee(tx *Transaction, closeTime int64) error {
-	src := st.Account(tx.Source)
+	_, err := st.ValidChain([]*Transaction{tx}, closeTime)
+	return err
+}
+
+// ValidChain is the per-source sequence rule (§5.2), the one place that
+// knows it. chain is one source's pending transactions in ascending
+// sequence order; ValidChain returns how many of them, from the first,
+// ApplyTxSet's fee pass charges one after another in a ledger closing at
+// closeTime, and why it refuses the next. A prefix is valid when the source
+// account exists, the sequence numbers run contiguously from the account's
+// sequence number + 1, closeTime is inside each transaction's time bounds,
+// each fee reaches the minimum, and the balance covers the fees offered
+// along the chain. A
+// prefix of a valid chain is valid, which is what lets SurgePrice cut
+// chains. The gate, the proposal and set validation (ValidChains) call it;
+// the fee pass calls its one-step case, whose error lands in TxResult.Err.
+func (st *State) ValidChain(chain []*Transaction, closeTime int64) (int, error) {
+	if len(chain) == 0 {
+		return 0, nil
+	}
+	src := st.Account(chain[0].Source)
 	if src == nil {
-		return fmt.Errorf("ledger: source account %s does not exist", tx.Source)
+		return 0, fmt.Errorf("ledger: source account %s does not exist", chain[0].Source)
 	}
-	// "A transaction's main validity criterion is its sequence number,
-	// which must be one greater than that of the source account" (§5.2).
-	if tx.SeqNum != src.SeqNum+1 {
-		return fmt.Errorf("ledger: bad sequence number %d, account at %d", tx.SeqNum, src.SeqNum)
+	seq, fees := src.SeqNum, Amount(0)
+	for i, tx := range chain {
+		// "A transaction's main validity criterion is its sequence number,
+		// which must be one greater than that of the source account"
+		// (§5.2): of the one before it in the chain.
+		if tx.SeqNum != seq+1 {
+			return i, &SeqError{Seq: tx.SeqNum, After: seq, Used: tx.SeqNum <= src.SeqNum}
+		}
+		if !tx.TimeBounds.Contains(closeTime) {
+			return i, fmt.Errorf("ledger: outside time bounds at close time %d", closeTime)
+		}
+		if tx.Fee < st.MinFee(tx) {
+			return i, fmt.Errorf("ledger: fee %d below minimum %d", tx.Fee, st.MinFee(tx))
+		}
+		if fees += tx.Fee; src.Balance < fees {
+			return i, fmt.Errorf("ledger: source cannot pay fee")
+		}
+		seq = tx.SeqNum
 	}
-	if !tx.TimeBounds.Contains(closeTime) {
-		return fmt.Errorf("ledger: outside time bounds at close time %d", closeTime)
-	}
-	if tx.Fee < st.MinFee(tx) {
-		return fmt.Errorf("ledger: fee %d below minimum %d", tx.Fee, st.MinFee(tx))
-	}
-	if src.Balance < tx.Fee {
-		return fmt.Errorf("ledger: source cannot pay fee")
-	}
-	return nil
+	return len(chain), nil
+}
+
+// SeqError is ValidChain's verdict on a sequence number that does not
+// continue the chain.
+type SeqError struct {
+	Seq   uint64 // the transaction's sequence number
+	After uint64 // the one it had to follow
+	// Used reports that the account has spent Seq already, so no later
+	// ledger can make the transaction valid.
+	Used bool
+}
+
+func (e *SeqError) Error() string {
+	return fmt.Sprintf("ledger: bad sequence number %d, account at %d", e.Seq, e.After)
 }
 
 // CheckAuth is the rest of CheckValid: structure and signatures. For an
@@ -120,18 +161,28 @@ func (st *State) CheckAuth(tx *Transaction, networkID stellarcrypto.Hash) error 
 // nothing else.
 func (st *State) AuthEpoch() uint64 { return st.authEpoch }
 
-// ApplyTransaction executes one transaction against the state. Fee and
-// sequence processing persist even when operations fail; the operations
-// themselves are atomic (§5.2).
+// ApplyTransaction executes one transaction against the state: a set of
+// one, whose fee pass is its own CheckValid and fee. Fee and sequence
+// processing persist even when operations fail; the operations themselves
+// are atomic (§5.2).
 func (st *State) ApplyTransaction(tx *Transaction, networkID stellarcrypto.Hash, env *ApplyEnv) TxResult {
+	res := st.chargeFee(tx, networkID, env.CloseTime)
+	if res.Err == "" {
+		st.applyOps(tx, env, &res)
+	}
+	return res
+}
+
+// chargeFee is a transaction's part of the fee pass: CheckValid, then the
+// fee and the sequence number, which stick no matter what the operations
+// do ("Executing a valid transaction (successfully or not) increments the
+// sequence number", §5.2). An invalid transaction is charged nothing.
+func (st *State) chargeFee(tx *Transaction, networkID stellarcrypto.Hash, closeTime int64) TxResult {
 	res := TxResult{TxHash: tx.Hash(networkID)}
-	if err := st.CheckValid(tx, networkID, env.CloseTime); err != nil {
+	if err := st.CheckValid(tx, networkID, closeTime); err != nil {
 		res.Err = err.Error()
 		return res
 	}
-	// Charge the fee and bump the sequence number; these stick no matter
-	// what the operations do ("Executing a valid transaction
-	// (successfully or not) increments the sequence number", §5.2).
 	fee := st.MinFee(tx)
 	if tx.Fee < fee {
 		fee = tx.Fee
@@ -142,8 +193,11 @@ func (st *State) ApplyTransaction(tx *Transaction, networkID stellarcrypto.Hash,
 	src.SeqNum = tx.SeqNum
 	st.FeePool += fee
 	res.FeeCharged = fee
+	return res
+}
 
-	// Execute operations atomically.
+// applyOps executes tx's operations atomically into res.
+func (st *State) applyOps(tx *Transaction, env *ApplyEnv, res *TxResult) {
 	st.begin()
 	for i := range tx.Operations {
 		op := &tx.Operations[i]
@@ -151,12 +205,11 @@ func (st *State) ApplyTransaction(tx *Transaction, networkID stellarcrypto.Hash,
 			st.rollbackTx()
 			res.OpErrors = append(res.OpErrors,
 				fmt.Sprintf("op %d (%s): %v", i, op.Body.Type(), err))
-			return res
+			return
 		}
 	}
 	st.commitTx()
 	res.Success = true
-	return res
 }
 
 // TxSet is the batch of transactions one ledger applies (§5.3): it is
@@ -216,23 +269,27 @@ func (ts *TxSet) TotalFees() Amount {
 }
 
 // SortForApply orders transactions deterministically for execution:
-// grouped by source account in sequence-number order (so chained
-// transactions work). The comparator is a total order independent of the
-// slice's incoming order — essential because TxSet.Hash is
-// order-insensitive, so two nodes may hold the same logical set in
-// different orders and must still apply identically.
+// in ChainOrder, so chained transactions work, then by hash. The comparator
+// is a total order independent of the slice's incoming order — essential
+// because TxSet.Hash is order-insensitive, so two nodes may hold the same
+// logical set in different orders and must still apply identically.
 func (ts *TxSet) SortForApply(networkID stellarcrypto.Hash) []*Transaction {
-	out := append([]*Transaction(nil), ts.Txs...)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Source != out[j].Source {
-			return out[i].Source < out[j].Source
+	out := slices.Clone(ts.Txs)
+	slices.SortFunc(out, func(a, b *Transaction) int {
+		if c := ChainOrder(a, b); c != 0 {
+			return c
 		}
-		if out[i].SeqNum != out[j].SeqNum {
-			return out[i].SeqNum < out[j].SeqNum
-		}
-		return out[i].Hash(networkID).Less(out[j].Hash(networkID))
+		ha, hb := a.Hash(networkID), b.Hash(networkID)
+		return bytes.Compare(ha[:], hb[:])
 	})
 	return out
+}
+
+// ChainOrder orders transactions by source, then by sequence number: each
+// source's chain in the order it applies. Apply, set validation, surge
+// pricing and the mempool's proposals all sort by it.
+func ChainOrder(a, b *Transaction) int {
+	return cmp.Or(strings.Compare(string(a.Source), string(b.Source)), cmp.Compare(a.SeqNum, b.SeqNum))
 }
 
 // VerifyTxSetSignatures fans the signature checks of txs across the
@@ -272,9 +329,30 @@ func (st *State) ApplyTxSet(ts *TxSet, networkID stellarcrypto.Hash, env *ApplyE
 	if st.verifier != nil {
 		st.spent = make([]stellarcrypto.Hash, 0, len(txs))
 	}
-	results := make([]TxResult, 0, len(txs))
-	for _, tx := range txs {
-		results = append(results, st.ApplyTransaction(tx, networkID, env))
+	// The fee pass: every transaction is checked and charged before any
+	// operation runs, as stellar-core's processFeesSeqNums does. Only fees
+	// and sequence numbers move in it, so it passes exactly the chains
+	// ValidChains passes on the tip, and every member of a valid set pays.
+	results := make([]TxResult, len(txs))
+	for i, tx := range txs {
+		results[i] = st.chargeFee(tx, networkID, env.CloseTime)
+	}
+	// The operation pass. An earlier transaction's merge or SetOptions may
+	// have removed an account a later one needs or changed its signers; a
+	// transaction that no longer carries the weight keeps its fee and runs
+	// nothing.
+	epoch := st.authEpoch
+	for i, tx := range txs {
+		if results[i].Err != "" {
+			continue
+		}
+		if st.authEpoch != epoch {
+			if err := tx.checkSignatures(st, networkID); err != nil {
+				results[i].Err = err.Error()
+				continue
+			}
+		}
+		st.applyOps(tx, env, &results[i])
 	}
 	st.traceSpan.CompleteChild(obs.SpanTxApply, time.Since(loopStart))
 	st.observeApply(start, results)
@@ -293,28 +371,88 @@ func (st *State) ApplyTxSet(ts *TxSet, networkID stellarcrypto.Hash, env *ApplyE
 	return results, stellarcrypto.HashBytes(e.Bytes())
 }
 
-// SurgePrice trims a candidate transaction list to the ledger's capacity
-// (in operations), keeping the highest fee-per-operation transactions —
-// the Dutch auction of §5.2 under congestion.
+// SurgePrice trims candidate transactions to the ledger's capacity (in
+// operations) — the Dutch auction of §5.2 under congestion — without
+// breaking a chain: txs holds each source's valid chain (ValidChain), and
+// SurgePrice keeps a prefix of each. It takes account queues: the queue
+// whose head pays the highest fee per operation goes next (ties to the
+// lower sequence number, then the lower source), taking a head exposes the
+// transaction behind it, and a queue whose head does not fit is dropped
+// whole. The result is in the order taken.
 func SurgePrice(txs []*Transaction, maxOps int) []*Transaction {
-	sorted := append([]*Transaction(nil), txs...)
-	sort.Slice(sorted, func(i, j int) bool {
-		// Fee rate per operation, compared as cross products.
-		li := sorted[i].Fee * Amount(sorted[j].NumOperations())
-		lj := sorted[j].Fee * Amount(sorted[i].NumOperations())
-		if li != lj {
-			return li > lj
-		}
-		return sorted[i].SeqNum < sorted[j].SeqNum
-	})
-	out := make([]*Transaction, 0, len(sorted))
+	queues := chainQueues(chains(txs))
+	heap.Init(&queues)
+	out := make([]*Transaction, 0, len(txs))
 	ops := 0
-	for _, tx := range sorted {
-		if ops+tx.NumOperations() > maxOps {
+	for len(queues) > 0 {
+		q := queues[0]
+		if ops+q[0].NumOperations() > maxOps {
+			heap.Pop(&queues)
 			continue
 		}
-		ops += tx.NumOperations()
-		out = append(out, tx)
+		ops += q[0].NumOperations()
+		out = append(out, q[0])
+		if len(q) == 1 {
+			heap.Pop(&queues)
+		} else {
+			queues[0] = q[1:]
+			heap.Fix(&queues, 0)
+		}
 	}
 	return out
+}
+
+// ValidChains reports whether txs, taken per source in sequence order,
+// are each a whole valid chain at closeTime (ValidChain): whether a
+// transaction set can apply without a transaction failing on its sequence
+// number, time bounds or fee.
+func (st *State) ValidChains(txs []*Transaction, closeTime int64) bool {
+	for _, chain := range chains(txs) {
+		if k, _ := st.ValidChain(chain, closeTime); k < len(chain) {
+			return false
+		}
+	}
+	return true
+}
+
+// chains groups txs per source: a copy ordered by source, then by
+// sequence number, cut into one run per source.
+func chains(txs []*Transaction) [][]*Transaction {
+	sorted := slices.Clone(txs)
+	slices.SortStableFunc(sorted, ChainOrder)
+	var out [][]*Transaction
+	for i := 0; i < len(sorted); {
+		j := i + 1
+		for j < len(sorted) && sorted[j].Source == sorted[i].Source {
+			j++
+		}
+		out = append(out, sorted[i:j])
+		i = j
+	}
+	return out
+}
+
+// chainQueues is SurgePrice's max-heap of account queues, keyed by head.
+type chainQueues [][]*Transaction
+
+func (h chainQueues) Len() int { return len(h) }
+func (h chainQueues) Less(i, j int) bool {
+	a, b := h[i][0], h[j][0]
+	// Fee rate per operation, compared as cross products.
+	ra, rb := a.Fee*Amount(b.NumOperations()), b.Fee*Amount(a.NumOperations())
+	if ra != rb {
+		return ra > rb
+	}
+	if a.SeqNum != b.SeqNum {
+		return a.SeqNum < b.SeqNum
+	}
+	return a.Source < b.Source
+}
+func (h chainQueues) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *chainQueues) Push(x any)   { *h = append(*h, x.([]*Transaction)) }
+func (h *chainQueues) Pop() any {
+	old := *h
+	q := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return q
 }

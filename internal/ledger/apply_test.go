@@ -92,16 +92,16 @@ func TestApplyTxSetResultsHashDeterministic(t *testing.T) {
 }
 
 func TestSurgePricePrefersHighFeeRate(t *testing.T) {
-	mk := func(fee Amount, nops int, seq uint64) *Transaction {
+	mk := func(src AccountID, fee Amount, nops int) *Transaction {
 		ops := make([]Operation, nops)
 		for i := range ops {
 			ops[i] = Operation{Body: &BumpSequence{}}
 		}
-		return &Transaction{Fee: fee, SeqNum: seq, Operations: ops}
+		return &Transaction{Source: src, Fee: fee, SeqNum: 1, Operations: ops}
 	}
-	cheap := mk(100, 1, 1)
-	rich := mk(1000, 1, 2)
-	bulk := mk(500, 5, 3) // rate 100/op
+	cheap := mk("cheap", 100, 1)
+	rich := mk("rich", 1000, 1)
+	bulk := mk("bulk", 500, 5) // rate 100/op
 	out := SurgePrice([]*Transaction{cheap, rich, bulk}, 2)
 	if len(out) != 2 {
 		t.Fatalf("kept %d txs", len(out))

@@ -58,23 +58,37 @@ func (w *proposerWorld) admit(tx *ledger.Transaction, networkID stellarcrypto.Ha
 }
 
 // propose is herder.triggerNextLedger's set construction. The reference
-// branch is the trigger as it was before the pool remembered anything.
+// branch runs the chain rule and the full CheckAuth over the whole pool and
+// remembers nothing.
 func (w *proposerWorld) propose(networkID stellarcrypto.Hash, closeTime int64) *ledger.TxSet {
 	var candidates []*ledger.Transaction
 	if w.proofs {
 		candidates = w.pool.Candidates(w.st, networkID, closeTime)
 	} else {
-		w.pool.Each(func(_ stellarcrypto.Hash, tx *ledger.Transaction) {
-			if w.st.CheckValid(tx, networkID, closeTime) == nil {
+		var pooled []*ledger.Transaction
+		w.pool.Each(func(_ stellarcrypto.Hash, tx *ledger.Transaction) { pooled = append(pooled, tx) })
+		sort.Slice(pooled, func(i, j int) bool {
+			if pooled[i].Source != pooled[j].Source {
+				return pooled[i].Source < pooled[j].Source
+			}
+			return pooled[i].SeqNum < pooled[j].SeqNum
+		})
+		// Each source's chain: its valid prefix, up to the first
+		// transaction whose structure or signatures fail.
+		for i := 0; i < len(pooled); {
+			j := i + 1
+			for j < len(pooled) && pooled[j].Source == pooled[i].Source {
+				j++
+			}
+			k, _ := w.st.ValidChain(pooled[i:j], closeTime)
+			for _, tx := range pooled[i : i+k] {
+				if w.st.CheckAuth(tx, networkID) != nil {
+					break
+				}
 				candidates = append(candidates, tx)
 			}
-		})
-		sort.Slice(candidates, func(i, j int) bool {
-			if candidates[i].Source != candidates[j].Source {
-				return candidates[i].Source < candidates[j].Source
-			}
-			return candidates[i].SeqNum < candidates[j].SeqNum
-		})
+			i = j
+		}
 	}
 	candidates = ledger.SurgePrice(candidates, w.st.MaxTxSetSize)
 	return &ledger.TxSet{PrevLedgerHash: w.hdr.Hash(), Txs: candidates}

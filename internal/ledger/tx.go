@@ -246,7 +246,8 @@ func (tx *Transaction) checkSignatures(st *State, networkID stellarcrypto.Hash) 
 		if entry == nil {
 			return fmt.Errorf("ledger: tx source account %s does not exist", acct)
 		}
-		needed := int(thresholdValue(entry, lvl))
+		// A zero threshold still asks for one valid signature.
+		needed := max(int(thresholdValue(entry, lvl)), 1)
 		weight := 0
 		// Candidate signing keys: the master key plus listed signers,
 		// each decoded once. Undecodable keys simply never match, and a
@@ -301,7 +302,7 @@ func (tx *Transaction) checkSignatures(st *State, networkID stellarcrypto.Hash) 
 				weight += int(entry.signerWeight(candidates[matched].id))
 			}
 		}
-		if weight < needed || weight == 0 {
+		if weight < needed {
 			return fmt.Errorf("ledger: %s needs weight %d at level %d, signatures carry %d",
 				acct, needed, lvl, weight)
 		}

@@ -31,11 +31,9 @@ package mempool
 
 import (
 	"bytes"
-	"cmp"
 	"container/heap"
 	"slices"
 	"sort"
-	"strings"
 	"time"
 
 	"stellar/internal/ledger"
@@ -44,8 +42,8 @@ import (
 
 // Defaults. The pool bound is far above any surge-priced ledger (so the
 // pool absorbs several ledgers of backlog before pushing back) and the
-// per-source cap is far above the one-tx-per-ledger rate an account can
-// actually sustain.
+// per-source cap keeps one key from filling the pool while leaving room
+// for the chain a client keeps pending.
 const (
 	DefaultMaxTxs       = 8192
 	DefaultMaxPerSource = 64
@@ -241,35 +239,58 @@ func (p *Pool) ForgetProofs() {
 	}
 }
 
-// Candidates returns the pooled transactions st.CheckValid accepts at
-// closeTime — exactly that set — in canonical (source, sequence) order, so
-// a proposal never depends on map iteration. An entry whose proof is
-// current is checked for sequence number, time bounds, fee and balance
-// only; any other runs the full CheckValid, and a pass becomes its proof.
+// Candidates returns what this pool proposes at closeTime: each source's
+// pooled chain cut to its valid prefix (ledger.State.ValidChain), and within
+// it to the entries before the first that fails CheckAuth, in canonical
+// (source, sequence) order, so a proposal never depends on map iteration.
+// An entry whose proof is current skips CheckAuth; any other runs it, and a
+// pass becomes its proof. An entry the account has used stops its source's
+// chain until PruneStale drops it, so the owner prunes wherever its ledger
+// state moves.
 func (p *Pool) Candidates(st *ledger.State, networkID stellarcrypto.Hash, closeTime int64) []*ledger.Transaction {
 	epoch := st.AuthEpoch()
 	out := make([]*ledger.Transaction, 0, len(p.byHash))
-	for _, e := range p.byHash {
-		if e.proven && e.provenAt == epoch {
-			if st.CheckSeqAndFee(e.tx, closeTime) != nil {
-				continue
-			}
-		} else {
-			if st.CheckValid(e.tx, networkID, closeTime) != nil {
-				continue
-			}
-			e.proven, e.provenAt = true, epoch
+	var chain []*ledger.Transaction
+	for _, head := range p.bySource {
+		chain = chain[:0]
+		for e := head; e != nil; e = e.next {
+			chain = append(chain, e.tx)
 		}
-		out = append(out, e.tx)
+		k, _ := st.ValidChain(chain, closeTime)
+		for e := head; k > 0; e, k = e.next, k-1 {
+			if !e.provenBy(epoch) {
+				if st.CheckAuth(e.tx, networkID) != nil {
+					break
+				}
+				e.proven, e.provenAt = true, epoch
+			}
+			out = append(out, e.tx)
+		}
 	}
 	// The pool holds one transaction per (source, sequence): a total order.
-	slices.SortFunc(out, func(a, b *ledger.Transaction) int {
-		if c := strings.Compare(string(a.Source), string(b.Source)); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.SeqNum, b.SeqNum)
-	})
+	slices.SortFunc(out, ledger.ChainOrder)
 	return out
+}
+
+// provenBy reports whether the entry's proof stands at the auth epoch.
+func (e *entry) provenBy(epoch uint64) bool { return e.proven && e.provenAt == epoch }
+
+// Proven reports whether tx is the pooled instance under hash h and its
+// proof stands at st's auth epoch: CheckAuth would pass it.
+func (p *Pool) Proven(tx *ledger.Transaction, h stellarcrypto.Hash, st *ledger.State) bool {
+	e := p.byHash[h]
+	return e != nil && e.tx == tx && e.provenBy(st.AuthEpoch())
+}
+
+// Chain returns src's pooled transactions with a sequence number below
+// below, in ascending sequence order: what a transaction at below would
+// follow.
+func (p *Pool) Chain(src ledger.AccountID, below uint64) []*ledger.Transaction {
+	var chain []*ledger.Transaction
+	for e := p.bySource[src]; e != nil && e.tx.SeqNum < below; e = e.next {
+		chain = append(chain, e.tx)
+	}
+	return chain
 }
 
 // FloorRate returns the cheapest resident's fee rate as a (fee, ops)
